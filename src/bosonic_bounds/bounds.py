@@ -4,6 +4,8 @@ All closed-form bounds for thermal, amplifier, and additive-noise channels,
 the shared continuity penalty of the approximate-degradability bounds, the
 coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
+:data:`REGISTRY` holds one row per bound kind: its channel kinds, its
+clamp, and how it is evaluated at a channel.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -13,6 +15,8 @@ catastrophic cancellation.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +28,7 @@ from .gaussian_core import LN2
 from .optimize import maximize_scalar, minimize_scalar
 
 __all__ = [
-    "PenaltyParams", "BoundResult", "penalty",
+    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "penalty",
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
@@ -103,8 +107,8 @@ def _min_penalty(eps: float, w_prime: float, k: int):
 class BoundResult:
     """A bound value in bits with its provenance.
 
-    `value` carries the max{0, raw} clamp exactly for the bound kinds whose
-    statements clamp (QU1, QU4, QL); all other kinds report raw.
+    `value` carries the max{0, raw} clamp exactly for the kinds whose
+    registry row clamps (QL, QU1, QU4, PU1, RMG); all other kinds report raw.
     """
 
     kind: str
@@ -123,29 +127,50 @@ class BoundResult:
         }
 
 
-def _clamped(kind, raw, params, argopt=None):
-    return BoundResult(kind, max(0.0, float(raw)), float(raw), argopt, params)
+def _clamp(kind, raw):
+    return max(0.0, raw) if REGISTRY[kind].clamp else raw
 
 
-def _unclamped(kind, raw, params, argopt=None):
-    return BoundResult(kind, float(raw), float(raw), argopt, params)
+def _result(kind, raw, params, argopt=None):
+    raw = float(raw)
+    return BoundResult(kind, _clamp(kind, raw), raw, argopt, params)
+
+
+def _params(ch, ns):
+    return {**ch.params, "channel": ch.kind, "ns": ns}
+
+
+def _check_ns(ns):
+    if ns < 0.0:
+        raise DomainError("input mean photon number must be >= 0")
 
 
 def _check_point(nb, ns):
     if nb < 0.0:
         raise DomainError("environment photon number must be >= 0")
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
+    _check_ns(ns)
+
+
+def _on_channel(kind, ch):
+    if ch.kind not in REGISTRY[kind].channels:
+        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
+
+
+def _closed_form(f):
+    """Evaluate `f` on float arrays; a 0-d result comes back as a float."""
+    @functools.wraps(f)
+    def wrapped(*args):
+        val = f(*[np.asarray(a, dtype=float) for a in args])
+        return val if val.shape else float(val)
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
 # Raw closed forms (array-aware, bits)
 # ---------------------------------------------------------------------------
 
+@_closed_form
 def _ql_thermal_raw(eta, nb, ns):
-    eta = np.asarray(eta, dtype=float)
-    nb = np.asarray(nb, dtype=float)
-    ns = np.asarray(ns, dtype=float)
     y = (1.0 - eta) * nb
     d2 = ((1.0 - eta) * ns) ** 2 + 2.0 * ns * ((1.0 + eta) * y + (1.0 - eta)) + (y + 1.0) ** 2
     dd = np.sqrt(d2)
@@ -158,78 +183,61 @@ def _ql_thermal_raw(eta, nb, ns):
     arg_m = np.where(w > 0.0,
                      2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
                      (dd - w) / 2.0)
-    val = (_gn(eta * ns + y) - _gn(arg_p) - _gn(arg_m)) / LN2
-    return val if val.shape else float(val)
+    return (_gn(eta * ns + y) - _gn(arg_p) - _gn(arg_m)) / LN2
 
 
+@_closed_form
 def _ql_amp_raw(g, nb, ns):
-    g = np.asarray(g, dtype=float)
-    nb = np.asarray(nb, dtype=float)
-    ns = np.asarray(ns, dtype=float)
     z = (g - 1.0) * (nb + 1.0)
     d2 = ((g - 1.0) * ns) ** 2 + 2.0 * ns * (g - 1.0) * ((nb + 1.0) * (g + 1.0) - 1.0) + (z + 1.0) ** 2
     dd = np.sqrt(d2)
     arg_p = (dd + (g - 1.0) * (ns + nb + 1.0) - 1.0) / 2.0  # >= 0 since D >= z+1
     arg_m = 2.0 * ns * (g - 1.0) * nb / (dd + (g - 1.0) * ns + z + 1.0)
-    val = (_gn(g * ns + z) - _gn(arg_p) - _gn(arg_m)) / LN2
-    return val if val.shape else float(val)
+    return (_gn(g * ns + z) - _gn(arg_p) - _gn(arg_m)) / LN2
 
 
+@_closed_form
 def _qu1_thermal_raw(eta, nb, ns):
-    eta = np.asarray(eta, dtype=float)
-    etp = eta / ((1.0 - eta) * np.asarray(nb, dtype=float) + 1.0)
-    ns = np.asarray(ns, dtype=float)
-    val = (_gn(etp * ns) - _gn((1.0 - etp) * ns)) / LN2
-    return val if val.shape else float(val)
+    etp = eta / ((1.0 - eta) * nb + 1.0)
+    return (_gn(etp * ns) - _gn((1.0 - etp) * ns)) / LN2
 
 
+@_closed_form
 def _qu1_amp_raw(g, nb, ns):
-    g = np.asarray(g, dtype=float)
-    gp = g / (1.0 - np.asarray(nb, dtype=float) * (g - 1.0))
-    ns = np.asarray(ns, dtype=float)
-    val = (_gn(gp * ns + gp - 1.0) - _gn((gp - 1.0) * (ns + 1.0))) / LN2
-    return val if val.shape else float(val)
+    gp = g / (1.0 - nb * (g - 1.0))
+    return (_gn(gp * ns + gp - 1.0) - _gn((gp - 1.0) * (ns + 1.0))) / LN2
 
 
+@_closed_form
 def _qu1_additive_raw(nbar, ns):
-    nbar = np.asarray(nbar, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    val = (_gn(ns / (nbar + 1.0)) - _gn(nbar * ns / (nbar + 1.0))) / LN2
-    return val if val.shape else float(val)
+    return (_gn(ns / (nbar + 1.0)) - _gn(nbar * ns / (nbar + 1.0))) / LN2
 
 
+@_closed_form
 def _qu4_thermal_raw(eta, nb, ns):
-    eta = np.asarray(eta, dtype=float)
-    nb = np.asarray(nb, dtype=float)
-    ns = np.asarray(ns, dtype=float)
     etp = eta - (1.0 - eta) * nb
     out = eta * ns + (1.0 - eta) * nb
-    val = (_gn(out) - _gn((1.0 / etp - 1.0) * out)) / LN2
-    return val if val.shape else float(val)
+    return (_gn(out) - _gn((1.0 / etp - 1.0) * out)) / LN2
 
 
+@_closed_form
 def _qu4_additive_raw(nbar, ns):
-    nbar = np.asarray(nbar, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    val = (_gn(ns + nbar) - _gn(nbar * (ns + nbar) / (1.0 - nbar))) / LN2
-    return val if val.shape else float(val)
+    return (_gn(ns + nbar) - _gn(nbar * (ns + nbar) / (1.0 - nbar))) / LN2
 
 
+@_closed_form
 def _ud_thermal_raw(eta, nb, ns):
     """Conditional entropy of degradation at thermal input, thermal channel."""
-    eta = np.asarray(eta, dtype=float)
-    nb = np.asarray(nb, dtype=float)
-    ns = np.asarray(ns, dtype=float)
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * eta - 1.0) / eta
     th = eta * nb + (1.0 - eta) * ns
     inner = np.sqrt(np.maximum((1.0 + nb + th) ** 2 - rho, 0.0))
     common = (1.0 + 2.0 * nb) ** 2 - 2.0 * rho + (1.0 + 2.0 * th) ** 2
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    val = (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
-    return val if val.shape else float(val)
+    return (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
 
 
+@_closed_form
 def _ud_amp_raw(g, nb, ns):
     """Amplifier analogue of :func:`_ud_thermal_raw`.
 
@@ -237,17 +245,13 @@ def _ud_amp_raw(g, nb, ns):
     it matches the conditional-entropy oracle through the degrading
     dilation, which the g(G ns + (G-1) nb) variant does not.
     """
-    g = np.asarray(g, dtype=float)
-    nb = np.asarray(nb, dtype=float)
-    ns = np.asarray(ns, dtype=float)
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * g - 1.0) / g
     th = g * (1.0 + nb) + (g - 1.0) * ns
     inner = np.sqrt(np.maximum((nb + th) ** 2 - rho, 0.0))
     common = (1.0 + 2.0 * nb) ** 2 - 2.0 * rho + (2.0 * th - 1.0) ** 2
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    val = (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
-    return val if val.shape else float(val)
+    return (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def q_lower_thermal(eta: float, nb: float, ns: float) -> BoundResult:
         raise DomainError("thermal channel requires eta in (0, 1]")
     _check_point(nb, ns)
     raw = _ql_thermal_raw(eta, nb, ns)
-    return _clamped("QL", raw, {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns})
+    return _result("QL", raw, {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns})
 
 
 def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
@@ -270,7 +274,7 @@ def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
         raise DomainError("q_lower_amp requires gain > 1")
     _check_point(nb, ns)
     raw = _ql_amp_raw(g, nb, ns)
-    return _clamped("QL", raw, {"channel": "amplifier", "g": g, "nb": nb, "ns": ns})
+    return _result("QL", raw, {"channel": "amplifier", "g": g, "nb": nb, "ns": ns})
 
 
 def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
@@ -300,29 +304,41 @@ def _thermal_half(eta, what):
         raise InfeasibleBoundError(f"eta < 1/2: {what} needs eta in [1/2, 1]")
 
 
+def _amp_then_loss(eta, nb):
+    if eta <= (1.0 - eta) * nb:
+        raise InfeasibleBoundError(
+            f"eta <= (1-eta)*NB: amp-then-loss decomposition infeasible "
+            f"at eta={eta:.6g}, nb={nb:.6g}")
+
+
+def _amp_then_loss_limit(eta, nb):
+    """log2((eta - (1-eta) nb) / ((1-eta)(nb+1))): unconstrained QU4 and RMG."""
+    _amp_then_loss(eta, nb)
+    if eta == 1.0:
+        return np.inf
+    return float(np.log2((eta - (1.0 - eta) * nb) / ((1.0 - eta) * (nb + 1.0))))
+
+
 def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
     """Data-processing bound from the loss-then-amplifier decomposition."""
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
-    p = dict(ch.params)
-    p["channel"] = ch.kind
-    p["ns"] = ns
+    _check_ns(ns)
+    _on_channel("QU1", ch)
+    p = _params(ch, ns)
     if ch.kind == "thermal":
         _thermal_half(p["eta"], "QU1")
         raw = _qu1_thermal_raw(p["eta"], p["nb"], ns)
     elif ch.kind == "amplifier":
         _amp_not_eb(p["g"], p["nb"])
         raw = _qu1_amp_raw(p["g"], p["nb"], ns)
-    elif ch.kind == "additive":
+    else:
         _additive_window(p["nbar"])
         raw = _qu1_additive_raw(p["nbar"], ns)
-    else:
-        raise ChannelKindError("QU1 needs a thermal, amplifier, or additive channel")
-    return _clamped("QU1", raw, p)
+    return _result("QU1", raw, p)
 
 
 def q_u1_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
     """Infinite-energy limit of QU1 (raw, unclamped)."""
+    _on_channel("QU1", ch)
     if ch.kind == "thermal":
         eta, nb = ch.params["eta"], ch.params["nb"]
         _thermal_half(eta, "QU1")
@@ -335,128 +351,103 @@ def q_u1_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
         if g == 1.0:
             return np.inf
         return float(np.log2(g / (g - 1.0)) - np.log2(nb + 1.0))
-    if ch.kind == "additive":
-        _additive_window(ch.params["nbar"])
-        return float(np.log2(1.0 / ch.params["nbar"]))
-    raise ChannelKindError("QU1 needs a thermal, amplifier, or additive channel")
+    _additive_window(ch.params["nbar"])
+    return float(np.log2(1.0 / ch.params["nbar"]))
 
 
 def q_u4(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
     """Data-processing bound from the amplifier-then-loss decomposition."""
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
-    p = dict(ch.params)
-    p["channel"] = ch.kind
-    p["ns"] = ns
+    _check_ns(ns)
+    _on_channel("QU4", ch)
+    p = _params(ch, ns)
     if ch.kind == "thermal":
-        eta, nb = p["eta"], p["nb"]
-        if eta <= (1.0 - eta) * nb:
-            raise InfeasibleBoundError(
-                f"eta <= (1-eta)*NB: amp-then-loss decomposition infeasible "
-                f"at eta={eta:.6g}, nb={nb:.6g}")
-        raw = _qu4_thermal_raw(eta, nb, ns)
-    elif ch.kind == "additive":
+        _amp_then_loss(p["eta"], p["nb"])
+        raw = _qu4_thermal_raw(p["eta"], p["nb"], ns)
+    else:
         _additive_window(p["nbar"])
         raw = _qu4_additive_raw(p["nbar"], ns)
-    else:
-        raise ChannelKindError("QU4 is defined for thermal and additive channels")
-    return _clamped("QU4", raw, p)
+    return _result("QU4", raw, p)
 
 
 def q_u4_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
     """Infinite-energy limit of QU4 (raw, unclamped)."""
+    _on_channel("QU4", ch)
     if ch.kind == "thermal":
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        if eta <= (1.0 - eta) * nb:
-            raise InfeasibleBoundError("eta <= (1-eta)*NB")
-        if eta == 1.0:
-            return np.inf
-        return float(np.log2((eta - (1.0 - eta) * nb) / ((1.0 - eta) * (nb + 1.0))))
-    if ch.kind == "additive":
-        _additive_window(ch.params["nbar"])
-        nbar = ch.params["nbar"]
-        return float(np.log2((1.0 - nbar) / nbar))
-    raise ChannelKindError("QU4 is defined for thermal and additive channels")
+        return _amp_then_loss_limit(ch.params["eta"], ch.params["nb"])
+    nbar = ch.params["nbar"]
+    _additive_window(nbar)
+    return float(np.log2((1.0 - nbar) / nbar))
 
 
 # ---------------------------------------------------------------------------
 # Approximate-degradability bounds
 # ---------------------------------------------------------------------------
 
-def _deg_base_and_caps(ch, ns):
-    """(U_D term, W', channel params) for the eps-degradable family."""
-    p = dict(ch.params)
-    p["channel"] = ch.kind
-    p["ns"] = ns
+def _degrading_base(ch, ns):
+    """U_D, the conditional entropy of degradation, and its cap W'."""
     if ch.kind == "thermal":
-        eta, nb = p["eta"], p["nb"]
+        eta, nb = ch.params["eta"], ch.params["nb"]
         _thermal_half(eta, "the degrading construction")
-        return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb, p
-    if ch.kind == "amplifier":
-        g, nb = p["g"], p["nb"]
-        if g <= 1.0:
-            raise DomainError("amplifier eps-degradable bound requires gain > 1")
-        _amp_not_eb(g, nb)
-        return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb, p
-    raise ChannelKindError("eps-degradable bounds need a thermal or amplifier channel")
+        return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb
+    g, nb = ch.params["g"], ch.params["nb"]
+    if g <= 1.0:
+        raise DomainError("amplifier eps-degradable bound requires gain > 1")
+    _amp_not_eb(g, nb)
+    return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb
 
 
-def _close_base_and_caps(ch, ns):
-    """(degradable-reference coherent info, W', params) for eps-close bounds."""
-    p = dict(ch.params)
-    p["channel"] = ch.kind
-    p["ns"] = ns
+def _reference_base(ch, ns):
+    """Coherent information of the degradable (nb = 0) reference and W'."""
     if ch.kind == "thermal":
-        eta, nb = p["eta"], p["nb"]
+        eta, nb = ch.params["eta"], ch.params["nb"]
         _thermal_half(eta, "QU3")
-        base = (_gn(eta * ns) - _gn((1.0 - eta) * ns)) / LN2
-        return float(base), eta * ns + (1.0 - eta) * nb, p
-    if ch.kind == "amplifier":
-        g, nb = p["g"], p["nb"]
-        _amp_not_eb(g, nb)
-        base = (_gn(g * ns + g - 1.0) - _gn((g - 1.0) * (ns + 1.0))) / LN2
-        return float(base), g * ns + (g - 1.0) * nb, p
-    raise ChannelKindError("eps-close-degradable bounds need a thermal or amplifier channel")
+        return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb
+    g, nb = ch.params["g"], ch.params["nb"]
+    _amp_not_eb(g, nb)
+    return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb
 
 
-def _with_penalty(kind, base, eps, w_prime, k, eps_prime, params):
-    """Assemble base + penalty, optimizing eps' when it is not supplied."""
-    params = dict(params)
-    params["eps"] = eps
-    params["w_prime"] = w_prime
+def _eps_degradable(ch):
+    return chn.epsilon_degradable(ch).epsilon
+
+
+def _eps_close_degradable(ch):
+    return chn.epsilon_close_degradable(ch.params["nb"]).epsilon
+
+
+def _penalized(kind, ch, ns, eps_prime):
+    """Base term plus k times the continuity penalty, with the base, eps
+    source and k of the kind's registry row; eps' is minimized over
+    (eps, 1] unless supplied."""
+    _check_ns(ns)
+    _on_channel(kind, ch)
+    base_of, eps_of, k = REGISTRY[kind].penalty
+    base, w_prime = base_of(ch, ns)
+    eps = eps_of(ch)
+    params = {**_params(ch, ns), "eps": eps, "w_prime": w_prime}
     if eps_prime is not None:
         pp = PenaltyParams(eps, float(eps_prime), w_prime, k)
-        params["eps_prime"] = pp.epsilon_prime
-        params["delta"] = pp.delta
-        return _unclamped(kind, base + penalty(pp), params, argopt=pp.epsilon_prime)
+        params.update(eps_prime=pp.epsilon_prime, delta=pp.delta)
+        return _result(kind, base + penalty(pp), params, pp.epsilon_prime)
     if eps == 0.0:
         # exactly degradable reference: the penalty infimum over eps' is 0,
         # unattained; report the limiting penalty-free value
-        return _unclamped(kind, base, params, argopt=None)
+        return _result(kind, base, params)
     pen, arg = _min_penalty(eps, w_prime, k)
-    params["eps_prime"] = arg
-    params["delta"] = (arg - eps) / (1.0 + arg)
-    return _unclamped(kind, base + pen, params, argopt=arg)
+    params.update(eps_prime=arg, delta=(arg - eps) / (1.0 + arg))
+    return _result(kind, base + pen, params, arg)
 
 
 def q_u2(ch: chn.PhaseInsensitiveChannel, ns: float, eps_prime: float = None) -> BoundResult:
     """eps-degradable bound: U_D plus the k=1 continuity penalty, minimized
     over eps' in (eps, 1] unless eps_prime is supplied."""
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
-    base, w_prime, p = _deg_base_and_caps(ch, ns)
-    eps = chn.epsilon_degradable(ch).epsilon
-    return _with_penalty("QU2", base, eps, w_prime, 1, eps_prime, p)
+    return _penalized("QU2", ch, ns, eps_prime)
 
 
 def q_u3(ch: chn.PhaseInsensitiveChannel, ns: float, eps_prime: float = None) -> BoundResult:
     """eps-close-degradable bound: the degradable reference's coherent
     information plus the k=2 penalty with eps = nb/(nb+1)."""
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
-    base, w_prime, p = _close_base_and_caps(ch, ns)
-    eps = chn.epsilon_close_degradable(p["nb"]).epsilon
-    return _with_penalty("QU3", base, eps, w_prime, 2, eps_prime, p)
+    return _penalized("QU3", ch, ns, eps_prime)
 
 
 def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
@@ -469,18 +460,8 @@ def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
     if which == "PU1":
         r = q_u1(ch, ns)
         return BoundResult("PU1", r.value, r.raw, r.argopt, r.params)
-    if which == "PU2":
-        if ns < 0.0:
-            raise DomainError("input mean photon number must be >= 0")
-        base, w_prime, p = _deg_base_and_caps(ch, ns)
-        eps = chn.epsilon_degradable(ch).epsilon
-        return _with_penalty("PU2", base, eps, w_prime, 3, eps_prime, p)
-    if which == "PU3":
-        if ns < 0.0:
-            raise DomainError("input mean photon number must be >= 0")
-        base, w_prime, p = _close_base_and_caps(ch, ns)
-        eps = chn.epsilon_close_degradable(p["nb"]).epsilon
-        return _with_penalty("PU3", base, eps, w_prime, 4, eps_prime, p)
+    if which in ("PU2", "PU3"):
+        return _penalized(which, ch, ns, eps_prime)
     raise DomainError(f"unknown private bound {which!r}")
 
 
@@ -502,20 +483,23 @@ def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:
     if not 0.0 < eta <= 1.0:
         raise DomainError("thermal channel requires eta in (0, 1]")
     _check_point(nb, ns)
+    params = {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns}
     icns = _ql_thermal_raw(eta, nb, ns)
     if ns == 0.0:
-        return _unclamped("PL", 0.0, {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns},
-                          argopt=0.0)
+        return _result("PL", 0.0, params, argopt=0.0)
     res = maximize_scalar(lambda x: icns - _ql_thermal_raw(eta, nb, x),
                           0.0, ns, tol=1e-9, seed_grid=_pl_seed_grid(ns))
-    return _unclamped("PL", res.value,
-                      {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns},
-                      argopt=res.arg)
+    return _result("PL", res.value, params, argopt=res.arg)
 
 
 # ---------------------------------------------------------------------------
 # Comparison bounds and derived quantities
 # ---------------------------------------------------------------------------
+
+def _rmg_raw(ch):
+    _on_channel("RMG", ch)
+    return _amp_then_loss_limit(ch.params["eta"], ch.params["nb"])
+
 
 def comparison_bounds(ch: chn.PhaseInsensitiveChannel, which: str) -> float:
     """Unconstrained comparison bounds from prior work, in bits.
@@ -543,14 +527,7 @@ def comparison_bounds(ch: chn.PhaseInsensitiveChannel, which: str) -> float:
         _additive_window(nbar)
         return float((nbar - 1.0) / LN2 + np.log2(1.0 / nbar))
     if which == "RMG":
-        if ch.kind != "thermal":
-            raise ChannelKindError("RMG needs a thermal channel")
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        if eta <= (1.0 - eta) * nb:
-            raise InfeasibleBoundError("eta <= (1-eta)*NB: RMG bound infeasible")
-        if eta == 1.0:
-            return np.inf
-        return max(0.0, float(np.log2((eta - (1.0 - eta) * nb) / ((1.0 - eta) * (nb + 1.0)))))
+        return _clamp("RMG", _rmg_raw(ch))
     raise DomainError(f"unknown comparison bound {which!r}")
 
 
@@ -574,10 +551,81 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     """
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
+    _check_ns(ns)
     probe = gc.tms_state(ns)
     out_a = a.apply(probe, modes=(1,))
     out_b = b.apply(probe, modes=(1,))
     fid = gc.two_mode_fidelity(out_a, out_b)
     return float(np.sqrt(max(1.0 - fid, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# Bound registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundKind:
+    """One row of :data:`REGISTRY`.
+
+    `channels` lists the supported channel kinds and `clamp` marks the kinds
+    that report max{0, raw} as their value.  `evaluate(ch, ns, eps_prime)`
+    computes the bound at a channel through the public function of the kind.
+    The approximate-degradability kinds carry `penalty` = (base, eps, k):
+    base(ch, ns) gives the base term in bits with its output-energy cap W',
+    eps(ch) the diamond-distance parameter, k the penalty multiplier.  Only
+    these kinds accept a fixed eps'.
+    """
+
+    channels: tuple
+    clamp: bool
+    evaluate: Callable
+    penalty: tuple | None = None
+
+    @property
+    def eps_prime(self) -> bool:
+        return self.penalty is not None
+
+
+def _ql_at(ch, ns, eps_prime):
+    _on_channel("QL", ch)
+    if ch.kind == "thermal":
+        return q_lower_thermal(ch.params["eta"], ch.params["nb"], ns)
+    return q_lower_amp(ch.params["g"], ch.params["nb"], ns)
+
+
+def _pl_at(ch, ns, eps_prime):
+    _on_channel("PL", ch)
+    return p_lower_displaced(ch.params["eta"], ch.params["nb"], ns)
+
+
+_PLOB_OF = {"thermal": "PLOB_thermal", "amplifier": "PLOB_amp", "additive": "PLOB_addnoise"}
+
+
+def _plob_at(ch, ns, eps_prime):
+    _on_channel("PLOB", ch)
+    return _result("PLOB", comparison_bounds(ch, _PLOB_OF[ch.kind]), _params(ch, ns))
+
+
+def _rmg_at(ch, ns, eps_prime):
+    # the raw closed form, which comparison_bounds clamps away
+    return _result("RMG", _rmg_raw(ch), _params(ch, ns))
+
+
+_TA = ("thermal", "amplifier")
+_ALL = ("thermal", "amplifier", "additive")
+_DEG = (_degrading_base, _eps_degradable)
+_CLOSE = (_reference_base, _eps_close_degradable)
+
+REGISTRY = {
+    "QL": BoundKind(_TA, True, _ql_at),
+    "QU1": BoundKind(_ALL, True, lambda ch, ns, e: q_u1(ch, ns)),
+    "QU2": BoundKind(_TA, False, lambda ch, ns, e: q_u2(ch, ns, e), (*_DEG, 1)),
+    "QU3": BoundKind(_TA, False, lambda ch, ns, e: q_u3(ch, ns, e), (*_CLOSE, 2)),
+    "QU4": BoundKind(("thermal", "additive"), True, lambda ch, ns, e: q_u4(ch, ns)),
+    "PU1": BoundKind(_ALL, True, lambda ch, ns, e: p_bounds(ch, ns, "PU1")),
+    "PU2": BoundKind(_TA, False, lambda ch, ns, e: p_bounds(ch, ns, "PU2", e), (*_DEG, 3)),
+    "PU3": BoundKind(_TA, False, lambda ch, ns, e: p_bounds(ch, ns, "PU3", e), (*_CLOSE, 4)),
+    "PL": BoundKind(("thermal",), False, _pl_at),
+    "PLOB": BoundKind(_ALL, False, _plob_at),
+    "RMG": BoundKind(("thermal",), True, _rmg_at),
+}

@@ -108,7 +108,8 @@ def raw_channel(tau: float, nu: float) -> PhaseInsensitiveChannel:
 
 
 def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
-    """Dispatching constructor: kind in {thermal, amplifier, additive, raw}."""
+    """Dispatching constructor: kind in {thermal, amplifier, additive, raw};
+    nb defaults to 0 and other parameters are ignored."""
     builders = {
         "thermal": lambda: thermal(params["eta"], params.get("nb", 0.0)),
         "amplifier": lambda: amplifier(params["g"], params.get("nb", 0.0)),
@@ -119,7 +120,10 @@ def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
         builder = builders[kind]
     except KeyError:
         raise ChannelKindError(f"unknown channel kind {kind!r}") from None
-    return builder()
+    try:
+        return builder()
+    except KeyError as exc:
+        raise DomainError(f"{kind} channel requires {exc.args[0]}") from None
 
 
 def is_entanglement_breaking(ch: PhaseInsensitiveChannel) -> bool:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,17 +21,13 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import verify as vfy
-from .errors import (
-    BosonicBoundsError,
-    ChannelKindError,
-    DomainError,
-    InfeasibleBoundError,
-)
+from .errors import BosonicBoundsError, DomainError, InfeasibleBoundError
 
-BOUND_KINDS = ("QL", "QU1", "QU2", "QU3", "QU4",
-               "PU1", "PU2", "PU3", "PL", "PLOB", "RMG")
+BOUND_KINDS = tuple(bnd.REGISTRY)
 SWEEP_VARS = ("ns", "eta", "nb", "g", "nbar")
 FIGURES = ("3a", "3b", "3c", "3d", "4a", "4b", "5a", "5b", "6a", "6b")
+# No longer read: sweeps run serially in grid order.  Kept importable for
+# code that still refers to it.
 THREADS_ENV = "BOSON_BOUNDS_THREADS"
 
 
@@ -45,63 +39,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _make_channel(args) -> chn.PhaseInsensitiveChannel:
-    if args.channel == "thermal":
-        if args.eta is None:
-            raise DomainError("--eta is required for thermal channels")
-        return chn.thermal(args.eta, args.nb or 0.0)
-    if args.channel == "amplifier":
-        if args.g is None:
-            raise DomainError("--g is required for amplifier channels")
-        return chn.amplifier(args.g, args.nb or 0.0)
-    if args.channel == "additive":
-        if args.nbar is None:
-            raise DomainError("--nbar is required for additive channels")
-        return chn.additive_noise(args.nbar)
-    raise DomainError(f"unknown channel {args.channel!r}")
-
-
 def evaluate_bound(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
                    eps_prime: float = None) -> bnd.BoundResult:
     """Evaluate one named bound; raises on infeasible or mismatched kinds."""
-    if kind == "QL":
-        if ch.kind == "thermal":
-            return bnd.q_lower_thermal(ch.params["eta"], ch.params["nb"], ns)
-        if ch.kind == "amplifier":
-            return bnd.q_lower_amp(ch.params["g"], ch.params["nb"], ns)
-        raise ChannelKindError("QL supports thermal and amplifier channels")
-    if kind == "QU1":
-        return bnd.q_u1(ch, ns)
-    if kind == "QU2":
-        return bnd.q_u2(ch, ns, eps_prime)
-    if kind == "QU3":
-        return bnd.q_u3(ch, ns, eps_prime)
-    if kind == "QU4":
-        return bnd.q_u4(ch, ns)
-    if kind in ("PU1", "PU2", "PU3"):
-        return bnd.p_bounds(ch, ns, kind, eps_prime)
-    if kind == "PL":
-        if ch.kind != "thermal":
-            raise ChannelKindError("PL is defined for thermal channels")
-        return bnd.p_lower_displaced(ch.params["eta"], ch.params["nb"], ns)
-    if kind == "PLOB":
-        which = {"thermal": "PLOB_thermal", "amplifier": "PLOB_amp",
-                 "additive": "PLOB_addnoise"}.get(ch.kind)
-        if which is None:
-            raise ChannelKindError(f"PLOB is not defined for {ch.kind!r} channels")
-        v = bnd.comparison_bounds(ch, which)
-        return bnd.BoundResult("PLOB", v, v, None,
-                               {**ch.params, "channel": ch.kind, "ns": ns})
-    if kind == "RMG":
-        v = bnd.comparison_bounds(ch, "RMG")
-        return bnd.BoundResult("RMG", v, v, None,
-                               {**ch.params, "channel": ch.kind, "ns": ns})
-    raise DomainError(f"unknown bound kind {kind!r}")
+    row = bnd.REGISTRY.get(kind)
+    if row is None:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    if eps_prime is not None and not row.eps_prime:
+        takers = ", ".join(k for k, r in bnd.REGISTRY.items() if r.eps_prime)
+        raise DomainError(f"--eps-prime applies only to {takers}, not {kind}")
+    return row.evaluate(ch, ns, eps_prime)
 
 
 def cmd_bound(args) -> int:
     try:
-        ch = _make_channel(args)
+        given = {k: getattr(args, k) for k in ("eta", "g", "nbar", "nb")}
+        ch = chn.make_channel(args.channel,
+                              **{k: v for k, v in given.items() if v is not None})
         result = evaluate_bound(args.bound, ch, args.ns, args.eps_prime)
     except InfeasibleBoundError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -135,6 +89,9 @@ class SweepSpec:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.sweep not in SWEEP_VARS:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARS}")
+        need = {"thermal": "eta", "amplifier": "g", "additive": "nbar"}[self.channel]
+        if need not in self.fixed and need != self.sweep:
+            raise ValueError(f"{self.channel} sweeps need {need}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
         if not self.start < self.stop:
@@ -191,15 +148,13 @@ def _sweep_point(spec: SweepSpec, value: float):
     params = dict(spec.fixed)
     params[spec.sweep] = value
     ns = params.pop("ns", 0.0)
+    try:
+        ch = chn.make_channel(spec.channel, **params)
+    except BosonicBoundsError:
+        return [None] * len(spec.bounds)  # no channel here: the row is empty
     cells = []
     for kind in spec.bounds:
         try:
-            if spec.channel == "thermal":
-                ch = chn.thermal(params["eta"], params.get("nb", 0.0))
-            elif spec.channel == "amplifier":
-                ch = chn.amplifier(params["g"], params.get("nb", 0.0))
-            else:
-                ch = chn.additive_noise(params["nbar"])
             cells.append(evaluate_bound(kind, ch, ns).value)
         except BosonicBoundsError:
             cells.append(None)  # infeasible cell -> empty CSV field
@@ -207,14 +162,8 @@ def _sweep_point(spec: SweepSpec, value: float):
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Rows of the sweep as (value, [cells]); points run concurrently but are
-    gathered in grid order, so output is deterministic."""
-    grid = [float(v) for v in spec.grid()]
-    workers = os.environ.get(THREADS_ENV)
-    max_workers = max(1, int(workers)) if workers else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda v: _sweep_point(spec, v), grid))
-    return list(zip(grid, results))
+    """Rows of the sweep as (value, [cells]), evaluated in grid order."""
+    return [(v, _sweep_point(spec, v)) for v in map(float, spec.grid())]
 
 
 def format_csv(spec: SweepSpec, rows) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import (
     DomainError,
@@ -357,31 +356,6 @@ def two_mode_fidelity(a: GaussianState, b: GaussianState) -> float:
     if denom <= 0 or not np.isfinite(denom):
         raise SingularMatrixError("degenerate denominator in fidelity")
     return min(1.0, mf / denom)
-
-
-def multimode_fidelity(a: GaussianState, b: GaussianState) -> float:
-    """General-m Gaussian fidelity (squared convention); slower than the
-    two-mode closed form but valid for any mode count."""
-    if a.modes != b.modes:
-        raise DomainError("states must have equal mode counts")
-    m = a.modes
-    V1, V2 = a.cov, b.cov
-    mf = _mean_factor(V1, V2, a.mean, b.mean)
-    if _is_pure_cov(V1) or _is_pure_cov(V2):
-        return min(1.0, 2.0 ** m / np.sqrt(np.linalg.det(V1 + V2)) * mf)
-    Om = omega(m)
-    try:
-        vsum_inv = np.linalg.inv(V1 + V2)
-        vaux = Om.T @ vsum_inv @ (Om + V2 @ Om @ V1)
-        inv = np.linalg.inv(vaux @ Om)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("singular matrix in fidelity") from exc
-    root = sqrtm(np.eye(2 * m) + inv @ inv)
-    ftot = np.linalg.det((root + np.eye(2 * m)) @ vaux)
-    val = np.real(ftot / np.linalg.det((V1 + V2) / 2.0))
-    if not np.isfinite(val) or val < 0:
-        raise SingularMatrixError("non-finite determinant in fidelity")
-    return min(1.0, float(np.sqrt(val)) * mf)
 
 
 # ---------------------------------------------------------------------------

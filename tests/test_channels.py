@@ -37,6 +37,15 @@ class TestConstructors:
         with pytest.raises(ChannelKindError):
             chn.make_channel("squeezer", r=1.0)
 
+    @pytest.mark.parametrize("kind,given,missing", [
+        ("thermal", {"nb": 0.1}, "eta"),
+        ("amplifier", {"nb": 0.1}, "g"),
+        ("additive", {}, "nbar"),
+    ])
+    def test_make_channel_names_missing_parameter(self, kind, given, missing):
+        with pytest.raises(DomainError, match=missing):
+            chn.make_channel(kind, **given)
+
     @pytest.mark.parametrize("bad", [lambda: chn.thermal(0.0, 1.0),
                                      lambda: chn.thermal(1.2, 0.0),
                                      lambda: chn.thermal(0.5, -0.1),

@@ -7,6 +7,7 @@ from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
 from bosonic_bounds import verify as vfy
+from bosonic_bounds.errors import ChannelKindError
 
 QU1_TH_099_0_1 = 1.909026343423734981271
 
@@ -238,3 +239,119 @@ class TestSpecParsing:
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+# one feasible point per channel kind for the dispatch matrix
+MATRIX_NS = 2.0
+MATRIX_ARGS = {
+    "thermal": ["--eta", "0.9", "--nb", "0.1"],
+    "amplifier": ["--g", "1.5", "--nb", "0.1"],
+    "additive": ["--nbar", "0.3"],
+}
+MATRIX_CHANNELS = {
+    "thermal": chn.thermal(0.9, 0.1),
+    "amplifier": chn.amplifier(1.5, 0.1),
+    "additive": chn.additive_noise(0.3),
+}
+SUPPORTED = {
+    "QL": ("thermal", "amplifier"),
+    "QU1": ("thermal", "amplifier", "additive"),
+    "QU2": ("thermal", "amplifier"),
+    "QU3": ("thermal", "amplifier"),
+    "QU4": ("thermal", "additive"),
+    "PU1": ("thermal", "amplifier", "additive"),
+    "PU2": ("thermal", "amplifier"),
+    "PU3": ("thermal", "amplifier"),
+    "PL": ("thermal",),
+    "PLOB": ("thermal", "amplifier", "additive"),
+    "RMG": ("thermal",),
+}
+PLOB_NAMES = {"thermal": "PLOB_thermal", "amplifier": "PLOB_amp",
+              "additive": "PLOB_addnoise"}
+
+
+def library_bits(kind, ch, ns):
+    """(value, raw) of `kind` from the public library functions."""
+    if kind == "QL":
+        if ch.kind == "thermal":
+            r = bnd.q_lower_thermal(ch.params["eta"], ch.params["nb"], ns)
+        else:
+            r = bnd.q_lower_amp(ch.params["g"], ch.params["nb"], ns)
+    elif kind in ("QU1", "QU4"):
+        r = {"QU1": bnd.q_u1, "QU4": bnd.q_u4}[kind](ch, ns)
+    elif kind in ("QU2", "QU3"):
+        r = {"QU2": bnd.q_u2, "QU3": bnd.q_u3}[kind](ch, ns)
+    elif kind.startswith("PU"):
+        r = bnd.p_bounds(ch, ns, kind)
+    elif kind == "PL":
+        r = bnd.p_lower_displaced(ch.params["eta"], ch.params["nb"], ns)
+    else:
+        which = PLOB_NAMES[ch.kind] if kind == "PLOB" else kind
+        v = bnd.comparison_bounds(ch, which)
+        return v, v
+    return r.value, r.raw
+
+
+class TestDispatchMatrix:
+    @pytest.mark.parametrize("channel", sorted(MATRIX_ARGS))
+    @pytest.mark.parametrize("kind", sorted(SUPPORTED))
+    def test_kind_on_channel(self, capsys, kind, channel):
+        code, out, err = run_cli(capsys, "bound", "--channel", channel,
+                                 *MATRIX_ARGS[channel], "--ns", str(MATRIX_NS),
+                                 "--bound", kind)
+        ch = MATRIX_CHANNELS[channel]
+        if channel in SUPPORTED[kind]:
+            assert code == 0
+            rec = json.loads(out)
+            assert rec["kind"] == kind
+            assert (rec["value_bits"], rec["raw_bits"]) == library_bits(kind, ch, MATRIX_NS)
+        else:
+            assert code == 1
+            assert out == ""
+            with pytest.raises(ChannelKindError) as exc:
+                cli.evaluate_bound(kind, ch, MATRIX_NS)
+            assert err == f"error: {exc.value}\n"
+
+    def test_bound_kinds_cover_the_matrix(self):
+        assert set(cli.BOUND_KINDS) == set(SUPPORTED)
+
+
+class TestBoundArguments:
+    def test_rmg_keeps_raw_bits(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--channel", "thermal",
+                               "--eta", "0.6", "--nb", "0.5", "--bound", "RMG")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["value_bits"] == 0.0
+        assert rec["raw_bits"] == pytest.approx(np.log2(0.4 / 0.6), abs=1e-12)
+        assert bnd.comparison_bounds(chn.thermal(0.6, 0.5), "RMG") == 0.0
+
+    @pytest.mark.parametrize("kind", ["QL", "QU1", "QU4", "PU1", "PL", "PLOB", "RMG"])
+    def test_eps_prime_rejected_where_unused(self, capsys, kind):
+        code, out, err = run_cli(capsys, "bound", "--channel", "thermal",
+                                 "--eta", "0.9", "--nb", "0.1", "--ns", "1",
+                                 "--bound", kind, "--eps-prime", "0.5")
+        assert code == 1
+        assert out == ""
+        for taker in ("QU2", "QU3", "PU2", "PU3"):
+            assert taker in err
+
+    def test_missing_sweep_parameter_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(SPEC_TWO_POINT.replace("eta = 0.9\n", ""))
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec),
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "eta" in err
+
+    def test_unbuildable_row_is_empty(self, tmp_path, capsys):
+        # eta = 0 cannot build a thermal channel: every cell of that row is empty
+        spec = tmp_path / "s.cfg"
+        spec.write_text("channel = thermal\nnb = 0.1\nns = 1\nsweep = eta\n"
+                        "start = 0\nstop = 0.9\npoints = 2\nbounds = QL,QU1\n")
+        out = tmp_path / "o.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert rows[0][1:] == ["", ""]
+        assert all(c != "" for c in rows[1][1:])

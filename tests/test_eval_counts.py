@@ -1,0 +1,49 @@
+"""Machine-independent cost gate: optimizer calls and objective evaluations.
+
+The counts are deterministic (fixed seed grids, fixed golden-section
+iteration counts), so any change to them is a change in the work the bounds
+do, not noise.  Counted through wrappers over the optimizer names the
+bounds module calls.
+"""
+
+import pytest
+
+from bosonic_bounds import bounds as bnd
+from bosonic_bounds import channels as chn
+from bosonic_bounds import cli
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    seen = []
+
+    def counting(opt):
+        def wrapper(*args, **kwargs):
+            res = opt(*args, **kwargs)
+            seen.append(res.evaluations)
+            return res
+        return wrapper
+
+    monkeypatch.setattr(bnd, "minimize_scalar", counting(bnd.minimize_scalar))
+    monkeypatch.setattr(bnd, "maximize_scalar", counting(bnd.maximize_scalar))
+    return seen
+
+
+def test_fig3a_sweep(counts):
+    cli.run_sweep(cli.load_figure_spec("3a"))
+    assert (len(counts), sum(counts)) == (80, 7840)
+
+
+@pytest.mark.parametrize("kind", ["QU2", "QU3", "PU2", "PU3"])
+def test_penalized_bound_at_one_point(counts, kind):
+    ch = chn.thermal(0.9, 0.5)
+    if kind.startswith("QU"):
+        {"QU2": bnd.q_u2, "QU3": bnd.q_u3}[kind](ch, 10.0)
+    else:
+        bnd.p_bounds(ch, 10.0, kind)
+    assert counts == [99]
+
+
+def test_displaced_lower_bound(counts):
+    bnd.p_lower_displaced(0.9, 0.5, 10.0)
+    assert counts == [74]
