@@ -9,7 +9,6 @@ simulating constructions agree.
 import numpy as np
 
 import bosonic_bounds as bb
-from bosonic_bounds import channels as chn
 
 print("== canonical (tau, nu) forms ==")
 for ch in (bb.thermal(0.6, 1.0), bb.amplifier(2.0, 0.0), bb.additive_noise(0.5)):
@@ -46,10 +45,10 @@ for _ in range(200):
     th = rng.uniform(0, np.pi)
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     q = R @ np.diag(1 + rng.uniform(0, 4, 2)) @ R.T
-    A, B = bb.degrading_simulation_check(rng.uniform(0.5, 1.0), rng.uniform(0, 3), q)
+    A, B = bb.degrading_simulation_check(bb.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 3)), q)
     worst = max(worst, float(np.max(np.abs(A - B))))
 print("max |degrading - simulating| over 200 random draws:", worst)
 
 print("\namplifier variant:")
-A, B = chn.degrading_simulation_check_amp(1.7, 0.8, np.diag([2.0, 1.5]))
+A, B = bb.degrading_simulation_check(bb.amplifier(1.7, 0.8), np.diag([2.0, 1.5]))
 print("max residual:", float(np.max(np.abs(A - B))))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import ChannelKindError, DomainError, InfeasibleBoundError
+from .errors import ChannelKindError, DomainError, InfeasibleBoundError, _require
 from .gaussian_core import LN2
 from .optimize import maximize_scalar, minimize_scalar
 
@@ -60,8 +60,7 @@ class PenaltyParams:
             raise DomainError("epsilon must lie in [0, 1)")
         if not self.epsilon < self.epsilon_prime <= 1.0:
             raise DomainError("epsilon_prime must lie in (epsilon, 1]")
-        if self.w_prime < 0.0:
-            raise DomainError("output energy cap W' must be >= 0")
+        _require(self.w_prime >= 0.0, "output energy cap W' must be >= 0", self.w_prime)
         if self.k not in (1, 2, 3, 4):
             raise DomainError("multiplier k must be one of 1, 2, 3, 4")
 
@@ -141,13 +140,13 @@ def _params(ch, ns):
 
 
 def _check_ns(ns):
-    if ns < 0.0:
-        raise DomainError("input mean photon number must be >= 0")
+    _require(ns != np.inf, "input mean photon number must be finite; the infinite-energy "
+             "limits are q_u1_unconstrained and q_u4_unconstrained")
+    _require(ns >= 0.0, "input mean photon number must be >= 0", ns)
 
 
 def _check_point(nb, ns):
-    if nb < 0.0:
-        raise DomainError("environment photon number must be >= 0")
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     _check_ns(ns)
 
 
@@ -270,8 +269,7 @@ def q_lower_thermal(eta: float, nb: float, ns: float) -> BoundResult:
 
 def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
     """Coherent-information lower bound of the amplifier channel."""
-    if g <= 1.0:
-        raise DomainError("q_lower_amp requires gain > 1")
+    _require(g > 1.0, "q_lower_amp requires gain > 1", g)
     _check_point(nb, ns)
     raw = _ql_amp_raw(g, nb, ns)
     return _result("QL", raw, {"channel": "amplifier", "g": g, "nb": nb, "ns": ns})
@@ -279,6 +277,8 @@ def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
 
 def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
     """Raw (unclamped) thermal coherent information; the P_L building block."""
+    _require(0.0 < eta <= 1.0, "thermal channel requires eta in (0, 1]")
+    _check_point(nb, ns)
     return _ql_thermal_raw(eta, nb, ns)
 
 
@@ -538,9 +538,8 @@ def gap_qu1_ql(eta: float, nb: float, ns: float) -> float:
     At fixed (eta, nb) the large-ns limit is nb*log2(1 + 1/nb) (1.0 at
     nb = 1). Its supremum 1/ln 2 is approached only as nb -> inf.
     """
+    _require(eta <= 1.0, "eta must lie in [1/2, 1]", eta)
     _thermal_half(eta, "the gap law")
-    if eta > 1.0:
-        raise DomainError("eta must lie in [1/2, 1]")
     _check_point(nb, ns)
     return float(_qu1_thermal_raw(eta, nb, ns) - _ql_thermal_raw(eta, nb, ns))
 
@@ -606,11 +605,13 @@ _PLOB_OF = {"thermal": "PLOB_thermal", "amplifier": "PLOB_amp", "additive": "PLO
 
 
 def _plob_at(ch, ns, eps_prime):
+    _check_ns(ns)
     _on_channel("PLOB", ch)
     return _result("PLOB", comparison_bounds(ch, _PLOB_OF[ch.kind]), _params(ch, ns))
 
 
 def _rmg_at(ch, ns, eps_prime):
+    _check_ns(ns)
     # the raw closed form, which comparison_bounds clamps away
     return _result("RMG", _rmg_raw(ch), _params(ch, ns))
 

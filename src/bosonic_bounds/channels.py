@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleBoundError,
     InvalidChannelError,
     InvalidStateError,
+    _require,
 )
 
 _EB_SLACK = 1e-12
@@ -43,11 +44,9 @@ class PhaseInsensitiveChannel:
 
     def __post_init__(self):
         tau, nu = float(self.tau), float(self.nu)
-        if nu < -1e-12 or nu * nu < (1.0 - tau) ** 2 - 1e-9:
-            raise InvalidChannelError(
-                f"CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, "
-                f"got tau={tau}, nu={nu}"
-            )
+        _require(nu >= -1e-12 and nu * nu >= (1.0 - tau) ** 2 - 1e-9,
+                 "CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, got tau={}, nu={}",
+                 tau, nu, error=InvalidChannelError)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nu", max(nu, 0.0))
         object.__setattr__(self, "params", dict(self.params))
@@ -72,8 +71,7 @@ def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     with a thermal environment of mean photon number nb."""
     if not 0.0 < eta <= 1.0:
         raise DomainError("thermal channel requires eta in (0, 1]")
-    if nb < 0.0:
-        raise DomainError("environment photon number must be >= 0")
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(
         eta, (1.0 - eta) * (2.0 * nb + 1.0), "thermal", {"eta": eta, "nb": nb}
     )
@@ -86,10 +84,8 @@ def pure_loss(eta: float) -> PhaseInsensitiveChannel:
 def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
     """Noisy amplifier channel: two-mode squeezer of gain g with a thermal
     environment of mean photon number nb."""
-    if g < 1.0:
-        raise DomainError("amplifier gain must be >= 1")
-    if nb < 0.0:
-        raise DomainError("environment photon number must be >= 0")
+    _require(g >= 1.0, "amplifier gain must be >= 1", g)
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(
         g, (g - 1.0) * (2.0 * nb + 1.0), "amplifier", {"g": g, "nb": nb}
     )
@@ -98,8 +94,7 @@ def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
 def additive_noise(nbar: float) -> PhaseInsensitiveChannel:
     """Additive-noise channel: random Gaussian displacements adding nbar
     noise photons (tau = 1, nu = 2 nbar)."""
-    if nbar <= 0.0:
-        raise DomainError("additive noise variance must be > 0")
+    _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
     return PhaseInsensitiveChannel(1.0, 2.0 * nbar, "additive", {"nbar": nbar})
 
 
@@ -248,8 +243,7 @@ def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
 def epsilon_close_degradable(nb: float) -> EpsilonReport:
     """Diamond distance from a thermal (or amplifier) channel to its
     quantum-limited counterpart: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
-    if nb < 0.0:
-        raise DomainError("environment photon number must be >= 0")
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     upper = nb / (nb + 1.0)
     lower = 1.0 - 1.0 / np.sqrt(nb + 1.0)
     return EpsilonReport(float(upper), float(lower), "eps_close_degradable")
@@ -271,15 +265,6 @@ def noisy_tms_qblocks(nb: float, x: float):
     return q, p
 
 
-def _place_pair(V, i, j, qblk, pblk, m):
-    V[i, i] = qblk[0, 0]
-    V[j, j] = qblk[1, 1]
-    V[i, j] = V[j, i] = qblk[0, 1]
-    V[m + i, m + i] = pblk[0, 0]
-    V[m + j, m + j] = pblk[1, 1]
-    V[m + i, m + j] = V[m + j, m + i] = pblk[0, 1]
-
-
 def _channel_param(ch):
     if ch.kind == "thermal":
         return ch.params["eta"], ch.params["nb"]
@@ -295,78 +280,80 @@ def _channel_symplectic(ch) -> np.ndarray:
     return gc.two_mode_squeezer_symplectic(x).S
 
 
+def _dilation(input_cov, pairs, steps) -> np.ndarray:
+    """Block-ordered covariance of a Gaussian dilation.
+
+    `input_cov` has shape (..., 2n, 2n): r = n - 1 reference modes, then the
+    channel input mode A.  The two-mode environment states `pairs`, each a
+    (q, p) block pair, take the modes after A, and the symplectic `steps`,
+    each (S, (i, j)) with i, j counted from A, then act in order.
+    """
+    covs = np.asarray(input_cov, dtype=float)
+    a = covs.shape[-1] // 2 - 1
+    m = a + 1 + 2 * len(pairs)
+    V = np.zeros(covs.shape[:-2] + (2 * m, 2 * m))
+    idx = gc._block_index(range(a + 1), m)
+    V[..., idx[:, None], idx] = covs
+    for k, (q, p) in enumerate(pairs):
+        gc._place_pair(V, a + 1 + 2 * k, q, p)
+    for S, (i, j) in steps:
+        Sf = gc.embed_matrix(S, (a + i, a + j), m)
+        V = Sf @ V @ Sf.T
+    return V
+
+
+def _channel_dilation(ch, input_cov, env) -> np.ndarray:
+    """The channel's beamsplitter (thermal) or two-mode squeezer
+    (amplifier) on the input mode A and the first mode of the two-mode
+    environment `env` = (q, p), which sits on the next two modes."""
+    return _dilation(input_cov, [env], [(_channel_symplectic(ch), (0, 1))])
+
+
 def degrading_dilation_cov(ch: PhaseInsensitiveChannel, input_cov: np.ndarray):
     """Covariance after the channel dilation followed by the degrading
     channel's dilation.
 
     `input_cov` is the full block-ordered covariance over r >= 0 reference
-    modes plus the channel input mode (the input mode comes last).  Returns
-    (V, labels) with V over r + 5 modes and labels mapping
-    'E2p', 'G', 'E1p', 'E2', 'E1' (and 'refs') to mode slots.
+    modes plus the channel input mode (the input mode comes last), or a
+    stack of them with shape (..., 2r + 2, 2r + 2).  Returns (V, labels)
+    with V over r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2',
+    'E1' (and 'refs') to mode slots.
     """
     x, nb = _channel_param(ch)
-    n_in = input_cov.shape[0] // 2
-    r = n_in - 1
-    m = r + 5
-    a, ep, e1, f, e1p = r, r + 1, r + 2, r + 3, r + 4
-    V = np.zeros((2 * m, 2 * m))
-    # copy reference + input block
-    idx_in = [*range(n_in), *range(m, m + n_in)]
-    V[np.ix_(idx_in, idx_in)] = input_cov
-    tq, tp = gc.tms_qblocks(nb)
-    _place_pair(V, ep, e1, tq, tp, m)
-    _place_pair(V, f, e1p, tq, tp, m)
-
-    S1 = gc.embed_matrix(_channel_symplectic(ch), (a, ep), m)
     if ch.kind == "thermal":
         if x < 0.5:
             raise DomainError("degrading construction needs eta in [1/2, 1]")
         # B' of transmissivity (1-eta)/eta on (B, F); outputs E'2 then G
-        S2 = gc.embed_matrix(
-            gc.beamsplitter_symplectic("Bprime", (1.0 - x) / x).S, (a, f), m)
-        labels = {"E2p": a, "G": f}
+        degrade = (gc.beamsplitter_symplectic("Bprime", (1.0 - x) / x).S, (0, 3))
+        slots = {"E2p": 0, "G": 3}
     else:
         # two-mode squeezer of parameter (2G-1)/G with F as the signal input
         # and the channel output B as the environment port
-        S2 = gc.embed_matrix(
-            gc.two_mode_squeezer_symplectic((2.0 * x - 1.0) / x).S, (f, a), m)
-        labels = {"E2p": f, "G": a}
-    V = S2 @ (S1 @ V @ S1.T) @ S2.T
-    labels.update({"E1p": e1p, "E2": ep, "E1": e1, "refs": tuple(range(r))})
-    return V, labels
+        degrade = (gc.two_mode_squeezer_symplectic((2.0 * x - 1.0) / x).S, (3, 0))
+        slots = {"E2p": 3, "G": 0}
+    # modes after the input: (E2, E1) and (F, E'1), each a purified thermal
+    # environment
+    tms = gc.tms_qblocks(nb)
+    V = _dilation(input_cov, [tms, tms], [(_channel_symplectic(ch), (0, 1)), degrade])
+    r = V.shape[-1] // 2 - 5
+    slots.update({"E1p": 4, "E2": 1, "E1": 2})
+    return V, {**{k: r + v for k, v in slots.items()}, "refs": tuple(range(r))}
 
 
 def simulating_channel_cov(ch: PhaseInsensitiveChannel, input_cov: np.ndarray):
     """Covariance after the simulating channel: the channel unitary fed with
     the noisy TMS environment omega(nb); the channel output port is traced
-    conceptually (it stays in slot 'B').
+    conceptually (it stays in slot 'B').  Accepts a stack of input
+    covariances like :func:`degrading_dilation_cov`.
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
     x, nb = _channel_param(ch)
     if x < 0.5:
         raise DomainError("simulating construction needs parameter >= 1/2")
-    n_in = input_cov.shape[0] // 2
-    r = n_in - 1
-    m = r + 3
-    a, ep, e1 = r, r + 1, r + 2
-    V = np.zeros((2 * m, 2 * m))
-    idx_in = [*range(n_in), *range(m, m + n_in)]
-    V[np.ix_(idx_in, idx_in)] = input_cov
-    oq, op = noisy_tms_qblocks(nb, x)
-    _place_pair(V, ep, e1, oq, op, m)
-    S1 = gc.embed_matrix(_channel_symplectic(ch), (a, ep), m)
-    V = S1 @ V @ S1.T
-    return V, {"B": a, "E2": ep, "E1": e1, "refs": tuple(range(r))}
-
-
-def _qblock(V: np.ndarray, modes, m: int) -> np.ndarray:
-    return V[np.ix_(modes, modes)]
-
-
-def _pblock(V: np.ndarray, modes, m: int) -> np.ndarray:
-    idx = [m + k for k in modes]
-    return V[np.ix_(idx, idx)]
+    V = _channel_dilation(ch, input_cov, noisy_tms_qblocks(nb, x))
+    r = V.shape[-1] // 2 - 3
+    return V, {"B": r, "E2": r + 1, "E1": r + 2, "refs": tuple(range(r))}
 
 
 def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
@@ -386,38 +373,24 @@ def _flip_offdiag(q: np.ndarray) -> np.ndarray:
 
 def _deg_sim_routes(ch, qblock, pblock):
     """Full 3-mode covariances of the two routes, ordered (R, E'2/E2, E'1/E1)."""
-    Vin = np.zeros((4, 4))
-    Vin[:2, :2] = qblock
-    Vin[2:, 2:] = pblock
+    Vin = gc._place_pair(np.zeros((4, 4)), 0, qblock, pblock)
     Vdeg, ld = degrading_dilation_cov(ch, Vin)
     Vsim, ls = simulating_channel_cov(ch, Vin)
-    m_deg = len(Vdeg) // 2
-    m_sim = len(Vsim) // 2
-    sel_deg = (0, ld["E2p"], ld["E1p"])
-    sel_sim = (0, ls["E2"], ls["E1"])
-    idx_d = [*sel_deg, *(m_deg + k for k in sel_deg)]
-    idx_s = [*sel_sim, *(m_sim + k for k in sel_sim)]
-    return Vdeg[np.ix_(idx_d, idx_d)], Vsim[np.ix_(idx_s, idx_s)]
+    idx_d = gc._block_index((0, ld["E2p"], ld["E1p"]), len(Vdeg) // 2)
+    idx_s = gc._block_index((0, ls["E2"], ls["E1"]), len(Vsim) // 2)
+    return Vdeg[idx_d[:, None], idx_d], Vsim[idx_s[:, None], idx_s]
 
 
-def degrading_simulation_check(eta: float, nb: float, input_qblock) -> tuple:
+def degrading_simulation_check(ch: PhaseInsensitiveChannel, input_qblock) -> tuple:
     """Position-quadrature blocks of (degrading route, simulating route).
 
-    Builds the full beamsplitter dilation of the thermal channel followed by
-    the degrading channel, and separately the simulating channel fed with
-    the noisy TMS state, for an input whose two-mode position block is
-    `input_qblock` (reference mode first).  The contract is that the two
-    returned 3x3 blocks over (R, E'2, E'1) agree to 1e-10.
+    For a thermal or amplifier channel `ch`, builds the channel's full
+    dilation followed by the degrading channel, and separately the
+    simulating channel fed with the noisy TMS state, for an input whose
+    two-mode position block is `input_qblock` (reference mode first).  The
+    contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
+    to 1e-10.
     """
     q = _validate_qblock(input_qblock)
-    ch = thermal(eta, nb)
-    A, B = _deg_sim_routes(ch, q, _flip_offdiag(q))
-    return A[:3, :3], B[:3, :3]
-
-
-def degrading_simulation_check_amp(g: float, nb: float, input_qblock) -> tuple:
-    """Amplifier analogue of :func:`degrading_simulation_check`."""
-    q = _validate_qblock(input_qblock)
-    ch = amplifier(g, nb)
     A, B = _deg_sim_routes(ch, q, _flip_offdiag(q))
     return A[:3, :3], B[:3, :3]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input check that
+raises them."""
+
+import math
 
 
 class BosonicBoundsError(Exception):
@@ -31,3 +34,14 @@ class InfeasibleBoundError(BosonicBoundsError, RuntimeError):
 
 class SingularMatrixError(BosonicBoundsError, ArithmeticError):
     """An intermediate matrix quantity was singular or non-finite."""
+
+
+def _require(ok: bool, message: str, *values, error=DomainError):
+    """Raise `error` unless every one of `values` is finite and `ok` holds:
+    NaN and +-inf lie outside every domain of the package.  The message,
+    `message.format(*values)`, is built only when raising."""
+    if ok and all(map(math.isfinite, values)):
+        return
+    text = message.format(*values)
+    bad = [v for v in values if not math.isfinite(v)]
+    raise error(f"{text}; got non-finite {bad[0]}" if bad else text)

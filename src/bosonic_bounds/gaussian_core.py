@@ -60,6 +60,23 @@ def interleave_permutation(m: int) -> np.ndarray:
     return P
 
 
+def _block_index(modes, m: int) -> np.ndarray:
+    """Positions of the q and then the p quadratures of `modes` in the
+    block-ordered quadrature vector of m modes; `V[..., idx[:, None], idx]`
+    is the covariance block of those modes."""
+    modes = tuple(modes)
+    return np.array([*modes, *(m + k for k in modes)], dtype=np.intp)
+
+
+def _place_pair(V: np.ndarray, i: int, qblk, pblk) -> np.ndarray:
+    """Write the (q, p) blocks of a two-mode state onto modes (i, i + 1) of
+    the block-ordered covariance V, or of every matrix in a stack; returns V."""
+    m = V.shape[-1] // 2
+    V[..., i:i + 2, i:i + 2] = qblk
+    V[..., m + i:m + i + 2, m + i:m + i + 2] = pblk
+    return V
+
+
 # ---------------------------------------------------------------------------
 # Entropy functions
 # ---------------------------------------------------------------------------
@@ -237,11 +254,7 @@ def tms_state(n: float) -> GaussianState:
     Purifies the single-mode thermal state theta(n); the reduced state of
     either mode is thermal with mean photon number n.
     """
-    q, p = tms_qblocks(n)
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = q
-    cov[2:, 2:] = p
-    return GaussianState(2, np.zeros(4), cov)
+    return GaussianState(2, np.zeros(4), _place_pair(np.zeros((4, 4)), 0, *tms_qblocks(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +262,13 @@ def tms_state(n: float) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
-    """Ascending symplectic eigenvalues of a single covariance matrix."""
-    m = cov.shape[0] // 2
+    """Ascending symplectic eigenvalues of a covariance matrix or a stack of
+    them: shape (..., 2m, 2m) gives shape (..., m)."""
+    m = cov.shape[-1] // 2
     try:
         ev = np.linalg.eigvals(1j * cov @ omega(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SingularMatrixError("symplectic eigensolve failed") from exc
-    mods = np.sort(np.abs(ev))
-    return mods[::2]
-
-
-def _symplectic_eigs_stack(covs: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues for a stack of covariance matrices.
-
-    covs has shape (..., 2m, 2m); returns shape (..., m), ascending.
-    """
-    m = covs.shape[-1] // 2
-    ev = np.linalg.eigvals(1j * covs @ omega(m))
     mods = np.sort(np.abs(ev), axis=-1)
     return mods[..., ::2]
 
@@ -275,9 +278,15 @@ def symplectic_eigenvalues(state: GaussianState) -> EntropySpectrum:
     return EntropySpectrum(tuple(_symplectic_eigs(state.cov)))
 
 
-def _entropy_from_cov(cov: np.ndarray) -> float:
+def _entropy_from_cov(cov: np.ndarray, modes=None):
+    """Entropy in bits of the covariance `cov`, or of its marginal on
+    `modes`; a stack of covariances (..., 2m, 2m) gives an array."""
+    if modes is not None:
+        idx = _block_index(modes, cov.shape[-1] // 2)
+        cov = cov[..., idx[:, None], idx]
     nus = _symplectic_eigs(cov)
-    return float(np.sum(_g_nats(np.maximum((nus - 1.0) / 2.0, 0.0))) / LN2)
+    out = np.sum(_g_nats(np.maximum((nus - 1.0) / 2.0, 0.0)), axis=-1) / LN2
+    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_entropy(state: GaussianState) -> float:
@@ -297,8 +306,8 @@ def reduce_state(state: GaussianState, modes) -> GaussianState:
     m = state.modes
     if any(k < 0 or k >= m for k in modes):
         raise DomainError(f"mode indices out of range for {m}-mode state")
-    idx = list(modes) + [m + k for k in modes]
-    return GaussianState(len(modes), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    idx = _block_index(modes, m)
+    return GaussianState(len(modes), state.mean[idx], state.cov[idx[:, None], idx])
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +379,9 @@ def embed_matrix(M: np.ndarray, modes, total_modes: int) -> np.ndarray:
     if M.shape != (2 * k, 2 * k):
         raise DomainError(f"matrix shape {M.shape} does not match {k} modes")
     full = np.eye(2 * total_modes)
-    idx = [*modes, *(total_modes + j for j in modes)]
-    for i, gi in enumerate(idx):
-        full[gi, :] = 0.0
-        for j, gj in enumerate(idx):
-            full[gi, gj] = M[i, j]
+    idx = _block_index(modes, total_modes)
+    full[idx] = 0.0
+    full[idx[:, None], idx] = M
     return full
 
 
@@ -431,8 +438,8 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
     total = state.modes
     Xf = embed_matrix(X, modes, total)
     Yf = np.zeros((2 * total, 2 * total))
-    idx = [*modes, *(total + j for j in modes)]
-    Yf[np.ix_(idx, idx)] = Y
+    idx = _block_index(modes, total)
+    Yf[idx[:, None], idx] = Y
     df = np.zeros(2 * total)
     df[idx] = d
     return GaussianState(total, Xf @ state.mean + df, Xf @ state.cov @ Xf.T + Yf)

@@ -39,73 +39,27 @@ class CheckResult:
 # Oracles
 # ---------------------------------------------------------------------------
 
-def _marg_entropy(V: np.ndarray, modes, m: int) -> float:
-    idx = [*modes, *(m + k for k in modes)]
-    sub = V[np.ix_(idx, idx)]
-    nus = gc._symplectic_eigs(sub)
-    return float(np.sum(gc._g_nats(np.maximum((nus - 1.0) / 2.0, 0.0))) / LN2)
-
-
 def coherent_info_oracle(ch: chn.PhaseInsensitiveChannel, ns: float) -> float:
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
     beamsplitter / squeezer dilation; independent of the closed forms."""
-    m = 4  # R, A, E', E1
-    V = np.zeros((2 * m, 2 * m))
-    sq, sp = gc.tms_qblocks(ns)
-    tq, tp = gc.tms_qblocks(ch.params["nb"])
-    chn._place_pair(V, 0, 1, sq, sp, m)
-    chn._place_pair(V, 2, 3, tq, tp, m)
-    S = gc.embed_matrix(chn._channel_symplectic(ch), (1, 2), m)
-    V = S @ V @ S.T
-    return _marg_entropy(V, (1,), m) - _marg_entropy(V, (0, 1), m)
+    tms = gc._place_pair(np.zeros((4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
+    V = chn._channel_dilation(ch, tms, gc.tms_qblocks(ch.params["nb"]))
+    return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V, (0, 1))
 
 
-def ud_oracle(ch: chn.PhaseInsensitiveChannel, input_cov: np.ndarray) -> float:
+def ud_oracle(ch: chn.PhaseInsensitiveChannel, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
-    a single-mode input covariance."""
-    V, lab = chn.degrading_dilation_cov(ch, np.asarray(input_cov, dtype=float))
-    m = V.shape[0] // 2
-    trio = (lab["G"], lab["E2p"], lab["E1p"])
+    a single-mode input covariance (2, 2), or an array of them for a stack
+    (n, 2, 2)."""
+    V, lab = chn.degrading_dilation_cov(ch, input_cov)
     pair = (lab["E2p"], lab["E1p"])
-    return _marg_entropy(V, trio, m) - _marg_entropy(V, pair, m)
+    return gc._entropy_from_cov(V, (lab["G"], *pair)) - gc._entropy_from_cov(V, pair)
 
 
-def ud_oracle_batch(ch: chn.PhaseInsensitiveChannel, input_covs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`ud_oracle` over a stack of (2,2) input covariances."""
-    covs = np.asarray(input_covs, dtype=float)
-    n = covs.shape[0]
-    base, lab = chn.degrading_dilation_cov(ch, np.zeros((2, 2)))
-    m = base.shape[0] // 2
-    # rebuild the pre-transform environment covariance and the transform
-    x, nb = chn._channel_param(ch)
-    V0 = np.zeros((2 * m, 2 * m))
-    tq, tp = gc.tms_qblocks(nb)
-    chn._place_pair(V0, 1, 2, tq, tp, m)
-    chn._place_pair(V0, 3, 4, tq, tp, m)
-    S1 = gc.embed_matrix(chn._channel_symplectic(ch), (0, 1), m)
-    if ch.kind == "thermal":
-        S2 = gc.embed_matrix(gc.beamsplitter_symplectic("Bprime", (1.0 - x) / x).S, (0, 3), m)
-        lab = {"E2p": 0, "G": 3, "E1p": 4}
-    else:
-        S2 = gc.embed_matrix(gc.two_mode_squeezer_symplectic((2.0 * x - 1.0) / x).S, (3, 0), m)
-        lab = {"E2p": 3, "G": 0, "E1p": 4}
-    T = S2 @ S1
-    Vs = np.broadcast_to(V0, (n, 2 * m, 2 * m)).copy()
-    Vs[:, 0, 0] = covs[:, 0, 0]
-    Vs[:, 0, m] = covs[:, 0, 1]
-    Vs[:, m, 0] = covs[:, 1, 0]
-    Vs[:, m, m] = covs[:, 1, 1]
-    out = np.einsum("ij,njk,lk->nil", T, Vs, T)
-
-    def _stack_entropy(modes):
-        idx = [*modes, *(m + k for k in modes)]
-        sub = out[:, idx][:, :, idx]
-        nus = gc._symplectic_eigs_stack(sub)
-        return np.sum(gc._g_nats(np.maximum((nus - 1.0) / 2.0, 0.0)), axis=-1) / LN2
-
-    trio = (lab["G"], lab["E2p"], lab["E1p"])
-    pair = (lab["E2p"], lab["E1p"])
-    return _stack_entropy(trio) - _stack_entropy(pair)
+def _noisy_tms_state(nb: float, x: float) -> gc.GaussianState:
+    """The noisy two-mode squeezed state omega(nb) of the simulating channel."""
+    cov = gc._place_pair(np.zeros((4, 4)), 0, *chn.noisy_tms_qblocks(nb, x))
+    return gc.GaussianState(2, np.zeros(4), cov)
 
 
 def random_single_mode_cov(ns: float, rng) -> np.ndarray:
@@ -229,10 +183,10 @@ def check_deg_vs_sim_cov(seed=23, n=1000) -> CheckResult:
     for _ in range(n):
         q = random_valid_qblock(rng)
         eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
-        A, B = chn.degrading_simulation_check(eta, nb, q)
+        A, B = chn.degrading_simulation_check(chn.thermal(eta, nb), q)
         worst = max(worst, float(np.max(np.abs(A - B))))
         g = rng.uniform(1.0 + 1e-6, 3.0)
-        A, B = chn.degrading_simulation_check_amp(g, nb, q)
+        A, B = chn.degrading_simulation_check(chn.amplifier(g, nb), q)
         worst = max(worst, float(np.max(np.abs(A - B))))
     return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)
 
@@ -241,13 +195,7 @@ def check_fidelity_identity(n_eta=20, n_nb=20) -> CheckResult:
     worst = 0.0
     for eta in np.linspace(0.5, 1.0, n_eta):
         for nb in np.linspace(0.0, 3.0, n_nb):
-            tms = gc.tms_state(nb)
-            oq, op = chn.noisy_tms_qblocks(nb, eta)
-            cov = np.zeros((4, 4))
-            cov[:2, :2] = oq
-            cov[2:, 2:] = op
-            noisy = gc.GaussianState(2, np.zeros(4), cov)
-            fid = gc.two_mode_fidelity(tms, noisy)
+            fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
             worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
     return CheckResult("fidelity_identity", worst < 1e-10, worst, 1e-10,
                        "F(psi_TMS, omega) = eta^2/kappa")
@@ -259,12 +207,7 @@ def check_eps_consistency(seed=29, n=200) -> CheckResult:
     for _ in range(n):
         eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
         eps = chn.epsilon_degradable(chn.thermal(eta, nb)).epsilon
-        tms = gc.tms_state(nb)
-        oq, op = chn.noisy_tms_qblocks(nb, eta)
-        cov = np.zeros((4, 4))
-        cov[:2, :2] = oq
-        cov[2:, 2:] = op
-        fid = gc.two_mode_fidelity(tms, gc.GaussianState(2, np.zeros(4), cov))
+        fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
         worst = max(worst, abs(eps - np.sqrt(max(1.0 - fid, 0.0))))
     return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
@@ -314,7 +257,7 @@ def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckR
         eta, nb, ns = rng.uniform(0.5, 1.0), rng.uniform(0, 2), rng.uniform(0.1, 10)
         ch = chn.thermal(eta, nb)
         covs = np.stack([random_single_mode_cov(ns, rng) for _ in range(n_inputs)])
-        vals = ud_oracle_batch(ch, covs)
+        vals = ud_oracle(ch, covs)
         best = ud_oracle(ch, (2 * ns + 1) * np.eye(2))
         worst = max(worst, float(np.max(vals) - best))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,

@@ -90,7 +90,7 @@ def test_criterion_04_covariance_channel_identity():
     for _ in range(1000):
         q = vfy.random_valid_qblock(rng)
         eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
-        A, B = chn.degrading_simulation_check(eta, nb, q)
+        A, B = chn.degrading_simulation_check(chn.thermal(eta, nb), q)
         worst = max(worst, float(np.max(np.abs(A - B))))
     ok = worst <= 1e-10
     assert report(4, "degrading vs simulating covariance identity", ok,
@@ -113,7 +113,7 @@ def test_criterion_05_conditional_entropy_oracle_and_optimality():
                 worst_closed = max(worst_closed, abs(closed - oracle))
                 covs = np.stack([vfy.random_single_mode_cov(ns, rng)
                                  for _ in range(100)])
-                vals = vfy.ud_oracle_batch(ch, covs)
+                vals = vfy.ud_oracle(ch, covs)
                 worst_opt = max(worst_opt, float(np.max(vals) - oracle))
     ok = worst_closed <= 1e-9 and worst_opt <= 1e-9
     assert report(5, "U_D closed form and thermal-input optimality", ok,

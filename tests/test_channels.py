@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
+from bosonic_bounds import verify as vfy
 from bosonic_bounds.errors import (
     ChannelKindError,
     DomainError,
@@ -178,7 +179,7 @@ class TestEpsilons:
 class TestDegradingSimulation:
     def test_zero_noise_reduces_to_pure_loss(self):
         q = np.array([[2.0, 0.5], [0.5, 3.0]])
-        A, B = chn.degrading_simulation_check(0.8, 0.0, q)
+        A, B = chn.degrading_simulation_check(chn.thermal(0.8, 0.0), q)
         assert np.max(np.abs(A - B)) < 1e-12
         # with nb = 0 both environments are vacuum
         assert A[2, 2] == pytest.approx(1.0)
@@ -187,7 +188,7 @@ class TestDegradingSimulation:
     def test_matches_explicit_closed_form(self):
         a, c, b = 3.0, 1.2, 2.0
         eta, nb = 0.75, 0.5
-        A, B = chn.degrading_simulation_check(eta, nb, np.array([[a, c], [c, b]]))
+        A, B = chn.degrading_simulation_check(chn.thermal(eta, nb), np.array([[a, c], [c, b]]))
         want = np.array([
             [a, c * np.sqrt(1 - eta), 0.0],
             [c * np.sqrt(1 - eta), b + eta * (1 - b + 2 * nb),
@@ -199,7 +200,7 @@ class TestDegradingSimulation:
 
     def test_half_transmissivity_kills_offdiagonal(self):
         q = gc.tms_qblocks(1.0)[0]
-        A, B = chn.degrading_simulation_check(0.5, 0.7, q)
+        A, B = chn.degrading_simulation_check(chn.thermal(0.5, 0.7), q)
         assert A[1, 2] == pytest.approx(0.0, abs=1e-12)
         assert B[1, 2] == pytest.approx(0.0, abs=1e-12)
 
@@ -209,14 +210,14 @@ class TestDegradingSimulation:
     def test_routes_agree(self, eta, nb, th, d1, d2):
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         q = R @ np.diag([1.0 + d1, 1.0 + d2]) @ R.T
-        A, B = chn.degrading_simulation_check(eta, nb, q)
+        A, B = chn.degrading_simulation_check(chn.thermal(eta, nb), q)
         assert np.max(np.abs(A - B)) < 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.000001, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 5.0))
     def test_amp_routes_agree(self, g, nb, d1):
         q = np.diag([1.0 + d1, 1.5])
-        A, B = chn.degrading_simulation_check_amp(g, nb, q)
+        A, B = chn.degrading_simulation_check(chn.amplifier(g, nb), q)
         assert np.max(np.abs(A - B)) < 1e-10
 
     def test_p_block_route_carries_sign_flips(self):
@@ -233,7 +234,41 @@ class TestDegradingSimulation:
         assert np.allclose(np.abs(pblk), np.abs(qblk), atol=1e-12)
 
     def test_invalid_block_rejected(self):
+        ch = chn.thermal(0.8, 0.5)
         with pytest.raises(InvalidStateError):
-            chn.degrading_simulation_check(0.8, 0.5, np.array([[1.0, 2.0], [0.0, 1.0]]))
+            chn.degrading_simulation_check(ch, np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(InvalidStateError):
-            chn.degrading_simulation_check(0.8, 0.5, np.array([[1.0, 2.0], [2.0, -1.0]]))
+            chn.degrading_simulation_check(ch, np.array([[1.0, 2.0], [2.0, -1.0]]))
+
+
+STACK_CHANNELS = [chn.thermal(0.8, 0.6), chn.amplifier(1.7, 0.4)]
+
+
+def _random_stack(seed, n=20):
+    rng = np.random.default_rng(seed)
+    return np.stack([vfy.random_single_mode_cov(rng.uniform(0.0, 10.0), rng)
+                     for _ in range(n)])
+
+
+class TestStackedDilations:
+    """A stack of input covariances gives the per-element answers."""
+
+    @pytest.mark.parametrize("ch", STACK_CHANNELS, ids=lambda c: c.kind)
+    def test_ud_oracle_stack_matches_elements(self, ch):
+        covs = _random_stack(3)
+        stacked = vfy.ud_oracle(ch, covs)
+        assert stacked.shape == (20,)
+        single = np.array([vfy.ud_oracle(ch, c) for c in covs])
+        assert np.max(np.abs(stacked - single)) < 1e-12
+
+    @pytest.mark.parametrize("ch", STACK_CHANNELS, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
+                             ids=["degrading", "simulating"])
+    def test_dilation_stack_matches_elements(self, ch, route):
+        covs = _random_stack(4)
+        V, labels = route(ch, covs)
+        assert V.shape[0] == 20
+        for c, Vk in zip(covs, V):
+            Vs, ls = route(ch, c)
+            assert ls == labels
+            assert np.max(np.abs(Vk - Vs)) < 1e-12
