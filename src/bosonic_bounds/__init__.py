@@ -64,6 +64,6 @@ from .gaussian_core import (
     two_mode_squeezer_symplectic,
     vacuum_state,
 )
-from .optimize import ScalarOptResult, maximize_scalar, minimize_scalar
+from .optimize import ScalarOptResult, minimize_scalar
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from . import channels as chn
 from . import gaussian_core as gc
 from .errors import ChannelKindError, DomainError, InfeasibleBoundError, _require
 from .gaussian_core import LN2
-from .optimize import maximize_scalar, minimize_scalar
+from .optimize import DEFAULT_GRID_POINTS, minimize_scalar
 
 __all__ = [
     "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "penalty",
@@ -92,9 +92,12 @@ def penalty(p: PenaltyParams) -> float:
 
 
 def _min_penalty(eps: float, w_prime: float, k: int):
-    """Minimize the penalty over eps' in (eps, 1]; (value, argmin)."""
-    res = minimize_scalar(lambda x: _penalty_eval(eps, x, w_prime, k),
-                          eps, 1.0, lo_open=True, tol=1e-9)
+    """Minimize the penalty over eps' in (eps, 1]; (value, argmin).  The
+    penalty diverges as eps' -> eps, so the open end is moved in by 1e-12
+    and the seed grid is log-spaced towards it."""
+    lo = min(eps + 1e-12, 1.0)
+    res = minimize_scalar(lambda x: _penalty_eval(eps, x, w_prime, k), lo, 1.0,
+                          seed_grid=np.geomspace(lo, 1.0, DEFAULT_GRID_POINTS))
     return res.value, res.arg
 
 
@@ -472,8 +475,6 @@ def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
 def _pl_seed_grid(ns: float) -> np.ndarray:
     # the coherent-information dip sits at small absolute photon numbers, so
     # seed logarithmically down to ~1e-12 in addition to the endpoints
-    if ns <= 0.0:
-        return np.array([0.0])
     return np.concatenate(([0.0], np.geomspace(min(1e-12, ns), ns, 63)))
 
 
@@ -487,9 +488,10 @@ def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:
     icns = _ql_thermal_raw(eta, nb, ns)
     if ns == 0.0:
         return _result("PL", 0.0, params, argopt=0.0)
-    res = maximize_scalar(lambda x: icns - _ql_thermal_raw(eta, nb, x),
-                          0.0, ns, tol=1e-9, seed_grid=_pl_seed_grid(ns))
-    return _result("PL", res.value, params, argopt=res.arg)
+    # -(icns - ql), not ql - icns: a zero maximum then reports 0.0, not -0.0
+    res = minimize_scalar(lambda x: -(icns - _ql_thermal_raw(eta, nb, x)),
+                          0.0, ns, seed_grid=_pl_seed_grid(ns))
+    return _result("PL", -res.value, params, argopt=res.arg)
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,7 @@ def kappa(x: float, nb: float) -> float:
     x is the thermal transmissivity (x in [1/2, 1]) or amplifier gain
     (x >= 1); in both regimes the bracket is nonnegative.
     """
-    if x < 0.5:
-        raise DomainError("kappa requires x >= 1/2")
+    _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
     return x * x + nb * (nb + 1.0) * (1.0 + 3.0 * x * x - 2.0 * x * (1.0 + np.sqrt(2.0 * x - 1.0)))
 
 

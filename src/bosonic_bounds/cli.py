@@ -5,7 +5,8 @@ Subcommands:
   sweep   evaluate bounds over a parameter grid, CSV to a file
   verify  run the named invariant suites and report pass/fail
 
-Exit codes: 0 success, 1 argument error, 2 infeasible bound.
+Exit codes: 0 success, 1 argument error or non-finite result, 2 infeasible
+bound.
 """
 
 from __future__ import annotations
@@ -63,7 +64,13 @@ def cmd_bound(args) -> int:
     except BosonicBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result.to_dict()))
+    try:
+        text = json.dumps(result.to_dict(), allow_nan=False)
+    except ValueError:  # strict JSON has no NaN or Infinity
+        print(f"error: {result.kind} is not finite here (value_bits {result.value}, "
+              f"raw_bits {result.raw})", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

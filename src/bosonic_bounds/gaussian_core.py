@@ -106,11 +106,11 @@ def g_entropy(x):
     Raises
     ------
     DomainError
-        If any element is below -1e-12.
+        If any element is below -1e-12, NaN or infinite.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-12):
-        raise DomainError(f"g_entropy requires x >= 0, got {x!r}")
+    if not np.all((arr >= -1e-12) & (arr < np.inf)):  # False for NaN
+        raise DomainError(f"g_entropy requires finite x >= 0, got {x!r}")
     clamped = np.maximum(arr, 0.0)
     out = _g_nats(clamped) / LN2
     return float(out) if arr.ndim == 0 else out
@@ -119,10 +119,11 @@ def g_entropy(x):
 def binary_entropy(x):
     """Binary entropy h2(x) in bits for probabilities x in [0, 1].
 
-    Endpoint values return 0.  Accepts scalars or arrays.
+    Endpoint values return 0.  Accepts scalars or arrays; any element
+    outside [0, 1], NaN included, raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # False for NaN
         raise DomainError(f"binary_entropy requires x in [0, 1], got {x!r}")
     out = np.zeros_like(np.atleast_1d(arr))
     flat = np.atleast_1d(arr)

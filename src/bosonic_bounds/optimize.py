@@ -1,8 +1,9 @@
-"""Deterministic bounded scalar optimization.
+"""Deterministic bounded scalar minimization.
 
 Grid-seeded golden-section search.  Derivative-free on purpose: the
 objectives this package minimizes contain g(W/delta) terms whose derivative
-is unbounded near the interval edge, where gradient steps misbehave.
+is unbounded near the interval edge, where gradient steps misbehave.  A
+maximization is the minimization of the negated objective.
 
 Determinism: identical inputs produce bit-identical results.  Plateau
 tie-break: the smallest argument wins (documented, tested).
@@ -19,8 +20,8 @@ from .errors import DomainError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_TOL = 1e-9
 DEFAULT_GRID_POINTS = 64
-_OPEN_OFFSET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,20 +32,15 @@ class ScalarOptResult:
     converged: bool
 
 
-def _as_value(y) -> float:
-    y = float(y)
-    return math.inf if math.isnan(y) else y
+def minimize_scalar(objective, lo: float, hi: float, *, seed_grid=None) -> ScalarOptResult:
+    """Minimize a scalar objective on [lo, hi].
 
-
-def minimize_scalar(objective, lo: float, hi: float, *, lo_open: bool = False,
-                    tol: float = 1e-9, grid_points: int = DEFAULT_GRID_POINTS,
-                    seed_grid=None) -> ScalarOptResult:
-    """Minimize a scalar objective on [lo, hi] (half-open at lo if lo_open).
-
-    A coarse seed grid (log-spaced for half-open intervals, where the
-    objective may diverge at the open endpoint; linear otherwise) locates a
-    candidate bracket, which golden-section search then shrinks to `tol`.
-    The objective may return +inf (or nan, treated as +inf) anywhere.
+    The seed grid (`seed_grid` clipped to [lo, hi], or DEFAULT_GRID_POINTS
+    evenly spaced points) locates a candidate bracket, which golden-section
+    search then shrinks to 1e-9.  A caller whose objective diverges at an
+    endpoint passes a grid that crowds towards it and keeps the endpoint
+    out of [lo, hi].  The objective may return +inf (or nan, treated as
+    +inf) anywhere.
 
     Returns the best evaluated point; on a plateau the smallest argument is
     reported.  If every evaluation is +inf the result is non-converged.
@@ -57,22 +53,17 @@ def minimize_scalar(objective, lo: float, hi: float, *, lo_open: bool = False,
     def f(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _as_value(objective(x))
+        y = float(objective(x))
+        return math.inf if math.isnan(y) else y
 
     if lo == hi:
-        if lo_open:
-            raise DomainError("empty open interval")
         v = f(lo)
         return ScalarOptResult(lo, v, evaluations, math.isfinite(v))
 
-    lo_eff = lo + _OPEN_OFFSET if lo_open else lo
-    lo_eff = min(lo_eff, hi)
-    if seed_grid is not None:
-        grid = np.unique(np.clip(np.asarray(seed_grid, dtype=float), lo_eff, hi))
-    elif lo_open and lo_eff > 0 and hi > 0:
-        grid = np.geomspace(lo_eff, hi, grid_points)
+    if seed_grid is None:
+        grid = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
     else:
-        grid = np.linspace(lo_eff, hi, grid_points)
+        grid = np.unique(np.clip(np.asarray(seed_grid, dtype=float), lo, hi))
 
     best_x, best_v = grid[0], math.inf
     vals = np.empty(len(grid))
@@ -93,8 +84,8 @@ def minimize_scalar(objective, lo: float, hi: float, *, lo_open: bool = False,
             best_x, best_v = x, v
 
     h = b - a
-    if h > tol:
-        n = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    if h > _TOL:
+        n = int(math.ceil(math.log(_TOL / h) / math.log(_INVPHI)))
         c = a + _INVPHI2 * h
         d = a + _INVPHI * h
         fc = f(c)
@@ -115,14 +106,3 @@ def minimize_scalar(objective, lo: float, hi: float, *, lo_open: bool = False,
                 fd = f(d)
                 consider(d, fd)
     return ScalarOptResult(best_x, best_v, evaluations, True)
-
-
-def maximize_scalar(objective, lo: float, hi: float, *, lo_open: bool = False,
-                    tol: float = 1e-9, grid_points: int = DEFAULT_GRID_POINTS,
-                    seed_grid=None) -> ScalarOptResult:
-    """Maximize `objective`; same contract as :func:`minimize_scalar` with
-    the orientation flipped (nan and -inf count as worst)."""
-    res = minimize_scalar(lambda x: -_as_value(objective(x)), lo, hi,
-                          lo_open=lo_open, tol=tol, grid_points=grid_points,
-                          seed_grid=seed_grid)
-    return ScalarOptResult(res.arg, -res.value, res.evaluations, res.converged)

@@ -220,6 +220,13 @@ class TestApproximateDegradabilityBounds:
         with pytest.raises(InfeasibleBoundError):
             bnd.q_u3(chn.amplifier(3.0, 1.0), 1.0)
 
+    def test_eps_degradable_bounds_require_gain_above_one(self):
+        ch = chn.amplifier(1.0, 0.5)
+        with pytest.raises(DomainError, match="gain > 1"):
+            bnd.q_u2(ch, 1.0)
+        with pytest.raises(DomainError, match="gain > 1"):
+            bnd.p_bounds(ch, 1.0, "PU2")
+
 
 class TestPrivateBounds:
     def test_pu1_equals_qu1(self):

@@ -82,6 +82,17 @@ class TestBoundCommand:
         want = bnd.p_lower_displaced(0.7, 0.1, 0.1)
         assert rec["value_bits"] == pytest.approx(want.value, abs=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ("--channel", "thermal", "--eta", "1", "--nb", "0.5", "--ns", "1", "--bound", "PLOB"),
+        ("--channel", "thermal", "--eta", "1", "--nb", "0.5", "--ns", "1", "--bound", "RMG"),
+        ("--channel", "amplifier", "--g", "1", "--nb", "0.5", "--bound", "PLOB"),
+    ])
+    def test_infinite_result_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and argv[-1] in err and "inf" in err
+
 
 SPEC_TWO_POINT = """\
 channel = thermal

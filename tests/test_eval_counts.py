@@ -2,8 +2,8 @@
 
 The counts are deterministic (fixed seed grids, fixed golden-section
 iteration counts), so any change to them is a change in the work the bounds
-do, not noise.  Counted through wrappers over the optimizer names the
-bounds module calls.
+do, not noise.  Counted through a wrapper over the optimizer the bounds
+module calls.
 """
 
 import pytest
@@ -16,16 +16,14 @@ from bosonic_bounds import cli
 @pytest.fixture
 def counts(monkeypatch):
     seen = []
+    minimize = bnd.minimize_scalar
 
-    def counting(opt):
-        def wrapper(*args, **kwargs):
-            res = opt(*args, **kwargs)
-            seen.append(res.evaluations)
-            return res
-        return wrapper
+    def counting(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        seen.append(res.evaluations)
+        return res
 
-    monkeypatch.setattr(bnd, "minimize_scalar", counting(bnd.minimize_scalar))
-    monkeypatch.setattr(bnd, "maximize_scalar", counting(bnd.maximize_scalar))
+    monkeypatch.setattr(bnd, "minimize_scalar", counting)
     return seen
 
 

@@ -1,7 +1,8 @@
 """NaN and +-inf inputs raise a named error; none comes back as a number.
 
-Every public bound, every channel constructor and the `bound` command are
-fed a non-finite value in each numeric argument in turn.
+Every public bound, every channel constructor, the entropy helpers, `kappa`
+and the `bound` command are fed a non-finite value in each numeric argument
+in turn.
 """
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
+from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds.errors import DomainError, InvalidChannelError
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -47,6 +49,13 @@ BOUND_CALLS = [
     ("PenaltyParams.epsilon_prime", lambda x: bnd.PenaltyParams(0.1, x, 1.0)),
     ("PenaltyParams.w_prime", lambda x: bnd.PenaltyParams(0.1, 0.5, x)),
     ("epsilon_close_degradable.nb", lambda x: chn.epsilon_close_degradable(x)),
+    # entropy helpers and kappa: a scalar, or one element of an array
+    ("g_entropy", lambda x: gc.g_entropy(x)),
+    ("g_entropy.array", lambda x: gc.g_entropy([1.0, x])),
+    ("binary_entropy", lambda x: gc.binary_entropy(x)),
+    ("binary_entropy.array", lambda x: gc.binary_entropy([0.5, x])),
+    ("kappa.x", lambda x: chn.kappa(x, 1.0)),
+    ("kappa.nb", lambda x: chn.kappa(0.7, x)),
 ]
 
 # (name, callable, error)
