@@ -4,8 +4,10 @@ All closed-form bounds for thermal, amplifier, and additive-noise channels,
 the shared continuity penalty of the approximate-degradability bounds, the
 coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
-:data:`REGISTRY` holds one row per bound kind: its channel kinds, its
-clamp, and how it is evaluated at a channel.
+:data:`REGISTRY` holds one row per bound kind: its form for each supported
+channel kind, its clamp and, for the penalized kinds, the eps source and
+the penalty multiplier.  :func:`evaluate` computes any kind at a channel
+from its row; the channel-taking public bounds call it.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -28,7 +30,7 @@ from .gaussian_core import LN2
 from .optimize import DEFAULT_GRID_POINTS, minimize_scalar
 
 __all__ = [
-    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "penalty",
+    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "penalty",
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
@@ -151,11 +153,6 @@ def _check_ns(ns):
 def _check_point(nb, ns):
     _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     _check_ns(ns)
-
-
-def _on_channel(kind, ch):
-    if ch.kind not in REGISTRY[kind].channels:
-        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
 
 
 def _closed_form(f):
@@ -286,7 +283,7 @@ def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Data-processing bounds
+# Feasibility checks and forms
 # ---------------------------------------------------------------------------
 
 def _amp_not_eb(g, nb):
@@ -314,100 +311,90 @@ def _amp_then_loss(eta, nb):
             f"at eta={eta:.6g}, nb={nb:.6g}")
 
 
-def _amp_then_loss_limit(eta, nb):
-    """log2((eta - (1-eta) nb) / ((1-eta)(nb+1))): unconstrained QU4 and RMG."""
+# A form takes the channel's parameters and ns, runs its regime's check and
+# returns the raw bits, or for the penalized kinds the base term and its
+# output-energy cap W'.  The QU1 and QU4 forms at ns = inf give the
+# infinite-energy limit.
+
+def _qu1_thermal(eta, nb, ns):
+    _thermal_half(eta, "QU1")
+    if ns == np.inf:
+        return np.inf if eta == 1.0 else float(np.log2(eta / (1.0 - eta)) - np.log2(nb + 1.0))
+    return _qu1_thermal_raw(eta, nb, ns)
+
+
+def _qu1_amp(g, nb, ns):
+    _amp_not_eb(g, nb)
+    if ns == np.inf:
+        return np.inf if g == 1.0 else float(np.log2(g / (g - 1.0)) - np.log2(nb + 1.0))
+    return _qu1_amp_raw(g, nb, ns)
+
+
+def _qu1_additive(nbar, ns):
+    _additive_window(nbar)
+    return float(np.log2(1.0 / nbar)) if ns == np.inf else _qu1_additive_raw(nbar, ns)
+
+
+def _rmg_thermal(eta, nb, ns):
+    """log2((eta - (1-eta) nb) / ((1-eta)(nb+1))) at every ns: RMG, and the
+    infinite-energy limit of QU4."""
     _amp_then_loss(eta, nb)
     if eta == 1.0:
         return np.inf
     return float(np.log2((eta - (1.0 - eta) * nb) / ((1.0 - eta) * (nb + 1.0))))
 
 
-def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
-    """Data-processing bound from the loss-then-amplifier decomposition."""
-    _check_ns(ns)
-    _on_channel("QU1", ch)
-    p = _params(ch, ns)
-    if ch.kind == "thermal":
-        _thermal_half(p["eta"], "QU1")
-        raw = _qu1_thermal_raw(p["eta"], p["nb"], ns)
-    elif ch.kind == "amplifier":
-        _amp_not_eb(p["g"], p["nb"])
-        raw = _qu1_amp_raw(p["g"], p["nb"], ns)
-    else:
-        _additive_window(p["nbar"])
-        raw = _qu1_additive_raw(p["nbar"], ns)
-    return _result("QU1", raw, p)
+def _qu4_thermal(eta, nb, ns):
+    if ns == np.inf:
+        return _rmg_thermal(eta, nb, ns)
+    _amp_then_loss(eta, nb)
+    return _qu4_thermal_raw(eta, nb, ns)
 
 
-def q_u1_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
-    """Infinite-energy limit of QU1 (raw, unclamped)."""
-    _on_channel("QU1", ch)
-    if ch.kind == "thermal":
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        _thermal_half(eta, "QU1")
-        if eta == 1.0:
-            return np.inf
-        return float(np.log2(eta / (1.0 - eta)) - np.log2(nb + 1.0))
-    if ch.kind == "amplifier":
-        g, nb = ch.params["g"], ch.params["nb"]
-        _amp_not_eb(g, nb)
-        if g == 1.0:
-            return np.inf
-        return float(np.log2(g / (g - 1.0)) - np.log2(nb + 1.0))
-    _additive_window(ch.params["nbar"])
-    return float(np.log2(1.0 / ch.params["nbar"]))
-
-
-def q_u4(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
-    """Data-processing bound from the amplifier-then-loss decomposition."""
-    _check_ns(ns)
-    _on_channel("QU4", ch)
-    p = _params(ch, ns)
-    if ch.kind == "thermal":
-        _amp_then_loss(p["eta"], p["nb"])
-        raw = _qu4_thermal_raw(p["eta"], p["nb"], ns)
-    else:
-        _additive_window(p["nbar"])
-        raw = _qu4_additive_raw(p["nbar"], ns)
-    return _result("QU4", raw, p)
-
-
-def q_u4_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
-    """Infinite-energy limit of QU4 (raw, unclamped)."""
-    _on_channel("QU4", ch)
-    if ch.kind == "thermal":
-        return _amp_then_loss_limit(ch.params["eta"], ch.params["nb"])
-    nbar = ch.params["nbar"]
+def _qu4_additive(nbar, ns):
     _additive_window(nbar)
-    return float(np.log2((1.0 - nbar) / nbar))
+    return float(np.log2((1.0 - nbar) / nbar)) if ns == np.inf else _qu4_additive_raw(nbar, ns)
 
 
-# ---------------------------------------------------------------------------
-# Approximate-degradability bounds
-# ---------------------------------------------------------------------------
-
-def _degrading_base(ch, ns):
+def _ud_thermal(eta, nb, ns):
     """U_D, the conditional entropy of degradation, and its cap W'."""
-    if ch.kind == "thermal":
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        _thermal_half(eta, "the degrading construction")
-        return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb
-    g, nb = ch.params["g"], ch.params["nb"]
+    _thermal_half(eta, "the degrading construction")
+    return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb
+
+
+def _ud_amp(g, nb, ns):
     if g <= 1.0:
         raise DomainError("amplifier eps-degradable bound requires gain > 1")
     _amp_not_eb(g, nb)
     return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb
 
 
-def _reference_base(ch, ns):
+def _reference_thermal(eta, nb, ns):
     """Coherent information of the degradable (nb = 0) reference and W'."""
-    if ch.kind == "thermal":
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        _thermal_half(eta, "QU3")
-        return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb
-    g, nb = ch.params["g"], ch.params["nb"]
+    _thermal_half(eta, "QU3")
+    return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb
+
+
+def _reference_amp(g, nb, ns):
     _amp_not_eb(g, nb)
     return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb
+
+
+def _plob_thermal(eta, nb, ns):
+    if eta == 1.0:
+        return np.inf
+    return float(-np.log2((1.0 - eta) * eta ** nb) - gc.g_entropy(nb))
+
+
+def _plob_amp(g, nb, ns):
+    if g == 1.0:
+        return np.inf
+    return float(np.log2(g ** (nb + 1.0) / (g - 1.0)) - gc.g_entropy(nb))
+
+
+def _plob_additive(nbar, ns):
+    _additive_window(nbar)
+    return float((nbar - 1.0) / LN2 + np.log2(1.0 / nbar))
 
 
 def _eps_degradable(ch):
@@ -418,39 +405,87 @@ def _eps_close_degradable(ch):
     return chn.epsilon_close_degradable(ch.params["nb"]).epsilon
 
 
-def _penalized(kind, ch, ns, eps_prime):
-    """Base term plus k times the continuity penalty, with the base, eps
-    source and k of the kind's registry row; eps' is minimized over
-    (eps, 1] unless supplied."""
+# ---------------------------------------------------------------------------
+# The evaluator and the channel-taking bounds
+# ---------------------------------------------------------------------------
+
+def _form(kind, ch):
+    form = REGISTRY[kind].forms.get(ch.kind)
+    if form is None:
+        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
+    return form
+
+
+def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
+             eps_prime: float = None) -> BoundResult:
+    """Bound `kind` at channel `ch` and input energy `ns`, from its registry row.
+
+    Checked in this order: a fixed eps' (taken only by the rows with an eps
+    source), ns, the channel kind, the form's regime.  QL and PL check the
+    channel kind first: their forms are the public lower-bound functions,
+    which check their own point.  A penalized kind adds k times the
+    continuity penalty, minimized over eps' in (eps, 1] unless eps_prime is
+    given.
+    """
+    row = REGISTRY.get(kind)
+    if row is None:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    if eps_prime is not None and row.eps is None:
+        takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
+        raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+    if row.lower:
+        return _form(kind, ch)(*ch.params.values(), ns)
     _check_ns(ns)
-    _on_channel(kind, ch)
-    base_of, eps_of, k = REGISTRY[kind].penalty
-    base, w_prime = base_of(ch, ns)
-    eps = eps_of(ch)
-    params = {**_params(ch, ns), "eps": eps, "w_prime": w_prime}
+    out = _form(kind, ch)(*ch.params.values(), ns)
+    params = _params(ch, ns)
+    if row.eps is None:
+        return _result(kind, out, params)
+    base, w_prime = out
+    eps = row.eps(ch)
+    params.update(eps=eps, w_prime=w_prime)
     if eps_prime is not None:
-        pp = PenaltyParams(eps, float(eps_prime), w_prime, k)
+        pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
         params.update(eps_prime=pp.epsilon_prime, delta=pp.delta)
         return _result(kind, base + penalty(pp), params, pp.epsilon_prime)
     if eps == 0.0:
         # exactly degradable reference: the penalty infimum over eps' is 0,
         # unattained; report the limiting penalty-free value
         return _result(kind, base, params)
-    pen, arg = _min_penalty(eps, w_prime, k)
+    pen, arg = _min_penalty(eps, w_prime, row.k)
     params.update(eps_prime=arg, delta=(arg - eps) / (1.0 + arg))
     return _result(kind, base + pen, params, arg)
+
+
+def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
+    """Data-processing bound from the loss-then-amplifier decomposition."""
+    return evaluate("QU1", ch, ns)
+
+
+def q_u1_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
+    """Infinite-energy limit of QU1 (raw, unclamped)."""
+    return _form("QU1", ch)(*ch.params.values(), np.inf)
+
+
+def q_u4(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
+    """Data-processing bound from the amplifier-then-loss decomposition."""
+    return evaluate("QU4", ch, ns)
+
+
+def q_u4_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
+    """Infinite-energy limit of QU4 (raw, unclamped)."""
+    return _form("QU4", ch)(*ch.params.values(), np.inf)
 
 
 def q_u2(ch: chn.PhaseInsensitiveChannel, ns: float, eps_prime: float = None) -> BoundResult:
     """eps-degradable bound: U_D plus the k=1 continuity penalty, minimized
     over eps' in (eps, 1] unless eps_prime is supplied."""
-    return _penalized("QU2", ch, ns, eps_prime)
+    return evaluate("QU2", ch, ns, eps_prime)
 
 
 def q_u3(ch: chn.PhaseInsensitiveChannel, ns: float, eps_prime: float = None) -> BoundResult:
     """eps-close-degradable bound: the degradable reference's coherent
     information plus the k=2 penalty with eps = nb/(nb+1)."""
-    return _penalized("QU3", ch, ns, eps_prime)
+    return evaluate("QU3", ch, ns, eps_prime)
 
 
 def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
@@ -460,12 +495,9 @@ def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
     PU1 shares the QU1 closed form; PU2 is U_D with the k=3 penalty; PU3 is
     the degradable reference with the k=4 penalty.
     """
-    if which == "PU1":
-        r = q_u1(ch, ns)
-        return BoundResult("PU1", r.value, r.raw, r.argopt, r.params)
-    if which in ("PU2", "PU3"):
-        return _penalized(which, ch, ns, eps_prime)
-    raise DomainError(f"unknown private bound {which!r}")
+    if which not in ("PU1", "PU2", "PU3"):
+        raise DomainError(f"unknown private bound {which!r}")
+    return evaluate(which, ch, ns, eps_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +530,8 @@ def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:
 # Comparison bounds and derived quantities
 # ---------------------------------------------------------------------------
 
-def _rmg_raw(ch):
-    _on_channel("RMG", ch)
-    return _amp_then_loss_limit(ch.params["eta"], ch.params["nb"])
+_COMPARISON = {"PLOB_thermal": ("PLOB", "thermal"), "PLOB_amp": ("PLOB", "amplifier"),
+               "PLOB_addnoise": ("PLOB", "additive"), "RMG": ("RMG", "thermal")}
 
 
 def comparison_bounds(ch: chn.PhaseInsensitiveChannel, which: str) -> float:
@@ -508,29 +539,12 @@ def comparison_bounds(ch: chn.PhaseInsensitiveChannel, which: str) -> float:
 
     PLOB_* values are reported as stated; RMG carries its max{0, .} clamp.
     """
-    if which == "PLOB_thermal":
-        if ch.kind != "thermal":
-            raise ChannelKindError("PLOB_thermal needs a thermal channel")
-        eta, nb = ch.params["eta"], ch.params["nb"]
-        if eta == 1.0:
-            return np.inf
-        return float(-np.log2((1.0 - eta) * eta ** nb) - gc.g_entropy(nb))
-    if which == "PLOB_amp":
-        if ch.kind != "amplifier":
-            raise ChannelKindError("PLOB_amp needs an amplifier channel")
-        g, nb = ch.params["g"], ch.params["nb"]
-        if g == 1.0:
-            return np.inf
-        return float(np.log2(g ** (nb + 1.0) / (g - 1.0)) - gc.g_entropy(nb))
-    if which == "PLOB_addnoise":
-        if ch.kind != "additive":
-            raise ChannelKindError("PLOB_addnoise needs an additive-noise channel")
-        nbar = ch.params["nbar"]
-        _additive_window(nbar)
-        return float((nbar - 1.0) / LN2 + np.log2(1.0 / nbar))
-    if which == "RMG":
-        return _clamp("RMG", _rmg_raw(ch))
-    raise DomainError(f"unknown comparison bound {which!r}")
+    if which not in _COMPARISON:
+        raise DomainError(f"unknown comparison bound {which!r}")
+    kind, channel = _COMPARISON[which]
+    if ch.kind != channel:
+        raise ChannelKindError(f"{which} is not defined for {ch.kind!r} channels")
+    return evaluate(kind, ch, 0.0).value
 
 
 def gap_qu1_ql(eta: float, nb: float, ns: float) -> float:
@@ -572,67 +586,38 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
 class BoundKind:
     """One row of :data:`REGISTRY`.
 
-    `channels` lists the supported channel kinds and `clamp` marks the kinds
-    that report max{0, raw} as their value.  `evaluate(ch, ns, eps_prime)`
-    computes the bound at a channel through the public function of the kind.
-    The approximate-degradability kinds carry `penalty` = (base, eps, k):
-    base(ch, ns) gives the base term in bits with its output-energy cap W',
-    eps(ch) the diamond-distance parameter, k the penalty multiplier.  Only
-    these kinds accept a fixed eps'.
+    `forms` maps each supported channel kind to the kind's form there, a
+    function of (channel parameters..., ns); `clamp` marks the kinds that
+    report max{0, raw} as their value.  The penalized kinds (QU2, QU3, PU2,
+    PU3) carry `eps`, the diamond-distance parameter of a channel, and the
+    penalty multiplier `k`; only they accept a fixed eps'.  In the `lower`
+    rows (QL, PL) the forms are the public lower-bound functions, which
+    check their own point (after the channel kind) and return the whole
+    :class:`BoundResult`.
     """
 
-    channels: tuple
+    forms: dict
     clamp: bool
-    evaluate: Callable
-    penalty: tuple | None = None
-
-    @property
-    def eps_prime(self) -> bool:
-        return self.penalty is not None
+    eps: Callable | None = None
+    k: int = 0
+    lower: bool = False
 
 
-def _ql_at(ch, ns, eps_prime):
-    _on_channel("QL", ch)
-    if ch.kind == "thermal":
-        return q_lower_thermal(ch.params["eta"], ch.params["nb"], ns)
-    return q_lower_amp(ch.params["g"], ch.params["nb"], ns)
-
-
-def _pl_at(ch, ns, eps_prime):
-    _on_channel("PL", ch)
-    return p_lower_displaced(ch.params["eta"], ch.params["nb"], ns)
-
-
-_PLOB_OF = {"thermal": "PLOB_thermal", "amplifier": "PLOB_amp", "additive": "PLOB_addnoise"}
-
-
-def _plob_at(ch, ns, eps_prime):
-    _check_ns(ns)
-    _on_channel("PLOB", ch)
-    return _result("PLOB", comparison_bounds(ch, _PLOB_OF[ch.kind]), _params(ch, ns))
-
-
-def _rmg_at(ch, ns, eps_prime):
-    _check_ns(ns)
-    # the raw closed form, which comparison_bounds clamps away
-    return _result("RMG", _rmg_raw(ch), _params(ch, ns))
-
-
-_TA = ("thermal", "amplifier")
-_ALL = ("thermal", "amplifier", "additive")
-_DEG = (_degrading_base, _eps_degradable)
-_CLOSE = (_reference_base, _eps_close_degradable)
+_QU1 = {"thermal": _qu1_thermal, "amplifier": _qu1_amp, "additive": _qu1_additive}
+_DEG = {"thermal": _ud_thermal, "amplifier": _ud_amp}
+_CLOSE = {"thermal": _reference_thermal, "amplifier": _reference_amp}
 
 REGISTRY = {
-    "QL": BoundKind(_TA, True, _ql_at),
-    "QU1": BoundKind(_ALL, True, lambda ch, ns, e: q_u1(ch, ns)),
-    "QU2": BoundKind(_TA, False, lambda ch, ns, e: q_u2(ch, ns, e), (*_DEG, 1)),
-    "QU3": BoundKind(_TA, False, lambda ch, ns, e: q_u3(ch, ns, e), (*_CLOSE, 2)),
-    "QU4": BoundKind(("thermal", "additive"), True, lambda ch, ns, e: q_u4(ch, ns)),
-    "PU1": BoundKind(_ALL, True, lambda ch, ns, e: p_bounds(ch, ns, "PU1")),
-    "PU2": BoundKind(_TA, False, lambda ch, ns, e: p_bounds(ch, ns, "PU2", e), (*_DEG, 3)),
-    "PU3": BoundKind(_TA, False, lambda ch, ns, e: p_bounds(ch, ns, "PU3", e), (*_CLOSE, 4)),
-    "PL": BoundKind(("thermal",), False, _pl_at),
-    "PLOB": BoundKind(_ALL, False, _plob_at),
-    "RMG": BoundKind(("thermal",), True, _rmg_at),
+    "QL": BoundKind({"thermal": q_lower_thermal, "amplifier": q_lower_amp}, True, lower=True),
+    "QU1": BoundKind(_QU1, True),
+    "QU2": BoundKind(_DEG, False, _eps_degradable, 1),
+    "QU3": BoundKind(_CLOSE, False, _eps_close_degradable, 2),
+    "QU4": BoundKind({"thermal": _qu4_thermal, "additive": _qu4_additive}, True),
+    "PU1": BoundKind(_QU1, True),
+    "PU2": BoundKind(_DEG, False, _eps_degradable, 3),
+    "PU3": BoundKind(_CLOSE, False, _eps_close_degradable, 4),
+    "PL": BoundKind({"thermal": p_lower_displaced}, False, lower=True),
+    "PLOB": BoundKind({"thermal": _plob_thermal, "amplifier": _plob_amp,
+                       "additive": _plob_additive}, False),
+    "RMG": BoundKind({"thermal": _rmg_thermal}, True),
 }

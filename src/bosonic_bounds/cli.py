@@ -27,8 +27,8 @@ from .errors import BosonicBoundsError, DomainError, InfeasibleBoundError
 BOUND_KINDS = tuple(bnd.REGISTRY)
 SWEEP_VARS = ("ns", "eta", "nb", "g", "nbar")
 FIGURES = ("3a", "3b", "3c", "3d", "4a", "4b", "5a", "5b", "6a", "6b")
-# No longer read: sweeps run serially in grid order.  Kept importable for
-# code that still refers to it.
+# Not read by the package (sweeps run serially in grid order).  It stays
+# because bench/workloads.py sets it; ROADMAP item A removes both.
 THREADS_ENV = "BOSON_BOUNDS_THREADS"
 
 
@@ -40,24 +40,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def evaluate_bound(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
-                   eps_prime: float = None) -> bnd.BoundResult:
-    """Evaluate one named bound; raises on infeasible or mismatched kinds."""
-    row = bnd.REGISTRY.get(kind)
-    if row is None:
-        raise DomainError(f"unknown bound kind {kind!r}")
-    if eps_prime is not None and not row.eps_prime:
-        takers = ", ".join(k for k, r in bnd.REGISTRY.items() if r.eps_prime)
-        raise DomainError(f"--eps-prime applies only to {takers}, not {kind}")
-    return row.evaluate(ch, ns, eps_prime)
-
-
 def cmd_bound(args) -> int:
     try:
         given = {k: getattr(args, k) for k in ("eta", "g", "nbar", "nb")}
         ch = chn.make_channel(args.channel,
                               **{k: v for k, v in given.items() if v is not None})
-        result = evaluate_bound(args.bound, ch, args.ns, args.eps_prime)
+        result = bnd.evaluate(args.bound, ch, args.ns, args.eps_prime)
     except InfeasibleBoundError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -162,9 +150,13 @@ def _sweep_point(spec: SweepSpec, value: float):
     cells = []
     for kind in spec.bounds:
         try:
-            cells.append(evaluate_bound(kind, ch, ns).value)
+            cell = bnd.evaluate(kind, ch, ns).value
         except BosonicBoundsError:
-            cells.append(None)  # infeasible cell -> empty CSV field
+            cell = None  # infeasible cell -> empty CSV field
+        if cell is not None and not np.isfinite(cell):
+            raise DomainError(f"{kind} is not finite at {spec.sweep} = {value:.12g} "
+                              f"(value_bits {cell})")
+        cells.append(cell)
     return cells
 
 

@@ -41,8 +41,9 @@ class CheckResult:
 def coherent_info_oracle(ch: chn.PhaseInsensitiveChannel, ns: float) -> float:
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
     beamsplitter / squeezer dilation; independent of the closed forms."""
+    _, nb = chn._channel_param(ch)  # ChannelKindError off thermal/amplifier
     tms = gc._place_pair(np.zeros((4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
-    V = chn._channel_dilation(ch, tms, gc.tms_qblocks(ch.params["nb"]))
+    V = chn._channel_dilation(ch, tms, gc.tms_qblocks(nb))
     return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V, (0, 1))
 
 

@@ -88,6 +88,10 @@ class TestLowerBounds:
             want = vfy.coherent_info_oracle(chn.amplifier(g, nb), ns)
             assert bnd.q_lower_amp(g, nb, ns).raw == pytest.approx(want, abs=1e-9)
 
+    def test_oracle_needs_a_dilation(self):
+        with pytest.raises(ChannelKindError):
+            vfy.coherent_info_oracle(chn.additive_noise(0.3), 1.0)
+
     def test_amp_quantum_limited_equals_qu1(self):
         ql = bnd.q_lower_amp(2.0, 0.0, 3.0)
         q1 = bnd.q_u1(chn.amplifier(2.0, 0.0), 3.0)
@@ -257,6 +261,20 @@ class TestPrivateBounds:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             bnd.p_bounds(chn.thermal(0.8, 0.1), 1.0, "PU9")
+
+    @pytest.mark.parametrize("eps_prime", [0.5, np.nan])
+    def test_pu1_rejects_eps_prime(self, eps_prime):
+        with pytest.raises(DomainError) as exc:
+            bnd.p_bounds(chn.thermal(0.8, 0.1), 1.0, "PU1", eps_prime=eps_prime)
+        for taker in ("QU2", "QU3", "PU2", "PU3"):
+            assert taker in str(exc.value)
+
+    def test_pu1_without_eps_prime_is_qu1(self):
+        r = bnd.p_bounds(chn.thermal(0.99, 0.0), 1.0, "PU1")
+        q = bnd.q_u1(chn.thermal(0.99, 0.0), 1.0)
+        assert (r.kind, r.value, r.raw, r.argopt, r.params) == \
+            ("PU1", q.value, q.raw, None, q.params)
+        assert r.value == pytest.approx(QU1_TH_099_0_1, abs=1e-12)
 
 
 class TestPrivateLowerBound:

@@ -320,11 +320,15 @@ class TestDispatchMatrix:
             assert code == 1
             assert out == ""
             with pytest.raises(ChannelKindError) as exc:
-                cli.evaluate_bound(kind, ch, MATRIX_NS)
+                bnd.evaluate(kind, ch, MATRIX_NS)
             assert err == f"error: {exc.value}\n"
 
     def test_bound_kinds_cover_the_matrix(self):
         assert set(cli.BOUND_KINDS) == set(SUPPORTED)
+
+    def test_forms_are_the_support_table(self):
+        assert {k: set(row.forms) for k, row in bnd.REGISTRY.items()} == \
+            {k: set(v) for k, v in SUPPORTED.items()}
 
 
 class TestBoundArguments:
@@ -354,6 +358,16 @@ class TestBoundArguments:
                                "--out", str(tmp_path / "o.csv"))
         assert code == 1
         assert "eta" in err
+
+    def test_infinite_sweep_cell_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text("channel = thermal\neta = 0.9\nnb = 0.5\nns = 1\nsweep = eta\n"
+                        "start = 0.9\nstop = 1\npoints = 3\nbounds = PLOB,RMG\n")
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert not out.exists()
+        assert err.startswith("error: PLOB ") and "eta = 1 " in err and "inf" in err
 
     def test_unbuildable_row_is_empty(self, tmp_path, capsys):
         # eta = 0 cannot build a thermal channel: every cell of that row is empty
