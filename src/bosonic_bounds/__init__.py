@@ -7,7 +7,7 @@ Layers:
 * :mod:`bosonic_bounds.channels` -- phase-insensitive channel algebra,
   decompositions, approximate-degradability parameters.
 * :mod:`bosonic_bounds.bounds` -- the capacity bounds themselves.
-* :mod:`bosonic_bounds.optimize` -- deterministic scalar optimization.
+* :mod:`bosonic_bounds.optimize` -- deterministic bounded minimization, batched.
 * :mod:`bosonic_bounds.verify` -- oracle-backed invariant suites.
 * :mod:`bosonic_bounds.cli` -- the `boson-bounds` command-line front end.
 """
@@ -64,6 +64,6 @@ from .gaussian_core import (
     two_mode_squeezer_symplectic,
     vacuum_state,
 )
-from .optimize import ScalarOptResult, minimize_scalar
+from .optimize import BatchOptResult, ScalarOptResult, minimize_batch, minimize_scalar
 
 __version__ = "0.1.0"

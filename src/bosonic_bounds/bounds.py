@@ -6,8 +6,11 @@ coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
 :data:`REGISTRY` holds one row per bound kind: its form for each supported
 channel kind, its clamp and, for the penalized kinds, the eps source and
-the penalty multiplier.  :func:`evaluate` computes any kind at a channel
-from its row; the channel-taking public bounds call it.
+the penalty multiplier.  :func:`evaluate_column` computes one kind at many
+(channel, ns) cells from its row and runs the cells' minimizations (over
+eps', or over the energy split for PL) as one lockstep batch;
+:func:`evaluate` is its one-cell case, which the channel-taking public
+bounds call.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -18,6 +21,7 @@ catastrophic cancellation.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -25,12 +29,14 @@ import numpy as np
 
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import ChannelKindError, DomainError, InfeasibleBoundError, _require
+from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
+                     InfeasibleBoundError, _require)
 from .gaussian_core import LN2
-from .optimize import DEFAULT_GRID_POINTS, minimize_scalar
+from .optimize import DEFAULT_GRID_POINTS, minimize_batch
 
 __all__ = [
-    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "penalty",
+    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "evaluate_column",
+    "penalty",
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
@@ -71,20 +77,17 @@ class PenaltyParams:
         return (self.epsilon_prime - self.epsilon) / (1.0 + self.epsilon_prime)
 
 
-def _penalty_eval(eps: float, eps_prime, w_prime: float, k: int):
-    """Vectorized penalty; +inf wherever delta <= 0."""
+def _penalty_eval(eps, eps_prime, w_prime, k):
+    """Penalty over the broadcast arguments; +inf wherever delta <= 0."""
     e = np.asarray(eps_prime, dtype=float)
-    scalar = e.ndim == 0
-    e = np.atleast_1d(e)
     delta = (e - eps) / (1.0 + e)
-    out = np.full(e.shape, np.inf)
     ok = delta > 0.0
-    d = delta[ok]
-    eo = e[ok]
-    out[ok] = k * ((2.0 * eo + 4.0 * d) * _gn(w_prime / d)
-                   + _gn(eo)
-                   + 2.0 * (-(d * np.log(d) + (1.0 - d) * np.log1p(-d)))) / LN2
-    return float(out[0]) if scalar else out
+    d = np.where(ok, delta, 0.5)  # keeps the discarded entries finite
+    val = k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
+               + _gn(e)
+               + 2.0 * (-(d * np.log(d) + (1.0 - d) * np.log1p(-d)))) / LN2
+    out = np.where(ok, val, np.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def penalty(p: PenaltyParams) -> float:
@@ -93,14 +96,17 @@ def penalty(p: PenaltyParams) -> float:
     return _penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k)
 
 
-def _min_penalty(eps: float, w_prime: float, k: int):
-    """Minimize the penalty over eps' in (eps, 1]; (value, argmin).  The
-    penalty diverges as eps' -> eps, so the open end is moved in by 1e-12
-    and the seed grid is log-spaced towards it."""
-    lo = min(eps + 1e-12, 1.0)
-    res = minimize_scalar(lambda x: _penalty_eval(eps, x, w_prime, k), lo, 1.0,
-                          seed_grid=np.geomspace(lo, 1.0, DEFAULT_GRID_POINTS))
-    return res.value, res.arg
+def _min_penalty(eps, w_prime, k):
+    """Minimize the penalty over eps' in (eps, 1], one batch over equal-length
+    arrays; (value, argmin), floats for scalar arguments.  The penalty
+    diverges as eps' -> eps, so the open end is moved in by 1e-12 and the
+    seed grid is log-spaced towards it."""
+    scalar = np.ndim(eps) == 0
+    eps, w_prime, k = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps, w_prime, k))
+    lo = np.minimum(eps + 1e-12, 1.0)
+    res = minimize_batch(lambda x, r: _penalty_eval(eps[r, None], x, w_prime[r, None], k[r, None]),
+                         lo, 1.0, [np.geomspace(a, 1.0, DEFAULT_GRID_POINTS) for a in lo])
+    return (float(res.value[0]), float(res.arg[0])) if scalar else (res.value, res.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +422,16 @@ def _form(kind, ch):
     return form
 
 
-def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
-             eps_prime: float = None) -> BoundResult:
-    """Bound `kind` at channel `ch` and input energy `ns`, from its registry row.
+# A cell waiting for its minimization: the row's solver (_min_penalty, or
+# _max_private for PL) takes a column's stacked `args` and returns (values,
+# argopts); `finish` turns one cell's pair into its BoundResult.
+_Pending = namedtuple("_Pending", "args finish")
 
-    Checked in this order: a fixed eps' (taken only by the rows with an eps
-    source), ns, the channel kind, the form's regime.  QL and PL check the
-    channel kind first: their forms are the public lower-bound functions,
-    which check their own point.  A penalized kind adds k times the
-    continuity penalty, minimized over eps' in (eps, 1] unless eps_prime is
-    given.
-    """
-    row = REGISTRY.get(kind)
-    if row is None:
-        raise DomainError(f"unknown bound kind {kind!r}")
-    if eps_prime is not None and row.eps is None:
-        takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
-        raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+
+def _cell(kind, row, ch, ns, eps_prime):
+    """One cell up to its minimization: a BoundResult or a _Pending.  Checked
+    in this order: ns, the channel kind, the form's regime; QL and PL check
+    the channel kind first."""
     if row.lower:
         return _form(kind, ch)(*ch.params.values(), ns)
     _check_ns(ns)
@@ -443,17 +442,68 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     base, w_prime = out
     eps = row.eps(ch)
     params.update(eps=eps, w_prime=w_prime)
+
+    def finish(pen, arg):
+        params.update(eps_prime=arg, delta=(arg - eps) / (1.0 + arg))
+        return _result(kind, base + pen, params, arg)
+
     if eps_prime is not None:
         pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
-        params.update(eps_prime=pp.epsilon_prime, delta=pp.delta)
-        return _result(kind, base + penalty(pp), params, pp.epsilon_prime)
+        return finish(penalty(pp), pp.epsilon_prime)
     if eps == 0.0:
         # exactly degradable reference: the penalty infimum over eps' is 0,
         # unattained; report the limiting penalty-free value
         return _result(kind, base, params)
-    pen, arg = _min_penalty(eps, w_prime, row.k)
-    params.update(eps_prime=arg, delta=(arg - eps) / (1.0 + arg))
-    return _result(kind, base + pen, params, arg)
+    return _Pending((eps, w_prime, row.k), finish)
+
+
+def _row(kind, eps_prime):
+    row = REGISTRY.get(kind)
+    if row is None:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    if eps_prime is not None and row.eps is None:
+        takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
+        raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+    return row
+
+
+def _resolve(row, cells):
+    """Finish the pending cells of `row` with one batch minimization."""
+    pending = [i for i, c in enumerate(cells) if isinstance(c, _Pending)]
+    if pending:
+        solve = _max_private if row.eps is None else _min_penalty
+        values, argopts = solve(*map(np.array, zip(*(cells[i].args for i in pending))))
+        for i, v, a in zip(pending, values.tolist(), argopts.tolist()):
+            cells[i] = cells[i].finish(v, a)
+    return cells
+
+
+def evaluate_column(kind: str, channels, ns_values) -> list:
+    """Bound `kind` at each (channel, ns) cell from its registry row: a list
+    of each cell's BoundResult or the BosonicBoundsError that rules it out.
+
+    A penalized kind adds k times the continuity penalty, minimized over
+    eps' in (eps, 1]; PL maximizes over the energy split.  The column's
+    minimizations run as one :func:`minimize_batch` call.
+    """
+    row = _row(kind, None)
+    cells = []
+    for ch, ns in zip(channels, ns_values):
+        try:
+            cells.append(_cell(kind, row, ch, ns, None))
+        except BosonicBoundsError as exc:
+            cells.append(exc)
+    return _resolve(row, cells)
+
+
+def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
+             eps_prime: float = None) -> BoundResult:
+    """Bound `kind` at channel `ch` and input energy `ns`: the one-cell
+    :func:`evaluate_column`, raising the cell's error instead of returning it.
+    A penalized kind takes a fixed `eps_prime` in place of the minimization."""
+    row = _row(kind, eps_prime)
+    cell = _cell(kind, row, ch, ns, eps_prime)
+    return _resolve(row, [cell])[0] if isinstance(cell, _Pending) else cell
 
 
 def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
@@ -504,26 +554,34 @@ def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
 # Private lower bound (displaced thermal ensemble)
 # ---------------------------------------------------------------------------
 
-def _pl_seed_grid(ns: float) -> np.ndarray:
-    # the coherent-information dip sits at small absolute photon numbers, so
-    # seed logarithmically down to ~1e-12 in addition to the endpoints
-    return np.concatenate(([0.0], np.geomspace(min(1e-12, ns), ns, 63)))
+def _max_private(eta, nb, ns):
+    """max over n2 in [0, ns] of I_c(ns) - I_c(n2), one batch over the
+    arrays; (values, argmax).  The coherent-information dip sits at small
+    absolute photon numbers, so the seeds run log-spaced down to ~1e-12 and 0."""
+    icns = _ql_thermal_raw(eta, nb, ns)
+    grids = [np.concatenate(([0.0], np.geomspace(min(1e-12, s), s, 63))) for s in ns]
+
+    def objective(x, r):
+        # -(icns - ql), not ql - icns: a zero maximum then reports 0.0, not -0.0
+        return -(icns[r, None] - _ql_thermal_raw(eta[r, None], nb[r, None], x))
+
+    res = minimize_batch(objective, 0.0, ns, grids)
+    return -res.value, res.arg
+
+
+def _pl_cell(eta, nb, ns):
+    """The PL form: a BoundResult at ns = 0, else the pending maximization."""
+    _check_ns(ns)
+    params = {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns}
+    if ns == 0.0:
+        return _result("PL", 0.0, params, argopt=0.0)
+    return _Pending((eta, nb, ns), lambda value, arg: _result("PL", value, params, argopt=arg))
 
 
 def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:
     """Private-rate lower bound from displaced thermal inputs:
     max over n2 in [0, ns] of I_c(ns) - I_c(n2); argopt records n2*."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("thermal channel requires eta in (0, 1]")
-    _check_point(nb, ns)
-    params = {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns}
-    icns = _ql_thermal_raw(eta, nb, ns)
-    if ns == 0.0:
-        return _result("PL", 0.0, params, argopt=0.0)
-    # -(icns - ql), not ql - icns: a zero maximum then reports 0.0, not -0.0
-    res = minimize_scalar(lambda x: -(icns - _ql_thermal_raw(eta, nb, x)),
-                          0.0, ns, seed_grid=_pl_seed_grid(ns))
-    return _result("PL", -res.value, params, argopt=res.arg)
+    return evaluate("PL", chn.thermal(eta, nb), ns)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +648,10 @@ class BoundKind:
     function of (channel parameters..., ns); `clamp` marks the kinds that
     report max{0, raw} as their value.  The penalized kinds (QU2, QU3, PU2,
     PU3) carry `eps`, the diamond-distance parameter of a channel, and the
-    penalty multiplier `k`; only they accept a fixed eps'.  In the `lower`
-    rows (QL, PL) the forms are the public lower-bound functions, which
-    check their own point (after the channel kind) and return the whole
-    :class:`BoundResult`.
+    penalty multiplier `k`; only they accept a fixed eps'.  The forms of the
+    `lower` rows check their point after the channel kind (PL only ns: its
+    channel has checked eta and nb) and return the whole
+    :class:`BoundResult`, or for PL the pending energy-split maximization.
     """
 
     forms: dict
@@ -616,7 +674,7 @@ REGISTRY = {
     "PU1": BoundKind(_QU1, True),
     "PU2": BoundKind(_DEG, False, _eps_degradable, 3),
     "PU3": BoundKind(_CLOSE, False, _eps_close_degradable, 4),
-    "PL": BoundKind({"thermal": p_lower_displaced}, False, lower=True),
+    "PL": BoundKind({"thermal": _pl_cell}, False, lower=True),
     "PLOB": BoundKind({"thermal": _plob_thermal, "amplifier": _plob_amp,
                        "additive": _plob_additive}, False),
     "RMG": BoundKind({"thermal": _rmg_thermal}, True),

@@ -139,30 +139,36 @@ def load_figure_spec(fig: str) -> SweepSpec:
     return parse_spec(text)
 
 
-def _sweep_point(spec: SweepSpec, value: float):
+def _sweep_channel(spec: SweepSpec, value: float):
+    """(channel, ns) at a grid point, or None where the channel does not build."""
     params = dict(spec.fixed)
     params[spec.sweep] = value
     ns = params.pop("ns", 0.0)
     try:
-        ch = chn.make_channel(spec.channel, **params)
+        return chn.make_channel(spec.channel, **params), ns
     except BosonicBoundsError:
-        return [None] * len(spec.bounds)  # no channel here: the row is empty
-    cells = []
-    for kind in spec.bounds:
-        try:
-            cell = bnd.evaluate(kind, ch, ns).value
-        except BosonicBoundsError:
-            cell = None  # infeasible cell -> empty CSV field
-        if cell is not None and not np.isfinite(cell):
-            raise DomainError(f"{kind} is not finite at {spec.sweep} = {value:.12g} "
-                              f"(value_bits {cell})")
-        cells.append(cell)
-    return cells
+        return None
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Rows of the sweep as (value, [cells]), evaluated in grid order."""
-    return [(v, _sweep_point(spec, v)) for v in map(float, spec.grid())]
+    """Rows of the sweep as (value, [cells]) in grid order.  Each bound kind
+    is one :func:`bounds.evaluate_column` call over the rows whose channel
+    builds; a row without a channel and an infeasible cell stay None."""
+    values = [float(v) for v in spec.grid()]
+    points = [_sweep_channel(spec, v) for v in values]
+    built = [i for i, p in enumerate(points) if p is not None]
+    rows = [[None] * len(spec.bounds) for _ in values]
+    for j, kind in enumerate(spec.bounds):
+        column = bnd.evaluate_column(kind, *zip(*(points[i] for i in built))) if built else []
+        for i, cell in zip(built, column):
+            if isinstance(cell, bnd.BoundResult):
+                rows[i][j] = cell.value
+    for value, cells in zip(values, rows):
+        for kind, cell in zip(spec.bounds, cells):
+            if cell is not None and not np.isfinite(cell):
+                raise DomainError(f"{kind} is not finite at {spec.sweep} = {value:.12g} "
+                                  f"(value_bits {cell})")
+    return list(zip(values, rows))
 
 
 def format_csv(spec: SweepSpec, rows) -> str:

@@ -38,6 +38,12 @@ _G_SERIES_CUTOFF = 1e-8       # switch g(x) to its small-x series below this
 _PURITY_DET_TOL = 1e-8        # det(V) - 1 below this counts as a pure state
 
 
+def _nu_floor(cov) -> float:
+    """Least symplectic eigenvalue accepted from `cov`: 1 - 1e-9 relative to
+    its largest entry, as eigensolve roundoff grows with the scale."""
+    return 1.0 - NU_FLOOR * max(1.0, float(np.max(np.abs(cov))))
+
+
 def omega(m: int) -> np.ndarray:
     """Symplectic form for m modes in block ordering."""
     O = np.zeros((2 * m, 2 * m))
@@ -177,9 +183,7 @@ class GaussianState:
             raise InvalidStateError("covariance matrix is not symmetric to 1e-12")
         cov = 0.5 * (cov + cov.T)
         nus = _symplectic_eigs(cov)
-        # eigensolve roundoff grows with the covariance scale, so the 1e-9
-        # floor is applied relative to the largest entry
-        floor = 1.0 - NU_FLOOR * max(1.0, float(np.max(np.abs(cov))))
+        floor = _nu_floor(cov)
         if np.min(nus) < floor:
             raise InvalidStateError(
                 f"uncertainty principle violated: min symplectic eigenvalue "
@@ -209,14 +213,16 @@ class SymplecticMatrix:
 
 @dataclass(frozen=True)
 class EntropySpectrum:
-    """Sorted symplectic eigenvalues of a state, each >= 1 - 1e-9."""
+    """Sorted symplectic eigenvalues of a state, none below `floor` (by
+    default 1 - 1e-9; see :func:`_nu_floor`)."""
 
     nus: tuple
+    floor: float = 1.0 - NU_FLOOR
 
     def __post_init__(self):
         nus = tuple(float(v) for v in self.nus)
-        if any(v < 1.0 - NU_FLOOR for v in nus):
-            raise InvalidStateError("symplectic eigenvalue below 1 - 1e-9")
+        if any(v < self.floor for v in nus):
+            raise InvalidStateError(f"symplectic eigenvalue below {self.floor:.12g}")
         if list(nus) != sorted(nus):
             raise InvalidStateError("spectrum must be sorted ascending")
         object.__setattr__(self, "nus", nus)
@@ -276,7 +282,7 @@ def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
 
 def symplectic_eigenvalues(state: GaussianState) -> EntropySpectrum:
     """Symplectic spectrum of a state, from diagonalizing i V Omega."""
-    return EntropySpectrum(tuple(_symplectic_eigs(state.cov)))
+    return EntropySpectrum(tuple(_symplectic_eigs(state.cov)), _nu_floor(state.cov))
 
 
 def _entropy_from_cov(cov: np.ndarray, modes=None):

@@ -7,7 +7,7 @@ from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
 from bosonic_bounds import verify as vfy
-from bosonic_bounds.errors import ChannelKindError
+from bosonic_bounds.errors import BosonicBoundsError, ChannelKindError
 
 QU1_TH_099_0_1 = 1.909026343423734981271
 
@@ -380,3 +380,34 @@ class TestBoundArguments:
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert rows[0][1:] == ["", ""]
         assert all(c != "" for c in rows[1][1:])
+
+
+class TestSweepColumns:
+    SPEC = ("channel = thermal\nnb = 1\nns = 2\nsweep = eta\nstart = 0.3\nstop = 0.95\n"
+            "points = 14\nbounds = QL,QU1,QU2,QU3,QU4,RMG,PL\n")
+
+    def test_columns_equal_the_per_cell_loop(self):
+        # each column mixes infeasible cells (eta < 1/2, eta <= (1-eta) nb),
+        # closed forms and optimized cells
+        spec = cli.parse_spec(self.SPEC)
+        rows = []
+        for eta in map(float, spec.grid()):
+            ch = chn.thermal(eta, 1.0)
+            cells = []
+            for kind in spec.bounds:
+                try:
+                    cells.append(bnd.evaluate(kind, ch, 2.0).value)
+                except BosonicBoundsError:
+                    cells.append(None)
+            rows.append((eta, cells))
+        assert any(c is None for _, r in rows for c in r)
+        assert all(r[2] is not None for eta, r in rows if eta >= 0.5)
+        assert cli.format_csv(spec, cli.run_sweep(spec)) == cli.format_csv(spec, rows)
+
+    def test_column_returns_errors_in_place(self):
+        chans = [chn.thermal(0.4, 1.0), chn.thermal(0.9, 1.0), chn.amplifier(1.5, 0.1)]
+        column = bnd.evaluate_column("QU2", chans, [2.0, 2.0, -1.0])
+        assert [type(c).__name__ for c in column] == \
+            ["InfeasibleBoundError", "BoundResult", "DomainError"]
+        assert column[1] == bnd.q_u2(chans[1], 2.0)
+        assert bnd.evaluate_column("PL", [], []) == []

@@ -69,6 +69,21 @@ class TestStates:
         nus = gc.symplectic_eigenvalues(gc.tms_state(1.0)).nus
         assert nus == pytest.approx([1.0, 1.0], abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1e4, 1e5, 1e6])
+    def test_large_tms_spectrum_uses_the_state_floor(self, n):
+        # a state GaussianState accepts must also give a spectrum: both
+        # apply the floor relative to the largest covariance entry
+        state = gc.tms_state(n)
+        spec = gc.symplectic_eigenvalues(state)
+        assert spec.floor == 1.0 - gc.NU_FLOOR * float(np.max(np.abs(state.cov)))
+        assert min(spec.nus) >= spec.floor
+        assert spec.nus == pytest.approx([1.0, 1.0], abs=1e-9 * (2 * n + 1))
+
+    def test_spectrum_default_floor_is_absolute(self):
+        assert gc.EntropySpectrum((1.0 - 0.5e-9, 2.0)).floor == 1.0 - gc.NU_FLOOR
+        with pytest.raises(InvalidStateError):
+            gc.EntropySpectrum((1.0 - 2e-9,))
+
     def test_entropies(self):
         assert gc.gaussian_entropy(gc.vacuum_state(1)) == 0.0
         assert gc.gaussian_entropy(gc.thermal_state(1.0)) == pytest.approx(2.0, abs=1e-12)
