@@ -6,11 +6,14 @@ coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
 :data:`REGISTRY` holds one row per bound kind: its form for each supported
 channel kind, its clamp and, for the penalized kinds, the eps source and
-the penalty multiplier.  :func:`evaluate_column` computes one kind at many
-(channel, ns) cells from its row and runs the cells' minimizations (over
-eps', or over the energy split for PL) as one lockstep batch;
-:func:`evaluate` is its one-cell case, which the channel-taking public
-bounds call.
+the penalty multiplier.  A form, its regime checks and the eps sources are
+array expressions over the parameters of many cells.
+:func:`evaluate_column` computes one kind at many (channel, ns) cells from
+its row: one call of the checks and the form per channel kind, masks for
+the cells they rule out, and one lockstep batch for the cells'
+minimizations (over eps', or over the energy split for PL).
+:func:`evaluate` is its one-cell case, on floats, which the public bounds
+call.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -20,7 +23,6 @@ catastrophic cancellation.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -137,47 +139,35 @@ class BoundResult:
         }
 
 
-def _clamp(kind, raw):
-    return max(0.0, raw) if REGISTRY[kind].clamp else raw
-
-
-def _result(kind, raw, params, argopt=None):
-    raw = float(raw)
-    return BoundResult(kind, _clamp(kind, raw), raw, argopt, params)
-
-
-def _params(ch, ns):
-    return {**ch.params, "channel": ch.kind, "ns": ns}
-
-
 def _check_ns(ns):
     _require(ns != np.inf, "input mean photon number must be finite; the infinite-energy "
              "limits are q_u1_unconstrained and q_u4_unconstrained")
     _require(ns >= 0.0, "input mean photon number must be >= 0", ns)
 
 
-def _check_point(nb, ns):
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    _check_ns(ns)
-
-
-def _closed_form(f):
-    """Evaluate `f` on float arrays; a 0-d result comes back as a float."""
-    @functools.wraps(f)
-    def wrapped(*args):
-        val = f(*[np.asarray(a, dtype=float) for a in args])
-        return val if val.shape else float(val)
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
-# Raw closed forms (array-aware, bits)
+# Raw closed forms (bits, elementwise over arrays)
 # ---------------------------------------------------------------------------
 
-@_closed_form
+def _sq(x):
+    """x * x: on a float, unlike x ** 2, an overflow gives inf, as on arrays."""
+    return x * x
+
+
+def _gn_each(*xs):
+    """_gn of each argument, in one kernel call: a form's few g terms then
+    pay numpy's per-call cost once."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    flat, at, out = _gn(np.concatenate([x.ravel() for x in xs])), 0, []
+    for x in xs:
+        out.append(flat[at:at + x.size].reshape(x.shape))
+        at += x.size
+    return out
+
+
 def _ql_thermal_raw(eta, nb, ns):
     y = (1.0 - eta) * nb
-    d2 = ((1.0 - eta) * ns) ** 2 + 2.0 * ns * ((1.0 + eta) * y + (1.0 - eta)) + (y + 1.0) ** 2
+    d2 = _sq((1.0 - eta) * ns) + 2.0 * ns * ((1.0 + eta) * y + (1.0 - eta)) + _sq(y + 1.0)
     dd = np.sqrt(d2)
     u = y + 1.0 - (1.0 - eta) * ns
     # rationalized forms avoid the D - (...) cancellation at large ns
@@ -188,61 +178,61 @@ def _ql_thermal_raw(eta, nb, ns):
     arg_m = np.where(w > 0.0,
                      2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
                      (dd - w) / 2.0)
-    return (_gn(eta * ns + y) - _gn(arg_p) - _gn(arg_m)) / LN2
+    g_out, g_p, g_m = _gn_each(eta * ns + y, arg_p, arg_m)
+    return (g_out - g_p - g_m) / LN2
 
 
-@_closed_form
 def _ql_amp_raw(g, nb, ns):
     z = (g - 1.0) * (nb + 1.0)
-    d2 = ((g - 1.0) * ns) ** 2 + 2.0 * ns * (g - 1.0) * ((nb + 1.0) * (g + 1.0) - 1.0) + (z + 1.0) ** 2
+    d2 = _sq((g - 1.0) * ns) + 2.0 * ns * (g - 1.0) * ((nb + 1.0) * (g + 1.0) - 1.0) + _sq(z + 1.0)
     dd = np.sqrt(d2)
     arg_p = (dd + (g - 1.0) * (ns + nb + 1.0) - 1.0) / 2.0  # >= 0 since D >= z+1
     arg_m = 2.0 * ns * (g - 1.0) * nb / (dd + (g - 1.0) * ns + z + 1.0)
-    return (_gn(g * ns + z) - _gn(arg_p) - _gn(arg_m)) / LN2
+    g_out, g_p, g_m = _gn_each(g * ns + z, arg_p, arg_m)
+    return (g_out - g_p - g_m) / LN2
 
 
-@_closed_form
 def _qu1_thermal_raw(eta, nb, ns):
     etp = eta / ((1.0 - eta) * nb + 1.0)
-    return (_gn(etp * ns) - _gn((1.0 - etp) * ns)) / LN2
+    g_b, g_e = _gn_each(etp * ns, (1.0 - etp) * ns)
+    return (g_b - g_e) / LN2
 
 
-@_closed_form
 def _qu1_amp_raw(g, nb, ns):
     gp = g / (1.0 - nb * (g - 1.0))
-    return (_gn(gp * ns + gp - 1.0) - _gn((gp - 1.0) * (ns + 1.0))) / LN2
+    g_b, g_e = _gn_each(gp * ns + gp - 1.0, (gp - 1.0) * (ns + 1.0))
+    return (g_b - g_e) / LN2
 
 
-@_closed_form
 def _qu1_additive_raw(nbar, ns):
-    return (_gn(ns / (nbar + 1.0)) - _gn(nbar * ns / (nbar + 1.0))) / LN2
+    g_b, g_e = _gn_each(ns / (nbar + 1.0), nbar * ns / (nbar + 1.0))
+    return (g_b - g_e) / LN2
 
 
-@_closed_form
 def _qu4_thermal_raw(eta, nb, ns):
     etp = eta - (1.0 - eta) * nb
     out = eta * ns + (1.0 - eta) * nb
-    return (_gn(out) - _gn((1.0 / etp - 1.0) * out)) / LN2
+    g_b, g_e = _gn_each(out, (1.0 / etp - 1.0) * out)
+    return (g_b - g_e) / LN2
 
 
-@_closed_form
 def _qu4_additive_raw(nbar, ns):
-    return (_gn(ns + nbar) - _gn(nbar * (ns + nbar) / (1.0 - nbar))) / LN2
+    g_b, g_e = _gn_each(ns + nbar, nbar * (ns + nbar) / (1.0 - nbar))
+    return (g_b - g_e) / LN2
 
 
-@_closed_form
 def _ud_thermal_raw(eta, nb, ns):
     """Conditional entropy of degradation at thermal input, thermal channel."""
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * eta - 1.0) / eta
     th = eta * nb + (1.0 - eta) * ns
-    inner = np.sqrt(np.maximum((1.0 + nb + th) ** 2 - rho, 0.0))
-    common = (1.0 + 2.0 * nb) ** 2 - 2.0 * rho + (1.0 + 2.0 * th) ** 2
+    inner = np.sqrt(np.maximum(_sq(1.0 + nb + th) - rho, 0.0))
+    common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(1.0 + 2.0 * th)
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    return (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
+    g_out, g_p, g_m = _gn_each(eta * ns + (1.0 - eta) * nb, zp, zm)
+    return (g_out - g_p - g_m) / LN2
 
 
-@_closed_form
 def _ud_amp_raw(g, nb, ns):
     """Amplifier analogue of :func:`_ud_thermal_raw`.
 
@@ -252,11 +242,12 @@ def _ud_amp_raw(g, nb, ns):
     """
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * g - 1.0) / g
     th = g * (1.0 + nb) + (g - 1.0) * ns
-    inner = np.sqrt(np.maximum((nb + th) ** 2 - rho, 0.0))
-    common = (1.0 + 2.0 * nb) ** 2 - 2.0 * rho + (2.0 * th - 1.0) ** 2
+    inner = np.sqrt(np.maximum(_sq(nb + th) - rho, 0.0))
+    common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(2.0 * th - 1.0)
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    return (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
+    g_out, g_p, g_m = _gn_each(g * ns + (g - 1.0) * (nb + 1.0), zp, zm)
+    return (g_out - g_p - g_m) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -266,196 +257,127 @@ def _ud_amp_raw(g, nb, ns):
 def q_lower_thermal(eta: float, nb: float, ns: float) -> BoundResult:
     """Coherent-information lower bound Q_L of the thermal channel at
     thermal input with mean photon number ns."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("thermal channel requires eta in (0, 1]")
-    _check_point(nb, ns)
-    raw = _ql_thermal_raw(eta, nb, ns)
-    return _result("QL", raw, {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns})
+    return evaluate("QL", chn.thermal(eta, nb), ns)
 
 
 def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
     """Coherent-information lower bound of the amplifier channel."""
     _require(g > 1.0, "q_lower_amp requires gain > 1", g)
-    _check_point(nb, ns)
-    raw = _ql_amp_raw(g, nb, ns)
-    return _result("QL", raw, {"channel": "amplifier", "g": g, "nb": nb, "ns": ns})
+    return evaluate("QL", chn.amplifier(g, nb), ns)
 
 
 def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
     """Raw (unclamped) thermal coherent information; the P_L building block."""
-    _require(0.0 < eta <= 1.0, "thermal channel requires eta in (0, 1]")
-    _check_point(nb, ns)
-    return _ql_thermal_raw(eta, nb, ns)
+    return q_lower_thermal(eta, nb, ns).raw
 
 
 # ---------------------------------------------------------------------------
-# Feasibility checks and forms
+# Regime checks and forms
 # ---------------------------------------------------------------------------
 
-def _amp_not_eb(g, nb):
-    if (g - 1.0) * nb >= 1.0:
-        raise InfeasibleBoundError(
-            f"(G-1)*NB >= 1: amplifier(g={g:.6g}, nb={nb:.6g}) is entanglement-breaking")
+# A check rules out the cells where `fails` holds.  `fails` takes a group's
+# arrays by name (the channel parameters and ns; floats for one cell) and
+# returns a mask; a cell it rules out gets error(message), the message
+# formatted with that cell's own values by the same names.
+_Check = namedtuple("_Check", "fails error message")
+
+_NS_CHECKS = (
+    _Check(lambda ns, **_: ns == np.inf, DomainError,
+           "input mean photon number must be finite; the infinite-energy limits are "
+           "q_u1_unconstrained and q_u4_unconstrained"),
+    # nan or -inf: +inf failed the check before
+    _Check(lambda ns, **_: (ns != ns) | (ns == -np.inf), DomainError,
+           "input mean photon number must be >= 0; got non-finite {ns}"),
+    _Check(lambda ns, **_: ns < 0.0, DomainError, "input mean photon number must be >= 0"),
+)
+_NOT_EB = _Check(lambda g, nb, **_: (g - 1.0) * nb >= 1.0, InfeasibleBoundError,
+                 "(G-1)*NB >= 1: amplifier(g={g:.6g}, nb={nb:.6g}) is entanglement-breaking")
+_NBAR_WINDOW = _Check(lambda nbar, **_: np.logical_not((0.0 < nbar) & (nbar < 1.0)),
+                      InfeasibleBoundError,
+                      "nbar >= 1: additive-noise channel with nbar={nbar:.6g} is "
+                      "entanglement-breaking (bound needs nbar in (0,1))")
+_AMP_THEN_LOSS = _Check(lambda eta, nb, **_: eta <= (1.0 - eta) * nb, InfeasibleBoundError,
+                        "eta <= (1-eta)*NB: amp-then-loss decomposition infeasible "
+                        "at eta={eta:.6g}, nb={nb:.6g}")
 
 
-def _additive_window(nbar):
-    if not 0.0 < nbar < 1.0:
-        raise InfeasibleBoundError(
-            f"nbar >= 1: additive-noise channel with nbar={nbar:.6g} is "
-            "entanglement-breaking (bound needs nbar in (0,1))")
+def _eta_half(what):
+    return _Check(lambda eta, **_: eta < 0.5, InfeasibleBoundError,
+                  f"eta < 1/2: {what} needs eta in [1/2, 1]")
 
 
-def _thermal_half(eta, what):
-    if eta < 0.5:
-        raise InfeasibleBoundError(f"eta < 1/2: {what} needs eta in [1/2, 1]")
+def _gain_above_one(message):
+    return _Check(lambda g, **_: g <= 1.0, DomainError, message)
 
 
-def _amp_then_loss(eta, nb):
-    if eta <= (1.0 - eta) * nb:
-        raise InfeasibleBoundError(
-            f"eta <= (1-eta)*NB: amp-then-loss decomposition infeasible "
-            f"at eta={eta:.6g}, nb={nb:.6g}")
+# A form maps the arrays of the cells of one channel kind that pass its
+# checks, (channel parameters..., ns), to their raw bits; the penalized
+# kinds' forms return the base term and its output-energy cap W', PL's the
+# value and its argmax.  `limit` maps the channel parameters to the
+# infinite-energy limit (QU1, QU4).
+_Form = namedtuple("_Form", "fn checks limit", defaults=(None,))
 
 
-# A form takes the channel's parameters and ns, runs its regime's check and
-# returns the raw bits, or for the penalized kinds the base term and its
-# output-energy cap W'.  The QU1 and QU4 forms at ns = inf give the
-# infinite-energy limit.
-
-def _qu1_thermal(eta, nb, ns):
-    _thermal_half(eta, "QU1")
-    if ns == np.inf:
-        return np.inf if eta == 1.0 else float(np.log2(eta / (1.0 - eta)) - np.log2(nb + 1.0))
-    return _qu1_thermal_raw(eta, nb, ns)
+def _log2_ratio(num, den):
+    """log2(num / den) elementwise; +inf where den = 0 (a lossless or
+    noiseless channel)."""
+    return np.log2(np.divide(num, den, out=np.full(np.shape(den), np.inf), where=den != 0.0))
 
 
-def _qu1_amp(g, nb, ns):
-    _amp_not_eb(g, nb)
-    if ns == np.inf:
-        return np.inf if g == 1.0 else float(np.log2(g / (g - 1.0)) - np.log2(nb + 1.0))
-    return _qu1_amp_raw(g, nb, ns)
+_py_pow = np.frompyfunc(pow, 2, 1)
 
 
-def _qu1_additive(nbar, ns):
-    _additive_window(nbar)
-    return float(np.log2(1.0 / nbar)) if ns == np.inf else _qu1_additive_raw(nbar, ns)
+def _pow(x, y):
+    """x ** y elementwise in Python's float arithmetic: numpy's power can
+    differ from it in the last bit."""
+    return np.asarray(_py_pow(x, y), dtype=float)
 
 
-def _rmg_thermal(eta, nb, ns):
+def _rmg_thermal(eta, nb, ns=None):
     """log2((eta - (1-eta) nb) / ((1-eta)(nb+1))) at every ns: RMG, and the
     infinite-energy limit of QU4."""
-    _amp_then_loss(eta, nb)
-    if eta == 1.0:
-        return np.inf
-    return float(np.log2((eta - (1.0 - eta) * nb) / ((1.0 - eta) * (nb + 1.0))))
-
-
-def _qu4_thermal(eta, nb, ns):
-    if ns == np.inf:
-        return _rmg_thermal(eta, nb, ns)
-    _amp_then_loss(eta, nb)
-    return _qu4_thermal_raw(eta, nb, ns)
-
-
-def _qu4_additive(nbar, ns):
-    _additive_window(nbar)
-    return float(np.log2((1.0 - nbar) / nbar)) if ns == np.inf else _qu4_additive_raw(nbar, ns)
+    return _log2_ratio(eta - (1.0 - eta) * nb, (1.0 - eta) * (nb + 1.0))
 
 
 def _ud_thermal(eta, nb, ns):
     """U_D, the conditional entropy of degradation, and its cap W'."""
-    _thermal_half(eta, "the degrading construction")
     return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb
 
 
 def _ud_amp(g, nb, ns):
-    if g <= 1.0:
-        raise DomainError("amplifier eps-degradable bound requires gain > 1")
-    _amp_not_eb(g, nb)
     return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb
 
 
 def _reference_thermal(eta, nb, ns):
     """Coherent information of the degradable (nb = 0) reference and W'."""
-    _thermal_half(eta, "QU3")
     return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb
 
 
 def _reference_amp(g, nb, ns):
-    _amp_not_eb(g, nb)
     return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb
 
 
 def _plob_thermal(eta, nb, ns):
-    if eta == 1.0:
-        return np.inf
-    return float(-np.log2((1.0 - eta) * eta ** nb) - gc.g_entropy(nb))
+    t = (1.0 - eta) * _pow(eta, nb)  # 0 at eta = 1, where PLOB is infinite
+    return -np.log2(t, out=np.full(t.shape, -np.inf), where=t > 0.0) - _gn(nb) / LN2
 
 
 def _plob_amp(g, nb, ns):
-    if g == 1.0:
-        return np.inf
-    return float(np.log2(g ** (nb + 1.0) / (g - 1.0)) - gc.g_entropy(nb))
+    return _log2_ratio(_pow(g, nb + 1.0), g - 1.0) - _gn(nb) / LN2
 
 
 def _plob_additive(nbar, ns):
-    _additive_window(nbar)
-    return float((nbar - 1.0) / LN2 + np.log2(1.0 / nbar))
+    return (nbar - 1.0) / LN2 + np.log2(1.0 / nbar)
 
 
-def _eps_degradable(ch):
-    return chn.epsilon_degradable(ch).epsilon
-
-
-def _eps_close_degradable(ch):
-    return chn.epsilon_close_degradable(ch.params["nb"]).epsilon
+def _eps_close_degradable(x, nb):
+    """channels.epsilon_close_degradable elementwise: nb/(nb+1)."""
+    return nb / (nb + 1.0)
 
 
 # ---------------------------------------------------------------------------
 # The evaluator and the channel-taking bounds
 # ---------------------------------------------------------------------------
-
-def _form(kind, ch):
-    form = REGISTRY[kind].forms.get(ch.kind)
-    if form is None:
-        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
-    return form
-
-
-# A cell waiting for its minimization: the row's solver (_min_penalty, or
-# _max_private for PL) takes a column's stacked `args` and returns (values,
-# argopts); `finish` turns one cell's pair into its BoundResult.
-_Pending = namedtuple("_Pending", "args finish")
-
-
-def _cell(kind, row, ch, ns, eps_prime):
-    """One cell up to its minimization: a BoundResult or a _Pending.  Checked
-    in this order: ns, the channel kind, the form's regime; QL and PL check
-    the channel kind first."""
-    if row.lower:
-        return _form(kind, ch)(*ch.params.values(), ns)
-    _check_ns(ns)
-    out = _form(kind, ch)(*ch.params.values(), ns)
-    params = _params(ch, ns)
-    if row.eps is None:
-        return _result(kind, out, params)
-    base, w_prime = out
-    eps = row.eps(ch)
-    params.update(eps=eps, w_prime=w_prime)
-
-    def finish(pen, arg):
-        params.update(eps_prime=arg, delta=(arg - eps) / (1.0 + arg))
-        return _result(kind, base + pen, params, arg)
-
-    if eps_prime is not None:
-        pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
-        return finish(penalty(pp), pp.epsilon_prime)
-    if eps == 0.0:
-        # exactly degradable reference: the penalty infimum over eps' is 0,
-        # unattained; report the limiting penalty-free value
-        return _result(kind, base, params)
-    return _Pending((eps, w_prime, row.k), finish)
-
 
 def _row(kind, eps_prime):
     row = REGISTRY.get(kind)
@@ -467,43 +389,143 @@ def _row(kind, eps_prime):
     return row
 
 
-def _resolve(row, cells):
-    """Finish the pending cells of `row` with one batch minimization."""
-    pending = [i for i, c in enumerate(cells) if isinstance(c, _Pending)]
-    if pending:
-        solve = _max_private if row.eps is None else _min_penalty
-        values, argopts = solve(*map(np.array, zip(*(cells[i].args for i in pending))))
-        for i, v, a in zip(pending, values.tolist(), argopts.tolist()):
-            cells[i] = cells[i].finish(v, a)
-    return cells
+def _first_failure(checks, cols, n):
+    """Index into `checks` of each of the n cells' first failing check,
+    len(checks) where all pass.  One cell holds floats, so its masks are
+    single booleans and the first true one ends the search."""
+    if n == 1:
+        return [next((j for j, check in enumerate(checks) if check.fails(**cols)), len(checks))]
+    first = np.full(n, len(checks))
+    for j in range(len(checks) - 1, -1, -1):
+        first[checks[j].fails(**cols)] = j
+    return first.tolist()
+
+
+def _per_cell(values):
+    """A form's output as a list of floats, one per cell."""
+    return values.tolist() if getattr(values, "ndim", 0) else [float(values)]
+
+
+def _error(check, params, ns):
+    return check.error(check.message.format(**params, ns=ns))
+
+
+def _column(kind, channels, ns_values, eps_prime):
+    """evaluate_column, with a fixed eps' for the penalized kinds if given."""
+    row = _row(kind, eps_prime)
+    if len(channels) != len(ns_values):
+        raise DomainError(f"evaluate_column needs one ns per channel, got {len(channels)} "
+                          f"channels and {len(ns_values)} ns values")
+    out = [None] * len(channels)  # each cell's error, later its BoundResult
+    found = {}  # cell -> [raw bits, argopt, params beyond the channel's and ns]
+    groups = {}
+    for i, ch in enumerate(channels):
+        groups.setdefault(ch.kind, []).append(i)
+    for ch_kind, idx in groups.items():
+        form = row.forms.get(ch_kind)
+        checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
+        names = (*channels[idx[0]].params, "ns")
+        cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
+        # one cell as floats: numpy computes on them faster than on 1-element arrays
+        cols = dict(zip(names, map(float, cells[0]) if len(idx) == 1
+                        else np.array(cells, dtype=float).T))
+        first = _first_failure(checks, cols, len(idx))
+        for i, j in zip(idx, first):
+            if j < len(checks):
+                out[i] = _error(checks[j], channels[i].params, ns_values[i])
+            elif form is None:
+                out[i] = ChannelKindError(f"{kind} is not defined for {ch_kind!r} channels")
+        passed = [k for k, j in enumerate(first) if j == len(checks)]
+        if form is None or not passed:
+            continue
+        args = [cols[name] if len(passed) == len(idx) else cols[name][passed] for name in names]
+        res = form.fn(*args)
+        if row.eps is not None:  # the base term, W' and the channel's eps
+            for k, base, w_prime, eps in zip(passed, *map(_per_cell, (*res, row.eps(*args[:-1])))):
+                found[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
+        else:  # the raw bits, and PL's argmax
+            raw, argopt = res if isinstance(res, tuple) else (res, None)
+            argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
+            for k, r, a in zip(passed, _per_cell(raw), argopts):
+                found[idx[k]] = [r, a, {}]
+    if row.eps is not None:
+        _penalize(row, found, out, eps_prime)
+    for i, (raw, argopt, extra) in found.items():
+        ch = channels[i]
+        params = {"channel": ch.kind, **ch.params} if row.lower else {**ch.params, "channel": ch.kind}
+        params.update(ns=ns_values[i], **extra)
+        out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
+    return out
+
+
+def _penalize(row, found, out, eps_prime):
+    """Add the penalty to the base terms of a penalized row's cells in
+    `found`, at the fixed `eps_prime` or minimized over eps' in one batch."""
+    for i, cell in list(found.items()):
+        eps, w_prime = cell[2]["eps"], cell[2]["w_prime"]
+        try:
+            if not 0.0 <= eps <= 1.0:  # nan, where kappa is 0 * inf (eta = 1, nb near 1e154)
+                raise DomainError("epsilon must lie in [0, 1]")
+            if eps_prime is not None:
+                pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
+                cell[0] += penalty(pp)
+                cell[1] = pp.epsilon_prime
+        except DomainError as exc:
+            out[i] = exc
+            del found[i]
+    # eps = 0 is an exactly degradable reference: the penalty infimum over
+    # eps' is 0, unattained; such a cell reports its base term
+    todo = [cell for cell in found.values() if eps_prime is None and cell[2]["eps"] > 0.0]
+    if todo:
+        pen, argmin = _min_penalty(*(np.array([c[2][key] for c in todo]) for key in ("eps", "w_prime")),
+                                   np.full(len(todo), row.k))
+        for cell, p, a in zip(todo, pen.tolist(), argmin.tolist()):
+            cell[0] += p
+            cell[1] = a
+    for raw, argopt, extra in found.values():
+        if argopt is not None:
+            extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
 
 
 def evaluate_column(kind: str, channels, ns_values) -> list:
     """Bound `kind` at each (channel, ns) cell from its registry row: a list
     of each cell's BoundResult or the BosonicBoundsError that rules it out.
+    `channels` and `ns_values` are sequences of one length (DomainError
+    otherwise).
 
-    A penalized kind adds k times the continuity penalty, minimized over
-    eps' in (eps, 1]; PL maximizes over the energy split.  The column's
-    minimizations run as one :func:`minimize_batch` call.
+    The cells are grouped by channel kind.  Each group runs its checks as
+    masks and its form once over the cells that pass; a cell reports its
+    first failing check, in the order ns, channel kind, regime (QL and PL:
+    channel kind first).  A penalized kind adds k times the continuity
+    penalty, minimized over eps' in (eps, 1]; PL maximizes over the energy
+    split.  The column's minimizations run as one :func:`minimize_batch`
+    call.
     """
-    row = _row(kind, None)
-    cells = []
-    for ch, ns in zip(channels, ns_values):
-        try:
-            cells.append(_cell(kind, row, ch, ns, None))
-        except BosonicBoundsError as exc:
-            cells.append(exc)
-    return _resolve(row, cells)
+    return _column(kind, channels, ns_values, None)
 
 
 def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
              eps_prime: float = None) -> BoundResult:
     """Bound `kind` at channel `ch` and input energy `ns`: the one-cell
     :func:`evaluate_column`, raising the cell's error instead of returning it.
-    A penalized kind takes a fixed `eps_prime` in place of the minimization."""
-    row = _row(kind, eps_prime)
-    cell = _cell(kind, row, ch, ns, eps_prime)
-    return _resolve(row, [cell])[0] if isinstance(cell, _Pending) else cell
+    A penalized kind takes a fixed `eps_prime` in place of the minimization;
+    a bad one is reported after the cell's other checks."""
+    cell = _column(kind, [ch], [ns], eps_prime)[0]
+    if isinstance(cell, BosonicBoundsError):
+        raise cell
+    return cell
+
+
+def _unconstrained(kind, ch):
+    """The infinite-energy limit of `kind` at `ch` (raw, unclamped), after
+    the channel kind and the form's checks."""
+    form = REGISTRY[kind].forms.get(ch.kind)
+    if form is None:
+        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
+    j = _first_failure(form.checks, ch.params, 1)[0]
+    if j < len(form.checks):
+        raise _error(form.checks[j], ch.params, np.inf)
+    return float(form.limit(*ch.params.values()))
 
 
 def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
@@ -513,7 +535,7 @@ def q_u1(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
 
 def q_u1_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
     """Infinite-energy limit of QU1 (raw, unclamped)."""
-    return _form("QU1", ch)(*ch.params.values(), np.inf)
+    return _unconstrained("QU1", ch)
 
 
 def q_u4(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
@@ -523,7 +545,7 @@ def q_u4(ch: chn.PhaseInsensitiveChannel, ns: float) -> BoundResult:
 
 def q_u4_unconstrained(ch: chn.PhaseInsensitiveChannel) -> float:
     """Infinite-energy limit of QU4 (raw, unclamped)."""
-    return _form("QU4", ch)(*ch.params.values(), np.inf)
+    return _unconstrained("QU4", ch)
 
 
 def q_u2(ch: chn.PhaseInsensitiveChannel, ns: float, eps_prime: float = None) -> BoundResult:
@@ -569,13 +591,15 @@ def _max_private(eta, nb, ns):
     return -res.value, res.arg
 
 
-def _pl_cell(eta, nb, ns):
-    """The PL form: a BoundResult at ns = 0, else the pending maximization."""
-    _check_ns(ns)
-    params = {"channel": "thermal", "eta": eta, "nb": nb, "ns": ns}
-    if ns == 0.0:
-        return _result("PL", 0.0, params, argopt=0.0)
-    return _Pending((eta, nb, ns), lambda value, arg: _result("PL", value, params, argopt=arg))
+def _pl_thermal(eta, nb, ns):
+    """PL's form: the maximum of :func:`_max_private` and its argmax, 0 and 0
+    at ns = 0."""
+    eta, nb, ns = np.atleast_1d(eta, nb, ns)
+    value, arg = np.zeros(ns.shape), np.zeros(ns.shape)
+    pos = ns > 0.0
+    if pos.any():
+        value[pos], arg[pos] = _max_private(eta[pos], nb[pos], ns[pos])
+    return value, arg
 
 
 def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:
@@ -613,8 +637,10 @@ def gap_qu1_ql(eta: float, nb: float, ns: float) -> float:
     nb = 1). Its supremum 1/ln 2 is approached only as nb -> inf.
     """
     _require(eta <= 1.0, "eta must lie in [1/2, 1]", eta)
-    _thermal_half(eta, "the gap law")
-    _check_point(nb, ns)
+    if eta < 0.5:
+        raise InfeasibleBoundError("eta < 1/2: the gap law needs eta in [1/2, 1]")
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    _check_ns(ns)
     return float(_qu1_thermal_raw(eta, nb, ns) - _ql_thermal_raw(eta, nb, ns))
 
 
@@ -644,14 +670,16 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
 class BoundKind:
     """One row of :data:`REGISTRY`.
 
-    `forms` maps each supported channel kind to the kind's form there, a
-    function of (channel parameters..., ns); `clamp` marks the kinds that
-    report max{0, raw} as their value.  The penalized kinds (QU2, QU3, PU2,
-    PU3) carry `eps`, the diamond-distance parameter of a channel, and the
-    penalty multiplier `k`; only they accept a fixed eps'.  The forms of the
-    `lower` rows check their point after the channel kind (PL only ns: its
-    channel has checked eta and nb) and return the whole
-    :class:`BoundResult`, or for PL the pending energy-split maximization.
+    `forms` maps each supported channel kind to the kind's form there: its
+    regime `checks`, each a mask with an error, and `fn`, an array
+    expression over (channel parameters..., ns) of the cells that pass
+    them; the QU1 and QU4 forms carry the infinite-energy `limit`.  `clamp`
+    marks the kinds that report max{0, raw} as their value.  The penalized
+    kinds (QU2, QU3, PU2, PU3) carry `eps`, the diamond-distance parameter
+    as a function of the channel's (eta or g, nb) arrays, and the penalty
+    multiplier `k`; only they accept a fixed eps'.  The `lower` rows (QL,
+    PL) check the channel kind before ns, and their params lead with the
+    channel.
     """
 
     forms: dict
@@ -661,21 +689,33 @@ class BoundKind:
     lower: bool = False
 
 
-_QU1 = {"thermal": _qu1_thermal, "amplifier": _qu1_amp, "additive": _qu1_additive}
-_DEG = {"thermal": _ud_thermal, "amplifier": _ud_amp}
-_CLOSE = {"thermal": _reference_thermal, "amplifier": _reference_amp}
+_QU1 = {"thermal": _Form(_qu1_thermal_raw, (_eta_half("QU1"),),
+                         lambda eta, nb: _log2_ratio(eta, 1.0 - eta) - np.log2(nb + 1.0)),
+        "amplifier": _Form(_qu1_amp_raw, (_NOT_EB,),
+                           lambda g, nb: _log2_ratio(g, g - 1.0) - np.log2(nb + 1.0)),
+        "additive": _Form(_qu1_additive_raw, (_NBAR_WINDOW,), lambda nbar: np.log2(1.0 / nbar))}
+_DEG = {"thermal": _Form(_ud_thermal, (_eta_half("the degrading construction"),)),
+        "amplifier": _Form(_ud_amp, (_gain_above_one("amplifier eps-degradable bound requires "
+                                                     "gain > 1"), _NOT_EB))}
+_CLOSE = {"thermal": _Form(_reference_thermal, (_eta_half("QU3"),)),
+          "amplifier": _Form(_reference_amp, (_NOT_EB,))}
 
 REGISTRY = {
-    "QL": BoundKind({"thermal": q_lower_thermal, "amplifier": q_lower_amp}, True, lower=True),
+    "QL": BoundKind({"thermal": _Form(_ql_thermal_raw, _NS_CHECKS),
+                     "amplifier": _Form(_ql_amp_raw, (_gain_above_one("q_lower_amp requires "
+                                                                      "gain > 1"), *_NS_CHECKS))},
+                    True, lower=True),
     "QU1": BoundKind(_QU1, True),
-    "QU2": BoundKind(_DEG, False, _eps_degradable, 1),
+    "QU2": BoundKind(_DEG, False, chn._eps_degradable, 1),
     "QU3": BoundKind(_CLOSE, False, _eps_close_degradable, 2),
-    "QU4": BoundKind({"thermal": _qu4_thermal, "additive": _qu4_additive}, True),
+    "QU4": BoundKind({"thermal": _Form(_qu4_thermal_raw, (_AMP_THEN_LOSS,), _rmg_thermal),
+                      "additive": _Form(_qu4_additive_raw, (_NBAR_WINDOW,),
+                                        lambda nbar: np.log2((1.0 - nbar) / nbar))}, True),
     "PU1": BoundKind(_QU1, True),
-    "PU2": BoundKind(_DEG, False, _eps_degradable, 3),
+    "PU2": BoundKind(_DEG, False, chn._eps_degradable, 3),
     "PU3": BoundKind(_CLOSE, False, _eps_close_degradable, 4),
-    "PL": BoundKind({"thermal": _pl_cell}, False, lower=True),
-    "PLOB": BoundKind({"thermal": _plob_thermal, "amplifier": _plob_amp,
-                       "additive": _plob_additive}, False),
-    "RMG": BoundKind({"thermal": _rmg_thermal}, True),
+    "PL": BoundKind({"thermal": _Form(_pl_thermal, _NS_CHECKS)}, False, lower=True),
+    "PLOB": BoundKind({"thermal": _Form(_plob_thermal, ()), "amplifier": _Form(_plob_amp, ()),
+                       "additive": _Form(_plob_additive, (_NBAR_WINDOW,))}, False),
+    "RMG": BoundKind({"thermal": _Form(_rmg_thermal, (_AMP_THEN_LOSS,))}, True),
 }

@@ -219,7 +219,16 @@ def kappa(x: float, nb: float) -> float:
     (x >= 1); in both regimes the bracket is nonnegative.
     """
     _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+    return _kappa(x, nb)
+
+
+def _kappa(x, nb):
     return x * x + nb * (nb + 1.0) * (1.0 + 3.0 * x * x - 2.0 * x * (1.0 + np.sqrt(2.0 * x - 1.0)))
+
+
+def _eps_degradable(x, nb):
+    """:func:`epsilon_degradable`'s eps over arrays of x >= 1/2 and nb."""
+    return np.sqrt(np.maximum(1.0 - x * x / _kappa(x, nb), 0.0))
 
 
 def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -105,6 +106,16 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
+SPEC_KEYS = ("channel", "sweep", "start", "stop", "points", "scale", "bounds", *SWEEP_VARS)
+
+
+def _finite(kv, key):
+    value = float(kv.pop(key))
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def parse_spec(text: str) -> SweepSpec:
     """Parse the key=value sweep format (see README for the keys)."""
     kv = {}
@@ -116,16 +127,15 @@ def parse_spec(text: str) -> SweepSpec:
             raise ValueError(f"bad config line: {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         kv[key] = value
-    fixed = {}
-    for key in ("eta", "nb", "g", "nbar", "ns"):
-        if key in kv:
-            fixed[key] = float(kv.pop(key))
+    unknown = [key for key in kv if key not in SPEC_KEYS]
+    if unknown:
+        raise ValueError(f"unknown spec keys {unknown}; the keys are {', '.join(SPEC_KEYS)}")
     return SweepSpec(
         channel=kv.pop("channel"),
-        fixed=fixed,
+        fixed={key: _finite(kv, key) for key in SWEEP_VARS if key in kv},
         sweep=kv.pop("sweep"),
-        start=float(kv.pop("start")),
-        stop=float(kv.pop("stop")),
+        start=_finite(kv, "start"),
+        stop=_finite(kv, "stop"),
         points=int(kv.pop("points")),
         scale=kv.pop("scale", "linear"),
         bounds=tuple(b.strip() for b in kv.pop("bounds").split(",")),

@@ -63,10 +63,13 @@ def minimize_batch(objective, lo, hi, seed_grids) -> BatchOptResult:
     count that shrinks the bracket to 1e-9; ties keep the left interval.
     Each problem reports its best evaluated point (the smallest argument on
     a plateau) and its evaluations; one whose seeds are all +inf is
-    non-converged at its first seed point.
+    non-converged at its first seed point.  A non-finite bound or lo > hi
+    raises DomainError.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.asarray(hi, dtype=float))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DomainError("minimization requires finite lo and hi")
     if np.any(lo > hi):
         raise DomainError("minimization requires lo <= hi")
 

@@ -236,6 +236,31 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             cli.parse_spec(SPEC_TWO_POINT.replace(old, new))
 
+    @pytest.mark.parametrize("line", ["foo = 3", "nb_ = 0.5"])
+    def test_unknown_key_is_named(self, line):
+        with pytest.raises(ValueError, match=line.split(" ")[0]):
+            cli.parse_spec(SPEC_TWO_POINT + line + "\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("eta", "nan"), ("nb", "inf"), ("g", "-inf"), ("nbar", "nan"), ("ns", "inf"),
+        ("start", "nan"), ("stop", "inf"),
+    ])
+    def test_non_finite_value_is_named(self, key, value):
+        lines = [ln for ln in SPEC_TWO_POINT.splitlines() if not ln.startswith(key + " ")]
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            cli.parse_spec("\n".join(lines + [f"{key} = {value}"]))
+
+    @pytest.mark.parametrize("old,new", [("eta = 0.9", "eta = nan"), ("start = 1", "start = nan"),
+                                         ("nb = 0.2", "nb_ = 0.2")])
+    def test_bad_spec_exits_1_without_file(self, tmp_path, capsys, old, new):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(SPEC_TWO_POINT.replace(old, new))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 1
+        assert new.split(" ")[0] in err
+        assert not out.exists()
+
     def test_log_scale_needs_positive_start(self):
         text = SPEC_TWO_POINT.replace("scale = linear", "scale = log") \
                              .replace("start = 1", "start = 0")

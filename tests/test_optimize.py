@@ -48,6 +48,22 @@ def test_lo_greater_than_hi():
         minimize_scalar(lambda x: x, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                    (-math.inf, 0.0), (math.inf, math.inf)])
+def test_non_finite_bounds(lo, hi):
+    calls = []
+    with pytest.raises(DomainError, match="finite lo and hi"):
+        minimize_scalar(lambda x: calls.append(x) or x, lo, hi, seed_grid=np.linspace(0.0, 1.0, 8))
+    assert calls == []
+
+
+def test_non_finite_bound_in_a_batch():
+    with pytest.raises(DomainError, match="finite lo and hi"):
+        minimize_batch(lambda x, rows: x, [0.0, 0.0], [1.0, math.nan], np.zeros((2, 4)))
+    with pytest.raises(DomainError, match="lo <= hi"):  # finite bounds keep their message
+        minimize_batch(lambda x, rows: x, [0.0, 2.0], [1.0, 1.0], np.zeros((2, 4)))
+
+
 @pytest.mark.parametrize("lo, hi, grid", [
     (0.5, 0.5, None), (0.5, 0.5, np.linspace(0.0, 1.0, 16)),
     (0.2, 0.6, np.linspace(0.0, 1.0, 64)), (0.0, 1.0, None)])
