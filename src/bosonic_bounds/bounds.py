@@ -324,13 +324,21 @@ def _log2_ratio(num, den):
     return np.log2(np.divide(num, den, out=np.full(np.shape(den), np.inf), where=den != 0.0))
 
 
-_py_pow = np.frompyfunc(pow, 2, 1)
+def _pow_or_inf(x, y):
+    try:
+        return x ** y
+    except OverflowError:
+        return np.inf
+
+
+_py_pow = np.frompyfunc(_pow_or_inf, 2, 1)
 
 
 def _pow(x, y):
-    """x ** y elementwise in Python's float arithmetic: numpy's power can
-    differ from it in the last bit."""
-    return np.asarray(_py_pow(x, y), dtype=float)
+    """x ** y elementwise in Python's float arithmetic (numpy's power can
+    differ from it in the last bit); inf where it overflows."""
+    with np.errstate(over="ignore"):  # the flag an overflowing pow leaves set
+        return np.asarray(_py_pow(x, y), dtype=float)
 
 
 def _rmg_thermal(eta, nb, ns=None):
@@ -363,7 +371,12 @@ def _plob_thermal(eta, nb, ns):
 
 
 def _plob_amp(g, nb, ns):
-    return _log2_ratio(_pow(g, nb + 1.0), g - 1.0) - _gn(nb) / LN2
+    p = _pow(g, nb + 1.0)
+    ratio = _log2_ratio(p, g - 1.0)
+    big = p == np.inf  # g**(nb+1) overflows a float (so g > 1): the ratio in logs
+    if big.any():
+        ratio = np.where(big, (nb + 1.0) * np.log2(g) - np.log2(np.where(big, g - 1.0, 1.0)), ratio)
+    return ratio - _gn(nb) / LN2
 
 
 def _plob_additive(nbar, ns):
@@ -452,6 +465,9 @@ def _column(kind, channels, ns_values, eps_prime):
         _penalize(row, found, out, eps_prime)
     for i, (raw, argopt, extra) in found.items():
         ch = channels[i]
+        if raw != raw or raw == -np.inf:  # +inf is a bound: PLOB and RMG at eta = 1
+            out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns_values[i]}")
+            continue
         params = {"channel": ch.kind, **ch.params} if row.lower else {**ch.params, "channel": ch.kind}
         params.update(ns=ns_values[i], **extra)
         out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)

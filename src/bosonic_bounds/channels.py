@@ -11,7 +11,9 @@ formula dispatch:
 
 The module also builds the degrading and simulating channel constructions
 used by the approximate-degradability bounds, and checks their equality at
-the covariance level.
+the covariance level.  They take one channel, or a column of one kind (as
+:func:`bounds.evaluate_column` does) with stacked inputs to match, and check
+every element of the stack as they check one channel.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class PhaseInsensitiveChannel:
 
     def __post_init__(self):
         tau, nu = float(self.tau), float(self.nu)
-        _require(nu >= -1e-12 and nu * nu >= (1.0 - tau) ** 2 - 1e-9,
+        _require(nu >= -1e-12 and nu * nu >= (1.0 - tau) * (1.0 - tau) - 1e-9,
                  "CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, got tau={}, nu={}",
                  tau, nu, error=InvalidChannelError)
         object.__setattr__(self, "tau", tau)
@@ -261,31 +263,27 @@ def epsilon_close_degradable(nb: float) -> EpsilonReport:
 # Degrading / simulating channel constructions
 # ---------------------------------------------------------------------------
 
-def noisy_tms_qblocks(nb: float, x: float):
+def noisy_tms_qblocks(nb, x):
     """(q, p) blocks of the noisy two-mode-squeezed state omega(nb): diagonal
-    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G."""
-    if x < 0.5:
+    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G;
+    stacks (..., 2, 2) over arrays of nb and x."""
+    if (np.asarray(x) < 0.5).any():
         raise DomainError("noisy TMS needs x >= 1/2")
     d = 2.0 * nb + 1.0
     w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x
-    q = np.array([[d, w], [w, d]])
-    p = np.array([[d, -w], [-w, d]])
-    return q, p
+    return gc._mat2(d, w, w, d), gc._mat2(d, -w, -w, d)
 
 
-def _channel_param(ch):
-    if ch.kind == "thermal":
-        return ch.params["eta"], ch.params["nb"]
-    if ch.kind == "amplifier":
-        return ch.params["g"], ch.params["nb"]
-    raise ChannelKindError("dilation constructions need a thermal or amplifier channel")
-
-
-def _channel_symplectic(ch) -> np.ndarray:
-    x, _ = _channel_param(ch)
-    if ch.kind == "thermal":
-        return gc.beamsplitter_symplectic("B", x).S
-    return gc.two_mode_squeezer_symplectic(x).S
+def _column_params(channels):
+    """(kind, x = tau, nb) of a thermal or amplifier channel, or arrays over a column of one kind."""
+    one = isinstance(channels, PhaseInsensitiveChannel)
+    column = [channels] if one else channels
+    kinds = {ch.kind for ch in column}
+    if len(kinds) != 1 or not kinds <= {"thermal", "amplifier"}:
+        raise ChannelKindError("dilation constructions need thermal or amplifier channels "
+                               f"of one kind, got {sorted(kinds)}")
+    x, nb = np.array([(ch.tau, ch.params["nb"]) for ch in column]).T
+    return (kinds.pop(), x[0], nb[0]) if one else (kinds.pop(), x, nb)
 
 
 def _dilation(input_cov, pairs, steps) -> np.ndarray:
@@ -294,85 +292,91 @@ def _dilation(input_cov, pairs, steps) -> np.ndarray:
     `input_cov` has shape (..., 2n, 2n): r = n - 1 reference modes, then the
     channel input mode A.  The two-mode environment states `pairs`, each a
     (q, p) block pair, take the modes after A, and the symplectic `steps`,
-    each (S, (i, j)) with i, j counted from A, then act in order.
+    each (S, (i, j)) with i, j counted from A, then act in order.  Stacked
+    inputs, blocks and symplectics broadcast against each other.
     """
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
     m = a + 1 + 2 * len(pairs)
-    V = np.zeros(covs.shape[:-2] + (2 * m, 2 * m))
+    try:
+        batch = np.broadcast_shapes(covs.shape[:-2], *(np.shape(x)[:-2] for x, _ in [*pairs, *steps]))
+    except ValueError:
+        raise DomainError("the input stack does not match the channel column") from None
+    V = np.zeros(batch + (2 * m, 2 * m))
     idx = gc._block_index(range(a + 1), m)
     V[..., idx[:, None], idx] = covs
     for k, (q, p) in enumerate(pairs):
         gc._place_pair(V, a + 1 + 2 * k, q, p)
     for S, (i, j) in steps:
         Sf = gc.embed_matrix(S, (a + i, a + j), m)
-        V = Sf @ V @ Sf.T
+        V = Sf @ V @ np.swapaxes(Sf, -1, -2)
     return V
 
 
-def _channel_dilation(ch, input_cov, env) -> np.ndarray:
-    """The channel's beamsplitter (thermal) or two-mode squeezer
-    (amplifier) on the input mode A and the first mode of the two-mode
-    environment `env` = (q, p), which sits on the next two modes."""
-    return _dilation(input_cov, [env], [(_channel_symplectic(ch), (0, 1))])
+def _channel_step(kind, x):
+    """The dilation step of channels of parameters x: their beamsplitter or
+    two-mode squeezer on the input mode A and the environment mode after it."""
+    return gc._beamsplitters("B", x) if kind == "thermal" else gc._squeezers(x), (0, 1)
 
 
-def degrading_dilation_cov(ch: PhaseInsensitiveChannel, input_cov: np.ndarray):
+def degrading_dilation_cov(ch, input_cov: np.ndarray):
     """Covariance after the channel dilation followed by the degrading
     channel's dilation.
 
     `input_cov` is the full block-ordered covariance over r >= 0 reference
     modes plus the channel input mode (the input mode comes last), or a
-    stack of them with shape (..., 2r + 2, 2r + 2).  Returns (V, labels)
-    with V over r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2',
-    'E1' (and 'refs') to mode slots.
+    stack of them with shape (..., 2r + 2, 2r + 2).  `ch` is one thermal
+    or amplifier channel, or a sequence of channels of one such kind with
+    one input per channel.  Returns (V, labels) with V over
+    r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and
+    'refs') to mode slots.
     """
-    x, nb = _channel_param(ch)
-    if ch.kind == "thermal":
-        if x < 0.5:
+    kind, x, nb = _column_params(ch)
+    if kind == "thermal":
+        if np.any(x < 0.5):
             raise DomainError("degrading construction needs eta in [1/2, 1]")
         # B' of transmissivity (1-eta)/eta on (B, F); outputs E'2 then G
-        degrade = (gc.beamsplitter_symplectic("Bprime", (1.0 - x) / x).S, (0, 3))
+        degrade = (gc._beamsplitters("Bprime", (1.0 - x) / x), (0, 3))
         slots = {"E2p": 0, "G": 3}
     else:
         # two-mode squeezer of parameter (2G-1)/G with F as the signal input
         # and the channel output B as the environment port
-        degrade = (gc.two_mode_squeezer_symplectic((2.0 * x - 1.0) / x).S, (3, 0))
+        degrade = (gc._squeezers((2.0 * x - 1.0) / x), (3, 0))
         slots = {"E2p": 3, "G": 0}
     # modes after the input: (E2, E1) and (F, E'1), each a purified thermal
     # environment
     tms = gc.tms_qblocks(nb)
-    V = _dilation(input_cov, [tms, tms], [(_channel_symplectic(ch), (0, 1)), degrade])
+    V = _dilation(input_cov, [tms, tms], [_channel_step(kind, x), degrade])
     r = V.shape[-1] // 2 - 5
     slots.update({"E1p": 4, "E2": 1, "E1": 2})
     return V, {**{k: r + v for k, v in slots.items()}, "refs": tuple(range(r))}
 
 
-def simulating_channel_cov(ch: PhaseInsensitiveChannel, input_cov: np.ndarray):
+def simulating_channel_cov(ch, input_cov: np.ndarray):
     """Covariance after the simulating channel: the channel unitary fed with
     the noisy TMS environment omega(nb); the channel output port is traced
-    conceptually (it stays in slot 'B').  Accepts a stack of input
-    covariances like :func:`degrading_dilation_cov`.
+    conceptually (it stays in slot 'B').  Takes a channel column and stacked
+    input covariances like :func:`degrading_dilation_cov`.
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    x, nb = _channel_param(ch)
-    if x < 0.5:
-        raise DomainError("simulating construction needs parameter >= 1/2")
-    V = _channel_dilation(ch, input_cov, noisy_tms_qblocks(nb, x))
+    kind, x, nb = _column_params(ch)
+    V = _dilation(input_cov, [noisy_tms_qblocks(nb, x)], [_channel_step(kind, x)])
     r = V.shape[-1] // 2 - 3
     return V, {"B": r, "E2": r + 1, "E1": r + 2, "refs": tuple(range(r))}
 
 
 def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
+    """The q-block, or each of a stack (..., 2, 2), checked and symmetrized."""
     q = np.asarray(qblock, dtype=float)
-    if q.shape != (2, 2) or not np.all(np.isfinite(q)):
+    if q.shape[-2:] != (2, 2) or not np.all(np.isfinite(q)):
         raise InvalidStateError("input q-block must be a finite 2x2 matrix")
-    if abs(q[0, 1] - q[1, 0]) > 1e-10:
+    if np.any(np.abs(q[..., 0, 1] - q[..., 1, 0]) > 1e-10):
         raise InvalidStateError("input q-block must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (q + q.T))) < -1e-10:
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
+    if np.min(np.linalg.eigvalsh(q), initial=0.0) < -1e-10:
         raise InvalidStateError("input q-block must be positive semidefinite")
-    return 0.5 * (q + q.T)
+    return q
 
 
 def _flip_offdiag(q: np.ndarray) -> np.ndarray:
@@ -381,15 +385,15 @@ def _flip_offdiag(q: np.ndarray) -> np.ndarray:
 
 def _deg_sim_routes(ch, qblock, pblock):
     """Full 3-mode covariances of the two routes, ordered (R, E'2/E2, E'1/E1)."""
-    Vin = gc._place_pair(np.zeros((4, 4)), 0, qblock, pblock)
+    Vin = gc._place_pair(np.zeros(np.shape(qblock)[:-2] + (4, 4)), 0, qblock, pblock)
     Vdeg, ld = degrading_dilation_cov(ch, Vin)
     Vsim, ls = simulating_channel_cov(ch, Vin)
-    idx_d = gc._block_index((0, ld["E2p"], ld["E1p"]), len(Vdeg) // 2)
-    idx_s = gc._block_index((0, ls["E2"], ls["E1"]), len(Vsim) // 2)
-    return Vdeg[idx_d[:, None], idx_d], Vsim[idx_s[:, None], idx_s]
+    idx_d = gc._block_index((0, ld["E2p"], ld["E1p"]), Vdeg.shape[-1] // 2)
+    idx_s = gc._block_index((0, ls["E2"], ls["E1"]), Vsim.shape[-1] // 2)
+    return Vdeg[..., idx_d[:, None], idx_d], Vsim[..., idx_s[:, None], idx_s]
 
 
-def degrading_simulation_check(ch: PhaseInsensitiveChannel, input_qblock) -> tuple:
+def degrading_simulation_check(ch, input_qblock) -> tuple:
     """Position-quadrature blocks of (degrading route, simulating route).
 
     For a thermal or amplifier channel `ch`, builds the channel's full
@@ -397,8 +401,8 @@ def degrading_simulation_check(ch: PhaseInsensitiveChannel, input_qblock) -> tup
     simulating channel fed with the noisy TMS state, for an input whose
     two-mode position block is `input_qblock` (reference mode first).  The
     contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
-    to 1e-10.
+    to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks.
     """
     q = _validate_qblock(input_qblock)
     A, B = _deg_sim_routes(ch, q, _flip_offdiag(q))
-    return A[:3, :3], B[:3, :3]
+    return A[..., :3, :3], B[..., :3, :3]

@@ -205,10 +205,7 @@ class SymplecticMatrix:
         n = 2 * self.m
         if S.shape != (n, n):
             raise DomainError(f"S must have shape ({n},{n}), got {S.shape}")
-        O = omega(self.m)
-        if np.max(np.abs(S @ O @ S.T - O)) > SYMPLECTIC_TOL:
-            raise DomainError("matrix is not symplectic to 1e-10")
-        object.__setattr__(self, "S", _as_readonly(S))
+        object.__setattr__(self, "S", _as_readonly(_checked_symplectic(S)))
 
 
 @dataclass(frozen=True)
@@ -244,15 +241,20 @@ def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     return GaussianState(modes, np.zeros(2 * modes), (2.0 * nbar + 1.0) * np.eye(2 * modes))
 
 
-def tms_qblocks(n: float):
-    """(q-block, p-block) of the two-mode squeezed vacuum with parameter n."""
-    if n < 0:
+def _mat2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] over floats or arrays of one shape: shape (..., 2, 2)."""
+    M = np.array([[a, b], [c, d]], dtype=float)
+    return M if M.ndim == 2 else M.transpose(*range(2, M.ndim), 0, 1)
+
+
+def tms_qblocks(n):
+    """(q-block, p-block) of the two-mode squeezed vacuum with parameter n,
+    or stacks of them, shape (..., 2, 2), over an array of n."""
+    if (np.asarray(n) < 0).any():
         raise DomainError("TMS photon number must be >= 0")
     d = 2.0 * n + 1.0
     c = 2.0 * np.sqrt(n * (n + 1.0))
-    q = np.array([[d, c], [c, d]])
-    p = np.array([[d, -c], [-c, d]])
-    return q, p
+    return _mat2(d, c, c, d), _mat2(d, -c, -c, d)
 
 
 def tms_state(n: float) -> GaussianState:
@@ -267,6 +269,15 @@ def tms_state(n: float) -> GaussianState:
 # ---------------------------------------------------------------------------
 # Spectra and entropies
 # ---------------------------------------------------------------------------
+
+def _checked_symplectic(S: np.ndarray) -> np.ndarray:
+    """`S`, a 2m x 2m matrix or a stack of them, once each is symplectic to
+    SYMPLECTIC_TOL."""
+    O = omega(S.shape[-1] // 2)
+    if not np.all(np.abs(S @ O @ np.swapaxes(S, -1, -2) - O) <= SYMPLECTIC_TOL):
+        raise DomainError("matrix is not symplectic to 1e-10")
+    return S
+
 
 def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of a covariance matrix or a stack of
@@ -379,16 +390,16 @@ def two_mode_fidelity(a: GaussianState, b: GaussianState) -> float:
 # ---------------------------------------------------------------------------
 
 def embed_matrix(M: np.ndarray, modes, total_modes: int) -> np.ndarray:
-    """Embed a 2k x 2k block-ordered matrix acting on `modes` into the
-    2m x 2m identity for m = total_modes."""
+    """Embed a 2k x 2k block-ordered matrix acting on `modes`, or each of a
+    stack (..., 2k, 2k), into the 2m x 2m identity for m = total_modes."""
     modes = tuple(modes)
     k = len(modes)
-    if M.shape != (2 * k, 2 * k):
+    if M.shape[-2:] != (2 * k, 2 * k):
         raise DomainError(f"matrix shape {M.shape} does not match {k} modes")
-    full = np.eye(2 * total_modes)
+    full = np.broadcast_to(np.eye(2 * total_modes), M.shape[:-2] + (2 * total_modes,) * 2).copy()
     idx = _block_index(modes, total_modes)
-    full[idx] = 0.0
-    full[idx[:, None], idx] = M
+    full[..., idx, :] = 0.0
+    full[..., idx[:, None], idx] = M
     return full
 
 
@@ -452,6 +463,29 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
     return GaussianState(total, Xf @ state.mean + df, Xf @ state.cov @ Xf.T + Yf)
 
 
+def _beamsplitters(kind: str, t) -> np.ndarray:
+    """:func:`beamsplitter_symplectic` over an array t: shape (..., 4, 4)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
+        raise DomainError("transmissivity must lie in [0, 1]")
+    sign = {"B": 1.0, "Bprime": -1.0}.get(kind)  # of the lower-left sqrt(1-t)
+    if sign is None:
+        raise DomainError(f"unknown beamsplitter kind {kind!r}")
+    rt, rr = np.sqrt(t), sign * np.sqrt(1.0 - t)
+    A = _mat2(rt, -rr, rr, rt)
+    return _checked_symplectic(_place_pair(np.zeros(t.shape + (4, 4)), 0, A, A))
+
+
+def _squeezers(G) -> np.ndarray:
+    """:func:`two_mode_squeezer_symplectic` over an array G: shape (..., 4, 4)."""
+    G = np.asarray(G, dtype=float)
+    if not np.all(G >= 1.0):
+        raise DomainError("squeezer gain must be >= 1")
+    s, r = np.sqrt(G), np.sqrt(G - 1.0)
+    return _checked_symplectic(_place_pair(np.zeros(G.shape + (4, 4)), 0,
+                                           _mat2(s, r, r, s), _mat2(s, -r, -r, s)))
+
+
 def beamsplitter_symplectic(kind: str, transmissivity: float) -> SymplecticMatrix:
     """4x4 symplectic matrix of a two-mode beamsplitter.
 
@@ -464,20 +498,7 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> SymplecticMatri
     The phase difference between the two is essential for the degrading
     channel construction.
     """
-    t = float(transmissivity)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("transmissivity must lie in [0, 1]")
-    rt, rr = np.sqrt(t), np.sqrt(1.0 - t)
-    if kind == "B":
-        A = np.array([[rt, -rr], [rr, rt]])
-    elif kind == "Bprime":
-        A = np.array([[rt, rr], [-rr, rt]])
-    else:
-        raise DomainError(f"unknown beamsplitter kind {kind!r}")
-    S = np.zeros((4, 4))
-    S[:2, :2] = A
-    S[2:, 2:] = A
-    return SymplecticMatrix(2, S)
+    return SymplecticMatrix(2, _beamsplitters(kind, float(transmissivity)))
 
 
 def two_mode_squeezer_symplectic(gain: float) -> SymplecticMatrix:
@@ -487,11 +508,4 @@ def two_mode_squeezer_symplectic(gain: float) -> SymplecticMatrix:
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] and the p-block carries the
     opposite off-diagonal sign.
     """
-    G = float(gain)
-    if G < 1.0:
-        raise DomainError("squeezer gain must be >= 1")
-    s, r = np.sqrt(G), np.sqrt(G - 1.0)
-    S = np.zeros((4, 4))
-    S[:2, :2] = [[s, r], [r, s]]
-    S[2:, 2:] = [[s, -r], [-r, s]]
-    return SymplecticMatrix(2, S)
+    return SymplecticMatrix(2, _squeezers(float(gain)))

@@ -4,6 +4,8 @@ Everything here recomputes quantities through an independent route (matrix
 dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
+The oracles take a channel column as :func:`bounds.evaluate_column` does, so
+a check calls each once per channel kind over all of its samples.
 """
 
 from __future__ import annotations
@@ -38,19 +40,20 @@ class CheckResult:
 # Oracles
 # ---------------------------------------------------------------------------
 
-def coherent_info_oracle(ch: chn.PhaseInsensitiveChannel, ns: float) -> float:
+def coherent_info_oracle(ch, ns):
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
-    beamsplitter / squeezer dilation; independent of the closed forms."""
-    _, nb = chn._channel_param(ch)  # ChannelKindError off thermal/amplifier
-    tms = gc._place_pair(np.zeros((4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
-    V = chn._channel_dilation(ch, tms, gc.tms_qblocks(nb))
+    beamsplitter / squeezer dilation; independent of the closed forms.  `ch`
+    is one channel and ns a float, or a column of channels and ns an array."""
+    kind, x, nb = chn._column_params(ch)  # ChannelKindError off thermal/amplifier
+    tms = gc._place_pair(np.zeros(np.shape(ns) + (4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
+    V = chn._dilation(tms, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)])
     return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V, (0, 1))
 
 
-def ud_oracle(ch: chn.PhaseInsensitiveChannel, input_cov: np.ndarray):
+def ud_oracle(ch, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
     a single-mode input covariance (2, 2), or an array of them for a stack
-    (n, 2, 2)."""
+    (n, 2, 2), with `ch` one channel or a column of n."""
     V, lab = chn.degrading_dilation_cov(ch, input_cov)
     pair = (lab["E2p"], lab["E1p"])
     return gc._entropy_from_cov(V, (lab["G"], *pair)) - gc._entropy_from_cov(V, pair)
@@ -186,15 +189,14 @@ def check_photon_bookkeeping(seed=17, n=50) -> CheckResult:
 
 def check_deg_vs_sim_cov(seed=23, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    qs, thermals, amps = [], [], []
     for _ in range(n):
-        q = random_valid_qblock(rng)
+        qs.append(random_valid_qblock(rng))
         eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
-        A, B = chn.degrading_simulation_check(chn.thermal(eta, nb), q)
-        worst = max(worst, float(np.max(np.abs(A - B))))
-        g = rng.uniform(1.0 + 1e-6, 3.0)
-        A, B = chn.degrading_simulation_check(chn.amplifier(g, nb), q)
-        worst = max(worst, float(np.max(np.abs(A - B))))
+        thermals.append(chn.thermal(eta, nb))
+        amps.append(chn.amplifier(rng.uniform(1.0 + 1e-6, 3.0), nb))
+    worst = max(float(np.max(np.abs(A - B))) for A, B in
+                (chn.degrading_simulation_check(column, np.stack(qs)) for column in (thermals, amps)))
     return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)
 
 
@@ -219,54 +221,55 @@ def check_eps_consistency(seed=29, n=200) -> CheckResult:
     return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
 
+def _residual(raw, column, ns, oracle) -> float:
+    """Largest |raw(x, nb, ns) - oracle| over the cells of a channel column."""
+    _, x, nb = chn._column_params(column)
+    return float(np.max(np.abs(raw(x, nb, ns) - oracle)))
+
+
 def check_ql_oracle_thermal(seed=31, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        eta, nb, ns = rng.uniform(0.02, 1.0), rng.uniform(0, 3), rng.uniform(0, 50)
-        got = bnd._ql_thermal_raw(eta, nb, ns)
-        want = coherent_info_oracle(chn.thermal(eta, nb), ns)
-        worst = max(worst, abs(got - want))
+    draws = np.array([(rng.uniform(0.02, 1.0), rng.uniform(0, 3), rng.uniform(0, 50))
+                      for _ in range(n)])
+    column, ns = [chn.thermal(eta, nb) for eta, nb, _ in draws.tolist()], draws[:, 2]
+    worst = _residual(bnd._ql_thermal_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_thermal", worst < 1e-9, worst, 1e-9)
 
 
 def check_ql_oracle_amp(seed=37, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        g, nb, ns = rng.uniform(1.001, 4.0), rng.uniform(0, 3), rng.uniform(0, 50)
-        got = bnd._ql_amp_raw(g, nb, ns)
-        want = coherent_info_oracle(chn.amplifier(g, nb), ns)
-        worst = max(worst, abs(got - want))
+    draws = np.array([(rng.uniform(1.001, 4.0), rng.uniform(0, 3), rng.uniform(0, 50))
+                      for _ in range(n)])
+    column, ns = [chn.amplifier(g, nb) for g, nb, _ in draws.tolist()], draws[:, 2]
+    worst = _residual(bnd._ql_amp_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_amp", worst < 1e-9, worst, 1e-9)
 
 
 def check_ud_oracle(seed=41, n=200) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    thermals, amps, ns = [], [], []
     for _ in range(n):
-        eta, nb, ns = rng.uniform(0.5, 1.0), rng.uniform(0, 2), rng.uniform(0, 20)
-        got = bnd._ud_thermal_raw(eta, nb, ns)
-        want = ud_oracle(chn.thermal(eta, nb), (2 * ns + 1) * np.eye(2))
-        worst = max(worst, abs(got - want))
-        g = rng.uniform(1.001, 3.0)
-        got = bnd._ud_amp_raw(g, nb, ns)
-        want = ud_oracle(chn.amplifier(g, nb), (2 * ns + 1) * np.eye(2))
-        worst = max(worst, abs(got - want))
+        eta, nb, ns_k = rng.uniform(0.5, 1.0), rng.uniform(0, 2), rng.uniform(0, 20)
+        thermals.append(chn.thermal(eta, nb))
+        ns.append(ns_k)
+        amps.append(chn.amplifier(rng.uniform(1.001, 3.0), nb))
+    ns = np.array(ns)
+    worst = max(_residual(raw, column, ns, ud_oracle(column, (2 * ns + 1)[:, None, None] * np.eye(2)))
+                for raw, column in ((bnd._ud_thermal_raw, thermals), (bnd._ud_amp_raw, amps)))
     return CheckResult("ud_oracle", worst < 1e-9, worst, 1e-9,
                        "closed form vs H(G|E'1E'2) through the dilation")
 
 
 def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    chans, ns, covs = [], [], []
     for _ in range(n_points):
-        eta, nb, ns = rng.uniform(0.5, 1.0), rng.uniform(0, 2), rng.uniform(0.1, 10)
-        ch = chn.thermal(eta, nb)
-        covs = np.stack([random_single_mode_cov(ns, rng) for _ in range(n_inputs)])
-        vals = ud_oracle(ch, covs)
-        best = ud_oracle(ch, (2 * ns + 1) * np.eye(2))
-        worst = max(worst, float(np.max(vals) - best))
+        chans.append(chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2)))
+        ns.append(rng.uniform(0.1, 10))
+        covs.extend(random_single_mode_cov(ns[-1], rng) for _ in range(n_inputs))
+    vals = ud_oracle([ch for ch in chans for _ in range(n_inputs)], np.stack(covs))
+    best = ud_oracle(chans, (2 * np.array(ns) + 1)[:, None, None] * np.eye(2))
+    worst = float(np.max(np.max(vals.reshape(n_points, n_inputs), axis=1) - best))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,
                        "random equal-energy inputs never beat the thermal input")
 
@@ -361,6 +364,7 @@ def check_comparison_orderings() -> CheckResult:
 
 def check_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6) -> CheckResult:
     rng = np.random.default_rng(seed)
+    block = 2 ** 16  # dense-grid points evaluated at once, which bounds the memory
     worst = -np.inf
     for _ in range(n_obj):
         eps = rng.uniform(0.0001, 0.9)
@@ -368,7 +372,8 @@ def check_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6) -> CheckResult:
         k = int(rng.integers(1, 5))
         value, _ = bnd._min_penalty(eps, wp, k)
         grid = np.linspace(eps + 1e-12, 1.0, dense)
-        dense_min = float(np.min(bnd._penalty_eval(eps, grid, wp, k)))
+        dense_min = float(np.min([np.min(bnd._penalty_eval(eps, grid[i:i + block], wp, k))
+                                  for i in range(0, dense, block)]))
         worst = max(worst, value - dense_min)
     return CheckResult("optimizer_vs_grid", worst < 1e-6, worst, 1e-6,
                        "golden-section result at or below the dense-grid minimum")

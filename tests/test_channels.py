@@ -272,3 +272,57 @@ class TestStackedDilations:
             Vs, ls = route(ch, c)
             assert ls == labels
             assert np.max(np.abs(Vk - Vs)) < 1e-12
+
+    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
+    def test_channel_column_matches_per_channel_calls(self, make):
+        """A column of channels with one stacked input each gives, bit for
+        bit, what one call per channel gives."""
+        rng = np.random.default_rng(5)
+        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
+        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        ns = rng.uniform(0.0, 30.0, 20)
+        covs = _random_stack(6)
+        qs = np.stack([vfy.random_valid_qblock(rng) for _ in range(20)])
+        pairs = [
+            (vfy.coherent_info_oracle(column, ns),
+             [vfy.coherent_info_oracle(ch, n) for ch, n in zip(column, ns)]),
+            (vfy.ud_oracle(column, covs), [vfy.ud_oracle(ch, c) for ch, c in zip(column, covs)]),
+        ]
+        for route in (chn.degrading_dilation_cov, chn.simulating_channel_cov):
+            V, labels = route(column, covs)
+            per_channel = [route(ch, c) for ch, c in zip(column, covs)]
+            assert all(ls == labels for _, ls in per_channel)
+            pairs.append((V, [Vs for Vs, _ in per_channel]))
+        A, B = chn.degrading_simulation_check(column, qs)
+        per_channel = [chn.degrading_simulation_check(ch, q) for ch, q in zip(column, qs)]
+        pairs += [(A, [a for a, _ in per_channel]), (B, [b for _, b in per_channel])]
+        for stacked, single in pairs:
+            assert np.array_equal(stacked, np.array(single))
+
+    def test_one_asymmetric_qblock_fails_the_stack(self):
+        qs = np.stack([vfy.random_valid_qblock(np.random.default_rng(k)) for k in range(5)])
+        qs[3, 0, 1] += 1e-6
+        with pytest.raises(InvalidStateError, match="symmetric"):
+            chn.degrading_simulation_check([chn.thermal(0.8, 0.5)] * 5, qs)
+
+    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.degrading_simulation_check],
+                             ids=["dilation", "check"])
+    def test_one_thermal_below_half_fails_the_column(self, route):
+        column = [chn.thermal(0.8, 0.5)] * 3 + [chn.thermal(0.4, 0.5)]
+        stack = _random_stack(7, 4) if route is chn.degrading_dilation_cov else \
+            np.stack([np.eye(2)] * 4)
+        with pytest.raises(DomainError):
+            route(column, stack)
+
+    @pytest.mark.parametrize("odd", [chn.additive_noise(0.3), chn.amplifier(1.5, 0.5)],
+                             ids=["additive", "mixed"])
+    def test_column_of_other_kinds_is_rejected(self, odd):
+        column = [chn.thermal(0.8, 0.5)] * 3 + [odd]
+        with pytest.raises(ChannelKindError):
+            vfy.ud_oracle(column, _random_stack(8, 4))
+        with pytest.raises(ChannelKindError):
+            vfy.coherent_info_oracle(column, np.ones(4))
+
+    def test_stack_not_matching_the_column_is_rejected(self):
+        with pytest.raises(DomainError, match="does not match"):
+            vfy.coherent_info_oracle([chn.thermal(0.8, 0.5)] * 3, np.ones(4))

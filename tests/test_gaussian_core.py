@@ -252,6 +252,45 @@ class TestSymplecticBuilders:
             assert gc.mean_photon_number(red) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out, gc.tms_state(1.0).cov, atol=1e-12)
 
+    @pytest.mark.parametrize("build,one,params", [
+        (lambda x: gc._beamsplitters("B", x), lambda x: gc.beamsplitter_symplectic("B", x),
+         [0.0, 0.2, 0.5, 1.0]),
+        (lambda x: gc._beamsplitters("Bprime", x),
+         lambda x: gc.beamsplitter_symplectic("Bprime", x), [0.0, 1 / 3, 1.0]),
+        (gc._squeezers, gc.two_mode_squeezer_symplectic, [1.0, 1.5, 4.0]),
+    ], ids=["B", "Bprime", "squeezer"])
+    def test_stack_matches_one_matrix(self, build, one, params):
+        stack = build(np.array(params))
+        assert stack.shape == (len(params), 4, 4)
+        assert np.array_equal(stack, np.stack([one(x).S for x in params]))
+
+    @pytest.mark.parametrize("build,params", [
+        (lambda x: gc._beamsplitters("B", x), [0.5, 1.2, 0.3]),
+        (lambda x: gc._beamsplitters("Bprime", x), [0.5, -0.1]),
+        (gc._squeezers, [1.5, 0.9, 2.0]),
+        (gc._squeezers, [1.5, np.nan]),
+    ], ids=["B", "Bprime", "squeezer", "squeezer-nan"])
+    def test_one_bad_parameter_fails_the_stack(self, build, params):
+        with pytest.raises(DomainError):
+            build(np.array(params))
+
+    def test_stack_symplecticity_is_checked_per_element(self):
+        S = np.stack([np.eye(4), 2.0 * np.eye(4)])
+        with pytest.raises(DomainError, match="not symplectic"):
+            gc._checked_symplectic(S)
+        assert np.array_equal(gc._checked_symplectic(S[:1]), S[:1])
+
+    def test_embed_and_tms_blocks_take_stacks(self):
+        S = gc._squeezers(np.array([1.5, 2.0]))
+        full = gc.embed_matrix(S, (1, 2), 3)
+        for Sk, fk in zip(S, full):
+            assert np.array_equal(fk, gc.embed_matrix(Sk, (1, 2), 3))
+        q, p = gc.tms_qblocks(np.array([0.0, 1.5]))
+        assert np.array_equal(q[1], gc.tms_qblocks(1.5)[0])
+        assert np.array_equal(p[1], gc.tms_qblocks(1.5)[1])
+        with pytest.raises(DomainError):
+            gc.tms_qblocks(np.array([1.0, -0.5]))
+
     def test_interleave_permutation(self):
         for m in (1, 2, 3):
             P = gc.interleave_permutation(m)

@@ -2,11 +2,14 @@
 
 Every public bound, every channel constructor, the entropy helpers, `kappa`
 and the `bound` command are fed a non-finite value in each numeric argument
-in turn.
+in turn.  Finite inputs whose arithmetic overflows either give a finite
+bound or raise a named error too.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from bosonic_bounds import bounds as bnd
@@ -114,3 +117,65 @@ def test_cli_rejects_nonfinite_channel_parameter(capsys, eta, nb):
                      "--ns", "1", "--bound", "QL"])
     assert code == 1
     assert capsys.readouterr().out == ""
+
+
+# Finite energies at which a closed form overflows to NaN or -inf: the cell
+# is a DomainError naming the kind and ns, never a value.  The forms warn on
+# the way there, which is not what these tests are about.
+OVERFLOWING = [
+    ("QL", lambda: bnd.q_lower_thermal(0.8, 0.5, 1e200)),
+    ("QL", lambda: bnd.q_lower_thermal(0.8, 0.5, 1e160)),
+    ("QU2", lambda: bnd.q_u2(chn.thermal(0.8, 0.5), 1e200)),
+    ("PL", lambda: bnd.p_lower_displaced(0.8, 0.5, 1e200)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind,call", OVERFLOWING,
+                         ids=["QL-1e200", "QL-1e160", "QU2-1e200", "PL-1e200"])
+def test_overflowing_form_is_no_bound(kind, call):
+    with pytest.raises(DomainError, match=rf"^{kind} is (nan|-inf) bits at thermal .*ns=1e\+"):
+        call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_cell_leaves_its_column_alone():
+    column = bnd.evaluate_column("QL", [chn.thermal(0.8, 0.5)] * 3, [1.0, 1e200, 10.0])
+    assert isinstance(column[1], DomainError)
+    assert [c.raw for c in (column[0], column[2])] == \
+        [bnd.q_lower_thermal(0.8, 0.5, ns).raw for ns in (1.0, 10.0)]
+
+
+def test_infinite_bound_stays_infinite():
+    # a lossless channel has an unbounded capacity: +inf is the bound
+    assert bnd.comparison_bounds(chn.thermal(1.0, 0.5), "PLOB_thermal") == math.inf
+    assert bnd.comparison_bounds(chn.amplifier(1.0, 0.5), "PLOB_amp") == math.inf
+
+
+def _plob_amp_in_logs(g, nb):
+    return (nb + 1.0) * math.log2(g) - math.log2(g - 1.0) - gc.g_entropy(nb)
+
+
+@pytest.mark.parametrize("nb", [645.0, 646.0, 700.0])
+def test_plob_amp_where_the_power_overflows(nb):
+    # 3 ** 646 is the last power of 3 below the float limit
+    got = bnd.comparison_bounds(chn.amplifier(3.0, nb), "PLOB_amp")
+    assert got == pytest.approx(_plob_amp_in_logs(3.0, nb), rel=1e-12)
+
+
+def test_plob_amp_below_the_overflow_is_unchanged():
+    want = float(np.log2(3.0 ** 601.0 / 2.0) - gc._g_nats(np.asarray(600.0)) / gc.LN2)
+    assert bnd.comparison_bounds(chn.amplifier(3.0, 600.0), "PLOB_amp") == want
+
+
+def test_cli_plob_amp_where_the_power_overflows(capsys):
+    code = cli.main(["bound", "--channel", "amplifier", "--g", "3", "--nb", "700",
+                     "--bound", "PLOB"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value_bits"] == pytest.approx(1099.1637768467, rel=1e-12)
+
+
+def test_huge_gain_builds_the_channel():
+    ch = chn.amplifier(1e200, 0.0)
+    assert (ch.tau, ch.nu) == (1e200, 1e200)
