@@ -48,6 +48,14 @@ __all__ = [
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
 
 
+def _where(cond, a, b):
+    """np.where(cond, a, b); on a scalar condition and float branches (one
+    cell) it picks a or b itself, without the cost of a 0-d array."""
+    if isinstance(cond, (bool, np.bool_)) and isinstance(a, float) and isinstance(b, float):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
 # ---------------------------------------------------------------------------
 # Continuity penalty
 # ---------------------------------------------------------------------------
@@ -79,17 +87,17 @@ class PenaltyParams:
         return (self.epsilon_prime - self.epsilon) / (1.0 + self.epsilon_prime)
 
 
-def _penalty_eval(eps, eps_prime, w_prime, k):
-    """Penalty over the broadcast arguments; +inf wherever delta <= 0."""
-    e = np.asarray(eps_prime, dtype=float)
+def _penalty_eval(eps, e, w_prime, k):
+    """Penalty over the broadcast arguments, at eps' = e; +inf wherever
+    delta <= 0.  Floats give a float."""
     delta = (e - eps) / (1.0 + e)
     ok = delta > 0.0
-    d = np.where(ok, delta, 0.5)  # keeps the discarded entries finite
+    d = _where(ok, delta, 0.5)  # keeps the discarded entries finite
     val = k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
                + _gn(e)
                + 2.0 * (-(d * np.log(d) + (1.0 - d) * np.log1p(-d)))) / LN2
-    out = np.where(ok, val, np.inf)
-    return float(out) if out.ndim == 0 else out
+    out = _where(ok, val, np.inf)
+    return float(out) if isinstance(out, float) else out
 
 
 def penalty(p: PenaltyParams) -> float:
@@ -106,8 +114,9 @@ def _min_penalty(eps, w_prime, k):
     scalar = np.ndim(eps) == 0
     eps, w_prime, k = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps, w_prime, k))
     lo = np.minimum(eps + 1e-12, 1.0)
-    res = minimize_batch(lambda x, r: _penalty_eval(eps[r, None], x, w_prime[r, None], k[r, None]),
-                         lo, 1.0, [np.geomspace(a, 1.0, DEFAULT_GRID_POINTS) for a in lo])
+    res = minimize_batch(lambda x, eps, w_prime, k: _penalty_eval(eps, x, w_prime, k),
+                         lo, 1.0, [np.geomspace(a, 1.0, DEFAULT_GRID_POINTS) for a in lo],
+                         eps, w_prime, k)
     return (float(res.value[0]), float(res.arg[0])) if scalar else (res.value, res.arg)
 
 
@@ -156,7 +165,10 @@ def _sq(x):
 
 def _gn_each(*xs):
     """_gn of each argument, in one kernel call: a form's few g terms then
-    pay numpy's per-call cost once."""
+    pay numpy's per-call cost once.  Scalar arguments (one cell) go one by
+    one through _gn's float case, which costs less than that one call."""
+    if all(isinstance(x, float) for x in xs):
+        return [_gn(x) for x in xs]
     xs = [np.asarray(x, dtype=float) for x in xs]
     flat, at, out = _gn(np.concatenate([x.ravel() for x in xs])), 0, []
     for x in xs:
@@ -171,13 +183,13 @@ def _ql_thermal_raw(eta, nb, ns):
     dd = np.sqrt(d2)
     u = y + 1.0 - (1.0 - eta) * ns
     # rationalized forms avoid the D - (...) cancellation at large ns
-    arg_p = np.where(u > 0.0,
-                     2.0 * ns * (y + 1.0 - eta) / (dd + np.abs(u)),
-                     (dd - u) / 2.0)
+    arg_p = _where(u > 0.0,
+                   2.0 * ns * (y + 1.0 - eta) / (dd + np.abs(u)),
+                   (dd - u) / 2.0)
     w = (1.0 - eta) * ns + 1.0 - y
-    arg_m = np.where(w > 0.0,
-                     2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
-                     (dd - w) / 2.0)
+    arg_m = _where(w > 0.0,
+                   2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
+                   (dd - w) / 2.0)
     g_out, g_p, g_m = _gn_each(eta * ns + y, arg_p, arg_m)
     return (g_out - g_p - g_m) / LN2
 
@@ -367,7 +379,12 @@ def _reference_amp(g, nb, ns):
 
 def _plob_thermal(eta, nb, ns):
     t = (1.0 - eta) * _pow(eta, nb)  # 0 at eta = 1, where PLOB is infinite
-    return -np.log2(t, out=np.full(t.shape, -np.inf), where=t > 0.0) - _gn(nb) / LN2
+    log_t = np.log2(t, out=np.full(t.shape, -np.inf), where=t > 0.0)
+    tiny = (t == 0.0) & (eta < 1.0)  # eta ** nb underflows: log2 t in logs
+    if tiny.any():
+        e = np.where(tiny, eta, 0.5)
+        log_t = np.where(tiny, np.log2(1.0 - e) + nb * np.log2(e), log_t)
+    return -log_t - _gn(nb) / LN2
 
 
 def _plob_amp(g, nb, ns):
@@ -592,18 +609,19 @@ def p_bounds(ch: chn.PhaseInsensitiveChannel, ns: float, which: str,
 # Private lower bound (displaced thermal ensemble)
 # ---------------------------------------------------------------------------
 
+def _private_loss(n2, icns, eta, nb):
+    """PL's objective: I_c(n2) - I_c(ns) given icns = I_c(ns), elementwise.
+    Written -(icns - I_c(n2)) so that a zero maximum reports 0.0, not -0.0."""
+    return -(icns - _ql_thermal_raw(eta, nb, n2))
+
+
 def _max_private(eta, nb, ns):
     """max over n2 in [0, ns] of I_c(ns) - I_c(n2), one batch over the
     arrays; (values, argmax).  The coherent-information dip sits at small
     absolute photon numbers, so the seeds run log-spaced down to ~1e-12 and 0."""
     icns = _ql_thermal_raw(eta, nb, ns)
     grids = [np.concatenate(([0.0], np.geomspace(min(1e-12, s), s, 63))) for s in ns]
-
-    def objective(x, r):
-        # -(icns - ql), not ql - icns: a zero maximum then reports 0.0, not -0.0
-        return -(icns[r, None] - _ql_thermal_raw(eta[r, None], nb[r, None], x))
-
-    res = minimize_batch(objective, 0.0, ns, grids)
+    res = minimize_batch(_private_loss, 0.0, ns, grids, icns, eta, nb)
     return -res.value, res.arg
 
 

@@ -90,8 +90,14 @@ def _place_pair(V: np.ndarray, i: int, qblk, pblk) -> np.ndarray:
 def _g_nats(x):
     """(x+1) ln(x+1) - x ln x elementwise; second-order series below cutoff.
 
-    Input must already be clamped to x >= 0.
+    Input must already be clamped to x >= 0; a negative or NaN element gives
+    0.  A float gives a float, from the same numpy kernels and the same
+    arithmetic as an array's element, so with its bits.
     """
+    if isinstance(x, float):
+        if x >= _G_SERIES_CUTOFF:
+            return (x + 1.0) * float(np.log1p(x)) - x * float(np.log(x))
+        return x - x * float(np.log(x)) + 0.5 * x * x if x > 0.0 else 0.0
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     big = x >= _G_SERIES_CUTOFF

@@ -5,8 +5,12 @@ g(W/delta) terms whose derivative is unbounded near the interval edge,
 where gradient steps misbehave.  A maximization is the minimization of the
 negated objective.  :func:`minimize_batch` runs n problems in lockstep, each
 taking exactly the steps it would take alone; :func:`minimize_scalar` is
-the batch of one.  Identical inputs give bit-identical results, and on a
-plateau the smallest argument wins.
+the batch of one.  The objective is elementwise: it gets the points and
+each problem's own arguments, arrays while several problems step together
+and Python floats once one problem steps alone, which numpy would
+otherwise run as 1-element arrays at many times the cost.  Identical
+inputs give bit-identical results, and on a plateau the smallest argument
+wins.
 """
 
 from __future__ import annotations
@@ -49,12 +53,51 @@ def _seed_grids(lo, hi, seed_grids):
     return np.take_along_axis(s, np.take_along_axis(first, pad, axis=1), axis=1), count
 
 
-def minimize_batch(objective, lo, hi, seed_grids) -> BatchOptResult:
+def _search_alone(f, n, a, h, bx, bv, bracket=None):
+    """The last n golden-section steps of one problem on Python floats, with
+    the lockstep loop's arithmetic in its order, so with its bits; returns
+    the best (point, value) after them, starting from (bx, bv).  `bracket`
+    is the (c, d, f(c), f(d)) of a search the lockstep loop began; without
+    it the first of the n steps evaluates both interior points."""
+    def consider(x, v):
+        nonlocal bx, bv
+        if v < bv or (v == bv and x < bx):
+            bx, bv = x, v
+
+    if bracket is None:
+        c, d = a + _INVPHI2 * h, a + _INVPHI * h
+        fc, fd = f(c), f(d)
+        consider(c, fc)
+        consider(d, fd)
+        n -= 1
+    else:
+        c, d, fc, fd = bracket
+    for _ in range(n):
+        h *= _INVPHI
+        if fc <= fd:  # ties keep the left interval -> smaller arguments
+            x = a + _INVPHI2 * h
+            fx = f(x)
+            c, d, fc, fd = x, c, fx, fc
+        else:
+            a = c
+            x = a + _INVPHI * h
+            fx = f(x)
+            c, d, fc, fd = d, x, fd, fx
+        consider(x, fx)
+    return bx, bv
+
+
+def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     """Minimize n scalar problems, problem i on [lo[i], hi[i]], in lockstep.
 
-    `objective(x, rows)` gets an index array `rows` and points `x` of shape
-    (len(rows), j), row r holding points of problem rows[r], and returns
-    values of that shape; +inf (or nan, taken as +inf) is allowed anywhere.
+    `objective(x, *args)` is elementwise in `x` and in `args`, one for each
+    of the `row_args` (arrays of n floats, problem i's value at index i).
+    While several problems step together, `x` has shape (len(rows), j),
+    row r holding points of problem rows[r], and each arg is
+    `row_arg[rows, None]`; the objective returns values of the shape of `x`.
+    Once only problem r is left stepping, its remaining calls get a float
+    `x` and the floats `row_arg[r]`, and return a float.  +inf (or nan,
+    taken as +inf) is allowed anywhere.
     Problem i seeds on row i of `seed_grids` (an (n, m) array), clipped to
     its interval with duplicates dropped; all seeds are evaluated in one
     call.  A caller whose objective diverges at an endpoint passes grids
@@ -72,9 +115,11 @@ def minimize_batch(objective, lo, hi, seed_grids) -> BatchOptResult:
         raise DomainError("minimization requires finite lo and hi")
     if np.any(lo > hi):
         raise DomainError("minimization requires lo <= hi")
+    row_args = [np.broadcast_to(np.asarray(p, dtype=float), lo.shape) for p in row_args]
 
     def f(x, rows):
-        v = np.asarray(objective(x, rows), dtype=float).reshape(x.shape)
+        v = np.asarray(objective(x, *(p[rows, None] for p in row_args)),
+                       dtype=float).reshape(x.shape)
         return np.where(np.isnan(v), np.inf, v)
 
     rows = np.arange(lo.size)
@@ -98,20 +143,33 @@ def minimize_batch(objective, lo, hi, seed_grids) -> BatchOptResult:
         better = (v < bv[:k]) | ((v == bv[:k]) & (x < bx[:k]))
         bx[:k], bv[:k] = np.where(better, x, bx[:k]), np.where(better, v, bv[:k])
 
-    c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc, fd = f(np.stack([c, d], axis=1), g).T.copy()
-    consider(g.size, c, fc)
-    consider(g.size, d, fd)
-    for t in range(1, steps[0] if g.size else 0):
-        k = np.count_nonzero(steps > t)
-        left = fc[:k] <= fd[:k]  # ties keep the left interval -> smaller arguments
-        h[:k] *= _INVPHI
-        a[:k] = np.where(left, a[:k], c[:k])
-        x = a[:k] + np.where(left, _INVPHI2, _INVPHI) * h[:k]
-        fx = f(x[:, None], g[:k])[:, 0]
-        c[:k], d[:k] = np.where(left, x, d[:k]), np.where(left, c[:k], x)
-        fc[:k], fd[:k] = np.where(left, fx, fd[:k]), np.where(left, fc[:k], fx)
-        consider(k, x, fx)
+    t = 0  # the golden steps taken in lockstep
+    if g.size > 1:
+        c, d = a + _INVPHI2 * h, a + _INVPHI * h
+        fc, fd = f(np.stack([c, d], axis=1), g).T.copy()
+        consider(g.size, c, fc)
+        consider(g.size, d, fd)
+        t = 1
+        while (k := np.count_nonzero(steps > t)) > 1:
+            left = fc[:k] <= fd[:k]  # ties keep the left interval -> smaller arguments
+            h[:k] *= _INVPHI
+            a[:k] = np.where(left, a[:k], c[:k])
+            x = a[:k] + np.where(left, _INVPHI2, _INVPHI) * h[:k]
+            fx = f(x[:, None], g[:k])[:, 0]
+            c[:k], d[:k] = np.where(left, x, d[:k]), np.where(left, c[:k], x)
+            fc[:k], fd[:k] = np.where(left, fx, fd[:k]), np.where(left, fc[:k], fx)
+            consider(k, x, fx)
+            t += 1
+    if g.size and steps[0] > t:  # one problem left stepping: on floats
+        args = [float(p[g[0]]) for p in row_args]
+
+        def f1(x):
+            v = float(objective(x, *args))
+            return math.inf if v != v else v
+
+        bracket = (float(c[0]), float(d[0]), float(fc[0]), float(fd[0])) if t else None
+        bx[0], bv[0] = _search_alone(f1, int(steps[0]) - t, float(a[0]), float(h[0]),
+                                     float(bx[0]), float(bv[0]), bracket)
     arg[g], value[g] = bx, bv
     return BatchOptResult(arg, value, evaluations, converged)
 
@@ -121,7 +179,6 @@ def minimize_scalar(objective, lo: float, hi: float, *, seed_grid=None) -> Scala
     float to a float, seeded on `seed_grid` or DEFAULT_GRID_POINTS even points."""
     if seed_grid is None:
         seed_grid = np.linspace(float(lo), float(hi), DEFAULT_GRID_POINTS)
-    res = minimize_batch(lambda x, rows: [float(objective(float(v))) for v in x.flat],
-                         float(lo), float(hi), [seed_grid])
+    res = minimize_batch(np.frompyfunc(objective, 1, 1), float(lo), float(hi), [seed_grid])
     return ScalarOptResult(float(res.arg[0]), float(res.value[0]),
                            int(res.evaluations[0]), bool(res.converged[0]))

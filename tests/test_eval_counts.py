@@ -4,9 +4,14 @@ The counts are deterministic (fixed seed grids, fixed golden-section
 iteration counts), so any change to them is a change in the work the bounds
 do, not noise.  Counted through a wrapper over the batch optimizer the
 bounds module calls: one count per minimized problem (batch row), so a
-batch of n problems counts as n minimizations.
+batch of n problems counts as n minimizations.  The objectives are counted
+too, call by call with the shape of the points they get: a problem that
+steps alone must step on floats, not on 1-element arrays.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from bosonic_bounds import bounds as bnd
@@ -29,6 +34,22 @@ def counts(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Wrap the bounds function `name` to count its calls by the shape of its
+    argument at `point`; returns the Counter."""
+    def wrap(name, point):
+        seen, fn = Counter(), getattr(bnd, name)
+
+        def counting(*args):
+            seen[np.shape(args[point])] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(bnd, name, counting)
+        return seen
+    return wrap
+
+
 def test_fig3a_sweep(counts):
     cli.run_sweep(cli.load_figure_spec("3a"))
     assert (len(counts), sum(counts)) == (80, 7840)
@@ -47,6 +68,29 @@ def test_penalized_bound_at_one_point(counts, kind):
 def test_displaced_lower_bound(counts):
     bnd.p_lower_displaced(0.9, 0.5, 10.0)
     assert counts == [74]
+
+
+@pytest.mark.parametrize("kind", ["QU2", "QU3", "PU2", "PU3"])
+def test_penalized_one_cell_steps_on_floats(counts, objective_calls, kind):
+    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    bnd.evaluate(kind, chn.thermal(0.9, 0.5), 10.0)
+    assert counts == [99]
+    assert calls == {(1, 64): 1, (): 35}  # the seeds, then each golden step
+
+
+def test_displaced_one_cell_steps_on_floats(counts, objective_calls):
+    calls = objective_calls("_private_loss", 0)
+    bnd.p_lower_displaced(0.9, 0.5, 10.0)
+    assert counts == [74]
+    assert calls == {(1, 64): 1, (): 10}
+
+
+def test_column_longest_row_ends_on_floats(counts, objective_calls):
+    calls = objective_calls("_private_loss", 0)
+    bnd.evaluate_column("PL", [chn.thermal(0.9, 0.5)] * 2, [1.0, 1000.0])
+    # the seeds, the first step's two points, 8 steps together, 1 alone
+    assert calls == {(2, 64): 1, (2, 2): 1, (2, 1): 8, (): 1}
+    assert sum(counts) == 2 * 64 + 2 * 2 + 2 * 8 + 1
 
 
 def test_all_figure_sweeps(counts):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonic_bounds import bounds as bnd
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds.errors import (
     DomainError,
@@ -55,6 +58,48 @@ class TestEntropyFunctions:
         ys = gc.g_entropy(xs)
         assert np.all(np.diff(ys) > 0)
         assert np.all(np.diff(ys, 2) < 1e-12)
+
+
+# zero, a subnormal, each side of the 1e-8 series cutoff, and large x
+G_FLOAT_POINTS = [0.0, 5e-324, 2.5e-310, float(np.nextafter(1e-8, 0.0)), 1e-8,
+                  float(np.nextafter(1e-8, 1.0)), 1.0, 1e8, 1e15]
+
+
+class TestGNatsFloatCase:
+    """On floats, _g_nats and bounds._gn_each compute what the array path
+    computes, bit for bit."""
+
+    @pytest.mark.parametrize("x", G_FLOAT_POINTS)
+    def test_float_matches_array_bit_for_bit(self, x):
+        got = gc._g_nats(x)
+        assert type(got) is float
+        assert got.hex() == float(gc._g_nats(np.array([x]))[0]).hex()
+
+    def test_float_matches_array_over_the_range(self):
+        # libm's log1p (more rarely its log) differs from numpy's in the last
+        # bit on some of these: the float case must call numpy's kernels
+        xs = np.geomspace(1e-300, 1e15, 6001)
+        got = [gc._g_nats(float(x)).hex() for x in xs]
+        assert got == [float(v).hex() for v in gc._g_nats(xs)]
+
+    @pytest.mark.parametrize("x", [-1e-300, -1.0, -math.inf, math.nan])
+    def test_negative_and_nan_give_zero(self, x):
+        assert gc._g_nats(x) == 0.0
+        assert gc._g_nats(np.array([x]))[0] == 0.0
+
+    @pytest.mark.parametrize("x", [1e307, 1e308, math.inf])
+    def test_overflow_raises_nothing_on_floats(self, x):
+        with np.errstate(all="ignore"):
+            want = gc._g_nats(np.array([x]))[0]
+        assert math.isnan(want)
+        assert math.isnan(gc._g_nats(x))  # no OverflowError, no warning
+
+    def test_gn_each_floats_match_arrays_bit_for_bit(self):
+        got = bnd._gn_each(*G_FLOAT_POINTS)
+        want = bnd._gn_each(np.array(G_FLOAT_POINTS))[0]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        assert bnd._gn_each(-1.0, math.nan, 2.0)[:2] == [0.0, 0.0]
 
 
 class TestStates:

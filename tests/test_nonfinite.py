@@ -176,6 +176,30 @@ def test_cli_plob_amp_where_the_power_overflows(capsys):
     assert json.loads(out)["value_bits"] == pytest.approx(1099.1637768467, rel=1e-12)
 
 
+def _plob_thermal_in_logs(eta, nb):
+    return -math.log2(1.0 - eta) - nb * math.log2(eta) - gc.g_entropy(nb)
+
+
+@pytest.mark.parametrize("eta, nb", [(0.01, 200.0), (1e-300, 2.0)])
+def test_plob_thermal_where_the_power_underflows(eta, nb):
+    # 0.01 ** 200 and (1e-300) ** 2 are 0 in floats; PLOB is finite there
+    got = bnd.comparison_bounds(chn.thermal(eta, nb), "PLOB_thermal")
+    assert got == pytest.approx(_plob_thermal_in_logs(eta, nb), rel=1e-12)
+
+
+def test_plob_thermal_above_the_underflow_is_unchanged():
+    want = float(-np.log2((1.0 - 0.01) * 0.01 ** 150.0) - gc._g_nats(np.asarray(150.0)) / gc.LN2)
+    assert bnd.comparison_bounds(chn.thermal(0.01, 150.0), "PLOB_thermal") == want
+
+
+def test_cli_plob_thermal_where_the_power_underflows(capsys):
+    code = cli.main(["bound", "--channel", "thermal", "--eta", "0.01", "--nb", "200",
+                     "--bound", "PLOB"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value_bits"] == pytest.approx(1319.6955855526, rel=1e-12)
+
+
 def test_huge_gain_builds_the_channel():
     ch = chn.amplifier(1e200, 0.0)
     assert (ch.tau, ch.nu) == (1e200, 1e200)

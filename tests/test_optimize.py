@@ -59,9 +59,9 @@ def test_non_finite_bounds(lo, hi):
 
 def test_non_finite_bound_in_a_batch():
     with pytest.raises(DomainError, match="finite lo and hi"):
-        minimize_batch(lambda x, rows: x, [0.0, 0.0], [1.0, math.nan], np.zeros((2, 4)))
+        minimize_batch(lambda x: x, [0.0, 0.0], [1.0, math.nan], np.zeros((2, 4)))
     with pytest.raises(DomainError, match="lo <= hi"):  # finite bounds keep their message
-        minimize_batch(lambda x, rows: x, [0.0, 2.0], [1.0, 1.0], np.zeros((2, 4)))
+        minimize_batch(lambda x: x, [0.0, 2.0], [1.0, 1.0], np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("lo, hi, grid", [
@@ -211,9 +211,9 @@ def _random_batch(seed, n=12, m=24):
 
 
 def _batch(fs, lo, hi, grids):
-    def objective(x, rows):
-        return [[fs[r](float(v)) for v in row] for row, r in zip(x, rows)]
-    return minimize_batch(objective, lo, hi, grids)
+    # problem i's objective is fs[i]; i rides along as its row argument
+    objective = np.frompyfunc(lambda x, i: fs[int(i)](x), 2, 1)
+    return minimize_batch(objective, lo, hi, grids, np.arange(len(fs)))
 
 
 def _assert_rows_match(res, fs, lo, hi, grids):
@@ -229,6 +229,10 @@ def test_batch_matches_scalar_loop_bit_for_bit(seed):
     fs, lo, hi, grids = _random_batch(seed)
     res = _batch(fs, lo, hi, grids)
     _assert_rows_match(res, fs, lo, hi, grids)
+    for i in range(len(fs)):  # each row as a batch of one: it steps alone on floats
+        one = slice(i, i + 1)
+        _assert_rows_match(_batch(fs[one], lo[one], hi[one], grids[one]),
+                           fs[one], lo[one], hi[one], grids[one])
 
 
 def test_batch_edge_rows():
