@@ -89,14 +89,15 @@ class PenaltyParams:
 
 def _penalty_eval(eps, e, w_prime, k):
     """Penalty over the broadcast arguments, at eps' = e; +inf wherever
-    delta <= 0.  Floats give a float."""
+    delta <= 0.  Floats give a float; an array with no delta <= 0 skips the masks."""
     delta = (e - eps) / (1.0 + e)
     ok = delta > 0.0
-    d = _where(ok, delta, 0.5)  # keeps the discarded entries finite
+    whole = ok if isinstance(ok, bool) else ok.all()
+    d = delta if whole else _where(ok, delta, 0.5)  # keeps the discarded entries finite
     val = k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
                + _gn(e)
                + 2.0 * (-(d * np.log(d) + (1.0 - d) * np.log1p(-d)))) / LN2
-    out = _where(ok, val, np.inf)
+    out = val if whole else _where(ok, val, np.inf)
     return float(out) if isinstance(out, float) else out
 
 
@@ -106,16 +107,28 @@ def penalty(p: PenaltyParams) -> float:
     return _penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k)
 
 
+def _geomspace_rows(start, stop, num):
+    """Row i is np.geomspace(start[i], stop[i], num) bit for bit (stop may be
+    one float), all rows at once in the one-row arithmetic.  Not np.geomspace
+    on arrays: one zero-width row sends its linspace down the `any_step_zero`
+    branch for every row, which rounds differently."""
+    log_start, log_stop = np.log10(start), np.log10(stop)
+    step = (log_stop - log_start) / (num - 1)
+    out = np.power(10.0, np.arange(num) * step[:, None] + log_start[:, None])
+    out[:, 0], out[:, -1] = start, stop
+    return out
+
+
 def _min_penalty(eps, w_prime, k):
     """Minimize the penalty over eps' in (eps, 1], one batch over equal-length
     arrays; (value, argmin), floats for scalar arguments.  The penalty
     diverges as eps' -> eps, so the open end is moved in by 1e-12 and the
-    seed grid is log-spaced towards it."""
+    seed rows, from one :func:`_geomspace_rows` call, crowd towards it."""
     scalar = np.ndim(eps) == 0
     eps, w_prime, k = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps, w_prime, k))
     lo = np.minimum(eps + 1e-12, 1.0)
     res = minimize_batch(lambda x, eps, w_prime, k: _penalty_eval(eps, x, w_prime, k),
-                         lo, 1.0, [np.geomspace(a, 1.0, DEFAULT_GRID_POINTS) for a in lo],
+                         lo, 1.0, _geomspace_rows(lo, 1.0, DEFAULT_GRID_POINTS),
                          eps, w_prime, k)
     return (float(res.value[0]), float(res.arg[0])) if scalar else (res.value, res.arg)
 
@@ -618,9 +631,10 @@ def _private_loss(n2, icns, eta, nb):
 def _max_private(eta, nb, ns):
     """max over n2 in [0, ns] of I_c(ns) - I_c(n2), one batch over the
     arrays; (values, argmax).  The coherent-information dip sits at small
-    absolute photon numbers, so the seeds run log-spaced down to ~1e-12 and 0."""
+    absolute photon numbers: each row seeds at 0 and log-spaced from
+    min(1e-12, ns) to ns, all rows from one :func:`_geomspace_rows` call."""
     icns = _ql_thermal_raw(eta, nb, ns)
-    grids = [np.concatenate(([0.0], np.geomspace(min(1e-12, s), s, 63))) for s in ns]
+    grids = np.hstack((np.zeros((ns.size, 1)), _geomspace_rows(np.minimum(1e-12, ns), ns, 63)))
     res = minimize_batch(_private_loss, 0.0, ns, grids, icns, eta, nb)
     return -res.value, res.arg
 

@@ -92,17 +92,22 @@ def _g_nats(x):
 
     Input must already be clamped to x >= 0; a negative or NaN element gives
     0.  A float gives a float, from the same numpy kernels and the same
-    arithmetic as an array's element, so with its bits.
+    arithmetic as an array's element, so with its bits.  An array with no
+    element below the cutoff skips the masks.
     """
     if isinstance(x, float):
         if x >= _G_SERIES_CUTOFF:
             return (x + 1.0) * float(np.log1p(x)) - x * float(np.log(x))
         return x - x * float(np.log(x)) + 0.5 * x * x if x > 0.0 else 0.0
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
     big = x >= _G_SERIES_CUTOFF
-    xb = x[big]
-    out[big] = (xb + 1.0) * np.log1p(xb) - xb * np.log(xb)
+    whole = big.all()
+    xb = x if whole else x[big]
+    gb = (xb + 1.0) * np.log1p(xb) - xb * np.log(xb)
+    if whole:
+        return gb
+    out = np.zeros_like(x)
+    out[big] = gb
     small = (~big) & (x > 0.0)
     xs = x[small]
     out[small] = xs - xs * np.log(xs) + 0.5 * xs * xs

@@ -6,11 +6,11 @@ where gradient steps misbehave.  A maximization is the minimization of the
 negated objective.  :func:`minimize_batch` runs n problems in lockstep, each
 taking exactly the steps it would take alone; :func:`minimize_scalar` is
 the batch of one.  The objective is elementwise: it gets the points and
-each problem's own arguments, arrays while several problems step together
-and Python floats once one problem steps alone, which numpy would
-otherwise run as 1-element arrays at many times the cost.  Identical
-inputs give bit-identical results, and on a plateau the smallest argument
-wins.
+each problem's own arguments, arrays gathered once per batch while several
+problems step together and Python floats once one problem steps alone,
+which numpy would otherwise run as 1-element arrays at many times the cost.
+Identical inputs give bit-identical results, and on a plateau the smallest
+argument wins.
 """
 
 from __future__ import annotations
@@ -92,9 +92,10 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
 
     `objective(x, *args)` is elementwise in `x` and in `args`, one for each
     of the `row_args` (arrays of n floats, problem i's value at index i).
-    While several problems step together, `x` has shape (len(rows), j),
-    row r holding points of problem rows[r], and each arg is
-    `row_arg[rows, None]`; the objective returns values of the shape of `x`.
+    The seeds' call gets `x` of shape (n, m) and each arg `row_arg[:, None]`.
+    The searching problems' args are gathered once, longest search first;
+    while k of them step together, `x` has shape (k, j) and each arg is the
+    gather's first k rows.  The objective returns values of `x`'s shape.
     Once only problem r is left stepping, its remaining calls get a float
     `x` and the floats `row_arg[r]`, and return a float.  +inf (or nan,
     taken as +inf) is allowed anywhere.
@@ -117,14 +118,13 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
         raise DomainError("minimization requires lo <= hi")
     row_args = [np.broadcast_to(np.asarray(p, dtype=float), lo.shape) for p in row_args]
 
-    def f(x, rows):
-        v = np.asarray(objective(x, *(p[rows, None] for p in row_args)),
-                       dtype=float).reshape(x.shape)
+    def f(x, args):
+        v = np.asarray(objective(x, *args), dtype=float).reshape(x.shape)
         return np.where(np.isnan(v), np.inf, v)
 
     rows = np.arange(lo.size)
     grid, evaluations = _seed_grids(lo, hi, seed_grids)
-    vals = f(grid, rows)
+    vals = f(grid, [p[:, None] for p in row_args])
     i = np.argmin(vals, axis=1)  # first minimum = smallest argument on ties
     value, converged = vals[rows, i], np.isfinite(vals[rows, i])
     arg = np.where(converged, grid[rows, i], grid[:, 0])
@@ -138,6 +138,7 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     g = np.flatnonzero(steps)  # the searching rows, longest first, so that
     g = g[np.argsort(-steps[g], kind="stable")]  # the active ones are a prefix
     steps, a, h, bx, bv = steps[g], a[g], h[g], arg[g], value[g]
+    g_args = [p[g, None] for p in row_args]  # gathered once; step k takes [:k]
 
     def consider(k, x, v):
         better = (v < bv[:k]) | ((v == bv[:k]) & (x < bx[:k]))
@@ -146,7 +147,7 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     t = 0  # the golden steps taken in lockstep
     if g.size > 1:
         c, d = a + _INVPHI2 * h, a + _INVPHI * h
-        fc, fd = f(np.stack([c, d], axis=1), g).T.copy()
+        fc, fd = f(np.stack([c, d], axis=1), g_args).T.copy()
         consider(g.size, c, fc)
         consider(g.size, d, fd)
         t = 1
@@ -155,13 +156,13 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
             h[:k] *= _INVPHI
             a[:k] = np.where(left, a[:k], c[:k])
             x = a[:k] + np.where(left, _INVPHI2, _INVPHI) * h[:k]
-            fx = f(x[:, None], g[:k])[:, 0]
+            fx = f(x[:, None], [p[:k] for p in g_args])[:, 0]
             c[:k], d[:k] = np.where(left, x, d[:k]), np.where(left, c[:k], x)
             fc[:k], fd[:k] = np.where(left, fx, fd[:k]), np.where(left, fc[:k], fx)
             consider(k, x, fx)
             t += 1
     if g.size and steps[0] > t:  # one problem left stepping: on floats
-        args = [float(p[g[0]]) for p in row_args]
+        args = [float(p[0, 0]) for p in g_args]
 
         def f1(x):
             v = float(objective(x, *args))

@@ -99,6 +99,28 @@ def test_all_figure_sweeps(counts):
     assert (len(counts), sum(counts)) == (574, 55529)
 
 
+def test_figure_sweeps_build_seed_rows_once_per_batch(monkeypatch):
+    """Each minimize_batch's seed grids come from one _geomspace_rows call,
+    not one np.geomspace per row; np.geomspace runs once per log-scale
+    sweep, for its swept values."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bnd.np, "geomspace", counting("geomspace", bnd.np.geomspace))
+    for name in ("_geomspace_rows", "minimize_batch"):
+        monkeypatch.setattr(bnd, name, counting(name, getattr(bnd, name)))
+    specs = [cli.load_figure_spec(fig) for fig in cli.FIGURES]
+    for spec in specs:
+        cli.run_sweep(spec)
+    assert calls["geomspace"] == sum(spec.scale == "log" for spec in specs)
+    assert calls["_geomspace_rows"] == calls["minimize_batch"] > 0
+
+
 def test_bound_ordering_check(counts):
     vfy.check_bound_ordering()
     assert (len(counts), sum(counts)) == (800, 78093)
