@@ -11,8 +11,8 @@ import bosonic_bounds as bb
 print("== states and symplectic spectra ==")
 vac = bb.vacuum_state(1)
 th = bb.thermal_state(2.0)
-print("vacuum spectrum:        ", bb.symplectic_eigenvalues(vac).nus)
-print("thermal(N=2) spectrum:  ", bb.symplectic_eigenvalues(th).nus, "(= 2N+1)")
+print("vacuum spectrum:        ", bb.symplectic_eigenvalues(vac))
+print("thermal(N=2) spectrum:  ", bb.symplectic_eigenvalues(th), "(= 2N+1)")
 print("thermal(N=2) entropy:   ", bb.gaussian_entropy(th), "bits = g(2) =", bb.g_entropy(2.0))
 
 print("\n== two-mode squeezed vacuum ==")

@@ -47,9 +47,7 @@ from .channels import (
     thermal,
 )
 from .gaussian_core import (
-    EntropySpectrum,
     GaussianState,
-    SymplecticMatrix,
     apply_gaussian_channel,
     beamsplitter_symplectic,
     binary_entropy,
@@ -64,6 +62,6 @@ from .gaussian_core import (
     two_mode_squeezer_symplectic,
     vacuum_state,
 )
-from .optimize import BatchOptResult, ScalarOptResult, minimize_batch, minimize_scalar
+from .optimize import BatchOptResult, minimize_batch
 
 __version__ = "0.1.0"

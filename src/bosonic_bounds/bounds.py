@@ -17,8 +17,9 @@ call.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
-arguments in rationalized form, so the large-energy regime is free of
-catastrophic cancellation.
+arguments in rationalized form.  At large energy two cancellations remain:
+the g kernel's (x+1) ln(x+1) - x ln x loses about log10(x) digits, and
+U_D's smaller symplectic eigenvalue is a difference of two large terms.
 """
 
 from __future__ import annotations
@@ -159,12 +160,6 @@ class BoundResult:
             "arg_opt": self.argopt,
             "params": dict(self.params),
         }
-
-
-def _check_ns(ns):
-    _require(ns != np.inf, "input mean photon number must be finite; the infinite-energy "
-             "limits are q_u1_unconstrained and q_u4_unconstrained")
-    _require(ns >= 0.0, "input mean photon number must be >= 0", ns)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +408,6 @@ def _plob_additive(nbar, ns):
     return (nbar - 1.0) / LN2 + np.log2(1.0 / nbar)
 
 
-def _eps_close_degradable(x, nb):
-    """channels.epsilon_close_degradable elementwise: nb/(nb+1)."""
-    return nb / (nb + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # The evaluator and the channel-taking bounds
 # ---------------------------------------------------------------------------
@@ -451,6 +441,14 @@ def _per_cell(values):
 
 def _error(check, params, ns):
     return check.error(check.message.format(**params, ns=ns))
+
+
+def _raise_first_failure(checks, params, ns):
+    """Raise the error of the first of `checks` that the one cell of channel
+    `params` and input energy `ns` fails; return if it passes them all."""
+    j = _first_failure(checks, {**params, "ns": ns}, 1)[0]
+    if j < len(checks):
+        raise _error(checks[j], params, ns)
 
 
 def _column(kind, channels, ns_values, eps_prime):
@@ -568,9 +566,7 @@ def _unconstrained(kind, ch):
     form = REGISTRY[kind].forms.get(ch.kind)
     if form is None:
         raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
-    j = _first_failure(form.checks, ch.params, 1)[0]
-    if j < len(form.checks):
-        raise _error(form.checks[j], ch.params, np.inf)
+    _raise_first_failure(form.checks, ch.params, np.inf)
     return float(form.limit(*ch.params.values()))
 
 
@@ -688,7 +684,7 @@ def gap_qu1_ql(eta: float, nb: float, ns: float) -> float:
     if eta < 0.5:
         raise InfeasibleBoundError("eta < 1/2: the gap law needs eta in [1/2, 1]")
     _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    _check_ns(ns)
+    _raise_first_failure(_NS_CHECKS, {}, ns)
     return float(_qu1_thermal_raw(eta, nb, ns) - _ql_thermal_raw(eta, nb, ns))
 
 
@@ -702,7 +698,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     """
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
-    _check_ns(ns)
+    _raise_first_failure(_NS_CHECKS, {}, ns)
     probe = gc.tms_state(ns)
     out_a = a.apply(probe, modes=(1,))
     out_b = b.apply(probe, modes=(1,))
@@ -755,13 +751,13 @@ REGISTRY = {
                     True, lower=True),
     "QU1": BoundKind(_QU1, True),
     "QU2": BoundKind(_DEG, False, chn._eps_degradable, 1),
-    "QU3": BoundKind(_CLOSE, False, _eps_close_degradable, 2),
+    "QU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 2),
     "QU4": BoundKind({"thermal": _Form(_qu4_thermal_raw, (_AMP_THEN_LOSS,), _rmg_thermal),
                       "additive": _Form(_qu4_additive_raw, (_NBAR_WINDOW,),
                                         lambda nbar: np.log2((1.0 - nbar) / nbar))}, True),
     "PU1": BoundKind(_QU1, True),
     "PU2": BoundKind(_DEG, False, chn._eps_degradable, 3),
-    "PU3": BoundKind(_CLOSE, False, _eps_close_degradable, 4),
+    "PU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 4),
     "PL": BoundKind({"thermal": _Form(_pl_thermal, _NS_CHECKS)}, False, lower=True),
     "PLOB": BoundKind({"thermal": _Form(_plob_thermal, ()), "amplifier": _Form(_plob_amp, ()),
                        "additive": _Form(_plob_additive, (_NBAR_WINDOW,))}, False),

@@ -233,6 +233,12 @@ def _eps_degradable(x, nb):
     return np.sqrt(np.maximum(1.0 - x * x / _kappa(x, nb), 0.0))
 
 
+def _eps_close_degradable(x, nb):
+    """:func:`epsilon_close_degradable`'s upper value nb/(nb+1) over arrays;
+    x (eta or g) is unused, as the bound registry passes both."""
+    return nb / (nb + 1.0)
+
+
 def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
     """Diamond-distance bound between the complementary channel and the
     degrading construction: eps = sqrt(1 - x^2 / kappa(x, nb))."""
@@ -246,15 +252,14 @@ def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
             raise DomainError("epsilon_degradable requires amplifier gain > 1")
     else:
         raise ChannelKindError("epsilon_degradable applies to thermal or amplifier channels")
-    eps = np.sqrt(max(1.0 - x * x / kappa(x, nb), 0.0))
-    return EpsilonReport(float(eps), None, "eps_degradable")
+    return EpsilonReport(float(_eps_degradable(x, nb)), None, "eps_degradable")
 
 
 def epsilon_close_degradable(nb: float) -> EpsilonReport:
     """Diamond distance from a thermal (or amplifier) channel to its
     quantum-limited counterpart: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
     _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    upper = nb / (nb + 1.0)
+    upper = _eps_close_degradable(None, nb)
     lower = 1.0 - 1.0 / np.sqrt(nb + 1.0)
     return EpsilonReport(float(upper), float(lower), "eps_close_degradable")
 

@@ -204,38 +204,6 @@ class GaussianState:
         object.__setattr__(self, "cov", _as_readonly(cov))
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A real 2m x 2m matrix S with S Omega S^T = Omega."""
-
-    m: int
-    S: np.ndarray
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        n = 2 * self.m
-        if S.shape != (n, n):
-            raise DomainError(f"S must have shape ({n},{n}), got {S.shape}")
-        object.__setattr__(self, "S", _as_readonly(_checked_symplectic(S)))
-
-
-@dataclass(frozen=True)
-class EntropySpectrum:
-    """Sorted symplectic eigenvalues of a state, none below `floor` (by
-    default 1 - 1e-9; see :func:`_nu_floor`)."""
-
-    nus: tuple
-    floor: float = 1.0 - NU_FLOOR
-
-    def __post_init__(self):
-        nus = tuple(float(v) for v in self.nus)
-        if any(v < self.floor for v in nus):
-            raise InvalidStateError(f"symplectic eigenvalue below {self.floor:.12g}")
-        if list(nus) != sorted(nus):
-            raise InvalidStateError("spectrum must be sorted ascending")
-        object.__setattr__(self, "nus", nus)
-
-
 # ---------------------------------------------------------------------------
 # State constructors
 # ---------------------------------------------------------------------------
@@ -302,9 +270,10 @@ def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
     return mods[..., ::2]
 
 
-def symplectic_eigenvalues(state: GaussianState) -> EntropySpectrum:
-    """Symplectic spectrum of a state, from diagonalizing i V Omega."""
-    return EntropySpectrum(tuple(_symplectic_eigs(state.cov)), _nu_floor(state.cov))
+def symplectic_eigenvalues(state: GaussianState) -> tuple:
+    """Ascending symplectic spectrum of a state, from diagonalizing i V Omega;
+    the state's construction has checked it against :func:`_nu_floor`."""
+    return tuple(float(v) for v in _symplectic_eigs(state.cov))
 
 
 def _entropy_from_cov(cov: np.ndarray, modes=None):
@@ -497,7 +466,7 @@ def _squeezers(G) -> np.ndarray:
                                            _mat2(s, r, r, s), _mat2(s, -r, -r, s)))
 
 
-def beamsplitter_symplectic(kind: str, transmissivity: float) -> SymplecticMatrix:
+def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
     """4x4 symplectic matrix of a two-mode beamsplitter.
 
     kind "B" uses the (+,-) sign convention
@@ -509,14 +478,14 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> SymplecticMatri
     The phase difference between the two is essential for the degrading
     channel construction.
     """
-    return SymplecticMatrix(2, _beamsplitters(kind, float(transmissivity)))
+    return _beamsplitters(kind, float(transmissivity))
 
 
-def two_mode_squeezer_symplectic(gain: float) -> SymplecticMatrix:
+def two_mode_squeezer_symplectic(gain: float) -> np.ndarray:
     """4x4 symplectic matrix of a two-mode squeezer with gain G >= 1.
 
     Implements b = sqrt(G) a + sqrt(G-1) e^dag on mode pairs: the q-block is
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] and the p-block carries the
     opposite off-diagonal sign.
     """
-    return SymplecticMatrix(2, _squeezers(float(gain)))
+    return _squeezers(float(gain))

@@ -4,11 +4,11 @@ Derivative-free on purpose: the objectives this package minimizes contain
 g(W/delta) terms whose derivative is unbounded near the interval edge,
 where gradient steps misbehave.  A maximization is the minimization of the
 negated objective.  :func:`minimize_batch` runs n problems in lockstep, each
-taking exactly the steps it would take alone; :func:`minimize_scalar` is
-the batch of one.  The objective is elementwise: it gets the points and
-each problem's own arguments, arrays gathered once per batch while several
-problems step together and Python floats once one problem steps alone,
-which numpy would otherwise run as 1-element arrays at many times the cost.
+taking exactly the steps it would take alone.  The objective is
+elementwise: it gets the points and each problem's own arguments, arrays
+gathered once per batch while several problems step together and Python
+floats once one problem steps alone, which numpy would otherwise run as
+1-element arrays at many times the cost.
 Identical inputs give bit-identical results, and on a plateau the smallest
 argument wins.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +26,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _TOL = 1e-9
 DEFAULT_GRID_POINTS = 64
-
-
-@dataclass(frozen=True)
-class ScalarOptResult:
-    arg: float
-    value: float
-    evaluations: int
-    converged: bool
 
 
 # per-problem results of minimize_batch, each an array of length n
@@ -173,13 +164,3 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
                                      float(bx[0]), float(bv[0]), bracket)
     arg[g], value[g] = bx, bv
     return BatchOptResult(arg, value, evaluations, converged)
-
-
-def minimize_scalar(objective, lo: float, hi: float, *, seed_grid=None) -> ScalarOptResult:
-    """:func:`minimize_batch` of one problem, with `objective` mapping a
-    float to a float, seeded on `seed_grid` or DEFAULT_GRID_POINTS even points."""
-    if seed_grid is None:
-        seed_grid = np.linspace(float(lo), float(hi), DEFAULT_GRID_POINTS)
-    res = minimize_batch(np.frompyfunc(objective, 1, 1), float(lo), float(hi), [seed_grid])
-    return ScalarOptResult(float(res.arg[0]), float(res.value[0]),
-                           int(res.evaluations[0]), bool(res.converged[0]))

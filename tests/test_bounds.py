@@ -360,6 +360,23 @@ class TestGapLaw:
         assert gap == pytest.approx(1.0, abs=1e-3)
 
 
+class TestLargeEnergyDefects:
+    """Known precision defects at large energy, where the g kernel's
+    (x+1) ln(x+1) - x ln x cancels.  The marks are strict: a fix makes
+    these pass, which fails until the fix removes the marks."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="QU2 loses its digits to the g kernel's cancellation")
+    def test_qu2_does_not_fall_with_energy(self):
+        ch = chn.thermal(0.6, 2.0)
+        assert bnd.q_u2(ch, 1e6).value >= bnd.q_u2(ch, 1e4).value
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the gap loses its digits to the g kernel's cancellation")
+    def test_gap_stays_below_its_supremum(self):
+        assert bnd.gap_qu1_ql(0.8, 1e5, 1e10) <= 1.0 / LN2
+
+
 class TestChannelDivergence:
     def test_identical_channels(self):
         ch = chn.thermal(0.8, 0.3)

@@ -104,30 +104,34 @@ class TestGNatsFloatCase:
 
 class TestStates:
     def test_vacuum_spectrum(self):
-        assert gc.symplectic_eigenvalues(gc.vacuum_state(1)).nus == pytest.approx([1.0])
+        assert gc.symplectic_eigenvalues(gc.vacuum_state(1)) == pytest.approx([1.0])
 
     def test_thermal_spectrum(self):
         st_ = gc.thermal_state(2.0)
-        assert gc.symplectic_eigenvalues(st_).nus == pytest.approx([5.0])
+        assert gc.symplectic_eigenvalues(st_) == pytest.approx([5.0])
 
     def test_tms_pure_spectrum(self):
-        nus = gc.symplectic_eigenvalues(gc.tms_state(1.0)).nus
+        nus = gc.symplectic_eigenvalues(gc.tms_state(1.0))
         assert nus == pytest.approx([1.0, 1.0], abs=1e-10)
 
     @pytest.mark.parametrize("n", [1e4, 1e5, 1e6])
     def test_large_tms_spectrum_uses_the_state_floor(self, n):
-        # a state GaussianState accepts must also give a spectrum: both
-        # apply the floor relative to the largest covariance entry
+        # GaussianState accepts the state: it applies the floor relative to
+        # the largest covariance entry, and its spectrum sits above it
         state = gc.tms_state(n)
-        spec = gc.symplectic_eigenvalues(state)
-        assert spec.floor == 1.0 - gc.NU_FLOOR * float(np.max(np.abs(state.cov)))
-        assert min(spec.nus) >= spec.floor
-        assert spec.nus == pytest.approx([1.0, 1.0], abs=1e-9 * (2 * n + 1))
+        nus = gc.symplectic_eigenvalues(state)
+        floor = gc._nu_floor(state.cov)
+        assert floor == 1.0 - gc.NU_FLOOR * float(np.max(np.abs(state.cov)))
+        assert min(nus) >= floor
+        assert nus == pytest.approx([1.0, 1.0], abs=1e-9 * (2 * n + 1))
 
     def test_spectrum_default_floor_is_absolute(self):
-        assert gc.EntropySpectrum((1.0 - 0.5e-9, 2.0)).floor == 1.0 - gc.NU_FLOOR
+        # below unit scale the floor is 1 - 1e-9, not relative to the entries
+        state = gc.GaussianState(1, np.zeros(2), (1.0 - 0.5e-9) * np.eye(2))
+        assert gc._nu_floor(state.cov) == 1.0 - gc.NU_FLOOR
+        assert min(gc.symplectic_eigenvalues(state)) >= 1.0 - gc.NU_FLOOR
         with pytest.raises(InvalidStateError):
-            gc.EntropySpectrum((1.0 - 2e-9,))
+            gc.GaussianState(1, np.zeros(2), (1.0 - 2e-9) * np.eye(2))
 
     def test_entropies(self):
         assert gc.gaussian_entropy(gc.vacuum_state(1)) == 0.0
@@ -257,18 +261,18 @@ class TestChannelAction:
 
 class TestSymplecticBuilders:
     def test_beamsplitter_identity(self):
-        assert np.allclose(gc.beamsplitter_symplectic("B", 1.0).S, np.eye(4))
+        assert np.allclose(gc.beamsplitter_symplectic("B", 1.0), np.eye(4))
 
     @pytest.mark.parametrize("kind,t", [("B", 0.5), ("B", 0.25), ("Bprime", 1 / 3),
                                         ("Bprime", 0.8)])
     def test_beamsplitter_symplectic_condition(self, kind, t):
-        S = gc.beamsplitter_symplectic(kind, t).S
+        S = gc.beamsplitter_symplectic(kind, t)
         O = gc.omega(2)
         assert np.max(np.abs(S @ O @ S.T - O)) < 1e-12
 
     def test_bprime_entry_pattern(self):
         # transmissivity (1-eta)/eta at eta = 0.75
-        S = gc.beamsplitter_symplectic("Bprime", 1.0 / 3.0).S
+        S = gc.beamsplitter_symplectic("Bprime", 1.0 / 3.0)
         assert S[0, 0] == pytest.approx(np.sqrt(1.0 / 3.0))
         assert S[0, 1] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert S[1, 0] == pytest.approx(-np.sqrt(2.0 / 3.0))
@@ -280,17 +284,17 @@ class TestSymplecticBuilders:
             gc.beamsplitter_symplectic("X", 0.5)
 
     def test_squeezer_identity_and_domain(self):
-        assert np.allclose(gc.two_mode_squeezer_symplectic(1.0).S, np.eye(4))
+        assert np.allclose(gc.two_mode_squeezer_symplectic(1.0), np.eye(4))
         with pytest.raises(DomainError):
             gc.two_mode_squeezer_symplectic(0.9)
 
     def test_squeezer_symplectic_condition(self):
-        S = gc.two_mode_squeezer_symplectic(2.0).S
+        S = gc.two_mode_squeezer_symplectic(2.0)
         O = gc.omega(2)
         assert np.max(np.abs(S @ O @ S.T - O)) < 1e-12
 
     def test_squeezer_on_vacuum_gives_tms(self):
-        S = gc.two_mode_squeezer_symplectic(2.0).S
+        S = gc.two_mode_squeezer_symplectic(2.0)
         out = S @ np.eye(4) @ S.T
         for mode in (0, 1):
             red = gc.reduce_state(gc.GaussianState(2, np.zeros(4), out), (mode,))
@@ -307,7 +311,7 @@ class TestSymplecticBuilders:
     def test_stack_matches_one_matrix(self, build, one, params):
         stack = build(np.array(params))
         assert stack.shape == (len(params), 4, 4)
-        assert np.array_equal(stack, np.stack([one(x).S for x in params]))
+        assert np.array_equal(stack, np.stack([one(x) for x in params]))
 
     @pytest.mark.parametrize("build,params", [
         (lambda x: gc._beamsplitters("B", x), [0.5, 1.2, 0.3]),

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bosonic_bounds.errors import DomainError
-from bosonic_bounds.optimize import minimize_batch, minimize_scalar
+from bosonic_bounds.optimize import minimize_batch
 
 
 def test_quadratic():
-    res = minimize_scalar(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
-    assert res.converged
-    assert res.arg == pytest.approx(0.3, abs=1e-9)
-    assert res.value == pytest.approx(0.0, abs=1e-15)
+    res = _batch([lambda x: (x - 0.3) ** 2], [0.0], [1.0], [np.linspace(0.0, 1.0, 64)])
+    assert res.converged[0]
+    assert res.arg[0] == pytest.approx(0.3, abs=1e-9)
+    assert res.value[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_open_endpoint_with_infinity():
@@ -19,33 +19,33 @@ def test_open_endpoint_with_infinity():
         return math.inf if x <= 0.2 else (x - 0.2)
 
     lo = 0.2 + 1e-12
-    res = minimize_scalar(f, lo, 1.0, seed_grid=np.geomspace(lo, 1.0, 64))
-    assert res.arg > 0.2
-    assert math.isfinite(res.value)
+    res = _batch([f], [lo], [1.0], [np.geomspace(lo, 1.0, 64)])
+    assert res.arg[0] > 0.2
+    assert math.isfinite(res.value[0])
 
 
 def test_constant_plateau_tie_break_smallest():
-    res = minimize_scalar(lambda x: 1.0, 0.0, 1.0)
-    assert res.converged
-    assert res.arg == 0.0  # documented plateau tie-break: smallest argument
-    assert res.value == 1.0
+    res = _batch([lambda x: 1.0], [0.0], [1.0], [np.linspace(0.0, 1.0, 64)])
+    assert res.converged[0]
+    assert res.arg[0] == 0.0  # documented plateau tie-break: smallest argument
+    assert res.value[0] == 1.0
 
 
 def test_all_infinite_not_converged():
-    res = minimize_scalar(lambda x: math.inf, 0.0, 1.0)
-    assert not res.converged
-    assert res.value == math.inf
+    res = _batch([lambda x: math.inf], [0.0], [1.0], [np.linspace(0.0, 1.0, 64)])
+    assert not res.converged[0]
+    assert res.value[0] == math.inf
 
 
 def test_degenerate_interval():
-    res = minimize_scalar(lambda x: x * x, 0.5, 0.5)
-    assert res.arg == 0.5
-    assert res.converged
+    res = _batch([lambda x: x * x], [0.5], [0.5], [np.linspace(0.5, 0.5, 64)])
+    assert res.arg[0] == 0.5
+    assert res.converged[0]
 
 
 def test_lo_greater_than_hi():
     with pytest.raises(DomainError):
-        minimize_scalar(lambda x: x, 1.0, 0.0)
+        _batch([lambda x: x], [1.0], [0.0], [np.linspace(1.0, 0.0, 64)])
 
 
 @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
@@ -53,7 +53,7 @@ def test_lo_greater_than_hi():
 def test_non_finite_bounds(lo, hi):
     calls = []
     with pytest.raises(DomainError, match="finite lo and hi"):
-        minimize_scalar(lambda x: calls.append(x) or x, lo, hi, seed_grid=np.linspace(0.0, 1.0, 8))
+        _batch([lambda x: calls.append(x) or x], [lo], [hi], [np.linspace(0.0, 1.0, 8)])
     assert calls == []
 
 
@@ -70,31 +70,33 @@ def test_non_finite_bound_in_a_batch():
 def test_one_objective_call_per_evaluation(lo, hi, grid):
     # the seeds of a clipped or collapsed grid are evaluated once each
     calls = []
-    res = minimize_scalar(lambda x: calls.append(x) or (x - 0.3) ** 2, lo, hi, seed_grid=grid)
-    assert len(calls) == res.evaluations
+    grid = np.linspace(lo, hi, 64) if grid is None else grid
+    res = _batch([lambda x: calls.append(x) or (x - 0.3) ** 2], [lo], [hi], [grid])
+    assert len(calls) == res.evaluations[0]
     assert len(set(calls)) == len(calls)
     if lo == hi:
         assert calls == [0.5]
 
 
 def test_nan_counts_as_worst():
-    res = minimize_scalar(lambda x: math.nan if x > 0.5 else (x - 0.2) ** 2, 0.0, 1.0)
-    assert res.converged
-    assert res.arg == pytest.approx(0.2, abs=1e-9)
-    assert res.value == pytest.approx(0.0, abs=1e-15)
+    res = _batch([lambda x: math.nan if x > 0.5 else (x - 0.2) ** 2], [0.0], [1.0],
+                 [np.linspace(0.0, 1.0, 64)])
+    assert res.converged[0]
+    assert res.arg[0] == pytest.approx(0.2, abs=1e-9)
+    assert res.value[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_determinism():
     f = lambda x: math.sin(7.0 * x) + 0.3 * x
-    a = minimize_scalar(f, 0.0, 3.0)
-    b = minimize_scalar(f, 0.0, 3.0)
-    assert (a.arg, a.value, a.evaluations) == (b.arg, b.value, b.evaluations)
+    a = _batch([f], [0.0], [3.0], [np.linspace(0.0, 3.0, 64)])
+    b = _batch([f], [0.0], [3.0], [np.linspace(0.0, 3.0, 64)])
+    assert (a.arg[0], a.value[0], a.evaluations[0]) == (b.arg[0], b.value[0], b.evaluations[0])
 
 
 def test_value_matches_reevaluation():
     f = lambda x: (x - 0.41) ** 4 + 1.0
-    res = minimize_scalar(f, 0.0, 1.0)
-    assert res.value == pytest.approx(f(res.arg), abs=1e-12)
+    res = _batch([f], [0.0], [1.0], [np.linspace(0.0, 1.0, 64)])
+    assert res.value[0] == pytest.approx(f(res.arg[0]), abs=1e-12)
 
 
 def test_seed_grid_catches_narrow_feature():
@@ -102,11 +104,10 @@ def test_seed_grid_catches_narrow_feature():
     def f(x):
         return -0.001 * math.exp(-((math.log10(x + 1e-300) + 3.0) ** 2)) if x > 0 else 0.0
 
-    coarse = minimize_scalar(f, 0.0, 10.0)
-    seeded = minimize_scalar(f, 0.0, 10.0,
-                             seed_grid=np.concatenate(([0.0], np.geomspace(1e-12, 10.0, 63))))
-    assert seeded.value <= coarse.value
-    assert seeded.arg == pytest.approx(1e-3, rel=1e-3)
+    coarse = _batch([f], [0.0], [10.0], [np.linspace(0.0, 10.0, 64)])
+    seeded = _batch([f], [0.0], [10.0], [np.concatenate(([0.0], np.geomspace(1e-12, 10.0, 63)))])
+    assert seeded.value[0] <= coarse.value[0]
+    assert seeded.arg[0] == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_against_dense_grid_on_penalty_objective():
@@ -254,11 +255,3 @@ def test_batch_edge_rows():
     assert (res.evaluations[1], res.arg[1], res.converged[1]) == (1, 0.25, True)
     assert not res.converged[2] and res.value[2] == math.inf and res.arg[2] == 0.0
     assert res.arg[3] == pytest.approx(0.1, abs=1e-8) and res.value[3] < 1e-15
-
-
-def test_scalar_is_the_batch_of_one():
-    fs, lo, hi, grids = _random_batch(7)
-    for i, f in enumerate(fs):
-        a = minimize_scalar(f, lo[i], hi[i], seed_grid=grids[i])
-        assert (a.arg, a.value, a.evaluations, a.converged) == \
-            reference_minimize(f, float(lo[i]), float(hi[i]), grids[i])
