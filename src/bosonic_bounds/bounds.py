@@ -171,20 +171,6 @@ def _sq(x):
     return x * x
 
 
-def _gn_each(*xs):
-    """_gn of each argument, in one kernel call: a form's few g terms then
-    pay numpy's per-call cost once.  Scalar arguments (one cell) go one by
-    one through _gn's float case, which costs less than that one call."""
-    if all(isinstance(x, float) for x in xs):
-        return [_gn(x) for x in xs]
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    flat, at, out = _gn(np.concatenate([x.ravel() for x in xs])), 0, []
-    for x in xs:
-        out.append(flat[at:at + x.size].reshape(x.shape))
-        at += x.size
-    return out
-
-
 def _ql_thermal_raw(eta, nb, ns):
     y = (1.0 - eta) * nb
     d2 = _sq((1.0 - eta) * ns) + 2.0 * ns * ((1.0 + eta) * y + (1.0 - eta)) + _sq(y + 1.0)
@@ -198,8 +184,7 @@ def _ql_thermal_raw(eta, nb, ns):
     arg_m = _where(w > 0.0,
                    2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
                    (dd - w) / 2.0)
-    g_out, g_p, g_m = _gn_each(eta * ns + y, arg_p, arg_m)
-    return (g_out - g_p - g_m) / LN2
+    return (_gn(eta * ns + y) - _gn(arg_p) - _gn(arg_m)) / LN2
 
 
 def _ql_amp_raw(g, nb, ns):
@@ -208,37 +193,31 @@ def _ql_amp_raw(g, nb, ns):
     dd = np.sqrt(d2)
     arg_p = (dd + (g - 1.0) * (ns + nb + 1.0) - 1.0) / 2.0  # >= 0 since D >= z+1
     arg_m = 2.0 * ns * (g - 1.0) * nb / (dd + (g - 1.0) * ns + z + 1.0)
-    g_out, g_p, g_m = _gn_each(g * ns + z, arg_p, arg_m)
-    return (g_out - g_p - g_m) / LN2
+    return (_gn(g * ns + z) - _gn(arg_p) - _gn(arg_m)) / LN2
 
 
 def _qu1_thermal_raw(eta, nb, ns):
     etp = eta / ((1.0 - eta) * nb + 1.0)
-    g_b, g_e = _gn_each(etp * ns, (1.0 - etp) * ns)
-    return (g_b - g_e) / LN2
+    return (_gn(etp * ns) - _gn((1.0 - etp) * ns)) / LN2
 
 
 def _qu1_amp_raw(g, nb, ns):
     gp = g / (1.0 - nb * (g - 1.0))
-    g_b, g_e = _gn_each(gp * ns + gp - 1.0, (gp - 1.0) * (ns + 1.0))
-    return (g_b - g_e) / LN2
+    return (_gn(gp * ns + gp - 1.0) - _gn((gp - 1.0) * (ns + 1.0))) / LN2
 
 
 def _qu1_additive_raw(nbar, ns):
-    g_b, g_e = _gn_each(ns / (nbar + 1.0), nbar * ns / (nbar + 1.0))
-    return (g_b - g_e) / LN2
+    return (_gn(ns / (nbar + 1.0)) - _gn(nbar * ns / (nbar + 1.0))) / LN2
 
 
 def _qu4_thermal_raw(eta, nb, ns):
     etp = eta - (1.0 - eta) * nb
     out = eta * ns + (1.0 - eta) * nb
-    g_b, g_e = _gn_each(out, (1.0 / etp - 1.0) * out)
-    return (g_b - g_e) / LN2
+    return (_gn(out) - _gn((1.0 / etp - 1.0) * out)) / LN2
 
 
 def _qu4_additive_raw(nbar, ns):
-    g_b, g_e = _gn_each(ns + nbar, nbar * (ns + nbar) / (1.0 - nbar))
-    return (g_b - g_e) / LN2
+    return (_gn(ns + nbar) - _gn(nbar * (ns + nbar) / (1.0 - nbar))) / LN2
 
 
 def _ud_thermal_raw(eta, nb, ns):
@@ -249,8 +228,7 @@ def _ud_thermal_raw(eta, nb, ns):
     common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(1.0 + 2.0 * th)
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    g_out, g_p, g_m = _gn_each(eta * ns + (1.0 - eta) * nb, zp, zm)
-    return (g_out - g_p - g_m) / LN2
+    return (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
 
 
 def _ud_amp_raw(g, nb, ns):
@@ -266,8 +244,7 @@ def _ud_amp_raw(g, nb, ns):
     common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(2.0 * th - 1.0)
     zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
     zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    g_out, g_p, g_m = _gn_each(g * ns + (g - 1.0) * (nb + 1.0), zp, zm)
-    return (g_out - g_p - g_m) / LN2
+    return (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
 
 
 # ---------------------------------------------------------------------------

@@ -104,23 +104,24 @@ def raw_channel(tau: float, nu: float) -> PhaseInsensitiveChannel:
     return PhaseInsensitiveChannel(tau, nu, "raw", {})
 
 
+# The parameters each channel kind takes, in its constructor's order; nb
+# defaults to 0.
+_PARAMS = {"thermal": ("eta", "nb"), "amplifier": ("g", "nb"), "additive": ("nbar",),
+           "raw": ("tau", "nu")}
+
+
 def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
     """Dispatching constructor: kind in {thermal, amplifier, additive, raw};
     nb defaults to 0 and other parameters are ignored."""
-    builders = {
-        "thermal": lambda: thermal(params["eta"], params.get("nb", 0.0)),
-        "amplifier": lambda: amplifier(params["g"], params.get("nb", 0.0)),
-        "additive": lambda: additive_noise(params["nbar"]),
-        "raw": lambda: raw_channel(params["tau"], params["nu"]),
-    }
-    try:
-        builder = builders[kind]
-    except KeyError:
-        raise ChannelKindError(f"unknown channel kind {kind!r}") from None
-    try:
-        return builder()
-    except KeyError as exc:
-        raise DomainError(f"{kind} channel requires {exc.args[0]}") from None
+    if kind not in _PARAMS:
+        raise ChannelKindError(f"unknown channel kind {kind!r}")
+    params = {"nb": 0.0, **params}
+    missing = [name for name in _PARAMS[kind] if name not in params]
+    if missing:
+        raise DomainError(f"{kind} channel requires {missing[0]}")
+    build = {"thermal": thermal, "amplifier": amplifier, "additive": additive_noise,
+             "raw": raw_channel}[kind]
+    return build(*(params[name] for name in _PARAMS[kind]))
 
 
 def is_entanglement_breaking(ch: PhaseInsensitiveChannel) -> bool:
@@ -150,15 +151,12 @@ class Decomposition:
         return compose_channels(self.first, self.second)
 
 
-def _require_kind(ch, kind, op):
-    if ch.kind != kind:
-        raise ChannelKindError(f"{op} requires a {kind} channel, got {ch.kind!r}")
-
-
 def decompose_loss_then_amp(ch: PhaseInsensitiveChannel) -> Decomposition:
     """Factor a thermal channel as pure loss followed by a quantum-limited
     amplifier: gain G = (1-eta) nb + 1 and loss eta' = eta / G."""
-    _require_kind(ch, "thermal", "decompose_loss_then_amp")
+    if ch.kind != "thermal":
+        raise ChannelKindError(f"decompose_loss_then_amp requires a thermal channel, "
+                               f"got {ch.kind!r}")
     eta, nb = ch.params["eta"], ch.params["nb"]
     g = (1.0 - eta) * nb + 1.0
     dec = Decomposition(pure_loss(eta / g), amplifier(g, 0.0), "loss_then_amp")

@@ -83,9 +83,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.channel not in ("thermal", "amplifier", "additive"):
             raise ValueError(f"unknown channel {self.channel!r}")
-        if self.sweep not in SWEEP_VARS:
-            raise ValueError(f"sweep variable must be one of {SWEEP_VARS}")
-        need = {"thermal": "eta", "amplifier": "g", "additive": "nbar"}[self.channel]
+        takes = ("ns", *chn._PARAMS[self.channel])
+        stray = [key for key in (*self.fixed, self.sweep) if key not in takes]
+        if stray:
+            raise ValueError(f"{self.channel} sweeps take {', '.join(takes)}, not {stray[0]}")
+        need = takes[1]  # the kind's first parameter: only nb has a default
         if need not in self.fixed and need != self.sweep:
             raise ValueError(f"{self.channel} sweeps need {need}")
         if self.points < 2:
@@ -109,9 +111,19 @@ class SweepSpec:
 SPEC_KEYS = ("channel", "sweep", "start", "stop", "points", "scale", "bounds", *SWEEP_VARS)
 
 
-def _finite(kv, key):
-    value = float(kv.pop(key))
-    if not math.isfinite(value):
+def _value(kv, key, convert=str, default=None):
+    """The value of `key` in kv through `convert`, or `default` when the key
+    is absent; a missing, unreadable or non-finite value is an error that
+    names the key."""
+    if key not in kv:
+        if default is None:
+            raise ValueError(f"missing spec key {key!r}")
+        return default
+    try:
+        value = convert(kv[key])
+    except ValueError:
+        raise ValueError(f"{key} = {kv[key]!r} is not a valid {convert.__name__}") from None
+    if convert is float and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value}")
     return value
 
@@ -131,14 +143,14 @@ def parse_spec(text: str) -> SweepSpec:
     if unknown:
         raise ValueError(f"unknown spec keys {unknown}; the keys are {', '.join(SPEC_KEYS)}")
     return SweepSpec(
-        channel=kv.pop("channel"),
-        fixed={key: _finite(kv, key) for key in SWEEP_VARS if key in kv},
-        sweep=kv.pop("sweep"),
-        start=_finite(kv, "start"),
-        stop=_finite(kv, "stop"),
-        points=int(kv.pop("points")),
-        scale=kv.pop("scale", "linear"),
-        bounds=tuple(b.strip() for b in kv.pop("bounds").split(",")),
+        channel=_value(kv, "channel"),
+        fixed={key: _value(kv, key, float) for key in SWEEP_VARS if key in kv},
+        sweep=_value(kv, "sweep"),
+        start=_value(kv, "start", float),
+        stop=_value(kv, "stop", float),
+        points=_value(kv, "points", int),
+        scale=_value(kv, "scale", default="linear"),
+        bounds=tuple(b.strip() for b in _value(kv, "bounds").split(",")),
     )
 
 
@@ -200,7 +212,7 @@ def cmd_sweep(args) -> int:
                 spec = parse_spec(fh.read())
         rows = run_sweep(spec)
         csv_text = format_csv(spec, rows)
-    except (OSError, ValueError, KeyError, BosonicBoundsError) as exc:
+    except (OSError, ValueError, BosonicBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -247,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the invariant suites")
-    pv.add_argument("--suite", default="all", choices=("core", "bounds", "all"))
+    pv.add_argument("--suite", default="all", choices=tuple(vfy.SUITES))
     pv.set_defaults(func=cmd_verify)
     return p
 

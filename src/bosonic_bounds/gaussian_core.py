@@ -6,9 +6,7 @@ Conventions
   identity; a single-mode thermal state with mean photon number N has
   covariance (2N+1) I_2.
 * Quadratures are block ordered, x = (q_1..q_m, p_1..p_m), with
-  symplectic form Omega = [[0, I_m], [-I_m, 0]].  A permutation adapter to
-  the interleaved ordering (q_1, p_1, q_2, p_2, ...) used by much CV
-  software is provided by :func:`interleave_permutation`.
+  symplectic form Omega = [[0, I_m], [-I_m, 0]].
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.
@@ -50,20 +48,6 @@ def omega(m: int) -> np.ndarray:
     O[:m, m:] = np.eye(m)
     O[m:, :m] = -np.eye(m)
     return O
-
-
-def interleave_permutation(m: int) -> np.ndarray:
-    """Permutation matrix P mapping block ordering to interleaved ordering.
-
-    If x_block = (q_1..q_m, p_1..p_m) then P @ x_block =
-    (q_1, p_1, ..., q_m, p_m).  Covariance matrices transform as
-    V_inter = P V_block P^T, and likewise for the symplectic form.
-    """
-    P = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        P[2 * j, j] = 1.0
-        P[2 * j + 1, m + j] = 1.0
-    return P
 
 
 def _block_index(modes, m: int) -> np.ndarray:

@@ -164,11 +164,6 @@ def check_symplectic_constructors() -> CheckResult:
     for g in np.linspace(1.0, 4.0, 11):
         S = gc.two_mode_squeezer_symplectic(g)
         worst = max(worst, float(np.max(np.abs(S @ O @ S.T - O))))
-    # permutation adapter maps the block form onto the interleaved form
-    for m in (1, 2, 3):
-        P = gc.interleave_permutation(m)
-        omega_inter = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        worst = max(worst, float(np.max(np.abs(P @ gc.omega(m) @ P.T - omega_inter))))
     return CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
 
 
@@ -406,14 +401,14 @@ BOUNDS_CHECKS = (
 )
 
 
+SUITES = {"core": CORE_CHECKS, "bounds": BOUNDS_CHECKS, "all": CORE_CHECKS + BOUNDS_CHECKS}
+
+
 def run_suite(which: str = "all") -> list:
-    """Run a named check suite; returns the list of CheckResults."""
-    if which == "core":
-        checks = CORE_CHECKS
-    elif which == "bounds":
-        checks = BOUNDS_CHECKS
-    elif which == "all":
-        checks = CORE_CHECKS + BOUNDS_CHECKS
-    else:
-        raise ValueError(f"unknown suite {which!r}")
-    return [c() for c in checks]
+    """Run the check suite `which`, a key of :data:`SUITES`; returns the
+    list of CheckResults."""
+    if which not in SUITES:
+        raise ValueError(f"unknown suite {which!r}; the suites are {', '.join(SUITES)}")
+    # called by module name, so that a wrapper that replaces a check in this
+    # module (as the benchmark's tracer does) is the one that runs
+    return [globals()[check.__name__]() for check in SUITES[which]]

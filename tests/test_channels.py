@@ -35,6 +35,9 @@ class TestConstructors:
         assert chn.make_channel("thermal", eta=0.7, nb=0.2).kind == "thermal"
         assert chn.make_channel("amplifier", g=1.5, nb=0.0).kind == "amplifier"
         assert chn.make_channel("additive", nbar=0.3).kind == "additive"
+        # nb and other parameters a kind does not take are ignored here
+        assert chn.make_channel("additive", nbar=0.3, nb=0.5) == chn.additive_noise(0.3)
+        assert chn.make_channel("raw", tau=0.5, nu=0.7) == chn.raw_channel(0.5, 0.7)
         with pytest.raises(ChannelKindError):
             chn.make_channel("squeezer", r=1.0)
 

@@ -194,6 +194,23 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
 
+    def test_suites_come_from_one_table(self, capsys):
+        assert vfy.SUITES["all"] == vfy.SUITES["core"] + vfy.SUITES["bounds"]
+        with pytest.raises(ValueError, match="the suites are core, bounds, all"):
+            vfy.run_suite("fast")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "fast"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in vfy.SUITES)
+
+    def test_suite_checks_are_called_by_module_name(self, monkeypatch):
+        # a wrapper that replaces a check in the module is the one that runs
+        stub = vfy.CheckResult("stub", True, 0.0, 1.0)
+        for check in vfy.CORE_CHECKS:
+            monkeypatch.setattr(vfy, check.__name__, lambda: stub)
+        assert vfy.run_suite("core") == [stub] * len(vfy.CORE_CHECKS)
+
     def test_report_names_residuals(self):
         res = vfy.check_deg_vs_sim_cov(n=50)
         line = res.format()
@@ -259,6 +276,26 @@ class TestSpecParsing:
         code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
         assert code == 1
         assert new.split(" ")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("bounds = QL\n", "", "missing spec key 'bounds'"),
+        ("channel = thermal\n", "", "missing spec key 'channel'"),
+        ("start = 1", "start = abc", "start = 'abc' is not a valid float"),
+        ("points = 2", "points = 2.5", "points = '2.5' is not a valid int"),
+        # a parameter the channel kind does not take, swept or fixed
+        ("sweep = ns", "sweep = g", "thermal sweeps take ns, eta, nb, not g"),
+        ("nb = 0.2", "nbar = 0.2", "thermal sweeps take ns, eta, nb, not nbar"),
+        ("channel = thermal\neta = 0.9\nnb = 0.2", "channel = additive\nnbar = 0.5\nnb = 0.2",
+         "additive sweeps take ns, nbar, not nb"),
+    ])
+    def test_spec_error_names_its_key(self, tmp_path, capsys, old, new, message):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(SPEC_TWO_POINT.replace(old, new))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_log_scale_needs_positive_start(self):

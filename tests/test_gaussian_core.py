@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonic_bounds import bounds as bnd
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds.errors import (
     DomainError,
@@ -66,8 +65,8 @@ G_FLOAT_POINTS = [0.0, 5e-324, 2.5e-310, float(np.nextafter(1e-8, 0.0)), 1e-8,
 
 
 class TestGNatsFloatCase:
-    """On floats, _g_nats and bounds._gn_each compute what the array path
-    computes, bit for bit."""
+    """On floats, _g_nats computes what the array path computes, bit for
+    bit, so a closed form gives one cell the bits of its column element."""
 
     @pytest.mark.parametrize("x", G_FLOAT_POINTS)
     def test_float_matches_array_bit_for_bit(self, x):
@@ -93,13 +92,6 @@ class TestGNatsFloatCase:
             want = gc._g_nats(np.array([x]))[0]
         assert math.isnan(want)
         assert math.isnan(gc._g_nats(x))  # no OverflowError, no warning
-
-    def test_gn_each_floats_match_arrays_bit_for_bit(self):
-        got = bnd._gn_each(*G_FLOAT_POINTS)
-        want = bnd._gn_each(np.array(G_FLOAT_POINTS))[0]
-        assert all(type(v) is float for v in got)
-        assert [v.hex() for v in got] == [float(v).hex() for v in want]
-        assert bnd._gn_each(-1.0, math.nan, 2.0)[:2] == [0.0, 0.0]
 
 
 class TestStates:
@@ -339,10 +331,3 @@ class TestSymplecticBuilders:
         assert np.array_equal(p[1], gc.tms_qblocks(1.5)[1])
         with pytest.raises(DomainError):
             gc.tms_qblocks(np.array([1.0, -0.5]))
-
-    def test_interleave_permutation(self):
-        for m in (1, 2, 3):
-            P = gc.interleave_permutation(m)
-            want = np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-            assert np.allclose(P @ gc.omega(m) @ P.T, want)
-            assert np.allclose(P @ P.T, np.eye(2 * m))

@@ -30,7 +30,8 @@ PUBLIC = {
 
 # removed names and the module that held each
 REMOVED = [(optimize, "minimize_scalar"), (optimize, "ScalarOptResult"),
-           (gaussian_core, "SymplecticMatrix"), (gaussian_core, "EntropySpectrum")]
+           (gaussian_core, "SymplecticMatrix"), (gaussian_core, "EntropySpectrum"),
+           (gaussian_core, "interleave_permutation")]
 
 
 def test_public_names_are_pinned():
