@@ -43,9 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_bound(args) -> int:
     try:
-        given = {k: getattr(args, k) for k in ("eta", "g", "nbar", "nb")}
-        ch = chn.make_channel(args.channel,
-                              **{k: v for k, v in given.items() if v is not None})
+        given = {k: v for k in ("eta", "g", "nbar", "nb") if (v := getattr(args, k)) is not None}
+        stray = [k for k in given if k not in (*chn._PARAMS[args.channel], "nb")]
+        if stray:  # nb has a default, so an additive channel accepts it
+            raise DomainError(f"{args.channel} channel takes no --{stray[0]}")
+        ch = chn.make_channel(args.channel, **given)
         result = bnd.evaluate(args.bound, ch, args.ns, args.eps_prime)
     except InfeasibleBoundError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -138,6 +140,8 @@ def parse_spec(text: str) -> SweepSpec:
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in kv:
+            raise ValueError(f"repeated spec key {key!r}")
         kv[key] = value
     unknown = [key for key in kv if key not in SPEC_KEYS]
     if unknown:

@@ -4,11 +4,12 @@ Derivative-free on purpose: the objectives this package minimizes contain
 g(W/delta) terms whose derivative is unbounded near the interval edge,
 where gradient steps misbehave.  A maximization is the minimization of the
 negated objective.  :func:`minimize_batch` runs n problems in lockstep, each
-taking exactly the steps it would take alone.  The objective is
-elementwise: it gets the points and each problem's own arguments, arrays
-gathered once per batch while several problems step together and Python
-floats once one problem steps alone, which numpy would otherwise run as
-1-element arrays at many times the cost.
+taking exactly the steps it would take alone.  One function, `_golden`,
+takes every golden-section step: on arrays through np.where while several
+problems step together, and on Python floats once one problem steps alone,
+which numpy would otherwise run as 1-element arrays at many times the cost.
+The arithmetic is the same on both, so the bits are.  The objective is
+elementwise: it gets the points and each problem's own arguments.
 Identical inputs give bit-identical results, and on a plateau the smallest
 argument wins.
 """
@@ -44,38 +45,32 @@ def _seed_grids(lo, hi, seed_grids):
     return np.take_along_axis(s, np.take_along_axis(first, pad, axis=1), axis=1), count
 
 
-def _search_alone(f, n, a, h, bx, bv, bracket=None):
-    """The last n golden-section steps of one problem on Python floats, with
-    the lockstep loop's arithmetic in its order, so with its bits; returns
-    the best (point, value) after them, starting from (bx, bv).  `bracket`
-    is the (c, d, f(c), f(d)) of a search the lockstep loop began; without
-    it the first of the n steps evaluates both interior points."""
-    def consider(x, v):
-        nonlocal bx, bv
-        if v < bv or (v == bv and x < bx):
-            bx, bv = x, v
+def _pick(cond, a, b):
+    return a if cond else b
 
-    if bracket is None:
-        c, d = a + _INVPHI2 * h, a + _INVPHI * h
-        fc, fd = f(c), f(d)
-        consider(c, fc)
-        consider(d, fd)
-        n -= 1
-    else:
-        c, d, fc, fd = bracket
-    for _ in range(n):
-        h *= _INVPHI
-        if fc <= fd:  # ties keep the left interval -> smaller arguments
-            x = a + _INVPHI2 * h
-            fx = f(x)
-            c, d, fc, fd = x, c, fx, fc
-        else:
-            a = c
-            x = a + _INVPHI * h
-            fx = f(x)
-            c, d, fc, fd = d, x, fd, fx
-        consider(x, fx)
-    return bx, bv
+
+def _golden(f, where, n, a, h, c, d, fc, fd, bx, bv):
+    """Take n golden-section steps on the bracket [a, a + h], whose interior
+    points c and d have the values fc and fd; return these eight values
+    after them.  (bx, bv) is the best point seen: a lower value wins, on
+    equal values the smaller argument.  On entry the better of c and d is
+    seen, which is enough on a search's first entry, where c <= d, and a
+    no-op on a later one.  `where` is np.where on the arrays of the rows
+    stepping together, or _pick on one row's floats: the same arithmetic,
+    so the same bits."""
+    x, fx = where(fc <= fd, c, d), where(fc <= fd, fc, fd)
+    for i in range(n + 1):
+        better = (fx < bv) | ((fx == bv) & (x < bx))
+        bx, bv = where(better, x, bx), where(better, fx, bv)
+        if i == n:
+            return a, h, c, d, fc, fd, bx, bv
+        left = fc <= fd  # ties keep the left interval -> smaller arguments
+        h = h * _INVPHI
+        a = where(left, a, c)
+        x = a + where(left, _INVPHI2, _INVPHI) * h
+        fx = f(x)
+        c, d = where(left, x, d), where(left, c, x)
+        fc, fd = where(left, fx, fd), where(left, fc, fx)
 
 
 def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
@@ -86,17 +81,19 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     The seeds' call gets `x` of shape (n, m) and each arg `row_arg[:, None]`.
     The searching problems' args are gathered once, longest search first;
     while k of them step together, `x` has shape (k, j) and each arg is the
-    gather's first k rows.  The objective returns values of `x`'s shape.
-    Once only problem r is left stepping, its remaining calls get a float
-    `x` and the floats `row_arg[r]`, and return a float.  +inf (or nan,
-    taken as +inf) is allowed anywhere.
+    gather's first k rows, sliced once each time a problem stops.  The
+    objective returns values of `x`'s shape.  Once only problem r is left
+    stepping, its remaining calls get a float `x` and the floats
+    `row_arg[r]`, and return a float.  +inf (or nan, taken as +inf) is
+    allowed anywhere.
     Problem i seeds on row i of `seed_grids` (an (n, m) array), clipped to
     its interval with duplicates dropped; all seeds are evaluated in one
     call.  A caller whose objective diverges at an endpoint passes grids
     that crowd towards it and keeps the endpoint out of [lo, hi].  The
     best seed's neighbours bracket a golden-section search of the fixed step
     count that shrinks the bracket to 1e-9; ties keep the left interval.
-    Each problem reports its best evaluated point (the smallest argument on
+    Every step, in lockstep or alone, runs in `_golden`, so a problem gets
+    the bits it would get alone.  Each problem reports its best evaluated point (the smallest argument on
     a plateau) and its evaluations; one whose seeds are all +inf is
     non-converged at its first seed point.  A non-finite bound or lo > hi
     raises DomainError.
@@ -128,39 +125,28 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
 
     g = np.flatnonzero(steps)  # the searching rows, longest first, so that
     g = g[np.argsort(-steps[g], kind="stable")]  # the active ones are a prefix
-    steps, a, h, bx, bv = steps[g], a[g], h[g], arg[g], value[g]
-    g_args = [p[g, None] for p in row_args]  # gathered once; step k takes [:k]
-
-    def consider(k, x, v):
-        better = (v < bv[:k]) | ((v == bv[:k]) & (x < bx[:k]))
-        bx[:k], bv[:k] = np.where(better, x, bx[:k]), np.where(better, v, bv[:k])
-
-    t = 0  # the golden steps taken in lockstep
-    if g.size > 1:
-        c, d = a + _INVPHI2 * h, a + _INVPHI * h
-        fc, fd = f(np.stack([c, d], axis=1), g_args).T.copy()
-        consider(g.size, c, fc)
-        consider(g.size, d, fd)
-        t = 1
-        while (k := np.count_nonzero(steps > t)) > 1:
-            left = fc[:k] <= fd[:k]  # ties keep the left interval -> smaller arguments
-            h[:k] *= _INVPHI
-            a[:k] = np.where(left, a[:k], c[:k])
-            x = a[:k] + np.where(left, _INVPHI2, _INVPHI) * h[:k]
-            fx = f(x[:, None], [p[:k] for p in g_args])[:, 0]
-            c[:k], d[:k] = np.where(left, x, d[:k]), np.where(left, c[:k], x)
-            fc[:k], fd[:k] = np.where(left, fx, fd[:k]), np.where(left, fc[:k], fx)
-            consider(k, x, fx)
-            t += 1
-    if g.size and steps[0] > t:  # one problem left stepping: on floats
+    steps, a, h = steps[g], a[g], h[g]
+    g_args = [p[g, None] for p in row_args]  # gathered once; a segment takes [:k]
+    state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
+    t, k = 1, g.size  # t golden steps taken, k rows still stepping
+    if k > 1:
+        state += (*f(np.stack(state[2:], axis=1), g_args).T, arg[g], value[g])
+    while k > 1:  # rows [:k] step together until row k - 1 stops
+        args = [p[:k] for p in g_args]
+        state = _golden(lambda x: f(x[:, None], args)[:, 0], np.where, int(steps[k - 1]) - t,
+                        *(v[:k] for v in state))
+        arg[g[:k]], value[g[:k]] = state[6:]
+        t = int(steps[k - 1])
+        k = np.count_nonzero(steps > t)
+    if k == 1:  # one row left stepping: on floats
         args = [float(p[0, 0]) for p in g_args]
 
         def f1(x):
             v = float(objective(x, *args))
             return math.inf if v != v else v
 
-        bracket = (float(c[0]), float(d[0]), float(fc[0]), float(fd[0])) if t else None
-        bx[0], bv[0] = _search_alone(f1, int(steps[0]) - t, float(a[0]), float(h[0]),
-                                     float(bx[0]), float(bv[0]), bracket)
-    arg[g], value[g] = bx, bv
+        s = [float(v[0]) for v in state]
+        if g.size == 1:
+            s += [f1(s[2]), f1(s[3]), float(arg[g[0]]), float(value[g[0]])]
+        arg[g[0]], value[g[0]] = _golden(f1, _pick, int(steps[0]) - t, *s)[6:]
     return BatchOptResult(arg, value, evaluations, converged)

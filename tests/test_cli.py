@@ -59,6 +59,23 @@ class TestBoundCommand:
         assert code == 1
         assert "eta" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--channel", "thermal", "--eta", "0.9", "--g", "3", "--nbar", "7"], "g"),
+        (["--channel", "amplifier", "--g", "1.5", "--eta", "0.9"], "eta"),
+        (["--channel", "additive", "--nbar", "0.3", "--g", "1.5"], "g"),
+    ])
+    def test_flag_the_channel_does_not_take_exits_1(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "bound", *argv, "--ns", "1", "--bound", "QL")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"--{flag}" in err
+
+    def test_additive_accepts_nb(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--channel", "additive", "--nbar", "0.3",
+                               "--nb", "0", "--ns", "1", "--bound", "QU1")
+        assert code == 0
+        assert json.loads(out)["params"]["nbar"] == 0.3
+
     def test_bad_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["bound", "--channel", "thermal", "--eta", "0.9",
@@ -288,6 +305,7 @@ class TestSpecParsing:
         ("nb = 0.2", "nbar = 0.2", "thermal sweeps take ns, eta, nb, not nbar"),
         ("channel = thermal\neta = 0.9\nnb = 0.2", "channel = additive\nnbar = 0.5\nnb = 0.2",
          "additive sweeps take ns, nbar, not nb"),
+        ("eta = 0.9", "eta = 0.9\neta = 0.5", "repeated spec key 'eta'"),
     ])
     def test_spec_error_names_its_key(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "s.cfg"

@@ -196,6 +196,8 @@ def _row_objective(kind, centre, power):
             return math.nan if x > centre else (x - centre + 0.3) ** 2
         if kind == 3:
             return 1.0
+        if kind == 5:
+            return math.floor(abs(x - centre))
         return math.sin(7.0 * x) + 0.3 * x
     return f
 
@@ -243,15 +245,23 @@ def test_batch_edge_rows():
           _row_objective(1, 0.0, 1),            # all +inf: non-converged
           _row_objective(2, 0.4, 1),            # nan right of 0.4
           quad,                                 # seeds collapse to 3 points
-          _row_objective(0, 0.5, 1)]            # a bracket of 2 seeds only
-    lo = np.array([0.0, 0.25, 0.0, 0.0, 0.0, 0.5 - 1e-10])
-    hi = np.array([1.0, 0.25, 1.0, 1.0, 1.0, 0.5 + 1e-10])
-    grids = np.tile(np.linspace(0.0, 1.0, 16), (6, 1))
+          _row_objective(0, 0.5, 1),            # a bracket of 2 seeds only
+          _row_objective(5, 71631989.61636624, 1)]  # a bracket narrower than the float spacing
+    lo = np.array([0.0, 0.25, 0.0, 0.0, 0.0, 0.5 - 1e-10, 60827750.47739763])
+    hi = np.array([1.0, 0.25, 1.0, 1.0, 1.0, 0.5 + 1e-10, 75463598.16977936])
+    grids = np.tile(np.linspace(0.0, 1.0, 16), (7, 1))
     grids[4] = np.repeat([0.0, 0.3, 0.9, 0.9], 4)
+    grids[6] = np.linspace(lo[6], hi[6], 16)
     res = _batch(fs, lo, hi, grids)
     _assert_rows_match(res, fs, lo, hi, grids)
-    steps = res.evaluations - np.array([16, 1, 16, 16, 3, 2])
+    for i in range(len(fs)):  # each row as a batch of one
+        one = slice(i, i + 1)
+        _assert_rows_match(_batch(fs[one], lo[one], hi[one], grids[one]),
+                           fs[one], lo[one], hi[one], grids[one])
+    steps = res.evaluations - np.array([16, 1, 16, 16, 3, 2, 16])
     assert len(set(steps[[0, 3, 4, 5]])) > 1  # the rows stop at different steps
     assert (res.evaluations[1], res.arg[1], res.converged[1]) == (1, 0.25, True)
     assert not res.converged[2] and res.value[2] == math.inf and res.arg[2] == 0.0
     assert res.arg[3] == pytest.approx(0.1, abs=1e-8) and res.value[3] < 1e-15
+    # the best point is tracked per step: the final bracket would give ...627
+    assert (res.arg[6], res.value[6], res.evaluations[6]) == (71631988.61636625, 0.0, 91)
