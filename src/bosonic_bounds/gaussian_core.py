@@ -36,10 +36,10 @@ _G_SERIES_CUTOFF = 1e-8       # switch g(x) to its small-x series below this
 _PURITY_DET_TOL = 1e-8        # det(V) - 1 below this counts as a pure state
 
 
-def _nu_floor(cov) -> float:
-    """Least symplectic eigenvalue accepted from `cov`: 1 - 1e-9 relative to
-    its largest entry, as eigensolve roundoff grows with the scale."""
-    return 1.0 - NU_FLOOR * max(1.0, float(np.max(np.abs(cov))))
+def _nu_floor(cov):
+    """Least symplectic eigenvalue accepted from `cov` (each of a stack): 1 - 1e-9
+    relative to its largest entry, as eigensolve roundoff grows with the scale."""
+    return 1.0 - NU_FLOOR * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
 
 
 def omega(m: int) -> np.ndarray:
@@ -172,20 +172,27 @@ class GaussianState:
             raise InvalidStateError(f"mean must have shape ({n},), got {mean.shape}")
         if cov.shape != (n, n):
             raise InvalidStateError(f"cov must have shape ({n},{n}), got {cov.shape}")
-        if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
+        if not np.all(np.isfinite(mean)):
             raise InvalidStateError("state data must be finite")
-        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
-            raise InvalidStateError("covariance matrix is not symmetric to 1e-12")
-        cov = 0.5 * (cov + cov.T)
-        nus = _symplectic_eigs(cov)
-        floor = _nu_floor(cov)
-        if np.min(nus) < floor:
-            raise InvalidStateError(
-                f"uncertainty principle violated: min symplectic eigenvalue "
-                f"{np.min(nus):.12g} < {floor:.12g}"
-            )
         object.__setattr__(self, "mean", _as_readonly(mean))
-        object.__setattr__(self, "cov", _as_readonly(cov))
+        object.__setattr__(self, "cov", _as_readonly(_checked_cov(cov)))
+
+
+def _checked_cov(cov: np.ndarray) -> np.ndarray:
+    """`cov`, a covariance matrix or a stack of them, symmetrized once each
+    is finite, symmetric to 1e-12 and has no symplectic eigenvalue below
+    :func:`_nu_floor`; the first matrix that fails raises InvalidStateError."""
+    if not np.all(np.isfinite(cov)):
+        raise InvalidStateError("state data must be finite")
+    if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > COV_SYMMETRY_TOL:
+        raise InvalidStateError("covariance matrix is not symmetric to 1e-12")
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    low, floor = _symplectic_eigs(cov)[..., 0], _nu_floor(cov)
+    if np.any(low < floor):
+        k = np.argmax(low < floor)  # flat index of the first
+        raise InvalidStateError(f"uncertainty principle violated: min symplectic eigenvalue "
+                                f"{low.flat[k]:.12g} < {floor.flat[k]:.12g}")
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +251,12 @@ def _checked_symplectic(S: np.ndarray) -> np.ndarray:
 
 def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of a covariance matrix or a stack of
-    them: shape (..., 2m, 2m) gives shape (..., m)."""
+    them: shape (..., 2m, 2m) gives shape (..., m).  They are the moduli of
+    the eigenvalue pairs +-i nu of the real V Omega, whose real eigensolve
+    costs less than half the complex one of i V Omega."""
     m = cov.shape[-1] // 2
     try:
-        ev = np.linalg.eigvals(1j * cov @ omega(m))
+        ev = np.linalg.eigvals(cov @ omega(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SingularMatrixError("symplectic eigensolve failed") from exc
     mods = np.sort(np.abs(ev), axis=-1)
@@ -255,8 +264,8 @@ def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
 
 
 def symplectic_eigenvalues(state: GaussianState) -> tuple:
-    """Ascending symplectic spectrum of a state, from diagonalizing i V Omega;
-    the state's construction has checked it against :func:`_nu_floor`."""
+    """Ascending symplectic spectrum of a state, the moduli of the eigenvalue
+    pairs +-i nu of V Omega; its construction checked it against :func:`_nu_floor`."""
     return tuple(float(v) for v in _symplectic_eigs(state.cov))
 
 
@@ -296,22 +305,6 @@ def reduce_state(state: GaussianState, modes) -> GaussianState:
 # Fidelity
 # ---------------------------------------------------------------------------
 
-def _is_pure_cov(cov: np.ndarray) -> bool:
-    # prod(nu_j)^2 = det V, and nu_j >= 1, so purity <=> det V = 1
-    return abs(np.linalg.det(cov) - 1.0) <= _PURITY_DET_TOL
-
-
-def _mean_factor(V1, V2, mu1, mu2) -> float:
-    d = mu2 - mu1
-    if not np.any(d):
-        return 1.0
-    try:
-        sol = np.linalg.solve(V1 + V2, d)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("V1 + V2 is singular") from exc
-    return float(np.exp(-d @ sol))
-
-
 def two_mode_fidelity(a: GaussianState, b: GaussianState) -> float:
     """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1^2 of two-mode states.
 
@@ -328,25 +321,44 @@ def two_mode_fidelity(a: GaussianState, b: GaussianState) -> float:
     """
     if a.modes != 2 or b.modes != 2:
         raise DomainError("two_mode_fidelity requires two-mode states")
-    V1, V2 = a.cov, b.cov
-    mf = _mean_factor(V1, V2, a.mean, b.mean)
-    if _is_pure_cov(V1) or _is_pure_cov(V2):
-        det = np.linalg.det(V1 + V2)
-        if not np.isfinite(det) or det <= 0:
+    return float(_fidelity(a.cov, b.cov, a.mean, b.mean))
+
+
+def _fidelity(V1, V2, mu1=0.0, mu2=0.0) -> np.ndarray:
+    """:func:`two_mode_fidelity` over stacks of checked two-mode covariances
+    (..., 4, 4) of one shape and means (..., 4); gives an array (...).  Each
+    branch runs only on its own pairs, and a failing pair raises the
+    one-pair error."""
+    d = np.broadcast_to(mu2 - mu1, V1.shape[:-1])
+    S, F = V1 + V2, np.ones(V1.shape[:-2])  # F holds the mean factor first
+    shift = np.any(d != 0.0, axis=-1)
+    if shift.any():
+        try:
+            sol = np.linalg.solve(S[shift], d[shift][..., None])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("V1 + V2 is singular") from exc
+        F[shift] = np.exp(-(d[shift][..., None, :] @ sol)[..., 0, 0])
+    det = np.linalg.det(S)
+    # prod(nu_j)^2 = det V, and nu_j >= 1, so purity <=> det V = 1
+    pure = np.any(np.abs(np.linalg.det(np.stack([V1, V2])) - 1.0) <= _PURITY_DET_TOL, axis=0)
+    if pure.any():
+        if not np.all(np.isfinite(det[pure]) & (det[pure] > 0)):
             raise SingularMatrixError("non-finite determinant in fidelity")
-        return min(1.0, 4.0 / np.sqrt(det) * mf)
-    Om = omega(2)
-    delta = np.linalg.det(V1 + V2) / 16.0
-    gamma = np.real(np.linalg.det(Om @ V1 @ Om @ V2 - np.eye(4))) / 16.0
-    lam = np.real(np.linalg.det(V1 + 1j * Om) * np.linalg.det(V2 + 1j * Om)) / 16.0
-    if not (np.isfinite(delta) and np.isfinite(gamma) and np.isfinite(lam)):
-        raise SingularMatrixError("non-finite determinant in fidelity")
-    sg = np.sqrt(max(gamma, 0.0))
-    sl = np.sqrt(max(lam, 0.0))
-    denom = sg + sl - np.sqrt(max((sg + sl) ** 2 - delta, 0.0))
-    if denom <= 0 or not np.isfinite(denom):
-        raise SingularMatrixError("degenerate denominator in fidelity")
-    return min(1.0, mf / denom)
+        F[pure] = 4.0 / np.sqrt(det[pure]) * F[pure]
+    if not pure.all():
+        W1, W2, Om, delta = V1[~pure], V2[~pure], omega(2), det[~pure] / 16.0
+        gamma = np.linalg.det(Om @ W1 @ Om @ W2 - np.eye(4)) / 16.0
+        lam = np.real(np.linalg.det(W1 + 1j * Om) * np.linalg.det(W2 + 1j * Om)) / 16.0
+        if not np.all(np.isfinite(delta) & np.isfinite(gamma) & np.isfinite(lam)):
+            raise SingularMatrixError("non-finite determinant in fidelity")
+        sg, sl = np.sqrt(np.maximum(gamma, 0.0)), np.sqrt(np.maximum(lam, 0.0))
+        # float_power is libm pow, as ** 2 on a numpy float; the array square
+        # can differ in the last bit, which the cancellation here enlarges
+        denom = sg + sl - np.sqrt(np.maximum(np.float_power(sg + sl, 2) - delta, 0.0))
+        if not np.all((denom > 0) & np.isfinite(denom)):
+            raise SingularMatrixError("degenerate denominator in fidelity")
+        F[~pure] = F[~pure] / denom
+    return np.fmin(F, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +415,7 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
         raise InvalidChannelError(
             f"channel PSD condition fails: min eigenvalue {lo:.3e} < -{PSD_FLOOR:g}"
         )
-    if d is None:
-        d = np.zeros(m_out2)
-    d = np.asarray(d, dtype=float)
+    d = np.zeros(m_out2) if d is None else np.asarray(d, dtype=float)
 
     if modes is None:
         if m_in != state.modes:

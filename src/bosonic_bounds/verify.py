@@ -4,8 +4,9 @@ Everything here recomputes quantities through an independent route (matrix
 dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
-The oracles take a channel column as :func:`bounds.evaluate_column` does, so
-a check calls each once per channel kind over all of its samples.
+A check draws its seeded samples in a fixed order, validates the stacked
+states once and calls each oracle (which takes a channel column, as
+:func:`bounds.evaluate_column` does) once per channel kind.
 """
 
 from __future__ import annotations
@@ -66,32 +67,43 @@ def _raw(cell) -> float:
     return cell.raw
 
 
-def _noisy_tms_state(nb: float, x: float) -> gc.GaussianState:
-    """The noisy two-mode squeezed state omega(nb) of the simulating channel."""
-    cov = gc._place_pair(np.zeros((4, 4)), 0, *chn.noisy_tms_qblocks(nb, x))
-    return gc.GaussianState(2, np.zeros(4), cov)
+def _pair_covs(q, p):
+    """Checked covariance stack of the two-mode states of (q, p) block stacks."""
+    return gc._checked_cov(gc._place_pair(np.zeros(q.shape[:-2] + (4, 4)), 0, q, p))
 
 
-def random_single_mode_cov(ns: float, rng) -> np.ndarray:
+def _uniform_rows(rng, n, *bounds):
+    """Columns of n rows of uniform draws, one per (low, high) of `bounds` in a
+    row: the draws of n rows of scalar rng.uniform calls, in one call (n None
+    gives one row of floats)."""
+    low, high = np.array(bounds).T
+    return rng.uniform(low, high, (() if n is None else (n,)) + low.shape).T
+
+
+def _rotated(th, d0, d1, nu=1.0):
+    """(nu R(th)) diag(d0, d1) R(th)^T over floats or arrays of one shape."""
+    c, s, zero = np.cos(th), np.sin(th), np.zeros_like(th)
+    R = gc._mat2(c, -s, s, c)
+    return (np.asarray(nu)[..., None, None] * R) @ gc._mat2(d0, zero, zero, d1) @ np.swapaxes(R, -1, -2)
+
+
+def random_single_mode_cov(ns, rng, n=None) -> np.ndarray:
     """Random single-mode covariance of a state whose total mean photon
     number is exactly ns: a rotated squeezed thermal covariance carrying a
     random share of the energy, the rest sitting in a displacement (which
-    affects no entropy)."""
-    u = rng.uniform(0.0, 1.0)
+    affects no entropy).  With n, a stack (n, 2, 2) equal to n calls."""
+    u, a, th = _uniform_rows(rng, n, (0.0, 1.0), (0.0, 1.0), (0.0, np.pi))
     ev = u * ns
-    ch = 1.0 + rng.uniform(0.0, 1.0) * 2.0 * ev
-    nu = (2.0 * ev + 1.0) / ch
+    ch = 1.0 + a * 2.0 * ev
     r = 0.5 * np.arccosh(ch)
-    th = rng.uniform(0.0, np.pi)
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    return nu * R @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ R.T
+    return _rotated(th, np.exp(2.0 * r), np.exp(-2.0 * r), (2.0 * ev + 1.0) / ch)
 
 
-def random_valid_qblock(rng, scale: float = 5.0) -> np.ndarray:
-    """Random position block of a valid two-mode covariance (>= I suffices)."""
-    th = rng.uniform(0.0, np.pi)
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    return R @ np.diag(1.0 + rng.uniform(0.0, scale, 2)) @ R.T
+def random_valid_qblock(rng, scale: float = 5.0, n=None) -> np.ndarray:
+    """Random position block of a valid two-mode covariance (>= I suffices).
+    With n, a stack (n, 2, 2) equal to n calls."""
+    th, a, b = _uniform_rows(rng, n, (0.0, np.pi), (0.0, scale), (0.0, scale))
+    return _rotated(th, 1.0 + a, 1.0 + b)
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +112,16 @@ def random_valid_qblock(rng, scale: float = 5.0) -> np.ndarray:
 
 def check_tms_purity(seed=1234, n=50) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for nph in rng.uniform(0.0, 100.0, n):
-        worst = max(worst, abs(gc.gaussian_entropy(gc.tms_state(nph))))
+    tms = _pair_covs(*gc.tms_qblocks(rng.uniform(0.0, 100.0, n)))
+    worst = max(0.0, float(np.max(np.abs(gc._entropy_from_cov(tms)))))
     return CheckResult("tms_purity", worst < 1e-9, worst, 1e-9)
 
 
 def check_state_invariants(seed=7, n=200) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        cov = random_single_mode_cov(rng.uniform(0.0, 20.0), rng)
-        st = gc.GaussianState(1, np.zeros(2), cov)
-        worst = max(worst, 1.0 - min(gc.symplectic_eigenvalues(st)))
+    covs = np.stack([random_single_mode_cov(rng.uniform(0.0, 20.0), rng) for _ in range(n)])
+    nus = gc._symplectic_eigs(gc._checked_cov(covs))
+    worst = max(0.0, float(np.max(1.0 - nus[:, 0])))
     return CheckResult("state_invariants", worst < 1e-9, worst, 1e-9)
 
 
@@ -144,13 +153,12 @@ def check_channel_composition(seed=11, n=100) -> CheckResult:
 
 def check_fidelity_basics(seed=13, n=50) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        a = gc.tms_state(rng.uniform(0, 5))
-        b = chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2)).apply(a, modes=(1,))
-        worst = max(worst, abs(1.0 - gc.two_mode_fidelity(a, a)))
-        worst = max(worst, abs(1.0 - gc.two_mode_fidelity(b, b)))
-        worst = max(worst, abs(gc.two_mode_fidelity(a, b) - gc.two_mode_fidelity(b, a)))
+    nph, eta, nb = _uniform_rows(rng, n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
+    A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channel on mode 1, state by state
+    B = np.stack([chn.thermal(e, k).apply(gc.GaussianState(2, np.zeros(4), V), modes=(1,)).cov
+                  for e, k, V in zip(eta, nb, A)])
+    F = gc._fidelity(np.stack([A, B, A, B]), np.stack([A, B, B, A]))
+    worst = max(0.0, float(np.max(np.abs([1.0 - F[0], 1.0 - F[1], F[2] - F[3]]))))
     return CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
 
 
@@ -184,35 +192,32 @@ def check_photon_bookkeeping(seed=17, n=50) -> CheckResult:
 
 def check_deg_vs_sim_cov(seed=23, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    qs, thermals, amps = [], [], []
-    for _ in range(n):
-        qs.append(random_valid_qblock(rng))
-        eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
-        thermals.append(chn.thermal(eta, nb))
-        amps.append(chn.amplifier(rng.uniform(1.0 + 1e-6, 3.0), nb))
+    # random_valid_qblock's draws, then the channels'
+    th, a, b, eta, nb, g = _uniform_rows(rng, n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
+                                         (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
+    columns = ([chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())],
+               [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())])
     worst = max(float(np.max(np.abs(A - B))) for A, B in
-                (chn.degrading_simulation_check(column, np.stack(qs)) for column in (thermals, amps)))
+                (chn.degrading_simulation_check(c, _rotated(th, 1.0 + a, 1.0 + b)) for c in columns))
     return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)
 
 
 def check_fidelity_identity(n_eta=20, n_nb=20) -> CheckResult:
-    worst = 0.0
-    for eta in np.linspace(0.5, 1.0, n_eta):
-        for nb in np.linspace(0.0, 3.0, n_nb):
-            fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
-            worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
+    eta, nb = (v.ravel() for v in np.meshgrid(np.linspace(0.5, 1.0, n_eta),
+                                              np.linspace(0.0, 3.0, n_nb), indexing="ij"))
+    fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
+    # float_power is libm pow: the bits of eta ** 2 on a float
+    worst = max(0.0, float(np.max(np.abs(fid - np.float_power(eta, 2) / chn._kappa(eta, nb)))))
     return CheckResult("fidelity_identity", worst < 1e-10, worst, 1e-10,
                        "F(psi_TMS, omega) = eta^2/kappa")
 
 
 def check_eps_consistency(seed=29, n=200) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
-        eps = chn.epsilon_degradable(chn.thermal(eta, nb)).epsilon
-        fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
-        worst = max(worst, abs(eps - np.sqrt(max(1.0 - fid, 0.0))))
+    eta, nb = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 3.0))
+    fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
+    gap = chn._eps_degradable(eta, nb) - np.sqrt(np.maximum(1.0 - fid, 0.0))
+    worst = max(0.0, float(np.max(np.abs(gap))))
     return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
 
@@ -261,8 +266,8 @@ def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckR
     for _ in range(n_points):
         chans.append(chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2)))
         ns.append(rng.uniform(0.1, 10))
-        covs.extend(random_single_mode_cov(ns[-1], rng) for _ in range(n_inputs))
-    vals = ud_oracle([ch for ch in chans for _ in range(n_inputs)], np.stack(covs))
+        covs.append(random_single_mode_cov(ns[-1], rng, n_inputs))
+    vals = ud_oracle([ch for ch in chans for _ in range(n_inputs)], np.concatenate(covs))
     best = ud_oracle(chans, (2 * np.array(ns) + 1)[:, None, None] * np.eye(2))
     worst = float(np.max(np.max(vals.reshape(n_points, n_inputs), axis=1) - best))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,

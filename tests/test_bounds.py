@@ -415,6 +415,18 @@ class TestChannelDivergence:
         assert all(d < limit for d in dists)
         assert limit - dists[-1] < 1e-3
 
+    def test_demo_pair_rises_to_its_limit(self):
+        # demo 05's pair, below the energies where float64 loses the
+        # covariance (the C-distance fails from ns ~ 1e7)
+        nb = 0.4
+        limit = np.sqrt(nb / (nb + 1.0))
+        a, b = chn.thermal(0.8, nb), chn.thermal(0.8, 0.0)
+        grid = np.r_[0.0, np.geomspace(1e-3, 1e5, 81)]
+        dists = np.array([bnd.gaussian_c_distance(a, b, float(ns)) for ns in grid])
+        assert np.all(np.diff(dists) >= 0.0)
+        assert np.all(dists <= limit + 1e-12)
+        assert limit - bnd.gaussian_c_distance(a, b, 1e4) < 1e-4
+
 
 class TestBoundResult:
     def test_json_fields(self):

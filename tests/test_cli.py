@@ -6,6 +6,7 @@ import pytest
 from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
+from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
 from bosonic_bounds.errors import BosonicBoundsError, ChannelKindError
 
@@ -245,6 +246,18 @@ class TestVerifyCommand:
         orig = chn._kappa  # the formula behind kappa and epsilon_degradable
         monkeypatch.setattr(chn, "_kappa", lambda x, nb: orig(x, nb) * 1.01)
         assert not vfy.check_eps_consistency(n=50).passed
+
+    def test_mutation_in_fidelity_core_breaks_fidelity_checks(self, monkeypatch):
+        orig = gc._fidelity  # the core behind two_mode_fidelity and the stacked checks
+        monkeypatch.setattr(gc, "_fidelity", lambda *args: orig(*args) * (1.0 - 1e-8))
+        assert not vfy.check_fidelity_identity().passed
+        assert not vfy.check_eps_consistency().passed
+        assert not vfy.check_fidelity_basics().passed
+
+    def test_mutation_in_spectrum_breaks_tms_purity(self, monkeypatch):
+        orig = gc._symplectic_eigs
+        monkeypatch.setattr(gc, "_symplectic_eigs", lambda cov: orig(cov) * (1.0 + 1e-9))
+        assert not vfy.check_tms_purity().passed
 
 
 class TestSpecParsing:

@@ -10,6 +10,7 @@ from bosonic_bounds.errors import (
     DomainError,
     InvalidChannelError,
     InvalidStateError,
+    SingularMatrixError,
 )
 
 # frozen via 40-digit evaluation of the closed forms
@@ -204,6 +205,110 @@ class TestFidelity:
     def test_requires_two_modes(self):
         with pytest.raises(DomainError):
             gc.two_mode_fidelity(gc.vacuum_state(1), gc.vacuum_state(1))
+
+
+def _physical_covs(rng, m, n):
+    """n random covariances of m modes, I + B B^T, which obey the
+    uncertainty principle as I + i Omega >= 0; shape (n, 2m, 2m)."""
+    B = rng.normal(size=(n, 2 * m, 2 * m)) * rng.uniform(0.1, 3.0, (n, 1, 1))
+    return np.eye(2 * m) + B @ np.swapaxes(B, -1, -2)
+
+
+class TestSpectrumRoute:
+    """The real eigensolve of V Omega against the complex one of i V Omega."""
+
+    @staticmethod
+    def complex_route(cov):
+        m = cov.shape[-1] // 2
+        return np.sort(np.abs(np.linalg.eigvals(1j * cov @ gc.omega(m))), axis=-1)[..., ::2]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_complex_route(self, m):
+        covs = _physical_covs(np.random.default_rng(100 + m), m, 200)
+        stacked = gc._symplectic_eigs(covs)
+        want = self.complex_route(covs)
+        assert stacked.shape == (200, m)
+        assert np.all(np.abs(stacked - want) <= 1e-12 * want)
+        for cov, nus in zip(covs, stacked):
+            one = gc._symplectic_eigs(cov)
+            assert np.all(np.abs(one - self.complex_route(cov)) <= 1e-12 * one)
+            assert np.array_equal(one, nus)  # the stack keeps each matrix's bits
+
+    def test_pure_and_thermal_spectra(self):
+        covs = np.stack([gc.tms_state(n).cov for n in (0.0, 0.3, 7.5)]
+                        + [gc.thermal_state(n, modes=2).cov for n in (0.0, 0.3, 7.5)])
+        want = self.complex_route(covs)
+        assert np.all(np.abs(gc._symplectic_eigs(covs) - want) <= 1e-12 * want)
+
+
+class TestCheckedCov:
+    def test_stack_equals_the_states(self):
+        covs = _physical_covs(np.random.default_rng(5), 2, 30)
+        states = [gc.GaussianState(2, np.zeros(4), V) for V in covs]
+        assert np.array_equal(gc._checked_cov(covs), np.stack([s.cov for s in states]))
+
+    @pytest.mark.parametrize("bad", [0.5 * np.eye(4), np.diag([1.0, np.nan, 1.0, 1.0]),
+                                     np.eye(4) + 1e-6 * np.eye(4, k=1)])
+    def test_one_bad_matrix_fails_the_stack(self, bad):
+        covs = _physical_covs(np.random.default_rng(6), 2, 4)
+        covs[2] = bad
+        with pytest.raises(InvalidStateError) as one:
+            gc.GaussianState(2, np.zeros(4), bad)
+        with pytest.raises(InvalidStateError) as stack:
+            gc._checked_cov(covs)
+        assert str(stack.value) == str(one.value)
+
+
+class TestStackedFidelity:
+    def test_stack_equals_the_one_pair_calls(self):
+        rng = np.random.default_rng(9)
+        mixed = _physical_covs(rng, 2, 40)
+        pure = np.stack([gc.tms_state(n).cov for n in rng.uniform(0.0, 5.0, 40)])
+        covs = np.concatenate([mixed, pure])
+        means = rng.normal(size=(80, 4)) * (rng.uniform(size=(80, 1)) < 0.5)
+        states = [gc.GaussianState(2, mu, V) for mu, V in zip(means, covs)]
+        order = rng.permutation(80)
+        got = gc._fidelity(covs, covs[order], means, means[order])
+        want = [gc.two_mode_fidelity(a, states[k]) for a, k in zip(states, order)]
+        assert got.shape == (80,)
+        assert [float(f).hex() for f in got] == [f.hex() for f in want]
+
+    @staticmethod
+    def one_pair(V1, V2):
+        """The one-pair formula of two_mode_fidelity for zero means, on
+        numpy scalars: the reference the stacked core keeps bit for bit."""
+        Om = gc.omega(2)
+        if abs(np.linalg.det(V1) - 1.0) <= 1e-8 or abs(np.linalg.det(V2) - 1.0) <= 1e-8:
+            return min(1.0, 4.0 / np.sqrt(np.linalg.det(V1 + V2)))
+        delta = np.linalg.det(V1 + V2) / 16.0
+        gamma = np.real(np.linalg.det(Om @ V1 @ Om @ V2 - np.eye(4))) / 16.0
+        lam = np.real(np.linalg.det(V1 + 1j * Om) * np.linalg.det(V2 + 1j * Om)) / 16.0
+        sg, sl = np.sqrt(max(gamma, 0.0)), np.sqrt(max(lam, 0.0))
+        return min(1.0, 1.0 / (sg + sl - np.sqrt(max((sg + sl) ** 2 - delta, 0.0))))
+
+    def test_stack_keeps_the_one_pair_formula_bits(self):
+        # (sg + sl) ** 2 on a numpy scalar is libm pow, which differs from
+        # the square in the last bit for some pairs (here pair 965), and the
+        # determinant form's cancellation enlarges that difference
+        rng = np.random.default_rng(77)
+        B = np.stack([rng.normal(size=(2, 4, 4)) * rng.uniform(0.05, 3.0, (2, 1, 1))
+                      for _ in range(1000)])
+        V = np.eye(4) + B @ np.swapaxes(B, -1, -2)
+        V[::7, 0] = np.stack([gc.tms_state(n).cov for n in rng.uniform(0.0, 5.0, len(V[::7]))])
+        got = gc._fidelity(V[:, 0], V[:, 1])
+        want = [self.one_pair(V1, V2) for V1, V2 in V]
+        assert [float(f).hex() for f in got] == [float(f).hex() for f in want]
+
+    @pytest.mark.parametrize("V1,V2,message", [
+        (np.eye(4), -np.eye(4), "non-finite determinant"),  # pure branch
+        (2.0 * np.eye(4), -2.0 * np.eye(4), "degenerate denominator"),  # mixed branch
+    ])
+    def test_one_bad_pair_fails_the_stack(self, V1, V2, message):
+        good = gc.tms_state(1.0).cov
+        with pytest.raises(SingularMatrixError, match=message):
+            gc._fidelity(V1, V2)
+        with pytest.raises(SingularMatrixError, match=message):
+            gc._fidelity(np.stack([good, V1, good]), np.stack([good, V2, good]))
 
 
 class TestChannelAction:
