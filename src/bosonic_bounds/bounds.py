@@ -677,9 +677,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
         raise DomainError("gaussian_c_distance requires channels with equal tau")
     _raise_first_failure(_NS_CHECKS, {}, ns)
     probe = gc.tms_state(ns)
-    out_a = a.apply(probe, modes=(1,))
-    out_b = b.apply(probe, modes=(1,))
-    fid = gc.two_mode_fidelity(out_a, out_b)
+    fid = gc.two_mode_fidelity(*(ch.apply(probe, modes=(1,)) for ch in (a, b)))
     return float(np.sqrt(max(1.0 - fid, 0.0)))
 
 

@@ -9,7 +9,9 @@ Conventions
   symplectic form Omega = [[0, I_m], [-I_m, 0]].
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to call concurrently.
+function, so everything here is safe to call concurrently.  One-state
+functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
+`_fidelity`, `_photon_number` and `_apply`, the channel action.
 """
 
 from __future__ import annotations
@@ -51,10 +53,14 @@ def omega(m: int) -> np.ndarray:
 
 
 def _block_index(modes, m: int) -> np.ndarray:
-    """Positions of the q and then the p quadratures of `modes` in the
-    block-ordered quadrature vector of m modes; `V[..., idx[:, None], idx]`
-    is the covariance block of those modes."""
+    """Positions of the q and then the p quadratures of `modes`, distinct indices
+    below m (DomainError otherwise), in the block-ordered vector of m modes;
+    `V[..., idx[:, None], idx]` is the covariance block of those modes."""
     modes = tuple(modes)
+    if any(not 0 <= k < m for k in modes):
+        raise DomainError(f"mode indices {modes} out of range for {m}-mode state")
+    if len(set(modes)) != len(modes):
+        raise DomainError(f"mode indices {modes} repeat a mode")
     return np.array([*modes, *(m + k for k in modes)], dtype=np.intp)
 
 
@@ -287,18 +293,19 @@ def gaussian_entropy(state: GaussianState) -> float:
 
 def mean_photon_number(state: GaussianState) -> float:
     """Total mean photon number over all modes."""
-    m = state.modes
-    return float((np.trace(state.cov) - 2 * m) / 4.0 + 0.5 * np.dot(state.mean, state.mean))
+    return float(_photon_number(state.cov, state.mean))
+
+
+def _photon_number(cov, mean):
+    """:func:`mean_photon_number` over stacks of covariances and means."""
+    dot = (mean[..., None, :] @ mean[..., :, None])[..., 0, 0]
+    return (np.trace(cov, axis1=-2, axis2=-1) - cov.shape[-1]) / 4.0 + 0.5 * dot
 
 
 def reduce_state(state: GaussianState, modes) -> GaussianState:
     """Marginal state on the given mode indices (order preserved)."""
-    modes = tuple(modes)
-    m = state.modes
-    if any(k < 0 or k >= m for k in modes):
-        raise DomainError(f"mode indices out of range for {m}-mode state")
-    idx = _block_index(modes, m)
-    return GaussianState(len(modes), state.mean[idx], state.cov[idx[:, None], idx])
+    idx = _block_index(modes, state.modes)
+    return GaussianState(len(idx) // 2, state.mean[idx], state.cov[idx[:, None], idx])
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +372,13 @@ def _fidelity(V1, V2, mu1=0.0, mu2=0.0) -> np.ndarray:
 # Channel action and symplectic building blocks
 # ---------------------------------------------------------------------------
 
-def embed_matrix(M: np.ndarray, modes, total_modes: int) -> np.ndarray:
-    """Embed a 2k x 2k block-ordered matrix acting on `modes`, or each of a
-    stack (..., 2k, 2k), into the 2m x 2m identity for m = total_modes."""
-    modes = tuple(modes)
-    k = len(modes)
-    if M.shape[-2:] != (2 * k, 2 * k):
-        raise DomainError(f"matrix shape {M.shape} does not match {k} modes")
-    full = np.broadcast_to(np.eye(2 * total_modes), M.shape[:-2] + (2 * total_modes,) * 2).copy()
+def embed_matrix(M: np.ndarray, modes, total_modes: int, diag: float = 1.0) -> np.ndarray:
+    """Embed a 2k x 2k block-ordered matrix acting on `modes`, or each of a stack
+    (..., 2k, 2k), into `diag` times the 2m x 2m identity, m = total_modes."""
     idx = _block_index(modes, total_modes)
+    if M.shape[-2:] != (len(idx),) * 2:
+        raise DomainError(f"matrix shape {M.shape} does not match {len(idx) // 2} modes")
+    full = np.broadcast_to(diag * np.eye(2 * total_modes), M.shape[:-2] + (2 * total_modes,) * 2).copy()
     full[..., idx, :] = 0.0
     full[..., idx[:, None], idx] = M
     return full
@@ -394,47 +399,46 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
         Displacement added to the mean (zeros if None).
     state : GaussianState
     modes : tuple of int, optional
-        Subset of modes the channel acts on.
+        Subset of modes the channel acts on: distinct indices below
+        state.modes (DomainError otherwise).
 
     Raises
     ------
     InvalidChannelError
         If Y + i(Omega - X Omega X^T) has an eigenvalue below -1e-8.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    m_out2, m_in2 = X.shape
+    cov, mean = _apply(X, Y, state.cov, state.mean, modes)
+    if d is not None:
+        mean[slice(None) if modes is None else _block_index(modes, state.modes)] += d
+    return GaussianState(cov.shape[-1] // 2, mean, cov)
+
+
+def _apply(X, Y, cov, mean, modes=None):
+    """:func:`apply_gaussian_channel` without d, over stacks: channels
+    X (..., 2k, 2l) and Y (..., 2k, 2k) acting on checked covariances and
+    means that broadcast against them; returns the output (cov, mean).  One
+    eigvalsh checks every channel and one :func:`_checked_cov` every output,
+    and the first bad one raises the one-state error."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    m_out2, m_in2 = X.shape[-2:]
     if m_out2 % 2 or m_in2 % 2:
         raise DomainError("X must have even dimensions")
     m_out, m_in = m_out2 // 2, m_in2 // 2
-    if Y.shape != (m_out2, m_out2):
+    if Y.shape[-2:] != (m_out2, m_out2):
         raise DomainError("Y shape does not match X output dimension")
-    cond = Y + 1j * omega(m_out) - 1j * X @ omega(m_in) @ X.T
-    lo = float(np.min(np.linalg.eigvalsh(cond)))
-    if lo < -PSD_FLOOR:
-        raise InvalidChannelError(
-            f"channel PSD condition fails: min eigenvalue {lo:.3e} < -{PSD_FLOOR:g}"
-        )
-    d = np.zeros(m_out2) if d is None else np.asarray(d, dtype=float)
-
-    if modes is None:
-        if m_in != state.modes:
-            raise DomainError("X input dimension does not match the state")
-        new_mean = X @ state.mean + d
-        new_cov = X @ state.cov @ X.T + Y
-        return GaussianState(m_out, new_mean, new_cov)
-
-    modes = tuple(modes)
-    if m_in != m_out or m_in != len(modes):
-        raise DomainError("subset application requires square X on the given modes")
-    total = state.modes
-    Xf = embed_matrix(X, modes, total)
-    Yf = np.zeros((2 * total, 2 * total))
-    idx = _block_index(modes, total)
-    Yf[idx[:, None], idx] = Y
-    df = np.zeros(2 * total)
-    df[idx] = d
-    return GaussianState(total, Xf @ state.mean + df, Xf @ state.cov @ Xf.T + Yf)
+    lo = np.min(np.linalg.eigvalsh(Y + 1j * omega(m_out) - 1j * X @ omega(m_in) @ np.swapaxes(X, -1, -2)),
+                axis=-1)
+    if np.any(lo < -PSD_FLOOR):
+        raise InvalidChannelError(f"channel PSD condition fails: min eigenvalue "
+                                  f"{lo.flat[np.argmax(lo < -PSD_FLOOR)]:.3e} < -{PSD_FLOOR:g}")
+    total = cov.shape[-1] // 2
+    if modes is not None:
+        if m_in != m_out or m_in != len(tuple(modes)):
+            raise DomainError("subset application requires square X on the given modes")
+        X, Y = embed_matrix(X, modes, total), embed_matrix(Y, modes, total, 0.0)
+    elif m_in != total:
+        raise DomainError("X input dimension does not match the state")
+    return _checked_cov(X @ cov @ np.swapaxes(X, -1, -2) + Y), (X @ mean[..., None])[..., 0]
 
 
 def _beamsplitters(kind: str, t) -> np.ndarray:

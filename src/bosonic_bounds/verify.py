@@ -4,9 +4,11 @@ Everything here recomputes quantities through an independent route (matrix
 dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
-A check draws its seeded samples in a fixed order, validates the stacked
-states once and calls each oracle (which takes a channel column, as
-:func:`bounds.evaluate_column` does) once per channel kind.
+A check draws its seeded samples in a fixed order (the uniform ones of a
+row in one call), validates the stacked states once, applies each stack of
+channels in one call of the channel core behind `apply_gaussian_channel`,
+and calls each oracle (which takes a channel column, as
+:func:`bounds.evaluate_column` does) or registry form once per channel kind.
 """
 
 from __future__ import annotations
@@ -87,12 +89,20 @@ def _rotated(th, d0, d1, nu=1.0):
     return (np.asarray(nu)[..., None, None] * R) @ gc._mat2(d0, zero, zero, d1) @ np.swapaxes(R, -1, -2)
 
 
+_COV_DRAWS = ((0.0, 1.0), (0.0, 1.0), (0.0, np.pi))  # random_single_mode_cov's, in order
+
+
 def random_single_mode_cov(ns, rng, n=None) -> np.ndarray:
     """Random single-mode covariance of a state whose total mean photon
     number is exactly ns: a rotated squeezed thermal covariance carrying a
     random share of the energy, the rest sitting in a displacement (which
     affects no entropy).  With n, a stack (n, 2, 2) equal to n calls."""
-    u, a, th = _uniform_rows(rng, n, (0.0, 1.0), (0.0, 1.0), (0.0, np.pi))
+    return _single_mode_cov(ns, *_uniform_rows(rng, n, *_COV_DRAWS))
+
+
+def _single_mode_cov(ns, u, a, th):
+    """:func:`random_single_mode_cov` of the draws (u, a, th) of _COV_DRAWS,
+    over floats or arrays of one shape."""
     ev = u * ns
     ch = 1.0 + a * 2.0 * ev
     r = 0.5 * np.arccosh(ch)
@@ -119,7 +129,8 @@ def check_tms_purity(seed=1234, n=50) -> CheckResult:
 
 def check_state_invariants(seed=7, n=200) -> CheckResult:
     rng = np.random.default_rng(seed)
-    covs = np.stack([random_single_mode_cov(rng.uniform(0.0, 20.0), rng) for _ in range(n)])
+    # each sample's ns, then its random_single_mode_cov draws
+    covs = _single_mode_cov(*_uniform_rows(rng, n, (0.0, 20.0), *_COV_DRAWS))
     nus = gc._symplectic_eigs(gc._checked_cov(covs))
     worst = max(0.0, float(np.max(1.0 - nus[:, 0])))
     return CheckResult("state_invariants", worst < 1e-9, worst, 1e-9)
@@ -135,54 +146,54 @@ def check_g_shape(points=1000) -> CheckResult:
                        "finite differences on [0, 100]")
 
 
+def _xy(column):
+    """Stacks (n, 2, 2) of the X and of the Y matrices of a channel column."""
+    return tuple(map(np.stack, zip(*((ch.X, ch.Y) for ch in column))))
+
+
 def check_channel_composition(seed=11, n=100) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        st = gc.GaussianState(1, rng.normal(size=2),
-                              random_single_mode_cov(rng.uniform(0, 10), rng))
-        c1 = chn.thermal(rng.uniform(0.3, 1.0), rng.uniform(0, 2))
-        c2 = chn.amplifier(rng.uniform(1.0, 2.5), rng.uniform(0, 2))
-        step = c2.apply(c1.apply(st))
-        X = c2.X @ c1.X
-        Y = c2.X @ c1.Y @ c2.X.T + c2.Y
-        once = gc.apply_gaussian_channel(X, Y, None, st)
-        worst = max(worst, float(np.max(np.abs(step.cov - once.cov))))
+    means, rows = [], []
+    for _ in range(n):  # a sample's normal draws, then its ns, cov and channel draws
+        means.append(rng.normal(size=2))
+        rows.append(_uniform_rows(rng, None, (0.0, 10.0), *_COV_DRAWS,
+                                  (0.3, 1.0), (0.0, 2.0), (1.0, 2.5), (0.0, 2.0)))
+    ns, u, a, th, eta, nb1, g, nb2 = np.array(rows).T
+    (X1, Y1), (X2, Y2) = _xy(map(chn.thermal, eta, nb1)), _xy(map(chn.amplifier, g, nb2))
+    V, mean = gc._checked_cov(_single_mode_cov(ns, u, a, th)), np.array(means)
+    step = gc._apply(X2, Y2, *gc._apply(X1, Y1, V, mean))[0]
+    once = gc._apply(X2 @ X1, X2 @ Y1 @ np.swapaxes(X2, -1, -2) + Y2, V, mean)[0]
+    worst = float(np.max(np.abs(step - once)))
     return CheckResult("channel_composition", worst < 1e-10, worst, 1e-10)
 
 
 def check_fidelity_basics(seed=13, n=50) -> CheckResult:
     rng = np.random.default_rng(seed)
     nph, eta, nb = _uniform_rows(rng, n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
-    A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channel on mode 1, state by state
-    B = np.stack([chn.thermal(e, k).apply(gc.GaussianState(2, np.zeros(4), V), modes=(1,)).cov
-                  for e, k, V in zip(eta, nb, A)])
+    A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channels on mode 1
+    B = gc._apply(*_xy(map(chn.thermal, eta, nb)), A, np.zeros(4), modes=(1,))[0]
     F = gc._fidelity(np.stack([A, B, A, B]), np.stack([A, B, B, A]))
     worst = max(0.0, float(np.max(np.abs([1.0 - F[0], 1.0 - F[1], F[2] - F[3]]))))
     return CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
 
 
 def check_symplectic_constructors() -> CheckResult:
-    worst = 0.0
-    O = gc.omega(2)
-    for t in np.linspace(0.0, 1.0, 11):
-        for S in (gc.beamsplitter_symplectic("B", t),
-                  gc.beamsplitter_symplectic("Bprime", t)):
-            worst = max(worst, float(np.max(np.abs(S @ O @ S.T - O))))
-    for g in np.linspace(1.0, 4.0, 11):
-        S = gc.two_mode_squeezer_symplectic(g)
-        worst = max(worst, float(np.max(np.abs(S @ O @ S.T - O))))
+    O, t = gc.omega(2), np.linspace(0.0, 1.0, 11)
+    # the stacked builders behind beamsplitter_symplectic and two_mode_squeezer_symplectic
+    S = np.concatenate([gc._beamsplitters("B", t), gc._beamsplitters("Bprime", t),
+                        gc._squeezers(np.linspace(1.0, 4.0, 11))])
+    worst = max(0.0, float(np.max(np.abs(S @ O @ np.swapaxes(S, -1, -2) - O))))
     return CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
 
 
 def check_photon_bookkeeping(seed=17, n=50) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        eta, nb, ns = rng.uniform(0.05, 1.0), rng.uniform(0, 3), rng.uniform(0, 10)
-        out = chn.thermal(eta, nb).apply(gc.tms_state(ns), modes=(1,))
-        got = gc.mean_photon_number(gc.reduce_state(out, (1,)))
-        worst = max(worst, abs(got - (eta * ns + (1.0 - eta) * nb)))
+    eta, nb, ns = _uniform_rows(rng, n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
+    V, mean = gc._apply(*_xy(map(chn.thermal, eta, nb)), _pair_covs(*gc.tms_qblocks(ns)),
+                        np.zeros(4), modes=(1,))
+    idx = gc._block_index((1,), 2)  # the output arm
+    got = gc._photon_number(V[:, idx[:, None], idx], mean[:, idx])
+    worst = max(0.0, float(np.max(np.abs(got - (eta * ns + (1.0 - eta) * nb)))))
     return CheckResult("photon_bookkeeping", worst < 1e-10, worst, 1e-10)
 
 
@@ -229,31 +240,25 @@ def _residual(raw, column, ns, oracle) -> float:
 
 def check_ql_oracle_thermal(seed=31, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    draws = np.array([(rng.uniform(0.02, 1.0), rng.uniform(0, 3), rng.uniform(0, 50))
-                      for _ in range(n)])
-    column, ns = [chn.thermal(eta, nb) for eta, nb, _ in draws.tolist()], draws[:, 2]
+    eta, nb, ns = _uniform_rows(rng, n, (0.02, 1.0), (0.0, 3.0), (0.0, 50.0))
+    column = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
     worst = _residual(bnd._ql_thermal_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_thermal", worst < 1e-9, worst, 1e-9)
 
 
 def check_ql_oracle_amp(seed=37, n=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
-    draws = np.array([(rng.uniform(1.001, 4.0), rng.uniform(0, 3), rng.uniform(0, 50))
-                      for _ in range(n)])
-    column, ns = [chn.amplifier(g, nb) for g, nb, _ in draws.tolist()], draws[:, 2]
+    g, nb, ns = _uniform_rows(rng, n, (1.001, 4.0), (0.0, 3.0), (0.0, 50.0))
+    column = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
     worst = _residual(bnd._ql_amp_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_amp", worst < 1e-9, worst, 1e-9)
 
 
 def check_ud_oracle(seed=41, n=200) -> CheckResult:
     rng = np.random.default_rng(seed)
-    thermals, amps, ns = [], [], []
-    for _ in range(n):
-        eta, nb, ns_k = rng.uniform(0.5, 1.0), rng.uniform(0, 2), rng.uniform(0, 20)
-        thermals.append(chn.thermal(eta, nb))
-        ns.append(ns_k)
-        amps.append(chn.amplifier(rng.uniform(1.001, 3.0), nb))
-    ns = np.array(ns)
+    eta, nb, ns, g = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 2.0), (0.0, 20.0), (1.001, 3.0))
+    thermals = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
+    amps = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
     worst = max(_residual(raw, column, ns, ud_oracle(column, (2 * ns + 1)[:, None, None] * np.eye(2)))
                 for raw, column in ((bnd._ud_thermal_raw, thermals), (bnd._ud_amp_raw, amps)))
     return CheckResult("ud_oracle", worst < 1e-9, worst, 1e-9,
@@ -306,56 +311,49 @@ def check_bound_ordering(seed=53, n_fast=10000, n_opt=400) -> CheckResult:
                        "QL below every applicable upper bound")
 
 
+def _form(kind, channel_kind):
+    """The registry form of bound `kind` on channels of `channel_kind`."""
+    return bnd.REGISTRY[kind].forms[channel_kind]
+
+
 def check_unconstrained_limit(seed=59) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20):
-        eta, nb = rng.uniform(0.5, 0.999), rng.uniform(0.0, 3.0)
-        ch = chn.thermal(eta, nb)
-        grid = np.geomspace(0.01, 1e6, 200)
-        # the published bound is max{0, raw}; raw itself decreases once the
-        # decomposed pure-loss transmissivity eta' falls below 1/2
-        vals = np.maximum(bnd._qu1_thermal_raw(eta, nb, grid), 0.0)
-        worst = max(worst, float(np.max(-np.diff(vals))))
-        worst = max(worst, abs(vals[-1] - max(0.0, bnd.q_u1_unconstrained(ch))))
+    eta, nb = _uniform_rows(rng, 20, (0.5, 0.999), (0.0, 3.0))
+    # the published bound is max{0, raw}; raw itself decreases once the
+    # decomposed pure-loss transmissivity eta' falls below 1/2
+    vals = np.maximum(bnd._qu1_thermal_raw(eta[:, None], nb[:, None], np.geomspace(0.01, 1e6, 200)), 0.0)
+    limit = np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0)
+    worst = max(0.0, float(np.max(-np.diff(vals))), float(np.max(np.abs(vals[:, -1] - limit))))
     return CheckResult("unconstrained_limit", worst < 1e-3, worst, 1e-3,
                        "clamped QU1 nondecreasing, limit reached at ns = 1e6")
 
 
 def check_private_improvement() -> CheckResult:
-    points = [(nb, ns, eta) for nb in (0.01, 0.1) for ns in (0.1, 10.0)
-              for eta in np.linspace(0.3, 0.9, 25)]
-    column = bnd.evaluate_column("PL", [chn.thermal(eta, nb) for nb, _, eta in points],
-                                 [ns for _, ns, _ in points])
-    worst_neg = 0.0
-    improved = dict.fromkeys([(nb, ns) for nb, ns, _ in points], False)
-    for (nb, ns, eta), cell in zip(points, column):
-        ql = bnd._ql_thermal_raw(eta, nb, ns)
-        worst_neg = max(worst_neg, ql - _raw(cell))
-        improved[nb, ns] |= _raw(cell) - ql > 1e-4
-    passed = all(improved.values()) and worst_neg < 1e-9
+    # four rows of 25 eta values, one per (nb, ns)
+    grid = np.meshgrid([0.01, 0.1], [0.1, 10.0], np.linspace(0.3, 0.9, 25), indexing="ij")
+    nb, ns, eta = (v.ravel() for v in grid)
+    column = bnd.evaluate_column("PL", [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())],
+                                 ns.tolist())
+    gain = np.array([_raw(cell) for cell in column]) - bnd._ql_thermal_raw(eta, nb, ns)
+    worst_neg = max(0.0, float(np.max(-gain)))
+    passed = bool(np.all(np.any(gain.reshape(4, 25) > 1e-4, axis=1))) and worst_neg < 1e-9
     return CheckResult("private_improvement", passed, worst_neg, 1e-9,
                        "P_L >= Q_L with a strict improvement band")
 
 
-def check_comparison_orderings() -> CheckResult:
-    worst = 0.0
+def check_comparison_orderings(n=2000, n_nbar=100) -> CheckResult:
     rng = np.random.default_rng(61)
-    for _ in range(2000):
-        eta, nb = rng.uniform(0.01, 0.999), rng.uniform(0.0, 5.0)
-        if eta <= (1.0 - eta) * nb or eta < 0.5:
-            continue
-        ch = chn.thermal(eta, nb)
-        rmg = bnd.comparison_bounds(ch, "RMG")
-        qu1 = max(0.0, bnd.q_u1_unconstrained(ch))
-        worst = max(worst, rmg - qu1)
-    nbars = np.linspace(0.01, 0.99, 100)
-    signs = []
-    for nbar in nbars:
-        ch = chn.additive_noise(float(nbar))
-        plob = bnd.comparison_bounds(ch, "PLOB_addnoise")
-        worst = max(worst, plob - bnd.q_u1_unconstrained(ch))
-        signs.append(np.sign(max(0.0, bnd.q_u4_unconstrained(ch)) - max(0.0, plob)))
+    eta, nb = _uniform_rows(rng, n, (0.01, 0.999), (0.0, 5.0))
+    keep = (eta > (1.0 - eta) * nb) & (eta >= 0.5)  # where RMG and QU1 are defined
+    eta, nb = eta[keep], nb[keep]
+    # the clamped RMG value against the clamped QU1 limit
+    gaps = (np.maximum(_form("RMG", "thermal").fn(eta, nb, 0.0), 0.0)
+            - np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0))
+    nbars = np.linspace(0.01, 0.99, n_nbar)
+    plob = _form("PLOB", "additive").fn(nbars, 0.0)
+    gaps = np.concatenate([gaps, plob - _form("QU1", "additive").limit(nbars)])
+    worst = max(0.0, float(np.max(gaps)))
+    signs = np.sign(np.maximum(_form("QU4", "additive").limit(nbars), 0.0) - np.maximum(plob, 0.0))
     crossover = (1.0 in signs or 0.0 in signs) and -1.0 in signs
     passed = worst < 1e-9 and crossover
     return CheckResult("comparison_orderings", passed, worst, 1e-9,

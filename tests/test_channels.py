@@ -68,6 +68,11 @@ class TestConstructors:
         out = ch.apply(gc.thermal_state(2.0))
         assert np.allclose(out.cov, (ch.tau * 5.0 + ch.nu) * np.eye(2))
 
+    @pytest.mark.parametrize("modes", [(2,), (-1,)], ids=["range", "negative"])
+    def test_channel_action_rejects_bad_mode_indices(self, modes):
+        with pytest.raises(DomainError, match="mode indices"):
+            chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0), modes=modes)
+
 
 class TestEntanglementBreaking:
     def test_additive_boundary(self):

@@ -259,6 +259,17 @@ class TestVerifyCommand:
         monkeypatch.setattr(gc, "_symplectic_eigs", lambda cov: orig(cov) * (1.0 + 1e-9))
         assert not vfy.check_tms_purity().passed
 
+    def test_mutation_in_channel_core_breaks_channel_checks(self, monkeypatch):
+        orig = gc._apply  # the core behind apply_gaussian_channel and the stacked checks
+
+        def scaled(*args, **kwargs):
+            cov, mean = orig(*args, **kwargs)
+            return cov * (1.0 + 1e-9), mean
+
+        monkeypatch.setattr(gc, "_apply", scaled)
+        assert not vfy.check_channel_composition().passed
+        assert not vfy.check_photon_bookkeeping().passed
+
 
 class TestSpecParsing:
     def test_roundtrip(self):

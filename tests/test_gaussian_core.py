@@ -355,6 +355,89 @@ class TestChannelAction:
         once = gc.apply_gaussian_channel(X2 @ X1, X2 @ Y1 @ X2.T + Y2, None, st_)
         assert np.max(np.abs(step.cov - once.cov)) < 1e-10
 
+    @pytest.mark.parametrize("modes", [(2,), (-1,), (1, 1)], ids=["range", "negative", "repeat"])
+    def test_bad_mode_indices_are_domain_errors(self, modes):
+        k = 2 * len(modes)
+        with pytest.raises(DomainError, match="mode indices"):
+            gc.apply_gaussian_channel(np.eye(k), np.zeros((k, k)), None, gc.tms_state(1.0),
+                                      modes=modes)
+        with pytest.raises(DomainError, match="mode indices"):
+            gc._apply(np.eye(k), np.zeros((k, k)), gc.tms_state(1.0).cov, np.zeros(4), modes)
+
+    def test_reduce_state_rejects_bad_mode_indices(self):
+        for modes in [(2,), (-1,), (0, 0)]:
+            with pytest.raises(DomainError, match="mode indices"):
+                gc.reduce_state(gc.tms_state(1.0), modes)
+
+    def test_displacement_lands_on_the_given_modes(self):
+        out = gc.apply_gaussian_channel(np.eye(2), np.zeros((2, 2)), [0.5, -0.25],
+                                        gc.tms_state(1.0), modes=(1,))
+        assert out.mean.tolist() == [0.0, 0.5, 0.0, -0.25]
+
+
+def _random_channels(rng, m, n):
+    """n random channels on m modes, X = sqrt(t) S for a random symplectic S
+    and Y = |1 - t| (2 nb + 1) I, so Y + i(Omega - X Omega X^T) >= 0."""
+    if m == 1:
+        th, r = rng.uniform(0.0, np.pi, n), rng.uniform(-1.0, 1.0, n)
+        c, s, z = np.cos(th), np.sin(th), np.zeros(n)
+        S = gc._mat2(c, -s, s, c) @ gc._mat2(np.exp(r), z, z, np.exp(-r))
+    else:
+        S = gc._squeezers(rng.uniform(1.0, 3.0, n)) @ gc._beamsplitters("B", rng.uniform(0, 1, n))
+    t, nb = rng.uniform(0.2, 3.0, n), rng.uniform(0.0, 2.0, n)
+    eye = np.eye(2 * m)
+    return np.sqrt(t)[:, None, None] * S, (np.abs(1.0 - t) * (2.0 * nb + 1.0))[:, None, None] * eye
+
+
+class TestStackedChannelAction:
+    """gaussian_core._apply over stacks against one-state apply_gaussian_channel calls."""
+
+    @pytest.mark.parametrize("modes", [None, (1,)], ids=["all", "mode1"])
+    def test_stack_equals_one_state_calls(self, modes):
+        rng = np.random.default_rng(21)
+        n = 40
+        covs = gc._checked_cov(_physical_covs(rng, 2, n))
+        means = rng.normal(size=(n, 4))
+        X, Y = _random_channels(rng, 2 if modes is None else 1, n)
+        cov, mean = gc._apply(X, Y, covs, means, modes)
+        assert cov.shape == (n, 4, 4) and mean.shape == (n, 4)
+        for k in range(n):
+            one = gc.apply_gaussian_channel(X[k], Y[k], None, gc.GaussianState(2, means[k], covs[k]),
+                                            modes)
+            assert cov[k].tobytes() == one.cov.tobytes()
+            assert mean[k].tobytes() == one.mean.tobytes()
+
+    def test_one_channel_broadcasts_over_a_state_stack(self):
+        rng = np.random.default_rng(22)
+        covs = gc._checked_cov(_physical_covs(rng, 2, 10))
+        X, Y = _random_channels(rng, 1, 1)
+        cov, mean = gc._apply(X[0], Y[0], covs, np.zeros(4), (0,))
+        for Vk, out in zip(covs, cov):
+            one = gc.apply_gaussian_channel(X[0], Y[0], None, gc.GaussianState(2, np.zeros(4), Vk),
+                                            (0,))
+            assert out.tobytes() == one.cov.tobytes()
+        assert mean.shape == (4,)
+
+    def test_first_bad_channel_fails_the_stack(self):
+        X = np.stack([np.eye(2), 1.5 * np.eye(2), 2.0 * np.eye(2)])  # gain without noise
+        Y = np.zeros((3, 2, 2))
+        with pytest.raises(InvalidChannelError) as one:
+            gc.apply_gaussian_channel(X[1], Y[1], None, gc.vacuum_state(1))
+        with pytest.raises(InvalidChannelError) as stack:
+            gc._apply(X, Y, np.eye(2), np.zeros(2))
+        assert str(stack.value) == str(one.value)
+        assert "-1.250e+00" in str(one.value)  # the second channel, not the third (-3)
+
+    @pytest.mark.parametrize("bad", [0.1, np.nan])
+    def test_first_bad_output_fails_the_stack(self, bad):
+        X, Y = np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2)
+        covs = np.stack([np.eye(2), bad * np.eye(2), 0.2 * np.eye(2)])
+        with pytest.raises(InvalidStateError) as one:
+            gc.GaussianState(1, np.zeros(2), X @ covs[1] @ X.T + Y)
+        with pytest.raises(InvalidStateError) as stack:
+            gc._apply(X, Y, covs, np.zeros(2))
+        assert str(stack.value) == str(one.value)
+
 
 class TestSymplecticBuilders:
     def test_beamsplitter_identity(self):

@@ -2,11 +2,11 @@
 
 Each reference below draws the same seeded samples in the same order as the
 check it mirrors, but builds one state at a time through the one-sample
-functions (`GaussianState`, `two_mode_fidelity`, `random_single_mode_cov`,
-...), calls the oracle and the closed form once per sample and evaluates
-the dense grid in one piece.  The stacked checks must return
-an equal CheckResult, with the residual equal bit for bit.
-"""
+functions (`GaussianState`, `apply_gaussian_channel`, `two_mode_fidelity`,
+`random_single_mode_cov`, `comparison_bounds`, ...), calls the oracle and
+the closed form once per sample and evaluates the dense grid in one piece.
+The stacked checks must return an equal CheckResult, with the residual
+equal bit for bit."""
 
 import numpy as np
 import pytest
@@ -50,6 +50,46 @@ def ref_fidelity_basics(seed=13, n=50):
         worst = max(worst, abs(1.0 - gc.two_mode_fidelity(b, b)))
         worst = max(worst, abs(gc.two_mode_fidelity(a, b) - gc.two_mode_fidelity(b, a)))
     return vfy.CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
+
+
+def ref_channel_composition(seed=11, n=100):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        st = gc.GaussianState(1, rng.normal(size=2),
+                              vfy.random_single_mode_cov(rng.uniform(0, 10), rng))
+        c1 = chn.thermal(rng.uniform(0.3, 1.0), rng.uniform(0, 2))
+        c2 = chn.amplifier(rng.uniform(1.0, 2.5), rng.uniform(0, 2))
+        step = c2.apply(c1.apply(st))
+        X = c2.X @ c1.X
+        Y = c2.X @ c1.Y @ c2.X.T + c2.Y
+        once = gc.apply_gaussian_channel(X, Y, None, st)
+        worst = max(worst, float(np.max(np.abs(step.cov - once.cov))))
+    return vfy.CheckResult("channel_composition", worst < 1e-10, worst, 1e-10)
+
+
+def ref_symplectic_constructors():
+    worst = 0.0
+    O = gc.omega(2)
+    for t in np.linspace(0.0, 1.0, 11):
+        for S in (gc.beamsplitter_symplectic("B", t),
+                  gc.beamsplitter_symplectic("Bprime", t)):
+            worst = max(worst, float(np.max(np.abs(S @ O @ S.T - O))))
+    for g in np.linspace(1.0, 4.0, 11):
+        S = gc.two_mode_squeezer_symplectic(g)
+        worst = max(worst, float(np.max(np.abs(S @ O @ S.T - O))))
+    return vfy.CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
+
+
+def ref_photon_bookkeeping(seed=17, n=50):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        eta, nb, ns = rng.uniform(0.05, 1.0), rng.uniform(0, 3), rng.uniform(0, 10)
+        out = chn.thermal(eta, nb).apply(gc.tms_state(ns), modes=(1,))
+        got = gc.mean_photon_number(gc.reduce_state(out, (1,)))
+        worst = max(worst, abs(got - (eta * ns + (1.0 - eta) * nb)))
+    return vfy.CheckResult("photon_bookkeeping", worst < 1e-10, worst, 1e-10)
 
 
 def ref_deg_vs_sim_cov(seed=23, n=1000):
@@ -139,6 +179,57 @@ def ref_thermal_input_optimality(seed=43, n_points=50, n_inputs=100):
                            "random equal-energy inputs never beat the thermal input")
 
 
+def ref_unconstrained_limit(seed=59):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        eta, nb = rng.uniform(0.5, 0.999), rng.uniform(0.0, 3.0)
+        ch = chn.thermal(eta, nb)
+        grid = np.geomspace(0.01, 1e6, 200)
+        vals = np.maximum(bnd._qu1_thermal_raw(eta, nb, grid), 0.0)
+        worst = max(worst, float(np.max(-np.diff(vals))))
+        worst = max(worst, abs(vals[-1] - max(0.0, bnd.q_u1_unconstrained(ch))))
+    return vfy.CheckResult("unconstrained_limit", worst < 1e-3, worst, 1e-3,
+                           "clamped QU1 nondecreasing, limit reached at ns = 1e6")
+
+
+def ref_private_improvement():
+    points = [(nb, ns, eta) for nb in (0.01, 0.1) for ns in (0.1, 10.0)
+              for eta in np.linspace(0.3, 0.9, 25)]
+    worst_neg = 0.0
+    improved = dict.fromkeys([(nb, ns) for nb, ns, _ in points], False)
+    for nb, ns, eta in points:
+        pl = bnd.p_lower_displaced(eta, nb, ns).raw
+        ql = bnd._ql_thermal_raw(eta, nb, ns)
+        worst_neg = max(worst_neg, ql - pl)
+        improved[nb, ns] |= pl - ql > 1e-4
+    passed = all(improved.values()) and worst_neg < 1e-9
+    return vfy.CheckResult("private_improvement", passed, worst_neg, 1e-9,
+                           "P_L >= Q_L with a strict improvement band")
+
+
+def ref_comparison_orderings(n=2000, n_nbar=100):
+    worst = 0.0
+    rng = np.random.default_rng(61)
+    for _ in range(n):
+        eta, nb = rng.uniform(0.01, 0.999), rng.uniform(0.0, 5.0)
+        if eta <= (1.0 - eta) * nb or eta < 0.5:
+            continue
+        ch = chn.thermal(eta, nb)
+        rmg = bnd.comparison_bounds(ch, "RMG")
+        qu1 = max(0.0, bnd.q_u1_unconstrained(ch))
+        worst = max(worst, rmg - qu1)
+    signs = []
+    for nbar in np.linspace(0.01, 0.99, n_nbar):
+        ch = chn.additive_noise(float(nbar))
+        plob = bnd.comparison_bounds(ch, "PLOB_addnoise")
+        worst = max(worst, plob - bnd.q_u1_unconstrained(ch))
+        signs.append(np.sign(max(0.0, bnd.q_u4_unconstrained(ch)) - max(0.0, plob)))
+    crossover = (1.0 in signs or 0.0 in signs) and -1.0 in signs
+    return vfy.CheckResult("comparison_orderings", worst < 1e-9 and crossover, worst, 1e-9,
+                           "RMG/PLOB orderings and additive crossover")
+
+
 def ref_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6):
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -157,7 +248,10 @@ def ref_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6):
 CASES = [
     (vfy.check_tms_purity, ref_tms_purity, {"n": 7}),
     (vfy.check_state_invariants, ref_state_invariants, {"n": 7}),
+    (vfy.check_channel_composition, ref_channel_composition, {"n": 7}),
     (vfy.check_fidelity_basics, ref_fidelity_basics, {"n": 7}),
+    (vfy.check_symplectic_constructors, ref_symplectic_constructors, {}),
+    (vfy.check_photon_bookkeeping, ref_photon_bookkeeping, {"n": 7}),
     (vfy.check_fidelity_identity, ref_fidelity_identity, {"n_eta": 3, "n_nb": 4}),
     (vfy.check_eps_consistency, ref_eps_consistency, {"n": 7}),
     (vfy.check_deg_vs_sim_cov, ref_deg_vs_sim_cov, {"n": 7}),
@@ -166,6 +260,10 @@ CASES = [
     (vfy.check_ud_oracle, ref_ud_oracle, {"n": 7}),
     (vfy.check_thermal_input_optimality, ref_thermal_input_optimality,
      {"n_points": 3, "n_inputs": 5}),
+    (vfy.check_unconstrained_limit, ref_unconstrained_limit, {}),
+    (vfy.check_private_improvement, ref_private_improvement, {}),
+    # 40 draws keep about 20 channels; 9 nbar values still cross over
+    (vfy.check_comparison_orderings, ref_comparison_orderings, {"n": 40, "n_nbar": 9}),
     # 200 001 points: three full blocks of 2**16 and a ragged last one
     (vfy.check_optimizer_vs_grid, ref_optimizer_vs_grid, {"n_obj": 3, "dense": 200_001}),
 ]
@@ -179,6 +277,29 @@ def test_stacked_check_matches_reference_loop(check, ref, small_args, small):
     assert got == want
     assert float(got.residual).hex() == float(want.residual).hex()
     assert got.format() == want.format()
+
+
+def test_comparison_forms_equal_the_public_bounds():
+    # comparison_orderings' residual is 0 at its seed, so pin its arrays too
+    eta, nb = vfy._uniform_rows(np.random.default_rng(61), 400, (0.01, 0.999), (0.0, 5.0))
+    keep = (eta > (1.0 - eta) * nb) & (eta >= 0.5)
+    eta, nb = eta[keep], nb[keep]
+    nbar = np.linspace(0.01, 0.99, 100)
+    stacked = [np.maximum(vfy._form("RMG", "thermal").fn(eta, nb, 0.0), 0.0),
+               vfy._form("QU1", "thermal").limit(eta, nb),
+               vfy._form("PLOB", "additive").fn(nbar, 0.0),
+               vfy._form("QU1", "additive").limit(nbar),
+               vfy._form("QU4", "additive").limit(nbar)]
+    thermals = [chn.thermal(e, b) for e, b in zip(eta.tolist(), nb.tolist())]
+    adds = [chn.additive_noise(float(x)) for x in nbar]
+    public = [[bnd.comparison_bounds(ch, "RMG") for ch in thermals],
+              [bnd.q_u1_unconstrained(ch) for ch in thermals],
+              [bnd.comparison_bounds(ch, "PLOB_addnoise") for ch in adds],
+              [bnd.q_u1_unconstrained(ch) for ch in adds],
+              [bnd.q_u4_unconstrained(ch) for ch in adds]]
+    assert len(thermals) > 100
+    for got, want in zip(stacked, public):
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
 @pytest.mark.parametrize("draw", [
