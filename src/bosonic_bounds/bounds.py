@@ -49,6 +49,16 @@ __all__ = [
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
 
 
+def _on_floats(ufunc):
+    """`ufunc`, but a Python float for a float: the arithmetic after it then
+    runs on Python floats, whose +, -, *, / round as np.float64's do, at a
+    fraction of the cost."""
+    return lambda x: float(ufunc(x)) if isinstance(x, float) else ufunc(x)
+
+
+_log, _log1p, _sqrt = _on_floats(np.log), _on_floats(np.log1p), _on_floats(np.sqrt)
+
+
 def _where(cond, a, b):
     """np.where(cond, a, b); on a scalar condition and float branches (one
     cell) it picks a or b itself, without the cost of a 0-d array."""
@@ -90,22 +100,22 @@ class PenaltyParams:
 
 def _penalty_eval(eps, e, w_prime, k):
     """Penalty over the broadcast arguments, at eps' = e; +inf wherever
-    delta <= 0.  Floats give a float; an array with no delta <= 0 skips the masks."""
+    delta <= 0.  Floats give a float, computed on Python floats; an array
+    with no delta <= 0 skips the masks."""
     delta = (e - eps) / (1.0 + e)
     ok = delta > 0.0
     whole = ok if isinstance(ok, bool) else ok.all()
     d = delta if whole else _where(ok, delta, 0.5)  # keeps the discarded entries finite
     val = k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
                + _gn(e)
-               + 2.0 * (-(d * np.log(d) + (1.0 - d) * np.log1p(-d)))) / LN2
-    out = val if whole else _where(ok, val, np.inf)
-    return float(out) if isinstance(out, float) else out
+               + 2.0 * (-(d * _log(d) + (1.0 - d) * _log1p(-d)))) / LN2
+    return val if whole else _where(ok, val, np.inf)
 
 
 def penalty(p: PenaltyParams) -> float:
     """k [ (2 eps' + 4 delta) g(W'/delta) + g(eps') + 2 h2(delta) ] in bits,
     with delta = (eps' - eps)/(1 + eps'); +inf if delta degenerates."""
-    return _penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k)
+    return float(_penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k))
 
 
 def _geomspace_rows(start, stop, num):
@@ -174,15 +184,15 @@ def _sq(x):
 def _ql_thermal_raw(eta, nb, ns):
     y = (1.0 - eta) * nb
     d2 = _sq((1.0 - eta) * ns) + 2.0 * ns * ((1.0 + eta) * y + (1.0 - eta)) + _sq(y + 1.0)
-    dd = np.sqrt(d2)
+    dd = _sqrt(d2)  # d2 >= 0: one cell runs on Python floats
     u = y + 1.0 - (1.0 - eta) * ns
     # rationalized forms avoid the D - (...) cancellation at large ns
     arg_p = _where(u > 0.0,
-                   2.0 * ns * (y + 1.0 - eta) / (dd + np.abs(u)),
+                   2.0 * ns * (y + 1.0 - eta) / (dd + abs(u)),
                    (dd - u) / 2.0)
     w = (1.0 - eta) * ns + 1.0 - y
     arg_m = _where(w > 0.0,
-                   2.0 * y * (ns + 1.0) / (dd + np.abs(w)),
+                   2.0 * y * (ns + 1.0) / (dd + abs(w)),
                    (dd - w) / 2.0)
     return (_gn(eta * ns + y) - _gn(arg_p) - _gn(arg_m)) / LN2
 
@@ -601,25 +611,21 @@ def _private_loss(n2, icns, eta, nb):
     return -(icns - _ql_thermal_raw(eta, nb, n2))
 
 
-def _max_private(eta, nb, ns):
-    """max over n2 in [0, ns] of I_c(ns) - I_c(n2), one batch over the
-    arrays; (values, argmax).  The coherent-information dip sits at small
-    absolute photon numbers: each row seeds at 0 and log-spaced from
-    min(1e-12, ns) to ns, all rows from one :func:`_geomspace_rows` call."""
-    icns = _ql_thermal_raw(eta, nb, ns)
-    grids = np.hstack((np.zeros((ns.size, 1)), _geomspace_rows(np.minimum(1e-12, ns), ns, 63)))
-    res = minimize_batch(_private_loss, 0.0, ns, grids, icns, eta, nb)
-    return -res.value, res.arg
-
-
 def _pl_thermal(eta, nb, ns):
-    """PL's form: the maximum of :func:`_max_private` and its argmax, 0 and 0
-    at ns = 0."""
-    eta, nb, ns = np.atleast_1d(eta, nb, ns)
+    """PL's form: max over n2 in [0, ns] of I_c(ns) - I_c(n2) and its argmax,
+    0 and 0 at ns = 0; one batch over the cells, after I_c(ns) (on floats for
+    one cell).  The coherent-information dip sits at small absolute photon
+    numbers: each row seeds at 0 and log-spaced from min(1e-12, ns) to ns,
+    all rows from one :func:`_geomspace_rows` call."""
+    eta, nb, ns, icns = np.atleast_1d(eta, nb, ns, _ql_thermal_raw(eta, nb, ns))
     value, arg = np.zeros(ns.shape), np.zeros(ns.shape)
     pos = ns > 0.0
     if pos.any():
-        value[pos], arg[pos] = _max_private(eta[pos], nb[pos], ns[pos])
+        if not pos.all():
+            eta, nb, ns, icns = eta[pos], nb[pos], ns[pos], icns[pos]
+        grids = np.hstack((np.zeros((ns.size, 1)), _geomspace_rows(np.minimum(1e-12, ns), ns, 63)))
+        res = minimize_batch(_private_loss, 0.0, ns, grids, icns, eta, nb)
+        value[pos], arg[pos] = -res.value, res.arg
     return value, arg
 
 

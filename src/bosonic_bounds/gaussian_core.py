@@ -410,7 +410,11 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
     cov, mean = _apply(X, Y, state.cov, state.mean, modes)
     if d is not None:
         mean[slice(None) if modes is None else _block_index(modes, state.modes)] += d
-    return GaussianState(cov.shape[-1] // 2, mean, cov)
+    if not np.all(np.isfinite(mean)):  # d may be non-finite; cov is checked
+        raise InvalidStateError("state data must be finite")
+    out = object.__new__(GaussianState)  # not GaussianState(...): it checks cov again
+    out.__dict__.update(modes=cov.shape[-1] // 2, mean=_as_readonly(mean), cov=_as_readonly(cov))
+    return out
 
 
 def _apply(X, Y, cov, mean, modes=None):

@@ -8,10 +8,11 @@ taking exactly the steps it would take alone.  One function, `_golden`,
 takes every golden-section step: on arrays through np.where while several
 problems step together, and on Python floats once one problem steps alone,
 which numpy would otherwise run as 1-element arrays at many times the cost.
-The arithmetic is the same on both, so the bits are.  The objective is
-elementwise: it gets the points and each problem's own arguments.
-Identical inputs give bit-identical results, and on a plateau the smallest
-argument wins.
+The arithmetic is the same on both, so the bits are.  A lone problem (a
+one-cell bound) pays for its evaluations, not for batch bookkeeping.  The
+objective is elementwise: it gets the points and each problem's own
+arguments.  Identical inputs give bit-identical results, and on a plateau
+the smallest argument wins.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ BatchOptResult = namedtuple("BatchOptResult", "arg value evaluations converged")
 def _seed_grids(lo, hi, seed_grids):
     """Each row's distinct seeds in [lo, hi], ascending and padded to the
     longest row's number by repeating the last one, and their number."""
-    s = np.sort(np.clip(np.asarray(seed_grids, dtype=float), lo[:, None], hi[:, None]), axis=1)
+    s = np.sort(np.clip(np.asarray(seed_grids, dtype=float), lo[..., None], hi[..., None]), axis=1)
     new = np.ones(s.shape, dtype=bool)
     new[:, 1:] = s[:, 1:] != s[:, :-1]
+    if new.all():  # no row repeats a seed: nothing to drop
+        return s, np.full(len(s), s.shape[1])
     count = new.sum(axis=1)
     first = np.argsort(~new, axis=1, kind="stable")  # distinct points first, in order
     pad = np.minimum(np.arange(count.max()), count[:, None] - 1)
@@ -78,75 +81,82 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
 
     `objective(x, *args)` is elementwise in `x` and in `args`, one for each
     of the `row_args` (arrays of n floats, problem i's value at index i).
-    The seeds' call gets `x` of shape (n, m) and each arg `row_arg[:, None]`.
-    The searching problems' args are gathered once, longest search first;
-    while k of them step together, `x` has shape (k, j) and each arg is the
-    gather's first k rows, sliced once each time a problem stops.  The
-    objective returns values of `x`'s shape.  Once only problem r is left
-    stepping, its remaining calls get a float `x` and the floats
-    `row_arg[r]`, and return a float.  +inf (or nan, taken as +inf) is
-    allowed anywhere.
-    Problem i seeds on row i of `seed_grids` (an (n, m) array), clipped to
-    its interval with duplicates dropped; all seeds are evaluated in one
-    call.  A caller whose objective diverges at an endpoint passes grids
-    that crowd towards it and keeps the endpoint out of [lo, hi].  The
-    best seed's neighbours bracket a golden-section search of the fixed step
-    count that shrinks the bracket to 1e-9; ties keep the left interval.
-    Every step, in lockstep or alone, runs in `_golden`, so a problem gets
-    the bits it would get alone.  Each problem reports its best evaluated point (the smallest argument on
-    a plateau) and its evaluations; one whose seeds are all +inf is
-    non-converged at its first seed point.  A non-finite bound or lo > hi
-    raises DomainError.
+    `lo`, `hi` or a row arg may be one float that all problems share; a row
+    arg is broadcast only when its shape is not (n,).  Problem i seeds on
+    row i of `seed_grids` (an (n, m) array), clipped to its interval with
+    duplicates dropped; all seeds are evaluated in one call, `x` of shape
+    (n, m) and each arg `row_arg[:, None]`.  A caller whose objective
+    diverges at an endpoint passes grids that crowd towards it and keeps
+    the endpoint out of [lo, hi].  The best seed's neighbours bracket a
+    golden-section search of the fixed step count that shrinks the bracket
+    to 1e-9; all brackets and step counts take a fixed number of numpy
+    calls, whatever n is.  Ties keep the left interval.
+    Two or more searching problems are gathered once, longest search first;
+    while k of them step together, `x` has shape (k, j), each arg is the
+    gather's first k rows, sliced once each time a problem stops, and the
+    objective returns values of `x`'s shape.  A problem searching alone
+    steps on floats from its first step, the lockstep's last one after it:
+    `x` and the args `row_arg[r]` are floats, and so is the value.  +inf
+    (or nan, taken as +inf) is allowed anywhere.  Every step runs in
+    `_golden`, so a problem gets the bits it would get alone.  Each problem
+    reports its best evaluated point (the smallest argument on a plateau)
+    and its evaluations; one whose seeds are all +inf is non-converged at
+    its first seed point.  A non-finite bound or lo > hi raises DomainError.
     """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                 np.asarray(hi, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("minimization requires finite lo and hi")
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise DomainError("minimization requires lo <= hi")
-    row_args = [np.broadcast_to(np.asarray(p, dtype=float), lo.shape) for p in row_args]
 
     def f(x, args):
         v = np.asarray(objective(x, *args), dtype=float).reshape(x.shape)
         return np.where(np.isnan(v), np.inf, v)
 
-    rows = np.arange(lo.size)
     grid, evaluations = _seed_grids(lo, hi, seed_grids)
+    n, m = grid.shape
+    row_args = [np.asarray(p, dtype=float) for p in row_args]
+    row_args = [p if p.shape == (n,) else np.broadcast_to(p, (n,)) for p in row_args]
     vals = f(grid, [p[:, None] for p in row_args])
-    i = np.argmin(vals, axis=1)  # first minimum = smallest argument on ties
-    value, converged = vals[rows, i], np.isfinite(vals[rows, i])
-    arg = np.where(converged, grid[rows, i], grid[:, 0])
-    a = grid[rows, np.maximum(i - 1, 0)]
-    h = grid[rows, np.minimum(i + 1, evaluations - 1)] - a
-    steps = np.zeros(lo.size, dtype=int)
-    for r in np.flatnonzero(converged & (h > _TOL)):
-        steps[r] = math.ceil(math.log(_TOL / h[r]) / math.log(_INVPHI))
-    evaluations += np.where(steps > 0, steps + 1, 0)
-
-    g = np.flatnonzero(steps)  # the searching rows, longest first, so that
-    g = g[np.argsort(-steps[g], kind="stable")]  # the active ones are a prefix
-    steps, a, h = steps[g], a[g], h[g]
-    g_args = [p[g, None] for p in row_args]  # gathered once; a segment takes [:k]
-    state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
-    t, k = 1, g.size  # t golden steps taken, k rows still stepping
+    i = vals.argmin(axis=1)  # first minimum = smallest argument on ties
+    j = i + np.arange(0, n * m, m)  # its flat index
+    value = vals.take(j)
+    converged = np.isfinite(value)
+    arg = np.where(converged, grid.take(j), grid[:, 0])
+    # each row's bracket, the best seed's neighbours, on floats
+    a, b = grid.take(j - (i > 0)).tolist(), grid.take(j + (i + 1 < evaluations)).tolist()
+    steps = [math.ceil(math.log(_TOL / (br - ar)) / math.log(_INVPHI)) if ok and br - ar > _TOL
+             else 0 for ok, ar, br in zip(converged.tolist(), a, b)]
+    evaluations += [s + 1 if s else 0 for s in steps]
+    # the searching rows, longest first, so that the active ones are a prefix
+    g = sorted((r for r in range(n) if steps[r]), key=lambda r: -steps[r])
+    steps = [steps[r] for r in g]
+    t, k, state = 1, len(g), None  # t golden steps taken, k rows still stepping
     if k > 1:
+        a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
+        g_args = [p[g, None] for p in row_args]  # gathered once; a segment takes [:k]
+        state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
         state += (*f(np.stack(state[2:], axis=1), g_args).T, arg[g], value[g])
     while k > 1:  # rows [:k] step together until row k - 1 stops
         args = [p[:k] for p in g_args]
-        state = _golden(lambda x: f(x[:, None], args)[:, 0], np.where, int(steps[k - 1]) - t,
+        state = _golden(lambda x: f(x[:, None], args)[:, 0], np.where, steps[k - 1] - t,
                         *(v[:k] for v in state))
         arg[g[:k]], value[g[:k]] = state[6:]
-        t = int(steps[k - 1])
-        k = np.count_nonzero(steps > t)
-    if k == 1:  # one row left stepping: on floats
-        args = [float(p[0, 0]) for p in g_args]
+        t = steps[k - 1]
+        k = sum(s > t for s in steps)
+    if k == 1:  # one row stepping: alone from the start, or the lockstep's last; on floats
+        r = g[0]
+        args = [float(p[r]) for p in row_args]
 
         def f1(x):
             v = float(objective(x, *args))
             return math.inf if v != v else v
 
-        s = [float(v[0]) for v in state]
-        if g.size == 1:
-            s += [f1(s[2]), f1(s[3]), float(arg[g[0]]), float(value[g[0]])]
-        arg[g[0]], value[g[0]] = _golden(f1, _pick, int(steps[0]) - t, *s)[6:]
+        if state is None:  # step 1 evaluates both c and d
+            h = b[r] - a[r]
+            s = [a[r], h, a[r] + _INVPHI2 * h, a[r] + _INVPHI * h]
+            s += [f1(s[2]), f1(s[3]), float(arg[r]), float(value[r])]
+        else:
+            s = [float(v[0]) for v in state]
+        arg[r], value[r] = _golden(f1, _pick, steps[0] - t, *s)[6:]
     return BatchOptResult(arg, value, evaluations, converged)

@@ -1,9 +1,9 @@
 """Bit parity of the batched kernels' shortcuts with the paths they replace.
 
 The figure columns build every row's seed grid in one call and skip the
-masks of `_g_nats` and `_penalty_eval` when nothing is masked.  Each
-shortcut must give the bits of the one-row or masked path, compared by
-`float.hex`.
+masks of `_g_nats` and `_penalty_eval` when nothing is masked, and a lone
+search evaluates its objective on Python floats.  Each shortcut must give
+the bits of the one-row, masked or array path, compared by `float.hex`.
 """
 
 import math
@@ -75,3 +75,73 @@ def test_penalty_unmasked_matches_masked():
     assert np.isfinite(inside).all()
     assert _hex(inside) == _hex(mixed[:-1])
     assert mixed[-1, 0] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# One point on Python floats against its element of an (n, 1) array
+# ---------------------------------------------------------------------------
+
+# The optimizer's lone search calls the objectives on floats.  They keep
+# numpy for every log, and run +, -, *, /, sqrt and abs on Python floats,
+# which round as np.float64 does: each float must be the array's element.
+
+def _float_hex(fn, columns):
+    """fn at each row of `columns` on Python floats, each a float, by hex."""
+    out = []
+    for row in zip(*(c.tolist() for c in columns)):
+        v = fn(*row)
+        assert type(v) is float, (row, type(v))
+        out.append(v.hex())
+    return out
+
+
+def _thermal_points(rng, n):
+    """eta in (0, 1] with the lossless end, nb and ns from 0 through 1e12,
+    some small enough to put a g argument below the series cutoff."""
+    eta = np.concatenate(([1.0, 0.5, 1e-3], rng.uniform(1e-3, 1.0, n - 3)))
+    nb = np.where(rng.uniform(size=n) < 0.1, 0.0, 10.0 ** rng.uniform(-14.0, 3.0, n))
+    ns = np.where(rng.uniform(size=n) < 0.05, 0.0, 10.0 ** rng.uniform(-14.0, 12.0, n))
+    return eta, nb, ns
+
+
+def test_penalty_float_matches_array_element():
+    rng = np.random.default_rng(14)
+    n = 3000
+    eps = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 0.99, n))
+    # delta <= 0 on about a tenth of the points (e <= eps); tiny deltas and
+    # tiny W' put W'/delta, and tiny e put e, below the series cutoff
+    e = np.where(rng.uniform(size=n) < 0.1, eps * rng.uniform(0.0, 1.0, n),
+                 eps + (1.0 - eps) * 10.0 ** rng.uniform(-15.0, 0.0, n))
+    e[:3] = [1e-10, 1e-9, 1.0]
+    w_prime = np.where(rng.uniform(size=n) < 0.1, 10.0 ** rng.uniform(-20.0, -9.0, n),
+                       10.0 ** rng.uniform(-2.0, 12.0, n))
+    k = rng.integers(1, 5, n).astype(float)
+    cols = (eps, e, w_prime, k)
+    got = _float_hex(bnd._penalty_eval, cols)
+    masked = bnd._penalty_eval(*(c[:, None] for c in cols))
+    assert got == _hex(masked)
+    assert (masked[e <= eps] == math.inf).all() and (e <= eps).sum() > 100
+    inside = e > eps  # the array path without masks
+    assert [h for h, ok in zip(got, inside) if ok] == _hex(
+        bnd._penalty_eval(*(c[inside, None] for c in cols)))
+    delta = (e - eps)[inside] / (1.0 + e[inside])
+    assert (w_prime[inside] / delta).min() < gc._G_SERIES_CUTOFF > e.min()
+
+
+def test_ql_thermal_float_matches_array_element():
+    eta, nb, ns = _thermal_points(np.random.default_rng(15), 3000)
+    got = _float_hex(bnd._ql_thermal_raw, (eta, nb, ns))
+    assert got == _hex(bnd._ql_thermal_raw(eta[:, None], nb[:, None], ns[:, None]))
+    assert ns.max() > 1e11 and (ns == 0.0).any() and (nb == 0.0).any()
+    out = eta * ns + (1.0 - eta) * nb
+    assert ((0.0 < out) & (out < gc._G_SERIES_CUTOFF)).any()  # g's series branch
+
+
+def test_private_loss_float_matches_array_element():
+    rng = np.random.default_rng(16)
+    eta, nb, ns = _thermal_points(rng, 3000)
+    n2 = ns * np.where(rng.uniform(size=ns.size) < 0.1, 1.0, 10.0 ** rng.uniform(-15.0, 0.0, ns.size))
+    icns = bnd._ql_thermal_raw(eta, nb, ns)
+    cols = (n2, icns, eta, nb)
+    got = _float_hex(bnd._private_loss, cols)
+    assert got == _hex(bnd._private_loss(*(c[:, None] for c in cols)))

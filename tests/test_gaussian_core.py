@@ -374,6 +374,36 @@ class TestChannelAction:
                                         gc.tms_state(1.0), modes=(1,))
         assert out.mean.tolist() == [0.0, 0.5, 0.0, -0.25]
 
+    @pytest.mark.parametrize("modes", [None, (1,)], ids=["all", "mode1"])
+    def test_output_covariance_is_checked_once(self, monkeypatch, modes):
+        st_ = gc.tms_state(1.3)
+        k = 4 if modes is None else 2
+        X, Y = np.sqrt(0.7) * np.eye(k), 0.3 * 1.4 * np.eye(k)
+        d = np.linspace(-0.5, 0.5, k)
+        cov, mean = gc._apply(X, Y, st_.cov, st_.mean, modes)
+        mean[slice(None) if modes is None else [1, 3]] += d
+        want = gc.GaussianState(2, mean, cov)  # the checking constructor
+        calls = []
+        check = gc._checked_cov
+        monkeypatch.setattr(gc, "_checked_cov", lambda cov: calls.append(cov) or check(cov))
+        out = gc.apply_gaussian_channel(X, Y, d, st_, modes)
+        assert len(calls) == 1
+        assert out.modes == want.modes
+        assert out.cov.tobytes() == want.cov.tobytes()
+        assert out.mean.tobytes() == want.mean.tobytes()
+        assert not (out.cov.flags.writeable or out.mean.flags.writeable)
+
+    def test_output_errors_are_unchanged(self):
+        st_ = gc.tms_state(1.3)
+        with pytest.raises(InvalidStateError) as want:
+            gc.GaussianState(2, [np.nan, 0.0, 0.0, 0.0], st_.cov)
+        with pytest.raises(InvalidStateError) as got:  # a non-finite displacement
+            gc.apply_gaussian_channel(np.eye(2), np.zeros((2, 2)), [np.inf, 0.0], st_, (1,))
+        assert str(got.value) == str(want.value) == "state data must be finite"
+        with pytest.raises(InvalidChannelError) as got:
+            gc.apply_gaussian_channel(np.sqrt(2.0) * np.eye(2), np.zeros((2, 2)), None, st_, (0,))
+        assert str(got.value) == "channel PSD condition fails: min eigenvalue -1.000e+00 < -1e-08"
+
 
 def _random_channels(rng, m, n):
     """n random channels on m modes, X = sqrt(t) S for a random symplectic S

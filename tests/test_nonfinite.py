@@ -8,6 +8,7 @@ bound or raise a named error too.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ OVERFLOWING = [
 def test_overflowing_form_is_no_bound(kind, call):
     with pytest.raises(DomainError, match=rf"^{kind} is (nan|-inf) bits at thermal .*ns=1e\+"):
         call()
+
+
+@pytest.mark.parametrize("ns", ["1e200", "1e160"])
+def test_cli_overflowing_ql_ends_in_the_error_line(capsys, ns):
+    # one QL cell runs its arithmetic on Python floats, which overflow to inf
+    # and nan without a RuntimeWarning: an error line, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["bound", "--channel", "thermal", "--eta", "0.8", "--nb", "0.5",
+                         "--ns", ns, "--bound", "QL"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: QL is nan bits at thermal {{'eta': 0.8, 'nb': 0.5}}, ns={float(ns)}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -265,3 +265,68 @@ def test_batch_edge_rows():
     assert res.arg[3] == pytest.approx(0.1, abs=1e-8) and res.value[3] < 1e-15
     # the best point is tracked per step: the final bracket would give ...627
     assert (res.arg[6], res.value[6], res.evaluations[6]) == (71631988.61636625, 0.0, 91)
+
+
+# ---------------------------------------------------------------------------
+# Broadcast contract: lo, hi and row_args as one float for all problems
+# ---------------------------------------------------------------------------
+
+def _shifted_quadratic(x, centre, scale):
+    # elementwise on arrays and on floats alike: no ** (Python's pow is not x * x)
+    return scale * (x - centre) * (x - centre) + np.sin(5.0 * x)
+
+
+def _assert_matches_reference(res, lo, hi, grids, centre, scale):
+    n = len(grids)
+    lo, hi, centre, scale = (np.broadcast_to(v, (n,)) for v in (lo, hi, centre, scale))
+    for i in range(n):
+        want = reference_minimize(lambda x: _shifted_quadratic(x, centre[i], scale[i]),
+                                  float(lo[i]), float(hi[i]), grids[i])
+        got = (float(res.arg[i]), float(res.value[i]), int(res.evaluations[i]),
+               bool(res.converged[i]))
+        assert got == want, (i, got, want)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_scalar_lo_with_array_hi(n):
+    # the displaced-thermal call: lo = 0 for every problem, hi = ns
+    rng = np.random.default_rng(31)
+    hi = rng.uniform(0.5, 4.0, n)
+    grids = np.hstack((np.zeros((n, 1)), np.geomspace(1e-6, hi, 15, axis=1)))
+    centre, scale = rng.uniform(0.0, 3.0, n), rng.uniform(0.5, 2.0, n)
+    res = minimize_batch(_shifted_quadratic, 0.0, hi, grids, centre, scale)
+    assert res.arg.shape == (n,)
+    _assert_matches_reference(res, 0.0, hi, grids, centre, scale)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_array_lo_with_scalar_hi(n):
+    # the penalty's call: lo = eps + 1e-12 per problem, hi = 1
+    rng = np.random.default_rng(32)
+    lo = rng.uniform(0.0, 0.9, n)
+    grids = np.geomspace(lo, 1.0, 16, axis=1)
+    centre, scale = rng.uniform(0.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+    res = minimize_batch(_shifted_quadratic, lo, 1.0, grids, centre, scale)
+    assert res.arg.shape == (n,)
+    _assert_matches_reference(res, lo, 1.0, grids, centre, scale)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_zero_dimensional_row_args(n):
+    rng = np.random.default_rng(33)
+    lo = rng.uniform(-1.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 2.0, n)
+    grids = np.linspace(lo, hi, 12, axis=1)
+    centre = rng.uniform(-1.0, 1.0, n)
+    res = minimize_batch(_shifted_quadratic, lo, hi, grids, centre, np.float64(1.5))
+    _assert_matches_reference(res, lo, hi, grids, centre, 1.5)
+    res = minimize_batch(_shifted_quadratic, lo, hi, grids, 0.25, np.asarray(1.5))
+    _assert_matches_reference(res, lo, hi, grids, 0.25, 1.5)
+
+
+@pytest.mark.parametrize("hi", [math.inf, math.nan, [1.0, math.inf]])
+def test_non_finite_hi_with_scalar_lo(hi):
+    calls = []
+    with pytest.raises(DomainError, match="finite lo and hi"):
+        minimize_batch(lambda x: calls.append(x) or x, 0.0, hi, np.zeros((np.size(hi), 4)))
+    assert calls == []
