@@ -8,12 +8,12 @@ bound, unconstrained limits, and comparison bounds from prior work.
 channel kind, its clamp and, for the penalized kinds, the eps source and
 the penalty multiplier.  A form, its regime checks and the eps sources are
 array expressions over the parameters of many cells.
-:func:`evaluate_column` computes one kind at many (channel, ns) cells from
-its row: one call of the checks and the form per channel kind, masks for
-the cells they rule out, and one lockstep batch for the cells'
-minimizations (over eps', or over the energy split for PL).
-:func:`evaluate` is its one-cell case, on floats, which the public bounds
-call.
+:func:`evaluate_columns` computes several kinds at many (channel, ns) cells
+from their rows: per kind, one call of the checks and the form per channel
+kind and masks for the cells they rule out; then one lockstep batch for the
+eps' minimizations of all the penalized kinds, and one per PL column for
+its energy split.  :func:`evaluate_column` is its one-kind case and
+:func:`evaluate` its one-cell case, on floats, which the public bounds call.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -39,7 +39,7 @@ from .optimize import DEFAULT_GRID_POINTS, minimize_batch
 
 __all__ = [
     "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "evaluate_column",
-    "penalty",
+    "evaluate_columns", "penalty",
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
@@ -414,7 +414,10 @@ def _first_failure(checks, cols, n):
     len(checks) where all pass.  One cell holds floats, so its masks are
     single booleans and the first true one ends the search."""
     if n == 1:
-        return [next((j for j, check in enumerate(checks) if check.fails(**cols)), len(checks))]
+        for j, check in enumerate(checks):
+            if check.fails(**cols):
+                return [j]
+        return [len(checks)]
     first = np.full(n, len(checks))
     for j in range(len(checks) - 1, -1, -1):
         first[checks[j].fails(**cols)] = j
@@ -438,60 +441,9 @@ def _raise_first_failure(checks, params, ns):
         raise _error(checks[j], params, ns)
 
 
-def _column(kind, channels, ns_values, eps_prime):
-    """evaluate_column, with a fixed eps' for the penalized kinds if given."""
-    row = _row(kind, eps_prime)
-    if len(channels) != len(ns_values):
-        raise DomainError(f"evaluate_column needs one ns per channel, got {len(channels)} "
-                          f"channels and {len(ns_values)} ns values")
-    out = [None] * len(channels)  # each cell's error, later its BoundResult
-    found = {}  # cell -> [raw bits, argopt, params beyond the channel's and ns]
-    groups = {}
-    for i, ch in enumerate(channels):
-        groups.setdefault(ch.kind, []).append(i)
-    for ch_kind, idx in groups.items():
-        form = row.forms.get(ch_kind)
-        checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
-        names = (*channels[idx[0]].params, "ns")
-        cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
-        # one cell as floats: numpy computes on them faster than on 1-element arrays
-        cols = dict(zip(names, map(float, cells[0]) if len(idx) == 1
-                        else np.array(cells, dtype=float).T))
-        first = _first_failure(checks, cols, len(idx))
-        for i, j in zip(idx, first):
-            if j < len(checks):
-                out[i] = _error(checks[j], channels[i].params, ns_values[i])
-            elif form is None:
-                out[i] = ChannelKindError(f"{kind} is not defined for {ch_kind!r} channels")
-        passed = [k for k, j in enumerate(first) if j == len(checks)]
-        if form is None or not passed:
-            continue
-        args = [cols[name] if len(passed) == len(idx) else cols[name][passed] for name in names]
-        res = form.fn(*args)
-        if row.eps is not None:  # the base term, W' and the channel's eps
-            for k, base, w_prime, eps in zip(passed, *map(_per_cell, (*res, row.eps(*args[:-1])))):
-                found[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
-        else:  # the raw bits, and PL's argmax
-            raw, argopt = res if isinstance(res, tuple) else (res, None)
-            argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
-            for k, r, a in zip(passed, _per_cell(raw), argopts):
-                found[idx[k]] = [r, a, {}]
-    if row.eps is not None:
-        _penalize(row, found, out, eps_prime)
-    for i, (raw, argopt, extra) in found.items():
-        ch = channels[i]
-        if raw != raw or raw == -np.inf:  # +inf is a bound: PLOB and RMG at eta = 1
-            out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns_values[i]}")
-            continue
-        params = {"channel": ch.kind, **ch.params} if row.lower else {**ch.params, "channel": ch.kind}
-        params.update(ns=ns_values[i], **extra)
-        out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
-    return out
-
-
-def _penalize(row, found, out, eps_prime):
-    """Add the penalty to the base terms of a penalized row's cells in
-    `found`, at the fixed `eps_prime` or minimized over eps' in one batch."""
+def _penalty_cells(row, found, out, eps_prime, todo):
+    """Check the eps of a penalized kind's cells in `found`; add the penalty at
+    a fixed `eps_prime`, or put the cell and k on `todo` to minimize over eps'."""
     for i, cell in list(found.items()):
         eps, w_prime = cell[2]["eps"], cell[2]["w_prime"]
         try:
@@ -501,38 +453,92 @@ def _penalize(row, found, out, eps_prime):
                 pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
                 cell[0] += penalty(pp)
                 cell[1] = pp.epsilon_prime
+            elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
+                todo.append((cell, row.k))
         except DomainError as exc:
             out[i] = exc
             del found[i]
-    # eps = 0 is an exactly degradable reference: the penalty infimum over
-    # eps' is 0, unattained; such a cell reports its base term
-    todo = [cell for cell in found.values() if eps_prime is None and cell[2]["eps"] > 0.0]
-    if todo:
-        pen, argmin = _min_penalty(*(np.array([c[2][key] for c in todo]) for key in ("eps", "w_prime")),
-                                   np.full(len(todo), row.k))
-        for cell, p, a in zip(todo, pen.tolist(), argmin.tolist()):
+
+
+def _columns(kinds, channels, ns_values, eps_prime):
+    """evaluate_columns, with a fixed eps' for the penalized kinds if given."""
+    if len(channels) != len(ns_values):
+        raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
+                          f"channels and {len(ns_values)} ns values")
+    groups, todo, outs, done = {}, [], [], []
+    for i, ch in enumerate(channels):
+        groups.setdefault(ch.kind, []).append(i)
+    for kind in kinds:
+        row = _row(kind, eps_prime)
+        out = [None] * len(channels)  # each cell's error, later its BoundResult
+        found = {}  # cell -> [raw bits, argopt, params beyond the channel's and ns]
+        outs.append(out)
+        done.append((kind, row, out, found))
+        for ch_kind, idx in groups.items():
+            form = row.forms.get(ch_kind)
+            checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
+            names = (*channels[idx[0]].params, "ns")
+            cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
+            # one cell as floats: numpy computes on them faster than on 1-element arrays
+            cols = dict(zip(names, map(float, cells[0]) if len(idx) == 1
+                            else np.array(cells, dtype=float).T))
+            first = _first_failure(checks, cols, len(idx))
+            for i, j in zip(idx, first):
+                if j < len(checks):
+                    out[i] = _error(checks[j], channels[i].params, ns_values[i])
+                elif form is None:
+                    out[i] = ChannelKindError(f"{kind} is not defined for {ch_kind!r} channels")
+            passed = ([k for k, j in enumerate(first) if j == len(checks)] if len(idx) > 1
+                      else [0] * (first[0] == len(checks)))
+            if form is None or not passed:
+                continue
+            args = [*cols.values()] if len(passed) == len(idx) else [cols[n][passed] for n in names]
+            res = form.fn(*args)
+            if row.eps is not None:  # the base term, W' and the channel's eps
+                for k, base, w_prime, eps in zip(passed, *map(_per_cell, (*res, row.eps(*args[:-1])))):
+                    found[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
+            else:  # the raw bits, and PL's argmax
+                raw, argopt = res if isinstance(res, tuple) else (res, None)
+                argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
+                for k, r, a in zip(passed, _per_cell(raw), argopts):
+                    found[idx[k]] = [r, a, {}]
+        if row.eps is not None:
+            _penalty_cells(row, found, out, eps_prime, todo)
+    if todo:  # every penalized kind's minimizations in one batch
+        pen, argmin = _min_penalty(*np.array([(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]).T)
+        for (cell, _), p, a in zip(todo, pen.tolist(), argmin.tolist()):
             cell[0] += p
             cell[1] = a
-    for raw, argopt, extra in found.values():
-        if argopt is not None:
-            extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
+    for kind, row, out, found in done:
+        for i, (raw, argopt, extra) in found.items():
+            ch = channels[i]
+            if raw != raw or raw == -np.inf:  # +inf is a bound: PLOB and RMG at eta = 1
+                out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns_values[i]}")
+                continue
+            if row.eps is not None and argopt is not None:
+                extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
+            params = {"channel": ch.kind, **ch.params} if row.lower else {**ch.params, "channel": ch.kind}
+            params.update(ns=ns_values[i], **extra)
+            out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
+    return outs
+
+
+def evaluate_columns(kinds, channels, ns_values) -> list:
+    """Each bound kind of `kinds` (one may repeat) at each (channel, ns) cell:
+    one column per kind, each cell's BoundResult or the BosonicBoundsError
+    that rules it out.  `channels` and `ns_values` have one length
+    (DomainError otherwise).  Per group of cells of one channel kind, a kind
+    runs its checks as masks and its form once; a cell reports its first
+    failing check, in the order ns, channel kind, regime (QL and PL: channel
+    kind first).  The penalized kinds add k times the continuity penalty
+    minimized over eps' in (eps, 1], all in one :func:`minimize_batch` call;
+    PL maximizes over the energy split, one batch per PL column."""
+    return _columns(kinds, channels, ns_values, None)
 
 
 def evaluate_column(kind: str, channels, ns_values) -> list:
-    """Bound `kind` at each (channel, ns) cell from its registry row: a list
-    of each cell's BoundResult or the BosonicBoundsError that rules it out.
-    `channels` and `ns_values` are sequences of one length (DomainError
-    otherwise).
-
-    The cells are grouped by channel kind.  Each group runs its checks as
-    masks and its form once over the cells that pass; a cell reports its
-    first failing check, in the order ns, channel kind, regime (QL and PL:
-    channel kind first).  A penalized kind adds k times the continuity
-    penalty, minimized over eps' in (eps, 1]; PL maximizes over the energy
-    split.  The column's minimizations run as one :func:`minimize_batch`
-    call.
-    """
-    return _column(kind, channels, ns_values, None)
+    """Bound `kind` at each (channel, ns) cell: ``evaluate_columns((kind,), ...)[0]``."""
+    return evaluate_columns((kind,), channels, ns_values)[0]
 
 
 def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
@@ -541,7 +547,7 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     :func:`evaluate_column`, raising the cell's error instead of returning it.
     A penalized kind takes a fixed `eps_prime` in place of the minimization;
     a bad one is reported after the cell's other checks."""
-    cell = _column(kind, [ch], [ns], eps_prime)[0]
+    cell = _columns((kind,), [ch], [ns], eps_prime)[0][0]
     if isinstance(cell, BosonicBoundsError):
         raise cell
     return cell

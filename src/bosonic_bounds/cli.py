@@ -12,6 +12,7 @@ bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,7 +49,8 @@ def cmd_bound(args) -> int:
         if stray:  # nb has a default, so an additive channel accepts it
             raise DomainError(f"{args.channel} channel takes no --{stray[0]}")
         ch = chn.make_channel(args.channel, **given)
-        result = bnd.evaluate(args.bound, ch, args.ns, args.eps_prime)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form is a DomainError
+            result = bnd.evaluate(args.bound, ch, args.ns, args.eps_prime)
     except InfeasibleBoundError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -177,15 +179,17 @@ def _sweep_channel(spec: SweepSpec, value: float):
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Rows of the sweep as (value, [cells]) in grid order.  Each bound kind
-    is one :func:`bounds.evaluate_column` call over the rows whose channel
-    builds; a row without a channel and an infeasible cell stay None."""
+    """Rows of the sweep as (value, [cells]) in grid order.  All bound kinds
+    are one :func:`bounds.evaluate_columns` call over the rows whose channel
+    builds, so their penalized kinds share one eps' minimization batch; a
+    row without a channel and an infeasible cell stay None."""
     values = [float(v) for v in spec.grid()]
     points = [_sweep_channel(spec, v) for v in values]
     built = [i for i, p in enumerate(points) if p is not None]
     rows = [[None] * len(spec.bounds) for _ in values]
-    for j, kind in enumerate(spec.bounds):
-        column = bnd.evaluate_column(kind, *zip(*(points[i] for i in built))) if built else []
+    channels, ns = zip(*(points[i] for i in built)) if built else ((), ())
+    columns = bnd.evaluate_columns(spec.bounds, channels, ns)
+    for j, column in enumerate(columns):
         for i, cell in zip(built, column):
             if isinstance(cell, bnd.BoundResult):
                 rows[i][j] = cell.value
@@ -214,7 +218,8 @@ def cmd_sweep(args) -> int:
         else:
             with open(args.spec, encoding="utf-8") as fh:
                 spec = parse_spec(fh.read())
-        rows = run_sweep(spec)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form is a DomainError
+            rows = run_sweep(spec)
         csv_text = format_csv(spec, rows)
     except (OSError, ValueError, BosonicBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -237,6 +242,7 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="boson-bounds",
                 description="Capacity bounds for phase-insensitive bosonic Gaussian channels")
@@ -252,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--bound", required=True, choices=BOUND_KINDS)
     pb.add_argument("--eps-prime", type=float, default=None,
                     help="fix eps' instead of optimizing it")
-    pb.set_defaults(func=cmd_bound)
 
     ps = sub.add_parser("sweep", help="evaluate bounds over a grid, CSV output")
     group = ps.add_mutually_exclusive_group(required=True)
@@ -260,17 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fig", choices=FIGURES,
                        help="checked-in figure-reproduction config")
     ps.add_argument("--out", required=True, help="output CSV path")
-    ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the invariant suites")
     pv.add_argument("--suite", default="all", choices=tuple(vfy.SUITES))
-    pv.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call, so a cmd_* wrapped after the parser was cached still runs
+    return {"bound": cmd_bound, "sweep": cmd_sweep, "verify": cmd_verify}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -304,8 +304,8 @@ def check_bound_ordering(seed=53, n_fast=10000, n_opt=400) -> CheckResult:
         qu4 = np.maximum(bnd._qu4_thermal_raw(eta[feas], nb[feas], ns[feas]), 0.0)
         worst = max(worst, float(np.max(ql[feas] - qu4)))
     chans = [chn.thermal(e, b) for e, b in zip(eta[:n_opt], nb[:n_opt])]
-    for kind in ("QU2", "QU3"):
-        for q, cell in zip(ql, bnd.evaluate_column(kind, chans, ns[:n_opt])):
+    for column in bnd.evaluate_columns(("QU2", "QU3"), chans, ns[:n_opt]):  # one batch
+        for q, cell in zip(ql, column):
             worst = max(worst, q - _raw(cell))
     return CheckResult("bound_ordering", worst < 1e-9, worst, 1e-9,
                        "QL below every applicable upper bound")

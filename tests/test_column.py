@@ -1,18 +1,21 @@
 """A column is its cells: cell i of ``evaluate_column(kind, chans, ns)`` is
 ``evaluate(kind, chans[i], ns[i])``, the same BoundResult or the same error.
+And ``evaluate_columns(kinds, chans, ns)``, whose penalized kinds share one
+minimization batch, is the list of the kinds' one-kind columns, bit for bit.
 
 The columns mix all three channel kinds and reach every regime failure,
 negative and non-finite ns, ns = 0, nb = 0 (eps = 0) and eta = 1 (PLOB and
 RMG infinite).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
-from bosonic_bounds.errors import BosonicBoundsError, DomainError
+from bosonic_bounds.errors import BosonicBoundsError, DomainError, InfeasibleBoundError
 
 KINDS = tuple(bnd.REGISTRY)
 
@@ -111,3 +114,56 @@ def test_length_mismatch():
         bnd.evaluate_column("QU1", chans, [1.0])
     with pytest.raises(DomainError, match="one ns per channel"):
         bnd.evaluate_column("QU1", chans[:1], [1.0, 2.0])
+
+
+def seeded_column(seed, n=60):
+    """The edge cells and n seeded cells of all three channel kinds: nb = 0
+    (eps = 0) on a fifth, ns = 0 and negative ns on a tenth each."""
+    rng = np.random.default_rng(seed)
+    cells = list(EDGES)
+    for _ in range(n):
+        nb = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0))
+        ch = (chn.thermal(float(rng.uniform(0.3, 1.0)), nb),
+              chn.amplifier(float(rng.uniform(1.0, 3.0)), nb),
+              chn.additive_noise(float(rng.uniform(0.05, 1.5))))[rng.integers(3)]
+        u = rng.random()
+        cells.append((ch, 0.0 if u < 0.1 else -float(rng.uniform(0.01, 2.0)) if u < 0.2
+                      else float(rng.uniform(1e-3, 100.0))))
+    order = rng.permutation(len(cells))
+    return [cells[i][0] for i in order], [cells[i][1] for i in order]
+
+
+def hexed(cell):
+    """A cell's error class and message, or its fields with each float as .hex()."""
+    if isinstance(cell, BosonicBoundsError):
+        return type(cell).__name__, str(cell)
+
+    def h(v):
+        return v if v is None or isinstance(v, str) else float(v).hex()
+    return (cell.kind, h(cell.value), h(cell.raw), h(cell.argopt),
+            {key: h(v) for key, v in cell.params.items()})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kinds", [(*KINDS, "QU2"), ("QU3", "QU2"), ("PU3", "PL", "QU3", "PU3")],
+                         ids=["all-and-QU2-again", "QU3-QU2", "PU3-PL-QU3-PU3"])
+def test_columns_are_their_one_kind_columns(kinds, seed):
+    chans, ns = seeded_column(seed)
+    columns = bnd.evaluate_columns(kinds, chans, ns)
+    assert len(columns) == len(kinds)
+    for kind, column in zip(kinds, columns):
+        assert [hexed(c) for c in column] == [hexed(c) for c in bnd.evaluate_column(kind, chans, ns)]
+    cells = [c for column in columns for c in column]
+    # the column reaches the penalty-free eps = 0 cells, infeasible cells and
+    # ns <= 0
+    assert any(isinstance(c, bnd.BoundResult) and c.params.get("eps") == 0.0 for c in cells)
+    assert any(isinstance(c, InfeasibleBoundError) for c in cells)
+    assert any(isinstance(c, bnd.BoundResult) and c.params["ns"] == 0.0 for c in cells)
+    assert any(isinstance(c, DomainError) and "must be >= 0" in str(c) for c in cells)
+
+
+def test_columns_of_no_kind_and_no_cell():
+    assert bnd.evaluate_columns((), [chn.thermal(0.9, 0.1)], [1.0]) == []
+    assert bnd.evaluate_columns(("QU2", "PL"), [], []) == [[], []]
+    with pytest.raises(DomainError, match="unknown bound kind 'NOPE'"):
+        bnd.evaluate_columns(("QU2", "NOPE"), [chn.thermal(0.9, 0.1)], [1.0])

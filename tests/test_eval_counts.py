@@ -129,3 +129,35 @@ def test_bound_ordering_check(counts):
 def test_private_improvement_check(counts):
     vfy.check_private_improvement()
     assert (len(counts), sum(counts)) == (100, 9255)
+
+
+def test_figure_sweeps_share_one_penalty_batch(monkeypatch):
+    """A sweep's penalized kinds (QU2 and QU3 side by side) minimize in one
+    batch: at most one penalty batch and one PL batch per sweep, 10 for the
+    ten figures."""
+    pl_batch, minimize = [], bnd.minimize_batch
+    monkeypatch.setattr(bnd, "minimize_batch",
+                        lambda f, *args: pl_batch.append(f is bnd._private_loss) or minimize(f, *args))
+    for fig in cli.FIGURES:
+        before, spec = len(pl_batch), cli.load_figure_spec(fig)
+        cli.run_sweep(spec)
+        penalized = any(bnd.REGISTRY[kind].eps is not None for kind in spec.bounds)
+        assert sorted(pl_batch[before:]) == [False] * penalized + [True] * ("PL" in spec.bounds)
+    assert len(pl_batch) == 10
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_survives_a_bad_flag(capsys):
+    argv = ["bound", "--channel", "thermal", "--eta", "0.9", "--nb", "0.1", "--ns", "1",
+            "--bound", "QU1"]
+    assert cli.main(argv) == 0
+    good = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:-1] + ["NOPE"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: boson-bounds bound ")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == good

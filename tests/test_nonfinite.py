@@ -152,6 +152,31 @@ def test_cli_overflowing_ql_ends_in_the_error_line(capsys, ns):
     assert err.startswith(f"error: QL is nan bits at thermal {{'eta': 0.8, 'nb': 0.5}}, ns={float(ns)}")
 
 
+@pytest.mark.parametrize("kind,bits", [("QU2", "nan"), ("PU2", "nan"), ("PL", "-inf")])
+def test_cli_overflowing_array_kinds_end_in_the_error_line(capsys, kind, bits):
+    # these run numpy arrays, which warn on their way to nan or -inf: the CLI
+    # evaluates with the overflow and invalid warnings off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["bound", "--channel", "thermal", "--eta", "0.8", "--nb", "0.5",
+                         "--ns", "1e200", "--bound", kind])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {kind} is {bits} bits at thermal {{'eta': 0.8, 'nb': 0.5}}, ns=1e+200")
+
+
+def test_cli_overflowing_sweep_cell_does_not_warn(tmp_path, capsys):
+    spec = tmp_path / "big.cfg"
+    spec.write_text("channel = thermal\neta = 0.8\nnb = 0.5\nsweep = ns\nstart = 1e100\n"
+                    "stop = 1e200\npoints = 3\nscale = log\nbounds = QL,QU2,PL\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "big.csv")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    # the ns = 1e200 cells are DomainErrors, which a sweep leaves blank
+    assert (tmp_path / "big.csv").read_text().splitlines()[-1] == "1e+200,,,"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_cell_leaves_its_column_alone():
     column = bnd.evaluate_column("QL", [chn.thermal(0.8, 0.5)] * 3, [1.0, 1e200, 10.0])

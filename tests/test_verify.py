@@ -179,6 +179,25 @@ def ref_thermal_input_optimality(seed=43, n_points=50, n_inputs=100):
                            "random equal-energy inputs never beat the thermal input")
 
 
+def ref_bound_ordering(seed=53, n_fast=10000, n_opt=400):
+    rng = np.random.default_rng(seed)
+    eta, nb, ns = (rng.uniform(lo, hi, n_fast) for lo, hi in ((0.5, 1.0), (0.0, 5.0), (0.0, 100.0)))
+    worst = -np.inf
+    ql = []
+    for e, b, n in zip(eta.tolist(), nb.tolist(), ns.tolist()):
+        ql.append(bnd._ql_thermal_raw(e, b, n))
+        worst = max(worst, ql[-1] - bnd._qu1_thermal_raw(e, b, n))
+        if e > (1.0 - e) * b:
+            worst = max(worst, ql[-1] - max(bnd._qu4_thermal_raw(e, b, n), 0.0))
+    # one column per kind, each its own minimization batch
+    chans = [chn.thermal(e, b) for e, b in zip(eta[:n_opt], nb[:n_opt])]
+    for kind in ("QU2", "QU3"):
+        for q, cell in zip(ql, bnd.evaluate_column(kind, chans, ns[:n_opt])):
+            worst = max(worst, q - vfy._raw(cell))
+    return vfy.CheckResult("bound_ordering", worst < 1e-9, worst, 1e-9,
+                           "QL below every applicable upper bound")
+
+
 def ref_unconstrained_limit(seed=59):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -260,6 +279,7 @@ CASES = [
     (vfy.check_ud_oracle, ref_ud_oracle, {"n": 7}),
     (vfy.check_thermal_input_optimality, ref_thermal_input_optimality,
      {"n_points": 3, "n_inputs": 5}),
+    (vfy.check_bound_ordering, ref_bound_ordering, {"n_fast": 50, "n_opt": 7}),
     (vfy.check_unconstrained_limit, ref_unconstrained_limit, {}),
     (vfy.check_private_improvement, ref_private_improvement, {}),
     # 40 draws keep about 20 channels; 9 nbar values still cross over
