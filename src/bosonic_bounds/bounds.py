@@ -331,23 +331,6 @@ def _log2_ratio(num, den):
     return np.log2(np.divide(num, den, out=np.full(np.shape(den), np.inf), where=den != 0.0))
 
 
-def _pow_or_inf(x, y):
-    try:
-        return x ** y
-    except OverflowError:
-        return np.inf
-
-
-_py_pow = np.frompyfunc(_pow_or_inf, 2, 1)
-
-
-def _pow(x, y):
-    """x ** y elementwise in Python's float arithmetic (numpy's power can
-    differ from it in the last bit); inf where it overflows."""
-    with np.errstate(over="ignore"):  # the flag an overflowing pow leaves set
-        return np.asarray(_py_pow(x, y), dtype=float)
-
-
 def _rmg_thermal(eta, nb, ns=None):
     """log2((eta - (1-eta) nb) / ((1-eta)(nb+1))) at every ns: RMG, and the
     infinite-energy limit of QU4."""
@@ -372,23 +355,14 @@ def _reference_amp(g, nb, ns):
     return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb
 
 
+# PLOB in logs: eta ** nb underflows, and g ** (nb + 1) overflows, a float
+# long before PLOB leaves its range.
 def _plob_thermal(eta, nb, ns):
-    t = (1.0 - eta) * _pow(eta, nb)  # 0 at eta = 1, where PLOB is infinite
-    log_t = np.log2(t, out=np.full(t.shape, -np.inf), where=t > 0.0)
-    tiny = (t == 0.0) & (eta < 1.0)  # eta ** nb underflows: log2 t in logs
-    if tiny.any():
-        e = np.where(tiny, eta, 0.5)
-        log_t = np.where(tiny, np.log2(1.0 - e) + nb * np.log2(e), log_t)
-    return -log_t - _gn(nb) / LN2
+    return _log2_ratio(1.0, 1.0 - eta) - nb * np.log2(eta) - _gn(nb) / LN2
 
 
 def _plob_amp(g, nb, ns):
-    p = _pow(g, nb + 1.0)
-    ratio = _log2_ratio(p, g - 1.0)
-    big = p == np.inf  # g**(nb+1) overflows a float (so g > 1): the ratio in logs
-    if big.any():
-        ratio = np.where(big, (nb + 1.0) * np.log2(g) - np.log2(np.where(big, g - 1.0, 1.0)), ratio)
-    return ratio - _gn(nb) / LN2
+    return _log2_ratio(1.0, g - 1.0) + (nb + 1.0) * np.log2(g) - _gn(nb) / LN2
 
 
 def _plob_additive(nbar, ns):

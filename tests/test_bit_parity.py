@@ -4,14 +4,18 @@ The figure columns build every row's seed grid in one call and skip the
 masks of `_g_nats` and `_penalty_eval` when nothing is masked, and a lone
 search evaluates its objective on Python floats.  Each shortcut must give
 the bits of the one-row, masked or array path, compared by `float.hex`.
+So must a one-cell PLOB query, whose closed form runs on floats, against
+its element of the stacked form.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bosonic_bounds import bounds as bnd
+from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
 
 
@@ -145,3 +149,46 @@ def test_private_loss_float_matches_array_element():
     cols = (n2, icns, eta, nb)
     got = _float_hex(bnd._private_loss, cols)
     assert got == _hex(bnd._private_loss(*(c[:, None] for c in cols)))
+
+
+# ---------------------------------------------------------------------------
+# PLOB: one cell against its element of the stacked registry form
+# ---------------------------------------------------------------------------
+
+_PLOB = {"thermal": (chn.thermal, "PLOB_thermal"), "amplifier": (chn.amplifier, "PLOB_amp"),
+         "additive": (chn.additive_noise, "PLOB_addnoise")}
+
+
+def _plob_params(kind, rng, n):
+    """2000 cells of `kind` with its ends: eta = 1 and where eta ** nb
+    underflows, g = 1 and where g ** (nb + 1) overflows, nbar near 0 and 1."""
+    nb = np.where(rng.uniform(size=n) < 0.1, 0.0, 10.0 ** rng.uniform(-14.0, 3.0, n))
+    if kind == "thermal":
+        eta = np.concatenate(([1.0, 1e-300, 0.01, 1.0 - 1e-9], rng.uniform(0.0, 1.0, n - 4)))
+        return eta, np.concatenate(([0.5, 2.0, 200.0, 0.3], nb[4:]))
+    if kind == "amplifier":
+        g = np.concatenate(([1.0, 3.0, 3.0, 1.0 + 1e-9], 1.0 + 10.0 ** rng.uniform(-12.0, 3.0, n - 4)))
+        return g, np.concatenate(([0.5, 646.0, 700.0, 0.3], nb[4:]))
+    return (np.concatenate(([1e-9, 1.0 - 1e-9], rng.uniform(0.0, 1.0, n - 2))),)
+
+
+@pytest.mark.parametrize("kind", ["thermal", "amplifier", "additive"])
+def test_plob_one_cell_matches_stacked_form(kind):
+    n = 2000
+    params = _plob_params(kind, np.random.default_rng(17), n)
+    make, name = _PLOB[kind]
+    stacked = bnd.REGISTRY["PLOB"].forms[kind].fn(*params, np.zeros(n))
+    one = [bnd.comparison_bounds(make(*p), name) for p in zip(*(c.tolist() for c in params))]
+    assert [v.hex() for v in one] == _hex(stacked)
+    assert np.isfinite(stacked[1:]).all()
+
+
+@pytest.mark.parametrize("kind, finite", [("thermal", 0.5), ("amplifier", 2.0)])
+def test_plob_lossless_and_noiseless_are_inf_without_a_warning(kind, finite):
+    make, name = _PLOB[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = bnd.comparison_bounds(make(1.0, 0.5), name)
+        stacked = bnd.REGISTRY["PLOB"].forms[kind].fn(np.array([1.0, finite]), np.full(2, 0.5),
+                                                      np.zeros(2))
+    assert one == stacked[0] == math.inf and np.isfinite(stacked[1])

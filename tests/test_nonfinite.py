@@ -203,7 +203,8 @@ def test_plob_amp_where_the_power_overflows(nb):
 
 
 def test_plob_amp_below_the_overflow_is_unchanged():
-    want = float(np.log2(3.0 ** 601.0 / 2.0) - gc._g_nats(np.asarray(600.0)) / gc.LN2)
+    want = float(np.log2(1.0 / (3.0 - 1.0)) + 601.0 * np.log2(3.0)
+                 - gc._g_nats(np.asarray(600.0)) / gc.LN2)
     assert bnd.comparison_bounds(chn.amplifier(3.0, 600.0), "PLOB_amp") == want
 
 
@@ -227,7 +228,8 @@ def test_plob_thermal_where_the_power_underflows(eta, nb):
 
 
 def test_plob_thermal_above_the_underflow_is_unchanged():
-    want = float(-np.log2((1.0 - 0.01) * 0.01 ** 150.0) - gc._g_nats(np.asarray(150.0)) / gc.LN2)
+    want = float(np.log2(1.0 / (1.0 - 0.01)) - 150.0 * np.log2(0.01)
+                 - gc._g_nats(np.asarray(150.0)) / gc.LN2)
     assert bnd.comparison_bounds(chn.thermal(0.01, 150.0), "PLOB_thermal") == want
 
 
