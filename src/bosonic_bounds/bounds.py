@@ -13,7 +13,9 @@ from their rows: per kind, one call of the checks and the form per channel
 kind and masks for the cells they rule out; then one lockstep batch for the
 eps' minimizations of all the penalized kinds, and one per PL column for
 its energy split.  :func:`evaluate_column` is its one-kind case and
-:func:`evaluate` its one-cell case, on floats, which the public bounds call.
+:func:`evaluate` its one-cell case, which the public bounds call: on Python
+floats throughout, as the forms step through :mod:`gaussian_core`'s
+float-or-array helpers, with the bits of the same cell in a column.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -24,6 +26,7 @@ U_D's smaller symplectic eigenvalue is a difference of two large terms.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -34,7 +37,7 @@ from . import channels as chn
 from . import gaussian_core as gc
 from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
                      InfeasibleBoundError, _require)
-from .gaussian_core import LN2
+from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
 from .optimize import DEFAULT_GRID_POINTS, minimize_batch
 
 __all__ = [
@@ -49,29 +52,16 @@ __all__ = [
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
 
 
-def _on_floats(ufunc):
-    """`ufunc`, but a Python float for a float: the arithmetic after it then
-    runs on Python floats, whose +, -, *, / round as np.float64's do, at a
-    fraction of the cost."""
-    return lambda x: float(ufunc(x)) if isinstance(x, float) else ufunc(x)
-
-
-_log, _log1p, _sqrt = _on_floats(np.log), _on_floats(np.log1p), _on_floats(np.sqrt)
-
-
-def _where(cond, a, b):
-    """np.where(cond, a, b); on a scalar condition and float branches (one
-    cell) it picks a or b itself, without the cost of a 0-d array."""
-    if isinstance(cond, (bool, np.bool_)) and isinstance(a, float) and isinstance(b, float):
-        return a if cond else b
-    return np.where(cond, a, b)
-
-
 # ---------------------------------------------------------------------------
 # Continuity penalty
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _check_epsilon(eps):
+    if not 0.0 <= eps < 1.0:  # False for nan
+        raise DomainError("epsilon must lie in [0, 1)")
+
+
+@dataclass(frozen=True, init=False)
 class PenaltyParams:
     """Parameters of the approximate-degradability continuity penalty.
 
@@ -84,14 +74,15 @@ class PenaltyParams:
     w_prime: float
     k: int = 1
 
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in [0, 1)")
-        if not self.epsilon < self.epsilon_prime <= 1.0:
+    def __init__(self, epsilon, epsilon_prime, w_prime, k=1):
+        _check_epsilon(epsilon)
+        if not epsilon < epsilon_prime <= 1.0:
             raise DomainError("epsilon_prime must lie in (epsilon, 1]")
-        _require(self.w_prime >= 0.0, "output energy cap W' must be >= 0", self.w_prime)
-        if self.k not in (1, 2, 3, 4):
+        _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
+        if k not in (1, 2, 3, 4):
             raise DomainError("multiplier k must be one of 1, 2, 3, 4")
+        # one __dict__ write, a third of the cost of object.__setattr__ per field
+        self.__dict__.update(epsilon=epsilon, epsilon_prime=epsilon_prime, w_prime=w_prime, k=k)
 
     @property
     def delta(self) -> float:
@@ -148,7 +139,7 @@ def _min_penalty(eps, w_prime, k):
 # Result type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundResult:
     """A bound value in bits with its provenance.
 
@@ -162,14 +153,13 @@ class BoundResult:
     argopt: float | None = None
     params: dict = field(default_factory=dict)
 
+    def __init__(self, kind, value, raw, argopt=None, params=None):  # as PenaltyParams
+        self.__dict__.update(kind=kind, value=value, raw=raw, argopt=argopt,
+                             params={} if params is None else params)
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value_bits": self.value,
-            "raw_bits": self.raw,
-            "arg_opt": self.argopt,
-            "params": dict(self.params),
-        }
+        return {"kind": self.kind, "value_bits": self.value, "raw_bits": self.raw,
+                "arg_opt": self.argopt, "params": dict(self.params)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +190,7 @@ def _ql_thermal_raw(eta, nb, ns):
 def _ql_amp_raw(g, nb, ns):
     z = (g - 1.0) * (nb + 1.0)
     d2 = _sq((g - 1.0) * ns) + 2.0 * ns * (g - 1.0) * ((nb + 1.0) * (g + 1.0) - 1.0) + _sq(z + 1.0)
-    dd = np.sqrt(d2)
+    dd = _sqrt(d2)
     arg_p = (dd + (g - 1.0) * (ns + nb + 1.0) - 1.0) / 2.0  # >= 0 since D >= z+1
     arg_m = 2.0 * ns * (g - 1.0) * nb / (dd + (g - 1.0) * ns + z + 1.0)
     return (_gn(g * ns + z) - _gn(arg_p) - _gn(arg_m)) / LN2
@@ -234,10 +224,10 @@ def _ud_thermal_raw(eta, nb, ns):
     """Conditional entropy of degradation at thermal input, thermal channel."""
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * eta - 1.0) / eta
     th = eta * nb + (1.0 - eta) * ns
-    inner = np.sqrt(np.maximum(_sq(1.0 + nb + th) - rho, 0.0))
+    inner = _sqrt(_maximum(_sq(1.0 + nb + th) - rho, 0.0))
     common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(1.0 + 2.0 * th)
-    zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
+    zp = 0.5 * (_sqrt(_maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
+    zm = 0.5 * (_sqrt(_maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
     return (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
 
 
@@ -250,10 +240,10 @@ def _ud_amp_raw(g, nb, ns):
     """
     rho = 4.0 * nb * (nb + 1.0) * (2.0 * g - 1.0) / g
     th = g * (1.0 + nb) + (g - 1.0) * ns
-    inner = np.sqrt(np.maximum(_sq(nb + th) - rho, 0.0))
+    inner = _sqrt(_maximum(_sq(nb + th) - rho, 0.0))
     common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(2.0 * th - 1.0)
-    zp = 0.5 * (np.sqrt(np.maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    zm = 0.5 * (np.sqrt(np.maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
+    zp = 0.5 * (_sqrt(_maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
+    zm = 0.5 * (_sqrt(_maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
     return (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
 
 
@@ -282,39 +272,39 @@ def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
 # Regime checks and forms
 # ---------------------------------------------------------------------------
 
-# A check rules out the cells where `fails` holds.  `fails` takes a group's
-# arrays by name (the channel parameters and ns; floats for one cell) and
-# returns a mask; a cell it rules out gets error(message), the message
-# formatted with that cell's own values by the same names.
+# A check rules out the cells where `fails` holds.  `fails` takes a dict of a
+# group's columns by name (the channel parameters and ns; floats for one
+# cell) and returns a mask; a cell it rules out gets error(message), the
+# message formatted with that cell's own values by the same names.
 _Check = namedtuple("_Check", "fails error message")
 
 _NS_CHECKS = (
-    _Check(lambda ns, **_: ns == np.inf, DomainError,
+    _Check(lambda c: c["ns"] == math.inf, DomainError,
            "input mean photon number must be finite; the infinite-energy limits are "
            "q_u1_unconstrained and q_u4_unconstrained"),
     # nan or -inf: +inf failed the check before
-    _Check(lambda ns, **_: (ns != ns) | (ns == -np.inf), DomainError,
+    _Check(lambda c: (c["ns"] != c["ns"]) | (c["ns"] == -math.inf), DomainError,
            "input mean photon number must be >= 0; got non-finite {ns}"),
-    _Check(lambda ns, **_: ns < 0.0, DomainError, "input mean photon number must be >= 0"),
+    _Check(lambda c: c["ns"] < 0.0, DomainError, "input mean photon number must be >= 0"),
 )
-_NOT_EB = _Check(lambda g, nb, **_: (g - 1.0) * nb >= 1.0, InfeasibleBoundError,
+_NOT_EB = _Check(lambda c: (c["g"] - 1.0) * c["nb"] >= 1.0, InfeasibleBoundError,
                  "(G-1)*NB >= 1: amplifier(g={g:.6g}, nb={nb:.6g}) is entanglement-breaking")
-_NBAR_WINDOW = _Check(lambda nbar, **_: np.logical_not((0.0 < nbar) & (nbar < 1.0)),
+_NBAR_WINDOW = _Check(lambda c: (c["nbar"] <= 0.0) | (c["nbar"] >= 1.0) | (c["nbar"] != c["nbar"]),
                       InfeasibleBoundError,
                       "nbar >= 1: additive-noise channel with nbar={nbar:.6g} is "
                       "entanglement-breaking (bound needs nbar in (0,1))")
-_AMP_THEN_LOSS = _Check(lambda eta, nb, **_: eta <= (1.0 - eta) * nb, InfeasibleBoundError,
+_AMP_THEN_LOSS = _Check(lambda c: c["eta"] <= (1.0 - c["eta"]) * c["nb"], InfeasibleBoundError,
                         "eta <= (1-eta)*NB: amp-then-loss decomposition infeasible "
                         "at eta={eta:.6g}, nb={nb:.6g}")
 
 
 def _eta_half(what):
-    return _Check(lambda eta, **_: eta < 0.5, InfeasibleBoundError,
+    return _Check(lambda c: c["eta"] < 0.5, InfeasibleBoundError,
                   f"eta < 1/2: {what} needs eta in [1/2, 1]")
 
 
 def _gain_above_one(message):
-    return _Check(lambda g, **_: g <= 1.0, DomainError, message)
+    return _Check(lambda c: c["g"] <= 1.0, DomainError, message)
 
 
 # A form maps the arrays of the cells of one channel kind that pass its
@@ -328,6 +318,8 @@ _Form = namedtuple("_Form", "fn checks limit", defaults=(None,))
 def _log2_ratio(num, den):
     """log2(num / den) elementwise; +inf where den = 0 (a lossless or
     noiseless channel)."""
+    if isinstance(den, float):
+        return _log2(num / den) if den != 0.0 else math.inf
     return np.log2(np.divide(num, den, out=np.full(np.shape(den), np.inf), where=den != 0.0))
 
 
@@ -358,30 +350,20 @@ def _reference_amp(g, nb, ns):
 # PLOB in logs: eta ** nb underflows, and g ** (nb + 1) overflows, a float
 # long before PLOB leaves its range.
 def _plob_thermal(eta, nb, ns):
-    return _log2_ratio(1.0, 1.0 - eta) - nb * np.log2(eta) - _gn(nb) / LN2
+    return _log2_ratio(1.0, 1.0 - eta) - nb * _log2(eta) - _gn(nb) / LN2
 
 
 def _plob_amp(g, nb, ns):
-    return _log2_ratio(1.0, g - 1.0) + (nb + 1.0) * np.log2(g) - _gn(nb) / LN2
+    return _log2_ratio(1.0, g - 1.0) + (nb + 1.0) * _log2(g) - _gn(nb) / LN2
 
 
 def _plob_additive(nbar, ns):
-    return (nbar - 1.0) / LN2 + np.log2(1.0 / nbar)
+    return (nbar - 1.0) / LN2 + _log2(1.0 / nbar)
 
 
 # ---------------------------------------------------------------------------
 # The evaluator and the channel-taking bounds
 # ---------------------------------------------------------------------------
-
-def _row(kind, eps_prime):
-    row = REGISTRY.get(kind)
-    if row is None:
-        raise DomainError(f"unknown bound kind {kind!r}")
-    if eps_prime is not None and row.eps is None:
-        takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
-        raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
-    return row
-
 
 def _first_failure(checks, cols, n):
     """Index into `checks` of each of the n cells' first failing check,
@@ -389,22 +371,18 @@ def _first_failure(checks, cols, n):
     single booleans and the first true one ends the search."""
     if n == 1:
         for j, check in enumerate(checks):
-            if check.fails(**cols):
+            if check.fails(cols):
                 return [j]
         return [len(checks)]
     first = np.full(n, len(checks))
     for j in range(len(checks) - 1, -1, -1):
-        first[checks[j].fails(**cols)] = j
+        first[checks[j].fails(cols)] = j
     return first.tolist()
 
 
 def _per_cell(values):
     """A form's output as a list of floats, one per cell."""
-    return values.tolist() if getattr(values, "ndim", 0) else [float(values)]
-
-
-def _error(check, params, ns):
-    return check.error(check.message.format(**params, ns=ns))
+    return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
 
 
 def _raise_first_failure(checks, params, ns):
@@ -412,26 +390,26 @@ def _raise_first_failure(checks, params, ns):
     `params` and input energy `ns` fails; return if it passes them all."""
     j = _first_failure(checks, {**params, "ns": ns}, 1)[0]
     if j < len(checks):
-        raise _error(checks[j], params, ns)
+        raise checks[j].error(checks[j].message.format(**params, ns=ns))
 
 
-def _penalty_cells(row, found, out, eps_prime, todo):
-    """Check the eps of a penalized kind's cells in `found`; add the penalty at
-    a fixed `eps_prime`, or put the cell and k on `todo` to minimize over eps'."""
-    for i, cell in list(found.items()):
-        eps, w_prime = cell[2]["eps"], cell[2]["w_prime"]
+def _penalty_cells(row, out, eps_prime, todo):
+    """Check the eps of a penalized kind's cells that hold a record in `out`;
+    add the penalty at a fixed `eps_prime`, or put the record and k on `todo`
+    to minimize over eps'."""
+    for i, cell in enumerate(out):
+        if type(cell) is not list:
+            continue
+        eps = cell[2]["eps"]
         try:
-            if not 0.0 <= eps <= 1.0:  # nan, where kappa is 0 * inf (eta = 1, nb near 1e154)
-                raise DomainError("epsilon must lie in [0, 1]")
+            _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
             if eps_prime is not None:
-                pp = PenaltyParams(eps, float(eps_prime), w_prime, row.k)
-                cell[0] += penalty(pp)
-                cell[1] = pp.epsilon_prime
+                cell[0] += penalty(PenaltyParams(eps, float(eps_prime), cell[2]["w_prime"], row.k))
+                cell[1] = float(eps_prime)
             elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
                 todo.append((cell, row.k))
         except DomainError as exc:
             out[i] = exc
-            del found[i]
 
 
 def _columns(kinds, channels, ns_values, eps_prime):
@@ -439,62 +417,76 @@ def _columns(kinds, channels, ns_values, eps_prime):
     if len(channels) != len(ns_values):
         raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
                           f"channels and {len(ns_values)} ns values")
-    groups, todo, outs, done = {}, [], [], []
+    groups, cols, todo, done = {}, {}, [], []
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
+    for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
+        if len(idx) == 1:  # floats, on which numpy computes faster than on 1-element arrays
+            cols[ch_kind] = one = dict(channels[idx[0]].params, ns=ns_values[idx[0]])
+            for name, v in one.items():
+                one[name] = float(v)
+        else:
+            cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
+            cols[ch_kind] = dict(zip((*channels[idx[0]].params, "ns"), np.array(cells, dtype=float).T))
     for kind in kinds:
-        row = _row(kind, eps_prime)
-        out = [None] * len(channels)  # each cell's error, later its BoundResult
-        found = {}  # cell -> [raw bits, argopt, params beyond the channel's and ns]
-        outs.append(out)
-        done.append((kind, row, out, found))
+        row = REGISTRY.get(kind)
+        if row is None:
+            raise DomainError(f"unknown bound kind {kind!r}")
+        if eps_prime is not None and row.eps is None:
+            takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
+            raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+        # each cell's error, or its record [raw bits, argopt, params beyond the
+        # channel's and ns] until it becomes the cell's BoundResult
+        out = [None] * len(channels)
+        done.append((kind, row, out))
         for ch_kind, idx in groups.items():
             form = row.forms.get(ch_kind)
             checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
-            names = (*channels[idx[0]].params, "ns")
-            cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
-            # one cell as floats: numpy computes on them faster than on 1-element arrays
-            cols = dict(zip(names, map(float, cells[0]) if len(idx) == 1
-                            else np.array(cells, dtype=float).T))
-            first = _first_failure(checks, cols, len(idx))
-            for i, j in zip(idx, first):
+            passed = []
+            for k, (i, j) in enumerate(zip(idx, _first_failure(checks, cols[ch_kind], len(idx)))):
                 if j < len(checks):
-                    out[i] = _error(checks[j], channels[i].params, ns_values[i])
+                    out[i] = checks[j].error(checks[j].message.format(**channels[i].params,
+                                                                      ns=ns_values[i]))
                 elif form is None:
                     out[i] = ChannelKindError(f"{kind} is not defined for {ch_kind!r} channels")
-            passed = ([k for k, j in enumerate(first) if j == len(checks)] if len(idx) > 1
-                      else [0] * (first[0] == len(checks)))
-            if form is None or not passed:
+                else:
+                    passed.append(k)
+            if not passed:
                 continue
-            args = [*cols.values()] if len(passed) == len(idx) else [cols[n][passed] for n in names]
+            args = [*cols[ch_kind].values()]
+            if len(passed) < len(idx):
+                args = [v[passed] for v in args]
             res = form.fn(*args)
             if row.eps is not None:  # the base term, W' and the channel's eps
                 for k, base, w_prime, eps in zip(passed, *map(_per_cell, (*res, row.eps(*args[:-1])))):
-                    found[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
+                    out[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
             else:  # the raw bits, and PL's argmax
                 raw, argopt = res if isinstance(res, tuple) else (res, None)
                 argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
                 for k, r, a in zip(passed, _per_cell(raw), argopts):
-                    found[idx[k]] = [r, a, {}]
+                    out[idx[k]] = [r, a, {}]
         if row.eps is not None:
-            _penalty_cells(row, found, out, eps_prime, todo)
+            _penalty_cells(row, out, eps_prime, todo)
     if todo:  # every penalized kind's minimizations in one batch
         pen, argmin = _min_penalty(*np.array([(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]).T)
         for (cell, _), p, a in zip(todo, pen.tolist(), argmin.tolist()):
             cell[0] += p
             cell[1] = a
-    for kind, row, out, found in done:
-        for i, (raw, argopt, extra) in found.items():
-            ch = channels[i]
-            if raw != raw or raw == -np.inf:  # +inf is a bound: PLOB and RMG at eta = 1
-                out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns_values[i]}")
+    for kind, row, out in done:
+        for i, cell in enumerate(out):
+            if type(cell) is not list:
+                continue
+            raw, argopt, extra = cell
+            ch, ns = channels[i], ns_values[i]
+            if raw != raw or raw == -math.inf:  # +inf is a bound: PLOB and RMG at eta = 1
+                out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns}")
                 continue
             if row.eps is not None and argopt is not None:
                 extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
-            params = {"channel": ch.kind, **ch.params} if row.lower else {**ch.params, "channel": ch.kind}
-            params.update(ns=ns_values[i], **extra)
+            params = ({"channel": ch.kind, **ch.params, "ns": ns, **extra} if row.lower
+                      else {**ch.params, "channel": ch.kind, "ns": ns, **extra})
             out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
-    return outs
+    return [out for _, _, out in done]
 
 
 def evaluate_columns(kinds, channels, ns_values) -> list:
@@ -695,10 +687,10 @@ class BoundKind:
 
 
 _QU1 = {"thermal": _Form(_qu1_thermal_raw, (_eta_half("QU1"),),
-                         lambda eta, nb: _log2_ratio(eta, 1.0 - eta) - np.log2(nb + 1.0)),
+                         lambda eta, nb: _log2_ratio(eta, 1.0 - eta) - _log2(nb + 1.0)),
         "amplifier": _Form(_qu1_amp_raw, (_NOT_EB,),
-                           lambda g, nb: _log2_ratio(g, g - 1.0) - np.log2(nb + 1.0)),
-        "additive": _Form(_qu1_additive_raw, (_NBAR_WINDOW,), lambda nbar: np.log2(1.0 / nbar))}
+                           lambda g, nb: _log2_ratio(g, g - 1.0) - _log2(nb + 1.0)),
+        "additive": _Form(_qu1_additive_raw, (_NBAR_WINDOW,), lambda nbar: _log2(1.0 / nbar))}
 _DEG = {"thermal": _Form(_ud_thermal, (_eta_half("the degrading construction"),)),
         "amplifier": _Form(_ud_amp, (_gain_above_one("amplifier eps-degradable bound requires "
                                                      "gain > 1"), _NOT_EB))}
@@ -715,7 +707,7 @@ REGISTRY = {
     "QU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 2),
     "QU4": BoundKind({"thermal": _Form(_qu4_thermal_raw, (_AMP_THEN_LOSS,), _rmg_thermal),
                       "additive": _Form(_qu4_additive_raw, (_NBAR_WINDOW,),
-                                        lambda nbar: np.log2((1.0 - nbar) / nbar))}, True),
+                                        lambda nbar: _log2((1.0 - nbar) / nbar))}, True),
     "PU1": BoundKind(_QU1, True),
     "PU2": BoundKind(_DEG, False, chn._eps_degradable, 3),
     "PU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 4),

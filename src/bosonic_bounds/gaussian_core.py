@@ -74,6 +74,34 @@ def _place_pair(V: np.ndarray, i: int, qblk, pblk) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Elementwise steps on one cell's floats or many cells' arrays
+# ---------------------------------------------------------------------------
+
+def _on_floats(ufunc):
+    """`ufunc`, but a Python float for a float: the bound forms' +, -, *, /
+    then run on Python floats, which round as np.float64's do, at a fraction
+    of the cost of numpy scalars and 0-d arrays."""
+    return lambda x: float(ufunc(x)) if isinstance(x, float) else ufunc(x)
+
+
+_log, _log1p, _log2, _sqrt = map(_on_floats, (np.log, np.log1p, np.log2, np.sqrt))
+
+
+def _maximum(a, b):
+    """np.maximum(a, b); two floats pick as numpy does: a nan wins, of equal values b."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a > b or a != a else b
+    return np.maximum(a, b)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b); a bool and two floats (one cell) pick a or b."""
+    if isinstance(cond, (bool, np.bool_)) and isinstance(a, float) and isinstance(b, float):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
+# ---------------------------------------------------------------------------
 # Entropy functions
 # ---------------------------------------------------------------------------
 
