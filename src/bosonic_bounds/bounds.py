@@ -5,9 +5,9 @@ the shared continuity penalty of the approximate-degradability bounds, the
 coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
 :data:`REGISTRY` holds one row per bound kind: its form for each supported
-channel kind, its clamp and, for the penalized kinds, the eps source and
-the penalty multiplier.  A form, its regime checks and the eps sources are
-array expressions over the parameters of many cells.
+channel kind, its clamp and, for the penalized kinds, the penalty
+multiplier; their forms return the base term, W' and eps.  A form and its
+regime checks are array expressions over the parameters of many cells.
 :func:`evaluate_columns` computes several kinds at many (channel, ns) cells
 from their rows: per kind, one call of the checks and the form per channel
 kind and masks for the cells they rule out; then one lockstep batch for the
@@ -19,16 +19,17 @@ float-or-array helpers, with the bits of the same cell in a column.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
-arguments in rationalized form.  At large energy two cancellations remain:
-the g kernel's (x+1) ln(x+1) - x ln x loses about log10(x) digits, and
-U_D's smaller symplectic eigenvalue is a difference of two large terms.
+arguments in rationalized form.  Three cancellations remain: at large
+energy the g kernel's (x+1) ln(x+1) - x ln x loses about log10(x) digits,
+and U_D's smaller symplectic eigenvalue is a difference of two large terms;
+near eta = 1 (or g = 1) kappa's bracket, which eps comes from, loses its
+double root.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,22 +91,18 @@ class PenaltyParams:
 
 
 def _penalty_eval(eps, e, w_prime, k):
-    """Penalty over the broadcast arguments, at eps' = e; +inf wherever
-    delta <= 0.  Floats give a float, computed on Python floats; an array
-    with no delta <= 0 skips the masks."""
-    delta = (e - eps) / (1.0 + e)
-    ok = delta > 0.0
-    whole = ok if isinstance(ok, bool) else ok.all()
-    d = delta if whole else _where(ok, delta, 0.5)  # keeps the discarded entries finite
-    val = k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
-               + _gn(e)
-               + 2.0 * (-(d * _log(d) + (1.0 - d) * _log1p(-d)))) / LN2
-    return val if whole else _where(ok, val, np.inf)
+    """Penalty over the broadcast arguments, at eps' = e > eps, so that
+    delta > 0 (PenaltyParams checks it, the searches start at eps + 1e-12).
+    Floats give a float, computed on Python floats."""
+    d = (e - eps) / (1.0 + e)
+    return k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
+                + _gn(e)
+                + 2.0 * (-(d * _log(d) + (1.0 - d) * _log1p(-d)))) / LN2
 
 
 def penalty(p: PenaltyParams) -> float:
     """k [ (2 eps' + 4 delta) g(W'/delta) + g(eps') + 2 h2(delta) ] in bits,
-    with delta = (eps' - eps)/(1 + eps'); +inf if delta degenerates."""
+    with delta = (eps' - eps)/(1 + eps') > 0."""
     return float(_penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k))
 
 
@@ -259,7 +256,6 @@ def q_lower_thermal(eta: float, nb: float, ns: float) -> BoundResult:
 
 def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
     """Coherent-information lower bound of the amplifier channel."""
-    _require(g > 1.0, "q_lower_amp requires gain > 1", g)
     return evaluate("QL", chn.amplifier(g, nb), ns)
 
 
@@ -309,9 +305,9 @@ def _gain_above_one(message):
 
 # A form maps the arrays of the cells of one channel kind that pass its
 # checks, (channel parameters..., ns), to their raw bits; the penalized
-# kinds' forms return the base term and its output-energy cap W', PL's the
-# value and its argmax.  `limit` maps the channel parameters to the
-# infinite-energy limit (QU1, QU4).
+# kinds' forms return the base term, its output-energy cap W' and the
+# channel's eps, PL's the value and its argmax.  `limit` maps the channel
+# parameters to the infinite-energy limit (QU1, QU4).
 _Form = namedtuple("_Form", "fn checks limit", defaults=(None,))
 
 
@@ -330,21 +326,23 @@ def _rmg_thermal(eta, nb, ns=None):
 
 
 def _ud_thermal(eta, nb, ns):
-    """U_D, the conditional entropy of degradation, and its cap W'."""
-    return _ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb
+    """U_D, the conditional entropy of degradation, its cap W' and eps."""
+    return (_ud_thermal_raw(eta, nb, ns), (1.0 - eta) * ns + (1.0 + eta) * nb,
+            chn._eps_degradable(eta, nb))
 
 
 def _ud_amp(g, nb, ns):
-    return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb
+    return _ud_amp_raw(g, nb, ns), (g - 1.0) * ns + (1.0 + g) * nb, chn._eps_degradable(g, nb)
 
 
 def _reference_thermal(eta, nb, ns):
-    """Coherent information of the degradable (nb = 0) reference and W'."""
-    return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb
+    """Coherent information of the degradable (nb = 0) reference, W' and
+    the eps-close-degradable eps."""
+    return _qu1_thermal_raw(eta, 0.0, ns), eta * ns + (1.0 - eta) * nb, nb / (nb + 1.0)
 
 
 def _reference_amp(g, nb, ns):
-    return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb
+    return _qu1_amp_raw(g, 0.0, ns), g * ns + (g - 1.0) * nb, nb / (nb + 1.0)
 
 
 # PLOB in logs: eta ** nb underflows, and g ** (nb + 1) overflows, a float
@@ -393,25 +391,6 @@ def _raise_first_failure(checks, params, ns):
         raise checks[j].error(checks[j].message.format(**params, ns=ns))
 
 
-def _penalty_cells(row, out, eps_prime, todo):
-    """Check the eps of a penalized kind's cells that hold a record in `out`;
-    add the penalty at a fixed `eps_prime`, or put the record and k on `todo`
-    to minimize over eps'."""
-    for i, cell in enumerate(out):
-        if type(cell) is not list:
-            continue
-        eps = cell[2]["eps"]
-        try:
-            _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
-            if eps_prime is not None:
-                cell[0] += penalty(PenaltyParams(eps, float(eps_prime), cell[2]["w_prime"], row.k))
-                cell[1] = float(eps_prime)
-            elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
-                todo.append((cell, row.k))
-        except DomainError as exc:
-            out[i] = exc
-
-
 def _columns(kinds, channels, ns_values, eps_prime):
     """evaluate_columns, with a fixed eps' for the penalized kinds if given."""
     if len(channels) != len(ns_values):
@@ -432,8 +411,8 @@ def _columns(kinds, channels, ns_values, eps_prime):
         row = REGISTRY.get(kind)
         if row is None:
             raise DomainError(f"unknown bound kind {kind!r}")
-        if eps_prime is not None and row.eps is None:
-            takers = ", ".join(k for k, r in REGISTRY.items() if r.eps is not None)
+        if eps_prime is not None and not row.k:
+            takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
             raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
         # each cell's error, or its record [raw bits, argopt, params beyond the
         # channel's and ns] until it becomes the cell's BoundResult
@@ -457,16 +436,25 @@ def _columns(kinds, channels, ns_values, eps_prime):
             if len(passed) < len(idx):
                 args = [v[passed] for v in args]
             res = form.fn(*args)
-            if row.eps is not None:  # the base term, W' and the channel's eps
-                for k, base, w_prime, eps in zip(passed, *map(_per_cell, (*res, row.eps(*args[:-1])))):
-                    out[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
-            else:  # the raw bits, and PL's argmax
+            if not row.k:  # the raw bits, and PL's argmax
                 raw, argopt = res if isinstance(res, tuple) else (res, None)
                 argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
                 for k, r, a in zip(passed, _per_cell(raw), argopts):
                     out[idx[k]] = [r, a, {}]
-        if row.eps is not None:
-            _penalty_cells(row, out, eps_prime, todo)
+                continue
+            # the base term, W' and eps: add the penalty at a fixed eps', or
+            # put the record on `todo` to minimize over eps'
+            for k, base, w_prime, eps in zip(passed, *map(_per_cell, res)):
+                cell = out[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
+                try:
+                    _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
+                    if eps_prime is not None:
+                        cell[0] += penalty(PenaltyParams(eps, float(eps_prime), w_prime, row.k))
+                        cell[1] = float(eps_prime)
+                    elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
+                        todo.append((cell, row.k))
+                except DomainError as exc:
+                    out[idx[k]] = exc
     if todo:  # every penalized kind's minimizations in one batch
         pen, argmin = _min_penalty(*np.array([(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]).T)
         for (cell, _), p, a in zip(todo, pen.tolist(), argmin.tolist()):
@@ -481,7 +469,7 @@ def _columns(kinds, channels, ns_values, eps_prime):
             if raw != raw or raw == -math.inf:  # +inf is a bound: PLOB and RMG at eta = 1
                 out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns}")
                 continue
-            if row.eps is not None and argopt is not None:
+            if row.k and argopt is not None:
                 extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
             params = ({"channel": ch.kind, **ch.params, "ns": ns, **extra} if row.lower
                       else {**ch.params, "channel": ch.kind, "ns": ns, **extra})
@@ -635,12 +623,8 @@ def gap_qu1_ql(eta: float, nb: float, ns: float) -> float:
     At fixed (eta, nb) the large-ns limit is nb*log2(1 + 1/nb) (1.0 at
     nb = 1). Its supremum 1/ln 2 is approached only as nb -> inf.
     """
-    _require(eta <= 1.0, "eta must lie in [1/2, 1]", eta)
-    if eta < 0.5:
-        raise InfeasibleBoundError("eta < 1/2: the gap law needs eta in [1/2, 1]")
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    _raise_first_failure(_NS_CHECKS, {}, ns)
-    return float(_qu1_thermal_raw(eta, nb, ns) - _ql_thermal_raw(eta, nb, ns))
+    ch = chn.thermal(eta, nb)
+    return evaluate("QU1", ch, ns).raw - evaluate("QL", ch, ns).raw
 
 
 def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
@@ -672,16 +656,14 @@ class BoundKind:
     expression over (channel parameters..., ns) of the cells that pass
     them; the QU1 and QU4 forms carry the infinite-energy `limit`.  `clamp`
     marks the kinds that report max{0, raw} as their value.  The penalized
-    kinds (QU2, QU3, PU2, PU3) carry `eps`, the diamond-distance parameter
-    as a function of the channel's (eta or g, nb) arrays, and the penalty
-    multiplier `k`; only they accept a fixed eps'.  The `lower` rows (QL,
-    PL) check the channel kind before ns, and their params lead with the
-    channel.
+    kinds (QU2, QU3, PU2, PU3) are the rows with a penalty multiplier
+    `k` > 0; their forms return eps and W' with the base term, and only
+    they accept a fixed eps'.  The `lower` rows (QL, PL) check the channel
+    kind before ns, and their params lead with the channel.
     """
 
     forms: dict
     clamp: bool
-    eps: Callable | None = None
     k: int = 0
     lower: bool = False
 
@@ -703,14 +685,14 @@ REGISTRY = {
                                                                       "gain > 1"), *_NS_CHECKS))},
                     True, lower=True),
     "QU1": BoundKind(_QU1, True),
-    "QU2": BoundKind(_DEG, False, chn._eps_degradable, 1),
-    "QU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 2),
+    "QU2": BoundKind(_DEG, False, 1),
+    "QU3": BoundKind(_CLOSE, False, 2),
     "QU4": BoundKind({"thermal": _Form(_qu4_thermal_raw, (_AMP_THEN_LOSS,), _rmg_thermal),
                       "additive": _Form(_qu4_additive_raw, (_NBAR_WINDOW,),
                                         lambda nbar: _log2((1.0 - nbar) / nbar))}, True),
     "PU1": BoundKind(_QU1, True),
-    "PU2": BoundKind(_DEG, False, chn._eps_degradable, 3),
-    "PU3": BoundKind(_CLOSE, False, chn._eps_close_degradable, 4),
+    "PU2": BoundKind(_DEG, False, 3),
+    "PU3": BoundKind(_CLOSE, False, 4),
     "PL": BoundKind({"thermal": _Form(_pl_thermal, _NS_CHECKS)}, False, lower=True),
     "PLOB": BoundKind({"thermal": _Form(_plob_thermal, ()), "amplifier": _Form(_plob_amp, ()),
                        "additive": _Form(_plob_additive, (_NBAR_WINDOW,))}, False),

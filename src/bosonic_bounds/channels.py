@@ -216,7 +216,10 @@ def kappa(x: float, nb: float) -> float:
     """kappa(x, nb) = x^2 + nb(nb+1) [1 + 3x^2 - 2x(1 + sqrt(2x-1))].
 
     x is the thermal transmissivity (x in [1/2, 1]) or amplifier gain
-    (x >= 1); in both regimes the bracket is nonnegative.
+    (x >= 1).  In both regimes the bracket is nonnegative in exact
+    arithmetic, with a double root at x = 1; in floats it cancels near
+    there (-4.4e-16 at x = 1 - 2^-53, where it is 2.5e-32), which ROADMAP
+    item E's factored bracket removes.
     """
     _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
     return _kappa(x, nb)
@@ -229,12 +232,6 @@ def _kappa(x, nb):
 def _eps_degradable(x, nb):
     """:func:`epsilon_degradable`'s eps over arrays of x >= 1/2 and nb, or floats."""
     return gc._sqrt(gc._maximum(1.0 - x * x / _kappa(x, nb), 0.0))
-
-
-def _eps_close_degradable(x, nb):
-    """:func:`epsilon_close_degradable`'s upper value nb/(nb+1) over arrays;
-    x (eta or g) is unused, as the bound registry passes both."""
-    return nb / (nb + 1.0)
 
 
 def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
@@ -257,9 +254,8 @@ def epsilon_close_degradable(nb: float) -> EpsilonReport:
     """Diamond distance from a thermal (or amplifier) channel to its
     quantum-limited counterpart: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
     _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    upper = _eps_close_degradable(None, nb)
-    lower = 1.0 - 1.0 / np.sqrt(nb + 1.0)
-    return EpsilonReport(float(upper), float(lower), "eps_close_degradable")
+    return EpsilonReport(float(nb / (nb + 1.0)), float(1.0 - 1.0 / np.sqrt(nb + 1.0)),
+                         "eps_close_degradable")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ BOUND_KINDS = tuple(bnd.REGISTRY)
 SWEEP_VARS = ("ns", "eta", "nb", "g", "nbar")
 FIGURES = ("3a", "3b", "3c", "3d", "4a", "4b", "5a", "5b", "6a", "6b")
 # Not read by the package (sweeps run serially in grid order).  It stays
-# because bench/workloads.py sets it; ROADMAP item A removes both.
+# because bench/workloads.py sets it; ROADMAP item K removes both.
 THREADS_ENV = "BOSON_BOUNDS_THREADS"
 
 

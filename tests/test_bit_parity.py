@@ -1,7 +1,7 @@
 """Bit parity of the batched kernels' shortcuts with the paths they replace.
 
 The figure columns build every row's seed grid in one call and skip the
-masks of `_g_nats` and `_penalty_eval` when nothing is masked, and a lone
+masks of `_g_nats` when nothing is masked, and a lone
 search evaluates its objective on Python floats.  Each shortcut must give
 the bits of the one-row, masked or array path, compared by `float.hex`.
 So must every closed form on Python floats against its element of the
@@ -68,20 +68,6 @@ def test_g_nats_unmasked_matches_masked():
         assert _hex(gc._g_nats(above.reshape(shape))) == _hex(mixed[len(below):])
 
 
-def test_penalty_unmasked_matches_masked():
-    rng = np.random.default_rng(13)
-    eps = rng.uniform(0.0, 0.9, 300)
-    e = eps + (1.0 - eps) * rng.uniform(1e-6, 1.0, 300)
-    w_prime, k = 10.0 ** rng.uniform(-2.0, 3.0, 300), rng.integers(1, 5, 300).astype(float)
-    inside = bnd._penalty_eval(eps[:, None], e[:, None], w_prime[:, None], k[:, None])
-    # one point at e = eps (delta = 0) masks the whole evaluation
-    mixed = bnd._penalty_eval(*(np.append(v, v0)[:, None]
-                                for v, v0 in ((eps, 0.4), (e, 0.4), (w_prime, 1.0), (k, 1.0))))
-    assert np.isfinite(inside).all()
-    assert _hex(inside) == _hex(mixed[:-1])
-    assert mixed[-1, 0] == math.inf
-
-
 # ---------------------------------------------------------------------------
 # One point on Python floats against its element of an (n, 1) array
 # ---------------------------------------------------------------------------
@@ -113,24 +99,21 @@ def test_penalty_float_matches_array_element():
     rng = np.random.default_rng(14)
     n = 3000
     eps = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 0.99, n))
-    # delta <= 0 on about a tenth of the points (e <= eps); tiny deltas and
-    # tiny W' put W'/delta, and tiny e put e, below the series cutoff
-    e = np.where(rng.uniform(size=n) < 0.1, eps * rng.uniform(0.0, 1.0, n),
-                 eps + (1.0 - eps) * 10.0 ** rng.uniform(-15.0, 0.0, n))
+    # every e above eps, as every caller keeps it, some by one ulp; tiny
+    # deltas and tiny W' put W'/delta, and tiny e put e, below the series cutoff
+    e = np.maximum(eps + (1.0 - eps) * 10.0 ** rng.uniform(-15.0, 0.0, n), np.nextafter(eps, 1.0))
     e[:3] = [1e-10, 1e-9, 1.0]
+    eps[:3] = [0.0, 0.0, 0.5]
     w_prime = np.where(rng.uniform(size=n) < 0.1, 10.0 ** rng.uniform(-20.0, -9.0, n),
                        10.0 ** rng.uniform(-2.0, 12.0, n))
     k = rng.integers(1, 5, n).astype(float)
     cols = (eps, e, w_prime, k)
+    assert (e > eps).all()
     got = _float_hex(bnd._penalty_eval, cols)
-    masked = bnd._penalty_eval(*(c[:, None] for c in cols))
-    assert got == _hex(masked)
-    assert (masked[e <= eps] == math.inf).all() and (e <= eps).sum() > 100
-    inside = e > eps  # the array path without masks
-    assert [h for h, ok in zip(got, inside) if ok] == _hex(
-        bnd._penalty_eval(*(c[inside, None] for c in cols)))
-    delta = (e - eps)[inside] / (1.0 + e[inside])
-    assert (w_prime[inside] / delta).min() < gc._G_SERIES_CUTOFF > e.min()
+    stacked = bnd._penalty_eval(*(c[:, None] for c in cols))
+    assert np.isfinite(stacked).all() and got == _hex(stacked)
+    delta = (e - eps) / (1.0 + e)
+    assert (w_prime / delta).min() < gc._G_SERIES_CUTOFF > e.min()
 
 
 def test_ql_thermal_float_matches_array_element():
@@ -285,7 +268,7 @@ def test_eps_degradable_float_is_nan_where_kappa_is():
 # ---------------------------------------------------------------------------
 
 _MAKE = {"thermal": chn.thermal, "amplifier": chn.amplifier, "additive": chn.additive_noise}
-_PENALIZED = [kind for kind, row in bnd.REGISTRY.items() if row.eps is not None]
+_PENALIZED = [kind for kind, row in bnd.REGISTRY.items() if row.k]
 
 
 def _cell_hex(cell):
@@ -365,11 +348,30 @@ def test_one_cell_matches_its_cell_in_a_column(kind, ch_kind):
         assert one == in_column, (kind, ch, ns, eps_prime)
 
 
+@pytest.mark.parametrize("ch_kind", ["thermal", "amplifier"])
+@pytest.mark.parametrize("kind", _PENALIZED)
+def test_penalized_form_returns_the_channels_eps(kind, ch_kind):
+    """A penalized form returns (base, W', eps); its eps is epsilon_degradable's
+    (QU2, PU2) or epsilon_close_degradable's (QU3, PU3), on floats and in a
+    column alike."""
+    rng = np.random.default_rng([20, _PENALIZED.index(kind), list(_MAKE).index(ch_kind)])
+    cells = [(ch, ns) for ch, ns in _seeded_cells(ch_kind, rng, 40) if ch.tau >= 0.5]
+    form = bnd.REGISTRY[kind].forms[ch_kind].fn
+    if kind in ("QU2", "PU2"):
+        want = [chn.epsilon_degradable(ch).epsilon for ch, _ in cells]
+    else:
+        want = [chn.epsilon_close_degradable(ch.params["nb"]).epsilon for ch, _ in cells]
+    one = [form(*ch.params.values(), ns)[2] for ch, ns in cells]
+    column = form(*np.array([(*ch.params.values(), ns) for ch, ns in cells]).T)[2]
+    assert len(cells) > 20 and all(type(e) is float for e in one)
+    assert _hex(one) == _hex(column) == _hex(want)
+
+
 def test_eps_one_is_a_domain_error_on_both_paths():
     """nb = 1e16 gives eps = nb / (nb + 1) = 1, which leaves no eps' in
     (eps, 1]: the minimization and a fixed eps' both refuse it."""
     ch = chn.thermal(0.8, 1e16)
-    assert chn._eps_close_degradable(0.8, 1e16) == 1.0
+    assert chn.epsilon_close_degradable(1e16).epsilon == 1.0
     for eps_prime in (None, 0.5, 1.0):
         with pytest.raises(DomainError, match=r"^epsilon must lie in \[0, 1\)$"):
             bnd.q_u3(ch, 1.0, eps_prime)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,6 @@ class TestPenalty:
             bnd.PenaltyParams(0.1, 0.2, -1.0, 1)
         with pytest.raises(DomainError):
             bnd.PenaltyParams(0.1, 0.2, 1.0, 5)
-
-    def test_degenerate_delta_is_infinite(self):
-        assert bnd._penalty_eval(0.3, 0.3, 1.0, 1) == np.inf
-        assert bnd._penalty_eval(0.3, 0.2, 1.0, 1) == np.inf
 
 
 class TestLowerBounds:
@@ -358,6 +356,36 @@ class TestGapLaw:
         # the asymptote at fixed parameters is nb*log2(1 + 1/nb)
         gap = bnd.gap_qu1_ql(0.8, 1.0, 1e6)
         assert gap == pytest.approx(1.0, abs=1e-3)
+
+    def test_is_qu1_minus_ql_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        cases = [(1.0, 0.5, 2.0), (0.5, 0.0, 1.0), (0.8, 1.0, 0.0)]
+        cases += [(float(rng.uniform(0.5, 1.0)), float(10.0 ** rng.uniform(-3.0, 3.0)),
+                   float(10.0 ** rng.uniform(-3.0, 8.0))) for _ in range(300)]
+        for eta, nb, ns in cases:
+            ch = chn.thermal(eta, nb)
+            gap = bnd.gap_qu1_ql(eta, nb, ns)
+            assert gap.hex() == (bnd.q_u1(ch, ns).raw - bnd.q_lower_thermal(eta, nb, ns).raw).hex()
+
+    # the thermal constructor checks eta and nb, then QU1 checks ns before
+    # its eta >= 1/2 regime
+    @pytest.mark.parametrize("eta, nb, ns, error, message", [
+        (0.0, 0.5, 1.0, DomainError, r"^thermal channel requires eta in \(0, 1\]$"),
+        (-0.3, 0.5, -1.0, DomainError, r"^thermal channel requires eta in \(0, 1\]$"),
+        (1.2, 0.5, 1.0, DomainError, r"^thermal channel requires eta in \(0, 1\]$"),
+        (math.nan, 0.5, 1.0, DomainError, r"^thermal channel requires eta in \(0, 1\]$"),
+        (math.inf, 0.5, 1.0, DomainError, r"^thermal channel requires eta in \(0, 1\]$"),
+        (0.3, 0.5, 1.0, InfeasibleBoundError, r"^eta < 1/2: QU1 needs eta in \[1/2, 1\]$"),
+        (0.3, 0.5, -1.0, DomainError, r"^input mean photon number must be >= 0$"),
+        (0.8, -1.0, 1.0, DomainError, r"^environment photon number must be >= 0$"),
+        (0.8, math.nan, 1.0, DomainError, r"^environment photon number must be >= 0; got non-finite nan$"),
+        (0.8, 0.5, -1.0, DomainError, r"^input mean photon number must be >= 0$"),
+        (0.8, 0.5, math.nan, DomainError, r"^input mean photon number must be >= 0; got non-finite nan$"),
+        (0.8, 0.5, math.inf, DomainError, r"^input mean photon number must be finite;"),
+    ])
+    def test_errors(self, eta, nb, ns, error, message):
+        with pytest.raises(error, match=message):
+            bnd.gap_qu1_ql(eta, nb, ns)
 
 
 class TestLargeEnergyDefects:

@@ -141,7 +141,7 @@ def test_figure_sweeps_share_one_penalty_batch(monkeypatch):
     for fig in cli.FIGURES:
         before, spec = len(pl_batch), cli.load_figure_spec(fig)
         cli.run_sweep(spec)
-        penalized = any(bnd.REGISTRY[kind].eps is not None for kind in spec.bounds)
+        penalized = any(bnd.REGISTRY[kind].k for kind in spec.bounds)
         assert sorted(pl_batch[before:]) == [False] * penalized + [True] * ("PL" in spec.bounds)
     assert len(pl_batch) == 10
 

@@ -5,10 +5,12 @@ from the float inputs exactly as given, so it is the bound's value at those
 inputs far below a float's resolution.  A float result must match it by
 the benchmark's rule: within 1e-12 relative, or absolute below 1.
 
-The seeded channels draw nb up to 1e2.  From nb of a few hundred the g
-kernel's (x+1) ln(x+1) - x ln x loses about 1e-12 bits to cancellation,
-which breaks the rule where the bound itself is below 1 bit; the strict
-xfail at the end pins such a cell.
+The PLOB and RMG channels draw nb up to 1e2.  From nb of a few hundred the
+g kernel's (x+1) ln(x+1) - x ln x loses about 1e-12 bits to cancellation,
+which breaks the rule where the bound itself is below 1 bit; a strict xfail
+pins such a cell.  The other closed forms (U_D, kappa and eps, QL, QU1 and
+QU4) draw seeded cells in two ranges.  A case that misses today is a strict
+xfail naming ROADMAP item E2, the precision fix, which removes the marks.
 """
 
 import math
@@ -139,3 +141,184 @@ def test_rmg_edges(eta, nb):
                    reason="the g kernel's cancellation at nb = 7e2 costs 1e-12 bits")
 def test_plob_amp_near_unit_gain_at_large_nb():
     assert _misses(_plob_amp, _mp_plob_amp, [(1.0004415783208491, 703.7091868136355)]) == []
+
+
+# ---------------------------------------------------------------------------
+# U_D, kappa and eps, QL, QU1 and QU4
+# ---------------------------------------------------------------------------
+
+E2 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP E2: the g kernel, U_D's eigenvalues, kappa's bracket, "
+                              "eps and the forms' 1 - eta' terms cancel")
+N_CELLS = 40  # seeded cells per case; every reference costs a few mpmath logs
+# (ns, nb, and 1 - eta or g - 1) as log10 ranges: the figures' range, and the
+# range the API accepts with eta or g within 1e-12 of 1
+RANGES = {"moderate": ((-3.0, 2.0), (-6.0, 2.0), (-2.0, -0.3)),
+          "wide": ((-3.0, 14.0), (-4.0, 8.0), (-12.0, -0.3))}
+
+
+def _mp_kappa(x, nb):
+    x, nb = mp.mpf(x), mp.mpf(nb)
+    return x ** 2 + nb * (nb + 1) * (1 + 3 * x ** 2 - 2 * x * (1 + mp.sqrt(2 * x - 1)))
+
+
+def _mp_eps_degradable(x, nb):
+    return mp.sqrt(1 - mp.mpf(x) ** 2 / _mp_kappa(x, nb))
+
+
+def _mp_ud(x, nb, ns):
+    """U_D at thermal input: the output entropy less the two symplectic
+    eigenvalues' g, for a thermal channel (x = eta <= 1) or an amplifier."""
+    x, nb, ns = mp.mpf(x), mp.mpf(nb), mp.mpf(ns)
+    rho = 4 * nb * (nb + 1) * (2 * x - 1) / x
+    if x <= 1:
+        out, th = x * ns + (1 - x) * nb, x * nb + (1 - x) * ns
+        inner = mp.sqrt((1 + nb + th) ** 2 - rho)
+        common, cross = (1 + 2 * nb) ** 2 - 2 * rho + (1 + 2 * th) ** 2, 4 * (th - nb) * inner
+    else:
+        out, th = x * ns + (x - 1) * (nb + 1), x * (1 + nb) + (x - 1) * ns
+        inner = mp.sqrt((nb + th) ** 2 - rho)
+        common, cross = (1 + 2 * nb) ** 2 - 2 * rho + (2 * th - 1) ** 2, 4 * (th - nb - 1) * inner
+    return _mp_g(out) - sum(_mp_g((mp.sqrt((common + c) / 2) - 1) / 2) for c in (cross, -cross))
+
+
+def _mp_ql(x, nb, ns):
+    """Coherent information at thermal input, thermal channel or amplifier."""
+    x, nb, ns = mp.mpf(x), mp.mpf(nb), mp.mpf(ns)
+    if x <= 1:
+        y = (1 - x) * nb
+        d = mp.sqrt(((1 - x) * ns) ** 2 + 2 * ns * ((1 + x) * y + 1 - x) + (y + 1) ** 2)
+        return (_mp_g(x * ns + y) - _mp_g((d - (y + 1 - (1 - x) * ns)) / 2)
+                - _mp_g((d - ((1 - x) * ns + 1 - y)) / 2))
+    z = (x - 1) * (nb + 1)
+    d = mp.sqrt(((x - 1) * ns) ** 2 + 2 * ns * (x - 1) * ((nb + 1) * (x + 1) - 1) + (z + 1) ** 2)
+    return (_mp_g(x * ns + z) - _mp_g((d + (x - 1) * (ns + nb + 1) - 1) / 2)
+            - _mp_g((d - (x - 1) * ns - z - 1) / 2))
+
+
+def _mp_qu1(x, nb, ns):
+    x, nb, ns = mp.mpf(x), mp.mpf(nb), mp.mpf(ns)
+    if x <= 1:
+        etp = x / ((1 - x) * nb + 1)
+        return _mp_g(etp * ns) - _mp_g((1 - etp) * ns)
+    gp = x / (1 - nb * (x - 1))
+    return _mp_g(gp * ns + gp - 1) - _mp_g((gp - 1) * (ns + 1))
+
+
+def _mp_qu4(eta, nb, ns):
+    eta, nb, ns = mp.mpf(eta), mp.mpf(nb), mp.mpf(ns)
+    etp, out = eta - (1 - eta) * nb, eta * ns + (1 - eta) * nb
+    return _mp_g(out) - _mp_g((1 / etp - 1) * out)
+
+
+def _mp_penalty(eps, e, w_prime, k):
+    eps, e, w_prime = mp.mpf(eps), mp.mpf(e), mp.mpf(w_prime)
+    d = (e - eps) / (1 + e)
+    h2 = -(d * mp.log(d, 2) + (1 - d) * mp.log(1 - d, 2))
+    return k * ((2 * e + 4 * d) * _mp_g(w_prime / d) + _mp_g(e) + 2 * h2)
+
+
+def _channel(x, nb):
+    return chn.thermal(x, nb) if x <= 1.0 else chn.amplifier(x, nb)
+
+
+def _bound(kind):
+    """The bound's raw bits and value at one cell, with its clamp's reference."""
+    def cell(x, nb, ns):
+        r = bnd.evaluate(kind, _channel(x, nb), ns)
+        return r.raw, r.value
+    return cell
+
+
+def _clamped(ref):
+    def cell(x, nb, ns):
+        want = ref(x, nb, ns)
+        return want, max(0, want)
+    return cell
+
+
+# name: (the float result at (x, nb, ns), its reference, channel kinds, the
+# cells' feasibility); a tuple result is checked element by element
+QUANTITIES = {
+    "ud_thermal": (lambda *c: bnd._ud_thermal_raw(*c), _mp_ud, "thermal", None),
+    "ud_amp": (lambda *c: bnd._ud_amp_raw(*c), _mp_ud, "amplifier", None),
+    "kappa": (lambda x, nb, ns: chn.kappa(x, nb), lambda x, nb, ns: _mp_kappa(x, nb), "both", None),
+    "eps": (lambda x, nb, ns: chn.epsilon_degradable(_channel(x, nb)).epsilon,
+            lambda x, nb, ns: _mp_eps_degradable(x, nb), "both", None),
+    "ql_thermal": (_bound("QL"), _clamped(_mp_ql), "thermal", None),
+    "ql_amp": (_bound("QL"), _clamped(_mp_ql), "amplifier", None),
+    "qu1_thermal": (_bound("QU1"), _clamped(_mp_qu1), "thermal", None),
+    "qu1_amp": (_bound("QU1"), _clamped(_mp_qu1), "amplifier", lambda g, nb: (g - 1.0) * nb < 1.0),
+    "qu4_thermal": (_bound("QU4"), _clamped(_mp_qu4), "thermal",
+                    lambda eta, nb: eta > (1.0 - eta) * nb),
+}
+
+
+def _cells(name, span):
+    """N_CELLS seeded (x, nb, ns) cells of `name`'s channel kinds in `span`,
+    less those its bound rules out."""
+    _, _, kinds, feasible = QUANTITIES[name]
+    ns_span, nb_span, unit_span = RANGES[span]
+    rng = np.random.default_rng([31, list(QUANTITIES).index(name), list(RANGES).index(span)])
+    ns, nb, off = (10.0 ** rng.uniform(*s, N_CELLS) for s in (ns_span, nb_span, unit_span))
+    amp = {"thermal": np.zeros(N_CELLS, bool), "amplifier": np.ones(N_CELLS, bool),
+           "both": np.arange(N_CELLS) % 2 == 1}[kinds]
+    x = np.where(amp, 1.0 + off * 20.0, 1.0 - off)  # g - 1 up to 10
+    cells = list(zip(x.tolist(), nb.tolist(), ns.tolist()))
+    return [c for c in cells if feasible is None or feasible(c[0], c[1])]
+
+
+def _quantity_misses(name, cells):
+    fn, ref, _, _ = QUANTITIES[name]
+    misses = []
+    for cell in cells:
+        got, want = fn(*cell), ref(*cell)
+        pairs = zip(got, want) if isinstance(got, tuple) else [(got, want)]
+        if not all(_close(float(g), w) for g, w in pairs):
+            misses.append((cell, got, want))
+    return misses
+
+
+# the cases that miss today: every wide one, and U_D amp in the moderate range
+_MISSING_TODAY = {("ud_amp", "moderate")} | {(name, "wide") for name in QUANTITIES}
+
+
+@pytest.mark.parametrize("name, span", [
+    pytest.param(name, span, marks=E2 if (name, span) in _MISSING_TODAY else ())
+    for name in QUANTITIES for span in RANGES])
+def test_closed_form_seeded(name, span):
+    cells = _cells(name, span)
+    assert len(cells) >= N_CELLS // 2
+    assert _quantity_misses(name, cells) == []
+
+
+# ROADMAP E's points, each far off today
+@E2
+def test_qu2_at_large_energy():
+    """QU2 at thermal(0.6, 2), ns = 1e6 reads -0.25 bits: its reference is U_D
+    plus the penalty at the reported eps', both in mpmath."""
+    eta, nb, ns = 0.6, 2.0, 1e6
+    r = bnd.q_u2(chn.thermal(eta, nb), ns)
+    w_prime = (1 - mp.mpf(eta)) * ns + (1 + mp.mpf(eta)) * nb
+    want = _mp_ud(eta, nb, ns) + _mp_penalty(_mp_eps_degradable(eta, nb), r.argopt, w_prime, 1)
+    assert _close(r.value, want)
+
+
+@E2
+def test_kappa_at_eta_one_ulp_below_one():
+    """kappa(1 - 2^-53, 1e8) reads -3.44; the bracket's double root at x = 1
+    cancels."""
+    x = 1.0 - 2.0 ** -53
+    assert _close(chn.kappa(x, 1e8), _mp_kappa(x, 1e8))
+
+
+@E2
+@pytest.mark.parametrize("eta", [1.0 - 2.0 ** -53, 0.999999999])
+def test_ud_thermal_near_eta_one_at_large_nb(eta):
+    assert _quantity_misses("ud_thermal", [(eta, 1e8, 1.0)]) == []
+
+
+@E2
+def test_eps_near_eta_one_at_large_nb():
+    """q_u2(thermal(0.999999999, 1e8), 1) uses eps 0.903; it is about 0.140."""
+    assert _quantity_misses("eps", [(0.999999999, 1e8, 0.0)]) == []

@@ -22,6 +22,9 @@ _spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workl
 wl = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(wl)
 REFS = json.loads((BENCH / "refs" / "points.json").read_text())
+# the references hold one host's last bits: off AVX-512 dispatch some cells
+# miss by a few 1e-12
+pytestmark = pytest.mark.host_refs
 
 
 def _output(q):
