@@ -270,6 +270,16 @@ class TestVerifyCommand:
         assert not vfy.check_channel_composition().passed
         assert not vfy.check_photon_bookkeeping().passed
 
+    def test_mutation_in_optimizer_breaks_optimizer_vs_grid(self, monkeypatch):
+        orig = bnd._min_penalty
+
+        def raised(*args):
+            value, arg = orig(*args)
+            return value + 2e-6, arg
+
+        monkeypatch.setattr(bnd, "_min_penalty", raised)
+        assert not vfy.check_optimizer_vs_grid().passed
+
 
 class TestSpecParsing:
     def test_roundtrip(self):

@@ -131,6 +131,16 @@ def test_private_improvement_check(counts):
     assert (len(counts), sum(counts)) == (100, 9255)
 
 
+def test_optimizer_vs_grid_evaluates_few_grid_points(monkeypatch, objective_calls):
+    """The dense minima of optimizer_vs_grid evaluate at most 5% of its ten
+    grids of 10^6 points, block endpoints included."""
+    monkeypatch.setattr(bnd, "_min_penalty", lambda *args: (0.0, 1.0))  # count the grids alone
+    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    vfy.check_optimizer_vs_grid()
+    points = sum(int(np.prod(shape)) * n for shape, n in calls.items())
+    assert 0 < points <= 0.05 * 10 * 10 ** 6
+
+
 def test_figure_sweeps_share_one_penalty_batch(monkeypatch):
     """A sweep's penalized kinds (QU2 and QU3 side by side) minimize in one
     batch: at most one penalty batch and one PL batch per sweep, 10 for the

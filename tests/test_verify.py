@@ -284,7 +284,7 @@ CASES = [
     (vfy.check_private_improvement, ref_private_improvement, {}),
     # 40 draws keep about 20 channels; 9 nbar values still cross over
     (vfy.check_comparison_orderings, ref_comparison_orderings, {"n": 40, "n_nbar": 9}),
-    # 200 001 points: three full blocks of 2**16 and a ragged last one
+    # 200 001 points: 200 full blocks of 1000 and a last block of one point
     (vfy.check_optimizer_vs_grid, ref_optimizer_vs_grid, {"n_obj": 3, "dense": 200_001}),
 ]
 
@@ -297,6 +297,56 @@ def test_stacked_check_matches_reference_loop(check, ref, small_args, small):
     assert got == want
     assert float(got.residual).hex() == float(want.residual).hex()
     assert got.format() == want.format()
+
+
+def _full_grid_min(eps, w_prime, k, dense):
+    return float(np.min(bnd._penalty_eval(eps, np.linspace(eps + 1e-12, 1.0, dense), w_prime, k)))
+
+
+def _log_uniform(rng, low, high):
+    return float(10.0 ** rng.uniform(np.log10(low), np.log10(high)))
+
+
+# (eps, W') draws: the check's own domain, no energy cap, eps down to 1e-8
+# with a moderate cap, and caps up to 1e8 where the E guard keeps blocks
+_DENSE_DOMAINS = {
+    "check": lambda rng: (rng.uniform(0.0001, 0.9), rng.uniform(0.0, 50.0)),
+    "no_cap": lambda rng: (_log_uniform(rng, 1e-8, 0.999), 0.0),
+    "small_eps": lambda rng: (_log_uniform(rng, 1e-8, 0.999), _log_uniform(rng, 1e-3, 1e3)),
+    "large_cap": lambda rng: (_log_uniform(rng, 1e-8, 0.999), _log_uniform(rng, 1e3, 1e8)),
+}
+# a grid of two points, smaller than a block, whole blocks and ragged last ones
+_DENSE_SIZES = (2, 999, 1000, 1001, 200_001, 10 ** 6)
+
+
+@pytest.mark.parametrize("domain", _DENSE_DOMAINS)
+def test_dense_min_equals_the_full_grid(domain):
+    rng = np.random.default_rng(list(_DENSE_DOMAINS).index(domain))
+    for i in range(60):
+        eps, w_prime = _DENSE_DOMAINS[domain](rng)
+        k, dense = int(rng.integers(1, 5)), _DENSE_SIZES[i % len(_DENSE_SIZES)]
+        want = _full_grid_min(eps, w_prime, k, dense)
+        assert vfy._dense_min(eps, w_prime, k, dense).hex() == want.hex(), (eps, w_prime, k, dense)
+
+
+def test_dense_min_keeps_blocks_where_g_is_inexact():
+    # W'/d is about 2.5e19 at the open end, where the computed g reads 0
+    # and the penalty's lower bound no longer holds: without the W'/d_a <= 1e6
+    # condition every block is pruned and no grid point is left to give the
+    # minimum
+    args = (1.2426550957749730e-4, 25442767.887553956, 1, 10 ** 6)
+    assert vfy._dense_min(*args).hex() == _full_grid_min(*args).hex()
+
+
+def test_dense_min_never_reads_the_optimizer(monkeypatch):
+    args = (0.3729569167620369, 6.346915110003787, 2, 10 ** 6)
+    want = vfy._dense_min(*args)
+
+    def raising(*_):
+        raise AssertionError("the dense-grid oracle called the optimizer")
+
+    monkeypatch.setattr(bnd, "_min_penalty", raising)
+    assert vfy._dense_min(*args).hex() == want.hex()
 
 
 def test_comparison_forms_equal_the_public_bounds():
