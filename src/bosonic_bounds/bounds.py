@@ -108,12 +108,13 @@ def penalty(p: PenaltyParams) -> float:
 
 def _geomspace_rows(start, stop, num):
     """Row i is np.geomspace(start[i], stop[i], num) bit for bit (stop may be
-    one float), all rows at once in the one-row arithmetic.  Not np.geomspace
-    on arrays: one zero-width row sends its linspace down the `any_step_zero`
-    branch for every row, which rounds differently."""
+    one float; floats for both give the one row), all rows at once in the
+    one-row arithmetic.  Not np.geomspace on arrays: one zero-width row sends
+    its linspace down the `any_step_zero` branch for every row, which rounds
+    differently."""
     log_start, log_stop = np.log10(start), np.log10(stop)
     step = (log_stop - log_start) / (num - 1)
-    out = np.power(10.0, np.arange(num) * step[:, None] + log_start[:, None])
+    out = np.power(10.0, np.arange(num) * step[..., None] + log_start[..., None]).reshape(-1, num)
     out[:, 0], out[:, -1] = start, stop
     return out
 
@@ -124,7 +125,6 @@ def _min_penalty(eps, w_prime, k):
     diverges as eps' -> eps, so the open end is moved in by 1e-12 and the
     seed rows, from one :func:`_geomspace_rows` call, crowd towards it."""
     scalar = np.ndim(eps) == 0
-    eps, w_prime, k = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps, w_prime, k))
     lo = np.minimum(eps + 1e-12, 1.0)
     res = minimize_batch(lambda x, eps, w_prime, k: _penalty_eval(eps, x, w_prime, k),
                          lo, 1.0, _geomspace_rows(lo, 1.0, DEFAULT_GRID_POINTS),
@@ -455,9 +455,10 @@ def _columns(kinds, channels, ns_values, eps_prime):
                         todo.append((cell, row.k))
                 except DomainError as exc:
                     out[idx[k]] = exc
-    if todo:  # every penalized kind's minimizations in one batch
-        pen, argmin = _min_penalty(*np.array([(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]).T)
-        for (cell, _), p, a in zip(todo, pen.tolist(), argmin.tolist()):
+    if todo:  # every penalized kind's minimizations in one batch, on floats for one
+        args = [(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]
+        res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
+        for (cell, _), p, a in zip(todo, *map(_per_cell, res)):
             cell[0] += p
             cell[1] = a
     for kind, row, out in done:
@@ -573,20 +574,31 @@ def _private_loss(n2, icns, eta, nb):
 
 def _pl_thermal(eta, nb, ns):
     """PL's form: max over n2 in [0, ns] of I_c(ns) - I_c(n2) and its argmax,
-    0 and 0 at ns = 0; one batch over the cells, after I_c(ns) (on floats for
-    one cell).  The coherent-information dip sits at small absolute photon
-    numbers: each row seeds at 0 and log-spaced from min(1e-12, ns) to ns,
-    all rows from one :func:`_geomspace_rows` call."""
-    eta, nb, ns, icns = np.atleast_1d(eta, nb, ns, _ql_thermal_raw(eta, nb, ns))
+    0 and 0 at ns = 0; one batch over the cells after I_c(ns), and floats in
+    and out for one cell.  The coherent-information dip sits at small
+    absolute photon numbers, so the rows seed there (:func:`_pl_seeds`)."""
+    icns = _ql_thermal_raw(eta, nb, ns)
+    if isinstance(ns, float):  # one cell: floats in and out
+        if ns == 0.0:
+            return 0.0, 0.0
+        res = minimize_batch(_private_loss, 0.0, ns, _pl_seeds(ns), icns, eta, nb)
+        return -float(res.value[0]), float(res.arg[0])
     value, arg = np.zeros(ns.shape), np.zeros(ns.shape)
     pos = ns > 0.0
     if pos.any():
         if not pos.all():
             eta, nb, ns, icns = eta[pos], nb[pos], ns[pos], icns[pos]
-        grids = np.hstack((np.zeros((ns.size, 1)), _geomspace_rows(np.minimum(1e-12, ns), ns, 63)))
-        res = minimize_batch(_private_loss, 0.0, ns, grids, icns, eta, nb)
+        res = minimize_batch(_private_loss, 0.0, ns, _pl_seeds(ns), icns, eta, nb)
         value[pos], arg[pos] = -res.value, res.arg
     return value, arg
+
+
+def _pl_seeds(ns):
+    """PL's seed rows for energies ns > 0 (an array, or a float for one row):
+    0, then 63 points log-spaced from min(1e-12, ns) to ns, all rows from one
+    :func:`_geomspace_rows` call."""
+    rows = _geomspace_rows(np.minimum(1e-12, ns), ns, 63)
+    return np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
 
 
 def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:

@@ -214,8 +214,10 @@ class GaussianState:
 
 def _checked_cov(cov: np.ndarray) -> np.ndarray:
     """`cov`, a covariance matrix or a stack of them, symmetrized once each
-    is finite, symmetric to 1e-12 and has no symplectic eigenvalue below
-    :func:`_nu_floor`; the first matrix that fails raises InvalidStateError."""
+    is finite, symmetric to 1e-12, has no symplectic eigenvalue below
+    :func:`_nu_floor` and is positive definite (V + i Omega >= 0 needs
+    V > 0, which the eigenvalues' moduli do not show: -I has those of the
+    vacuum); the first matrix that fails raises InvalidStateError."""
     if not np.all(np.isfinite(cov)):
         raise InvalidStateError("state data must be finite")
     if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > COV_SYMMETRY_TOL:
@@ -226,6 +228,11 @@ def _checked_cov(cov: np.ndarray) -> np.ndarray:
         k = np.argmax(low < floor)  # flat index of the first
         raise InvalidStateError(f"uncertainty principle violated: min symplectic eigenvalue "
                                 f"{low.flat[k]:.12g} < {floor.flat[k]:.12g}")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise InvalidStateError("uncertainty principle violated: covariance matrix is not "
+                                "positive definite") from None
     return cov
 
 

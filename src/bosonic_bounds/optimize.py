@@ -8,9 +8,13 @@ taking exactly the steps it would take alone.  One function, `_golden`,
 takes every golden-section step: on arrays through np.where while several
 problems step together, and on Python floats once one problem steps alone,
 which numpy would otherwise run as 1-element arrays at many times the cost.
-The arithmetic is the same on both, so the bits are.  A lone problem (a
-one-cell bound) pays for its evaluations, not for batch bookkeeping.  The
-objective is elementwise: it gets the points and each problem's own
+The arithmetic is the same on both, so the bits are.  A lone problem (n =
+1, a one-cell bound) sets up on Python floats: its interval check, its
+seeds' check (a row already ascending inside [lo, hi] skips the clip, sort
+and dedup), its args, and its best seed and bracket, three elements read
+from the row; besides its one seed call, numpy runs only one comparison of
+the row with itself shifted and one argmin.  The objective is
+elementwise: it gets the points and each problem's own
 arguments.  Identical inputs give bit-identical results, and on a plateau
 the smallest argument wins.
 """
@@ -34,10 +38,13 @@ DEFAULT_GRID_POINTS = 64
 BatchOptResult = namedtuple("BatchOptResult", "arg value evaluations converged")
 
 
-def _seed_grids(lo, hi, seed_grids):
+def _seed_grids(lo, hi, seeds):
     """Each row's distinct seeds in [lo, hi], ascending and padded to the
-    longest row's number by repeating the last one, and their number."""
-    s = np.sort(np.clip(np.asarray(seed_grids, dtype=float), lo[..., None], hi[..., None]), axis=1)
+    longest row's number by repeating the last one, and their number.  A
+    nan seed raises DomainError."""
+    if np.isnan(seeds).any():
+        raise DomainError("minimization seeds must not be nan")
+    s = np.sort(np.clip(seeds, lo[..., None], hi[..., None]), axis=1)
     new = np.ones(s.shape, dtype=bool)
     new[:, 1:] = s[:, 1:] != s[:, :-1]
     if new.all():  # no row repeats a seed: nothing to drop
@@ -46,6 +53,18 @@ def _seed_grids(lo, hi, seed_grids):
     first = np.argsort(~new, axis=1, kind="stable")  # distinct points first, in order
     pad = np.minimum(np.arange(count.max()), count[:, None] - 1)
     return np.take_along_axis(s, np.take_along_axis(first, pad, axis=1), axis=1), count
+
+
+def _check_interval(finite, ordered):
+    if not finite:
+        raise DomainError("minimization requires finite lo and hi")
+    if not ordered:
+        raise DomainError("minimization requires lo <= hi")
+
+
+def _float(v):
+    """One problem's lo, hi or arg (a number or a 1-element array) as a float."""
+    return float(v) if isinstance(v, (float, int)) else np.asarray(v, dtype=float).item()
 
 
 def _pick(cond, a, b):
@@ -84,13 +103,16 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     `lo`, `hi` or a row arg may be one float that all problems share; a row
     arg is broadcast only when its shape is not (n,).  Problem i seeds on
     row i of `seed_grids` (an (n, m) array), clipped to its interval with
-    duplicates dropped; all seeds are evaluated in one call, `x` of shape
-    (n, m) and each arg `row_arg[:, None]`.  A caller whose objective
-    diverges at an endpoint passes grids that crowd towards it and keeps
-    the endpoint out of [lo, hi].  The best seed's neighbours bracket a
+    duplicates dropped (a nan seed raises DomainError before any
+    evaluation; +-inf clips to the bounds); all seeds are evaluated in one
+    call, `x` of shape (n, m) and each arg `row_arg[:, None]`, or for one
+    problem (n = 1) the float `row_arg`.  A caller whose objective diverges
+    at an endpoint passes grids that crowd towards it and keeps the
+    endpoint out of [lo, hi].  The best seed's neighbours bracket a
     golden-section search of the fixed step count that shrinks the bracket
     to 1e-9; all brackets and step counts take a fixed number of numpy
-    calls, whatever n is.  Ties keep the left interval.
+    calls, whatever n is, and none for one problem.  Ties keep the left
+    interval.
     Two or more searching problems are gathered once, longest search first;
     while k of them step together, `x` has shape (k, j), each arg is the
     gather's first k rows, sliced once each time a problem stops, and the
@@ -103,31 +125,49 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     and its evaluations; one whose seeds are all +inf is non-converged at
     its first seed point.  A non-finite bound or lo > hi raises DomainError.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise DomainError("minimization requires finite lo and hi")
-    if (lo > hi).any():
-        raise DomainError("minimization requires lo <= hi")
+    seeds = np.asarray(seed_grids, dtype=float)
+    n = len(seeds)
 
     def f(x, args):
         v = np.asarray(objective(x, *args), dtype=float).reshape(x.shape)
-        return np.where(np.isnan(v), np.inf, v)
+        return np.fmin(v, np.inf)  # nan -> inf
 
-    grid, evaluations = _seed_grids(lo, hi, seed_grids)
-    n, m = grid.shape
-    row_args = [np.asarray(p, dtype=float) for p in row_args]
-    row_args = [p if p.shape == (n,) else np.broadcast_to(p, (n,)) for p in row_args]
-    vals = f(grid, [p[:, None] for p in row_args])
-    i = vals.argmin(axis=1)  # first minimum = smallest argument on ties
-    j = i + np.arange(0, n * m, m)  # its flat index
-    value = vals.take(j)
-    converged = np.isfinite(value)
-    arg = np.where(converged, grid.take(j), grid[:, 0])
-    # each row's bracket, the best seed's neighbours, on floats
-    a, b = grid.take(j - (i > 0)).tolist(), grid.take(j + (i + 1 < evaluations)).tolist()
+    if n == 1:  # one problem: its interval, seeds, args and best seed on floats
+        lo, hi = _float(lo), _float(hi)
+        _check_interval(math.isfinite(lo) and math.isfinite(hi), lo <= hi)
+        grid, m = seeds, seeds.shape[1]
+        # a row ascending inside [lo, hi] has nothing to clip, sort or drop
+        if not (lo <= grid.item(0) and grid.item(-1) <= hi
+                and np.count_nonzero(grid[0, 1:] > grid[0, :-1]) == m - 1):
+            grid = _seed_grids(np.asarray(lo), np.asarray(hi), seeds)[0]
+            m = grid.shape[1]
+        args = [_float(p) for p in row_args]
+        vals = f(grid, args)
+        i = int(vals.argmin())  # first minimum = smallest argument on ties
+        value = vals.item(i)
+        count, converged = [m], [math.isfinite(value)]
+        arg, value = [grid.item(i if converged[0] else 0)], [value]
+        a, b = [grid.item(i - (i > 0))], [grid.item(i + (i + 1 < m))]
+        row_args = [(p,) for p in args]  # read as a batch's are: row_arg[r]
+    else:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        _check_interval(np.isfinite(lo).all() and np.isfinite(hi).all(), not (lo > hi).any())
+        grid, count = _seed_grids(lo, hi, seeds)
+        m = grid.shape[1]
+        row_args = [np.asarray(p, dtype=float) for p in row_args]
+        row_args = [p if p.shape == (n,) else np.broadcast_to(p, (n,)) for p in row_args]
+        vals = f(grid, [p[:, None] for p in row_args])
+        i = vals.argmin(axis=1)  # first minimum = smallest argument on ties
+        j = i + np.arange(0, n * m, m)  # its flat index
+        value = vals.take(j)
+        converged = np.isfinite(value)
+        arg = np.where(converged, grid.take(j), grid[:, 0])
+        # each row's bracket, the best seed's neighbours, on floats
+        a, b = grid.take(j - (i > 0)).tolist(), grid.take(j + (i + 1 < count)).tolist()
+        count, converged = count.tolist(), converged.tolist()
     steps = [math.ceil(math.log(_TOL / (br - ar)) / math.log(_INVPHI)) if ok and br - ar > _TOL
-             else 0 for ok, ar, br in zip(converged.tolist(), a, b)]
-    evaluations += [s + 1 if s else 0 for s in steps]
+             else 0 for ok, ar, br in zip(converged, a, b)]
+    evaluations = [c + s + 1 if s else c for c, s in zip(count, steps)]
     # the searching rows, longest first, so that the active ones are a prefix
     g = sorted((r for r in range(n) if steps[r]), key=lambda r: -steps[r])
     steps = [steps[r] for r in g]
@@ -159,4 +199,5 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
         else:
             s = [float(v[0]) for v in state]
         arg[r], value[r] = _golden(f1, _pick, steps[0] - t, *s)[6:]
-    return BatchOptResult(arg, value, evaluations, converged)
+    return BatchOptResult(np.asarray(arg), np.asarray(value), np.array(evaluations),
+                          np.array(converged))

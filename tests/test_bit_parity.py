@@ -375,3 +375,46 @@ def test_eps_one_is_a_domain_error_on_both_paths():
     for eps_prime in (None, 0.5, 1.0):
         with pytest.raises(DomainError, match=r"^epsilon must lie in \[0, 1\)$"):
             bnd.q_u3(ch, 1.0, eps_prime)
+
+
+# ---------------------------------------------------------------------------
+# A lone search against the same problem as a row of a batch
+# ---------------------------------------------------------------------------
+
+# A lone problem checks its interval and seeds and picks its bracket on
+# Python floats; in a batch the same work runs on arrays.  Both must give
+# the bits of the other, also where the seeds collapse to one point.
+
+def _penalty_problems(rng, n):
+    """n (eps, W', k) problems with their edges: eps in [1 - 1e-12, 1), where
+    lo = hi = 1.0 and the seeds collapse to one, eps = 0, and W' = 0."""
+    eps = rng.uniform(0.0, 0.99, n)
+    eps[:4] = [1.0 - 1e-12, 1.0 - 5e-13, np.nextafter(1.0, 0.0), 0.0]
+    w_prime = 10.0 ** rng.uniform(-3.0, 4.0, n)
+    w_prime[2:7] = 0.0
+    return eps, w_prime, rng.integers(1, 5, n).astype(float)
+
+
+def test_lone_penalty_search_matches_its_row_in_a_batch():
+    eps, w_prime, k = cols = _penalty_problems(np.random.default_rng(21), 60)
+    assert bnd._min_penalty(float(eps[0]), float(w_prime[0]), float(k[0]))[1] == 1.0
+    batch = _hex(np.stack(bnd._min_penalty(eps, w_prime, k), axis=1))
+    pairs = []
+    for i in range(len(eps)):  # and with a neighbour that searches longer or shorter
+        j = (i + 7) % len(eps)
+        pair = bnd._min_penalty(*(c[[i, j]] for c in cols))
+        pairs += _hex([pair[0][0], pair[1][0]])
+    one = [bnd._min_penalty(*row) for row in zip(*(c.tolist() for c in cols))]
+    assert all(type(v) is float for row in one for v in row)
+    assert _hex(one) == batch == pairs
+
+
+def test_lone_displaced_search_matches_its_row_in_a_batch():
+    eta, nb, ns = _thermal_points(np.random.default_rng(22), 60)
+    ns[:5] = [1e-12, 5e-13, 1e-15, 5e-324, 0.0]  # seeds collapse to 0 and ns, or ns = 0
+    nb[5:8] = 0.0
+    batch = np.stack(bnd._pl_thermal(eta, nb, ns), axis=1)
+    one = [bnd._pl_thermal(*row) for row in zip(eta.tolist(), nb.tolist(), ns.tolist())]
+    assert all(type(v) is float for row in one for v in row)
+    assert _hex(one) == _hex(batch)
+    assert one[0][1] in (0.0, 1e-12) and one[4] == (0.0, 0.0)

@@ -258,6 +258,23 @@ class TestCheckedCov:
             gc._checked_cov(covs)
         assert str(stack.value) == str(one.value)
 
+    # VΩ's eigenvalues of these have the moduli of a physical state's (-I
+    # those of the vacuum, diag(2, -2) those of a thermal state with
+    # N = 1/2), so only positive definiteness rules them out
+    @pytest.mark.parametrize("bad", [-np.eye(2), -np.eye(4), np.diag([2.0, -2.0])],
+                             ids=["minus_identity_1mode", "minus_identity_2modes", "diag_2_minus_2"])
+    def test_not_positive_definite_rejected(self, bad):
+        m = len(bad) // 2
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            gc.GaussianState(m, np.zeros(2 * m), bad)
+
+    def test_not_positive_definite_fails_the_stack(self):
+        covs = _physical_covs(np.random.default_rng(7), 2, 4)
+        covs[1] = -np.eye(4)
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            gc._checked_cov(covs)
+        gc._checked_cov(np.delete(covs, 1, axis=0))  # the others pass
+
 
 class TestStackedFidelity:
     def test_stack_equals_the_one_pair_calls(self):

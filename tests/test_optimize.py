@@ -57,6 +57,37 @@ def test_non_finite_bounds(lo, hi):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_nan_seed_is_a_domain_error(n):
+    calls = []
+    grids = np.tile([0.1, 0.5, 0.9], (n, 1))
+    grids[-1, 0] = math.nan
+    with pytest.raises(DomainError, match="seeds must not be nan"):
+        minimize_batch(lambda x: calls.append(x) or x, 0.0, 1.0, grids)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_infinite_seeds_clip_to_the_bounds(n):
+    calls = []
+    grids = np.tile([-math.inf, 0.5, math.inf], (n, 1))
+    res = minimize_batch(lambda x: calls.append(np.shape(x)) or (x - 0.3) ** 2, 0.0, 1.0, grids)
+    assert calls[0] == (n, 3) and (res.evaluations > 3).all()
+    assert np.allclose(res.arg, 0.3, atol=1e-9)
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.2, 1.0, 64), np.linspace(0.0, 0.6, 64)],
+                         ids=["past_hi", "below_lo"])
+def test_ascending_seeds_outside_the_interval_are_clipped(grid):
+    calls = []
+    f = lambda x: calls.append(x) or (x - 0.3) ** 2
+    res = _batch([f], [0.2], [0.6], [grid])
+    assert calls and all(0.2 <= x <= 0.6 for x in calls)
+    calls.clear()
+    want = reference_minimize(f, 0.2, 0.6, grid)
+    assert (float(res.arg[0]), float(res.value[0]), int(res.evaluations[0])) == want[:3]
+
+
 def test_non_finite_bound_in_a_batch():
     with pytest.raises(DomainError, match="finite lo and hi"):
         minimize_batch(lambda x: x, [0.0, 0.0], [1.0, math.nan], np.zeros((2, 4)))
