@@ -39,7 +39,7 @@ from . import gaussian_core as gc
 from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
                      InfeasibleBoundError, _require)
 from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
-from .optimize import DEFAULT_GRID_POINTS, minimize_batch
+from .optimize import minimize_batch
 
 __all__ = [
     "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "evaluate_column",
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
+DEFAULT_GRID_POINTS = 64  # seeds per row of an eps' or PL energy-split search
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +598,7 @@ def _pl_seeds(ns):
     """PL's seed rows for energies ns > 0 (an array, or a float for one row):
     0, then 63 points log-spaced from min(1e-12, ns) to ns, all rows from one
     :func:`_geomspace_rows` call."""
-    rows = _geomspace_rows(np.minimum(1e-12, ns), ns, 63)
+    rows = _geomspace_rows(np.minimum(1e-12, ns), ns, DEFAULT_GRID_POINTS - 1)
     return np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     InvalidChannelError,
     InvalidStateError,
     SingularMatrixError,
+    _require,
 )
 
 LN2 = float(np.log(2.0))
@@ -247,8 +248,7 @@ def vacuum_state(modes: int = 1) -> GaussianState:
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     """Product of `modes` thermal states, each with mean photon number nbar."""
-    if nbar < 0:
-        raise DomainError("thermal mean photon number must be >= 0")
+    _require(nbar >= 0.0, "thermal mean photon number must be >= 0", nbar)
     return GaussianState(modes, np.zeros(2 * modes), (2.0 * nbar + 1.0) * np.eye(2 * modes))
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
+from .errors import DomainError
 from .gaussian_core import LN2
 
 
@@ -444,7 +445,7 @@ def run_suite(which: str = "all") -> list:
     """Run the check suite `which`, a key of :data:`SUITES`; returns the
     list of CheckResults."""
     if which not in SUITES:
-        raise ValueError(f"unknown suite {which!r}; the suites are {', '.join(SUITES)}")
+        raise DomainError(f"unknown suite {which!r}; the suites are {', '.join(SUITES)}")
     # called by module name, so that a wrapper that replaces a check in this
     # module (as the benchmark's tracer does) is the one that runs
     return [globals()[check.__name__]() for check in SUITES[which]]

@@ -8,7 +8,7 @@ from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
-from bosonic_bounds.errors import BosonicBoundsError, ChannelKindError
+from bosonic_bounds.errors import BosonicBoundsError, ChannelKindError, DomainError
 
 QU1_TH_099_0_1 = 1.909026343423734981271
 
@@ -214,7 +214,7 @@ class TestVerifyCommand:
 
     def test_suites_come_from_one_table(self, capsys):
         assert vfy.SUITES["all"] == vfy.SUITES["core"] + vfy.SUITES["bounds"]
-        with pytest.raises(ValueError, match="the suites are core, bounds, all"):
+        with pytest.raises(DomainError, match="the suites are core, bounds, all"):
             vfy.run_suite("fast")
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "fast"])

@@ -17,6 +17,7 @@ import pytest
 from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
+from bosonic_bounds import optimize as opt
 from bosonic_bounds import verify as vfy
 
 
@@ -32,6 +33,14 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(bnd, "minimize_batch", counting)
     return seen
+
+
+@pytest.fixture
+def seed_grid_calls(monkeypatch):
+    """Count the minimizations that clip, sort and dedup their seed rows."""
+    calls, fn = [], opt._seed_grids
+    monkeypatch.setattr(opt, "_seed_grids", lambda *args: calls.append(1) or fn(*args))
+    return calls
 
 
 @pytest.fixture
@@ -71,18 +80,20 @@ def test_displaced_lower_bound(counts):
 
 
 @pytest.mark.parametrize("kind", ["QU2", "QU3", "PU2", "PU3"])
-def test_penalized_one_cell_steps_on_floats(counts, objective_calls, kind):
+def test_penalized_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls, kind):
     calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
     bnd.evaluate(kind, chn.thermal(0.9, 0.5), 10.0)
     assert counts == [99]
     assert calls == {(1, 64): 1, (): 35}  # the seeds, then each golden step
+    assert seed_grid_calls == []  # its seed row ascends inside (eps, 1]
 
 
-def test_displaced_one_cell_steps_on_floats(counts, objective_calls):
+def test_displaced_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls):
     calls = objective_calls("_private_loss", 0)
     bnd.p_lower_displaced(0.9, 0.5, 10.0)
     assert counts == [74]
     assert calls == {(1, 64): 1, (): 10}
+    assert seed_grid_calls == []
 
 
 def test_column_longest_row_ends_on_floats(counts, objective_calls):
@@ -93,10 +104,11 @@ def test_column_longest_row_ends_on_floats(counts, objective_calls):
     assert sum(counts) == 2 * 64 + 2 * 2 + 2 * 8 + 1
 
 
-def test_all_figure_sweeps(counts):
+def test_all_figure_sweeps(counts, seed_grid_calls):
     for fig in cli.FIGURES:
         cli.run_sweep(cli.load_figure_spec(fig))
     assert (len(counts), sum(counts)) == (574, 55529)
+    assert seed_grid_calls == []  # every batch's rows ascend inside their intervals
 
 
 def test_figure_sweeps_build_seed_rows_once_per_batch(monkeypatch):
@@ -121,9 +133,17 @@ def test_figure_sweeps_build_seed_rows_once_per_batch(monkeypatch):
     assert calls["_geomspace_rows"] == calls["minimize_batch"] > 0
 
 
-def test_bound_ordering_check(counts):
+def test_bound_ordering_check(counts, seed_grid_calls):
     vfy.check_bound_ordering()
     assert (len(counts), sum(counts)) == (800, 78093)
+    assert seed_grid_calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unsorted_seed_rows_are_sorted_once(seed_grid_calls, n):
+    res = opt.minimize_batch(lambda x: (x - 0.3) ** 2, 0.0, 1.0, np.tile([0.5, 0.1, 0.9], (n, 1)))
+    assert seed_grid_calls == [1]
+    assert np.allclose(res.arg, 0.3, atol=1e-9)
 
 
 def test_private_improvement_check(counts):

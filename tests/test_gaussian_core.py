@@ -103,6 +103,11 @@ class TestStates:
         st_ = gc.thermal_state(2.0)
         assert gc.symplectic_eigenvalues(st_) == pytest.approx([5.0])
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thermal_occupation_rejected(self, nbar):
+        with pytest.raises(DomainError, match=f"non-finite {nbar}"):
+            gc.thermal_state(nbar)
+
     def test_tms_pure_spectrum(self):
         nus = gc.symplectic_eigenvalues(gc.tms_state(1.0))
         assert nus == pytest.approx([1.0, 1.0], abs=1e-10)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,33 @@ def test_non_finite_bound_in_a_batch():
         minimize_batch(lambda x: x, [0.0, 0.0], [1.0, math.nan], np.zeros((2, 4)))
     with pytest.raises(DomainError, match="lo <= hi"):  # finite bounds keep their message
         minimize_batch(lambda x: x, [0.0, 2.0], [1.0, 1.0], np.zeros((2, 4)))
+
+
+# one and two problems: no seeds, a 1-D row, a 3-D array
+@pytest.mark.parametrize("shape", [(1, 0), (2, 0), (8,), (16,), (1, 2, 8), (2, 2, 8)],
+                         ids=["empty_rows-1", "empty_rows-2", "1d-1", "1d-2", "3d-1", "3d-2"])
+def test_malformed_seed_grids_are_a_domain_error(shape):
+    calls = []
+    with pytest.raises(DomainError, match=re.escape(f"shape {shape}")):
+        minimize_batch(lambda x: calls.append(x) or x, 0.0, 1.0, np.zeros(shape))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("where", ["lo", "hi", "arg"])
+def test_three_values_for_n_problems_are_a_domain_error(n, where):
+    calls, given = [], {"lo": 0.0, "hi": 1.0, "arg": 0.5}
+    given[where] = np.full(3, given[where])
+    with pytest.raises(DomainError, match=rf"one value or {n}, not shape \(3,\)"):
+        minimize_batch(lambda x, c: calls.append(x) or (x - c) ** 2, given["lo"], given["hi"],
+                       np.tile(np.linspace(0.0, 1.0, 8), (n, 1)), given["arg"])
+    assert calls == []
+
+
+def test_no_problems_give_empty_results():
+    for lo in (0.0, np.zeros(0)):
+        res = minimize_batch(lambda x, c: (x - c) ** 2, lo, 1.0, np.zeros((0, 4)), np.zeros(0))
+        assert [v.shape for v in res] == [(0,)] * 4
 
 
 @pytest.mark.parametrize("lo, hi, grid", [

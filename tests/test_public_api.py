@@ -30,6 +30,7 @@ PUBLIC = {
 
 # removed names and the module that held each
 REMOVED = [(optimize, "minimize_scalar"), (optimize, "ScalarOptResult"),
+           (optimize, "DEFAULT_GRID_POINTS"),
            (gaussian_core, "SymplecticMatrix"), (gaussian_core, "EntropySpectrum"),
            (gaussian_core, "interleave_permutation")]
 
