@@ -291,7 +291,8 @@ def _dilation(input_cov, pairs, steps) -> np.ndarray:
     `input_cov` has shape (..., 2n, 2n): r = n - 1 reference modes, then the
     channel input mode A.  The two-mode environment states `pairs`, each a
     (q, p) block pair, take the modes after A, and the symplectic `steps`,
-    each (S, (i, j)) with i, j counted from A, then act in order.  Stacked
+    each (S, (i, j)) with i, j counted from A, then act in order on the rows
+    and then the columns of their two modes' quadratures alone.  Stacked
     inputs, blocks and symplectics broadcast against each other.
     """
     covs = np.asarray(input_cov, dtype=float)
@@ -307,8 +308,9 @@ def _dilation(input_cov, pairs, steps) -> np.ndarray:
     for k, (q, p) in enumerate(pairs):
         gc._place_pair(V, a + 1 + 2 * k, q, p)
     for S, (i, j) in steps:
-        Sf = gc.embed_matrix(S, (a + i, a + j), m)
-        V = Sf @ V @ np.swapaxes(Sf, -1, -2)
+        ix = gc._block_index((a + i, a + j), m)
+        V[..., ix, :] = S @ V[..., ix, :]
+        V[..., :, ix] = V[..., :, ix] @ np.swapaxes(S, -1, -2)
     return V
 
 

@@ -11,7 +11,8 @@ Conventions
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.  One-state
 functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
-`_fidelity`, `_photon_number` and `_apply`, the channel action.
+`_fidelity`, `_photon_number` and `_apply`, the channel action.  Symplectic
+spectra come from a Cholesky factor and a symmetric eigensolve (`_factor_eigs`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ COV_SYMMETRY_TOL = 1e-12      # required symmetry of covariance matrices
 NU_FLOOR = 1e-9               # allowed dip of symplectic eigenvalues below 1
 SYMPLECTIC_TOL = 1e-10        # |S Omega S^T - Omega| for symplectic matrices
 PSD_FLOOR = 1e-8              # eigenvalue floor for the channel CPTP check
+_EPS = float(np.finfo(float).eps)  # float64 machine epsilon, 2^-52
 _G_SERIES_CUTOFF = 1e-8       # switch g(x) to its small-x series below this
 _PURITY_DET_TOL = 1e-8        # det(V) - 1 below this counts as a pure state
 
@@ -214,26 +216,30 @@ class GaussianState:
 
 
 def _checked_cov(cov: np.ndarray) -> np.ndarray:
-    """`cov`, a covariance matrix or a stack of them, symmetrized once each
-    is finite, symmetric to 1e-12, has no symplectic eigenvalue below
-    :func:`_nu_floor` and is positive definite (V + i Omega >= 0 needs
-    V > 0, which the eigenvalues' moduli do not show: -I has those of the
-    vacuum); the first matrix that fails raises InvalidStateError."""
+    """`cov`, a covariance matrix or a stack of them, symmetrized once each is
+    finite, symmetric to 1e-12 and, by its Cholesky factor L, positive definite
+    (V + i Omega >= 0 needs V > 0), conditioned for float64 (eps times
+    (max L_ii / min L_ii)^2 <= cond(V) within the floor's slack 1 - floor) and
+    free of symplectic eigenvalues below :func:`_nu_floor`; the first check some
+    matrix fails raises InvalidStateError, for the first such matrix."""
     if not np.all(np.isfinite(cov)):
         raise InvalidStateError("state data must be finite")
     if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > COV_SYMMETRY_TOL:
         raise InvalidStateError("covariance matrix is not symmetric to 1e-12")
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    low, floor = _symplectic_eigs(cov)[..., 0], _nu_floor(cov)
+    L, floor = _cholesky(cov), _nu_floor(cov)
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    ratio = np.max(d, axis=-1) / np.min(d, axis=-1)  # ratio^2 <= cond(V), and may overflow
+    if np.any(bad := ratio > np.sqrt(1.0 - floor) / np.sqrt(_EPS)):  # eps ratio^2 > 1 - floor
+        k = np.argmax(bad)  # flat index of the first
+        r, slack = float(ratio.flat[k]), 1.0 - floor.flat[k]
+        raise InvalidStateError("covariance matrix too ill-conditioned for float64: eps cond(V) >= "
+                                f"{_EPS * r * r:.6g} exceeds the floor's slack {slack:.6g}")
+    low = _factor_eigs(L)[..., 0]
     if np.any(low < floor):
-        k = np.argmax(low < floor)  # flat index of the first
+        k = np.argmax(low < floor)
         raise InvalidStateError(f"uncertainty principle violated: min symplectic eigenvalue "
                                 f"{low.flat[k]:.12g} < {floor.flat[k]:.12g}")
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise InvalidStateError("uncertainty principle violated: covariance matrix is not "
-                                "positive definite") from None
     return cov
 
 
@@ -248,8 +254,9 @@ def vacuum_state(modes: int = 1) -> GaussianState:
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     """Product of `modes` thermal states, each with mean photon number nbar."""
-    _require(nbar >= 0.0, "thermal mean photon number must be >= 0", nbar)
-    return GaussianState(modes, np.zeros(2 * modes), (2.0 * nbar + 1.0) * np.eye(2 * modes))
+    _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
+             nbar, d := 2.0 * float(nbar) + 1.0)
+    return GaussianState(modes, np.zeros(2 * modes), d * np.eye(2 * modes))
 
 
 def _mat2(a, b, c, d) -> np.ndarray:
@@ -290,23 +297,36 @@ def _checked_symplectic(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
-    """Ascending symplectic eigenvalues of a covariance matrix or a stack of
-    them: shape (..., 2m, 2m) gives shape (..., m).  They are the moduli of
-    the eigenvalue pairs +-i nu of the real V Omega, whose real eigensolve
-    costs less than half the complex one of i V Omega."""
-    m = cov.shape[-1] // 2
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor L, V = L L^T, of each V of a stack; InvalidStateError unless V > 0."""
     try:
-        ev = np.linalg.eigvals(cov @ omega(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SingularMatrixError("symplectic eigensolve failed") from exc
-    mods = np.sort(np.abs(ev), axis=-1)
-    return mods[..., ::2]
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise InvalidStateError("uncertainty principle violated: covariance matrix is not "
+                                "positive definite") from None
+
+
+def _factor_eigs(L: np.ndarray) -> np.ndarray:
+    """Ascending symplectic eigenvalues of V = L L^T (each of a stack) from its
+    Cholesky factor: V Omega is similar to the antisymmetric M = L^T Omega L =
+    L_q^T L_p - L_p^T L_q, whose singular values are the nu's, each twice: roots of
+    every other eigenvalue of M^T M, M scaled by a power of two to keep it finite."""
+    m = L.shape[-1] // 2
+    A = np.swapaxes(L[..., :m, :], -1, -2) @ L[..., m:, :]
+    e = np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
+    M = np.ldexp(A - np.swapaxes(A, -1, -2), -e)
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., ::2]), e[..., 0])
+
+
+def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
+    """Ascending symplectic eigenvalues of a covariance matrix > 0 or a stack,
+    (..., 2m, 2m) -> (..., m): a Cholesky factor and :func:`_factor_eigs`."""
+    return _factor_eigs(_cholesky(cov))
 
 
 def symplectic_eigenvalues(state: GaussianState) -> tuple:
-    """Ascending symplectic spectrum of a state, the moduli of the eigenvalue
-    pairs +-i nu of V Omega; its construction checked it against :func:`_nu_floor`."""
+    """Ascending symplectic spectrum of a state, by :func:`_factor_eigs`; its
+    construction checked it against :func:`_nu_floor`."""
     return tuple(float(v) for v in _symplectic_eigs(state.cov))
 
 

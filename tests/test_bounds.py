@@ -11,6 +11,7 @@ from bosonic_bounds.errors import (
     ChannelKindError,
     DomainError,
     InfeasibleBoundError,
+    InvalidStateError,
 )
 
 LN2 = np.log(2.0)
@@ -454,6 +455,15 @@ class TestChannelDivergence:
         assert np.all(np.diff(dists) >= 0.0)
         assert np.all(dists <= limit + 1e-12)
         assert limit - bnd.gaussian_c_distance(a, b, 1e4) < 1e-4
+
+    @pytest.mark.parametrize("ns", [1e7, 1e8])
+    def test_probe_beyond_float64_is_refused(self, ns):
+        # the TMS probe's covariance is too ill-conditioned for its spectrum
+        # check: at 1e7 the distance read 0.2116 below its 0.2196 at 1e6
+        a, b = chn.thermal(0.8, 0.5), chn.thermal(0.8, 1.0)
+        assert 0.2195 < bnd.gaussian_c_distance(a, b, 1e6) < 0.2197
+        with pytest.raises(InvalidStateError, match="ill-conditioned"):
+            bnd.gaussian_c_distance(a, b, ns)
 
 
 class TestBoundResult:

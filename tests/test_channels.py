@@ -258,6 +258,44 @@ def _random_stack(seed, n=20):
                      for _ in range(n)])
 
 
+def _embedded_dilation(input_cov, pairs, steps):
+    """The dilation with each step embedded into the identity on all modes and
+    applied as a full product, S_full V S_full^T: the reference for the
+    steps that touch only their two modes' rows and columns."""
+    covs = np.asarray(input_cov, dtype=float)
+    a = covs.shape[-1] // 2 - 1
+    m = a + 1 + 2 * len(pairs)
+    batch = np.broadcast_shapes(covs.shape[:-2], *(np.shape(x)[:-2] for x, _ in [*pairs, *steps]))
+    V = np.zeros(batch + (2 * m, 2 * m))
+    idx = gc._block_index(range(a + 1), m)
+    V[..., idx[:, None], idx] = covs
+    for k, (q, p) in enumerate(pairs):
+        gc._place_pair(V, a + 1 + 2 * k, q, p)
+    for S, (i, j) in steps:
+        Sf = gc.embed_matrix(S, (a + i, a + j), m)
+        V = Sf @ V @ np.swapaxes(Sf, -1, -2)
+    return V
+
+
+class TestLocalDilationSteps:
+    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
+    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
+                             ids=["degrading", "simulating"])
+    def test_matches_the_embedded_product(self, monkeypatch, make, route):
+        rng = np.random.default_rng(9)
+        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
+        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        covs = _random_stack(10)
+        two_mode = gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
+        for inputs in (covs, two_mode):
+            got, labels = route(column, inputs)
+            monkeypatch.setattr(chn, "_dilation", _embedded_dilation)
+            want, want_labels = route(column, inputs)
+            monkeypatch.undo()
+            assert labels == want_labels
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestStackedDilations:
     """A stack of input covariances gives the per-element answers."""
 

@@ -11,6 +11,8 @@ which breaks the rule where the bound itself is below 1 bit; a strict xfail
 pins such a cell.  The other closed forms (U_D, kappa and eps, QL, QU1 and
 QU4) draw seeded cells in two ranges.  A case that misses today is a strict
 xfail naming ROADMAP item E2, the precision fix, which removes the marks.
+The symplectic spectra of the Gaussian core are checked the same way,
+against mpmath's general eigensolve of V Omega at 50 digits.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 
 from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
+from bosonic_bounds import gaussian_core as gc
 
 mp.mp.dps = 50
 N = 1000  # seeded cells per test
@@ -322,3 +325,37 @@ def test_ud_thermal_near_eta_one_at_large_nb(eta):
 def test_eps_near_eta_one_at_large_nb():
     """q_u2(thermal(0.999999999, 1e8), 1) uses eps 0.903; it is about 0.140."""
     assert _quantity_misses("eps", [(0.999999999, 1e8, 0.0)]) == []
+
+
+# ---------------------------------------------------------------------------
+# Symplectic spectra
+# ---------------------------------------------------------------------------
+
+def _mp_nus(cov):
+    """Ascending symplectic eigenvalues of the float matrix `cov`: the moduli
+    of the eigenvalue pairs +-i nu of V Omega, from mpmath's general eigensolve."""
+    m = len(cov) // 2
+    ev = mp.eig(mp.matrix(cov.tolist()) * mp.matrix(gc.omega(m).tolist()), left=False, right=False)
+    return sorted(abs(mp.im(e)) for e in ev)[::2]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_symplectic_spectrum_seeded(m):
+    """Random covariances I + B B^T of m modes, each nu within 1e-12 relative."""
+    rng = np.random.default_rng(200 + m)
+    B = rng.normal(size=(20, 2 * m, 2 * m)) * rng.uniform(0.1, 3.0, (20, 1, 1))
+    covs = np.eye(2 * m) + B @ np.swapaxes(B, -1, -2)
+    for cov, nus in zip(covs, gc._symplectic_eigs(covs)):
+        want = _mp_nus(cov)
+        assert all(abs(got - w) <= 1e-12 * w for got, w in zip(nus, want))
+
+
+def test_tms_spectrum_log_scan():
+    """Two-mode squeezed vacua from n = 1e2 to 1e6: the float matrix is pure
+    only up to rounding (at 1e5 its nu is 1 + 4.9e-7), and the spectrum's
+    error grows like eps max|V|^2, which at 1e6 is about 1e-3."""
+    for n in np.geomspace(1e2, 1e6, 17):
+        state = gc.tms_state(float(n))
+        scale = float(np.max(np.abs(state.cov))) ** 2
+        for got, want in zip(gc.symplectic_eigenvalues(state), _mp_nus(state.cov)):
+            assert abs(got - want) <= 1e-15 * scale

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds.errors import (
+    BosonicBoundsError,
     DomainError,
     InvalidChannelError,
     InvalidStateError,
@@ -108,6 +110,16 @@ class TestStates:
         with pytest.raises(DomainError, match=f"non-finite {nbar}"):
             gc.thermal_state(nbar)
 
+    @pytest.mark.parametrize("nbar", [1e308, 1.7e308])
+    def test_thermal_occupation_with_infinite_variance_rejected(self, nbar):
+        # finite nbar, but 2 nbar + 1 overflows
+        with pytest.raises(DomainError, match=re.escape(f"number {nbar} must be >= 0 with 2 nbar + 1 "
+                                                         "finite; got non-finite inf")):
+            gc.thermal_state(nbar)
+
+    def test_thermal_state_near_the_float_limit_is_accepted(self):
+        assert gc.symplectic_eigenvalues(gc.thermal_state(1e307, modes=2)) == (2e307, 2e307)
+
     def test_tms_pure_spectrum(self):
         nus = gc.symplectic_eigenvalues(gc.tms_state(1.0))
         assert nus == pytest.approx([1.0, 1.0], abs=1e-10)
@@ -122,6 +134,23 @@ class TestStates:
         assert floor == 1.0 - gc.NU_FLOOR * float(np.max(np.abs(state.cov)))
         assert min(nus) >= floor
         assert nus == pytest.approx([1.0, 1.0], abs=1e-9 * (2 * n + 1))
+
+    @pytest.mark.parametrize("n", [3e6, 1e7, 1e8])
+    def test_ill_conditioned_tms_rejected(self, n):
+        # eps cond(V) exceeds the floor's slack: the spectrum's roundoff could
+        # pass the floor with a wrong value (1e7 read 0.24 bits, not 0)
+        with pytest.raises(InvalidStateError, match="ill-conditioned for float64: eps cond"):
+            gc.tms_state(n)
+
+    def test_ill_conditioned_state_beyond_a_squared_float_rejected(self):
+        # (max L_ii / min L_ii)^2 = 1e310 overflows; the guard compares unsquared
+        with pytest.raises(InvalidStateError, match="eps cond.V. >= 2.22045e.294"):
+            gc.GaussianState(1, np.zeros(2), np.diag([1e300, 1e-10]))
+
+    def test_large_thermal_state_has_its_entropy(self):
+        # a thermal state's Cholesky factor is diagonal: no conditioning loss
+        state = gc.thermal_state(1e7, modes=2)
+        assert gc.gaussian_entropy(state) == pytest.approx(2.0 * gc.g_entropy(1e7), rel=1e-15, abs=0.0)
 
     def test_spectrum_default_floor_is_absolute(self):
         # below unit scale the floor is 1 - 1e-9, not relative to the entries
@@ -279,6 +308,22 @@ class TestCheckedCov:
         with pytest.raises(InvalidStateError, match="not positive definite"):
             gc._checked_cov(covs)
         gc._checked_cov(np.delete(covs, 1, axis=0))  # the others pass
+
+
+class TestUncheckedSpectrum:
+    def test_non_positive_definite_marginal_is_a_package_error(self):
+        V = np.diag([1.0, 2.0, -1.0, 3.0])  # mode 0's marginal is diag(1, -1)
+        with pytest.raises(BosonicBoundsError, match="not positive definite"):
+            gc._entropy_from_cov(V, (0,))
+        with pytest.raises(BosonicBoundsError, match="not positive definite"):
+            gc._symplectic_eigs(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+    def test_positive_definiteness_is_checked_before_the_floor(self):
+        # below the floor and not positive definite: the factor fails first
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            gc.GaussianState(1, np.zeros(2), np.diag([0.5, -0.5]))
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            gc._checked_cov(np.stack([0.5 * np.eye(2), -np.eye(2)]))
 
 
 class TestStackedFidelity:
