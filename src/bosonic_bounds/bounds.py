@@ -10,11 +10,11 @@ multiplier; their forms return the base term, W' and eps.  A form and its
 regime checks are array expressions over the parameters of many cells.
 :func:`evaluate_columns` computes several kinds at many (channel, ns) cells
 from their rows: per kind, one call of the checks and the form per channel
-kind and masks for the cells they rule out; then one lockstep batch for the
-eps' minimizations of all the penalized kinds, and one per PL column for
-its energy split.  :func:`evaluate_column` is its one-kind case and
-:func:`evaluate` its one-cell case, which the public bounds call: on Python
-floats throughout, as the forms step through :mod:`gaussian_core`'s
+kind, masks for the cells they rule out and each cell's BoundResult, the
+penalized kinds' after one lockstep batch of all their eps' minimizations.
+:func:`evaluate_column` is its one-kind case and :func:`evaluate` its
+one-cell case, which the public bounds call: on Python floats throughout,
+lone searches included, as the forms step through :mod:`gaussian_core`'s
 float-or-array helpers, with the bits of the same cell in a column.
 
 Formulas are evaluated in natural log internally and converted to bits
@@ -109,15 +109,17 @@ def penalty(p: PenaltyParams) -> float:
 
 def _geomspace_rows(start, stop, num):
     """Row i is np.geomspace(start[i], stop[i], num) bit for bit (stop may be
-    one float; floats for both give the one row), all rows at once in the
+    one float; a float start gives the one row), all rows at once in the
     one-row arithmetic.  Not np.geomspace on arrays: one zero-width row sends
     its linspace down the `any_step_zero` branch for every row, which rounds
     differently."""
     log_start, log_stop = np.log10(start), np.log10(stop)
     step = (log_stop - log_start) / (num - 1)
-    out = np.power(10.0, np.arange(num) * step[..., None] + log_start[..., None]).reshape(-1, num)
-    out[:, 0], out[:, -1] = start, stop
-    return out
+    if not isinstance(start, float):  # a column of starts: one row each
+        step, log_start = step[:, None], log_start[:, None]
+    out = np.power(10.0, np.arange(num) * step + log_start)
+    out[..., 0], out[..., -1] = start, stop
+    return out.reshape(-1, num)
 
 
 def _min_penalty(eps, w_prime, k):
@@ -125,8 +127,8 @@ def _min_penalty(eps, w_prime, k):
     arrays; (value, argmin), floats for scalar arguments.  The penalty
     diverges as eps' -> eps, so the open end is moved in by 1e-12 and the
     seed rows, from one :func:`_geomspace_rows` call, crowd towards it."""
-    scalar = np.ndim(eps) == 0
-    lo = np.minimum(eps + 1e-12, 1.0)
+    scalar = isinstance(eps, (float, int)) or np.ndim(eps) == 0
+    lo = min(float(eps) + 1e-12, 1.0) if scalar else np.minimum(eps + 1e-12, 1.0)
     res = minimize_batch(lambda x, eps, w_prime, k: _penalty_eval(eps, x, w_prime, k),
                          lo, 1.0, _geomspace_rows(lo, 1.0, DEFAULT_GRID_POINTS),
                          eps, w_prime, k)
@@ -392,12 +394,24 @@ def _raise_first_failure(checks, params, ns):
         raise checks[j].error(checks[j].message.format(**params, ns=ns))
 
 
+def _result(kind, row, ch, ns, raw, argopt, extra):
+    """The BoundResult of `kind` at cell (ch, ns) from its raw bits, argopt and
+    params beyond the channel's and ns; a DomainError for nan or -inf bits."""
+    if raw != raw or raw == -math.inf:  # +inf is a bound: PLOB and RMG at eta = 1
+        return DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns}")
+    if row.k and argopt is not None:  # a penalized kind's eps'
+        extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
+    params = ({"channel": ch.kind, **ch.params, "ns": ns, **extra} if row.lower
+              else {**ch.params, "channel": ch.kind, "ns": ns, **extra})
+    return BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
+
+
 def _columns(kinds, channels, ns_values, eps_prime):
     """evaluate_columns, with a fixed eps' for the penalized kinds if given."""
     if len(channels) != len(ns_values):
         raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
                           f"channels and {len(ns_values)} ns values")
-    groups, cols, todo, done = {}, {}, [], []
+    groups, cols, todo, columns = {}, {}, [], []
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
     for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
@@ -415,10 +429,7 @@ def _columns(kinds, channels, ns_values, eps_prime):
         if eps_prime is not None and not row.k:
             takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
             raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
-        # each cell's error, or its record [raw bits, argopt, params beyond the
-        # channel's and ns] until it becomes the cell's BoundResult
-        out = [None] * len(channels)
-        done.append((kind, row, out))
+        columns.append(out := [None] * len(channels))  # each cell's BoundResult or error
         for ch_kind, idx in groups.items():
             form = row.forms.get(ch_kind)
             checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
@@ -441,42 +452,29 @@ def _columns(kinds, channels, ns_values, eps_prime):
                 raw, argopt = res if isinstance(res, tuple) else (res, None)
                 argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
                 for k, r, a in zip(passed, _per_cell(raw), argopts):
-                    out[idx[k]] = [r, a, {}]
+                    out[idx[k]] = _result(kind, row, channels[idx[k]], ns_values[idx[k]], r, a, {})
                 continue
             # the base term, W' and eps: add the penalty at a fixed eps', or
-            # put the record on `todo` to minimize over eps'
+            # put the cell on `todo` to minimize over eps'
             for k, base, w_prime, eps in zip(passed, *map(_per_cell, res)):
-                cell = out[idx[k]] = [base, None, {"eps": eps, "w_prime": w_prime}]
+                i, e, extra = idx[k], None, {"eps": eps, "w_prime": w_prime}
                 try:
                     _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
                     if eps_prime is not None:
-                        cell[0] += penalty(PenaltyParams(eps, float(eps_prime), w_prime, row.k))
-                        cell[1] = float(eps_prime)
+                        e = float(eps_prime)
+                        base += penalty(PenaltyParams(eps, e, w_prime, row.k))
                     elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
-                        todo.append((cell, row.k))
+                        todo.append((out, i, kind, row, base, extra))
+                        continue
+                    out[i] = _result(kind, row, channels[i], ns_values[i], base, e, extra)
                 except DomainError as exc:
-                    out[idx[k]] = exc
+                    out[i] = exc
     if todo:  # every penalized kind's minimizations in one batch, on floats for one
-        args = [(c[2]["eps"], c[2]["w_prime"], k) for c, k in todo]
+        args = [(t[5]["eps"], t[5]["w_prime"], t[3].k) for t in todo]
         res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
-        for (cell, _), p, a in zip(todo, *map(_per_cell, res)):
-            cell[0] += p
-            cell[1] = a
-    for kind, row, out in done:
-        for i, cell in enumerate(out):
-            if type(cell) is not list:
-                continue
-            raw, argopt, extra = cell
-            ch, ns = channels[i], ns_values[i]
-            if raw != raw or raw == -math.inf:  # +inf is a bound: PLOB and RMG at eta = 1
-                out[i] = DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns}")
-                continue
-            if row.k and argopt is not None:
-                extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
-            params = ({"channel": ch.kind, **ch.params, "ns": ns, **extra} if row.lower
-                      else {**ch.params, "channel": ch.kind, "ns": ns, **extra})
-            out[i] = BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
-    return [out for _, _, out in done]
+        for (out, i, kind, row, base, extra), p, a in zip(todo, *map(_per_cell, res)):
+            out[i] = _result(kind, row, channels[i], ns_values[i], base + p, a, extra)
+    return columns
 
 
 def evaluate_columns(kinds, channels, ns_values) -> list:
@@ -598,8 +596,11 @@ def _pl_seeds(ns):
     """PL's seed rows for energies ns > 0 (an array, or a float for one row):
     0, then 63 points log-spaced from min(1e-12, ns) to ns, all rows from one
     :func:`_geomspace_rows` call."""
-    rows = _geomspace_rows(np.minimum(1e-12, ns), ns, DEFAULT_GRID_POINTS - 1)
-    return np.concatenate((np.zeros((len(rows), 1)), rows), axis=1)
+    start = min(1e-12, ns) if isinstance(ns, float) else np.minimum(1e-12, ns)
+    rows = _geomspace_rows(start, ns, DEFAULT_GRID_POINTS - 1)
+    seeds = np.zeros((len(rows), DEFAULT_GRID_POINTS))
+    seeds[:, 1:] = rows
+    return seeds
 
 
 def p_lower_displaced(eta: float, nb: float, ns: float) -> BoundResult:

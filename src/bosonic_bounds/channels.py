@@ -219,10 +219,12 @@ def kappa(x: float, nb: float) -> float:
     (x >= 1).  In both regimes the bracket is nonnegative in exact
     arithmetic, with a double root at x = 1; in floats it cancels near
     there (-4.4e-16 at x = 1 - 2^-53, where it is 2.5e-32), which ROADMAP
-    item E's factored bracket removes.
-    """
+    item E's factored bracket removes.  A result that is not finite (nb(nb+1)
+    overflows from nb = 1.3e154) raises DomainError."""
     _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
-    return _kappa(x, nb)
+    if not np.isfinite(k := _kappa(x, nb)):
+        raise DomainError(f"kappa({x}, nb={nb}) is {k} in float64: nb is too large")
+    return k
 
 
 def _kappa(x, nb):

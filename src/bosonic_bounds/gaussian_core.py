@@ -43,8 +43,9 @@ _PURITY_DET_TOL = 1e-8        # det(V) - 1 below this counts as a pure state
 
 def _nu_floor(cov):
     """Least symplectic eigenvalue accepted from `cov` (each of a stack): 1 - 1e-9
-    relative to its largest entry, as eigensolve roundoff grows with the scale."""
-    return 1.0 - NU_FLOOR * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
+    relative to its largest entry, as eigensolve roundoff grows with the scale,
+    but at least 1/2: a slack 1 - floor past 1 let singular matrices through."""
+    return 1.0 - np.minimum(NU_FLOOR * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1))), 0.5)
 
 
 def omega(m: int) -> np.ndarray:

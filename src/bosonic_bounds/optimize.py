@@ -9,14 +9,13 @@ problem and many: it reads each problem's interval and arguments as Python
 floats, takes seed rows that are already strictly ascending inside their
 intervals (every caller's are) as they are, so that only other rows are
 clipped, sorted and deduplicated, and after the one seed call reads each
-row's best seed, value and bracket as floats.  One function, `_golden`,
-takes every golden-section step: on arrays through np.where while several
-problems step together, and on Python floats once one problem steps alone,
-which numpy would otherwise run as 1-element arrays at many times the cost.
-The arithmetic is the same on both, so the bits are.  The objective is
-elementwise: it gets the points and each problem's own arguments.
-Identical inputs give bit-identical results, and on a plateau the smallest
-argument wins.
+row's best seed, value and bracket as floats.  `_golden` steps the arrays
+of several problems together through np.where; once one problem steps
+alone, `_golden_floats` steps it on Python floats, which numpy would run as
+1-element arrays at many times the cost.  The arithmetic is the same on
+both, so the bits are.  The objective is elementwise: it gets the points
+and each problem's own arguments.  Identical inputs give bit-identical
+results, and on a plateau the smallest argument wins.
 """
 
 from __future__ import annotations
@@ -63,32 +62,43 @@ def _floats(v, n):
     return v.tolist() if v.shape == (n,) else [v.item()] * n
 
 
-def _pick(cond, a, b):
-    return a if cond else b
-
-
-def _golden(f, where, n, a, h, c, d, fc, fd, bx, bv):
-    """Take n golden-section steps on the bracket [a, a + h], whose interior
-    points c and d have the values fc and fd; return these eight values
-    after them.  (bx, bv) is the best point seen: a lower value wins, on
-    equal values the smaller argument.  On entry the better of c and d is
-    seen, which is enough on a search's first entry, where c <= d, and a
-    no-op on a later one.  `where` is np.where on the arrays of the rows
-    stepping together, or _pick on one row's floats: the same arithmetic,
-    so the same bits."""
-    x, fx = where(fc <= fd, c, d), where(fc <= fd, fc, fd)
+def _golden(f, n, a, h, c, d, fc, fd, bx, bv):
+    """Take n golden-section steps on arrays of brackets [a, a + h], whose
+    interior points c and d have the values fc and fd; return these eight
+    arrays after them.  (bx, bv) is the best point seen: a lower value wins,
+    on equal values the smaller argument.  On entry the better of c and d is
+    seen: enough on a search's first entry (c <= d), a no-op on a later one."""
+    x, fx = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
     for i in range(n + 1):
         better = (fx < bv) | ((fx == bv) & (x < bx))
-        bx, bv = where(better, x, bx), where(better, fx, bv)
+        bx, bv = np.where(better, x, bx), np.where(better, fx, bv)
         if i == n:
             return a, h, c, d, fc, fd, bx, bv
         left = fc <= fd  # ties keep the left interval -> smaller arguments
         h = h * _INVPHI
-        a = where(left, a, c)
-        x = a + where(left, _INVPHI2, _INVPHI) * h
+        a = np.where(left, a, c)
+        x = a + np.where(left, _INVPHI2, _INVPHI) * h
         fx = f(x)
-        c, d = where(left, x, d), where(left, c, x)
-        fc, fd = where(left, fx, fd), where(left, fc, fx)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+
+
+def _golden_floats(objective, args, n, a, h, c, d, fc, fd, bx, bv):
+    """:func:`_golden` on one row's Python floats, with its arithmetic and tie
+    rules and so its bits; calls `objective(x, *args)` (nan taken as +inf)
+    and returns the best point and value."""
+    x, fx = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(n):
+        if fx < bv or fx == bv and x < bx:
+            bx, bv = x, fx
+        left = fc <= fd
+        h = h * _INVPHI
+        a = a if left else c
+        x = a + (_INVPHI2 if left else _INVPHI) * h
+        fx = objective(x, *args)
+        fx = fx if fx == fx else math.inf
+        c, d, fc, fd = (x, c, fx, fc) if left else (d, x, fd, fx)
+    return (x, fx) if fx < bv or fx == bv and x < bx else (bx, bv)
 
 
 def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
@@ -117,11 +127,11 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     objective returns values of `x`'s shape.  A problem searching alone
     steps on floats from its first step, the lockstep's last one after it:
     `x` and the args `row_arg[r]` are floats, and so is the value.  +inf
-    (or nan, taken as +inf) is allowed anywhere.  Every step runs in
-    `_golden`, so a problem gets the bits it would get alone.  Each problem
-    reports its best evaluated point (the smallest argument on a plateau)
-    and its evaluations; one whose seeds are all +inf is non-converged at
-    its first seed point.
+    (or nan, taken as +inf) is allowed anywhere.  `_golden` and
+    `_golden_floats` take the same steps, so a problem gets the bits it
+    would get alone.  Each problem reports its best evaluated point (the
+    smallest argument on a plateau) and its evaluations; one whose seeds
+    are all +inf is non-converged at its first seed point.
     """
     seeds = np.asarray(seed_grids, dtype=float)
     if seeds.ndim != 2 or not seeds.shape[1]:
@@ -159,7 +169,7 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
         h = b[-1] - a[-1] if converged[-1] else 0.0  # a non-converged row does not search
         steps.append(math.ceil(math.log(_TOL / h) / math.log(_INVPHI)) if h > _TOL else 0)
         evaluations.append(c + steps[-1] + 1 if steps[-1] else c)
-    arg, value = np.array(arg), np.array(value)
+    res = BatchOptResult(*map(np.array, (arg, value, evaluations, converged)))
     # the searching rows, longest first, so that the active ones are a prefix
     g = sorted((r for r in range(n) if steps[r]), key=steps.__getitem__, reverse=True)
     steps = [steps[r] for r in g]
@@ -168,27 +178,22 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
         a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
         g_args = [np.array(p)[g, None] for p in row_args]  # gathered once; a segment takes [:k]
         state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
-        state += (*f(np.stack(state[2:], axis=1), g_args).T, arg[g], value[g])
+        state += (*f(np.stack(state[2:], axis=1), g_args).T, res.arg[g], res.value[g])
     while k > 1:  # rows [:k] step together until row k - 1 stops
         args = [p[:k] for p in g_args]
-        state = _golden(lambda x: f(x[:, None], args)[:, 0], np.where, steps[k - 1] - t,
+        state = _golden(lambda x: f(x[:, None], args)[:, 0], steps[k - 1] - t,
                         *(v[:k] for v in state))
-        arg[g[:k]], value[g[:k]] = state[6:]
+        res.arg[g[:k]], res.value[g[:k]] = state[6:]
         t = steps[k - 1]
         k = sum(s > t for s in steps)
     if k == 1:  # one row stepping: alone from the start, or the lockstep's last; on floats
-        r = g[0]
-        args = [p[r] for p in row_args]
-
-        def f1(x):
-            v = float(objective(x, *args))
-            return math.inf if v != v else v
-
+        r, args = g[0], tuple(p[g[0]] for p in row_args)
         if state is None:  # step 1 evaluates both c and d
             h = b[r] - a[r]
-            s = [a[r], h, a[r] + _INVPHI2 * h, a[r] + _INVPHI * h]
-            s += [f1(s[2]), f1(s[3]), arg.item(r), value.item(r)]
+            c, d = a[r] + _INVPHI2 * h, a[r] + _INVPHI * h
+            fc, fd = (v if v == v else math.inf for v in (objective(c, *args), objective(d, *args)))
+            state = a[r], h, c, d, fc, fd, arg[r], value[r]
         else:
-            s = [float(v[0]) for v in state]
-        arg[r], value[r] = _golden(f1, _pick, steps[0] - t, *s)[6:]
-    return BatchOptResult(arg, value, np.array(evaluations), np.array(converged))
+            state = [v.item(0) for v in state]
+        res.arg[r], res.value[r] = _golden_floats(objective, args, steps[0] - t, *state)
+    return res

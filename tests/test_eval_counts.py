@@ -96,6 +96,22 @@ def test_displaced_one_cell_steps_on_floats(counts, objective_calls, seed_grid_c
     assert seed_grid_calls == []
 
 
+def test_long_displaced_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls):
+    calls = objective_calls("_private_loss", 0)
+    bnd.p_lower_displaced(0.6, 1.5, 300.0)
+    assert counts == [119]
+    assert calls == {(1, 64): 1, (): 55}
+    assert seed_grid_calls == []
+
+
+def test_amplifier_penalty_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls):
+    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    bnd.q_u2(chn.amplifier(1.5, 0.3), 50.0)
+    assert counts == [99]
+    assert calls == {(1, 64): 1, (): 35}
+    assert seed_grid_calls == []
+
+
 def test_column_longest_row_ends_on_floats(counts, objective_calls):
     calls = objective_calls("_private_loss", 0)
     bnd.evaluate_column("PL", [chn.thermal(0.9, 0.5)] * 2, [1.0, 1000.0])

@@ -135,10 +135,12 @@ class TestStates:
         assert min(nus) >= floor
         assert nus == pytest.approx([1.0, 1.0], abs=1e-9 * (2 * n + 1))
 
-    @pytest.mark.parametrize("n", [3e6, 1e7, 1e8])
+    @pytest.mark.parametrize("n", [3e6, 1e7, 1e8, 1e10])
     def test_ill_conditioned_tms_rejected(self, n):
         # eps cond(V) exceeds the floor's slack: the spectrum's roundoff could
-        # pass the floor with a wrong value (1e7 read 0.24 bits, not 0)
+        # pass the floor with a wrong value (1e7 read 0.24 bits, not 0).  At
+        # 1e10 the uncapped slack, 20, let a singular float matrix through
+        # (17.1 bits for a pure state); capped at 1/2 it does not
         with pytest.raises(InvalidStateError, match="ill-conditioned for float64: eps cond"):
             gc.tms_state(n)
 

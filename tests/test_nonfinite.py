@@ -131,6 +131,14 @@ OVERFLOWING = [
 ]
 
 
+# kappa at an nb whose nb(nb+1) overflows: nan at x = 1 (inf * 0), inf in
+# the bracket's positive range and -inf where it rounds below 0
+@pytest.mark.parametrize("x", [1.0, 0.5, 1.0 - 2.0 ** -53])
+def test_overflowing_kappa_names_nb(x):
+    with pytest.raises(DomainError, match=r"nb=1e\+200"):
+        chn.kappa(x, 1e200)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind,call", OVERFLOWING,
                          ids=["QL-1e200", "QL-1e160", "QU2-1e200", "PL-1e200"])
