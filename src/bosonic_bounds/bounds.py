@@ -47,7 +47,7 @@ __all__ = [
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
-    "gap_qu1_ql", "gaussian_c_distance", "coherent_info_thermal",
+    "gap_qu1_ql", "gaussian_c_distance",
 ]
 
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
@@ -91,10 +91,10 @@ class PenaltyParams:
         return (self.epsilon_prime - self.epsilon) / (1.0 + self.epsilon_prime)
 
 
-def _penalty_eval(eps, e, w_prime, k):
-    """Penalty over the broadcast arguments, at eps' = e > eps, so that
-    delta > 0 (PenaltyParams checks it, the searches start at eps + 1e-12).
-    Floats give a float, computed on Python floats."""
+def _penalty_eval(e, eps, w_prime, k):
+    """Penalty at eps' = e > eps (so delta > 0: PenaltyParams checks it, the
+    searches start at eps + 1e-12) over the broadcast arguments, eps' first
+    as the optimizer passes it.  Floats give a float, on Python floats."""
     d = (e - eps) / (1.0 + e)
     return k * ((2.0 * e + 4.0 * d) * _gn(w_prime / d)
                 + _gn(e)
@@ -104,7 +104,7 @@ def _penalty_eval(eps, e, w_prime, k):
 def penalty(p: PenaltyParams) -> float:
     """k [ (2 eps' + 4 delta) g(W'/delta) + g(eps') + 2 h2(delta) ] in bits,
     with delta = (eps' - eps)/(1 + eps') > 0."""
-    return float(_penalty_eval(p.epsilon, p.epsilon_prime, p.w_prime, p.k))
+    return float(_penalty_eval(p.epsilon_prime, p.epsilon, p.w_prime, p.k))
 
 
 def _geomspace_rows(start, stop, num):
@@ -129,8 +129,7 @@ def _min_penalty(eps, w_prime, k):
     seed rows, from one :func:`_geomspace_rows` call, crowd towards it."""
     scalar = isinstance(eps, (float, int)) or np.ndim(eps) == 0
     lo = min(float(eps) + 1e-12, 1.0) if scalar else np.minimum(eps + 1e-12, 1.0)
-    res = minimize_batch(lambda x, eps, w_prime, k: _penalty_eval(eps, x, w_prime, k),
-                         lo, 1.0, _geomspace_rows(lo, 1.0, DEFAULT_GRID_POINTS),
+    res = minimize_batch(_penalty_eval, lo, 1.0, _geomspace_rows(lo, 1.0, DEFAULT_GRID_POINTS),
                          eps, w_prime, k)
     return (float(res.value[0]), float(res.arg[0])) if scalar else (res.value, res.arg)
 
@@ -260,11 +259,6 @@ def q_lower_thermal(eta: float, nb: float, ns: float) -> BoundResult:
 def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
     """Coherent-information lower bound of the amplifier channel."""
     return evaluate("QL", chn.amplifier(g, nb), ns)
-
-
-def coherent_info_thermal(eta: float, nb: float, ns: float) -> float:
-    """Raw (unclamped) thermal coherent information; the P_L building block."""
-    return q_lower_thermal(eta, nb, ns).raw
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +410,8 @@ def _columns(kinds, channels, ns_values, eps_prime):
         groups.setdefault(ch.kind, []).append(i)
     for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
         if len(idx) == 1:  # floats, on which numpy computes faster than on 1-element arrays
-            cols[ch_kind] = one = dict(channels[idx[0]].params, ns=ns_values[idx[0]])
-            for name, v in one.items():
-                one[name] = float(v)
+            one = dict(channels[idx[0]].params, ns=ns_values[idx[0]])
+            cols[ch_kind] = {name: float(v) for name, v in one.items()}
         else:
             cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
             cols[ch_kind] = dict(zip((*channels[idx[0]].params, "ns"), np.array(cells, dtype=float).T))
@@ -467,8 +460,8 @@ def _columns(kinds, channels, ns_values, eps_prime):
                         todo.append((out, i, kind, row, base, extra))
                         continue
                     out[i] = _result(kind, row, channels[i], ns_values[i], base, e, extra)
-                except DomainError as exc:
-                    out[i] = exc
+                except DomainError as exc:  # its traceback would hold `out`: a cycle
+                    out[i] = exc.with_traceback(None)
     if todo:  # every penalized kind's minimizations in one batch, on floats for one
         args = [(t[5]["eps"], t[5]["w_prime"], t[3].k) for t in todo]
         res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
@@ -502,9 +495,12 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     A penalized kind takes a fixed `eps_prime` in place of the minimization;
     a bad one is reported after the cell's other checks."""
     cell = _columns((kind,), [ch], [ns], eps_prime)[0][0]
-    if isinstance(cell, BosonicBoundsError):
-        raise cell
-    return cell
+    try:
+        if isinstance(cell, BosonicBoundsError):
+            raise cell
+        return cell
+    finally:
+        del cell  # the raised error's traceback holds this frame: no cycle through it
 
 
 def _unconstrained(kind, ch):

@@ -104,24 +104,22 @@ def raw_channel(tau: float, nu: float) -> PhaseInsensitiveChannel:
     return PhaseInsensitiveChannel(tau, nu, "raw", {})
 
 
-# The parameters each channel kind takes, in its constructor's order; nb
-# defaults to 0.
-_PARAMS = {"thermal": ("eta", "nb"), "amplifier": ("g", "nb"), "additive": ("nbar",),
-           "raw": ("tau", "nu")}
+# Each channel kind's constructor and its parameters in order; nb defaults to 0.
+_KINDS = {"thermal": (thermal, ("eta", "nb")), "amplifier": (amplifier, ("g", "nb")),
+          "additive": (additive_noise, ("nbar",)), "raw": (raw_channel, ("tau", "nu"))}
 
 
 def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
     """Dispatching constructor: kind in {thermal, amplifier, additive, raw};
     nb defaults to 0 and other parameters are ignored."""
-    if kind not in _PARAMS:
+    if kind not in _KINDS:
         raise ChannelKindError(f"unknown channel kind {kind!r}")
+    build, names = _KINDS[kind]
     params = {"nb": 0.0, **params}
-    missing = [name for name in _PARAMS[kind] if name not in params]
+    missing = [name for name in names if name not in params]
     if missing:
         raise DomainError(f"{kind} channel requires {missing[0]}")
-    build = {"thermal": thermal, "amplifier": amplifier, "additive": additive_noise,
-             "raw": raw_channel}[kind]
-    return build(*(params[name] for name in _PARAMS[kind]))
+    return build(*(params[name] for name in names))
 
 
 def is_entanglement_breaking(ch: PhaseInsensitiveChannel) -> bool:

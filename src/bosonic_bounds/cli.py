@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_bound(args) -> int:
     try:
         given = {k: v for k in ("eta", "g", "nbar", "nb") if (v := getattr(args, k)) is not None}
-        stray = [k for k in given if k not in (*chn._PARAMS[args.channel], "nb")]
+        stray = [k for k in given if k not in (*chn._KINDS[args.channel][1], "nb")]
         if stray:  # nb has a default, so an additive channel accepts it
             raise DomainError(f"{args.channel} channel takes no --{stray[0]}")
         ch = chn.make_channel(args.channel, **given)
@@ -87,7 +87,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.channel not in ("thermal", "amplifier", "additive"):
             raise ValueError(f"unknown channel {self.channel!r}")
-        takes = ("ns", *chn._PARAMS[self.channel])
+        takes = ("ns", *chn._KINDS[self.channel][1])
         stray = [key for key in (*self.fixed, self.sweep) if key not in takes]
         if stray:
             raise ValueError(f"{self.channel} sweeps take {', '.join(takes)}, not {stray[0]}")
@@ -169,8 +169,7 @@ def load_figure_spec(fig: str) -> SweepSpec:
 
 def _sweep_channel(spec: SweepSpec, value: float):
     """(channel, ns) at a grid point, or None where the channel does not build."""
-    params = dict(spec.fixed)
-    params[spec.sweep] = value
+    params = {**spec.fixed, spec.sweep: value}
     ns = params.pop("ns", 0.0)
     try:
         return chn.make_channel(spec.channel, **params), ns
@@ -202,12 +201,9 @@ def run_sweep(spec: SweepSpec) -> list:
 
 
 def format_csv(spec: SweepSpec, rows) -> str:
-    def fmt(x):
-        return "" if x is None else format(x, ".12g")
-
     lines = ["sweep_var," + ",".join(spec.bounds)]
-    for value, cells in rows:
-        lines.append(",".join([format(value, ".12g")] + [fmt(c) for c in cells]))
+    for value, cells in rows:  # an infeasible cell is an empty field
+        lines.append(",".join("" if x is None else format(x, ".12g") for x in (value, *cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -201,11 +201,9 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise InvalidStateError("mode count must be a positive integer")
+        n = 2 * _mode_count(self.modes)
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        n = 2 * self.modes
         if mean.shape != (n,):
             raise InvalidStateError(f"mean must have shape ({n},), got {mean.shape}")
         if cov.shape != (n, n):
@@ -214,6 +212,13 @@ class GaussianState:
             raise InvalidStateError("state data must be finite")
         object.__setattr__(self, "mean", _as_readonly(mean))
         object.__setattr__(self, "cov", _as_readonly(_checked_cov(cov)))
+
+
+def _mode_count(modes):
+    """`modes`; InvalidStateError unless it is a positive integer."""
+    _require(isinstance(modes, (int, np.integer)) and modes >= 1,
+             "mode count must be a positive integer", error=InvalidStateError)
+    return modes
 
 
 def _checked_cov(cov: np.ndarray) -> np.ndarray:
@@ -250,14 +255,14 @@ def _checked_cov(cov: np.ndarray) -> np.ndarray:
 
 def vacuum_state(modes: int = 1) -> GaussianState:
     """Vacuum of the given number of modes."""
-    return GaussianState(modes, np.zeros(2 * modes), np.eye(2 * modes))
+    return GaussianState(modes, np.zeros(2 * _mode_count(modes)), np.eye(2 * modes))
 
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     """Product of `modes` thermal states, each with mean photon number nbar."""
     _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
              nbar, d := 2.0 * float(nbar) + 1.0)
-    return GaussianState(modes, np.zeros(2 * modes), d * np.eye(2 * modes))
+    return GaussianState(modes, np.zeros(2 * _mode_count(modes)), d * np.eye(2 * modes))
 
 
 def _mat2(a, b, c, d) -> np.ndarray:

@@ -10,12 +10,13 @@ floats, takes seed rows that are already strictly ascending inside their
 intervals (every caller's are) as they are, so that only other rows are
 clipped, sorted and deduplicated, and after the one seed call reads each
 row's best seed, value and bracket as floats.  `_golden` steps the arrays
-of several problems together through np.where; once one problem steps
-alone, `_golden_floats` steps it on Python floats, which numpy would run as
-1-element arrays at many times the cost.  The arithmetic is the same on
-both, so the bits are.  The objective is elementwise: it gets the points
-and each problem's own arguments.  Identical inputs give bit-identical
-results, and on a plateau the smallest argument wins.
+of two or more searching problems together through np.where, each to its
+end; only a call's lone search steps in `_golden_floats`, on Python floats,
+which numpy would run as 1-element arrays at many times the cost.  The
+arithmetic is the same on both, so the bits are.  The objective is
+elementwise: it gets the points and each problem's own arguments.
+Identical inputs give bit-identical results, and on a plateau the smallest
+argument wins.
 """
 
 from __future__ import annotations
@@ -83,12 +84,16 @@ def _golden(f, n, a, h, c, d, fc, fd, bx, bv):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
 
 
-def _golden_floats(objective, args, n, a, h, c, d, fc, fd, bx, bv):
-    """:func:`_golden` on one row's Python floats, with its arithmetic and tie
-    rules and so its bits; calls `objective(x, *args)` (nan taken as +inf)
-    and returns the best point and value."""
+def _golden_floats(objective, args, n, a, h, bx, bv):
+    """:func:`_golden` on one problem's Python floats, with its arithmetic and
+    tie rules and so its bits: n steps from the bracket [a, a + h] and the
+    best seed (bx, bv), the first evaluating both interior points; calls
+    `objective(x, *args)` (nan taken as +inf) and returns the best point and
+    value."""
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    fc, fd = (v if v == v else math.inf for v in (objective(c, *args), objective(d, *args)))
     x, fx = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(n):
+    for _ in range(n - 1):
         if fx < bv or fx == bv and x < bx:
             bx, bv = x, fx
         left = fc <= fd
@@ -121,17 +126,16 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     seed's neighbours, are read as floats; the bracket starts a
     golden-section search of the fixed step count that shrinks it to 1e-9.
     Ties keep the left interval.
-    Two or more searching problems are gathered once, longest search first;
-    while k of them step together, `x` has shape (k, j), each arg is the
-    gather's first k rows, sliced once each time a problem stops, and the
-    objective returns values of `x`'s shape.  A problem searching alone
-    steps on floats from its first step, the lockstep's last one after it:
-    `x` and the args `row_arg[r]` are floats, and so is the value.  +inf
-    (or nan, taken as +inf) is allowed anywhere.  `_golden` and
-    `_golden_floats` take the same steps, so a problem gets the bits it
-    would get alone.  Each problem reports its best evaluated point (the
-    smallest argument on a plateau) and its evaluations; one whose seeds
-    are all +inf is non-converged at its first seed point.
+    Two or more searching problems are gathered once, longest search first,
+    and step together to the end of the longest: while k of them step, `x` has
+    shape (k, j), each arg is the gather's first k rows, sliced once each time
+    a problem stops, and the objective returns values of `x`'s shape.  Only a
+    call's lone search steps on floats: `x`, its args `row_arg[r]` and the
+    value.  +inf (or nan, taken as +inf) is allowed anywhere.  `_golden` and
+    `_golden_floats` take the same steps, so a problem gets the bits it would
+    get alone.  Each problem reports its best evaluated point (the smallest
+    argument on a plateau) and its evaluations; one whose seeds are all +inf
+    is non-converged at its first seed.
     """
     seeds = np.asarray(seed_grids, dtype=float)
     if seeds.ndim != 2 or not seeds.shape[1]:
@@ -172,28 +176,23 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     res = BatchOptResult(*map(np.array, (arg, value, evaluations, converged)))
     # the searching rows, longest first, so that the active ones are a prefix
     g = sorted((r for r in range(n) if steps[r]), key=steps.__getitem__, reverse=True)
+    if len(g) == 1:  # one problem searching: on floats
+        r = g[0]
+        res.arg[r], res.value[r] = _golden_floats(objective, tuple(p[r] for p in row_args),
+                                                  steps[r], a[r], b[r] - a[r], arg[r], value[r])
+        return res
     steps = [steps[r] for r in g]
-    t, k, state = 1, len(g), None  # t golden steps taken, k rows still stepping
-    if k > 1:
+    t, k = 1, len(g)  # t golden steps taken, k rows still stepping
+    if k:
         a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
         g_args = [np.array(p)[g, None] for p in row_args]  # gathered once; a segment takes [:k]
         state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
         state += (*f(np.stack(state[2:], axis=1), g_args).T, res.arg[g], res.value[g])
-    while k > 1:  # rows [:k] step together until row k - 1 stops
+    while k:  # rows [:k] step together until row k - 1 stops
         args = [p[:k] for p in g_args]
         state = _golden(lambda x: f(x[:, None], args)[:, 0], steps[k - 1] - t,
                         *(v[:k] for v in state))
         res.arg[g[:k]], res.value[g[:k]] = state[6:]
         t = steps[k - 1]
         k = sum(s > t for s in steps)
-    if k == 1:  # one row stepping: alone from the start, or the lockstep's last; on floats
-        r, args = g[0], tuple(p[g[0]] for p in row_args)
-        if state is None:  # step 1 evaluates both c and d
-            h = b[r] - a[r]
-            c, d = a[r] + _INVPHI2 * h, a[r] + _INVPHI * h
-            fc, fd = (v if v == v else math.inf for v in (objective(c, *args), objective(d, *args)))
-            state = a[r], h, c, d, fc, fd, arg[r], value[r]
-        else:
-            state = [v.item(0) for v in state]
-        res.arg[r], res.value[r] = _golden_floats(objective, args, steps[0] - t, *state)
     return res

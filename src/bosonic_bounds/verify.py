@@ -140,9 +140,7 @@ def check_state_invariants(seed=7, n=200) -> CheckResult:
 def check_g_shape(points=1000) -> CheckResult:
     xs = np.linspace(0.0, 100.0, points)
     ys = gc.g_entropy(xs)
-    d1 = np.diff(ys)
-    d2 = np.diff(ys, 2)
-    worst = max(float(np.max(-d1)), float(np.max(d2)))
+    worst = max(float(np.max(-np.diff(ys))), float(np.max(np.diff(ys, 2))))
     return CheckResult("g_monotone_concave", worst < 1e-12, worst, 1e-12,
                        "finite differences on [0, 100]")
 
@@ -362,7 +360,7 @@ def check_comparison_orderings(n=2000, n_nbar=100) -> CheckResult:
 
 
 def _dense_min(eps, w_prime, k, dense):
-    """float(np.min(bnd._penalty_eval(eps, np.linspace(eps + 1e-12, 1.0, dense),
+    """float(np.min(bnd._penalty_eval(np.linspace(eps + 1e-12, 1.0, dense), eps,
     w_prime, k))) bit for bit (dense >= 2), evaluating only the blocks of 1000
     grid points that a certified lower bound cannot rule out.
 
@@ -385,13 +383,13 @@ def _dense_min(eps, w_prime, k, dense):
 
     heads = np.arange(0, dense, block)
     e_a, e_b = grid(heads), grid(np.minimum(heads + block - 1, last))
-    upper = np.min(bnd._penalty_eval(eps, np.concatenate([e_a, e_b]), w_prime, k))
+    upper = np.min(bnd._penalty_eval(np.concatenate([e_a, e_b]), eps, w_prime, k))
     d_a, d_b = (e_a - eps) / (1.0 + e_a), (e_b - eps) / (1.0 + e_b)
     lower = k * (((2.0 * e_a + 4.0 * d_a) * gc._g_nats(w_prime / d_b) + gc._g_nats(e_a)) / LN2
                  + 2.0 * np.minimum(gc.binary_entropy(d_a), gc.binary_entropy(d_b)))
     keep = (lower * (1.0 - 1e-6) <= upper) | (w_prime / d_a > 1e6)
     idx = (heads[keep, None] + np.arange(block)).ravel()
-    return float(np.min(bnd._penalty_eval(eps, grid(idx[idx <= last]), w_prime, k)))
+    return float(np.min(bnd._penalty_eval(grid(idx[idx <= last]), eps, w_prime, k)))
 
 
 def check_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6) -> CheckResult:
@@ -402,9 +400,7 @@ def check_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(n_obj):
-        eps = rng.uniform(0.0001, 0.9)
-        wp = rng.uniform(0.0, 50.0)
-        k = int(rng.integers(1, 5))
+        eps, wp, k = rng.uniform(0.0001, 0.9), rng.uniform(0.0, 50.0), int(rng.integers(1, 5))
         value, _ = bnd._min_penalty(eps, wp, k)
         worst = max(worst, value - _dense_min(eps, wp, k, dense))
     return CheckResult("optimizer_vs_grid", worst < 1e-6, worst, 1e-6,

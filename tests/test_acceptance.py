@@ -193,7 +193,7 @@ def test_criterion_09_optimizer_soundness():
             k = int(rng.integers(1, 5))
             value, _ = bnd._min_penalty(eps, wp, k)
             grid = np.linspace(eps + 1e-12, 1.0, dense_n)
-            dense = float(np.min(bnd._penalty_eval(eps, grid, wp, k)))
+            dense = float(np.min(bnd._penalty_eval(grid, eps, wp, k)))
             worst = max(worst, value - dense)
         else:
             eta, nb = rng.uniform(0.3, 0.99), rng.uniform(0.0, 1.0)

@@ -107,7 +107,7 @@ def test_penalty_float_matches_array_element():
     w_prime = np.where(rng.uniform(size=n) < 0.1, 10.0 ** rng.uniform(-20.0, -9.0, n),
                        10.0 ** rng.uniform(-2.0, 12.0, n))
     k = rng.integers(1, 5, n).astype(float)
-    cols = (eps, e, w_prime, k)
+    cols = (e, eps, w_prime, k)
     assert (e > eps).all()
     got = _float_hex(bnd._penalty_eval, cols)
     stacked = bnd._penalty_eval(*(c[:, None] for c in cols))

@@ -1,4 +1,6 @@
+import gc as collector
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
 from bosonic_bounds.errors import (
+    BosonicBoundsError,
     ChannelKindError,
     DomainError,
     InfeasibleBoundError,
@@ -191,7 +194,7 @@ class TestApproximateDegradabilityBounds:
         eps = chn.epsilon_degradable(ch).epsilon
         wp = 0.25 * 5.0 + 1.75 * 0.2
         grid = np.linspace(eps + 1e-12, 1.0, 10 ** 6)
-        dense = float(np.min(bnd._penalty_eval(eps, grid, wp, 1)))
+        dense = float(np.min(bnd._penalty_eval(grid, eps, wp, 1)))
         assert r.raw - bnd._ud_thermal_raw(0.75, 0.2, 5.0) <= dense + 1e-6
 
     def test_qu2_explicit_eps_prime(self):
@@ -254,7 +257,7 @@ class TestPrivateBounds:
         p = bnd.p_bounds(ch, 5.0, "PU3", eps_prime=0.6)
         eps = 0.2 / 1.2
         wp = 0.7 * 5.0 + 0.3 * 0.2
-        pen1 = bnd._penalty_eval(eps, 0.6, wp, 1)
+        pen1 = bnd._penalty_eval(0.6, eps, wp, 1)
         assert p.raw - q.raw == pytest.approx(2 * pen1, rel=1e-12)
 
     def test_unknown_kind(self):
@@ -481,3 +484,23 @@ class TestBoundResult:
         eps = chn.epsilon_degradable(chn.thermal(0.75, 0.3)).epsilon
         assert eps < r.argopt <= 1.0
         assert r.params["eps"] == pytest.approx(eps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bnd.q_u2(chn.thermal(0.3, 0.5), 1.0),  # fails its eta >= 1/2 check
+    lambda: bnd.q_u2(chn.thermal(0.9, 0.5), 1.0, eps_prime=0.01),  # eps' below eps
+], ids=["regime_check", "bad_fixed_eps_prime"])
+def test_raised_error_leaves_no_reference_cycle(call):
+    """With the cyclic collector off, a bound's error dies with its handler:
+    no frame that its traceback holds keeps a reference to it."""
+    enabled = collector.isenabled()
+    collector.disable()
+    try:
+        try:
+            call()
+        except BosonicBoundsError as exc:
+            ref = weakref.ref(exc)
+        assert ref() is None
+    finally:
+        if enabled:
+            collector.enable()

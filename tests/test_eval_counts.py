@@ -5,8 +5,8 @@ iteration counts), so any change to them is a change in the work the bounds
 do, not noise.  Counted through a wrapper over the batch optimizer the
 bounds module calls: one count per minimized problem (batch row), so a
 batch of n problems counts as n minimizations.  The objectives are counted
-too, call by call with the shape of the points they get: a problem that
-steps alone must step on floats, not on 1-element arrays.
+too, call by call with the shape of the points they get: a call's lone
+search must step on floats, not on 1-element arrays.
 """
 
 from collections import Counter
@@ -81,7 +81,7 @@ def test_displaced_lower_bound(counts):
 
 @pytest.mark.parametrize("kind", ["QU2", "QU3", "PU2", "PU3"])
 def test_penalized_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls, kind):
-    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    calls = objective_calls("_penalty_eval", 0)  # _penalty_eval(eps', eps, W', k)
     bnd.evaluate(kind, chn.thermal(0.9, 0.5), 10.0)
     assert counts == [99]
     assert calls == {(1, 64): 1, (): 35}  # the seeds, then each golden step
@@ -105,18 +105,19 @@ def test_long_displaced_one_cell_steps_on_floats(counts, objective_calls, seed_g
 
 
 def test_amplifier_penalty_one_cell_steps_on_floats(counts, objective_calls, seed_grid_calls):
-    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    calls = objective_calls("_penalty_eval", 0)  # _penalty_eval(eps', eps, W', k)
     bnd.q_u2(chn.amplifier(1.5, 0.3), 50.0)
     assert counts == [99]
     assert calls == {(1, 64): 1, (): 35}
     assert seed_grid_calls == []
 
 
-def test_column_longest_row_ends_on_floats(counts, objective_calls):
+def test_column_rows_step_together_to_the_end(counts, objective_calls):
     calls = objective_calls("_private_loss", 0)
     bnd.evaluate_column("PL", [chn.thermal(0.9, 0.5)] * 2, [1.0, 1000.0])
-    # the seeds, the first step's two points, 8 steps together, 1 alone
-    assert calls == {(2, 64): 1, (2, 2): 1, (2, 1): 8, (): 1}
+    # the seeds, the first step's two points, 8 steps of both rows, then
+    # the longest row's last step, still in the lockstep
+    assert calls == {(2, 64): 1, (2, 2): 1, (2, 1): 8, (1, 1): 1}
     assert sum(counts) == 2 * 64 + 2 * 2 + 2 * 8 + 1
 
 
@@ -171,7 +172,7 @@ def test_optimizer_vs_grid_evaluates_few_grid_points(monkeypatch, objective_call
     """The dense minima of optimizer_vs_grid evaluate at most 5% of its ten
     grids of 10^6 points, block endpoints included."""
     monkeypatch.setattr(bnd, "_min_penalty", lambda *args: (0.0, 1.0))  # count the grids alone
-    calls = objective_calls("_penalty_eval", 1)  # _penalty_eval(eps, eps', W', k)
+    calls = objective_calls("_penalty_eval", 0)  # _penalty_eval(eps', eps, W', k)
     vfy.check_optimizer_vs_grid()
     points = sum(int(np.prod(shape)) * n for shape, n in calls.items())
     assert 0 < points <= 0.05 * 10 * 10 ** 6

@@ -193,6 +193,18 @@ class TestStates:
         with pytest.raises(InvalidStateError):
             gc.GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
 
+    # a mode count that is not a positive integer is caught before any array
+    # is built from it, not left to numpy's shape errors
+    @pytest.mark.parametrize("make", [
+        lambda: gc.GaussianState(1.5, np.zeros(3), np.eye(3)),
+        lambda: gc.vacuum_state(-1),
+        lambda: gc.thermal_state(1.0, modes=-1),
+        lambda: gc.vacuum_state(1.5),
+    ], ids=["state_fractional", "vacuum_negative", "thermal_negative", "vacuum_fractional"])
+    def test_bad_mode_count_rejected(self, make):
+        with pytest.raises(InvalidStateError, match="mode count must be a positive integer"):
+            make()
+
     def test_immutable(self):
         st_ = gc.vacuum_state(1)
         with pytest.raises(ValueError):

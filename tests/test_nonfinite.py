@@ -30,9 +30,6 @@ BOUND_CALLS = [
     ("q_lower_amp.g", lambda x: bnd.q_lower_amp(x, 0.5, 1.0)),
     ("q_lower_amp.nb", lambda x: bnd.q_lower_amp(1.5, x, 1.0)),
     ("q_lower_amp.ns", lambda x: bnd.q_lower_amp(1.5, 0.5, x)),
-    ("coherent_info_thermal.eta", lambda x: bnd.coherent_info_thermal(x, 0.5, 1.0)),
-    ("coherent_info_thermal.nb", lambda x: bnd.coherent_info_thermal(0.9, x, 1.0)),
-    ("coherent_info_thermal.ns", lambda x: bnd.coherent_info_thermal(0.9, 0.5, x)),
     ("p_lower_displaced.eta", lambda x: bnd.p_lower_displaced(x, 0.5, 1.0)),
     ("p_lower_displaced.nb", lambda x: bnd.p_lower_displaced(0.9, x, 1.0)),
     ("p_lower_displaced.ns", lambda x: bnd.p_lower_displaced(0.9, 0.5, x)),

@@ -175,7 +175,7 @@ def test_against_dense_grid_on_penalty_objective():
     eps, wp, k = 0.2, 5.0, 1
     value, _ = bnd._min_penalty(eps, wp, k)
     grid = np.linspace(eps + 1e-12, 1.0, 10 ** 6)
-    dense = float(np.min(bnd._penalty_eval(eps, grid, wp, k)))
+    dense = float(np.min(bnd._penalty_eval(grid, eps, wp, k)))
     assert value <= dense + 1e-6
 
 
@@ -389,3 +389,35 @@ def test_non_finite_hi_with_scalar_lo(hi):
     with pytest.raises(DomainError, match="finite lo and hi"):
         minimize_batch(lambda x: calls.append(x) or x, 0.0, hi, np.zeros((np.size(hi), 4)))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Searches of one, two and three golden steps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width, steps", [(1.5e-9, 1), (2.5e-9, 2), (4e-9, 3)])
+def test_short_searches_match_scalar_loop(width, steps):
+    """A bracket of `width` takes `steps` golden steps, the first of which
+    evaluates both interior points.  Alone, the search steps on floats;
+    beside a longer row, in the lockstep.  Both match the reference loop bit
+    for bit, evaluations included."""
+    assert math.ceil(math.log(1e-9 / width) / math.log(_INVPHI)) == steps
+    grid = [0.0, 0.4 * width, width]  # the best seed's neighbours: [0, width]
+    want = reference_minimize(lambda x: abs(x - 0.37 * width), 0.0, width, grid)
+    assert want[2] == len(grid) + steps + 1
+    shapes = []
+
+    def f(x, centre):
+        shapes.append(np.shape(x))
+        return abs(x - centre)
+
+    alone = minimize_batch(f, 0.0, width, [grid], 0.37 * width)
+    assert shapes == [(1, 3)] + [()] * (steps + 1)
+    both = minimize_batch(f, 0.0, [width, 1.0], [grid, [0.0, 0.5, 1.0]], [0.37 * width, 0.6])
+    for res in (alone, both):
+        assert (float(res.arg[0]), float(res.value[0]), int(res.evaluations[0]),
+                bool(res.converged[0])) == want
+    longer = reference_minimize(lambda x: abs(x - 0.6), 0.0, 1.0, [0.0, 0.5, 1.0])
+    assert (float(both.arg[1]), float(both.value[1]), int(both.evaluations[1]),
+            bool(both.converged[1])) == longer
+    assert longer[2] > want[2]

@@ -7,7 +7,7 @@ a removed one is listed in CHANGES.md with what replaces it.
 import types
 
 import bosonic_bounds
-from bosonic_bounds import gaussian_core, optimize
+from bosonic_bounds import bounds, gaussian_core, optimize
 
 PUBLIC = {
     # bounds
@@ -32,7 +32,7 @@ PUBLIC = {
 REMOVED = [(optimize, "minimize_scalar"), (optimize, "ScalarOptResult"),
            (optimize, "DEFAULT_GRID_POINTS"),
            (gaussian_core, "SymplecticMatrix"), (gaussian_core, "EntropySpectrum"),
-           (gaussian_core, "interleave_permutation")]
+           (gaussian_core, "interleave_permutation"), (bounds, "coherent_info_thermal")]
 
 
 def test_public_names_are_pinned():

@@ -258,7 +258,7 @@ def ref_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6):
         k = int(rng.integers(1, 5))
         value, _ = bnd._min_penalty(eps, wp, k)
         grid = np.linspace(eps + 1e-12, 1.0, dense)
-        dense_min = float(np.min(bnd._penalty_eval(eps, grid, wp, k)))
+        dense_min = float(np.min(bnd._penalty_eval(grid, eps, wp, k)))
         worst = max(worst, value - dense_min)
     return vfy.CheckResult("optimizer_vs_grid", worst < 1e-6, worst, 1e-6,
                            "golden-section result at or below the dense-grid minimum")
@@ -300,7 +300,7 @@ def test_stacked_check_matches_reference_loop(check, ref, small_args, small):
 
 
 def _full_grid_min(eps, w_prime, k, dense):
-    return float(np.min(bnd._penalty_eval(eps, np.linspace(eps + 1e-12, 1.0, dense), w_prime, k)))
+    return float(np.min(bnd._penalty_eval(np.linspace(eps + 1e-12, 1.0, dense), eps, w_prime, k)))
 
 
 def _log_uniform(rng, low, high):
