@@ -18,6 +18,7 @@ every element of the stack as they check one channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +47,12 @@ class PhaseInsensitiveChannel:
 
     def __init__(self, tau, nu, kind="raw", params=None):
         tau, nu = float(tau), float(nu)
-        _require(nu >= -1e-12 and nu * nu >= (1.0 - tau) * (1.0 - tau) - 1e-9,
-                 "CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, got tau={}, nu={}",
-                 tau, nu, error=InvalidChannelError)
+        cptp = nu >= -1e-12 and nu * nu >= (1.0 - tau) * (1.0 - tau) - 1e-9
+        # _require only raises: NaN fails every comparison, and a finite nu
+        # with cptp bounds (1 - tau)^2, so tau is finite too
+        if not (cptp and nu < math.inf):
+            _require(cptp, "CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, got tau={}, nu={}",
+                     tau, nu, error=InvalidChannelError)
         # one __dict__ write, a third of the cost of object.__setattr__ per field
         self.__dict__.update(tau=tau, nu=max(nu, 0.0), kind=kind,
                              params={} if params is None else dict(params))
@@ -73,7 +77,8 @@ def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     with a thermal environment of mean photon number nb."""
     if not 0.0 < eta <= 1.0:
         raise DomainError("thermal channel requires eta in (0, 1]")
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    if not 0.0 <= nb < math.inf:
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(
         eta, (1.0 - eta) * (2.0 * nb + 1.0), "thermal", {"eta": eta, "nb": nb}
     )
@@ -86,8 +91,10 @@ def pure_loss(eta: float) -> PhaseInsensitiveChannel:
 def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
     """Noisy amplifier channel: two-mode squeezer of gain g with a thermal
     environment of mean photon number nb."""
-    _require(g >= 1.0, "amplifier gain must be >= 1", g)
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    if not 1.0 <= g < math.inf:
+        _require(g >= 1.0, "amplifier gain must be >= 1", g)
+    if not 0.0 <= nb < math.inf:
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(
         g, (g - 1.0) * (2.0 * nb + 1.0), "amplifier", {"g": g, "nb": nb}
     )
@@ -96,7 +103,8 @@ def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
 def additive_noise(nbar: float) -> PhaseInsensitiveChannel:
     """Additive-noise channel: random Gaussian displacements adding nbar
     noise photons (tau = 1, nu = 2 nbar)."""
-    _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
+    if not 0.0 < nbar < math.inf:
+        _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
     return PhaseInsensitiveChannel(1.0, 2.0 * nbar, "additive", {"nbar": nbar})
 
 

@@ -27,6 +27,7 @@ from . import verify as vfy
 from .errors import BosonicBoundsError, DomainError, InfeasibleBoundError
 
 BOUND_KINDS = tuple(bnd.REGISTRY)
+CHANNEL_KINDS = tuple(kind for kind in chn._KINDS if kind != "raw")  # the named families
 SWEEP_VARS = ("ns", "eta", "nb", "g", "nbar")
 FIGURES = ("3a", "3b", "3c", "3d", "4a", "4b", "5a", "5b", "6a", "6b")
 # Not read by the package (sweeps run serially in grid order).  It stays
@@ -85,7 +86,7 @@ class SweepSpec:
     bounds: tuple
 
     def __post_init__(self):
-        if self.channel not in ("thermal", "amplifier", "additive"):
+        if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel {self.channel!r}")
         takes = ("ns", *chn._KINDS[self.channel][1])
         stray = [key for key in (*self.fixed, self.sweep) if key not in takes]
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bound", help="evaluate a single bound, JSON output")
-    pb.add_argument("--channel", required=True, choices=("thermal", "amplifier", "additive"))
+    pb.add_argument("--channel", required=True, choices=CHANNEL_KINDS)
     pb.add_argument("--eta", type=float, help="thermal transmissivity")
     pb.add_argument("--g", type=float, help="amplifier gain")
     pb.add_argument("--nbar", type=float, help="additive noise photons")

@@ -12,7 +12,8 @@ All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.  One-state
 functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
 `_fidelity`, `_photon_number` and `_apply`, the channel action.  Symplectic
-spectra come from a Cholesky factor and a symmetric eigensolve (`_factor_eigs`).
+spectra come from a Cholesky factor (`_factor_eigs`): in closed form for one
+and two modes, by a symmetric eigensolve from three.
 """
 
 from __future__ import annotations
@@ -315,13 +316,27 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 def _factor_eigs(L: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of V = L L^T (each of a stack) from its
     Cholesky factor: V Omega is similar to the antisymmetric M = L^T Omega L =
-    L_q^T L_p - L_p^T L_q, whose singular values are the nu's, each twice: roots of
-    every other eigenvalue of M^T M, M scaled by a power of two to keep it finite."""
+    L_q^T L_p - L_p^T L_q, whose singular values are the nu's, each twice; M is
+    scaled by a power of two to keep it finite.  One mode gives nu = |M_01|.  Two
+    modes split M into commuting self-dual and anti-self-dual parts, of singular
+    values s1/2 and s2/2, so nu_+ = (s1 + s2)/2 and nu_- = |s1 - s2|/2, a form of
+    the two-mode invariants of Serafini, Illuminati and De Siena, J. Phys. B 37,
+    L21 (2004).  From three modes they are roots of every other eigenvalue of M^T M."""
     m = L.shape[-1] // 2
     A = np.swapaxes(L[..., :m, :], -1, -2) @ L[..., m:, :]
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
     M = np.ldexp(A - np.swapaxes(A, -1, -2), -e)
-    return np.ldexp(np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., ::2]), e[..., 0])
+    if m == 1:
+        nus = np.abs(M[..., 0, 1:])
+    elif m == 2:
+        a, b, c, d, f, h = (M[..., i, j] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        # products, not ** 2: a numpy float squares by libm pow, an array may not
+        s1 = np.sqrt((a + h) * (a + h) + (b - f) * (b - f) + (c + d) * (c + d))
+        s2 = np.sqrt((a - h) * (a - h) + (b + f) * (b + f) + (c - d) * (c - d))
+        nus = np.stack([np.abs(s1 - s2), s1 + s2], axis=-1) / 2.0
+    else:
+        nus = np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., ::2])
+    return np.ldexp(nus, e[..., 0])
 
 
 def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:

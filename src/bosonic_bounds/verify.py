@@ -65,9 +65,12 @@ def ud_oracle(ch, input_cov: np.ndarray):
 
 def _raw(cell) -> float:
     """Raw bits of a cell of :func:`bounds.evaluate_column`; raises its error."""
-    if not isinstance(cell, bnd.BoundResult):
-        raise cell
-    return cell.raw
+    try:
+        if not isinstance(cell, bnd.BoundResult):
+            raise cell
+        return cell.raw
+    finally:
+        del cell  # the raised error's traceback holds this frame: no cycle through it
 
 
 def _pair_covs(q, p):
@@ -266,14 +269,14 @@ def check_ud_oracle(seed=41, n=200) -> CheckResult:
 
 def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckResult:
     rng = np.random.default_rng(seed)
-    chans, ns, covs = [], [], []
-    for _ in range(n_points):
-        chans.append(chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2)))
-        ns.append(rng.uniform(0.1, 10))
-        covs.append(random_single_mode_cov(ns[-1], rng, n_inputs))
-    vals = ud_oracle([ch for ch in chans for _ in range(n_inputs)], np.concatenate(covs))
-    best = ud_oracle(chans, (2 * np.array(ns) + 1)[:, None, None] * np.eye(2))
-    worst = float(np.max(np.max(vals.reshape(n_points, n_inputs), axis=1) - best))
+    # a point's eta, nb and ns, then its n_inputs random_single_mode_cov draws
+    draws = _uniform_rows(rng, n_points, (0.5, 1.0), (0.0, 2.0), (0.1, 10.0), *(_COV_DRAWS * n_inputs))
+    eta, nb, ns = draws[:3]
+    chans = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
+    # inputs (n_inputs, n_points, 2, 2) against the column of n_points channels
+    vals = ud_oracle(chans, _single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))))
+    best = ud_oracle(chans, (2 * ns + 1)[:, None, None] * np.eye(2))
+    worst = float(np.max(np.max(vals, axis=0) - best))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,
                        "random equal-energy inputs never beat the thermal input")
 

@@ -440,6 +440,25 @@ class TestDispatchMatrix:
     def test_bound_kinds_cover_the_matrix(self):
         assert set(cli.BOUND_KINDS) == set(SUPPORTED)
 
+    @pytest.mark.parametrize("kind", list(chn._KINDS))
+    def test_channel_lists_are_the_named_kinds(self, kind):
+        """`bound --channel` and a sweep spec take every kind of the channel
+        table but raw, whose (tau, nu) no bound form reads."""
+        def parse():
+            return cli.build_parser().parse_args(["bound", "--channel", kind, "--bound", "QL"])
+
+        def spec():
+            first = chn._KINDS[kind][1][0]
+            return cli.SweepSpec(kind, {first: 0.5}, "ns", 0.1, 1.0, 2, "linear", ("QL",))
+
+        if kind == "raw":
+            with pytest.raises(SystemExit):
+                parse()
+            with pytest.raises(ValueError, match="unknown channel 'raw'"):
+                spec()
+        else:
+            assert parse().channel == spec().channel == kind
+
     def test_forms_are_the_support_table(self):
         assert {k: set(row.forms) for k, row in bnd.REGISTRY.items()} == \
             {k: set(v) for k, v in SUPPORTED.items()}

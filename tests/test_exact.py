@@ -341,9 +341,14 @@ def _mp_nus(cov):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_symplectic_spectrum_seeded(m):
-    """Random covariances I + B B^T of m modes, each nu within 1e-12 relative."""
+    """Random covariances I + B B^T of m modes, each nu within 1e-12 relative.
+    One and two modes, whose spectra have closed forms, also draw B scaled by
+    10^U(-1, 2), where at seed 202 an eigensolve of M^T M misses by 1.5e-12."""
     rng = np.random.default_rng(200 + m)
     B = rng.normal(size=(20, 2 * m, 2 * m)) * rng.uniform(0.1, 3.0, (20, 1, 1))
+    if m <= 2:
+        wide = rng.normal(size=(40, 2 * m, 2 * m)) * 10.0 ** rng.uniform(-1.0, 2.0, (40, 1, 1))
+        B = np.concatenate([B, wide])
     covs = np.eye(2 * m) + B @ np.swapaxes(B, -1, -2)
     for cov, nus in zip(covs, gc._symplectic_eigs(covs)):
         want = _mp_nus(cov)

@@ -8,6 +8,9 @@ the closed form once per sample and evaluates the dense grid in one piece.
 The stacked checks must return an equal CheckResult, with the residual
 equal bit for bit."""
 
+import gc as collector
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
+from bosonic_bounds.errors import BosonicBoundsError
 
 
 def _noisy_tms_state(nb, x):
@@ -383,3 +387,20 @@ def test_stacked_draws_equal_one_sample_calls(draw):
     assert got.shape == (40, 2, 2)
     assert np.array_equal(got, want)
     assert one.bit_generator.state == stacked.bit_generator.state
+
+
+def test_raw_error_leaves_no_reference_cycle():
+    """With the cyclic collector off, the error that _raw raises from an error
+    cell dies with its handler: the frame its traceback holds keeps no
+    reference to the cell."""
+    enabled = collector.isenabled()
+    collector.disable()
+    try:
+        try:  # QU2 fails its eta >= 1/2 check
+            vfy._raw(bnd.evaluate_column("QU2", [chn.thermal(0.3, 0.5)], [1.0])[0])
+        except BosonicBoundsError as exc:
+            ref = weakref.ref(exc)
+        assert ref() is None
+    finally:
+        if enabled:
+            collector.enable()
