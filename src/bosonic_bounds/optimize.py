@@ -9,7 +9,7 @@ problem and many: it reads each problem's interval and arguments as Python
 floats, takes seed rows that are already strictly ascending inside their
 intervals (every caller's are) as they are, so that only other rows are
 clipped, sorted and deduplicated, and after the one seed call reads each
-row's best seed, value and bracket as floats.  `_golden` steps the arrays
+row's best seed, value and bracket as floats.  One loop steps the arrays
 of two or more searching problems together through np.where, each to its
 end; only a call's lone search steps in `_golden_floats`, on Python floats,
 which numpy would run as 1-element arrays at many times the cost.  The
@@ -43,13 +43,9 @@ def _seed_grids(lo, hi, seeds):
     numbers.  A nan seed raises DomainError."""
     if np.isnan(seeds).any():
         raise DomainError("minimization seeds must not be nan")
-    s = np.sort(np.clip(seeds, lo[..., None], hi[..., None]), axis=1)
-    new = np.ones(s.shape, dtype=bool)
-    new[:, 1:] = s[:, 1:] != s[:, :-1]
-    count = new.sum(axis=1)
-    first = np.argsort(~new, axis=1, kind="stable")  # distinct points first, in order
-    pad = np.minimum(np.arange(count.max()), count[:, None] - 1)
-    return np.take_along_axis(s, np.take_along_axis(first, pad, axis=1), axis=1), count.tolist()
+    rows = [np.unique(r) for r in np.clip(seeds, lo[:, None], hi[:, None])]
+    m = max(map(len, rows))
+    return np.array([np.pad(r, (0, m - len(r)), "edge") for r in rows]), [len(r) for r in rows]
 
 
 def _floats(v, n):
@@ -63,33 +59,12 @@ def _floats(v, n):
     return v.tolist() if v.shape == (n,) else [v.item()] * n
 
 
-def _golden(f, n, a, h, c, d, fc, fd, bx, bv):
-    """Take n golden-section steps on arrays of brackets [a, a + h], whose
-    interior points c and d have the values fc and fd; return these eight
-    arrays after them.  (bx, bv) is the best point seen: a lower value wins,
-    on equal values the smaller argument.  On entry the better of c and d is
-    seen: enough on a search's first entry (c <= d), a no-op on a later one."""
-    x, fx = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
-    for i in range(n + 1):
-        better = (fx < bv) | ((fx == bv) & (x < bx))
-        bx, bv = np.where(better, x, bx), np.where(better, fx, bv)
-        if i == n:
-            return a, h, c, d, fc, fd, bx, bv
-        left = fc <= fd  # ties keep the left interval -> smaller arguments
-        h = h * _INVPHI
-        a = np.where(left, a, c)
-        x = a + np.where(left, _INVPHI2, _INVPHI) * h
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-
-
 def _golden_floats(objective, args, n, a, h, bx, bv):
-    """:func:`_golden` on one problem's Python floats, with its arithmetic and
-    tie rules and so its bits: n steps from the bracket [a, a + h] and the
-    best seed (bx, bv), the first evaluating both interior points; calls
-    `objective(x, *args)` (nan taken as +inf) and returns the best point and
-    value."""
+    """The lockstep of :func:`minimize_batch` on one problem's Python floats,
+    with its arithmetic and tie rules and so its bits: n steps from the
+    bracket [a, a + h] and the best seed (bx, bv), the first evaluating both
+    interior points; calls `objective(x, *args)` (nan taken as +inf) and
+    returns the best point and value."""
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     fc, fd = (v if v == v else math.inf for v in (objective(c, *args), objective(d, *args)))
     x, fx = (c, fc) if fc <= fd else (d, fd)
@@ -131,11 +106,11 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     shape (k, j), each arg is the gather's first k rows, sliced once each time
     a problem stops, and the objective returns values of `x`'s shape.  Only a
     call's lone search steps on floats: `x`, its args `row_arg[r]` and the
-    value.  +inf (or nan, taken as +inf) is allowed anywhere.  `_golden` and
-    `_golden_floats` take the same steps, so a problem gets the bits it would
-    get alone.  Each problem reports its best evaluated point (the smallest
-    argument on a plateau) and its evaluations; one whose seeds are all +inf
-    is non-converged at its first seed.
+    value.  +inf (or nan, taken as +inf) is allowed anywhere.  The lockstep
+    and `_golden_floats` take the same steps, so a problem gets the bits it
+    would get alone.  Each problem reports its best evaluated point (the
+    smallest argument on a plateau) and its evaluations; one whose seeds are
+    all +inf is non-converged at its first seed.
     """
     seeds = np.asarray(seed_grids, dtype=float)
     if seeds.ndim != 2 or not seeds.shape[1]:
@@ -176,23 +151,32 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     res = BatchOptResult(*map(np.array, (arg, value, evaluations, converged)))
     # the searching rows, longest first, so that the active ones are a prefix
     g = sorted((r for r in range(n) if steps[r]), key=steps.__getitem__, reverse=True)
-    if len(g) == 1:  # one problem searching: on floats
-        r = g[0]
-        res.arg[r], res.value[r] = _golden_floats(objective, tuple(p[r] for p in row_args),
-                                                  steps[r], a[r], b[r] - a[r], arg[r], value[r])
+    if len(g) < 2:  # a lone search steps on floats
+        for r in g:
+            res.arg[r], res.value[r] = _golden_floats(objective, tuple(p[r] for p in row_args),
+                                                      steps[r], a[r], b[r] - a[r], arg[r], value[r])
         return res
     steps = [steps[r] for r in g]
-    t, k = 1, len(g)  # t golden steps taken, k rows still stepping
-    if k:
-        a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
-        g_args = [np.array(p)[g, None] for p in row_args]  # gathered once; a segment takes [:k]
-        state = (a, h, a + _INVPHI2 * h, a + _INVPHI * h)  # step 1 evaluates both c and d
-        state += (*f(np.stack(state[2:], axis=1), g_args).T, res.arg[g], res.value[g])
-    while k:  # rows [:k] step together until row k - 1 stops
-        args = [p[:k] for p in g_args]
-        state = _golden(lambda x: f(x[:, None], args)[:, 0], steps[k - 1] - t,
-                        *(v[:k] for v in state))
-        res.arg[g[:k]], res.value[g[:k]] = state[6:]
-        t = steps[k - 1]
-        k = sum(s > t for s in steps)
-    return res
+    t, k = 1, len(g)  # t golden steps taken, rows [:k] still stepping
+    a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
+    args = [np.array(p)[g, None] for p in row_args]  # gathered once, sliced as rows stop
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h  # step 1 evaluates both in one (k, 2) call
+    fc, fd = f(np.stack((c, d), axis=1), args).T
+    x, fx = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    bx, bv = res.arg[g], res.value[g]
+    while True:
+        better = (fx < bv) | ((fx == bv) & (x < bx))  # on ties the smaller argument
+        bx, bv = np.where(better, x, bx), np.where(better, fx, bv)
+        if steps[k - 1] == t:  # the last rows stop: write the prefix back, slice once
+            res.arg[g[:k]], res.value[g[:k]] = bx, bv
+            k = sum(s > t for s in steps)
+            if not k:
+                return res
+            a, h, c, d, fc, fd, bx, bv, *args = (v[:k] for v in (a, h, c, d, fc, fd, bx, bv, *args))
+        left = fc <= fd  # ties keep the left interval -> smaller arguments
+        h, t = h * _INVPHI, t + 1
+        a = np.where(left, a, c)
+        x = a + np.where(left, _INVPHI2, _INVPHI) * h
+        fx = f(x[:, None], args)[:, 0]
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)

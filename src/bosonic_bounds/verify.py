@@ -124,15 +124,15 @@ def random_valid_qblock(rng, scale: float = 5.0, n=None) -> np.ndarray:
 # Core suite
 # ---------------------------------------------------------------------------
 
-def check_tms_purity(seed=1234, n=50) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_tms_purity(n=50) -> CheckResult:
+    rng = np.random.default_rng(1234)
     tms = _pair_covs(*gc.tms_qblocks(rng.uniform(0.0, 100.0, n)))
     worst = max(0.0, float(np.max(np.abs(gc._entropy_from_cov(tms)))))
     return CheckResult("tms_purity", worst < 1e-9, worst, 1e-9)
 
 
-def check_state_invariants(seed=7, n=200) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_state_invariants(n=200) -> CheckResult:
+    rng = np.random.default_rng(7)
     # each sample's ns, then its random_single_mode_cov draws
     covs = _single_mode_cov(*_uniform_rows(rng, n, (0.0, 20.0), *_COV_DRAWS))
     nus = gc._symplectic_eigs(gc._checked_cov(covs))
@@ -153,8 +153,8 @@ def _xy(column):
     return tuple(map(np.stack, zip(*((ch.X, ch.Y) for ch in column))))
 
 
-def check_channel_composition(seed=11, n=100) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_channel_composition(n=100) -> CheckResult:
+    rng = np.random.default_rng(11)
     means, rows = [], []
     for _ in range(n):  # a sample's normal draws, then its ns, cov and channel draws
         means.append(rng.normal(size=2))
@@ -169,8 +169,8 @@ def check_channel_composition(seed=11, n=100) -> CheckResult:
     return CheckResult("channel_composition", worst < 1e-10, worst, 1e-10)
 
 
-def check_fidelity_basics(seed=13, n=50) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_fidelity_basics(n=50) -> CheckResult:
+    rng = np.random.default_rng(13)
     nph, eta, nb = _uniform_rows(rng, n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
     A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channels on mode 1
     B = gc._apply(*_xy(map(chn.thermal, eta, nb)), A, np.zeros(4), modes=(1,))[0]
@@ -188,8 +188,8 @@ def check_symplectic_constructors() -> CheckResult:
     return CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
 
 
-def check_photon_bookkeeping(seed=17, n=50) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_photon_bookkeeping(n=50) -> CheckResult:
+    rng = np.random.default_rng(17)
     eta, nb, ns = _uniform_rows(rng, n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
     V, mean = gc._apply(*_xy(map(chn.thermal, eta, nb)), _pair_covs(*gc.tms_qblocks(ns)),
                         np.zeros(4), modes=(1,))
@@ -203,8 +203,8 @@ def check_photon_bookkeeping(seed=17, n=50) -> CheckResult:
 # Bounds suite
 # ---------------------------------------------------------------------------
 
-def check_deg_vs_sim_cov(seed=23, n=1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_deg_vs_sim_cov(n=1000) -> CheckResult:
+    rng = np.random.default_rng(23)
     # random_valid_qblock's draws, then the channels'
     th, a, b, eta, nb, g = _uniform_rows(rng, n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
                                          (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
@@ -225,8 +225,8 @@ def check_fidelity_identity(n_eta=20, n_nb=20) -> CheckResult:
                        "F(psi_TMS, omega) = eta^2/kappa")
 
 
-def check_eps_consistency(seed=29, n=200) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_eps_consistency(n=200) -> CheckResult:
+    rng = np.random.default_rng(29)
     eta, nb = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 3.0))
     fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
     gap = chn._eps_degradable(eta, nb) - np.sqrt(np.maximum(1.0 - fid, 0.0))
@@ -240,24 +240,24 @@ def _residual(raw, column, ns, oracle) -> float:
     return float(np.max(np.abs(raw(x, nb, ns) - oracle)))
 
 
-def check_ql_oracle_thermal(seed=31, n=1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_ql_oracle_thermal(n=1000) -> CheckResult:
+    rng = np.random.default_rng(31)
     eta, nb, ns = _uniform_rows(rng, n, (0.02, 1.0), (0.0, 3.0), (0.0, 50.0))
     column = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
     worst = _residual(bnd._ql_thermal_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_thermal", worst < 1e-9, worst, 1e-9)
 
 
-def check_ql_oracle_amp(seed=37, n=1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_ql_oracle_amp(n=1000) -> CheckResult:
+    rng = np.random.default_rng(37)
     g, nb, ns = _uniform_rows(rng, n, (1.001, 4.0), (0.0, 3.0), (0.0, 50.0))
     column = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
     worst = _residual(bnd._ql_amp_raw, column, ns, coherent_info_oracle(column, ns))
     return CheckResult("ql_oracle_amp", worst < 1e-9, worst, 1e-9)
 
 
-def check_ud_oracle(seed=41, n=200) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_ud_oracle(n=200) -> CheckResult:
+    rng = np.random.default_rng(41)
     eta, nb, ns, g = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 2.0), (0.0, 20.0), (1.001, 3.0))
     thermals = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
     amps = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
@@ -267,8 +267,8 @@ def check_ud_oracle(seed=41, n=200) -> CheckResult:
                        "closed form vs H(G|E'1E'2) through the dilation")
 
 
-def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_thermal_input_optimality(n_points=50, n_inputs=100) -> CheckResult:
+    rng = np.random.default_rng(43)
     # a point's eta, nb and ns, then its n_inputs random_single_mode_cov draws
     draws = _uniform_rows(rng, n_points, (0.5, 1.0), (0.0, 2.0), (0.1, 10.0), *(_COV_DRAWS * n_inputs))
     eta, nb, ns = draws[:3]
@@ -281,8 +281,8 @@ def check_thermal_input_optimality(seed=43, n_points=50, n_inputs=100) -> CheckR
                        "random equal-energy inputs never beat the thermal input")
 
 
-def check_gap_law(seed=47, n=10000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_gap_law(n=10000) -> CheckResult:
+    rng = np.random.default_rng(47)
     eta = rng.uniform(0.5, 1.0, n)
     nb = rng.uniform(0.0, 5.0, n)
     ns = rng.uniform(0.0, 100.0, n)
@@ -292,8 +292,8 @@ def check_gap_law(seed=47, n=10000) -> CheckResult:
                        "0 <= QU1 - QL <= 1/ln 2")
 
 
-def check_bound_ordering(seed=53, n_fast=10000, n_opt=400) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_bound_ordering(n_fast=10000, n_opt=400) -> CheckResult:
+    rng = np.random.default_rng(53)
     eta = rng.uniform(0.5, 1.0, n_fast)
     nb = rng.uniform(0.0, 5.0, n_fast)
     ns = rng.uniform(0.0, 100.0, n_fast)
@@ -318,8 +318,8 @@ def _form(kind, channel_kind):
     return bnd.REGISTRY[kind].forms[channel_kind]
 
 
-def check_unconstrained_limit(seed=59) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_unconstrained_limit() -> CheckResult:
+    rng = np.random.default_rng(59)
     eta, nb = _uniform_rows(rng, 20, (0.5, 0.999), (0.0, 3.0))
     # the published bound is max{0, raw}; raw itself decreases once the
     # decomposed pure-loss transmissivity eta' falls below 1/2
@@ -395,12 +395,12 @@ def _dense_min(eps, w_prime, k, dense):
     return float(np.min(bnd._penalty_eval(grid(idx[idx <= last]), eps, w_prime, k)))
 
 
-def check_optimizer_vs_grid(seed=67, n_obj=10, dense=10 ** 6) -> CheckResult:
+def check_optimizer_vs_grid(n_obj=10, dense=10 ** 6) -> CheckResult:
     """The golden-section minimum of each of n_obj seeded penalties is at or
     below (within 1e-6) the minimum over a dense eps' grid, which
     :func:`_dense_min` computes exactly from the blocks that its certified
     lower bound, with the E guard on large W'/d, cannot rule out."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(67)
     worst = -np.inf
     for _ in range(n_obj):
         eps, wp, k = rng.uniform(0.0001, 0.9), rng.uniform(0.0, 50.0), int(rng.integers(1, 5))

@@ -68,6 +68,25 @@ class TestConstructors:
         out = ch.apply(gc.thermal_state(2.0))
         assert np.allclose(out.cov, (ch.tau * 5.0 + ch.nu) * np.eye(2))
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0)), DomainError,
+         "specify `modes` when acting on a multimode state"),
+        (lambda: chn.EpsilonReport(1.5, None, "m"), DomainError, r"epsilon must lie in \[0, 1\]"),
+        (lambda: chn.EpsilonReport(0.2, 0.5, "m"), DomainError, "lower bound exceeds upper bound"),
+        (lambda: chn.epsilon_degradable(chn.amplifier(1.0, 0.3)), DomainError,
+         "requires amplifier gain > 1"),
+        (lambda: chn.epsilon_degradable(chn.additive_noise(0.5)), ChannelKindError,
+         "applies to thermal or amplifier channels"),
+        (lambda: chn.noisy_tms_qblocks(0.1, 0.3), DomainError, "noisy TMS needs x >= 1/2"),
+        (lambda: chn.degrading_simulation_check(chn.thermal(0.8, 0.5),
+                                                np.array([[1.0, np.nan], [np.nan, 1.0]])),
+         InvalidStateError, "input q-block must be a finite 2x2 matrix"),
+    ], ids=["apply_multimode", "eps_range", "eps_lower", "eps_unit_gain", "eps_additive",
+            "tms_x", "qblock_nan"])
+    def test_error_names_its_cause(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     @pytest.mark.parametrize("modes", [(2,), (-1,)], ids=["range", "negative"])
     def test_channel_action_rejects_bad_mode_indices(self, modes):
         with pytest.raises(DomainError, match="mode indices"):
@@ -124,6 +143,16 @@ class TestDecompositions:
         d = chn.decompose_amp_then_loss(chn.additive_noise(0.5))
         assert d.second.params["eta"] == pytest.approx(0.5)
         assert d.first.params["g"] == pytest.approx(2.0)
+
+    def test_amp_then_loss_clamps_eta_at_one(self):
+        # nu lies 1e-13 below |1 - tau|, inside the CPTP tolerance, so
+        # eta = (tau + 1 - nu)/2 is 1 + 5e-14: the loss stage is pure_loss(1)
+        ch = chn.raw_channel(1.5, 0.5 - 1e-13)
+        d = chn.decompose_amp_then_loss(ch)
+        assert d.second == chn.pure_loss(1.0)
+        re = d.recompose()
+        assert abs(re.tau - ch.tau) < 1e-12 * ch.tau
+        assert abs(re.nu - ch.nu) < 1e-12
 
     def test_amp_then_loss_entanglement_breaking(self):
         with pytest.raises(InfeasibleBoundError):

@@ -166,6 +166,19 @@ class TestSweepCommand:
             spec = cli.load_figure_spec(fig)
             assert spec.points >= 2
 
+    def test_unknown_figure_id_is_named(self):
+        with pytest.raises(ValueError, match="unknown figure id '9z'"):
+            cli.load_figure_spec("9z")
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(SPEC_TWO_POINT)
+        out = tmp_path / "missing" / "o.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and "missing" in err
+
     def test_figure_sweep_runs(self, tmp_path, capsys):
         out = tmp_path / "fig5a.csv"
         code, _, _ = run_cli(capsys, "sweep", "--fig", "5a", "--out", str(out))
@@ -340,6 +353,8 @@ class TestSpecParsing:
         ("channel = thermal\neta = 0.9\nnb = 0.2", "channel = additive\nnbar = 0.5\nnb = 0.2",
          "additive sweeps take ns, nbar, not nb"),
         ("eta = 0.9", "eta = 0.9\neta = 0.5", "repeated spec key 'eta'"),
+        ("scale = linear", "scale = cubic", "scale must be linear or log"),
+        ("channel = thermal", "channel thermal", "bad config line: 'channel thermal'"),
     ])
     def test_spec_error_names_its_key(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "s.cfg"

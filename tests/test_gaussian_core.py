@@ -205,6 +205,14 @@ class TestStates:
         with pytest.raises(InvalidStateError, match="mode count must be a positive integer"):
             make()
 
+    @pytest.mark.parametrize("mean,cov,message", [
+        (np.zeros(3), np.eye(2), r"mean must have shape \(2,\), got \(3,\)"),
+        (np.zeros(2), np.eye(3), r"cov must have shape \(2,2\), got \(3, 3\)"),
+    ], ids=["mean", "cov"])
+    def test_wrong_shape_rejected(self, mean, cov, message):
+        with pytest.raises(InvalidStateError, match=message):
+            gc.GaussianState(1, mean, cov)
+
     def test_immutable(self):
         st_ = gc.vacuum_state(1)
         with pytest.raises(ValueError):
@@ -444,6 +452,22 @@ class TestChannelAction:
                                       modes=modes)
         with pytest.raises(DomainError, match="mode indices"):
             gc._apply(np.eye(k), np.zeros((k, k)), gc.tms_state(1.0).cov, np.zeros(4), modes)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: gc.embed_matrix(np.eye(4), (0,), 2), r"matrix shape \(4, 4\) does not match 1 modes"),
+        (lambda: gc.apply_gaussian_channel(np.eye(3), np.eye(3), None, gc.vacuum_state(1)),
+         "X must have even dimensions"),
+        (lambda: gc.apply_gaussian_channel(np.eye(2), np.eye(4), None, gc.vacuum_state(1)),
+         "Y shape does not match X output dimension"),
+        (lambda: gc.apply_gaussian_channel(np.zeros((2, 4)), np.eye(2), None, gc.tms_state(1.0),
+                                           modes=(0,)),
+         "subset application requires square X on the given modes"),
+        (lambda: gc.apply_gaussian_channel(np.eye(4), np.zeros((4, 4)), None, gc.vacuum_state(1)),
+         "X input dimension does not match the state"),
+    ], ids=["embed", "odd_X", "Y_shape", "subset_not_square", "X_input"])
+    def test_shape_mismatch_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     def test_reduce_state_rejects_bad_mode_indices(self):
         for modes in [(2,), (-1,), (0, 0)]:

@@ -128,6 +128,19 @@ OVERFLOWING = [
 ]
 
 
+# Finite inputs at which a public call returns NaN today (ROADMAP Q): the g
+# kernel's (x+1) ln(x+1) - x ln x evaluates inf - inf, or warns on the way
+# under the suite's warning filter.  E2's kernel returns a finite value.
+@pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning),
+                   reason="ROADMAP E2: the g kernel overflows at x = 1e307")
+@pytest.mark.parametrize("call", [
+    lambda: bnd.penalty(bnd.PenaltyParams(0.0, 0.5, 1e307, 1)),
+    lambda: gc.g_entropy(1e307),
+], ids=["penalty", "g_entropy"])
+def test_finite_input_gives_a_finite_value(call):
+    assert math.isfinite(call())
+
+
 # kappa at an nb whose nb(nb+1) overflows: nan at x = 1 (inf * 0), inf in
 # the bracket's positive range and -inf where it rounds below 0
 @pytest.mark.parametrize("x", [1.0, 0.5, 1.0 - 2.0 ** -53])
