@@ -400,11 +400,22 @@ def _result(kind, row, ch, ns, raw, argopt, extra):
     return BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
 
 
+_REAL = (float, int, np.floating, np.integer)
+
+
+def _check_real(ns_values):
+    """DomainError unless each ns is an int, a float or a numpy real scalar."""
+    for ns in ns_values:
+        if not isinstance(ns, _REAL):
+            raise DomainError(f"input mean photon number ns must be a real number, got {ns!r}")
+
+
 def _columns(kinds, channels, ns_values, eps_prime):
     """evaluate_columns, with a fixed eps' for the penalized kinds if given."""
     if len(channels) != len(ns_values):
         raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
                           f"channels and {len(ns_values)} ns values")
+    _check_real(ns_values)
     groups, cols, todo, columns = {}, {}, [], []
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
@@ -473,13 +484,14 @@ def _columns(kinds, channels, ns_values, eps_prime):
 def evaluate_columns(kinds, channels, ns_values) -> list:
     """Each bound kind of `kinds` (one may repeat) at each (channel, ns) cell:
     one column per kind, each cell's BoundResult or the BosonicBoundsError
-    that rules it out.  `channels` and `ns_values` have one length
-    (DomainError otherwise).  Per group of cells of one channel kind, a kind
-    runs its checks as masks and its form once; a cell reports its first
-    failing check, in the order ns, channel kind, regime (QL and PL: channel
-    kind first).  The penalized kinds add k times the continuity penalty
-    minimized over eps' in (eps, 1], all in one :func:`minimize_batch` call;
-    PL maximizes over the energy split, one batch per PL column."""
+    that rules it out.  `channels` and `ns_values` have one length, and each
+    ns is an int, a float or a numpy real scalar (DomainError otherwise).
+    Per group of cells of one channel kind, a kind runs its checks as masks
+    and its form once; a cell reports its first failing check, in the order
+    ns, channel kind, regime (QL and PL: channel kind first).  The penalized
+    kinds add k times the continuity penalty minimized over eps' in (eps, 1],
+    all in one :func:`minimize_batch` call; PL maximizes over the energy
+    split, one batch per PL column."""
     return _columns(kinds, channels, ns_values, None)
 
 
@@ -645,6 +657,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     Both channels must share tau (the same X matrix), the hypothesis under
     which the TMS input is optimal among Gaussian states.
     """
+    _check_real((ns,))
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
     _raise_first_failure(_NS_CHECKS, {}, ns)

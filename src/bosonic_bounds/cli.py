@@ -169,33 +169,37 @@ def load_figure_spec(fig: str) -> SweepSpec:
 
 
 def _sweep_channel(spec: SweepSpec, value: float):
-    """(channel, ns) at a grid point, or None where the channel does not build."""
+    """The channel at a grid point, or None where it does not build."""
     params = {**spec.fixed, spec.sweep: value}
-    ns = params.pop("ns", 0.0)
+    params.pop("ns", None)
     try:
-        return chn.make_channel(spec.channel, **params), ns
+        return chn.make_channel(spec.channel, **params)
     except BosonicBoundsError:
         return None
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Rows of the sweep as (value, [cells]) in grid order.  All bound kinds
-    are one :func:`bounds.evaluate_columns` call over the rows whose channel
-    builds, so their penalized kinds share one eps' minimization batch; a
-    row without a channel and an infeasible cell stay None."""
+    """Rows of the sweep as (value, [cells]) in grid order.  An ns sweep
+    builds its channel once, any other sweep one per grid point.  All bound
+    kinds are one :func:`bounds.evaluate_columns` call over the rows whose
+    channel builds, so their penalized kinds share one eps' minimization
+    batch; a row without a channel and an infeasible cell stay None."""
     values = [float(v) for v in spec.grid()]
-    points = [_sweep_channel(spec, v) for v in values]
-    built = [i for i, p in enumerate(points) if p is not None]
+    if spec.sweep == "ns":  # not a channel parameter: one channel serves every row
+        channels, ns = [_sweep_channel(spec, values[0])] * len(values), values
+    else:
+        channels = [_sweep_channel(spec, v) for v in values]
+        ns = [spec.fixed.get("ns", 0.0)] * len(values)
+    built = [i for i, ch in enumerate(channels) if ch is not None]
     rows = [[None] * len(spec.bounds) for _ in values]
-    channels, ns = zip(*(points[i] for i in built)) if built else ((), ())
-    columns = bnd.evaluate_columns(spec.bounds, channels, ns)
+    columns = bnd.evaluate_columns(spec.bounds, [channels[i] for i in built], [ns[i] for i in built])
     for j, column in enumerate(columns):
         for i, cell in zip(built, column):
             if isinstance(cell, bnd.BoundResult):
                 rows[i][j] = cell.value
     for value, cells in zip(values, rows):
         for kind, cell in zip(spec.bounds, cells):
-            if cell is not None and not np.isfinite(cell):
+            if cell is not None and not math.isfinite(cell):
                 raise DomainError(f"{kind} is not finite at {spec.sweep} = {value:.12g} "
                                   f"(value_bits {cell})")
     return list(zip(values, rows))

@@ -124,7 +124,7 @@ def _g_nats(x):
         return x - x * float(np.log(x)) + 0.5 * x * x if x > 0.0 else 0.0
     x = np.asarray(x, dtype=float)
     big = x >= _G_SERIES_CUTOFF
-    whole = big.all()
+    whole = np.count_nonzero(big) == big.size
     xb = x if whole else x[big]
     gb = (xb + 1.0) * np.log1p(xb) - xb * np.log(xb)
     if whole:

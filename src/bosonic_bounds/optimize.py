@@ -11,12 +11,12 @@ intervals (every caller's are) as they are, so that only other rows are
 clipped, sorted and deduplicated, and after the one seed call reads each
 row's best seed, value and bracket as floats.  One loop steps the arrays
 of two or more searching problems together through np.where, each to its
-end; only a call's lone search steps in `_golden_floats`, on Python floats,
-which numpy would run as 1-element arrays at many times the cost.  The
-arithmetic is the same on both, so the bits are.  The objective is
-elementwise: it gets the points and each problem's own arguments.
-Identical inputs give bit-identical results, and on a plateau the smallest
-argument wins.
+end, and picks each one's best point once after; only a call's lone
+search steps in `_golden_floats`, on Python floats, which numpy would run
+as 1-element arrays at many times the cost.  The arithmetic is the same on
+both, so the bits are.  The objective is elementwise: it gets the points
+and each problem's own arguments.  Identical inputs give bit-identical
+results, and on a plateau the smallest argument wins.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     Two or more searching problems are gathered once, longest search first,
     and step together to the end of the longest: while k of them step, `x` has
     shape (k, j), each arg is the gather's first k rows, sliced once each time
-    a problem stops, and the objective returns values of `x`'s shape.  Only a
+    a problem stops, and the objective returns values of `x`'s shape; their
+    steps are recorded and each one's best is picked after the loop.  Only a
     call's lone search steps on floats: `x`, its args `row_arg[r]` and the
     value.  +inf (or nan, taken as +inf) is allowed anywhere.  The lockstep
     and `_golden_floats` take the same steps, so a problem gets the bits it
@@ -158,25 +159,30 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
         return res
     steps = [steps[r] for r in g]
     t, k = 1, len(g)  # t golden steps taken, rows [:k] still stepping
-    a, h = np.array([a[r] for r in g]), np.array([b[r] - a[r] for r in g])
+    # each row's best seed, then its steps; +inf (never its best) after it stops
+    xs, vs = np.full((2, k, steps[0] + 1), np.inf)
+    xs[:, 0], vs[:, 0] = res.arg[g], res.value[g]
+    a, h = np.array([a[r] for r in g])[:, None], np.array([b[r] - a[r] for r in g])[:, None]
     args = [np.array(p)[g, None] for p in row_args]  # gathered once, sliced as rows stop
     c, d = a + _INVPHI2 * h, a + _INVPHI * h  # step 1 evaluates both in one (k, 2) call
-    fc, fd = f(np.stack((c, d), axis=1), args).T
+    fc, fd = f(np.hstack((c, d)), args).T[..., None]
     x, fx = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
-    bx, bv = res.arg[g], res.value[g]
     while True:
-        better = (fx < bv) | ((fx == bv) & (x < bx))  # on ties the smaller argument
-        bx, bv = np.where(better, x, bx), np.where(better, fx, bv)
-        if steps[k - 1] == t:  # the last rows stop: write the prefix back, slice once
-            res.arg[g[:k]], res.value[g[:k]] = bx, bv
+        xs[:k, t:t + 1], vs[:k, t:t + 1] = x, fx
+        if steps[k - 1] == t:  # the last rows stop: slice once
             k = sum(s > t for s in steps)
             if not k:
-                return res
-            a, h, c, d, fc, fd, bx, bv, *args = (v[:k] for v in (a, h, c, d, fc, fd, bx, bv, *args))
+                break
+            a, h, c, d, fc, fd, *args = (v[:k] for v in (a, h, c, d, fc, fd, *args))
         left = fc <= fd  # ties keep the left interval -> smaller arguments
         h, t = h * _INVPHI, t + 1
         a = np.where(left, a, c)
         x = a + np.where(left, _INVPHI2, _INVPHI) * h
-        fx = f(x[:, None], args)[:, 0]
+        fx = f(x, args)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    # each row's first least (value, argument): the pair a running update keeps
+    j = np.where(vs == vs.min(axis=1, keepdims=True), xs, np.inf).argmin(axis=1)
+    rows = np.arange(len(g))
+    res.arg[g], res.value[g] = xs[rows, j], vs[rows, j]
+    return res

@@ -530,6 +530,28 @@ class TestBoundArguments:
         assert all(c != "" for c in rows[1][1:])
 
 
+class TestSweepChannels:
+    @pytest.mark.parametrize("fig", cli.FIGURES)
+    def test_one_channel_per_ns_sweep(self, fig, monkeypatch):
+        # ns is not a channel parameter: an ns sweep builds one channel, an
+        # eta sweep one per grid point
+        built = []
+        make = chn.make_channel
+        monkeypatch.setattr(chn, "make_channel", lambda *a, **kw: built.append(a) or make(*a, **kw))
+        spec = cli.load_figure_spec(fig)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.run_sweep(spec)
+        assert len(built) == (1 if spec.sweep == "ns" else spec.points)
+        assert len(built) == {"5a": 37, "5b": 37}.get(fig, 1)
+
+    def test_unbuildable_ns_sweep_is_empty(self):
+        # eta = 0 builds no thermal channel, so no row of the ns sweep has a cell
+        spec = cli.parse_spec("channel = thermal\neta = 0\nnb = 0.1\nsweep = ns\nstart = 0.1\n"
+                              "stop = 2\npoints = 4\nbounds = QL,QU2\n")
+        rows = cli.run_sweep(spec)
+        assert [v for v, _ in rows] == [float(v) for v in spec.grid()]
+        assert all(cells == [None, None] for _, cells in rows)
+
 class TestSweepColumns:
     SPEC = ("channel = thermal\nnb = 1\nns = 2\nsweep = eta\nstart = 0.3\nstop = 0.95\n"
             "points = 14\nbounds = QL,QU1,QU2,QU3,QU4,RMG,PL\n")

@@ -116,6 +116,35 @@ def test_length_mismatch():
         bnd.evaluate_column("QU1", chans[:1], [1.0, 2.0])
 
 
+# ns as the one-cell entry points and the column paths take it
+NS_PATHS = {
+    "evaluate": lambda ns: bnd.evaluate("QU1", chn.thermal(0.8, 0.5), ns),
+    "q_u1": lambda ns: bnd.q_u1(chn.thermal(0.8, 0.5), ns),
+    "q_lower_thermal": lambda ns: bnd.q_lower_thermal(0.8, 0.5, ns),
+    "p_lower_displaced": lambda ns: bnd.p_lower_displaced(0.8, 0.5, ns),
+    "gap_qu1_ql": lambda ns: bnd.gap_qu1_ql(0.8, 0.5, ns),
+    "evaluate_column": lambda ns: bnd.evaluate_column("QU1", [chn.thermal(0.8, 0.5)] * 2, [ns, 4.0]),
+    "evaluate_columns": lambda ns: bnd.evaluate_columns(("QL", "QU2"), [chn.thermal(0.8, 0.5)] * 2,
+                                                        [4.0, ns]),
+    "gaussian_c_distance": lambda ns: bnd.gaussian_c_distance(chn.thermal(0.8, 0.5),
+                                                              chn.thermal(0.8, 1.0), ns),
+}
+
+
+@pytest.mark.parametrize("path", NS_PATHS)
+@pytest.mark.parametrize("ns", ["3", None, 3 + 0j, np.asarray(3.0)], ids=repr)
+def test_non_real_ns_is_a_domain_error(path, ns):
+    # named up front, as a length mismatch is, not a cell's error or a TypeError
+    with pytest.raises(DomainError, match="ns must be a real number"):
+        NS_PATHS[path](ns)
+
+
+@pytest.mark.parametrize("path", NS_PATHS)
+@pytest.mark.parametrize("ns", [3, np.float64(3.0), np.int64(3)], ids=repr)
+def test_real_ns_types_are_kept(path, ns):
+    got, want = NS_PATHS[path](ns), NS_PATHS[path](3.0)
+    assert got == want
+
 def seeded_column(seed, n=60):
     """The edge cells and n seeded cells of all three channel kinds: nb = 0
     (eps = 0) on a fifth, ns = 0 and negative ns on a tenth each."""

@@ -421,3 +421,40 @@ def test_short_searches_match_scalar_loop(width, steps):
     assert (float(both.arg[1]), float(both.value[1]), int(both.evaluations[1]),
             bool(both.converged[1])) == longer
     assert longer[2] > want[2]
+
+
+# ---------------------------------------------------------------------------
+# The lockstep's one-time pick of each row's best point
+# ---------------------------------------------------------------------------
+
+def _hexed(res, i):
+    return (float(res.arg[i]).hex(), float(res.value[i]).hex(), int(res.evaluations[i]),
+            bool(res.converged[i]))
+
+
+def test_one_time_pick_keeps_the_running_best():
+    """The lockstep picks each row's best once, after its steps, as the first
+    least (value, argument) pair over its best seed and its steps: the pair
+    that a running update on each step keeps.  Rows of different step
+    counts, a plateau of tying steps, a best seed tying later steps and nan
+    values give each row the reference loop's bits and its lone search's,
+    evaluations included."""
+    fs = [lambda x: max(abs(x - 0.35) - 0.02, 0.0),           # a plateau that only steps reach
+          lambda x: max(0.5 - x, 0.0) + max(x - 0.6, 0.0),    # best seed 0.5 ties steps right of it
+          lambda x: math.nan if x > 0.41 else (x - 0.4) ** 2,  # nan beside the minimum
+          lambda x: (x - 3.3) ** 2,                            # the widest bracket: most steps
+          lambda x: abs(x - 0.00037)]                          # a narrow bracket: fewest steps
+    lo, hi = np.zeros(5), np.array([1.0, 2.0, 0.5, 10.0, 1e-3])
+    grids = np.linspace(lo, hi, 9, axis=1)  # spacings hi / 8, exact for the first four rows
+    seen = [[] for _ in fs]  # each row's evaluated (x, value), seeds first
+    logged = [lambda x, f=f, s=s: s.append((x, f(x))) or s[-1][1] for f, s in zip(fs, seen)]
+    res = _batch(logged, lo, hi, grids)
+    _assert_rows_match(res, fs, lo, hi, grids)
+    for i in range(len(fs)):
+        one = slice(i, i + 1)
+        assert _hexed(_batch(fs[one], lo[one], hi[one], grids[one]), 0) == _hexed(res, i)
+    assert len(set(res.evaluations.tolist())) == len(fs)  # five step counts
+    plateau = sorted(x for x, v in seen[0][9:] if v == 0.0)
+    assert len(plateau) > 1 and (res.arg[0], res.value[0]) == (plateau[0], 0.0)
+    assert any(v == 0.0 for _, v in seen[1][9:]) and (res.arg[1], res.value[1]) == (0.5, 0.0)
+    assert any(math.isnan(v) for _, v in seen[2][9:]) and res.value[2] < 1e-15
