@@ -293,33 +293,36 @@ def _column_params(channels):
     return (kinds.pop(), x[0], nb[0]) if one else (kinds.pop(), x, nb)
 
 
-def _dilation(input_cov, pairs, steps) -> np.ndarray:
-    """Block-ordered covariance of a Gaussian dilation.
+def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
+    """Block-ordered covariance of a Gaussian dilation on `modes` (all for None).
 
     `input_cov` has shape (..., 2n, 2n): r = n - 1 reference modes, then the
     channel input mode A.  The two-mode environment states `pairs`, each a
     (q, p) block pair, take the modes after A, and the symplectic `steps`,
-    each (S, (i, j)) with i, j counted from A, then act in order on the rows
-    and then the columns of their two modes' quadratures alone.  Stacked
-    inputs, blocks and symplectics broadcast against each other.
+    each (S, (i, j)) with i, j counted from A, then act in order on their two
+    modes.  Only the rows T of the steps' product that `modes` read are
+    formed, from the selection rows by the steps in reverse, each on its four
+    columns; the result is T_in V_in T_in^T over T's input columns plus
+    T V_env T^T over the pairs' blocks alone, so no stack of the whole
+    dilation is built.  Stacks of all of these broadcast against each other.
     """
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
     m = a + 1 + 2 * len(pairs)
     try:
-        batch = np.broadcast_shapes(covs.shape[:-2], *(np.shape(x)[:-2] for x, _ in [*pairs, *steps]))
+        np.broadcast_shapes(covs.shape[:-2], *(np.shape(x)[:-2] for x, _ in [*pairs, *steps]))
     except ValueError:
         raise DomainError("the input stack does not match the channel column") from None
-    V = np.zeros(batch + (2 * m, 2 * m))
-    idx = gc._block_index(range(a + 1), m)
-    V[..., idx[:, None], idx] = covs
-    for k, (q, p) in enumerate(pairs):
-        gc._place_pair(V, a + 1 + 2 * k, q, p)
-    for S, (i, j) in steps:
+    rows = np.eye(2 * m)[gc._block_index(range(m) if modes is None else modes, m)]
+    T = np.broadcast_to(rows, np.broadcast_shapes(*(np.shape(S)[:-2] for S, _ in steps)) + rows.shape).copy()
+    for S, (i, j) in reversed(steps):
         ix = gc._block_index((a + i, a + j), m)
-        V[..., ix, :] = S @ V[..., ix, :]
-        V[..., :, ix] = V[..., :, ix] @ np.swapaxes(S, -1, -2)
-    return V
+        T[..., ix] = T[..., ix] @ S
+    env = np.zeros(np.broadcast_shapes(*(np.shape(q)[:-2] for q, _ in pairs)) + (2 * m, 2 * m))
+    for k, (q, p) in enumerate(pairs):
+        gc._place_pair(env, a + 1 + 2 * k, q, p)
+    Tin = T[..., gc._block_index(range(a + 1), m)]
+    return Tin @ covs @ np.swapaxes(Tin, -1, -2) + T @ env @ np.swapaxes(T, -1, -2)
 
 
 def _channel_step(kind, x):
@@ -328,7 +331,7 @@ def _channel_step(kind, x):
     return gc._beamsplitters("B", x) if kind == "thermal" else gc._squeezers(x), (0, 1)
 
 
-def degrading_dilation_cov(ch, input_cov: np.ndarray):
+def degrading_dilation_cov(ch, input_cov: np.ndarray, modes=None):
     """Covariance after the channel dilation followed by the degrading
     channel's dilation.
 
@@ -338,9 +341,14 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray):
     or amplifier channel, or a sequence of channels of one such kind with
     one input per channel.  Returns (V, labels) with V over
     r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and
-    'refs') to mode slots.
+    'refs') to mode slots.  With `modes`, a sequence of those labels ('refs'
+    for every reference mode), returns the marginal on them alone, in order.
     """
-    kind, x, nb = _column_params(ch)
+    return _degrading(*_column_params(ch), input_cov, modes)
+
+
+def _degrading(kind, x, nb, input_cov, modes=None):
+    """:func:`degrading_dilation_cov` of the channel parameters (kind, x, nb)."""
     if kind == "thermal":
         if np.any(x < 0.5):
             raise DomainError("degrading construction needs eta in [1/2, 1]")
@@ -355,24 +363,37 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray):
     # modes after the input: (E2, E1) and (F, E'1), each a purified thermal
     # environment
     tms = gc.tms_qblocks(nb)
-    V = _dilation(input_cov, [tms, tms], [_channel_step(kind, x), degrade])
-    r = V.shape[-1] // 2 - 5
-    slots.update({"E1p": 4, "E2": 1, "E1": 2})
-    return V, {**{k: r + v for k, v in slots.items()}, "refs": tuple(range(r))}
+    return _labelled(input_cov, [tms, tms], [_channel_step(kind, x), degrade],
+                     {**slots, "E1p": 4, "E2": 1, "E1": 2}, modes)
 
 
-def simulating_channel_cov(ch, input_cov: np.ndarray):
+def simulating_channel_cov(ch, input_cov: np.ndarray, modes=None):
     """Covariance after the simulating channel: the channel unitary fed with
     the noisy TMS environment omega(nb); the channel output port is traced
-    conceptually (it stays in slot 'B').  Takes a channel column and stacked
-    input covariances like :func:`degrading_dilation_cov`.
+    conceptually (it stays in slot 'B').  Takes a channel column, stacked
+    input covariances and named `modes` like :func:`degrading_dilation_cov`.
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    kind, x, nb = _column_params(ch)
-    V = _dilation(input_cov, [noisy_tms_qblocks(nb, x)], [_channel_step(kind, x)])
-    r = V.shape[-1] // 2 - 3
-    return V, {"B": r, "E2": r + 1, "E1": r + 2, "refs": tuple(range(r))}
+    return _simulating(*_column_params(ch), input_cov, modes)
+
+
+def _simulating(kind, x, nb, input_cov, modes=None):
+    """:func:`simulating_channel_cov` of the channel parameters (kind, x, nb)."""
+    return _labelled(input_cov, [noisy_tms_qblocks(nb, x)], [_channel_step(kind, x)],
+                     {"B": 0, "E2": 1, "E1": 2}, modes)
+
+
+def _labelled(input_cov, pairs, steps, slots, modes):
+    """(V, labels) of the dilation whose `slots` count from the input mode, or V on the labels `modes`."""
+    r = np.shape(input_cov)[-1] // 2 - 1
+    labels = {**{k: r + v for k, v in slots.items()}, "refs": tuple(range(r))}
+    if modes is None:
+        return _dilation(input_cov, pairs, steps), labels
+    if unknown := [k for k in modes if k not in labels]:
+        raise DomainError(f"unknown mode labels {unknown}; the labels are {', '.join(labels)}")
+    picked = [i for k in modes for i in (labels[k] if k == "refs" else [labels[k]])]
+    return _dilation(input_cov, pairs, steps, picked)
 
 
 def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
@@ -388,18 +409,13 @@ def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
     return q
 
 
-def _flip_offdiag(q: np.ndarray) -> np.ndarray:
-    return q * np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _deg_sim_routes(ch, qblock, pblock):
-    """Full 3-mode covariances of the two routes, ordered (R, E'2/E2, E'1/E1)."""
-    Vin = gc._place_pair(np.zeros(np.shape(qblock)[:-2] + (4, 4)), 0, qblock, pblock)
-    Vdeg, ld = degrading_dilation_cov(ch, Vin)
-    Vsim, ls = simulating_channel_cov(ch, Vin)
-    idx_d = gc._block_index((0, ld["E2p"], ld["E1p"]), Vdeg.shape[-1] // 2)
-    idx_s = gc._block_index((0, ls["E2"], ls["E1"]), Vsim.shape[-1] // 2)
-    return Vdeg[..., idx_d[:, None], idx_d], Vsim[..., idx_s[:, None], idx_s]
+def _deg_sim_routes(kind, x, nb, input_qblock):
+    """3-mode covariances (R, E'2/E2, E'1/E1) of the two routes for the checked
+    input q-block; the p-block is the q-block with its off-diagonal negated."""
+    q = _validate_qblock(input_qblock)
+    Vin = gc._place_pair(np.zeros(q.shape[:-2] + (4, 4)), 0, q, q * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    return (_degrading(kind, x, nb, Vin, ("refs", "E2p", "E1p")),
+            _simulating(kind, x, nb, Vin, ("refs", "E2", "E1")))
 
 
 def degrading_simulation_check(ch, input_qblock) -> tuple:
@@ -412,6 +428,5 @@ def degrading_simulation_check(ch, input_qblock) -> tuple:
     contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
     to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks.
     """
-    q = _validate_qblock(input_qblock)
-    A, B = _deg_sim_routes(ch, q, _flip_offdiag(q))
+    A, B = _deg_sim_routes(*_column_params(ch), input_qblock)
     return A[..., :3, :3], B[..., :3, :3]

@@ -7,8 +7,10 @@ The CLI `verify` subcommand runs these suites; the test suite reuses them.
 A check draws its seeded samples in a fixed order (the uniform ones of a
 row in one call), validates the stacked states once, applies each stack of
 channels in one call of the channel core behind `apply_gaussian_channel`,
-and calls each oracle (which takes a channel column, as
-:func:`bounds.evaluate_column` does) or registry form once per channel kind.
+and calls each oracle or registry form once per channel kind.  An oracle
+takes a channel column, as :func:`bounds.evaluate_column` does; the checks
+call its array core on their drawn (x, nb) arrays instead, and build no
+channel objects.  Each dilation builds only the marginal its oracle reads.
 """
 
 from __future__ import annotations
@@ -48,19 +50,27 @@ def coherent_info_oracle(ch, ns):
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
     beamsplitter / squeezer dilation; independent of the closed forms.  `ch`
     is one channel and ns a float, or a column of channels and ns an array."""
-    kind, x, nb = chn._column_params(ch)  # ChannelKindError off thermal/amplifier
+    return _coherent_info(*chn._column_params(ch), ns)  # ChannelKindError off thermal/amplifier
+
+
+def _coherent_info(kind, x, nb, ns):
+    """:func:`coherent_info_oracle` of the channel parameters (kind, x, nb)."""
     tms = gc._place_pair(np.zeros(np.shape(ns) + (4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
-    V = chn._dilation(tms, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)])
-    return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V, (0, 1))
+    V = chn._dilation(tms, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)], (0, 1))  # R, B
+    return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V)
 
 
 def ud_oracle(ch, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
     a single-mode input covariance (2, 2), or an array of them for a stack
     (n, 2, 2), with `ch` one channel or a column of n."""
-    V, lab = chn.degrading_dilation_cov(ch, input_cov)
-    pair = (lab["E2p"], lab["E1p"])
-    return gc._entropy_from_cov(V, (lab["G"], *pair)) - gc._entropy_from_cov(V, pair)
+    return _ud(*chn._column_params(ch), input_cov)
+
+
+def _ud(kind, x, nb, input_cov):
+    """:func:`ud_oracle` of the channel parameters (kind, x, nb)."""
+    V = chn._degrading(kind, x, nb, input_cov, ("G", "E2p", "E1p"))
+    return gc._entropy_from_cov(V) - gc._entropy_from_cov(V, (1, 2))
 
 
 def _raw(cell) -> float:
@@ -208,10 +218,9 @@ def check_deg_vs_sim_cov(n=1000) -> CheckResult:
     # random_valid_qblock's draws, then the channels'
     th, a, b, eta, nb, g = _uniform_rows(rng, n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
                                          (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
-    columns = ([chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())],
-               [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())])
-    worst = max(float(np.max(np.abs(A - B))) for A, B in
-                (chn.degrading_simulation_check(c, _rotated(th, 1.0 + a, 1.0 + b)) for c in columns))
+    q = _rotated(th, 1.0 + a, 1.0 + b)
+    worst = max(float(np.max(np.abs(A - B)[..., :3, :3])) for A, B in  # the q-blocks
+                (chn._deg_sim_routes(kind, x, nb, q) for kind, x in (("thermal", eta), ("amplifier", g))))
     return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)
 
 
@@ -234,35 +243,26 @@ def check_eps_consistency(n=200) -> CheckResult:
     return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
 
-def _residual(raw, column, ns, oracle) -> float:
-    """Largest |raw(x, nb, ns) - oracle| over the cells of a channel column."""
-    _, x, nb = chn._column_params(column)
-    return float(np.max(np.abs(raw(x, nb, ns) - oracle)))
-
-
 def check_ql_oracle_thermal(n=1000) -> CheckResult:
     rng = np.random.default_rng(31)
     eta, nb, ns = _uniform_rows(rng, n, (0.02, 1.0), (0.0, 3.0), (0.0, 50.0))
-    column = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
-    worst = _residual(bnd._ql_thermal_raw, column, ns, coherent_info_oracle(column, ns))
+    worst = float(np.max(np.abs(bnd._ql_thermal_raw(eta, nb, ns) - _coherent_info("thermal", eta, nb, ns))))
     return CheckResult("ql_oracle_thermal", worst < 1e-9, worst, 1e-9)
 
 
 def check_ql_oracle_amp(n=1000) -> CheckResult:
     rng = np.random.default_rng(37)
     g, nb, ns = _uniform_rows(rng, n, (1.001, 4.0), (0.0, 3.0), (0.0, 50.0))
-    column = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
-    worst = _residual(bnd._ql_amp_raw, column, ns, coherent_info_oracle(column, ns))
+    worst = float(np.max(np.abs(bnd._ql_amp_raw(g, nb, ns) - _coherent_info("amplifier", g, nb, ns))))
     return CheckResult("ql_oracle_amp", worst < 1e-9, worst, 1e-9)
 
 
 def check_ud_oracle(n=200) -> CheckResult:
     rng = np.random.default_rng(41)
     eta, nb, ns, g = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 2.0), (0.0, 20.0), (1.001, 3.0))
-    thermals = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
-    amps = [chn.amplifier(*p) for p in zip(g.tolist(), nb.tolist())]
-    worst = max(_residual(raw, column, ns, ud_oracle(column, (2 * ns + 1)[:, None, None] * np.eye(2)))
-                for raw, column in ((bnd._ud_thermal_raw, thermals), (bnd._ud_amp_raw, amps)))
+    covs = (2 * ns + 1)[:, None, None] * np.eye(2)
+    worst = max(float(np.max(np.abs(raw(x, nb, ns) - _ud(kind, x, nb, covs)))) for raw, kind, x in
+                ((bnd._ud_thermal_raw, "thermal", eta), (bnd._ud_amp_raw, "amplifier", g)))
     return CheckResult("ud_oracle", worst < 1e-9, worst, 1e-9,
                        "closed form vs H(G|E'1E'2) through the dilation")
 
@@ -272,10 +272,9 @@ def check_thermal_input_optimality(n_points=50, n_inputs=100) -> CheckResult:
     # a point's eta, nb and ns, then its n_inputs random_single_mode_cov draws
     draws = _uniform_rows(rng, n_points, (0.5, 1.0), (0.0, 2.0), (0.1, 10.0), *(_COV_DRAWS * n_inputs))
     eta, nb, ns = draws[:3]
-    chans = [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())]
     # inputs (n_inputs, n_points, 2, 2) against the column of n_points channels
-    vals = ud_oracle(chans, _single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))))
-    best = ud_oracle(chans, (2 * ns + 1)[:, None, None] * np.eye(2))
+    vals = _ud("thermal", eta, nb, _single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))))
+    best = _ud("thermal", eta, nb, (2 * ns + 1)[:, None, None] * np.eye(2))
     worst = float(np.max(np.max(vals, axis=0) - best))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,
                        "random equal-energy inputs never beat the thermal input")

@@ -262,7 +262,7 @@ class TestDegradingSimulation:
         # with the documented off-diagonal sign flips
         q = np.array([[2.5, 0.8], [0.8, 1.7]])
         ch = chn.thermal(0.8, 0.6)
-        Vd, Vs = chn._deg_sim_routes(ch, q, chn._flip_offdiag(q))
+        Vd, Vs = chn._deg_sim_routes(*chn._column_params(ch), q)
         assert np.max(np.abs(Vd - Vs)) < 1e-10
         qblk, pblk = Vd[:3, :3], Vd[3:, 3:]
         signs = np.sign(qblk * pblk)
@@ -287,10 +287,11 @@ def _random_stack(seed, n=20):
                      for _ in range(n)])
 
 
-def _embedded_dilation(input_cov, pairs, steps):
+def _embedded_dilation(input_cov, pairs, steps, modes=None):
     """The dilation with each step embedded into the identity on all modes and
-    applied as a full product, S_full V S_full^T: the reference for the
-    steps that touch only their two modes' rows and columns."""
+    applied as a full product, S_full V S_full^T, then the marginal on
+    `modes`: the reference for the steps that touch only their two modes'
+    rows and columns and for the marginal built from its rows alone."""
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
     m = a + 1 + 2 * len(pairs)
@@ -303,7 +304,13 @@ def _embedded_dilation(input_cov, pairs, steps):
     for S, (i, j) in steps:
         Sf = gc.embed_matrix(S, (a + i, a + j), m)
         V = Sf @ V @ np.swapaxes(Sf, -1, -2)
-    return V
+    idx = gc._block_index(range(m) if modes is None else modes, m)
+    return V[..., idx[:, None], idx]
+
+
+# a named marginal of each route, its modes out of ascending order
+MARGINALS = {chn.degrading_dilation_cov: ("E1p", "G", "refs", "E2p"),
+             chn.simulating_channel_cov: ("E1", "refs", "B")}
 
 
 class TestLocalDilationSteps:
@@ -317,12 +324,44 @@ class TestLocalDilationSteps:
         covs = _random_stack(10)
         two_mode = gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
         for inputs in (covs, two_mode):
-            got, labels = route(column, inputs)
+            (got, labels), part = route(column, inputs), route(column, inputs, MARGINALS[route])
             monkeypatch.setattr(chn, "_dilation", _embedded_dilation)
-            want, want_labels = route(column, inputs)
+            (want, want_labels), want_part = route(column, inputs), route(column, inputs, MARGINALS[route])
             monkeypatch.undo()
             assert labels == want_labels
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            for g, w in ((got, want), (part, want_part)):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+class TestDilationMarginals:
+    """A named marginal is the same modes of the whole dilation, built alone."""
+
+    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
+    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
+                             ids=["degrading", "simulating"])
+    @pytest.mark.parametrize("refs", [0, 1], ids=["no_reference", "reference"])
+    def test_marginal_is_the_gathered_modes(self, make, route, refs):
+        rng = np.random.default_rng(19)
+        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
+        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        inputs = _random_stack(20) if refs == 0 else \
+            gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
+        names = MARGINALS[route]
+        full, labels = route(column, inputs)
+        slots = [i for k in names for i in (labels[k] if k == "refs" else [labels[k]])]
+        assert len(slots) == len(names) - 1 + refs and slots != sorted(slots)
+        idx = gc._block_index(slots, full.shape[-1] // 2)
+        want = full[..., idx[:, None], idx]
+        got = route(column, inputs, names)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, np.array([route(ch, c, names) for ch, c in zip(column, inputs)]))
+
+    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
+                             ids=["degrading", "simulating"])
+    def test_unknown_label_is_a_domain_error(self, route):
+        with pytest.raises(DomainError, match=r"unknown mode labels \['R'\]"):
+            route(chn.thermal(0.8, 0.5), np.eye(2), ("E2", "R"))
 
 
 class TestStackedDilations:

@@ -140,7 +140,8 @@ def test_non_real_ns_is_a_domain_error(path, ns):
 
 
 @pytest.mark.parametrize("path", NS_PATHS)
-@pytest.mark.parametrize("ns", [3, np.float64(3.0), np.int64(3)], ids=repr)
+@pytest.mark.parametrize("ns", [3, np.float64(3.0), np.int64(3), np.float32(3.0), np.float16(3.0)],
+                         ids=repr)
 def test_real_ns_types_are_kept(path, ns):
     got, want = NS_PATHS[path](ns), NS_PATHS[path](3.0)
     assert got == want

@@ -654,3 +654,11 @@ class TestSymplecticBuilders:
         assert np.array_equal(p[1], gc.tms_qblocks(1.5)[1])
         with pytest.raises(DomainError):
             gc.tms_qblocks(np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_tms_blocks_are_float64_for_any_dtype(self, dtype):
+        n = np.array([0.1, 3.0, 70.0], dtype=dtype)  # 0.1 rounds in either dtype
+        for got, want in zip(gc.tms_qblocks(n), gc.tms_qblocks(n.astype(float))):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        for got, want in zip(gc.tms_qblocks(n[0]), gc.tms_qblocks(float(n[0]))):
+            assert got.dtype == np.float64 and np.array_equal(got, want)

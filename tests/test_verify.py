@@ -9,6 +9,7 @@ The stacked checks must return an equal CheckResult, with the residual
 equal bit for bit."""
 
 import gc as collector
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -301,6 +302,18 @@ def test_stacked_check_matches_reference_loop(check, ref, small_args, small):
     assert got == want
     assert float(got.residual).hex() == float(want.residual).hex()
     assert got.format() == want.format()
+
+
+def test_thermal_input_optimality_peak_memory():
+    """The check's traced peak stays below 9 MiB: its dilations build only the
+    three modes that the oracle reads (11.2 MiB with the whole 5-mode stack)."""
+    tracemalloc.start()
+    try:
+        vfy.check_thermal_input_optimality()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20
 
 
 def _full_grid_min(eps, w_prime, k, dense):
