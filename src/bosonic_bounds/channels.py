@@ -296,15 +296,11 @@ def _column_params(channels):
 def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
     """Block-ordered covariance of a Gaussian dilation on `modes` (all for None).
 
-    `input_cov` has shape (..., 2n, 2n): r = n - 1 reference modes, then the
-    channel input mode A.  The two-mode environment states `pairs`, each a
-    (q, p) block pair, take the modes after A, and the symplectic `steps`,
-    each (S, (i, j)) with i, j counted from A, then act in order on their two
-    modes.  Only the rows T of the steps' product that `modes` read are
-    formed, from the selection rows by the steps in reverse, each on its four
-    columns; the result is T_in V_in T_in^T over T's input columns plus
-    T V_env T^T over the pairs' blocks alone, so no stack of the whole
-    dilation is built.  Stacks of all of these broadcast against each other.
+    `input_cov` (..., 2n, 2n) holds r = n - 1 reference modes, then the input
+    mode A.  The environment `pairs` of (q, p) blocks take the modes after A;
+    the symplectic `steps` (S, (i, j)), i and j counted from A, act in order
+    on their two modes.  Only the rows T of the steps' product that `modes` read
+    are formed, the steps in reverse on four columns each: T V0 T^T.  Stacks broadcast.
     """
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
@@ -331,7 +327,7 @@ def _channel_step(kind, x):
     return gc._beamsplitters("B", x) if kind == "thermal" else gc._squeezers(x), (0, 1)
 
 
-def degrading_dilation_cov(ch, input_cov: np.ndarray, modes=None):
+def degrading_dilation_cov(ch, input_cov: np.ndarray):
     """Covariance after the channel dilation followed by the degrading
     channel's dilation.
 
@@ -341,14 +337,13 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray, modes=None):
     or amplifier channel, or a sequence of channels of one such kind with
     one input per channel.  Returns (V, labels) with V over
     r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and
-    'refs') to mode slots.  With `modes`, a sequence of those labels ('refs'
-    for every reference mode), returns the marginal on them alone, in order.
+    'refs') to mode slots.
     """
-    return _degrading(*_column_params(ch), input_cov, modes)
+    return _degrading(*_column_params(ch), input_cov)
 
 
 def _degrading(kind, x, nb, input_cov, modes=None):
-    """:func:`degrading_dilation_cov` of the channel parameters (kind, x, nb)."""
+    """:func:`degrading_dilation_cov` of the parameters (kind, x, nb); V on the labels `modes`."""
     if kind == "thermal":
         if np.any(x < 0.5):
             raise DomainError("degrading construction needs eta in [1/2, 1]")
@@ -367,33 +362,29 @@ def _degrading(kind, x, nb, input_cov, modes=None):
                      {**slots, "E1p": 4, "E2": 1, "E1": 2}, modes)
 
 
-def simulating_channel_cov(ch, input_cov: np.ndarray, modes=None):
+def simulating_channel_cov(ch, input_cov: np.ndarray):
     """Covariance after the simulating channel: the channel unitary fed with
     the noisy TMS environment omega(nb); the channel output port is traced
-    conceptually (it stays in slot 'B').  Takes a channel column, stacked
-    input covariances and named `modes` like :func:`degrading_dilation_cov`.
+    conceptually (it stays in slot 'B').  Takes a channel column and stacked
+    input covariances like :func:`degrading_dilation_cov`.
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    return _simulating(*_column_params(ch), input_cov, modes)
+    return _simulating(*_column_params(ch), input_cov)
 
 
 def _simulating(kind, x, nb, input_cov, modes=None):
-    """:func:`simulating_channel_cov` of the channel parameters (kind, x, nb)."""
+    """:func:`simulating_channel_cov` of the parameters (kind, x, nb); V on the labels `modes`."""
     return _labelled(input_cov, [noisy_tms_qblocks(nb, x)], [_channel_step(kind, x)],
                      {"B": 0, "E2": 1, "E1": 2}, modes)
 
 
 def _labelled(input_cov, pairs, steps, slots, modes):
-    """(V, labels) of the dilation whose `slots` count from the input mode, or V on the labels `modes`."""
+    """(V, labels) of the dilation whose `slots` count from the input mode; V on the labels `modes`."""
     r = np.shape(input_cov)[-1] // 2 - 1
     labels = {**{k: r + v for k, v in slots.items()}, "refs": tuple(range(r))}
-    if modes is None:
-        return _dilation(input_cov, pairs, steps), labels
-    if unknown := [k for k in modes if k not in labels]:
-        raise DomainError(f"unknown mode labels {unknown}; the labels are {', '.join(labels)}")
-    picked = [i for k in modes for i in (labels[k] if k == "refs" else [labels[k]])]
-    return _dilation(input_cov, pairs, steps, picked)
+    picked = None if modes is None else [i for k in modes for i in np.atleast_1d(labels[k])]
+    return _dilation(input_cov, pairs, steps, picked), labels
 
 
 def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
@@ -409,13 +400,11 @@ def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
     return q
 
 
-def _deg_sim_routes(kind, x, nb, input_qblock):
-    """3-mode covariances (R, E'2/E2, E'1/E1) of the two routes for the checked
-    input q-block; the p-block is the q-block with its off-diagonal negated."""
-    q = _validate_qblock(input_qblock)
+def _deg_sim_routes(kind, x, nb, q):
+    """3-mode covariances (R, E'2/E2, E'1/E1) of the two routes for a checked input q-block q."""
     Vin = gc._place_pair(np.zeros(q.shape[:-2] + (4, 4)), 0, q, q * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    return (_degrading(kind, x, nb, Vin, ("refs", "E2p", "E1p")),
-            _simulating(kind, x, nb, Vin, ("refs", "E2", "E1")))
+    return (_degrading(kind, x, nb, Vin, ("refs", "E2p", "E1p"))[0],
+            _simulating(kind, x, nb, Vin, ("refs", "E2", "E1"))[0])
 
 
 def degrading_simulation_check(ch, input_qblock) -> tuple:
@@ -428,5 +417,5 @@ def degrading_simulation_check(ch, input_qblock) -> tuple:
     contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
     to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks.
     """
-    A, B = _deg_sim_routes(*_column_params(ch), input_qblock)
-    return A[..., :3, :3], B[..., :3, :3]
+    q = _validate_qblock(input_qblock)  # its errors come before the column's
+    return tuple(V[..., :3, :3] for V in _deg_sim_routes(*_column_params(ch), q))

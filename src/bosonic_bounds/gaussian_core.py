@@ -275,8 +275,7 @@ def _mat2(a, b, c, d) -> np.ndarray:
 def tms_qblocks(n):
     """(q-block, p-block) of the two-mode squeezed vacuum with parameter n, in
     float64 whatever n's dtype, or stacks (..., 2, 2) over an array of n."""
-    n = np.asarray(n, dtype=float)
-    if (n < 0).any():
+    if ((n := np.asarray(n, dtype=float)) < 0).any():
         raise DomainError("TMS photon number must be >= 0")
     d = 2.0 * n + 1.0
     c = 2.0 * np.sqrt(n * (n + 1.0))

@@ -7,10 +7,8 @@ The CLI `verify` subcommand runs these suites; the test suite reuses them.
 A check draws its seeded samples in a fixed order (the uniform ones of a
 row in one call), validates the stacked states once, applies each stack of
 channels in one call of the channel core behind `apply_gaussian_channel`,
-and calls each oracle or registry form once per channel kind.  An oracle
-takes a channel column, as :func:`bounds.evaluate_column` does; the checks
-call its array core on their drawn (x, nb) arrays instead, and build no
-channel objects.  Each dilation builds only the marginal its oracle reads.
+and calls each registry form, or each oracle's array core on the drawn
+(x, nb) arrays, once per channel kind; a dilation builds only its marginal.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ def ud_oracle(ch, input_cov: np.ndarray):
 
 def _ud(kind, x, nb, input_cov):
     """:func:`ud_oracle` of the channel parameters (kind, x, nb)."""
-    V = chn._degrading(kind, x, nb, input_cov, ("G", "E2p", "E1p"))
+    V = chn._degrading(kind, x, nb, input_cov, ("G", "E2p", "E1p"))[0]
     return gc._entropy_from_cov(V) - gc._entropy_from_cov(V, (1, 2))
 
 
@@ -218,7 +216,7 @@ def check_deg_vs_sim_cov(n=1000) -> CheckResult:
     # random_valid_qblock's draws, then the channels'
     th, a, b, eta, nb, g = _uniform_rows(rng, n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
                                          (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
-    q = _rotated(th, 1.0 + a, 1.0 + b)
+    q = chn._validate_qblock(_rotated(th, 1.0 + a, 1.0 + b))
     worst = max(float(np.max(np.abs(A - B)[..., :3, :3])) for A, B in  # the q-blocks
                 (chn._deg_sim_routes(kind, x, nb, q) for kind, x in (("thermal", eta), ("amplifier", g))))
     return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)

@@ -277,6 +277,14 @@ class TestDegradingSimulation:
         with pytest.raises(InvalidStateError):
             chn.degrading_simulation_check(ch, np.array([[1.0, 2.0], [2.0, -1.0]]))
 
+    @pytest.mark.parametrize("odd", [chn.additive_noise(0.3), chn.amplifier(1.5, 0.5)],
+                             ids=["additive", "mixed"])
+    def test_invalid_block_is_reported_before_the_column(self, odd):
+        # the q-block is checked first: a bad block with a bad column is an InvalidStateError
+        column, q = [chn.thermal(0.8, 0.5), odd], np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(InvalidStateError):
+            chn.degrading_simulation_check(column, np.stack([q, q]))
+
 
 STACK_CHANNELS = [chn.thermal(0.8, 0.6), chn.amplifier(1.7, 0.4)]
 
@@ -308,9 +316,15 @@ def _embedded_dilation(input_cov, pairs, steps, modes=None):
     return V[..., idx[:, None], idx]
 
 
-# a named marginal of each route, its modes out of ascending order
-MARGINALS = {chn.degrading_dilation_cov: ("E1p", "G", "refs", "E2p"),
-             chn.simulating_channel_cov: ("E1", "refs", "B")}
+# each route's array core, and a named marginal of it with its modes out of ascending order
+MARGINALS = {chn.degrading_dilation_cov: (chn._degrading, ("E1p", "G", "refs", "E2p")),
+             chn.simulating_channel_cov: (chn._simulating, ("E1", "refs", "B"))}
+
+
+def _marginal(route, ch, inputs):
+    """The marginal MARGINALS names for `route`, from its array core."""
+    core, names = MARGINALS[route]
+    return core(*chn._column_params(ch), inputs, names)[0]
 
 
 class TestLocalDilationSteps:
@@ -324,9 +338,9 @@ class TestLocalDilationSteps:
         covs = _random_stack(10)
         two_mode = gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
         for inputs in (covs, two_mode):
-            (got, labels), part = route(column, inputs), route(column, inputs, MARGINALS[route])
+            (got, labels), part = route(column, inputs), _marginal(route, column, inputs)
             monkeypatch.setattr(chn, "_dilation", _embedded_dilation)
-            (want, want_labels), want_part = route(column, inputs), route(column, inputs, MARGINALS[route])
+            (want, want_labels), want_part = route(column, inputs), _marginal(route, column, inputs)
             monkeypatch.undo()
             assert labels == want_labels
             for g, w in ((got, want), (part, want_part)):
@@ -346,22 +360,16 @@ class TestDilationMarginals:
         column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
         inputs = _random_stack(20) if refs == 0 else \
             gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
-        names = MARGINALS[route]
+        names = MARGINALS[route][1]
         full, labels = route(column, inputs)
         slots = [i for k in names for i in (labels[k] if k == "refs" else [labels[k]])]
         assert len(slots) == len(names) - 1 + refs and slots != sorted(slots)
         idx = gc._block_index(slots, full.shape[-1] // 2)
         want = full[..., idx[:, None], idx]
-        got = route(column, inputs, names)
+        got = _marginal(route, column, inputs)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(got, np.array([route(ch, c, names) for ch, c in zip(column, inputs)]))
-
-    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
-                             ids=["degrading", "simulating"])
-    def test_unknown_label_is_a_domain_error(self, route):
-        with pytest.raises(DomainError, match=r"unknown mode labels \['R'\]"):
-            route(chn.thermal(0.8, 0.5), np.eye(2), ("E2", "R"))
+        assert np.array_equal(got, np.array([_marginal(route, ch, c) for ch, c in zip(column, inputs)]))
 
 
 class TestStackedDilations:
