@@ -79,6 +79,7 @@ def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
         raise DomainError("thermal channel requires eta in (0, 1]")
     if not 0.0 <= nb < math.inf:
         _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    eta, nb = float(eta), float(nb)  # a numpy float32 is kept in float64
     return PhaseInsensitiveChannel(
         eta, (1.0 - eta) * (2.0 * nb + 1.0), "thermal", {"eta": eta, "nb": nb}
     )
@@ -95,6 +96,7 @@ def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
         _require(g >= 1.0, "amplifier gain must be >= 1", g)
     if not 0.0 <= nb < math.inf:
         _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    g, nb = float(g), float(nb)
     return PhaseInsensitiveChannel(
         g, (g - 1.0) * (2.0 * nb + 1.0), "amplifier", {"g": g, "nb": nb}
     )
@@ -105,6 +107,7 @@ def additive_noise(nbar: float) -> PhaseInsensitiveChannel:
     noise photons (tau = 1, nu = 2 nbar)."""
     if not 0.0 < nbar < math.inf:
         _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
+    nbar = float(nbar)
     return PhaseInsensitiveChannel(1.0, 2.0 * nbar, "additive", {"nbar": nbar})
 
 
@@ -225,9 +228,11 @@ def kappa(x: float, nb: float) -> float:
     (x >= 1).  In both regimes the bracket is nonnegative in exact
     arithmetic, with a double root at x = 1; in floats it cancels near
     there (-4.4e-16 at x = 1 - 2^-53, where it is 2.5e-32), which ROADMAP
-    item E's factored bracket removes.  A result that is not finite (nb(nb+1)
-    overflows from nb = 1.3e154) raises DomainError."""
+    item E's factored bracket removes.  x and nb are taken in float64.  A
+    result that is not finite (nb(nb+1) overflows from nb = 1.3e154) raises
+    DomainError."""
     _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+    x, nb = float(x), float(nb)
     if not np.isfinite(k := _kappa(x, nb)):
         raise DomainError(f"kappa({x}, nb={nb}) is {k} in float64: nb is too large")
     return k
@@ -272,9 +277,10 @@ def epsilon_close_degradable(nb: float) -> EpsilonReport:
 
 def noisy_tms_qblocks(nb, x):
     """(q, p) blocks of the noisy two-mode-squeezed state omega(nb): diagonal
-    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G;
-    stacks (..., 2, 2) over arrays of nb and x."""
-    if (np.asarray(x) < 0.5).any():
+    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G, in
+    float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x."""
+    nb, x = np.asarray(nb, dtype=float), np.asarray(x, dtype=float)
+    if (x < 0.5).any():
         raise DomainError("noisy TMS needs x >= 1/2")
     d = 2.0 * nb + 1.0
     w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x

@@ -9,6 +9,8 @@ row in one call), validates the stacked states once, applies each stack of
 channels in one call of the channel core behind `apply_gaussian_channel`,
 and calls each registry form, or each oracle's array core on the drawn
 (x, nb) arrays, once per channel kind; a dilation builds only its marginal.
+The U_D oracle reads H(G E'2 E'1) as H(B), the channel output's entropy;
+the dense-grid oracle prunes its grid in two passes of one lower bound.
 """
 
 from __future__ import annotations
@@ -61,14 +63,19 @@ def _coherent_info(kind, x, nb, ns):
 def ud_oracle(ch, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
     a single-mode input covariance (2, 2), or an array of them for a stack
-    (n, 2, 2), with `ch` one channel or a column of n."""
+    (n, 2, 2), with `ch` one channel or a column of n.  H(G E'2 E'1) is taken
+    as H(B), the entropy of the channel output (see :func:`_ud`)."""
     return _ud(*chn._column_params(ch), input_cov)
 
 
 def _ud(kind, x, nb, input_cov):
-    """:func:`ud_oracle` of the channel parameters (kind, x, nb)."""
-    V = chn._degrading(kind, x, nb, input_cov, ("G", "E2p", "E1p"))[0]
-    return gc._entropy_from_cov(V) - gc._entropy_from_cov(V, (1, 2))
+    """:func:`ud_oracle` of the channel parameters (kind, x, nb): H(B) - H(E'2 E'1).
+    The degrading step is a unitary on (B, F) and E'1 purifies F, so B -> (G,
+    E'2, E'1) is an isometry and H(G E'2 E'1) = H(B) for every input, read
+    from the channel step's own dilation as in :func:`_coherent_info`."""
+    VE = chn._degrading(kind, x, nb, input_cov, ("E2p", "E1p"))[0]
+    VB = chn._dilation(input_cov, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)], (0,))
+    return gc._entropy_from_cov(VB) - gc._entropy_from_cov(VE)
 
 
 def _raw(cell) -> float:
@@ -359,44 +366,54 @@ def check_comparison_orderings(n=2000, n_nbar=100) -> CheckResult:
                        "RMG/PLOB orderings and additive crossover")
 
 
+_DENSE_BLOCKS = (2000, 50)  # _dense_min's block sizes, pass by pass; each divides the one before
+
+
 def _dense_min(eps, w_prime, k, dense):
     """float(np.min(bnd._penalty_eval(np.linspace(eps + 1e-12, 1.0, dense), eps,
-    w_prime, k))) bit for bit (dense >= 2), evaluating only the blocks of 1000
+    w_prime, k))) bit for bit (dense >= 2), evaluating only the sub-blocks of
     grid points that a certified lower bound cannot rule out.
 
     Grid point i is i * step + start and the last one is 1.0: numpy's linspace
     arithmetic, so no grid is built.  U, the least penalty at the block
-    endpoints, is at or above the dense minimum.  On a block [e_a, e_b], with
-    d = (e - eps)/(1 + e): d and 2e + 4d increase, g(W'/d) decreases, g(e)
-    increases and h2 is concave, so every point of the block is at least
-    LB = k [(2 e_a + 4 d_a) g(W'/d_b) + g(e_a) + 2 min(h2(d_a), h2(d_b))]/ln 2.
-    A block is skipped only if LB (1 - 1e-6) > U and W'/d_a <= 1e6: above
-    about 1e6 the computed g no longer follows the mathematical one (ROADMAP
-    item E), so the bound would not hold for the computed penalty.  The block
-    that holds the argmin has LB <= U and is kept, so the minimum is the full
-    grid's.  The optimizer's result is never read."""
-    start, block = eps + 1e-12, 1000
+    endpoints evaluated so far, is at or above the dense minimum.  On a block
+    [e_a, e_b], with d = (e - eps)/(1 + e): d and 2e + 4d increase, g(W'/d)
+    decreases, g(e) increases and h2 is concave, so every point of the block
+    is at least LB = k [(2 e_a + 4 d_a) g(W'/d_b) + g(e_a) + 2 min(h2(d_a),
+    h2(d_b))]/ln 2.  A block is skipped only if LB (1 - 1e-6) > U and W'/d_a
+    <= 1e6: above about 1e6 the computed g no longer follows the mathematical
+    one (ROADMAP item E), so the bound would not hold for the computed
+    penalty.  The first pass prunes blocks of _DENSE_BLOCKS[0] points; each
+    later pass splits the kept blocks into sub-blocks of the next size,
+    lowers U with their endpoints (grid points too) and prunes again.  The
+    block that holds the argmin has LB <= U at every pass and is kept, so the
+    minimum is the full grid's.  The optimizer's result is never read."""
+    start = eps + 1e-12
     step, last = (1.0 - start) / (dense - 1), dense - 1
 
     def grid(i):
         return np.where(i == last, 1.0, i * step + start)
 
-    heads = np.arange(0, dense, block)
-    e_a, e_b = grid(heads), grid(np.minimum(heads + block - 1, last))
-    upper = np.min(bnd._penalty_eval(np.concatenate([e_a, e_b]), eps, w_prime, k))
-    d_a, d_b = (e_a - eps) / (1.0 + e_a), (e_b - eps) / (1.0 + e_b)
-    lower = k * (((2.0 * e_a + 4.0 * d_a) * gc._g_nats(w_prime / d_b) + gc._g_nats(e_a)) / LN2
-                 + 2.0 * np.minimum(gc.binary_entropy(d_a), gc.binary_entropy(d_b)))
-    keep = (lower * (1.0 - 1e-6) <= upper) | (w_prime / d_a > 1e6)
-    idx = (heads[keep, None] + np.arange(block)).ravel()
+    heads, span, upper = np.zeros(1, dtype=np.int64), dense, np.inf
+    for block in _DENSE_BLOCKS:
+        heads = (heads[:, None] + np.arange(0, span, block)).ravel()
+        heads, span = heads[heads <= last], block
+        e_a, e_b = grid(heads), grid(np.minimum(heads + block - 1, last))
+        upper = np.minimum(upper, np.min(bnd._penalty_eval(np.concatenate([e_a, e_b]), eps, w_prime, k)))
+        d_a, d_b = (e_a - eps) / (1.0 + e_a), (e_b - eps) / (1.0 + e_b)
+        lower = k * (((2.0 * e_a + 4.0 * d_a) * gc._g_nats(w_prime / d_b) + gc._g_nats(e_a)) / LN2
+                     + 2.0 * np.minimum(gc.binary_entropy(d_a), gc.binary_entropy(d_b)))
+        heads = heads[(lower * (1.0 - 1e-6) <= upper) | (w_prime / d_a > 1e6)]
+    idx = (heads[:, None] + np.arange(span)).ravel()
     return float(np.min(bnd._penalty_eval(grid(idx[idx <= last]), eps, w_prime, k)))
 
 
 def check_optimizer_vs_grid(n_obj=10, dense=10 ** 6) -> CheckResult:
     """The golden-section minimum of each of n_obj seeded penalties is at or
     below (within 1e-6) the minimum over a dense eps' grid, which
-    :func:`_dense_min` computes exactly from the blocks that its certified
-    lower bound, with the E guard on large W'/d, cannot rule out."""
+    :func:`_dense_min` computes exactly from the sub-blocks that its certified
+    lower bound, with the E guard on large W'/d, cannot rule out: first on
+    blocks of 2000 points, then on the kept blocks' sub-blocks of 50."""
     rng = np.random.default_rng(67)
     worst = -np.inf
     for _ in range(n_obj):

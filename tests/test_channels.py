@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,51 @@ class TestConstructors:
     def test_channel_action_rejects_bad_mode_indices(self, modes):
         with pytest.raises(DomainError, match="mode indices"):
             chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0), modes=modes)
+
+
+class TestFloat64Parameters:
+    """A numpy float32 or float16 parameter computes in float64: each result
+    equals, by .hex(), the one from the same value as a Python float, and a
+    Python float keeps its bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("make,args", [(chn.thermal, (0.8, 0.3)), (chn.amplifier, (1.7, 0.3)),
+                                           (chn.additive_noise, (0.3,))],
+                             ids=["thermal", "amplifier", "additive"])
+    def test_constructors_store_python_floats(self, dtype, make, args):
+        low = [dtype(a) for a in args]
+        got, want = make(*low), make(*map(float, low))
+        assert all(type(v) is float for v in got.params.values())
+        assert [v.hex() for v in got.params.values()] == [v.hex() for v in want.params.values()]
+        assert (got.tau.hex(), got.nu.hex()) == (want.tau.hex(), want.nu.hex())
+
+    @pytest.mark.parametrize("make,x", [(chn.thermal, 0.8), (chn.amplifier, 1.7)],
+                             ids=["thermal", "amplifier"])
+    def test_epsilon_of_float32_parameters(self, make, x):
+        low = np.float32(x), np.float32(0.3)
+        got = chn.epsilon_degradable(make(*low)).epsilon
+        assert got.hex() == chn.epsilon_degradable(make(*map(float, low))).epsilon.hex()
+
+    def test_kappa_of_float32_is_a_python_float(self):
+        low = np.float32(0.8), np.float32(0.3)
+        got = chn.kappa(*low)
+        assert type(got) is float and got.hex() == chn.kappa(*map(float, low)).hex()
+
+    def test_noisy_tms_blocks_of_float32_are_float64(self):
+        low = np.array([0.3, 2.5], dtype=np.float32), np.array([0.8, 1.7], dtype=np.float32)
+        for got, want in zip(chn.noisy_tms_qblocks(*low), chn.noisy_tms_qblocks(*(v.astype(float) for v in low))):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        for got, want in zip(chn.noisy_tms_qblocks(low[0][0], low[1][0]),
+                             chn.noisy_tms_qblocks(float(low[0][0]), float(low[1][0]))):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_python_floats_keep_their_bits(self):
+        ch = chn.thermal(0.8, 0.3)
+        assert [v.hex() for v in ch.params.values()] == [(0.8).hex(), (0.3).hex()]
+        assert ch.nu.hex() == ((1.0 - 0.8) * (2.0 * 0.3 + 1.0)).hex()
+        x, nb = 0.8, 0.3
+        assert chn.kappa(x, nb).hex() == (x * x + nb * (nb + 1.0) * (
+            1.0 + 3.0 * x * x - 2.0 * x * (1.0 + math.sqrt(2.0 * x - 1.0)))).hex()
 
 
 class TestEntanglementBreaking:
@@ -370,6 +417,26 @@ class TestDilationMarginals:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, np.array([_marginal(route, ch, c) for ch, c in zip(column, inputs)]))
+
+
+class TestDegradingIsometry:
+    """The degrading step is a unitary on (B, F) and E'1 purifies F, so
+    H(G E'2 E'1), the three-mode marginal of the degrading dilation, is H(B),
+    the entropy of the channel output, which the U_D oracle reads instead."""
+
+    @pytest.mark.parametrize("kind,lo,hi", [("thermal", 0.5, 1.0), ("amplifier", 1.001, 3.0)],
+                             ids=["thermal", "amplifier"])
+    def test_output_entropy_is_the_three_mode_entropy(self, kind, lo, hi):
+        rng = np.random.default_rng(31 if kind == "thermal" else 37)
+        n = 2000
+        x, nb = rng.uniform(lo, hi, n), rng.uniform(0.0, 3.0, n)
+        ns = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        covs = vfy.random_single_mode_cov(ns, rng, n)
+        three = chn._degrading(kind, x, nb, covs, ("G", "E2p", "E1p"))[0]
+        assert three.shape == (n, 6, 6)
+        out = chn._dilation(covs, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)], (0,))
+        gap = gc._entropy_from_cov(three) - gc._entropy_from_cov(out)
+        assert np.max(np.abs(gap)) <= 1e-10
 
 
 class TestStackedDilations:

@@ -178,6 +178,18 @@ def test_optimizer_vs_grid_evaluates_few_grid_points(monkeypatch, objective_call
     assert 0 < points <= 0.05 * 10 * 10 ** 6
 
 
+def test_optimizer_vs_grid_grid_point_count(monkeypatch, objective_calls):
+    """The dense minima of optimizer_vs_grid at its defaults pass 72 560 grid
+    points to the penalty in 30 calls, three per grid: the block endpoints,
+    the kept blocks' sub-block endpoints and the kept sub-blocks (245 000 in
+    20 calls with one pass of blocks of 1000)."""
+    monkeypatch.setattr(bnd, "_min_penalty", lambda *args: (0.0, 1.0))  # count the grids alone
+    calls = objective_calls("_penalty_eval", 0)  # _penalty_eval(eps', eps, W', k)
+    vfy.check_optimizer_vs_grid()
+    points = sum(int(np.prod(shape)) * n for shape, n in calls.items())
+    assert (sum(calls.values()), points) == (30, 72560)
+
+
 def test_figure_sweeps_share_one_penalty_batch(monkeypatch):
     """A sweep's penalized kinds (QU2 and QU3 side by side) minimize in one
     batch: at most one penalty batch and one PL batch per sweep, 10 for the

@@ -306,7 +306,7 @@ def test_stacked_check_matches_reference_loop(check, ref, small_args, small):
 
 def test_thermal_input_optimality_peak_memory():
     """The check's traced peak stays below 9 MiB: its dilations build only the
-    three modes that the oracle reads (11.2 MiB with the whole 5-mode stack)."""
+    modes that the oracle reads (11.2 MiB with the whole 5-mode stack)."""
     tracemalloc.start()
     try:
         vfy.check_thermal_input_optimality()
@@ -342,6 +342,20 @@ def test_dense_min_equals_the_full_grid(domain):
     for i in range(60):
         eps, w_prime = _DENSE_DOMAINS[domain](rng)
         k, dense = int(rng.integers(1, 5)), _DENSE_SIZES[i % len(_DENSE_SIZES)]
+        want = _full_grid_min(eps, w_prime, k, dense)
+        assert vfy._dense_min(eps, w_prime, k, dense).hex() == want.hex(), (eps, w_prime, k, dense)
+
+
+# sizes around the second pass's sub-blocks: ragged last blocks and sub-blocks
+_RAGGED_DENSE_SIZES = (49, 50, 51, 1999, 2001, 2049, 2050, 2051, 100_049)
+
+
+@pytest.mark.parametrize("domain", _DENSE_DOMAINS)
+def test_dense_min_equals_the_full_grid_at_ragged_sizes(domain):
+    rng = np.random.default_rng(100 + list(_DENSE_DOMAINS).index(domain))
+    for i in range(45):
+        eps, w_prime = _DENSE_DOMAINS[domain](rng)
+        k, dense = int(rng.integers(1, 5)), _RAGGED_DENSE_SIZES[i % len(_RAGGED_DENSE_SIZES)]
         want = _full_grid_min(eps, w_prime, k, dense)
         assert vfy._dense_min(eps, w_prime, k, dense).hex() == want.hex(), (eps, w_prime, k, dense)
 
