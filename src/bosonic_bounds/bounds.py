@@ -6,16 +6,16 @@ coherent-information lower bounds, the displaced-thermal private lower
 bound, unconstrained limits, and comparison bounds from prior work.
 :data:`REGISTRY` holds one row per bound kind: its form for each supported
 channel kind, its clamp and, for the penalized kinds, the penalty
-multiplier; their forms return the base term, W' and eps.  A form and its
-regime checks are array expressions over the parameters of many cells.
-:func:`evaluate_columns` computes several kinds at many (channel, ns) cells
-from their rows: per kind, one call of the checks and the form per channel
-kind, masks for the cells they rule out and each cell's BoundResult, the
-penalized kinds' after one lockstep batch of all their eps' minimizations.
-:func:`evaluate_column` is its one-kind case and :func:`evaluate` its
-one-cell case, which the public bounds call: on Python floats throughout,
-lone searches included, as the forms step through :mod:`gaussian_core`'s
-float-or-array helpers, with the bits of the same cell in a column.
+multiplier; their forms return the base term, W' and eps.  Each row resolves
+once, per channel kind, the form and the full tuple of checks a cell runs.
+A form and its checks are array expressions over many cells' parameters.
+:func:`evaluate_columns` computes several kinds at many (channel, ns) cells:
+per kind and channel kind, one call of the checks, as masks, and of the form,
+and the penalized kinds' eps' minimizations in one lockstep batch.
+:func:`evaluate_column` is its one-kind case and :func:`evaluate` its one-cell
+case, which the public bounds call: one lookup, the checks as plain booleans,
+the form on Python floats (a lone search too) and the BoundResult, with the
+bits of the same cell in a column; such a call raises no numpy warning.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -63,6 +63,16 @@ def _check_epsilon(eps):
         raise DomainError("epsilon must lie in [0, 1)")
 
 
+def _check_penalty(epsilon, epsilon_prime, w_prime, k):
+    """PenaltyParams' checks, which a fixed eps' runs without the object."""
+    _check_epsilon(epsilon)
+    if not epsilon < epsilon_prime <= 1.0:
+        raise DomainError("epsilon_prime must lie in (epsilon, 1]")
+    _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
+    if k not in (1, 2, 3, 4):
+        raise DomainError("multiplier k must be one of 1, 2, 3, 4")
+
+
 @dataclass(frozen=True, init=False)
 class PenaltyParams:
     """Parameters of the approximate-degradability continuity penalty.
@@ -77,12 +87,7 @@ class PenaltyParams:
     k: int = 1
 
     def __init__(self, epsilon, epsilon_prime, w_prime, k=1):
-        _check_epsilon(epsilon)
-        if not epsilon < epsilon_prime <= 1.0:
-            raise DomainError("epsilon_prime must lie in (epsilon, 1]")
-        _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
-        if k not in (1, 2, 3, 4):
-            raise DomainError("multiplier k must be one of 1, 2, 3, 4")
+        _check_penalty(epsilon, epsilon_prime, w_prime, k)
         # one __dict__ write, a third of the cost of object.__setattr__ per field
         self.__dict__.update(epsilon=epsilon, epsilon_prime=epsilon_prime, w_prime=w_prime, k=k)
 
@@ -268,8 +273,12 @@ def q_lower_amp(g: float, nb: float, ns: float) -> BoundResult:
 # A check rules out the cells where `fails` holds.  `fails` takes a dict of a
 # group's columns by name (the channel parameters and ns; floats for one
 # cell) and returns a mask; a cell it rules out gets error(message), the
-# message formatted with that cell's own values by the same names.
-_Check = namedtuple("_Check", "fails error message")
+# message formatted with that cell's own values by the same names, its bound
+# `kind` and its `channel` kind.
+class _Check(namedtuple("_Check", "fails error message")):
+    def at(self, kind, ch, ns):
+        return self.error(self.message.format(**ch.params, ns=ns, kind=kind, channel=ch.kind))
+
 
 _NS_CHECKS = (
     _Check(lambda c: c["ns"] == math.inf, DomainError,
@@ -280,6 +289,7 @@ _NS_CHECKS = (
            "input mean photon number must be >= 0; got non-finite {ns}"),
     _Check(lambda c: c["ns"] < 0.0, DomainError, "input mean photon number must be >= 0"),
 )
+_NO_FORM = _Check(lambda c: True, ChannelKindError, "{kind} is not defined for {channel!r} channels")
 _NOT_EB = _Check(lambda c: (c["g"] - 1.0) * c["nb"] >= 1.0, InfeasibleBoundError,
                  "(G-1)*NB >= 1: amplifier(g={g:.6g}, nb={nb:.6g}) is entanglement-breaking")
 _NBAR_WINDOW = _Check(lambda c: (c["nbar"] <= 0.0) | (c["nbar"] >= 1.0) | (c["nbar"] != c["nbar"]),
@@ -360,15 +370,15 @@ def _plob_additive(nbar, ns):
 # The evaluator and the channel-taking bounds
 # ---------------------------------------------------------------------------
 
+def _failed(checks, cols):
+    """The first of `checks` that one cell's float columns `cols` fail, or None."""
+    for check in checks:
+        if check.fails(cols):
+            return check
+
+
 def _first_failure(checks, cols, n):
-    """Index into `checks` of each of the n cells' first failing check,
-    len(checks) where all pass.  One cell holds floats, so its masks are
-    single booleans and the first true one ends the search."""
-    if n == 1:
-        for j, check in enumerate(checks):
-            if check.fails(cols):
-                return [j]
-        return [len(checks)]
+    """Index into `checks` of each of n cells' first failing check, len(checks) if none."""
     first = np.full(n, len(checks))
     for j in range(len(checks) - 1, -1, -1):
         first[checks[j].fails(cols)] = j
@@ -380,33 +390,49 @@ def _per_cell(values):
     return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
 
 
-def _raise_first_failure(checks, params, ns):
-    """Raise the error of the first of `checks` that the one cell of channel
-    `params` and input energy `ns` fails; return if it passes them all."""
-    j = _first_failure(checks, {**params, "ns": ns}, 1)[0]
-    if j < len(checks):
-        raise checks[j].error(checks[j].message.format(**params, ns=ns))
+def _raise_first_failure(checks, kind, ch, ns):
+    """Raise the error of the first of `checks` that cell (ch, ns) of `kind` fails."""
+    if (check := _failed(checks, {**ch.params, "ns": ns})) is not None:
+        raise check.at(kind, ch, ns)
 
 
-def _result(kind, row, ch, ns, raw, argopt, extra):
-    """The BoundResult of `kind` at cell (ch, ns) from its raw bits, argopt and
-    params beyond the channel's and ns; a DomainError for nan or -inf bits."""
+def _result(kind, row, ch, ns, raw, argopt=None, eps=None, w_prime=None):
+    """Cell (ch, ns)'s BoundResult, or a DomainError for nan or -inf raw bits."""
     if raw != raw or raw == -math.inf:  # +inf is a bound: PLOB and RMG at eta = 1
         return DomainError(f"{kind} is {raw} bits at {ch.kind} {ch.params}, ns={ns}")
+    params = ({"channel": ch.kind, **ch.params, "ns": ns} if row.lower else
+              {**ch.params, "channel": ch.kind, "ns": ns, "eps": eps, "w_prime": w_prime} if row.k else
+              {**ch.params, "channel": ch.kind, "ns": ns})
     if row.k and argopt is not None:  # a penalized kind's eps'
-        extra.update(eps_prime=argopt, delta=(argopt - extra["eps"]) / (1.0 + argopt))
-    params = ({"channel": ch.kind, **ch.params, "ns": ns, **extra} if row.lower
-              else {**ch.params, "channel": ch.kind, "ns": ns, **extra})
+        params["eps_prime"], params["delta"] = argopt, (argopt - eps) / (1.0 + argopt)
     return BoundResult(kind, max(0.0, raw) if row.clamp else raw, raw, argopt, params)
 
 
-_REAL = (float, int, np.floating, np.integer)
+def _finish(out, i, kind, row, ch, ns, vals, eps_prime, todo):
+    """Set out[i] from the form's floats `vals` at cell (ch, ns): its raw bits (and PL's argmax),
+    or a penalized kind's base term, W' and eps, plus the penalty at a fixed or minimizing eps'."""
+    if not row.k:
+        out[i] = _result(kind, row, ch, ns, *vals)
+        return
+    base, w_prime, eps = vals
+    try:
+        _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
+        if eps_prime is not None:
+            e = float(eps_prime)
+            _check_penalty(eps, e, w_prime, row.k)
+            out[i] = _result(kind, row, ch, ns, base + _penalty_eval(e, eps, w_prime, row.k), e, eps, w_prime)
+        elif eps > 0.0:
+            todo.append((out, i, kind, row, ch, ns, base, eps, w_prime))
+        else:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
+            out[i] = _result(kind, row, ch, ns, base, None, eps, w_prime)
+    except DomainError as exc:  # its traceback would hold `out`: a cycle
+        out[i] = exc.with_traceback(None)
 
 
 def _check_real(ns_values):
     """DomainError unless each ns is an int, a float or a numpy real scalar."""
     for ns in ns_values:
-        if not isinstance(ns, _REAL):
+        if not isinstance(ns, (float, int, np.floating, np.integer)):
             raise DomainError(f"input mean photon number ns must be a real number, got {ns!r}")
 
 
@@ -420,64 +446,43 @@ def _columns(kinds, channels, ns_values, eps_prime):
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
     for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
-        if len(idx) == 1:  # floats, on which numpy computes faster than on 1-element arrays
-            one = dict(channels[idx[0]].params, ns=ns_values[idx[0]])
-            cols[ch_kind] = {name: float(v) for name, v in one.items()}
+        if len(idx) == 1:  # floats (the constructors' parameters are), faster than 1-element arrays
+            cols[ch_kind] = {**channels[idx[0]].params, "ns": float(ns_values[idx[0]])}
         else:
             cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
             cols[ch_kind] = dict(zip((*channels[idx[0]].params, "ns"), np.array(cells, dtype=float).T))
     for kind in kinds:
-        row = REGISTRY.get(kind)
-        if row is None:
+        if (row := REGISTRY.get(kind)) is None:
             raise DomainError(f"unknown bound kind {kind!r}")
         if eps_prime is not None and not row.k:
             takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
             raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
         columns.append(out := [None] * len(channels))  # each cell's BoundResult or error
         for ch_kind, idx in groups.items():
-            form = row.forms.get(ch_kind)
-            checks = (() if row.lower else _NS_CHECKS) + (form.checks if form else ())
-            passed = []
-            for k, (i, j) in enumerate(zip(idx, _first_failure(checks, cols[ch_kind], len(idx)))):
-                if j < len(checks):
-                    out[i] = checks[j].error(checks[j].message.format(**channels[i].params,
-                                                                      ns=ns_values[i]))
-                elif form is None:
-                    out[i] = ChannelKindError(f"{kind} is not defined for {ch_kind!r} channels")
+            fn, checks = row.resolved.get(ch_kind) or row.resolved[None]
+            c = cols[ch_kind]
+            if len(idx) == 1:  # plain booleans and floats
+                i = idx[0]
+                if (check := _failed(checks, c)) is not None:
+                    out[i] = check.at(kind, channels[i], ns_values[i])
                 else:
-                    passed.append(k)
-            if not passed:
+                    res = fn(*c.values())
+                    _finish(out, i, kind, row, channels[i], ns_values[i],
+                            res if isinstance(res, tuple) else (res,), eps_prime, todo)
                 continue
-            args = [*cols[ch_kind].values()]
-            if len(passed) < len(idx):
-                args = [v[passed] for v in args]
-            res = form.fn(*args)
-            if not row.k:  # the raw bits, and PL's argmax
-                raw, argopt = res if isinstance(res, tuple) else (res, None)
-                argopts = [None] * len(passed) if argopt is None else _per_cell(argopt)
-                for k, r, a in zip(passed, _per_cell(raw), argopts):
-                    out[idx[k]] = _result(kind, row, channels[idx[k]], ns_values[idx[k]], r, a, {})
-                continue
-            # the base term, W' and eps: add the penalty at a fixed eps', or
-            # put the cell on `todo` to minimize over eps'
-            for k, base, w_prime, eps in zip(passed, *map(_per_cell, res)):
-                i, e, extra = idx[k], None, {"eps": eps, "w_prime": w_prime}
-                try:
-                    _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
-                    if eps_prime is not None:
-                        e = float(eps_prime)
-                        base += penalty(PenaltyParams(eps, e, w_prime, row.k))
-                    elif eps > 0.0:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
-                        todo.append((out, i, kind, row, base, extra))
-                        continue
-                    out[i] = _result(kind, row, channels[i], ns_values[i], base, e, extra)
-                except DomainError as exc:  # its traceback would hold `out`: a cycle
-                    out[i] = exc.with_traceback(None)
+            first = _first_failure(checks, c, len(idx))
+            for i, j in zip(idx, first):
+                if j < len(checks):
+                    out[i] = checks[j].at(kind, channels[i], ns_values[i])
+            if passed := [k for k, j in enumerate(first) if j == len(checks)]:
+                res = fn(*(c.values() if len(passed) == len(idx) else (v[passed] for v in c.values())))
+                for k, *vals in zip(passed, *map(_per_cell, res if isinstance(res, tuple) else (res,))):
+                    _finish(out, idx[k], kind, row, channels[idx[k]], ns_values[idx[k]], vals, eps_prime, todo)
     if todo:  # every penalized kind's minimizations in one batch, on floats for one
-        args = [(t[5]["eps"], t[5]["w_prime"], t[3].k) for t in todo]
+        args = [(eps, w_prime, row.k) for _, _, _, row, _, _, _, eps, w_prime in todo]
         res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
-        for (out, i, kind, row, base, extra), p, a in zip(todo, *map(_per_cell, res)):
-            out[i] = _result(kind, row, channels[i], ns_values[i], base + p, a, extra)
+        for (out, i, kind, row, ch, ns, base, eps, w_prime), p, a in zip(todo, *map(_per_cell, res)):
+            out[i] = _result(kind, row, ch, ns, base + p, a, eps, w_prime)
     return columns
 
 
@@ -506,22 +511,19 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     :func:`evaluate_column`, raising the cell's error instead of returning it.
     A penalized kind takes a fixed `eps_prime` in place of the minimization;
     a bad one is reported after the cell's other checks."""
-    cell = _columns((kind,), [ch], [ns], eps_prime)[0][0]
-    try:
-        if isinstance(cell, BosonicBoundsError):
+    if isinstance(cell := _columns((kind,), [ch], [ns], eps_prime)[0][0], BosonicBoundsError):
+        try:
             raise cell
-        return cell
-    finally:
-        del cell  # the raised error's traceback holds this frame: no cycle through it
+        finally:
+            del cell  # the raised error's traceback holds this frame: no cycle through it
+    return cell
 
 
 def _unconstrained(kind, ch):
     """The infinite-energy limit of `kind` at `ch` (raw, unclamped), after
     the channel kind and the form's checks."""
     form = REGISTRY[kind].forms.get(ch.kind)
-    if form is None:
-        raise ChannelKindError(f"{kind} is not defined for {ch.kind!r} channels")
-    _raise_first_failure(form.checks, ch.params, np.inf)
+    _raise_first_failure((_NO_FORM,) if form is None else form.checks, kind, ch, math.inf)
     return float(form.limit(*ch.params.values()))
 
 
@@ -660,7 +662,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     _check_real((ns,))
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
-    _raise_first_failure(_NS_CHECKS, {}, ns)
+    _raise_first_failure(_NS_CHECKS, None, a, ns)
     probe = gc.tms_state(ns)
     fid = gc.two_mode_fidelity(*(ch.apply(probe, modes=(1,)) for ch in (a, b)))
     return float(np.sqrt(max(1.0 - fid, 0.0)))
@@ -682,13 +684,22 @@ class BoundKind:
     kinds (QU2, QU3, PU2, PU3) are the rows with a penalty multiplier
     `k` > 0; their forms return eps and W' with the base term, and only
     they accept a fixed eps'.  The `lower` rows (QL, PL) check the channel
-    kind before ns, and their params lead with the channel.
+    kind before ns, and their params lead with the channel.  `resolved`, built
+    with the row, maps each channel kind of `forms`, and None any other, to
+    the (fn, checks) a cell runs: the ns checks, then the form's or, with no
+    form, the one that fails as ChannelKindError; the `lower` rows, ns last.
     """
 
     forms: dict
     clamp: bool
     k: int = 0
     lower: bool = False
+    resolved: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first, last = ((), _NS_CHECKS) if self.lower else (_NS_CHECKS, ())
+        object.__setattr__(self, "resolved", {None: (None, first + (_NO_FORM,)), **{
+            ck: (f.fn, first + f.checks + last) for ck, f in self.forms.items()}})
 
 
 _QU1 = {"thermal": _Form(_qu1_thermal_raw, (_eta_half("QU1"),),
@@ -703,9 +714,8 @@ _CLOSE = {"thermal": _Form(_reference_thermal, (_eta_half("QU3"),)),
           "amplifier": _Form(_reference_amp, (_NOT_EB,))}
 
 REGISTRY = {
-    "QL": BoundKind({"thermal": _Form(_ql_thermal_raw, _NS_CHECKS),
-                     "amplifier": _Form(_ql_amp_raw, (_gain_above_one("q_lower_amp requires "
-                                                                      "gain > 1"), *_NS_CHECKS))},
+    "QL": BoundKind({"thermal": _Form(_ql_thermal_raw, ()),
+                     "amplifier": _Form(_ql_amp_raw, (_gain_above_one("q_lower_amp requires gain > 1"),))},
                     True, lower=True),
     "QU1": BoundKind(_QU1, True),
     "QU2": BoundKind(_DEG, False, 1),
@@ -716,7 +726,7 @@ REGISTRY = {
     "PU1": BoundKind(_QU1, True),
     "PU2": BoundKind(_DEG, False, 3),
     "PU3": BoundKind(_CLOSE, False, 4),
-    "PL": BoundKind({"thermal": _Form(_pl_thermal, _NS_CHECKS)}, False, lower=True),
+    "PL": BoundKind({"thermal": _Form(_pl_thermal, ())}, False, lower=True),
     "PLOB": BoundKind({"thermal": _Form(_plob_thermal, ()), "amplifier": _Form(_plob_amp, ()),
                        "additive": _Form(_plob_additive, (_NBAR_WINDOW,))}, False),
     "RMG": BoundKind({"thermal": _Form(_rmg_thermal, (_AMP_THEN_LOSS,))}, True),

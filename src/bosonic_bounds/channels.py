@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleBoundError,
     InvalidChannelError,
     InvalidStateError,
+    _not_real,
     _require,
 )
 
@@ -75,10 +76,13 @@ class PhaseInsensitiveChannel:
 def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     """Thermal channel: beamsplitter of transmissivity eta mixing the input
     with a thermal environment of mean photon number nb."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("thermal channel requires eta in (0, 1]")
-    if not 0.0 <= nb < math.inf:
-        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    try:
+        if not 0.0 < eta <= 1.0:
+            raise DomainError("thermal channel requires eta in (0, 1]")
+        if not 0.0 <= nb < math.inf:
+            _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    except TypeError:  # a comparison with a non-real value
+        raise _not_real("thermal channel", eta=eta, nb=nb) from None
     eta, nb = float(eta), float(nb)  # a numpy float32 is kept in float64
     return PhaseInsensitiveChannel(
         eta, (1.0 - eta) * (2.0 * nb + 1.0), "thermal", {"eta": eta, "nb": nb}
@@ -92,10 +96,13 @@ def pure_loss(eta: float) -> PhaseInsensitiveChannel:
 def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
     """Noisy amplifier channel: two-mode squeezer of gain g with a thermal
     environment of mean photon number nb."""
-    if not 1.0 <= g < math.inf:
-        _require(g >= 1.0, "amplifier gain must be >= 1", g)
-    if not 0.0 <= nb < math.inf:
-        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    try:
+        if not 1.0 <= g < math.inf:
+            _require(g >= 1.0, "amplifier gain must be >= 1", g)
+        if not 0.0 <= nb < math.inf:
+            _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    except TypeError:
+        raise _not_real("amplifier channel", g=g, nb=nb) from None
     g, nb = float(g), float(nb)
     return PhaseInsensitiveChannel(
         g, (g - 1.0) * (2.0 * nb + 1.0), "amplifier", {"g": g, "nb": nb}
@@ -105,8 +112,11 @@ def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
 def additive_noise(nbar: float) -> PhaseInsensitiveChannel:
     """Additive-noise channel: random Gaussian displacements adding nbar
     noise photons (tau = 1, nu = 2 nbar)."""
-    if not 0.0 < nbar < math.inf:
-        _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
+    try:
+        if not 0.0 < nbar < math.inf:
+            _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
+    except TypeError:
+        raise _not_real("additive-noise channel", nbar=nbar) from None
     nbar = float(nbar)
     return PhaseInsensitiveChannel(1.0, 2.0 * nbar, "additive", {"nbar": nbar})
 
@@ -231,7 +241,10 @@ def kappa(x: float, nb: float) -> float:
     item E's factored bracket removes.  x and nb are taken in float64.  A
     result that is not finite (nb(nb+1) overflows from nb = 1.3e154) raises
     DomainError."""
-    _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+    try:
+        _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+    except TypeError:
+        raise _not_real("kappa", x=x, nb=nb) from None
     x, nb = float(x), float(nb)
     if not np.isfinite(k := _kappa(x, nb)):
         raise DomainError(f"kappa({x}, nb={nb}) is {k} in float64: nb is too large")
@@ -279,7 +292,7 @@ def noisy_tms_qblocks(nb, x):
     """(q, p) blocks of the noisy two-mode-squeezed state omega(nb): diagonal
     2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G, in
     float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x."""
-    nb, x = np.asarray(nb, dtype=float), np.asarray(x, dtype=float)
+    nb, x = gc._float_arrays("noisy_tms_qblocks", nb=nb, x=x)
     if (x < 0.5).any():
         raise DomainError("noisy TMS needs x >= 1/2")
     d = 2.0 * nb + 1.0

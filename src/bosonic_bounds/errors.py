@@ -36,6 +36,13 @@ class SingularMatrixError(BosonicBoundsError, ArithmeticError):
     """An intermediate matrix quantity was singular or non-finite."""
 
 
+def _not_real(what, **values):
+    """The DomainError for `what` given a value that is not a real number (a
+    str, None or a complex number), which its checks meet as a TypeError."""
+    got = ", ".join(f"{name}={v!r}" for name, v in values.items())
+    return DomainError(f"{what} takes real numbers, got {got}")
+
+
 def _require(ok: bool, message: str, *values, error=DomainError):
     """Raise `error` unless every one of `values` is finite and `ok` holds:
     NaN and +-inf lie outside every domain of the package.  The message,

@@ -27,6 +27,7 @@ from .errors import (
     InvalidChannelError,
     InvalidStateError,
     SingularMatrixError,
+    _not_real,
     _require,
 )
 
@@ -261,8 +262,11 @@ def vacuum_state(modes: int = 1) -> GaussianState:
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     """Product of `modes` thermal states, each with mean photon number nbar."""
-    _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
-             nbar, d := 2.0 * float(nbar) + 1.0)
+    try:
+        _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
+                 nbar, d := 2.0 * float(nbar) + 1.0)
+    except TypeError:
+        raise _not_real("thermal_state", nbar=nbar) from None
     return GaussianState(modes, np.zeros(2 * _mode_count(modes)), d * np.eye(2 * modes))
 
 
@@ -272,10 +276,20 @@ def _mat2(a, b, c, d) -> np.ndarray:
     return M if M.ndim == 2 else M.transpose(*range(2, M.ndim), 0, 1)
 
 
+def _float_arrays(what, **values):
+    """`values` as float64 arrays, each of any real dtype; the DomainError of
+    `what` for a str, None, a complex number or an object array."""
+    arrays = [np.asarray(v) for v in values.values()]
+    if any(a.dtype.kind not in "biuf" for a in arrays):
+        raise _not_real(what, **values)
+    return [a.astype(float, copy=False) for a in arrays]
+
+
 def tms_qblocks(n):
     """(q-block, p-block) of the two-mode squeezed vacuum with parameter n, in
     float64 whatever n's dtype, or stacks (..., 2, 2) over an array of n."""
-    if ((n := np.asarray(n, dtype=float)) < 0).any():
+    n, = _float_arrays("tms_qblocks", n=n)
+    if (n < 0).any():
         raise DomainError("TMS photon number must be >= 0")
     d = 2.0 * n + 1.0
     c = 2.0 * np.sqrt(n * (n + 1.0))

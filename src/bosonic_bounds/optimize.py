@@ -95,11 +95,13 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     dropped (a nan seed raises DomainError before any evaluation; +-inf
     clips to the bounds).  All seeds are evaluated in one call, `x` of
     shape (n, m) and each arg `row_arg[:, None]`, or for one problem (n =
-    1) the float `row_arg`.  A caller whose objective diverges at an
-    endpoint passes grids that crowd towards it and keeps the endpoint out
-    of [lo, hi].  Each row's best seed, its value and its bracket, the best
-    seed's neighbours, are read as floats; the bracket starts a
-    golden-section search of the fixed step count that shrinks it to 1e-9.
+    1) the float `row_arg` under ``np.errstate(over="ignore",
+    invalid="ignore")``, so that like its float steps it does not warn.  A
+    caller whose objective diverges at an endpoint passes grids that crowd
+    towards it and keeps the endpoint out of [lo, hi].  Each row's best
+    seed, its value and its bracket, the best seed's neighbours, are read as
+    floats; the bracket starts a golden-section search of the fixed step
+    count that shrinks it to 1e-9.
     Ties keep the left interval.
     Two or more searching problems are gathered once, longest search first,
     and step together to the end of the longest: while k of them step, `x` has
@@ -134,8 +136,11 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     # clip, sort or drop; a nan seed fails a comparison
     if not (inside and np.count_nonzero(seeds[:, 1:] > seeds[:, :-1]) == n * (m - 1)):
         grid, count = _seed_grids(np.array(lo), np.array(hi), seeds)
-    vals = f(grid, [p[0] for p in row_args] if n == 1
-             else [np.array(p)[:, None] for p in row_args])
+    if n == 1:  # a lone problem's one array step warns no more than its float steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = f(grid, [p[0] for p in row_args])
+    else:
+        vals = f(grid, [np.array(p)[:, None] for p in row_args])
     # each row's best seed (its first minimum: the smallest argument on
     # ties), its value, its bracket (the best seed's neighbours) and the
     # golden-section steps that shrink the bracket to _TOL, on floats

@@ -19,6 +19,66 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# One point of each registry row and the `bound` JSON text it prints, byte
+# for byte: the key order of that text is the CLI contract.  The penalized
+# rows QU2 and PU2 minimize over eps'; QU3 and PU3 take a fixed one.
+BOUND_JSON = {
+    "QL": (("amplifier", "--g", "1.5", "--nb", "0.2", "--ns", "2"),
+        '{"kind": "QL", "value_bits": 0.5325229432737538, "raw_bits": 0.5325229432737538, '
+        '"arg_opt": null, "params": {"channel": "amplifier", "g": 1.5, "nb": 0.2, "ns": 2.0}}'),
+    "QU1": (("amplifier", "--g", "1.5", "--nb", "0.2", "--ns", "2"),
+        '{"kind": "QU1", "value_bits": 0.8547529722733433, "raw_bits": 0.8547529722733433, '
+        '"arg_opt": null, "params": {"g": 1.5, "nb": 0.2, "channel": "amplifier", "ns": 2.0}}'),
+    "QU2": (("thermal", "--eta", "0.9", "--nb", "0.1", "--ns", "2"),
+        '{"kind": "QU2", "value_bits": 3.049063443908179, "raw_bits": 3.049063443908179, '
+        '"arg_opt": 0.05441446737302508, "params": {"eta": 0.9, "nb": 0.1, '
+        '"channel": "thermal", "ns": 2.0, "eps": 0.05208538292439958, '
+        '"w_prime": 0.38999999999999996, "eps_prime": 0.05441446737302508, '
+        '"delta": 0.0022088889338062628}}'),
+    "QU3": (("amplifier", "--g", "1.5", "--nb", "0.2", "--ns", "2", "--eps-prime", "0.5"),
+        '{"kind": "QU3", "value_bits": 26.828111273365955, "raw_bits": 26.828111273365955, '
+        '"arg_opt": 0.5, "params": {"g": 1.5, "nb": 0.2, "channel": "amplifier", "ns": 2.0, '
+        '"eps": 0.16666666666666669, "w_prime": 3.1, "eps_prime": 0.5, '
+        '"delta": 0.2222222222222222}}'),
+    "QU4": (("additive", "--nbar", "0.3", "--ns", "2"),
+        '{"kind": "QU4", "value_bits": 0.934739851425459, "raw_bits": 0.934739851425459, '
+        '"arg_opt": null, "params": {"nbar": 0.3, "channel": "additive", "ns": 2.0}}'),
+    "PU1": (("additive", "--nbar", "0.3", "--ns", "2"),
+        '{"kind": "PU1", "value_bits": 1.1404304838446566, "raw_bits": 1.1404304838446566, '
+        '"arg_opt": null, "params": {"nbar": 0.3, "channel": "additive", "ns": 2.0}}'),
+    "PU2": (("amplifier", "--g", "1.5", "--nb", "0.2", "--ns", "2"),
+        '{"kind": "PU2", "value_bits": 17.06383050008998, "raw_bits": 17.06383050008998, '
+        '"arg_opt": 0.23941617638683105, "params": {"g": 1.5, "nb": 0.2, '
+        '"channel": "amplifier", "ns": 2.0, "eps": 0.22658309153239242, "w_prime": 1.5, '
+        '"eps_prime": 0.23941617638683105, "delta": 0.010354136971045409}}'),
+    "PU3": (("thermal", "--eta", "0.9", "--nb", "0.1", "--ns", "2", "--eps-prime", "0.5"),
+        '{"kind": "PU3", "value_bits": 49.89465052539126, "raw_bits": 49.89465052539126, '
+        '"arg_opt": 0.5, "params": {"eta": 0.9, "nb": 0.1, "channel": "thermal", "ns": 2.0, '
+        '"eps": 0.09090909090909091, "w_prime": 1.81, "eps_prime": 0.5, '
+        '"delta": 0.2727272727272727}}'),
+    "PL": (("thermal", "--eta", "0.9", "--nb", "0.1", "--ns", "2"),
+        '{"kind": "PL", "value_bits": 1.6538331803889714, "raw_bits": 1.6538331803889714, '
+        '"arg_opt": 0.0, "params": {"channel": "thermal", "eta": 0.9, "nb": 0.1, "ns": 2.0}}'),
+    "PLOB": (("amplifier", "--g", "1.5", "--nb", "0.2", "--ns", "2"),
+        '{"kind": "PLOB", "value_bits": 0.9219280948873624, "raw_bits": 0.9219280948873624, '
+        '"arg_opt": null, "params": {"g": 1.5, "nb": 0.2, "channel": "amplifier", "ns": 2.0}}'),
+    "RMG": (("thermal", "--eta", "0.9", "--nb", "0.1", "--ns", "2"),
+        '{"kind": "RMG", "value_bits": 3.0163018123291008, "raw_bits": 3.0163018123291008, '
+        '"arg_opt": null, "params": {"eta": 0.9, "nb": 0.1, "channel": "thermal", "ns": 2.0}}'),
+}
+
+
+@pytest.mark.parametrize("kind", list(BOUND_JSON))
+def test_bound_json_text_is_pinned(capsys, kind):
+    argv, text = BOUND_JSON[kind]
+    code, out, err = run_cli(capsys, "bound", "--channel", *argv, "--bound", kind)
+    assert (code, out, err) == (0, text + "\n", "")
+
+
+def test_bound_json_pins_every_registry_row():
+    assert list(BOUND_JSON) == list(bnd.REGISTRY)
+
+
 class TestBoundCommand:
     def test_pure_loss_point(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--channel", "thermal",

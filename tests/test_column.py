@@ -192,6 +192,30 @@ def test_columns_are_their_one_kind_columns(kinds, seed):
     assert any(isinstance(c, DomainError) and "must be >= 0" in str(c) for c in cells)
 
 
+_FEASIBLE = {"thermal": chn.thermal(0.8, 0.3), "amplifier": chn.amplifier(1.5, 0.3),
+             "additive": chn.additive_noise(0.3)}
+_SUPPORTED = [(kind, ck, None) for kind, row in bnd.REGISTRY.items() for ck in row.forms]
+
+
+@pytest.mark.parametrize("kind,ch_kind,eps_prime",
+                         _SUPPORTED + [(k, ck, 0.9) for k, ck, _ in _SUPPORTED if bnd.REGISTRY[k].k],
+                         ids=lambda v: v if isinstance(v, str) else f"eps'={v}")
+def test_one_cell_params_keep_their_column_order(kind, ch_kind, eps_prime):
+    """A one-cell BoundResult's params have the keys of the same cell in a
+    column, in the same order (the order of the `bound` JSON) and with the
+    same bits and types; a penalized kind at a fixed eps' too."""
+    ch = _FEASIBLE[ch_kind]
+    one = bnd.evaluate(kind, ch, 2.0, eps_prime)
+    cell = bnd._columns((kind,), [ch] * 3, [1.0, 2.0, 3.0], eps_prime)[0][1]
+
+    def ordered(result):
+        return [(key, v if isinstance(v, str) else float(v).hex()) for key, v in result.params.items()]
+    assert ordered(one) == ordered(cell)
+    assert hexed(one) == hexed(cell)
+    # Python floats, as a column's cells hold: no numpy scalar leaks out
+    assert {type(v) for v in (one.value, one.raw, *one.params.values())} <= {float, str}
+
+
 def test_columns_of_no_kind_and_no_cell():
     assert bnd.evaluate_columns((), [chn.thermal(0.9, 0.1)], [1.0]) == []
     assert bnd.evaluate_columns(("QU2", "PL"), [], []) == [[], []]

@@ -93,6 +93,32 @@ def test_channel_rejects(call, error, x):
         call(x)
 
 
+# (name, callable of the one non-real argument, a valid value there)
+NON_REAL_CALLS = [
+    ("thermal.eta", lambda x: chn.thermal(x, 0.3), 0.8),
+    ("thermal.nb", lambda x: chn.thermal(0.8, x), 0.3),
+    ("amplifier.g", lambda x: chn.amplifier(x, 0.3), 2.0),
+    ("amplifier.nb", lambda x: chn.amplifier(2, x), 0.3),
+    ("additive_noise.nbar", lambda x: chn.additive_noise(x), 0.3),
+    ("kappa.x", lambda x: chn.kappa(x, 0.3), 0.8),
+    ("kappa.nb", lambda x: chn.kappa(0.8, x), 0.3),
+    ("thermal_state.nbar", lambda x: gc.thermal_state(x), 1.5),
+    ("tms_qblocks.n", lambda x: gc.tms_qblocks(x), 1.5),
+    ("tms_state.n", lambda x: gc.tms_state(x), 1.5),
+    ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8), 0.3),
+    ("noisy_tms_qblocks.x", lambda x: chn.noisy_tms_qblocks(0.3, x), 0.8),
+]
+
+
+@pytest.mark.parametrize("make", [str, lambda v: None, complex], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in NON_REAL_CALLS],
+                         ids=[n for n, _, _ in NON_REAL_CALLS])
+def test_non_real_parameter_is_a_domain_error(call, valid, make):
+    call(valid)
+    with pytest.raises(DomainError, match="takes real numbers, got "):
+        call(make(valid))
+
+
 def test_infinite_energy_points_to_the_unconstrained_limits():
     with pytest.raises(DomainError, match="q_u1_unconstrained and q_u4_unconstrained"):
         bnd.q_u1(TH, math.inf)
@@ -153,6 +179,20 @@ def test_overflowing_kappa_names_nb(x):
 @pytest.mark.parametrize("kind,call", OVERFLOWING,
                          ids=["QL-1e200", "QL-1e160", "QU2-1e200", "PL-1e200"])
 def test_overflowing_form_is_no_bound(kind, call):
+    with pytest.raises(DomainError, match=rf"^{kind} is (nan|-inf) bits at thermal .*ns=1e\+"):
+        call()
+
+
+# no filterwarnings mark: a one-cell call does not warn on its way to the
+# error, as a lone search's seed row is its only array step
+@pytest.mark.parametrize("kind,call", [
+    ("PL", lambda: bnd.p_lower_displaced(0.8, 0.5, 1e160)),
+    ("PL", lambda: bnd.p_lower_displaced(0.8, 0.5, 1e200)),
+    ("QU2", lambda: bnd.q_u2(chn.thermal(0.8, 0.5), 1e307)),
+    ("QU3", lambda: bnd.q_u3(chn.thermal(0.8, 0.5), 1e307)),
+    ("PU2", lambda: bnd.p_bounds(chn.thermal(0.8, 0.5), 1e307, "PU2")),
+], ids=["PL-1e160", "PL-1e200", "QU2-1e307", "QU3-1e307", "PU2-1e307"])
+def test_overflowing_one_cell_search_does_not_warn(kind, call):
     with pytest.raises(DomainError, match=rf"^{kind} is (nan|-inf) bits at thermal .*ns=1e\+"):
         call()
 
