@@ -37,7 +37,7 @@ import numpy as np
 from . import channels as chn
 from . import gaussian_core as gc
 from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
-                     InfeasibleBoundError, _require)
+                     InfeasibleBoundError, _not_real, _require)
 from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
 from .optimize import minimize_batch
 
@@ -52,6 +52,7 @@ __all__ = [
 
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
 DEFAULT_GRID_POINTS = 64  # seeds per row of an eps' or PL energy-split search
+_REAL = (float, int, np.floating, np.integer)  # the types an ns or a fixed eps' may have
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +66,14 @@ def _check_epsilon(eps):
 
 def _check_penalty(epsilon, epsilon_prime, w_prime, k):
     """PenaltyParams' checks, which a fixed eps' runs without the object."""
-    _check_epsilon(epsilon)
-    if not epsilon < epsilon_prime <= 1.0:
-        raise DomainError("epsilon_prime must lie in (epsilon, 1]")
-    _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
+    try:
+        _check_epsilon(epsilon)
+        if not epsilon < epsilon_prime <= 1.0:
+            raise DomainError("epsilon_prime must lie in (epsilon, 1]")
+        _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
+    except TypeError:  # a comparison with a non-real value
+        raise _not_real("PenaltyParams", epsilon=epsilon, epsilon_prime=epsilon_prime,
+                        w_prime=w_prime) from None
     if k not in (1, 2, 3, 4):
         raise DomainError("multiplier k must be one of 1, 2, 3, 4")
 
@@ -224,15 +229,20 @@ def _qu4_additive_raw(nbar, ns):
     return (_gn(ns + nbar) - _gn(nbar * (ns + nbar) / (1.0 - nbar))) / LN2
 
 
+def _ud_raw(x, nb, s, t, d, out):
+    """U_D at eta or G = x from the radicand's sum s, outer term t, shift d and output photons out."""
+    rho = 4.0 * nb * (nb + 1.0) * (2.0 * x - 1.0) / x
+    inner = _sqrt(_maximum(_sq(s) - rho, 0.0))
+    common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(t)
+    zp = 0.5 * (_sqrt(_maximum((common + 4.0 * d * inner) / 2.0, 1.0)) - 1.0)
+    zm = 0.5 * (_sqrt(_maximum((common - 4.0 * d * inner) / 2.0, 1.0)) - 1.0)
+    return (_gn(out) - _gn(zp) - _gn(zm)) / LN2
+
+
 def _ud_thermal_raw(eta, nb, ns):
     """Conditional entropy of degradation at thermal input, thermal channel."""
-    rho = 4.0 * nb * (nb + 1.0) * (2.0 * eta - 1.0) / eta
     th = eta * nb + (1.0 - eta) * ns
-    inner = _sqrt(_maximum(_sq(1.0 + nb + th) - rho, 0.0))
-    common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(1.0 + 2.0 * th)
-    zp = 0.5 * (_sqrt(_maximum((common + 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    zm = 0.5 * (_sqrt(_maximum((common - 4.0 * (th - nb) * inner) / 2.0, 1.0)) - 1.0)
-    return (_gn(eta * ns + (1.0 - eta) * nb) - _gn(zp) - _gn(zm)) / LN2
+    return _ud_raw(eta, nb, 1.0 + nb + th, 1.0 + 2.0 * th, th - nb, eta * ns + (1.0 - eta) * nb)
 
 
 def _ud_amp_raw(g, nb, ns):
@@ -242,13 +252,8 @@ def _ud_amp_raw(g, nb, ns):
     it matches the conditional-entropy oracle through the degrading
     dilation, which the g(G ns + (G-1) nb) variant does not.
     """
-    rho = 4.0 * nb * (nb + 1.0) * (2.0 * g - 1.0) / g
     th = g * (1.0 + nb) + (g - 1.0) * ns
-    inner = _sqrt(_maximum(_sq(nb + th) - rho, 0.0))
-    common = _sq(1.0 + 2.0 * nb) - 2.0 * rho + _sq(2.0 * th - 1.0)
-    zp = 0.5 * (_sqrt(_maximum((common + 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    zm = 0.5 * (_sqrt(_maximum((common - 4.0 * (th - nb - 1.0) * inner) / 2.0, 1.0)) - 1.0)
-    return (_gn(g * ns + (g - 1.0) * (nb + 1.0)) - _gn(zp) - _gn(zm)) / LN2
+    return _ud_raw(g, nb, nb + th, 2.0 * th - 1.0, th - nb - 1.0, g * ns + (g - 1.0) * (nb + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +434,14 @@ def _finish(out, i, kind, row, ch, ns, vals, eps_prime, todo):
         out[i] = exc.with_traceback(None)
 
 
-def _check_real(ns_values):
-    """DomainError unless each ns is an int, a float or a numpy real scalar."""
+def _check_real(ns_values, eps_prime=None):
+    """DomainError unless each ns, and a fixed eps' if given, is an int, a
+    float or a numpy real scalar."""
     for ns in ns_values:
-        if not isinstance(ns, (float, int, np.floating, np.integer)):
+        if not isinstance(ns, _REAL):
             raise DomainError(f"input mean photon number ns must be a real number, got {ns!r}")
+    if eps_prime is not None and not isinstance(eps_prime, _REAL):
+        raise _not_real("a fixed eps'", eps_prime=eps_prime)
 
 
 def _columns(kinds, channels, ns_values, eps_prime):
@@ -441,7 +449,7 @@ def _columns(kinds, channels, ns_values, eps_prime):
     if len(channels) != len(ns_values):
         raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
                           f"channels and {len(ns_values)} ns values")
-    _check_real(ns_values)
+    _check_real(ns_values, eps_prime)
     groups, cols, todo, columns = {}, {}, [], []
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)

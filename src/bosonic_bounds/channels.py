@@ -33,6 +33,7 @@ from .errors import (
     _not_real,
     _require,
 )
+from .gaussian_core import noisy_tms_qblocks  # omega(nb), the simulating channel's environment
 
 _EB_SLACK = 1e-12
 
@@ -52,6 +53,8 @@ class PhaseInsensitiveChannel:
         # _require only raises: NaN fails every comparison, and a finite nu
         # with cptp bounds (1 - tau)^2, so tau is finite too
         if not (cptp and nu < math.inf):
+            if kind != "raw" and not math.isfinite(nu):  # its constructor checked the parameters
+                raise DomainError(f"{kind} channel {params}: nu = {nu} overflows float64")
             _require(cptp, "CPTP violated: need nu >= 0 and nu^2 >= (1-tau)^2, got tau={}, nu={}",
                      tau, nu, error=InvalidChannelError)
         # one __dict__ write, a third of the cost of object.__setattr__ per field
@@ -238,11 +241,12 @@ def kappa(x: float, nb: float) -> float:
     (x >= 1).  In both regimes the bracket is nonnegative in exact
     arithmetic, with a double root at x = 1; in floats it cancels near
     there (-4.4e-16 at x = 1 - 2^-53, where it is 2.5e-32), which ROADMAP
-    item E's factored bracket removes.  x and nb are taken in float64.  A
-    result that is not finite (nb(nb+1) overflows from nb = 1.3e154) raises
-    DomainError."""
+    item E's factored bracket removes.  x and nb are taken in float64, nb
+    finite and >= 0.  A result that is not finite (nb(nb+1) overflows from
+    nb = 1.3e154) raises DomainError."""
     try:
         _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     except TypeError:
         raise _not_real("kappa", x=x, nb=nb) from None
     x, nb = float(x), float(nb)
@@ -279,7 +283,10 @@ def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
 def epsilon_close_degradable(nb: float) -> EpsilonReport:
     """Diamond distance from a thermal (or amplifier) channel to its
     quantum-limited counterpart: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    try:
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    except TypeError:
+        raise _not_real("epsilon_close_degradable", nb=nb) from None
     return EpsilonReport(float(nb / (nb + 1.0)), float(1.0 - 1.0 / np.sqrt(nb + 1.0)),
                          "eps_close_degradable")
 
@@ -287,18 +294,6 @@ def epsilon_close_degradable(nb: float) -> EpsilonReport:
 # ---------------------------------------------------------------------------
 # Degrading / simulating channel constructions
 # ---------------------------------------------------------------------------
-
-def noisy_tms_qblocks(nb, x):
-    """(q, p) blocks of the noisy two-mode-squeezed state omega(nb): diagonal
-    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G, in
-    float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x."""
-    nb, x = gc._float_arrays("noisy_tms_qblocks", nb=nb, x=x)
-    if (x < 0.5).any():
-        raise DomainError("noisy TMS needs x >= 1/2")
-    d = 2.0 * nb + 1.0
-    w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x
-    return gc._mat2(d, w, w, d), gc._mat2(d, -w, -w, d)
-
 
 def _column_params(channels):
     """(kind, x = tau, nb) of a thermal or amplifier channel, or arrays over a column of one kind."""
@@ -343,7 +338,8 @@ def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
 def _channel_step(kind, x):
     """The dilation step of channels of parameters x: their beamsplitter or
     two-mode squeezer on the input mode A and the environment mode after it."""
-    return gc._beamsplitters("B", x) if kind == "thermal" else gc._squeezers(x), (0, 1)
+    S = gc.beamsplitter_symplectic("B", x) if kind == "thermal" else gc.two_mode_squeezer_symplectic(x)
+    return S, (0, 1)
 
 
 def degrading_dilation_cov(ch, input_cov: np.ndarray):
@@ -367,12 +363,12 @@ def _degrading(kind, x, nb, input_cov, modes=None):
         if np.any(x < 0.5):
             raise DomainError("degrading construction needs eta in [1/2, 1]")
         # B' of transmissivity (1-eta)/eta on (B, F); outputs E'2 then G
-        degrade = (gc._beamsplitters("Bprime", (1.0 - x) / x), (0, 3))
+        degrade = (gc.beamsplitter_symplectic("Bprime", (1.0 - x) / x), (0, 3))
         slots = {"E2p": 0, "G": 3}
     else:
         # two-mode squeezer of parameter (2G-1)/G with F as the signal input
         # and the channel output B as the environment port
-        degrade = (gc._squeezers((2.0 * x - 1.0) / x), (3, 0))
+        degrade = (gc.two_mode_squeezer_symplectic((2.0 * x - 1.0) / x), (3, 0))
         slots = {"E2p": 3, "G": 0}
     # modes after the input: (E2, E1) and (F, E'1), each a purified thermal
     # environment
@@ -421,7 +417,7 @@ def _validate_qblock(qblock: np.ndarray) -> np.ndarray:
 
 def _deg_sim_routes(kind, x, nb, q):
     """3-mode covariances (R, E'2/E2, E'1/E1) of the two routes for a checked input q-block q."""
-    Vin = gc._place_pair(np.zeros(q.shape[:-2] + (4, 4)), 0, q, q * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    Vin = gc._pair_cov(q, q * np.array([[1.0, -1.0], [-1.0, 1.0]]))
     return (_degrading(kind, x, nb, Vin, ("refs", "E2p", "E1p"))[0],
             _simulating(kind, x, nb, Vin, ("refs", "E2", "E1"))[0])
 

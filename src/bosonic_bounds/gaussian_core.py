@@ -11,7 +11,10 @@ Conventions
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.  One-state
 functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
-`_fidelity`, `_photon_number` and `_apply`, the channel action.  Symplectic
+`_fidelity`, `_photon_number` and `_apply`, the channel action.  The two-mode
+builders take stacks themselves, one body per formula: `noisy_tms_qblocks`
+(`tms_qblocks` is its x = 1 case), `_pair_cov`, `beamsplitter_symplectic` and
+`two_mode_squeezer_symplectic`; arrays enter through `_float_arrays`.  Symplectic
 spectra come from a Cholesky factor (`_factor_eigs`): in closed form for one
 and two modes, by a symmetric eigensolve from three.
 """
@@ -79,6 +82,11 @@ def _place_pair(V: np.ndarray, i: int, qblk, pblk) -> np.ndarray:
     return V
 
 
+def _pair_cov(q, p):
+    """Two-mode covariances (..., 4, 4) of stacks of (q, p) blocks (..., 2, 2)."""
+    return _place_pair(np.zeros(np.shape(q)[:-2] + (4, 4)), 0, q, p)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise steps on one cell's floats or many cells' arrays
 # ---------------------------------------------------------------------------
@@ -105,6 +113,15 @@ def _where(cond, a, b):
     if isinstance(cond, (bool, np.bool_)) and isinstance(a, float) and isinstance(b, float):
         return a if cond else b
     return np.where(cond, a, b)
+
+
+def _float_arrays(what, **values):
+    """`values` as float64 arrays, each of any real dtype; the DomainError of
+    `what` for a str, None, a complex number or an object array."""
+    arrays = [np.asarray(v) for v in values.values()]
+    if any(a.dtype.kind not in "biuf" for a in arrays):
+        raise _not_real(what, **values)
+    return [a.astype(float, copy=False) for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +164,9 @@ def g_entropy(x):
     Raises
     ------
     DomainError
-        If any element is below -1e-12, NaN or infinite.
+        If any element is below -1e-12, NaN or infinite, or x is not real.
     """
-    arr = np.asarray(x, dtype=float)
+    arr, = _float_arrays("g_entropy", x=x)
     if not np.all((arr >= -1e-12) & (arr < np.inf)):  # False for NaN
         raise DomainError(f"g_entropy requires finite x >= 0, got {x!r}")
     clamped = np.maximum(arr, 0.0)
@@ -160,10 +177,10 @@ def g_entropy(x):
 def binary_entropy(x):
     """Binary entropy h2(x) in bits for probabilities x in [0, 1].
 
-    Endpoint values return 0.  Accepts scalars or arrays; any element
-    outside [0, 1], NaN included, raises DomainError.
+    Endpoint values return 0.  Accepts real scalars or arrays; any element
+    outside [0, 1], NaN included, raises DomainError, as a non-real x does.
     """
-    arr = np.asarray(x, dtype=float)
+    arr, = _float_arrays("binary_entropy", x=x)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # False for NaN
         raise DomainError(f"binary_entropy requires x in [0, 1], got {x!r}")
     out = np.zeros_like(np.atleast_1d(arr))
@@ -276,24 +293,24 @@ def _mat2(a, b, c, d) -> np.ndarray:
     return M if M.ndim == 2 else M.transpose(*range(2, M.ndim), 0, 1)
 
 
-def _float_arrays(what, **values):
-    """`values` as float64 arrays, each of any real dtype; the DomainError of
-    `what` for a str, None, a complex number or an object array."""
-    arrays = [np.asarray(v) for v in values.values()]
-    if any(a.dtype.kind not in "biuf" for a in arrays):
-        raise _not_real(what, **values)
-    return [a.astype(float, copy=False) for a in arrays]
+def noisy_tms_qblocks(nb, x):
+    """(q, p) blocks of the noisy two-mode-squeezed state omega(nb), nb >= 0: diagonal
+    2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G >= 1/2, both
+    finite, in float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x."""
+    nb, x = _float_arrays("noisy_tms_qblocks", nb=nb, x=x)
+    if not np.all((nb >= 0.0) & (nb < np.inf)):  # False for nan
+        raise DomainError("TMS photon number must be >= 0 and finite")
+    if not np.all((x >= 0.5) & (x < np.inf)):
+        raise DomainError("noisy TMS needs x >= 1/2 and finite")
+    d = 2.0 * nb + 1.0
+    w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x
+    return _mat2(d, w, w, d), _mat2(d, -w, -w, d)
 
 
 def tms_qblocks(n):
-    """(q-block, p-block) of the two-mode squeezed vacuum with parameter n, in
-    float64 whatever n's dtype, or stacks (..., 2, 2) over an array of n."""
-    n, = _float_arrays("tms_qblocks", n=n)
-    if (n < 0).any():
-        raise DomainError("TMS photon number must be >= 0")
-    d = 2.0 * n + 1.0
-    c = 2.0 * np.sqrt(n * (n + 1.0))
-    return _mat2(d, c, c, d), _mat2(d, -c, -c, d)
+    """(q-block, p-block) of the two-mode squeezed vacuum with parameter n:
+    omega(n) at x = 1, whose factors 1.0 are exact."""
+    return noisy_tms_qblocks(n, 1.0)
 
 
 def tms_state(n: float) -> GaussianState:
@@ -302,7 +319,7 @@ def tms_state(n: float) -> GaussianState:
     Purifies the single-mode thermal state theta(n); the reduced state of
     either mode is thermal with mean photon number n.
     """
-    return GaussianState(2, np.zeros(4), _place_pair(np.zeros((4, 4)), 0, *tms_qblocks(n)))
+    return GaussianState(2, np.zeros(4), _pair_cov(*tms_qblocks(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,31 +552,9 @@ def _apply(X, Y, cov, mean, modes=None):
     return _checked_cov(X @ cov @ np.swapaxes(X, -1, -2) + Y), (X @ mean[..., None])[..., 0]
 
 
-def _beamsplitters(kind: str, t) -> np.ndarray:
-    """:func:`beamsplitter_symplectic` over an array t: shape (..., 4, 4)."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= t) & (t <= 1.0)):
-        raise DomainError("transmissivity must lie in [0, 1]")
-    sign = {"B": 1.0, "Bprime": -1.0}.get(kind)  # of the lower-left sqrt(1-t)
-    if sign is None:
-        raise DomainError(f"unknown beamsplitter kind {kind!r}")
-    rt, rr = np.sqrt(t), sign * np.sqrt(1.0 - t)
-    A = _mat2(rt, -rr, rr, rt)
-    return _checked_symplectic(_place_pair(np.zeros(t.shape + (4, 4)), 0, A, A))
-
-
-def _squeezers(G) -> np.ndarray:
-    """:func:`two_mode_squeezer_symplectic` over an array G: shape (..., 4, 4)."""
-    G = np.asarray(G, dtype=float)
-    if not np.all(G >= 1.0):
-        raise DomainError("squeezer gain must be >= 1")
-    s, r = np.sqrt(G), np.sqrt(G - 1.0)
-    return _checked_symplectic(_place_pair(np.zeros(G.shape + (4, 4)), 0,
-                                           _mat2(s, r, r, s), _mat2(s, -r, -r, s)))
-
-
 def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
-    """4x4 symplectic matrix of a two-mode beamsplitter.
+    """4x4 symplectic matrix of a two-mode beamsplitter, or a stack (..., 4, 4)
+    over an array of transmissivities in [0, 1].
 
     kind "B" uses the (+,-) sign convention
         b  =  sqrt(t) a - sqrt(1-t) e,
@@ -570,14 +565,27 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
     The phase difference between the two is essential for the degrading
     channel construction.
     """
-    return _beamsplitters(kind, float(transmissivity))
+    t, = _float_arrays("beamsplitter_symplectic", transmissivity=transmissivity)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
+        raise DomainError("transmissivity must lie in [0, 1]")
+    sign = {"B": 1.0, "Bprime": -1.0}.get(kind)  # of the lower-left sqrt(1-t)
+    if sign is None:
+        raise DomainError(f"unknown beamsplitter kind {kind!r}")
+    rt, rr = np.sqrt(t), sign * np.sqrt(1.0 - t)
+    A = _mat2(rt, -rr, rr, rt)
+    return _checked_symplectic(_pair_cov(A, A))
 
 
 def two_mode_squeezer_symplectic(gain: float) -> np.ndarray:
-    """4x4 symplectic matrix of a two-mode squeezer with gain G >= 1.
+    """4x4 symplectic matrix of a two-mode squeezer with gain G >= 1, or a
+    stack (..., 4, 4) over an array of gains.
 
     Implements b = sqrt(G) a + sqrt(G-1) e^dag on mode pairs: the q-block is
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] and the p-block carries the
     opposite off-diagonal sign.
     """
-    return _squeezers(float(gain))
+    G, = _float_arrays("two_mode_squeezer_symplectic", gain=gain)
+    if not np.all(G >= 1.0):
+        raise DomainError("squeezer gain must be >= 1")
+    s, r = np.sqrt(G), np.sqrt(G - 1.0)
+    return _checked_symplectic(_pair_cov(_mat2(s, r, r, s), _mat2(s, -r, -r, s)))

@@ -55,7 +55,7 @@ def coherent_info_oracle(ch, ns):
 
 def _coherent_info(kind, x, nb, ns):
     """:func:`coherent_info_oracle` of the channel parameters (kind, x, nb)."""
-    tms = gc._place_pair(np.zeros(np.shape(ns) + (4, 4)), 0, *gc.tms_qblocks(ns))  # R, A
+    tms = gc._pair_cov(*gc.tms_qblocks(ns))  # R, A
     V = chn._dilation(tms, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)], (0, 1))  # R, B
     return gc._entropy_from_cov(V, (1,)) - gc._entropy_from_cov(V)
 
@@ -90,7 +90,7 @@ def _raw(cell) -> float:
 
 def _pair_covs(q, p):
     """Checked covariance stack of the two-mode states of (q, p) block stacks."""
-    return gc._checked_cov(gc._place_pair(np.zeros(q.shape[:-2] + (4, 4)), 0, q, p))
+    return gc._checked_cov(gc._pair_cov(q, p))
 
 
 def _uniform_rows(rng, n, *bounds):
@@ -196,9 +196,8 @@ def check_fidelity_basics(n=50) -> CheckResult:
 
 def check_symplectic_constructors() -> CheckResult:
     O, t = gc.omega(2), np.linspace(0.0, 1.0, 11)
-    # the stacked builders behind beamsplitter_symplectic and two_mode_squeezer_symplectic
-    S = np.concatenate([gc._beamsplitters("B", t), gc._beamsplitters("Bprime", t),
-                        gc._squeezers(np.linspace(1.0, 4.0, 11))])
+    S = np.concatenate([gc.beamsplitter_symplectic("B", t), gc.beamsplitter_symplectic("Bprime", t),
+                        gc.two_mode_squeezer_symplectic(np.linspace(1.0, 4.0, 11))])
     worst = max(0.0, float(np.max(np.abs(S @ O @ np.swapaxes(S, -1, -2) - O))))
     return CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
 
@@ -248,18 +247,19 @@ def check_eps_consistency(n=200) -> CheckResult:
     return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
 
+def _ql_oracle(name, seed, kind, x_range, n) -> CheckResult:
+    """QL's registry form for channels of `kind` against :func:`_coherent_info` at n draws."""
+    x, nb, ns = _uniform_rows(np.random.default_rng(seed), n, x_range, (0.0, 3.0), (0.0, 50.0))
+    worst = float(np.max(np.abs(_form("QL", kind).fn(x, nb, ns) - _coherent_info(kind, x, nb, ns))))
+    return CheckResult(name, worst < 1e-9, worst, 1e-9)
+
+
 def check_ql_oracle_thermal(n=1000) -> CheckResult:
-    rng = np.random.default_rng(31)
-    eta, nb, ns = _uniform_rows(rng, n, (0.02, 1.0), (0.0, 3.0), (0.0, 50.0))
-    worst = float(np.max(np.abs(bnd._ql_thermal_raw(eta, nb, ns) - _coherent_info("thermal", eta, nb, ns))))
-    return CheckResult("ql_oracle_thermal", worst < 1e-9, worst, 1e-9)
+    return _ql_oracle("ql_oracle_thermal", 31, "thermal", (0.02, 1.0), n)
 
 
 def check_ql_oracle_amp(n=1000) -> CheckResult:
-    rng = np.random.default_rng(37)
-    g, nb, ns = _uniform_rows(rng, n, (1.001, 4.0), (0.0, 3.0), (0.0, 50.0))
-    worst = float(np.max(np.abs(bnd._ql_amp_raw(g, nb, ns) - _coherent_info("amplifier", g, nb, ns))))
-    return CheckResult("ql_oracle_amp", worst < 1e-9, worst, 1e-9)
+    return _ql_oracle("ql_oracle_amp", 37, "amplifier", (1.001, 4.0), n)
 
 
 def check_ud_oracle(n=200) -> CheckResult:

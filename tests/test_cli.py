@@ -344,12 +344,12 @@ class TestVerifyCommand:
         assert not vfy.check_photon_bookkeeping().passed
 
     def test_mutation_in_degrading_step_breaks_dilation_checks(self, monkeypatch):
-        orig = gc._beamsplitters  # the thermal degrading step's B' is the only "Bprime"
+        orig = gc.beamsplitter_symplectic  # the thermal degrading step's B' is the only "Bprime"
 
         def scaled(kind, t):
             return orig(kind, np.asarray(t) * (1.0 - 1e-6) if kind == "Bprime" else t)
 
-        monkeypatch.setattr(gc, "_beamsplitters", scaled)
+        monkeypatch.setattr(gc, "beamsplitter_symplectic", scaled)
         assert not vfy.check_ud_oracle().passed
         assert not vfy.check_deg_vs_sim_cov().passed
 

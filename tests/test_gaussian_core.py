@@ -518,7 +518,8 @@ def _random_channels(rng, m, n):
         c, s, z = np.cos(th), np.sin(th), np.zeros(n)
         S = gc._mat2(c, -s, s, c) @ gc._mat2(np.exp(r), z, z, np.exp(-r))
     else:
-        S = gc._squeezers(rng.uniform(1.0, 3.0, n)) @ gc._beamsplitters("B", rng.uniform(0, 1, n))
+        S = gc.two_mode_squeezer_symplectic(rng.uniform(1.0, 3.0, n)) @ \
+            gc.beamsplitter_symplectic("B", rng.uniform(0, 1, n))
     t, nb = rng.uniform(0.2, 3.0, n), rng.uniform(0.0, 2.0, n)
     eye = np.eye(2 * m)
     return np.sqrt(t)[:, None, None] * S, (np.abs(1.0 - t) * (2.0 * nb + 1.0))[:, None, None] * eye
@@ -616,23 +617,21 @@ class TestSymplecticBuilders:
             assert gc.mean_photon_number(red) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out, gc.tms_state(1.0).cov, atol=1e-12)
 
-    @pytest.mark.parametrize("build,one,params", [
-        (lambda x: gc._beamsplitters("B", x), lambda x: gc.beamsplitter_symplectic("B", x),
-         [0.0, 0.2, 0.5, 1.0]),
-        (lambda x: gc._beamsplitters("Bprime", x),
-         lambda x: gc.beamsplitter_symplectic("Bprime", x), [0.0, 1 / 3, 1.0]),
-        (gc._squeezers, gc.two_mode_squeezer_symplectic, [1.0, 1.5, 4.0]),
+    @pytest.mark.parametrize("build,params", [
+        (lambda x: gc.beamsplitter_symplectic("B", x), [0.0, 0.2, 0.5, 1.0]),
+        (lambda x: gc.beamsplitter_symplectic("Bprime", x), [0.0, 1 / 3, 1.0]),
+        (gc.two_mode_squeezer_symplectic, [1.0, 1.5, 4.0]),
     ], ids=["B", "Bprime", "squeezer"])
-    def test_stack_matches_one_matrix(self, build, one, params):
+    def test_stack_matches_one_matrix(self, build, params):
         stack = build(np.array(params))
         assert stack.shape == (len(params), 4, 4)
-        assert np.array_equal(stack, np.stack([one(x) for x in params]))
+        assert np.array_equal(stack, np.stack([build(x) for x in params]))
 
     @pytest.mark.parametrize("build,params", [
-        (lambda x: gc._beamsplitters("B", x), [0.5, 1.2, 0.3]),
-        (lambda x: gc._beamsplitters("Bprime", x), [0.5, -0.1]),
-        (gc._squeezers, [1.5, 0.9, 2.0]),
-        (gc._squeezers, [1.5, np.nan]),
+        (lambda x: gc.beamsplitter_symplectic("B", x), [0.5, 1.2, 0.3]),
+        (lambda x: gc.beamsplitter_symplectic("Bprime", x), [0.5, -0.1]),
+        (gc.two_mode_squeezer_symplectic, [1.5, 0.9, 2.0]),
+        (gc.two_mode_squeezer_symplectic, [1.5, np.nan]),
     ], ids=["B", "Bprime", "squeezer", "squeezer-nan"])
     def test_one_bad_parameter_fails_the_stack(self, build, params):
         with pytest.raises(DomainError):
@@ -645,7 +644,7 @@ class TestSymplecticBuilders:
         assert np.array_equal(gc._checked_symplectic(S[:1]), S[:1])
 
     def test_embed_and_tms_blocks_take_stacks(self):
-        S = gc._squeezers(np.array([1.5, 2.0]))
+        S = gc.two_mode_squeezer_symplectic(np.array([1.5, 2.0]))
         full = gc.embed_matrix(S, (1, 2), 3)
         for Sk, fk in zip(S, full):
             assert np.array_equal(fk, gc.embed_matrix(Sk, (1, 2), 3))
@@ -654,6 +653,14 @@ class TestSymplecticBuilders:
         assert np.array_equal(p[1], gc.tms_qblocks(1.5)[1])
         with pytest.raises(DomainError):
             gc.tms_qblocks(np.array([1.0, -0.5]))
+
+    def test_tms_blocks_are_the_noisy_blocks_at_x_1(self):
+        # tms_qblocks is noisy_tms_qblocks(n, 1.0); the factors 1.0 are exact,
+        # so the blocks keep the bits of d = 2n + 1 and c = 2 sqrt(n(n+1))
+        n = np.geomspace(1e-9, 1e9, 999)
+        d, c = 2.0 * n + 1.0, 2.0 * np.sqrt(n * (n + 1.0))
+        q, p = gc.tms_qblocks(n)
+        assert np.array_equal(q, gc._mat2(d, c, c, d)) and np.array_equal(p, gc._mat2(d, -c, -c, d))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_tms_blocks_are_float64_for_any_dtype(self, dtype):

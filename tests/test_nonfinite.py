@@ -57,6 +57,10 @@ BOUND_CALLS = [
     ("binary_entropy.array", lambda x: gc.binary_entropy([0.5, x])),
     ("kappa.x", lambda x: chn.kappa(x, 1.0)),
     ("kappa.nb", lambda x: chn.kappa(0.7, x)),
+    # the TMS blocks: nb and x must be finite
+    ("tms_qblocks.n", lambda x: gc.tms_qblocks(x)),
+    ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8)),
+    ("noisy_tms_qblocks.x", lambda x: chn.noisy_tms_qblocks(0.3, x)),
 ]
 
 # (name, callable, error)
@@ -107,6 +111,23 @@ NON_REAL_CALLS = [
     ("tms_state.n", lambda x: gc.tms_state(x), 1.5),
     ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8), 0.3),
     ("noisy_tms_qblocks.x", lambda x: chn.noisy_tms_qblocks(0.3, x), 0.8),
+    ("PenaltyParams.epsilon", lambda x: bnd.PenaltyParams(x, 0.5, 1.0), 0.1),
+    ("PenaltyParams.epsilon_prime", lambda x: bnd.PenaltyParams(0.1, x, 1.0), 0.5),
+    ("PenaltyParams.w_prime", lambda x: bnd.PenaltyParams(0.1, 0.5, x), 1.0),
+    ("epsilon_close_degradable.nb", lambda x: chn.epsilon_close_degradable(x), 0.3),
+    ("g_entropy", lambda x: gc.g_entropy(x), 1.0),
+    ("binary_entropy", lambda x: gc.binary_entropy(x), 0.5),
+    ("beamsplitter_symplectic.transmissivity", lambda x: gc.beamsplitter_symplectic("B", x), 0.5),
+    ("two_mode_squeezer_symplectic.gain", lambda x: gc.two_mode_squeezer_symplectic(x), 2.0),
+]
+
+# A fixed eps', as NON_REAL_CALLS; None is eps_prime's default (minimize over
+# eps'), so the makers are str, complex, a one-element list and "abc".  TH's eps
+# is 0.135.
+NON_REAL_EPS_PRIME_CALLS = [
+    ("q_u2.eps_prime", lambda x: bnd.q_u2(TH, 1.0, x), 0.9),
+    ("q_u3.eps_prime", lambda x: bnd.q_u3(TH, 1.0, x), 0.9),
+    ("p_bounds.PU2.eps_prime", lambda x: bnd.p_bounds(TH, 1.0, "PU2", x), 0.9),
 ]
 
 
@@ -117,6 +138,40 @@ def test_non_real_parameter_is_a_domain_error(call, valid, make):
     call(valid)
     with pytest.raises(DomainError, match="takes real numbers, got "):
         call(make(valid))
+
+
+@pytest.mark.parametrize("make", [str, complex, lambda v: [v], lambda v: "abc"],
+                         ids=["str", "complex", "list", "abc"])
+@pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in NON_REAL_EPS_PRIME_CALLS],
+                         ids=[n for n, _, _ in NON_REAL_EPS_PRIME_CALLS])
+def test_non_real_eps_prime_is_a_domain_error(call, valid, make):
+    call(valid)
+    with pytest.raises(DomainError, match="takes real numbers, got eps_prime="):
+        call(make(valid))
+
+
+# a negative photon number lies outside the TMS blocks' and kappa's domain
+@pytest.mark.parametrize("call", [
+    lambda: chn.noisy_tms_qblocks(-2.0, 0.8),
+    lambda: chn.noisy_tms_qblocks(-0.5, 0.8),
+    lambda: chn.kappa(0.8, -2.0),
+], ids=["noisy_tms_qblocks-2", "noisy_tms_qblocks-0.5", "kappa-2"])
+def test_negative_photon_number_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be >= 0"):
+        call()
+
+
+# CPTP channels whose nu overflows float64: a DomainError that names the
+# overflow, where a raw channel given nu = inf stays an InvalidChannelError
+@pytest.mark.parametrize("call", [
+    lambda: chn.thermal(0.6, 1e308),
+    lambda: chn.amplifier(2.0, 1e308),
+    lambda: chn.amplifier(1e308, 1.0),
+    lambda: chn.additive_noise(1e308),
+], ids=["thermal.nb", "amplifier.nb", "amplifier.g", "additive_noise.nbar"])
+def test_overflowing_channel_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=r"nu = inf overflows float64"):
+        call()
 
 
 def test_infinite_energy_points_to_the_unconstrained_limits():
