@@ -11,11 +11,13 @@ once, per channel kind, the form and the full tuple of checks a cell runs.
 A form and its checks are array expressions over many cells' parameters.
 :func:`evaluate_columns` computes several kinds at many (channel, ns) cells:
 per kind and channel kind, one call of the checks, as masks, and of the form,
-and the penalized kinds' eps' minimizations in one lockstep batch.
-:func:`evaluate_column` is its one-kind case and :func:`evaluate` its one-cell
-case, which the public bounds call: one lookup, the checks as plain booleans,
-the form on Python floats (a lone search too) and the BoundResult, with the
-bits of the same cell in a column; such a call raises no numpy warning.
+and the penalized kinds' eps' minimizations in one lockstep batch; a channel
+kind with one cell runs the per-cell core instead: one lookup, the checks as
+plain booleans and the form on Python floats.  :func:`evaluate_column` is its
+one-kind case.  :func:`evaluate`, which the public bounds call, runs that
+per-cell core directly, with no groups or columns, and a lone search on
+floats, so it has the bits of the same cell in a column; such a call raises
+no numpy warning.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -444,6 +446,36 @@ def _check_real(ns_values, eps_prime=None):
         raise _not_real("a fixed eps'", eps_prime=eps_prime)
 
 
+def _row(kind, eps_prime):
+    """`kind`'s registry row, after its name and whether it takes a fixed eps'."""
+    if (row := REGISTRY.get(kind)) is None:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    if eps_prime is not None and not row.k:
+        takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
+        raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+    return row
+
+
+def _cell(out, i, kind, row, ch, ns, eps_prime, todo):
+    """Set out[i] for the one cell (ch, ns) of `kind`: its first failing check
+    as plain booleans, or the form on Python floats and :func:`_finish`."""
+    fn, checks = row.resolved.get(ch.kind) or row.resolved[None]
+    c = {**ch.params, "ns": float(ns)}  # floats (the constructors' parameters are)
+    if (check := _failed(checks, c)) is not None:
+        out[i] = check.at(kind, ch, ns)
+    else:
+        res = fn(*c.values())
+        _finish(out, i, kind, row, ch, ns, res if isinstance(res, tuple) else (res,), eps_prime, todo)
+
+
+def _search(todo):
+    """Every pending penalized cell's eps' minimization in one batch, on floats for one."""
+    args = [(eps, w_prime, row.k) for _, _, _, row, _, _, _, eps, w_prime in todo]
+    res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
+    for (out, i, kind, row, ch, ns, base, eps, w_prime), p, a in zip(todo, *map(_per_cell, res)):
+        out[i] = _result(kind, row, ch, ns, base + p, a, eps, w_prime)
+
+
 def _columns(kinds, channels, ns_values, eps_prime):
     """evaluate_columns, with a fixed eps' for the penalized kinds if given."""
     if len(channels) != len(ns_values):
@@ -454,30 +486,18 @@ def _columns(kinds, channels, ns_values, eps_prime):
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
     for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
-        if len(idx) == 1:  # floats (the constructors' parameters are), faster than 1-element arrays
-            cols[ch_kind] = {**channels[idx[0]].params, "ns": float(ns_values[idx[0]])}
-        else:
+        if len(idx) > 1:
             cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
             cols[ch_kind] = dict(zip((*channels[idx[0]].params, "ns"), np.array(cells, dtype=float).T))
     for kind in kinds:
-        if (row := REGISTRY.get(kind)) is None:
-            raise DomainError(f"unknown bound kind {kind!r}")
-        if eps_prime is not None and not row.k:
-            takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
-            raise DomainError(f"eps_prime applies only to {takers}, not {kind}")
+        row = _row(kind, eps_prime)
         columns.append(out := [None] * len(channels))  # each cell's BoundResult or error
         for ch_kind, idx in groups.items():
+            if len(idx) == 1:
+                _cell(out, idx[0], kind, row, channels[idx[0]], ns_values[idx[0]], eps_prime, todo)
+                continue
             fn, checks = row.resolved.get(ch_kind) or row.resolved[None]
             c = cols[ch_kind]
-            if len(idx) == 1:  # plain booleans and floats
-                i = idx[0]
-                if (check := _failed(checks, c)) is not None:
-                    out[i] = check.at(kind, channels[i], ns_values[i])
-                else:
-                    res = fn(*c.values())
-                    _finish(out, i, kind, row, channels[i], ns_values[i],
-                            res if isinstance(res, tuple) else (res,), eps_prime, todo)
-                continue
             first = _first_failure(checks, c, len(idx))
             for i, j in zip(idx, first):
                 if j < len(checks):
@@ -486,11 +506,8 @@ def _columns(kinds, channels, ns_values, eps_prime):
                 res = fn(*(c.values() if len(passed) == len(idx) else (v[passed] for v in c.values())))
                 for k, *vals in zip(passed, *map(_per_cell, res if isinstance(res, tuple) else (res,))):
                     _finish(out, idx[k], kind, row, channels[idx[k]], ns_values[idx[k]], vals, eps_prime, todo)
-    if todo:  # every penalized kind's minimizations in one batch, on floats for one
-        args = [(eps, w_prime, row.k) for _, _, _, row, _, _, _, eps, w_prime in todo]
-        res = _min_penalty(*(args[0] if len(args) == 1 else np.array(args).T))
-        for (out, i, kind, row, ch, ns, base, eps, w_prime), p, a in zip(todo, *map(_per_cell, res)):
-            out[i] = _result(kind, row, ch, ns, base + p, a, eps, w_prime)
+    if todo:
+        _search(todo)
     return columns
 
 
@@ -500,7 +517,8 @@ def evaluate_columns(kinds, channels, ns_values) -> list:
     that rules it out.  `channels` and `ns_values` have one length, and each
     ns is an int, a float or a numpy real scalar (DomainError otherwise).
     Per group of cells of one channel kind, a kind runs its checks as masks
-    and its form once; a cell reports its first failing check, in the order
+    and its form once, and a group of one cell the per-cell core that
+    :func:`evaluate` runs; a cell reports its first failing check, in the order
     ns, channel kind, regime (QL and PL: channel kind first).  The penalized
     kinds add k times the continuity penalty minimized over eps' in (eps, 1],
     all in one :func:`minimize_batch` call; PL maximizes over the energy
@@ -515,11 +533,19 @@ def evaluate_column(kind: str, channels, ns_values) -> list:
 
 def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
              eps_prime: float = None) -> BoundResult:
-    """Bound `kind` at channel `ch` and input energy `ns`: the one-cell
-    :func:`evaluate_column`, raising the cell's error instead of returning it.
-    A penalized kind takes a fixed `eps_prime` in place of the minimization;
+    """Bound `kind` at channel `ch` and input energy `ns`, raising the cell's
+    error instead of returning it.  It runs the per-cell core that
+    :func:`evaluate_columns` runs for a channel kind with one cell, after the
+    same realness, kind and eps' checks, and a lone search in the same step,
+    so it returns that cell's bits and raises that cell's first error.  A
+    penalized kind takes a fixed `eps_prime` in place of the minimization;
     a bad one is reported after the cell's other checks."""
-    if isinstance(cell := _columns((kind,), [ch], [ns], eps_prime)[0][0], BosonicBoundsError):
+    _check_real((ns,), eps_prime)
+    out, todo = [None], []
+    _cell(out, 0, kind, _row(kind, eps_prime), ch, ns, eps_prime, todo)
+    if todo:
+        _search(todo)
+    if isinstance(cell := out.pop(), BosonicBoundsError):
         try:
             raise cell
         finally:

@@ -76,6 +76,12 @@ class PhaseInsensitiveChannel:
         return gc.apply_gaussian_channel(self.X, self.Y, None, state, modes=modes)
 
 
+def _nu(x, nb):
+    """nu = x (2 nb + 1) for x = 1 - eta or g - 1; exactly 0 at x = 0 (the
+    identity channel), also where 2 nb + 1 overflows and 0 * inf is nan."""
+    return 0.0 if x == 0.0 else x * (2.0 * nb + 1.0)
+
+
 def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     """Thermal channel: beamsplitter of transmissivity eta mixing the input
     with a thermal environment of mean photon number nb."""
@@ -87,9 +93,7 @@ def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     except TypeError:  # a comparison with a non-real value
         raise _not_real("thermal channel", eta=eta, nb=nb) from None
     eta, nb = float(eta), float(nb)  # a numpy float32 is kept in float64
-    return PhaseInsensitiveChannel(
-        eta, (1.0 - eta) * (2.0 * nb + 1.0), "thermal", {"eta": eta, "nb": nb}
-    )
+    return PhaseInsensitiveChannel(eta, _nu(1.0 - eta, nb), "thermal", {"eta": eta, "nb": nb})
 
 
 def pure_loss(eta: float) -> PhaseInsensitiveChannel:
@@ -107,9 +111,7 @@ def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
     except TypeError:
         raise _not_real("amplifier channel", g=g, nb=nb) from None
     g, nb = float(g), float(nb)
-    return PhaseInsensitiveChannel(
-        g, (g - 1.0) * (2.0 * nb + 1.0), "amplifier", {"g": g, "nb": nb}
-    )
+    return PhaseInsensitiveChannel(g, _nu(g - 1.0, nb), "amplifier", {"g": g, "nb": nb})
 
 
 def additive_noise(nbar: float) -> PhaseInsensitiveChannel:

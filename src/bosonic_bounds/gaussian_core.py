@@ -296,12 +296,14 @@ def _mat2(a, b, c, d) -> np.ndarray:
 def noisy_tms_qblocks(nb, x):
     """(q, p) blocks of the noisy two-mode-squeezed state omega(nb), nb >= 0: diagonal
     2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G >= 1/2, both
-    finite, in float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x."""
+    finite, in float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x,
+    which broadcast against each other."""
     nb, x = _float_arrays("noisy_tms_qblocks", nb=nb, x=x)
     if not np.all((nb >= 0.0) & (nb < np.inf)):  # False for nan
         raise DomainError("TMS photon number must be >= 0 and finite")
     if not np.all((x >= 0.5) & (x < np.inf)):
         raise DomainError("noisy TMS needs x >= 1/2 and finite")
+    nb, x = np.broadcast_arrays(nb, x)  # a scalar against an array: d takes w's shape
     d = 2.0 * nb + 1.0
     w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x
     return _mat2(d, w, w, d), _mat2(d, -w, -w, d)

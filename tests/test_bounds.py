@@ -489,7 +489,14 @@ class TestBoundResult:
 @pytest.mark.parametrize("call", [
     lambda: bnd.q_u2(chn.thermal(0.3, 0.5), 1.0),  # fails its eta >= 1/2 check
     lambda: bnd.q_u2(chn.thermal(0.9, 0.5), 1.0, eps_prime=0.01),  # eps' below eps
-], ids=["regime_check", "bad_fixed_eps_prime"])
+    lambda: bnd.evaluate("QX", chn.thermal(0.9, 0.5), 1.0),  # unknown kind
+    lambda: bnd.evaluate("QU1", chn.thermal(0.9, 0.5), 1.0, 0.5),  # eps' on an unpenalized kind
+    lambda: bnd.q_u1(chn.thermal(0.9, 0.5), "1"),
+    lambda: bnd.q_u2(chn.thermal(0.9, 0.5), 1.0, eps_prime="abc"),
+    lambda: bnd.q_u2(chn.additive_noise(0.3), 1.0),  # no QU2 form for the channel kind
+    lambda: bnd.q_lower_thermal(0.8, 0.5, 1e200),  # nan raw bits: _result's DomainError
+], ids=["regime_check", "bad_fixed_eps_prime", "unknown_kind", "eps_prime_not_penalized",
+        "ns_not_real", "eps_prime_not_real", "no_form", "nan_raw"])
 def test_raised_error_leaves_no_reference_cycle(call):
     """With the cyclic collector off, a bound's error dies with its handler:
     no frame that its traceback holds keeps a reference to it."""
@@ -504,3 +511,42 @@ def test_raised_error_leaves_no_reference_cycle(call):
     finally:
         if enabled:
             collector.enable()
+
+
+# one fault of each kind per argument, and the valid value: kind (unknown,
+# not penalized, penalized), channel (no QU2/QL form, infeasible regime),
+# ns (not real, negative, nan, nan raw bits for QL) and a fixed eps' (not
+# real, below eps)
+FAULT_KINDS = ["QX", "QU1", "QL", "QU2"]
+FAULT_CHANNELS = [chn.thermal(0.9, 0.5), chn.additive_noise(0.3), chn.thermal(0.3, 0.5)]
+FAULT_NS = [1.0, "1", -1.0, math.nan, 1e200]
+FAULT_EPS_PRIMES = [None, 0.5, 0.01, "abc"]
+
+
+def _outcome(call):
+    """A call's (error class, message), or its BoundResult as a dict."""
+    try:
+        cell = call()
+    except BosonicBoundsError as exc:
+        return type(exc), str(exc)
+    if isinstance(cell, BosonicBoundsError):
+        return type(cell), str(cell)
+    return cell.to_dict()
+
+
+def test_evaluate_reports_the_one_cell_columns_first_error():
+    """evaluate raises the error that the same cell reports in a one-cell
+    column (evaluate_column, or with a fixed eps' its core), whichever
+    faults the call combines: the same class, message and order."""
+    seen = set()
+    for kind in FAULT_KINDS:
+        for ch in FAULT_CHANNELS:
+            for ns in FAULT_NS:
+                for e in FAULT_EPS_PRIMES:
+                    got = _outcome(lambda: bnd.evaluate(kind, ch, ns, e))
+                    want = _outcome(lambda: bnd._columns((kind,), [ch], [ns], e)[0][0])
+                    assert got == want, (kind, ch, ns, e)
+                    if e is None:
+                        assert _outcome(lambda: bnd.evaluate_column(kind, [ch], [ns])[0]) == want
+                    seen.add(got[0] if isinstance(got, tuple) else bnd.BoundResult)
+    assert seen == {DomainError, ChannelKindError, InfeasibleBoundError, bnd.BoundResult}

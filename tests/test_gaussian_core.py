@@ -669,3 +669,15 @@ class TestSymplecticBuilders:
             assert got.dtype == np.float64 and np.array_equal(got, want)
         for got, want in zip(gc.tms_qblocks(n[0]), gc.tms_qblocks(float(n[0]))):
             assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_noisy_blocks_broadcast_a_scalar_against_an_array(self):
+        # either argument may be the array: each stack element is the call on
+        # that element's pair, bit for bit
+        nb, x = np.array([0.0, 0.3, 7.5]), np.array([0.5, 0.8, 2.0])
+        for args, pairs in [((0.3, x), [(0.3, xi) for xi in x.tolist()]),
+                            ((nb, 0.8), [(ni, 0.8) for ni in nb.tolist()])]:
+            q, p = gc.noisy_tms_qblocks(*args)
+            assert q.shape == p.shape == (3, 2, 2)
+            for qk, pk, pair in zip(q, p, pairs):
+                q1, p1 = gc.noisy_tms_qblocks(*pair)
+                assert np.array_equal(qk, q1) and np.array_equal(pk, p1)

@@ -174,6 +174,18 @@ def test_overflowing_channel_is_a_domain_error(call):
         call()
 
 
+# eta = 1 and g = 1 are the identity channel at any finite nb: nu is exactly
+# 0, also where 2 nb + 1 overflows
+@pytest.mark.parametrize("make,params", [
+    (chn.thermal, {"eta": 1.0, "nb": 1e308}),
+    (chn.amplifier, {"g": 1.0, "nb": 1e308}),
+], ids=["thermal", "amplifier"])
+def test_identity_channel_at_huge_nb_builds(make, params):
+    ch = make(*params.values())
+    assert (ch.tau, ch.nu, ch.params) == (1.0, 0.0, params)
+    assert ch.nu == make(1.0, 1e300).nu
+
+
 def test_infinite_energy_points_to_the_unconstrained_limits():
     with pytest.raises(DomainError, match="q_u1_unconstrained and q_u4_unconstrained"):
         bnd.q_u1(TH, math.inf)
