@@ -39,7 +39,7 @@ import numpy as np
 from . import channels as chn
 from . import gaussian_core as gc
 from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
-                     InfeasibleBoundError, _not_real, _require)
+                     InfeasibleBoundError, _SCALARS, _reals, _require)
 from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
 from .optimize import minimize_batch
 
@@ -54,7 +54,6 @@ __all__ = [
 
 _gn = gc._g_nats  # nats; callers guarantee nonnegative arguments
 DEFAULT_GRID_POINTS = 64  # seeds per row of an eps' or PL energy-split search
-_REAL = (float, int, np.floating, np.integer)  # the types an ns or a fixed eps' may have
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +66,12 @@ def _check_epsilon(eps):
 
 
 def _check_penalty(epsilon, epsilon_prime, w_prime, k):
-    """PenaltyParams' checks, which a fixed eps' runs without the object."""
-    try:
-        _check_epsilon(epsilon)
-        if not epsilon < epsilon_prime <= 1.0:
-            raise DomainError("epsilon_prime must lie in (epsilon, 1]")
-        _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
-    except TypeError:  # a comparison with a non-real value
-        raise _not_real("PenaltyParams", epsilon=epsilon, epsilon_prime=epsilon_prime,
-                        w_prime=w_prime) from None
-    if k not in (1, 2, 3, 4):
+    """PenaltyParams' range checks on floats, which a fixed eps' runs without the object."""
+    _check_epsilon(epsilon)
+    if not epsilon < epsilon_prime <= 1.0:
+        raise DomainError("epsilon_prime must lie in (epsilon, 1]")
+    _require(w_prime >= 0.0, "output energy cap W' must be >= 0", w_prime)
+    if not (isinstance(k, _SCALARS) and k in (1, 2, 3, 4)):  # an ndarray k is no scalar
         raise DomainError("multiplier k must be one of 1, 2, 3, 4")
 
 
@@ -86,6 +81,7 @@ class PenaltyParams:
 
     k selects the bound family: 1 for the quantum eps-degradable bound,
     2 for quantum eps-close-degradable, 3 and 4 for the private versions.
+    The fields are stored as Python floats, and k as an int.
     """
 
     epsilon: float
@@ -94,9 +90,11 @@ class PenaltyParams:
     k: int = 1
 
     def __init__(self, epsilon, epsilon_prime, w_prime, k=1):
+        epsilon, epsilon_prime, w_prime = _reals("PenaltyParams", "epsilon epsilon_prime w_prime",
+                                                 epsilon, epsilon_prime, w_prime)
         _check_penalty(epsilon, epsilon_prime, w_prime, k)
         # one __dict__ write, a third of the cost of object.__setattr__ per field
-        self.__dict__.update(epsilon=epsilon, epsilon_prime=epsilon_prime, w_prime=w_prime, k=k)
+        self.__dict__.update(epsilon=epsilon, epsilon_prime=epsilon_prime, w_prime=w_prime, k=int(k))
 
     @property
     def delta(self) -> float:
@@ -425,25 +423,15 @@ def _finish(out, i, kind, row, ch, ns, vals, eps_prime, todo):
     try:
         _check_epsilon(eps)  # 1 leaves no eps'; nan at eta = 1, nb ~ 1e154 (kappa = inf * 0)
         if eps_prime is not None:
-            e = float(eps_prime)
-            _check_penalty(eps, e, w_prime, row.k)
-            out[i] = _result(kind, row, ch, ns, base + _penalty_eval(e, eps, w_prime, row.k), e, eps, w_prime)
+            _check_penalty(eps, eps_prime, w_prime, row.k)
+            out[i] = _result(kind, row, ch, ns, base + _penalty_eval(eps_prime, eps, w_prime, row.k),
+                             eps_prime, eps, w_prime)
         elif eps > 0.0:
             todo.append((out, i, kind, row, ch, ns, base, eps, w_prime))
         else:  # at eps = 0 the penalty's infimum, 0, is unattained: base term only
             out[i] = _result(kind, row, ch, ns, base, None, eps, w_prime)
     except DomainError as exc:  # its traceback would hold `out`: a cycle
         out[i] = exc.with_traceback(None)
-
-
-def _check_real(ns_values, eps_prime=None):
-    """DomainError unless each ns, and a fixed eps' if given, is an int, a
-    float or a numpy real scalar."""
-    for ns in ns_values:
-        if not isinstance(ns, _REAL):
-            raise DomainError(f"input mean photon number ns must be a real number, got {ns!r}")
-    if eps_prime is not None and not isinstance(eps_prime, _REAL):
-        raise _not_real("a fixed eps'", eps_prime=eps_prime)
 
 
 def _row(kind, eps_prime):
@@ -460,7 +448,7 @@ def _cell(out, i, kind, row, ch, ns, eps_prime, todo):
     """Set out[i] for the one cell (ch, ns) of `kind`: its first failing check
     as plain booleans, or the form on Python floats and :func:`_finish`."""
     fn, checks = row.resolved.get(ch.kind) or row.resolved[None]
-    c = {**ch.params, "ns": float(ns)}  # floats (the constructors' parameters are)
+    c = {**ch.params, "ns": ns}  # floats, as the gate and the constructors leave them
     if (check := _failed(checks, c)) is not None:
         out[i] = check.at(kind, ch, ns)
     else:
@@ -481,7 +469,9 @@ def _columns(kinds, channels, ns_values, eps_prime):
     if len(channels) != len(ns_values):
         raise DomainError(f"evaluate_columns needs one ns per channel, got {len(channels)} "
                           f"channels and {len(ns_values)} ns values")
-    _check_real(ns_values, eps_prime)
+    ns_values = [_reals("a bound", "ns", ns)[0] for ns in ns_values]
+    if eps_prime is not None:
+        eps_prime, = _reals("a bound", "eps_prime", eps_prime)
     groups, cols, todo, columns = {}, {}, [], []
     for i, ch in enumerate(channels):
         groups.setdefault(ch.kind, []).append(i)
@@ -515,7 +505,7 @@ def evaluate_columns(kinds, channels, ns_values) -> list:
     """Each bound kind of `kinds` (one may repeat) at each (channel, ns) cell:
     one column per kind, each cell's BoundResult or the BosonicBoundsError
     that rules it out.  `channels` and `ns_values` have one length, and each
-    ns is an int, a float or a numpy real scalar (DomainError otherwise).
+    ns is a real scalar (:func:`errors._reals`; DomainError otherwise).
     Per group of cells of one channel kind, a kind runs its checks as masks
     and its form once, and a group of one cell the per-cell core that
     :func:`evaluate` runs; a cell reports its first failing check, in the order
@@ -540,7 +530,9 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     so it returns that cell's bits and raises that cell's first error.  A
     penalized kind takes a fixed `eps_prime` in place of the minimization;
     a bad one is reported after the cell's other checks."""
-    _check_real((ns,), eps_prime)
+    ns, = _reals("a bound", "ns", ns)
+    if eps_prime is not None:
+        eps_prime, = _reals("a bound", "eps_prime", eps_prime)
     out, todo = [None], []
     _cell(out, 0, kind, _row(kind, eps_prime), ch, ns, eps_prime, todo)
     if todo:
@@ -693,7 +685,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     Both channels must share tau (the same X matrix), the hypothesis under
     which the TMS input is optimal among Gaussian states.
     """
-    _check_real((ns,))
+    ns, = _reals("gaussian_c_distance", "ns", ns)
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
     _raise_first_failure(_NS_CHECKS, None, a, ns)

@@ -30,7 +30,7 @@ from .errors import (
     InfeasibleBoundError,
     InvalidChannelError,
     InvalidStateError,
-    _not_real,
+    _reals,
     _require,
 )
 from .gaussian_core import noisy_tms_qblocks  # omega(nb), the simulating channel's environment
@@ -48,7 +48,8 @@ class PhaseInsensitiveChannel:
     params: dict = field(default_factory=dict)
 
     def __init__(self, tau, nu, kind="raw", params=None):
-        tau, nu = float(tau), float(nu)
+        if type(tau) is not float or type(nu) is not float:  # the named constructors pass floats
+            tau, nu = _reals("phase-insensitive channel", "tau nu", tau, nu)
         cptp = nu >= -1e-12 and nu * nu >= (1.0 - tau) * (1.0 - tau) - 1e-9
         # _require only raises: NaN fails every comparison, and a finite nu
         # with cptp bounds (1 - tau)^2, so tau is finite too
@@ -85,14 +86,11 @@ def _nu(x, nb):
 def thermal(eta: float, nb: float) -> PhaseInsensitiveChannel:
     """Thermal channel: beamsplitter of transmissivity eta mixing the input
     with a thermal environment of mean photon number nb."""
-    try:
-        if not 0.0 < eta <= 1.0:
-            raise DomainError("thermal channel requires eta in (0, 1]")
-        if not 0.0 <= nb < math.inf:
-            _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    except TypeError:  # a comparison with a non-real value
-        raise _not_real("thermal channel", eta=eta, nb=nb) from None
-    eta, nb = float(eta), float(nb)  # a numpy float32 is kept in float64
+    eta, nb = _reals("thermal channel", "eta nb", eta, nb)
+    if not 0.0 < eta <= 1.0:
+        raise DomainError("thermal channel requires eta in (0, 1]")
+    if not 0.0 <= nb < math.inf:
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(eta, _nu(1.0 - eta, nb), "thermal", {"eta": eta, "nb": nb})
 
 
@@ -103,26 +101,20 @@ def pure_loss(eta: float) -> PhaseInsensitiveChannel:
 def amplifier(g: float, nb: float) -> PhaseInsensitiveChannel:
     """Noisy amplifier channel: two-mode squeezer of gain g with a thermal
     environment of mean photon number nb."""
-    try:
-        if not 1.0 <= g < math.inf:
-            _require(g >= 1.0, "amplifier gain must be >= 1", g)
-        if not 0.0 <= nb < math.inf:
-            _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    except TypeError:
-        raise _not_real("amplifier channel", g=g, nb=nb) from None
-    g, nb = float(g), float(nb)
+    g, nb = _reals("amplifier channel", "g nb", g, nb)
+    if not 1.0 <= g < math.inf:
+        _require(g >= 1.0, "amplifier gain must be >= 1", g)
+    if not 0.0 <= nb < math.inf:
+        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     return PhaseInsensitiveChannel(g, _nu(g - 1.0, nb), "amplifier", {"g": g, "nb": nb})
 
 
 def additive_noise(nbar: float) -> PhaseInsensitiveChannel:
     """Additive-noise channel: random Gaussian displacements adding nbar
     noise photons (tau = 1, nu = 2 nbar)."""
-    try:
-        if not 0.0 < nbar < math.inf:
-            _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
-    except TypeError:
-        raise _not_real("additive-noise channel", nbar=nbar) from None
-    nbar = float(nbar)
+    nbar, = _reals("additive-noise channel", "nbar", nbar)
+    if not 0.0 < nbar < math.inf:
+        _require(nbar > 0.0, "additive noise variance must be > 0", nbar)
     return PhaseInsensitiveChannel(1.0, 2.0 * nbar, "additive", {"nbar": nbar})
 
 
@@ -246,12 +238,9 @@ def kappa(x: float, nb: float) -> float:
     item E's factored bracket removes.  x and nb are taken in float64, nb
     finite and >= 0.  A result that is not finite (nb(nb+1) overflows from
     nb = 1.3e154) raises DomainError."""
-    try:
-        _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
-        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    except TypeError:
-        raise _not_real("kappa", x=x, nb=nb) from None
-    x, nb = float(x), float(nb)
+    x, nb = _reals("kappa", "x nb", x, nb)
+    _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
     if not np.isfinite(k := _kappa(x, nb)):
         raise DomainError(f"kappa({x}, nb={nb}) is {k} in float64: nb is too large")
     return k
@@ -284,12 +273,10 @@ def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
 
 def epsilon_close_degradable(nb: float) -> EpsilonReport:
     """Diamond distance from a thermal (or amplifier) channel to its
-    quantum-limited counterpart: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
-    try:
-        _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    except TypeError:
-        raise _not_real("epsilon_close_degradable", nb=nb) from None
-    return EpsilonReport(float(nb / (nb + 1.0)), float(1.0 - 1.0 / np.sqrt(nb + 1.0)),
+    quantum-limited counterpart, in float64: upper nb/(nb+1), lower 1 - 1/sqrt(nb+1)."""
+    nb, = _reals("epsilon_close_degradable", "nb", nb)
+    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
+    return EpsilonReport(nb / (nb + 1.0), 1.0 - 1.0 / math.sqrt(nb + 1.0),
                          "eps_close_degradable")
 
 

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the input check that
-raises them."""
+"""Exception types shared across the package, and the input checks that
+raise them: :func:`_reals`, which every number of a public entry point
+passes first, then :func:`_require`."""
 
 import math
+
+import numpy as np
 
 
 class BosonicBoundsError(Exception):
@@ -36,11 +39,38 @@ class SingularMatrixError(BosonicBoundsError, ArithmeticError):
     """An intermediate matrix quantity was singular or non-finite."""
 
 
-def _not_real(what, **values):
-    """The DomainError for `what` given a value that is not a real number (a
-    str, None or a complex number), which its checks meet as a TypeError."""
-    got = ", ".join(f"{name}={v!r}" for name, v in values.items())
-    return DomainError(f"{what} takes real numbers, got {got}")
+_SCALARS = (int, float, np.bool_, np.integer, np.floating)  # a real scalar's types: no ndarray
+
+
+def _reals(what, names, *values, arrays=False):
+    """`values`, named by the words of `names`, as Python floats: each a bool,
+    an int within float64's range, a float or a numpy bool, int or float
+    scalar.  With `arrays`, as float64 arrays, each of a bool, int or float
+    dtype, broadcast against each other.  Anything else (a str, None, complex,
+    an ndarray for a scalar, a ragged list) is `what`'s DomainError."""
+    for v in values:
+        if arrays or type(v) is not float:  # Python floats, the common case, pass as they are
+            break
+    else:
+        return values
+    out = []
+    for i, v in enumerate(values):
+        try:
+            if arrays:  # same_kind casts from bool, int and float; TypeError from another dtype
+                out.append(np.asarray(v).astype(float, casting="same_kind", copy=False))
+            elif isinstance(v, _SCALARS):
+                out.append(float(v))  # OverflowError: an int beyond float64
+            else:
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):  # ValueError: a ragged list
+            got = ", ".join(f"{name}={u!r}" for name, u in zip(names.split(), values))
+            raise DomainError(f"{what} takes real numbers, got {got}: "
+                              f"{names.split()[i]} must be a real number") from None
+    try:
+        return np.broadcast_arrays(*out) if arrays and len(out) > 1 else out
+    except ValueError:
+        raise DomainError(f"{what} takes arrays that broadcast together, got shapes "
+                          f"{', '.join(str(a.shape) for a in out)}") from None
 
 
 def _require(ok: bool, message: str, *values, error=DomainError):

@@ -14,9 +14,9 @@ functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
 `_fidelity`, `_photon_number` and `_apply`, the channel action.  The two-mode
 builders take stacks themselves, one body per formula: `noisy_tms_qblocks`
 (`tms_qblocks` is its x = 1 case), `_pair_cov`, `beamsplitter_symplectic` and
-`two_mode_squeezer_symplectic`; arrays enter through `_float_arrays`.  Symplectic
-spectra come from a Cholesky factor (`_factor_eigs`): in closed form for one
-and two modes, by a symmetric eigensolve from three.
+`two_mode_squeezer_symplectic`, whose parameters enter through `errors._reals`.
+Symplectic spectra come from a Cholesky factor (`_factor_eigs`): in closed form
+for one and two modes, by a symmetric eigensolve from three.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     InvalidChannelError,
     InvalidStateError,
     SingularMatrixError,
-    _not_real,
+    _reals,
     _require,
 )
 
@@ -115,15 +115,6 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _float_arrays(what, **values):
-    """`values` as float64 arrays, each of any real dtype; the DomainError of
-    `what` for a str, None, a complex number or an object array."""
-    arrays = [np.asarray(v) for v in values.values()]
-    if any(a.dtype.kind not in "biuf" for a in arrays):
-        raise _not_real(what, **values)
-    return [a.astype(float, copy=False) for a in arrays]
-
-
 # ---------------------------------------------------------------------------
 # Entropy functions
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ def g_entropy(x):
     DomainError
         If any element is below -1e-12, NaN or infinite, or x is not real.
     """
-    arr, = _float_arrays("g_entropy", x=x)
+    arr, = _reals("g_entropy", "x", x, arrays=True)
     if not np.all((arr >= -1e-12) & (arr < np.inf)):  # False for NaN
         raise DomainError(f"g_entropy requires finite x >= 0, got {x!r}")
     clamped = np.maximum(arr, 0.0)
@@ -180,7 +171,7 @@ def binary_entropy(x):
     Endpoint values return 0.  Accepts real scalars or arrays; any element
     outside [0, 1], NaN included, raises DomainError, as a non-real x does.
     """
-    arr, = _float_arrays("binary_entropy", x=x)
+    arr, = _reals("binary_entropy", "x", x, arrays=True)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # False for NaN
         raise DomainError(f"binary_entropy requires x in [0, 1], got {x!r}")
     out = np.zeros_like(np.atleast_1d(arr))
@@ -279,11 +270,9 @@ def vacuum_state(modes: int = 1) -> GaussianState:
 
 def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
     """Product of `modes` thermal states, each with mean photon number nbar."""
-    try:
-        _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
-                 nbar, d := 2.0 * float(nbar) + 1.0)
-    except TypeError:
-        raise _not_real("thermal_state", nbar=nbar) from None
+    nbar, = _reals("thermal_state", "nbar", nbar)
+    _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
+             nbar, d := 2.0 * nbar + 1.0)
     return GaussianState(modes, np.zeros(2 * _mode_count(modes)), d * np.eye(2 * modes))
 
 
@@ -297,13 +286,12 @@ def noisy_tms_qblocks(nb, x):
     """(q, p) blocks of the noisy two-mode-squeezed state omega(nb), nb >= 0: diagonal
     2 nb + 1 with correlations 2 sqrt(nb(nb+1)(2x-1)) / x, x = eta or G >= 1/2, both
     finite, in float64 whatever their dtype; stacks (..., 2, 2) over arrays of nb and x,
-    which broadcast against each other."""
-    nb, x = _float_arrays("noisy_tms_qblocks", nb=nb, x=x)
+    which broadcast against each other, so that d takes w's shape."""
+    nb, x = _reals("noisy_tms_qblocks", "nb x", nb, x, arrays=True)
     if not np.all((nb >= 0.0) & (nb < np.inf)):  # False for nan
         raise DomainError("TMS photon number must be >= 0 and finite")
     if not np.all((x >= 0.5) & (x < np.inf)):
         raise DomainError("noisy TMS needs x >= 1/2 and finite")
-    nb, x = np.broadcast_arrays(nb, x)  # a scalar against an array: d takes w's shape
     d = 2.0 * nb + 1.0
     w = 2.0 * np.sqrt(nb * (nb + 1.0) * (2.0 * x - 1.0)) / x
     return _mat2(d, w, w, d), _mat2(d, -w, -w, d)
@@ -567,7 +555,7 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
     The phase difference between the two is essential for the degrading
     channel construction.
     """
-    t, = _float_arrays("beamsplitter_symplectic", transmissivity=transmissivity)
+    t, = _reals("beamsplitter_symplectic", "transmissivity", transmissivity, arrays=True)
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError("transmissivity must lie in [0, 1]")
     sign = {"B": 1.0, "Bprime": -1.0}.get(kind)  # of the lower-left sqrt(1-t)
@@ -586,7 +574,7 @@ def two_mode_squeezer_symplectic(gain: float) -> np.ndarray:
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] and the p-block carries the
     opposite off-diagonal sign.
     """
-    G, = _float_arrays("two_mode_squeezer_symplectic", gain=gain)
+    G, = _reals("two_mode_squeezer_symplectic", "gain", gain, arrays=True)
     if not np.all(G >= 1.0):
         raise DomainError("squeezer gain must be >= 1")
     s, r = np.sqrt(G), np.sqrt(G - 1.0)

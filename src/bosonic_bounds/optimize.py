@@ -26,7 +26,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _SCALARS, DomainError, _reals
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -48,12 +48,12 @@ def _seed_grids(lo, hi, seeds):
     return np.array([np.pad(r, (0, m - len(r)), "edge") for r in rows]), [len(r) for r in rows]
 
 
-def _floats(v, n):
-    """lo, hi or a row arg as a list of n floats: v is one number that all
-    n problems share, or n numbers."""
-    if isinstance(v, (float, int)):
-        return [float(v)] * n
-    v = np.asarray(v, dtype=float)
+def _floats(v, n, name):
+    """lo, hi or a row arg, named `name`, as a list of n floats: v is one real
+    number that all n problems share, or n real numbers (:func:`errors._reals`)."""
+    if isinstance(v, _SCALARS):
+        return list(_reals("minimize_batch", name, v)) * n
+    v, = _reals("minimize_batch", name, v, arrays=True)
     if v.shape not in ((), (1,), (n,)):
         raise DomainError(f"lo, hi and each row arg take one value or {n}, not shape {v.shape}")
     return v.tolist() if v.shape == (n,) else [v.item()] * n
@@ -86,12 +86,12 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
 
     `objective(x, *args)` is elementwise in `x` and in `args`, one for each
     of the `row_args` (n floats, problem i's value at index i).  `lo`, `hi`
-    or a row arg may be one number that all problems share; any other
-    shape than one value or n, a `seed_grids` that is not an (n, m) array
-    with m >= 1, a non-finite bound or lo > hi raises DomainError.  n = 0
-    gives empty results.  Problem i seeds on row i of `seed_grids`.  A row
-    strictly ascending inside its interval is taken as it is; only when
-    some row is not are the rows clipped to their intervals with duplicates
+    or a row arg is n real numbers or one that all problems share; any other
+    value, a `seed_grids` that is not an (n, m) array with m >= 1, a
+    non-finite bound or lo > hi raises DomainError.  n = 0 gives empty
+    results.  Problem i seeds on row i of `seed_grids`.  A row strictly
+    ascending inside its interval is taken as it is; only when some row is
+    not are the rows clipped to their intervals with duplicates
     dropped (a nan seed raises DomainError before any evaluation; +-inf
     clips to the bounds).  All seeds are evaluated in one call, `x` of
     shape (n, m) and each arg `row_arg[:, None]`, or for one problem (n =
@@ -119,8 +119,8 @@ def minimize_batch(objective, lo, hi, seed_grids, *row_args) -> BatchOptResult:
     if seeds.ndim != 2 or not seeds.shape[1]:
         raise DomainError(f"seed_grids has shape {seeds.shape}, not (n, m) with m >= 1")
     n, m = seeds.shape
-    lo, hi = _floats(lo, n), _floats(hi, n)
-    row_args = [_floats(p, n) for p in row_args]
+    lo, hi = _floats(lo, n, "lo"), _floats(hi, n, "hi")
+    row_args = [_floats(p, n, "row_arg") for p in row_args]
     inside = True  # every row's first and last seeds lie in its interval
     for r, l, h in zip(range(n), lo, hi):
         if not -math.inf < l <= h < math.inf:  # false for a nan too

@@ -62,6 +62,9 @@ class TestPenalty:
             bnd.PenaltyParams(0.1, 0.2, -1.0, 1)
         with pytest.raises(DomainError):
             bnd.PenaltyParams(0.1, 0.2, 1.0, 5)
+        for k in ("1", None, np.array([1, 1]), 10 ** 400, 1.5):
+            with pytest.raises(DomainError, match="multiplier k must be one of 1, 2, 3, 4"):
+                bnd.PenaltyParams(0.1, 0.2, 1.0, k)
 
 
 class TestLowerBounds:
@@ -495,8 +498,9 @@ class TestBoundResult:
     lambda: bnd.q_u2(chn.thermal(0.9, 0.5), 1.0, eps_prime="abc"),
     lambda: bnd.q_u2(chn.additive_noise(0.3), 1.0),  # no QU2 form for the channel kind
     lambda: bnd.q_lower_thermal(0.8, 0.5, 1e200),  # nan raw bits: _result's DomainError
+    lambda: bnd.q_u1(chn.thermal(0.9, 0.5), 10 ** 400),  # an int beyond float64
 ], ids=["regime_check", "bad_fixed_eps_prime", "unknown_kind", "eps_prime_not_penalized",
-        "ns_not_real", "eps_prime_not_real", "no_form", "nan_raw"])
+        "ns_not_real", "eps_prime_not_real", "no_form", "nan_raw", "ns_overflow"])
 def test_raised_error_leaves_no_reference_cycle(call):
     """With the cyclic collector off, a bound's error dies with its handler:
     no frame that its traceback holds keeps a reference to it."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
@@ -117,6 +118,20 @@ class TestFloat64Parameters:
         low = np.float32(x), np.float32(0.3)
         got = chn.epsilon_degradable(make(*low)).epsilon
         assert got.hex() == chn.epsilon_degradable(make(*map(float, low))).epsilon.hex()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_close_degradable_eps_of_float32(self, dtype):
+        low = dtype(0.3)
+        got, want = chn.epsilon_close_degradable(low), chn.epsilon_close_degradable(float(low))
+        assert (got.epsilon.hex(), got.lower.hex()) == (want.epsilon.hex(), want.lower.hex())
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["epsilon", "epsilon_prime", "w_prime"])
+    def test_penalty_of_a_float32_field(self, at):
+        low = [0.1, 0.5, 0.3]
+        low[at] = np.float32(low[at])
+        got, want = bnd.PenaltyParams(*low), bnd.PenaltyParams(*map(float, low))
+        assert all(type(v) is float for v in (got.epsilon, got.epsilon_prime, got.w_prime))
+        assert bnd.penalty(got).hex() == bnd.penalty(want).hex()
 
     def test_kappa_of_float32_is_a_python_float(self):
         low = np.float32(0.8), np.float32(0.3)

@@ -132,7 +132,8 @@ NS_PATHS = {
 
 
 @pytest.mark.parametrize("path", NS_PATHS)
-@pytest.mark.parametrize("ns", ["3", None, 3 + 0j, np.asarray(3.0)], ids=repr)
+@pytest.mark.parametrize("ns", ["3", None, 3 + 0j, np.asarray(3.0), pytest.param(10 ** 400, id="10**400"),
+                                pytest.param(-10 ** 400, id="-10**400")], ids=repr)
 def test_non_real_ns_is_a_domain_error(path, ns):
     # named up front, as a length mismatch is, not a cell's error or a TypeError
     with pytest.raises(DomainError, match="ns must be a real number"):
@@ -145,6 +146,12 @@ def test_non_real_ns_is_a_domain_error(path, ns):
 def test_real_ns_types_are_kept(path, ns):
     got, want = NS_PATHS[path](ns), NS_PATHS[path](3.0)
     assert got == want
+
+
+@pytest.mark.parametrize("path", NS_PATHS)
+def test_numpy_bool_ns_is_its_float(path):
+    # a bool is a real scalar, as an int is
+    assert NS_PATHS[path](np.True_) == NS_PATHS[path](1.0)
 
 def seeded_column(seed, n=60):
     """The edge cells and n seeded cells of all three channel kinds: nb = 0

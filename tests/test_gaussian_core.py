@@ -681,3 +681,7 @@ class TestSymplecticBuilders:
             for qk, pk, pair in zip(q, p, pairs):
                 q1, p1 = gc.noisy_tms_qblocks(*pair)
                 assert np.array_equal(qk, q1) and np.array_equal(pk, p1)
+
+    def test_noisy_blocks_of_unequal_shapes_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"broadcast together, got shapes \(2,\), \(3,\)"):
+            gc.noisy_tms_qblocks(np.full(2, 0.3), np.full(3, 0.8))

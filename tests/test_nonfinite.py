@@ -17,6 +17,7 @@ from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
 from bosonic_bounds import gaussian_core as gc
+from bosonic_bounds import optimize as opt
 from bosonic_bounds.errors import DomainError, InvalidChannelError
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -98,6 +99,7 @@ def test_channel_rejects(call, error, x):
 
 
 # (name, callable of the one non-real argument, a valid value there)
+_PARABOLA, _SEEDS = (lambda x, a: (x - a) ** 2), np.linspace(0.0, 1.0, 5)[None]
 NON_REAL_CALLS = [
     ("thermal.eta", lambda x: chn.thermal(x, 0.3), 0.8),
     ("thermal.nb", lambda x: chn.thermal(0.8, x), 0.3),
@@ -119,7 +121,29 @@ NON_REAL_CALLS = [
     ("binary_entropy", lambda x: gc.binary_entropy(x), 0.5),
     ("beamsplitter_symplectic.transmissivity", lambda x: gc.beamsplitter_symplectic("B", x), 0.5),
     ("two_mode_squeezer_symplectic.gain", lambda x: gc.two_mode_squeezer_symplectic(x), 2.0),
+    ("raw_channel.tau", lambda x: chn.raw_channel(x, 1.0), 0.5),
+    ("raw_channel.nu", lambda x: chn.raw_channel(0.5, x), 1.0),
+    ("q_lower_thermal.eta", lambda x: bnd.q_lower_thermal(x, 0.5, 1.0), 0.9),
+    ("q_lower_thermal.nb", lambda x: bnd.q_lower_thermal(0.9, x, 1.0), 0.5),
+    ("q_lower_amp.g", lambda x: bnd.q_lower_amp(x, 0.5, 1.0), 1.5),
+    ("q_lower_amp.nb", lambda x: bnd.q_lower_amp(1.5, x, 1.0), 0.5),
+    ("p_lower_displaced.eta", lambda x: bnd.p_lower_displaced(x, 0.5, 1.0), 0.9),
+    ("p_lower_displaced.nb", lambda x: bnd.p_lower_displaced(0.9, x, 1.0), 0.5),
+    ("gap_qu1_ql.eta", lambda x: bnd.gap_qu1_ql(x, 0.5, 1.0), 0.9),
+    ("gap_qu1_ql.nb", lambda x: bnd.gap_qu1_ql(0.9, x, 1.0), 0.5),
+    ("minimize_batch.lo", lambda x: opt.minimize_batch(_PARABOLA, x, 1.0, _SEEDS, 0.3), 0.0),
+    ("minimize_batch.hi", lambda x: opt.minimize_batch(_PARABOLA, 0.0, x, _SEEDS, 0.3), 1.0),
+    ("minimize_batch.row_arg", lambda x: opt.minimize_batch(_PARABOLA, 0.0, 1.0, _SEEDS, x), 0.3),
 ]
+# the rows whose parameter takes arrays; every other row's takes one real scalar
+ARRAY_ROWS = {"tms_qblocks.n", "tms_state.n", "noisy_tms_qblocks.nb", "noisy_tms_qblocks.x", "g_entropy",
+              "binary_entropy", "beamsplitter_symplectic.transmissivity",
+              "two_mode_squeezer_symplectic.gain", "minimize_batch.lo", "minimize_batch.hi",
+              "minimize_batch.row_arg"}
+SCALAR_CALLS = [row for row in NON_REAL_CALLS if row[0] not in ARRAY_ROWS]
+# an int beyond float64's range (1.8e308), of either sign
+HUGE_INTS = [pytest.param(lambda v: 10 ** 400, id="10**400"),
+             pytest.param(lambda v: -10 ** 400, id="-10**400")]
 
 # A fixed eps', as NON_REAL_CALLS; None is eps_prime's default (minimize over
 # eps'), so the makers are str, complex, a one-element list and "abc".  TH's eps
@@ -131,7 +155,8 @@ NON_REAL_EPS_PRIME_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("make", [str, lambda v: None, complex], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("make", [pytest.param(str, id="str"), pytest.param(lambda v: None, id="None"),
+                                  pytest.param(complex, id="complex"), *HUGE_INTS])
 @pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in NON_REAL_CALLS],
                          ids=[n for n, _, _ in NON_REAL_CALLS])
 def test_non_real_parameter_is_a_domain_error(call, valid, make):
@@ -140,8 +165,18 @@ def test_non_real_parameter_is_a_domain_error(call, valid, make):
         call(make(valid))
 
 
-@pytest.mark.parametrize("make", [str, complex, lambda v: [v], lambda v: "abc"],
-                         ids=["str", "complex", "list", "abc"])
+@pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in SCALAR_CALLS],
+                         ids=[n for n, _, _ in SCALAR_CALLS])
+def test_array_at_a_scalar_parameter_is_a_domain_error(call, valid):
+    # a 0-d array too: a scalar parameter takes no ndarray
+    for array in (np.array([valid, valid]), np.array(valid)):
+        with pytest.raises(DomainError, match="takes real numbers, got "):
+            call(array)
+
+
+@pytest.mark.parametrize("make", [pytest.param(str, id="str"), pytest.param(complex, id="complex"),
+                                  pytest.param(lambda v: [v], id="list"),
+                                  pytest.param(lambda v: "abc", id="abc"), *HUGE_INTS])
 @pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in NON_REAL_EPS_PRIME_CALLS],
                          ids=[n for n, _, _ in NON_REAL_EPS_PRIME_CALLS])
 def test_non_real_eps_prime_is_a_domain_error(call, valid, make):
