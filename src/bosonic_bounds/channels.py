@@ -303,7 +303,8 @@ def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
     mode A.  The environment `pairs` of (q, p) blocks take the modes after A;
     the symplectic `steps` (S, (i, j)), i and j counted from A, act in order
     on their two modes.  Only the rows T of the steps' product that `modes` read
-    are formed, the steps in reverse on four columns each: T V0 T^T.  Stacks broadcast.
+    are formed, the steps in reverse on four columns each; T V0 T^T is summed over
+    V0's blocks, T_in V_in T_in^T + sum_k T_k P_k T_k^T over pairs k.  Stacks broadcast.
     """
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
@@ -317,11 +318,12 @@ def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
     for S, (i, j) in reversed(steps):
         ix = gc._block_index((a + i, a + j), m)
         T[..., ix] = T[..., ix] @ S
-    env = np.zeros(np.broadcast_shapes(*(np.shape(q)[:-2] for q, _ in pairs)) + (2 * m, 2 * m))
-    for k, (q, p) in enumerate(pairs):
-        gc._place_pair(env, a + 1 + 2 * k, q, p)
     Tin = T[..., gc._block_index(range(a + 1), m)]
-    return Tin @ covs @ np.swapaxes(Tin, -1, -2) + T @ env @ np.swapaxes(T, -1, -2)
+    V = Tin @ covs @ np.swapaxes(Tin, -1, -2)
+    for k, (q, p) in enumerate(pairs):
+        Tk = T[..., gc._block_index((a + 1 + 2 * k, a + 2 + 2 * k), m)]
+        V = V + Tk @ gc._pair_cov(q, p) @ np.swapaxes(Tk, -1, -2)
+    return V
 
 
 def _channel_step(kind, x):
@@ -343,7 +345,8 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray):
     r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and
     'refs') to mode slots.
     """
-    return _degrading(*_column_params(ch), input_cov)
+    return _degrading(*_column_params(ch), *_reals("degrading_dilation_cov", "input_cov", input_cov,
+                                                  arrays=True))
 
 
 def _degrading(kind, x, nb, input_cov, modes=None):
@@ -374,7 +377,8 @@ def simulating_channel_cov(ch, input_cov: np.ndarray):
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    return _simulating(*_column_params(ch), input_cov)
+    return _simulating(*_column_params(ch), *_reals("simulating_channel_cov", "input_cov", input_cov,
+                                                    arrays=True))
 
 
 def _simulating(kind, x, nb, input_cov, modes=None):
@@ -419,7 +423,8 @@ def degrading_simulation_check(ch, input_qblock) -> tuple:
     simulating channel fed with the noisy TMS state, for an input whose
     two-mode position block is `input_qblock` (reference mode first).  The
     contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
-    to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks.
+    to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks; the
+    q-block's errors come before the column's.
     """
-    q = _validate_qblock(input_qblock)  # its errors come before the column's
+    q = _validate_qblock(*_reals("degrading_simulation_check", "input_qblock", input_qblock, arrays=True))
     return tuple(V[..., :3, :3] for V in _deg_sim_routes(*_column_params(ch), q))

@@ -212,8 +212,8 @@ class GaussianState:
 
     def __post_init__(self):
         n = 2 * _mode_count(self.modes)
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mean, = _reals("GaussianState", "mean", self.mean, arrays=True)
+        cov, = _reals("GaussianState", "cov", self.cov, arrays=True)
         if mean.shape != (n,):
             raise InvalidStateError(f"mean must have shape ({n},), got {mean.shape}")
         if cov.shape != (n, n):
@@ -225,9 +225,9 @@ class GaussianState:
 
 
 def _mode_count(modes):
-    """`modes`; InvalidStateError unless it is a positive integer."""
-    _require(isinstance(modes, (int, np.integer)) and modes >= 1,
-             "mode count must be a positive integer", error=InvalidStateError)
+    """`modes`; InvalidStateError unless a positive integer m whose 2m x 2m covariance numpy can index."""
+    ok = isinstance(modes, (int, np.integer)) and 1 <= modes and 32 * int(modes) ** 2 <= np.iinfo(np.intp).max
+    _require(ok, "mode count must be a positive integer numpy can index", error=InvalidStateError)
     return modes
 
 
@@ -504,8 +504,10 @@ def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> Gaussia
     InvalidChannelError
         If Y + i(Omega - X Omega X^T) has an eigenvalue below -1e-8.
     """
+    X, Y = (_reals("apply_gaussian_channel", name, M, arrays=True)[0] for name, M in (("X", X), ("Y", Y)))
     cov, mean = _apply(X, Y, state.cov, state.mean, modes)
     if d is not None:
+        d, = _reals("apply_gaussian_channel", "d", d, arrays=True)
         mean[slice(None) if modes is None else _block_index(modes, state.modes)] += d
     if not np.all(np.isfinite(mean)):  # d may be non-finite; cov is checked
         raise InvalidStateError("state data must be finite")

@@ -4,10 +4,10 @@ Everything here recomputes quantities through an independent route (matrix
 dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
-A check draws its seeded samples in a fixed order (the uniform ones of a
-row in one call), validates the stacked states once, applies each stack of
-channels in one call of the channel core behind `apply_gaussian_channel`,
-and calls each registry form, or each oracle's array core on the drawn
+A check draws its seeded samples in a fixed order (a row's uniform ones in one
+rng.random call), validates the stacked states once, applies each stack of
+channels, built from the drawn arrays, in one call of `apply_gaussian_channel`'s
+core, and calls each registry form, or each oracle's array core on the drawn
 (x, nb) arrays, once per channel kind; a dilation builds only its marginal.
 The U_D oracle reads H(G E'2 E'1) as H(B), the channel output's entropy;
 the dense-grid oracle prunes its grid in two passes of one lower bound.
@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import DomainError
+from .errors import DomainError, _reals
 from .gaussian_core import LN2
 
 
@@ -65,7 +65,7 @@ def ud_oracle(ch, input_cov: np.ndarray):
     a single-mode input covariance (2, 2), or an array of them for a stack
     (n, 2, 2), with `ch` one channel or a column of n.  H(G E'2 E'1) is taken
     as H(B), the entropy of the channel output (see :func:`_ud`)."""
-    return _ud(*chn._column_params(ch), input_cov)
+    return _ud(*chn._column_params(ch), *_reals("ud_oracle", "input_cov", input_cov, arrays=True))
 
 
 def _ud(kind, x, nb, input_cov):
@@ -94,11 +94,11 @@ def _pair_covs(q, p):
 
 
 def _uniform_rows(rng, n, *bounds):
-    """Columns of n rows of uniform draws, one per (low, high) of `bounds` in a
-    row: the draws of n rows of scalar rng.uniform calls, in one call (n None
-    gives one row of floats)."""
+    """Columns of n rows of uniform draws, one per (low, high) of `bounds` in a row
+    (n None gives one row of floats): the stream and bits of n rows of scalar
+    rng.uniform calls, which compute low + (high - low) u, in one rng.random call."""
     low, high = np.array(bounds).T
-    return rng.uniform(low, high, (() if n is None else (n,)) + low.shape).T
+    return (low + (high - low) * rng.random((() if n is None else (n,)) + low.shape)).T
 
 
 def _rotated(th, d0, d1, nu=1.0):
@@ -163,9 +163,10 @@ def check_g_shape(points=1000) -> CheckResult:
                        "finite differences on [0, 100]")
 
 
-def _xy(column):
-    """Stacks (n, 2, 2) of the X and of the Y matrices of a channel column."""
-    return tuple(map(np.stack, zip(*((ch.X, ch.Y) for ch in column))))
+def _xy(kind, x, nb):
+    """Stacks (n, 2, 2) of the X and Y of channels of arrays x (eta or g) and nb, with their bits."""
+    nu = np.array(list(map(chn._nu, (1.0 - x if kind == "thermal" else x - 1.0).tolist(), nb.tolist())))
+    return np.sqrt(x)[:, None, None] * np.eye(2), nu[:, None, None] * np.eye(2)
 
 
 def check_channel_composition(n=100) -> CheckResult:
@@ -176,7 +177,7 @@ def check_channel_composition(n=100) -> CheckResult:
         rows.append(_uniform_rows(rng, None, (0.0, 10.0), *_COV_DRAWS,
                                   (0.3, 1.0), (0.0, 2.0), (1.0, 2.5), (0.0, 2.0)))
     ns, u, a, th, eta, nb1, g, nb2 = np.array(rows).T
-    (X1, Y1), (X2, Y2) = _xy(map(chn.thermal, eta, nb1)), _xy(map(chn.amplifier, g, nb2))
+    (X1, Y1), (X2, Y2) = _xy("thermal", eta, nb1), _xy("amplifier", g, nb2)
     V, mean = gc._checked_cov(_single_mode_cov(ns, u, a, th)), np.array(means)
     step = gc._apply(X2, Y2, *gc._apply(X1, Y1, V, mean))[0]
     once = gc._apply(X2 @ X1, X2 @ Y1 @ np.swapaxes(X2, -1, -2) + Y2, V, mean)[0]
@@ -188,7 +189,7 @@ def check_fidelity_basics(n=50) -> CheckResult:
     rng = np.random.default_rng(13)
     nph, eta, nb = _uniform_rows(rng, n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
     A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channels on mode 1
-    B = gc._apply(*_xy(map(chn.thermal, eta, nb)), A, np.zeros(4), modes=(1,))[0]
+    B = gc._apply(*_xy("thermal", eta, nb), A, np.zeros(4), modes=(1,))[0]
     F = gc._fidelity(np.stack([A, B, A, B]), np.stack([A, B, B, A]))
     worst = max(0.0, float(np.max(np.abs([1.0 - F[0], 1.0 - F[1], F[2] - F[3]]))))
     return CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
@@ -205,7 +206,7 @@ def check_symplectic_constructors() -> CheckResult:
 def check_photon_bookkeeping(n=50) -> CheckResult:
     rng = np.random.default_rng(17)
     eta, nb, ns = _uniform_rows(rng, n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
-    V, mean = gc._apply(*_xy(map(chn.thermal, eta, nb)), _pair_covs(*gc.tms_qblocks(ns)),
+    V, mean = gc._apply(*_xy("thermal", eta, nb), _pair_covs(*gc.tms_qblocks(ns)),
                         np.zeros(4), modes=(1,))
     idx = gc._block_index((1,), 2)  # the output arm
     got = gc._photon_number(V[:, idx[:, None], idx], mean[:, idx])

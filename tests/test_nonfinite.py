@@ -18,6 +18,7 @@ from bosonic_bounds import channels as chn
 from bosonic_bounds import cli
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import optimize as opt
+from bosonic_bounds import verify as vfy
 from bosonic_bounds.errors import DomainError, InvalidChannelError
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -160,6 +161,43 @@ NON_REAL_EPS_PRIME_CALLS = [
 @pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in NON_REAL_CALLS],
                          ids=[n for n, _, _ in NON_REAL_CALLS])
 def test_non_real_parameter_is_a_domain_error(call, valid, make):
+    call(valid)
+    with pytest.raises(DomainError, match="takes real numbers, got "):
+        call(make(valid))
+
+
+def _with_entry(m, entry):
+    """`m` as an object array whose first entry is `entry`."""
+    out = np.array(m, dtype=object)
+    out.flat[0] = entry
+    return out
+
+
+# (name, callable of the one matrix argument, a valid value there): the public
+# entries that take a vector or a matrix; an entry that is not real fails as a
+# scalar does, before numpy's bare ValueError or a dropped imaginary part
+_Q = np.array([[2.0, 0.5], [0.5, 3.0]])
+MATRIX_CALLS = [
+    ("GaussianState.mean", lambda m: gc.GaussianState(1, m, np.eye(2)), np.array([0.5, -1.0])),
+    ("GaussianState.cov", lambda m: gc.GaussianState(1, np.zeros(2), m), 3.0 * np.eye(2)),
+    ("apply_gaussian_channel.X", lambda m: gc.apply_gaussian_channel(m, TH.Y, None, gc.vacuum_state()), TH.X),
+    ("apply_gaussian_channel.Y", lambda m: gc.apply_gaussian_channel(TH.X, m, None, gc.vacuum_state()), TH.Y),
+    ("apply_gaussian_channel.d", lambda m: gc.apply_gaussian_channel(TH.X, TH.Y, m, gc.vacuum_state()),
+     np.array([0.5, -1.0])),
+    ("degrading_simulation_check.input_qblock", lambda m: chn.degrading_simulation_check(TH, m), _Q),
+    ("degrading_dilation_cov.input_cov", lambda m: chn.degrading_dilation_cov(TH, m), 3.0 * np.eye(2)),
+    ("simulating_channel_cov.input_cov", lambda m: chn.simulating_channel_cov(TH, m), 3.0 * np.eye(2)),
+    ("ud_oracle.input_cov", lambda m: vfy.ud_oracle(TH, m), 3.0 * np.eye(2)),
+]
+
+
+@pytest.mark.parametrize("make", [pytest.param(lambda m: _with_entry(m, str(m.flat[0])), id="str"),
+                                  pytest.param(lambda m: m + 1j * (np.arange(m.size) == 0).reshape(m.shape),
+                                               id="complex"),
+                                  pytest.param(lambda m: _with_entry(m, None), id="None")])
+@pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in MATRIX_CALLS],
+                         ids=[n for n, _, _ in MATRIX_CALLS])
+def test_non_real_matrix_entry_is_a_domain_error(call, valid, make):
     call(valid)
     with pytest.raises(DomainError, match="takes real numbers, got "):
         call(make(valid))

@@ -316,6 +316,21 @@ def test_thermal_input_optimality_peak_memory():
     assert peak < 9 * 2 ** 20
 
 
+def test_deg_vs_sim_cov_peak_memory():
+    """The check's traced peak stays below 3.2 MiB (2.71 MiB): each dilation
+    multiplies only the nonzero blocks of its block-diagonal V0 (3.99 MiB with
+    the whole zero-padded environment matrix).  An untraced call first, so that
+    the peak holds no module that numpy imports on first use."""
+    vfy.check_deg_vs_sim_cov()
+    tracemalloc.start()
+    try:
+        vfy.check_deg_vs_sim_cov()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 2 ** 20
+
+
 def _full_grid_min(eps, w_prime, k, dense):
     return float(np.min(bnd._penalty_eval(np.linspace(eps + 1e-12, 1.0, dense), eps, w_prime, k)))
 
@@ -414,6 +429,42 @@ def test_stacked_draws_equal_one_sample_calls(draw):
     assert got.shape == (40, 2, 2)
     assert np.array_equal(got, want)
     assert one.bit_generator.state == stacked.bit_generator.state
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["back_to_back", "normal_draws_between"])
+def test_uniform_rows_hold_the_scalar_uniform_bits(between):
+    """One row of _uniform_rows (n None) and a stack of 7 rows hold the bits of
+    scalar rng.uniform(lo, hi) calls in row order and leave the generator in the
+    same state, also with rng.normal(size=2) draws between the rows, as
+    check_channel_composition draws them."""
+    bounds = ((0.0, 10.0), *vfy._COV_DRAWS, (0.3, 1.0), (1.0 + 1e-6, 3.0), (-2.5, 7.0))
+    scalar, rows = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(40):
+        for n in (None, 7):
+            if between:
+                assert scalar.normal(size=2).tobytes() == rows.normal(size=2).tobytes()
+            want = [[scalar.uniform(lo, hi).hex() for lo, hi in bounds] for _ in range(n or 1)]
+            got = np.atleast_2d(np.transpose(vfy._uniform_rows(rows, n, *bounds)))
+            assert [[float(v).hex() for v in row] for row in got] == want
+    assert scalar.bit_generator.state == rows.bit_generator.state
+
+
+@pytest.mark.parametrize("kind,make,lo,hi", [("thermal", chn.thermal, 0.05, 1.0),
+                                             ("amplifier", chn.amplifier, 1.0, 4.0)],
+                         ids=["thermal", "amplifier"])
+def test_xy_stacks_hold_each_channels_bits(kind, make, lo, hi):
+    """The X and Y stacks that _xy builds from parameter arrays equal each
+    channel object's X and Y by .hex(), also at eta = 1 or g = 1, where nu is
+    exactly 0 (the identity channel, also at an nb where 2 nb + 1 overflows)."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[1.0, 1.0, 1.0, lo], rng.uniform(lo, hi, 200)])
+    nb = np.concatenate([[0.0, 2.5, 1e308, 0.5], rng.uniform(0.0, 3.0, 200)])
+    channels = [make(*p) for p in zip(x.tolist(), nb.tolist())]
+    for got, attr in zip(vfy._xy(kind, x, nb), ("X", "Y")):
+        want = np.stack([getattr(ch, attr) for ch in channels])
+        assert got.shape == want.shape == (204, 2, 2)
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    assert [ch.nu for ch in channels[:3]] == [0.0, 0.0, 0.0]
 
 
 def test_raw_error_leaves_no_reference_cycle():
