@@ -63,14 +63,21 @@ def _reals(what, names, *values, arrays=False):
             else:
                 raise TypeError
         except (TypeError, ValueError, OverflowError):  # ValueError: a ragged list
-            got = ", ".join(f"{name}={u!r}" for name, u in zip(names.split(), values))
-            raise DomainError(f"{what} takes real numbers, got {got}: "
-                              f"{names.split()[i]} must be a real number") from None
+            got = ", ".join(f"{name}={_shown(u)}" for name, u in zip(names.split(), values))
+            raise DomainError(f"{what} takes real numbers, got {got}: {names.split()[i]} must "
+                              f"{'hold real numbers' if arrays else 'be a real number'}") from None
     try:
         return np.broadcast_arrays(*out) if arrays and len(out) > 1 else out
     except ValueError:
         raise DomainError(f"{what} takes arrays that broadcast together, got shapes "
                           f"{', '.join(str(a.shape) for a in out)}") from None
+
+
+def _shown(v):
+    """repr(v), but an array by its shape and dtype and a list or tuple by its length."""
+    if isinstance(v, np.ndarray):
+        return f"ndarray of shape {v.shape} and dtype {v.dtype}"
+    return f"{type(v).__name__} of length {len(v)}" if isinstance(v, (list, tuple)) else repr(v)
 
 
 def _require(ok: bool, message: str, *values, error=DomainError):

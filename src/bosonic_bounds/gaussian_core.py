@@ -362,8 +362,11 @@ def _factor_eigs(L: np.ndarray) -> np.ndarray:
 
 def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of a covariance matrix > 0 or a stack,
-    (..., 2m, 2m) -> (..., m): a Cholesky factor and :func:`_factor_eigs`."""
-    return _factor_eigs(_cholesky(cov))
+    (..., 2m, 2m) -> (..., m): a Cholesky factor and :func:`_factor_eigs`.
+    InvalidStateError if one is not finite, as from a non-finite covariance."""
+    nus = _factor_eigs(_cholesky(cov))
+    _require(np.all(np.isfinite(nus)), "state data must be finite", error=InvalidStateError)
+    return nus
 
 
 def symplectic_eigenvalues(state: GaussianState) -> tuple:

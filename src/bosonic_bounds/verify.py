@@ -5,12 +5,12 @@ dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
 A check draws its seeded samples in a fixed order (a row's uniform ones in one
-rng.random call), validates the stacked states once, applies each stack of
-channels, built from the drawn arrays, in one call of `apply_gaussian_channel`'s
-core, and calls each registry form, or each oracle's array core on the drawn
-(x, nb) arrays, once per channel kind; a dilation builds only its marginal.
-The U_D oracle reads H(G E'2 E'1) as H(B), the channel output's entropy;
-the dense-grid oracle prunes its grid in two passes of one lower bound.
+rng.random call) and works on the drawn arrays, with no channel object and no
+BoundResult: it validates the stacked states once, applies each stack of
+channels in one call of `apply_gaussian_channel`'s core, calls each registry
+form or oracle core once per channel kind, minimizes all its penalties in one
+batch and builds only a dilation's marginal.  The U_D oracle reads H(G E'2 E'1)
+as H(B), the output's entropy; the dense-grid oracle prunes in two passes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import DomainError, _reals
+from .errors import DomainError, _reals, _require, _shown
 from .gaussian_core import LN2
 
 
@@ -78,16 +78,6 @@ def _ud(kind, x, nb, input_cov):
     return gc._entropy_from_cov(VB) - gc._entropy_from_cov(VE)
 
 
-def _raw(cell) -> float:
-    """Raw bits of a cell of :func:`bounds.evaluate_column`; raises its error."""
-    try:
-        if not isinstance(cell, bnd.BoundResult):
-            raise cell
-        return cell.raw
-    finally:
-        del cell  # the raised error's traceback holds this frame: no cycle through it
-
-
 def _pair_covs(q, p):
     """Checked covariance stack of the two-mode states of (q, p) block stacks."""
     return gc._checked_cov(gc._pair_cov(q, p))
@@ -116,7 +106,9 @@ def random_single_mode_cov(ns, rng, n=None) -> np.ndarray:
     number is exactly ns: a rotated squeezed thermal covariance carrying a
     random share of the energy, the rest sitting in a displacement (which
     affects no entropy).  With n, a stack (n, 2, 2) equal to n calls."""
-    return _single_mode_cov(ns, *_uniform_rows(rng, n, *_COV_DRAWS))
+    ns, = _reals("random_single_mode_cov", "ns", ns, arrays=True)  # a float, or one per draw
+    _require(bool(np.all((ns >= 0.0) & (ns < np.inf))), "random_single_mode_cov needs finite ns >= 0")
+    return _single_mode_cov(ns, *_uniform_rows(rng, _count("random_single_mode_cov", n), *_COV_DRAWS))
 
 
 def _single_mode_cov(ns, u, a, th):
@@ -131,8 +123,17 @@ def _single_mode_cov(ns, u, a, th):
 def random_valid_qblock(rng, scale: float = 5.0, n=None) -> np.ndarray:
     """Random position block of a valid two-mode covariance (>= I suffices).
     With n, a stack (n, 2, 2) equal to n calls."""
-    th, a, b = _uniform_rows(rng, n, (0.0, np.pi), (0.0, scale), (0.0, scale))
+    scale, = _reals("random_valid_qblock", "scale", scale)
+    _require(scale >= 0.0, "random_valid_qblock: scale = {} must be >= 0", scale)
+    th, a, b = _uniform_rows(rng, _count("random_valid_qblock", n), (0.0, np.pi), (0.0, scale), (0.0, scale))
     return _rotated(th, 1.0 + a, 1.0 + b)
+
+
+def _count(what, n):
+    """`n`, None or an int >= 1 (not a bool), or `what`'s DomainError."""
+    if n is None or (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        return n
+    raise DomainError(f"{what} takes n None or an int >= 1, got n={_shown(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,14 @@ def random_valid_qblock(rng, scale: float = 5.0, n=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_tms_purity(n=50) -> CheckResult:
-    rng = np.random.default_rng(1234)
-    tms = _pair_covs(*gc.tms_qblocks(rng.uniform(0.0, 100.0, n)))
+    tms = _pair_covs(*gc.tms_qblocks(np.random.default_rng(1234).uniform(0.0, 100.0, n)))
     worst = max(0.0, float(np.max(np.abs(gc._entropy_from_cov(tms)))))
     return CheckResult("tms_purity", worst < 1e-9, worst, 1e-9)
 
 
 def check_state_invariants(n=200) -> CheckResult:
-    rng = np.random.default_rng(7)
     # each sample's ns, then its random_single_mode_cov draws
-    covs = _single_mode_cov(*_uniform_rows(rng, n, (0.0, 20.0), *_COV_DRAWS))
+    covs = _single_mode_cov(*_uniform_rows(np.random.default_rng(7), n, (0.0, 20.0), *_COV_DRAWS))
     nus = gc._symplectic_eigs(gc._checked_cov(covs))
     worst = max(0.0, float(np.max(1.0 - nus[:, 0])))
     return CheckResult("state_invariants", worst < 1e-9, worst, 1e-9)
@@ -186,8 +185,7 @@ def check_channel_composition(n=100) -> CheckResult:
 
 
 def check_fidelity_basics(n=50) -> CheckResult:
-    rng = np.random.default_rng(13)
-    nph, eta, nb = _uniform_rows(rng, n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
+    nph, eta, nb = _uniform_rows(np.random.default_rng(13), n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
     A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channels on mode 1
     B = gc._apply(*_xy("thermal", eta, nb), A, np.zeros(4), modes=(1,))[0]
     F = gc._fidelity(np.stack([A, B, A, B]), np.stack([A, B, B, A]))
@@ -204,8 +202,7 @@ def check_symplectic_constructors() -> CheckResult:
 
 
 def check_photon_bookkeeping(n=50) -> CheckResult:
-    rng = np.random.default_rng(17)
-    eta, nb, ns = _uniform_rows(rng, n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
+    eta, nb, ns = _uniform_rows(np.random.default_rng(17), n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
     V, mean = gc._apply(*_xy("thermal", eta, nb), _pair_covs(*gc.tms_qblocks(ns)),
                         np.zeros(4), modes=(1,))
     idx = gc._block_index((1,), 2)  # the output arm
@@ -219,9 +216,8 @@ def check_photon_bookkeeping(n=50) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_deg_vs_sim_cov(n=1000) -> CheckResult:
-    rng = np.random.default_rng(23)
     # random_valid_qblock's draws, then the channels'
-    th, a, b, eta, nb, g = _uniform_rows(rng, n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
+    th, a, b, eta, nb, g = _uniform_rows(np.random.default_rng(23), n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
                                          (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
     q = chn._validate_qblock(_rotated(th, 1.0 + a, 1.0 + b))
     worst = max(float(np.max(np.abs(A - B)[..., :3, :3])) for A, B in  # the q-blocks
@@ -240,8 +236,7 @@ def check_fidelity_identity(n_eta=20, n_nb=20) -> CheckResult:
 
 
 def check_eps_consistency(n=200) -> CheckResult:
-    rng = np.random.default_rng(29)
-    eta, nb = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 3.0))
+    eta, nb = _uniform_rows(np.random.default_rng(29), n, (0.5, 1.0), (0.0, 3.0))
     fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
     gap = chn._eps_degradable(eta, nb) - np.sqrt(np.maximum(1.0 - fid, 0.0))
     worst = max(0.0, float(np.max(np.abs(gap))))
@@ -278,19 +273,18 @@ def check_thermal_input_optimality(n_points=50, n_inputs=100) -> CheckResult:
     # a point's eta, nb and ns, then its n_inputs random_single_mode_cov draws
     draws = _uniform_rows(rng, n_points, (0.5, 1.0), (0.0, 2.0), (0.1, 10.0), *(_COV_DRAWS * n_inputs))
     eta, nb, ns = draws[:3]
-    # inputs (n_inputs, n_points, 2, 2) against the column of n_points channels
-    vals = _ud("thermal", eta, nb, _single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))))
-    best = _ud("thermal", eta, nb, (2 * ns + 1)[:, None, None] * np.eye(2))
-    worst = float(np.max(np.max(vals, axis=0) - best))
+    # inputs (n_inputs + 1, n_points, 2, 2), the random ones, then the thermal one: one dilation per channel
+    covs = np.concatenate([_single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))),
+                           (2 * ns + 1)[None, :, None, None] * np.eye(2)])
+    vals = _ud("thermal", eta, nb, covs)
+    worst = float(np.max(np.max(vals[:-1], axis=0) - vals[-1]))
     return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,
                        "random equal-energy inputs never beat the thermal input")
 
 
 def check_gap_law(n=10000) -> CheckResult:
     rng = np.random.default_rng(47)
-    eta = rng.uniform(0.5, 1.0, n)
-    nb = rng.uniform(0.0, 5.0, n)
-    ns = rng.uniform(0.0, 100.0, n)
+    eta, nb, ns = (rng.uniform(lo, hi, n) for lo, hi in ((0.5, 1.0), (0.0, 5.0), (0.0, 100.0)))
     gap = bnd._qu1_thermal_raw(eta, nb, ns) - bnd._ql_thermal_raw(eta, nb, ns)
     worst = max(float(np.max(-gap)), float(np.max(gap - 1.0 / LN2)))
     return CheckResult("gap_law", worst < 1e-9, worst, 1e-9,
@@ -299,9 +293,7 @@ def check_gap_law(n=10000) -> CheckResult:
 
 def check_bound_ordering(n_fast=10000, n_opt=400) -> CheckResult:
     rng = np.random.default_rng(53)
-    eta = rng.uniform(0.5, 1.0, n_fast)
-    nb = rng.uniform(0.0, 5.0, n_fast)
-    ns = rng.uniform(0.0, 100.0, n_fast)
+    eta, nb, ns = (rng.uniform(lo, hi, n_fast) for lo, hi in ((0.5, 1.0), (0.0, 5.0), (0.0, 100.0)))
     ql = bnd._ql_thermal_raw(eta, nb, ns)
     worst = float(np.max(ql - bnd._qu1_thermal_raw(eta, nb, ns)))
     feas = eta > (1.0 - eta) * nb
@@ -310,10 +302,14 @@ def check_bound_ordering(n_fast=10000, n_opt=400) -> CheckResult:
         # decomposed pure-loss transmissivity drops under 1/2
         qu4 = np.maximum(bnd._qu4_thermal_raw(eta[feas], nb[feas], ns[feas]), 0.0)
         worst = max(worst, float(np.max(ql[feas] - qu4)))
-    chans = [chn.thermal(e, b) for e, b in zip(eta[:n_opt], nb[:n_opt])]
-    for column in bnd.evaluate_columns(("QU2", "QU3"), chans, ns[:n_opt]):  # one batch
-        for q, cell in zip(ql, column):
-            worst = max(worst, q - _raw(cell))
+    # the first n_opt draws pass every QU2 and QU3 check (finite ns >= 0, eta >= 1/2)
+    # and have 0 < eps < 1, so each form runs on the evaluator's columns and every
+    # cell's eps' is minimized, QU2's rows (k = 1), then QU3's (k = 2), in one batch
+    kinds = ("QU2", "QU3")
+    forms = [_form(kind, "thermal").fn(eta[:n_opt], nb[:n_opt], ns[:n_opt]) for kind in kinds]
+    base, w_prime, eps = map(np.concatenate, zip(*forms))
+    raw = base + bnd._min_penalty(eps, w_prime, np.repeat([bnd.REGISTRY[k].k for k in kinds], n_opt))[0]
+    worst = float(np.maximum(np.max(ql[:n_opt] - raw.reshape(2, n_opt)), worst))  # a nan raw: FAIL
     return CheckResult("bound_ordering", worst < 1e-9, worst, 1e-9,
                        "QL below every applicable upper bound")
 
@@ -324,8 +320,7 @@ def _form(kind, channel_kind):
 
 
 def check_unconstrained_limit() -> CheckResult:
-    rng = np.random.default_rng(59)
-    eta, nb = _uniform_rows(rng, 20, (0.5, 0.999), (0.0, 3.0))
+    eta, nb = _uniform_rows(np.random.default_rng(59), 20, (0.5, 0.999), (0.0, 3.0))
     # the published bound is max{0, raw}; raw itself decreases once the
     # decomposed pure-loss transmissivity eta' falls below 1/2
     vals = np.maximum(bnd._qu1_thermal_raw(eta[:, None], nb[:, None], np.geomspace(0.01, 1e6, 200)), 0.0)
@@ -336,21 +331,18 @@ def check_unconstrained_limit() -> CheckResult:
 
 
 def check_private_improvement() -> CheckResult:
-    # four rows of 25 eta values, one per (nb, ns)
+    # four rows of 25 eta values, one per (nb, ns); every cell passes PL's checks (finite ns >= 0)
     grid = np.meshgrid([0.01, 0.1], [0.1, 10.0], np.linspace(0.3, 0.9, 25), indexing="ij")
     nb, ns, eta = (v.ravel() for v in grid)
-    column = bnd.evaluate_column("PL", [chn.thermal(*p) for p in zip(eta.tolist(), nb.tolist())],
-                                 ns.tolist())
-    gain = np.array([_raw(cell) for cell in column]) - bnd._ql_thermal_raw(eta, nb, ns)
-    worst_neg = max(0.0, float(np.max(-gain)))
+    gain = _form("PL", "thermal").fn(eta, nb, ns)[0] - bnd._ql_thermal_raw(eta, nb, ns)
+    worst_neg = float(np.maximum(np.max(-gain), 0.0))  # a nan gain: FAIL
     passed = bool(np.all(np.any(gain.reshape(4, 25) > 1e-4, axis=1))) and worst_neg < 1e-9
     return CheckResult("private_improvement", passed, worst_neg, 1e-9,
                        "P_L >= Q_L with a strict improvement band")
 
 
 def check_comparison_orderings(n=2000, n_nbar=100) -> CheckResult:
-    rng = np.random.default_rng(61)
-    eta, nb = _uniform_rows(rng, n, (0.01, 0.999), (0.0, 5.0))
+    eta, nb = _uniform_rows(np.random.default_rng(61), n, (0.01, 0.999), (0.0, 5.0))
     keep = (eta > (1.0 - eta) * nb) & (eta >= 0.5)  # where RMG and QU1 are defined
     eta, nb = eta[keep], nb[keep]
     # the clamped RMG value against the clamped QU1 limit
@@ -412,9 +404,7 @@ def _dense_min(eps, w_prime, k, dense):
 def check_optimizer_vs_grid(n_obj=10, dense=10 ** 6) -> CheckResult:
     """The golden-section minimum of each of n_obj seeded penalties is at or
     below (within 1e-6) the minimum over a dense eps' grid, which
-    :func:`_dense_min` computes exactly from the sub-blocks that its certified
-    lower bound, with the E guard on large W'/d, cannot rule out: first on
-    blocks of 2000 points, then on the kept blocks' sub-blocks of 50."""
+    :func:`_dense_min` computes exactly from the blocks it cannot rule out."""
     rng = np.random.default_rng(67)
     worst = -np.inf
     for _ in range(n_obj):

@@ -19,7 +19,7 @@ from bosonic_bounds import cli
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import optimize as opt
 from bosonic_bounds import verify as vfy
-from bosonic_bounds.errors import DomainError, InvalidChannelError
+from bosonic_bounds.errors import DomainError, InvalidChannelError, InvalidStateError
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 TH = chn.thermal(0.9, 0.5)
@@ -201,6 +201,35 @@ def test_non_real_matrix_entry_is_a_domain_error(call, valid, make):
     call(valid)
     with pytest.raises(DomainError, match="takes real numbers, got "):
         call(make(valid))
+
+
+@pytest.mark.parametrize("call,shape,dtype", [
+    (lambda: vfy.ud_oracle(chn.thermal(0.8, 0.5), 1j * np.eye(2)[None].repeat(500, 0)), (500, 2, 2),
+     "complex128"),
+    (lambda: gc.g_entropy(np.array(["0.5"] * 300)), (300,), "<U3"),
+], ids=["complex_stack", "str_array"])
+def test_non_real_array_message_is_short(call, shape, dtype):
+    # the array by its type, shape and dtype, not by its repr
+    with pytest.raises(DomainError, match="takes real numbers, got ") as err:
+        call()
+    message = str(err.value)
+    assert len(message) < 200
+    assert f"ndarray of shape {shape} and dtype {dtype}" in message
+    assert message.endswith("must hold real numbers")
+
+
+# the dilation's products warn first (inf - inf, an overflow); its spectrum then raises
+@pytest.mark.parametrize("call", [
+    lambda: vfy.ud_oracle(chn.thermal(0.8, 0.5), np.full((2, 2), np.inf)),
+    lambda: vfy.ud_oracle(chn.thermal(0.8, 0.5), np.full((2, 2), np.nan)),
+    lambda: vfy.coherent_info_oracle(chn.thermal(0.8, 0.5), 1e200),
+    lambda: vfy.coherent_info_oracle(chn.thermal(0.8, 0.5), 1e300),
+    lambda: gc._entropy_from_cov(np.stack([np.eye(2), np.diag([np.inf, 1.0])])),
+], ids=["ud_oracle_inf", "ud_oracle_nan", "coherent_info_1e200", "coherent_info_1e300", "stack_with_inf"])
+def test_nonfinite_covariance_has_no_entropy(call):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(InvalidStateError, match="state data must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in SCALAR_CALLS],

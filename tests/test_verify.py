@@ -11,6 +11,7 @@ equal bit for bit."""
 import gc as collector
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from bosonic_bounds import bounds as bnd
 from bosonic_bounds import channels as chn
 from bosonic_bounds import gaussian_core as gc
 from bosonic_bounds import verify as vfy
-from bosonic_bounds.errors import BosonicBoundsError
+from bosonic_bounds.errors import BosonicBoundsError, DomainError
+
+
+def _raw(cell) -> float:
+    """Raw bits of a cell of :func:`bounds.evaluate_column`; raises its error."""
+    try:
+        if not isinstance(cell, bnd.BoundResult):
+            raise cell
+        return cell.raw
+    finally:
+        del cell  # the raised error's traceback holds this frame: no cycle through it
 
 
 def _noisy_tms_state(nb, x):
@@ -198,7 +209,7 @@ def ref_bound_ordering(seed=53, n_fast=10000, n_opt=400):
     chans = [chn.thermal(e, b) for e, b in zip(eta[:n_opt], nb[:n_opt])]
     for kind in ("QU2", "QU3"):
         for q, cell in zip(ql, bnd.evaluate_column(kind, chans, ns[:n_opt])):
-            worst = max(worst, q - vfy._raw(cell))
+            worst = max(worst, q - _raw(cell))
     return vfy.CheckResult("bound_ordering", worst < 1e-9, worst, 1e-9,
                            "QL below every applicable upper bound")
 
@@ -475,10 +486,72 @@ def test_raw_error_leaves_no_reference_cycle():
     collector.disable()
     try:
         try:  # QU2 fails its eta >= 1/2 check
-            vfy._raw(bnd.evaluate_column("QU2", [chn.thermal(0.3, 0.5)], [1.0])[0])
+            _raw(bnd.evaluate_column("QU2", [chn.thermal(0.3, 0.5)], [1.0])[0])
         except BosonicBoundsError as exc:
             ref = weakref.ref(exc)
         assert ref() is None
     finally:
         if enabled:
             collector.enable()
+
+
+def test_suite_builds_no_channel_and_no_bound_result(monkeypatch):
+    """The suite works on parameter arrays: it builds no channel object and
+    no BoundResult, and never enters the evaluator's column code."""
+    built = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(chn.PhaseInsensitiveChannel, "__init__",
+                        counting("channel", chn.PhaseInsensitiveChannel.__init__))
+    monkeypatch.setattr(bnd.BoundResult, "__init__", counting("result", bnd.BoundResult.__init__))
+    monkeypatch.setattr(bnd, "_columns", counting("columns", bnd._columns))
+    assert all(r.passed for r in vfy.run_suite("all"))
+    assert built == Counter()
+    bnd.evaluate_column("QU1", [chn.thermal(0.8, 0.5)], [1.0])  # the counters count
+    assert built == Counter(channel=1, result=1, columns=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: vfy.random_single_mode_cov(-1.0, rng),
+    lambda rng: vfy.random_single_mode_cov(np.nan, rng),
+    lambda rng: vfy.random_single_mode_cov(np.inf, rng, 3),
+    lambda rng: vfy.random_single_mode_cov(np.array([1.0, -1.0]), rng, 2),
+    lambda rng: vfy.random_single_mode_cov("1.0", rng),
+    lambda rng: vfy.random_single_mode_cov(1.0, rng, -1),
+    lambda rng: vfy.random_single_mode_cov(1.0, rng, 0),
+    lambda rng: vfy.random_single_mode_cov(1.0, rng, 2.0),
+    lambda rng: vfy.random_single_mode_cov(1.0, rng, True),
+    lambda rng: vfy.random_valid_qblock(rng, -5.0),
+    lambda rng: vfy.random_valid_qblock(rng, np.nan),
+    lambda rng: vfy.random_valid_qblock(rng, "5"),
+    lambda rng: vfy.random_valid_qblock(rng, 5.0, -1),
+    lambda rng: vfy.random_valid_qblock(rng, 5.0, "3"),
+], ids=["ns_negative", "ns_nan", "ns_inf", "ns_array_negative", "ns_str", "n_negative", "n_zero",
+        "n_float", "n_bool", "scale_negative", "scale_nan", "scale_str", "qblock_n_negative", "qblock_n_str"])
+def test_samplers_reject_bad_arguments_before_drawing(call):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+def test_samplers_take_numpy_ints_and_a_zero_scale():
+    rng = np.random.default_rng(0)
+    assert vfy.random_single_mode_cov(1, rng, np.int64(3)).shape == (3, 2, 2)
+    assert np.allclose(vfy.random_valid_qblock(rng, 0, np.int32(2)), np.eye(2))
+
+
+def test_nan_bound_fails_its_check(monkeypatch):
+    """A nan upper or lower bound is a FAIL with residual nan, not a pass or a raised error."""
+    monkeypatch.setattr(bnd, "_min_penalty", lambda eps, w_prime, k: (np.full(np.shape(eps), np.nan), None))
+    monkeypatch.setitem(bnd.REGISTRY["PL"].forms, "thermal",
+                        bnd._Form(lambda eta, nb, ns: (np.full(np.shape(ns), np.nan), None), ()))
+    for check in (vfy.check_bound_ordering, vfy.check_private_improvement):
+        result = check()
+        assert not result.passed and np.isnan(result.residual), check.__name__
