@@ -4,6 +4,9 @@ Everything here recomputes quantities through an independent route (matrix
 dilations, dense grids, finite differences) and compares against the
 closed forms, so a silent formula regression shows up as a failed check.
 The CLI `verify` subcommand runs these suites; the test suite reuses them.
+Each check is declared once, by :func:`_check`, which registers it in its
+suite in definition order; its body returns the parts of its residual, and
+the residual is their np.max, which keeps a nan, so a nan part FAILs.
 A check draws its seeded samples in a fixed order (a row's uniform ones in one
 rng.random call) and works on the drawn arrays, with no channel object and no
 BoundResult: it validates the stacked states once, applies each stack of
@@ -15,6 +18,7 @@ as H(B), the output's entropy; the dense-grid oracle prunes in two passes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import DomainError, _reals, _require, _shown
+from .errors import DomainError, InvalidStateError, _reals, _require, _shown
 from .gaussian_core import LN2
 
 
@@ -42,6 +46,27 @@ class CheckResult:
         return line
 
 
+CORE_CHECKS, BOUNDS_CHECKS = [], []
+
+
+def _check(suite, name, tol, note=""):
+    """Register the decorated body in `suite` as a check.  The body returns its
+    residual parts (arrays or floats; a floor at 0 is a part 0.0), the last of
+    which may be a bool that a PASS also needs; + 0.0 reads a -0.0 max as 0."""
+    def register(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            parts = list(body(*args, **kwargs))
+            ok = parts.pop() if isinstance(parts[-1], bool) else True
+            worst = float(np.max(np.concatenate([np.ravel(p) for p in parts]))) + 0.0
+            return CheckResult(name, worst < tol and ok, worst, tol, note)
+
+        suite.append(check)
+        return check
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -50,7 +75,8 @@ def coherent_info_oracle(ch, ns):
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
     beamsplitter / squeezer dilation; independent of the closed forms.  `ch`
     is one channel and ns a float, or a column of channels and ns an array."""
-    return _coherent_info(*chn._column_params(ch), ns)  # ChannelKindError off thermal/amplifier
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge ns reaches _symplectic_eigs' error
+        return _coherent_info(*chn._column_params(ch), ns)  # ChannelKindError off thermal/amplifier
 
 
 def _coherent_info(kind, x, nb, ns):
@@ -65,7 +91,9 @@ def ud_oracle(ch, input_cov: np.ndarray):
     a single-mode input covariance (2, 2), or an array of them for a stack
     (n, 2, 2), with `ch` one channel or a column of n.  H(G E'2 E'1) is taken
     as H(B), the entropy of the channel output (see :func:`_ud`)."""
-    return _ud(*chn._column_params(ch), *_reals("ud_oracle", "input_cov", input_cov, arrays=True))
+    params, (cov,) = chn._column_params(ch), _reals("ud_oracle", "input_cov", input_cov, arrays=True)
+    _require(bool(np.all(np.isfinite(cov))), "state data must be finite", error=InvalidStateError)
+    return _ud(*params, cov)
 
 
 def _ud(kind, x, nb, input_cov):
@@ -140,26 +168,24 @@ def _count(what, n):
 # Core suite
 # ---------------------------------------------------------------------------
 
-def check_tms_purity(n=50) -> CheckResult:
-    tms = _pair_covs(*gc.tms_qblocks(np.random.default_rng(1234).uniform(0.0, 100.0, n)))
-    worst = max(0.0, float(np.max(np.abs(gc._entropy_from_cov(tms)))))
-    return CheckResult("tms_purity", worst < 1e-9, worst, 1e-9)
-
-
-def check_state_invariants(n=200) -> CheckResult:
+@_check(CORE_CHECKS, "state_invariants", 1e-9)
+def check_state_invariants(n=200):
     # each sample's ns, then its random_single_mode_cov draws
     covs = _single_mode_cov(*_uniform_rows(np.random.default_rng(7), n, (0.0, 20.0), *_COV_DRAWS))
-    nus = gc._symplectic_eigs(gc._checked_cov(covs))
-    worst = max(0.0, float(np.max(1.0 - nus[:, 0])))
-    return CheckResult("state_invariants", worst < 1e-9, worst, 1e-9)
+    return 0.0, 1.0 - gc._symplectic_eigs(gc._checked_cov(covs))[:, 0]
 
 
-def check_g_shape(points=1000) -> CheckResult:
+@_check(CORE_CHECKS, "tms_purity", 1e-9)
+def check_tms_purity(n=50):
+    tms = _pair_covs(*gc.tms_qblocks(np.random.default_rng(1234).uniform(0.0, 100.0, n)))
+    return (np.abs(gc._entropy_from_cov(tms)),)
+
+
+@_check(CORE_CHECKS, "g_monotone_concave", 1e-12, "finite differences on [0, 100]")
+def check_g_shape(points=1000):
     xs = np.linspace(0.0, 100.0, points)
     ys = gc.g_entropy(xs)
-    worst = max(float(np.max(-np.diff(ys))), float(np.max(np.diff(ys, 2))))
-    return CheckResult("g_monotone_concave", worst < 1e-12, worst, 1e-12,
-                       "finite differences on [0, 100]")
+    return -np.diff(ys), np.diff(ys, 2)
 
 
 def _xy(kind, x, nb):
@@ -168,7 +194,8 @@ def _xy(kind, x, nb):
     return np.sqrt(x)[:, None, None] * np.eye(2), nu[:, None, None] * np.eye(2)
 
 
-def check_channel_composition(n=100) -> CheckResult:
+@_check(CORE_CHECKS, "channel_composition", 1e-10)
+def check_channel_composition(n=100):
     rng = np.random.default_rng(11)
     means, rows = [], []
     for _ in range(n):  # a sample's normal draws, then its ns, cov and channel draws
@@ -180,95 +207,94 @@ def check_channel_composition(n=100) -> CheckResult:
     V, mean = gc._checked_cov(_single_mode_cov(ns, u, a, th)), np.array(means)
     step = gc._apply(X2, Y2, *gc._apply(X1, Y1, V, mean))[0]
     once = gc._apply(X2 @ X1, X2 @ Y1 @ np.swapaxes(X2, -1, -2) + Y2, V, mean)[0]
-    worst = float(np.max(np.abs(step - once)))
-    return CheckResult("channel_composition", worst < 1e-10, worst, 1e-10)
+    return (np.abs(step - once),)
 
 
-def check_fidelity_basics(n=50) -> CheckResult:
+@_check(CORE_CHECKS, "fidelity_symmetry_identity", 1e-9)
+def check_fidelity_basics(n=50):
     nph, eta, nb = _uniform_rows(np.random.default_rng(13), n, (0.0, 5.0), (0.5, 1.0), (0.0, 2.0))
     A = _pair_covs(*gc.tms_qblocks(nph))  # then the thermal channels on mode 1
     B = gc._apply(*_xy("thermal", eta, nb), A, np.zeros(4), modes=(1,))[0]
     F = gc._fidelity(np.stack([A, B, A, B]), np.stack([A, B, B, A]))
-    worst = max(0.0, float(np.max(np.abs([1.0 - F[0], 1.0 - F[1], F[2] - F[3]]))))
-    return CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
+    return (np.abs([1.0 - F[0], 1.0 - F[1], F[2] - F[3]]),)
 
 
-def check_symplectic_constructors() -> CheckResult:
+@_check(CORE_CHECKS, "symplectic_constructors", 1e-10)
+def check_symplectic_constructors():
     O, t = gc.omega(2), np.linspace(0.0, 1.0, 11)
     S = np.concatenate([gc.beamsplitter_symplectic("B", t), gc.beamsplitter_symplectic("Bprime", t),
                         gc.two_mode_squeezer_symplectic(np.linspace(1.0, 4.0, 11))])
-    worst = max(0.0, float(np.max(np.abs(S @ O @ np.swapaxes(S, -1, -2) - O))))
-    return CheckResult("symplectic_constructors", worst < 1e-10, worst, 1e-10)
+    return (np.abs(S @ O @ np.swapaxes(S, -1, -2) - O),)
 
 
-def check_photon_bookkeeping(n=50) -> CheckResult:
+@_check(CORE_CHECKS, "photon_bookkeeping", 1e-10)
+def check_photon_bookkeeping(n=50):
     eta, nb, ns = _uniform_rows(np.random.default_rng(17), n, (0.05, 1.0), (0.0, 3.0), (0.0, 10.0))
     V, mean = gc._apply(*_xy("thermal", eta, nb), _pair_covs(*gc.tms_qblocks(ns)),
                         np.zeros(4), modes=(1,))
     idx = gc._block_index((1,), 2)  # the output arm
     got = gc._photon_number(V[:, idx[:, None], idx], mean[:, idx])
-    worst = max(0.0, float(np.max(np.abs(got - (eta * ns + (1.0 - eta) * nb)))))
-    return CheckResult("photon_bookkeeping", worst < 1e-10, worst, 1e-10)
+    return (np.abs(got - (eta * ns + (1.0 - eta) * nb)),)
 
 
 # ---------------------------------------------------------------------------
 # Bounds suite
 # ---------------------------------------------------------------------------
 
-def check_deg_vs_sim_cov(n=1000) -> CheckResult:
+@_check(BOUNDS_CHECKS, "deg_vs_sim_cov", 1e-10)
+def check_deg_vs_sim_cov(n=1000):
     # random_valid_qblock's draws, then the channels'
     th, a, b, eta, nb, g = _uniform_rows(np.random.default_rng(23), n, (0.0, np.pi), (0.0, 5.0), (0.0, 5.0),
                                          (0.5, 1.0), (0.0, 3.0), (1.0 + 1e-6, 3.0))
     q = chn._validate_qblock(_rotated(th, 1.0 + a, 1.0 + b))
-    worst = max(float(np.max(np.abs(A - B)[..., :3, :3])) for A, B in  # the q-blocks
-                (chn._deg_sim_routes(kind, x, nb, q) for kind, x in (("thermal", eta), ("amplifier", g))))
-    return CheckResult("deg_vs_sim_cov", worst < 1e-10, worst, 1e-10)
+    return tuple(np.abs((A - B)[..., :3, :3]) for A, B in  # the q-blocks
+                 (chn._deg_sim_routes(kind, x, nb, q) for kind, x in (("thermal", eta), ("amplifier", g))))
 
 
-def check_fidelity_identity(n_eta=20, n_nb=20) -> CheckResult:
+@_check(BOUNDS_CHECKS, "fidelity_identity", 1e-10, "F(psi_TMS, omega) = eta^2/kappa")
+def check_fidelity_identity(n_eta=20, n_nb=20):
     eta, nb = (v.ravel() for v in np.meshgrid(np.linspace(0.5, 1.0, n_eta),
                                               np.linspace(0.0, 3.0, n_nb), indexing="ij"))
     fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
     # float_power is libm pow: the bits of eta ** 2 on a float
-    worst = max(0.0, float(np.max(np.abs(fid - np.float_power(eta, 2) / chn._kappa(eta, nb)))))
-    return CheckResult("fidelity_identity", worst < 1e-10, worst, 1e-10,
-                       "F(psi_TMS, omega) = eta^2/kappa")
+    return (np.abs(fid - np.float_power(eta, 2) / chn._kappa(eta, nb)),)
 
 
-def check_eps_consistency(n=200) -> CheckResult:
+@_check(BOUNDS_CHECKS, "eps_consistency", 1e-10)
+def check_eps_consistency(n=200):
     eta, nb = _uniform_rows(np.random.default_rng(29), n, (0.5, 1.0), (0.0, 3.0))
     fid = gc._fidelity(_pair_covs(*gc.tms_qblocks(nb)), _pair_covs(*chn.noisy_tms_qblocks(nb, eta)))
-    gap = chn._eps_degradable(eta, nb) - np.sqrt(np.maximum(1.0 - fid, 0.0))
-    worst = max(0.0, float(np.max(np.abs(gap))))
-    return CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
+    return (np.abs(chn._eps_degradable(eta, nb) - np.sqrt(np.maximum(1.0 - fid, 0.0))),)
 
 
-def _ql_oracle(name, seed, kind, x_range, n) -> CheckResult:
+def _ql_oracle(seed, kind, x_range, n):
     """QL's registry form for channels of `kind` against :func:`_coherent_info` at n draws."""
     x, nb, ns = _uniform_rows(np.random.default_rng(seed), n, x_range, (0.0, 3.0), (0.0, 50.0))
-    worst = float(np.max(np.abs(_form("QL", kind).fn(x, nb, ns) - _coherent_info(kind, x, nb, ns))))
-    return CheckResult(name, worst < 1e-9, worst, 1e-9)
+    return (np.abs(_form("QL", kind).fn(x, nb, ns) - _coherent_info(kind, x, nb, ns)),)
 
 
-def check_ql_oracle_thermal(n=1000) -> CheckResult:
-    return _ql_oracle("ql_oracle_thermal", 31, "thermal", (0.02, 1.0), n)
+@_check(BOUNDS_CHECKS, "ql_oracle_thermal", 1e-9)
+def check_ql_oracle_thermal(n=1000):
+    return _ql_oracle(31, "thermal", (0.02, 1.0), n)
 
 
-def check_ql_oracle_amp(n=1000) -> CheckResult:
-    return _ql_oracle("ql_oracle_amp", 37, "amplifier", (1.001, 4.0), n)
+@_check(BOUNDS_CHECKS, "ql_oracle_amp", 1e-9)
+def check_ql_oracle_amp(n=1000):
+    return _ql_oracle(37, "amplifier", (1.001, 4.0), n)
 
 
-def check_ud_oracle(n=200) -> CheckResult:
+@_check(BOUNDS_CHECKS, "ud_oracle", 1e-9, "closed form vs H(G|E'1E'2) through the dilation")
+def check_ud_oracle(n=200):
     rng = np.random.default_rng(41)
     eta, nb, ns, g = _uniform_rows(rng, n, (0.5, 1.0), (0.0, 2.0), (0.0, 20.0), (1.001, 3.0))
     covs = (2 * ns + 1)[:, None, None] * np.eye(2)
-    worst = max(float(np.max(np.abs(raw(x, nb, ns) - _ud(kind, x, nb, covs)))) for raw, kind, x in
-                ((bnd._ud_thermal_raw, "thermal", eta), (bnd._ud_amp_raw, "amplifier", g)))
-    return CheckResult("ud_oracle", worst < 1e-9, worst, 1e-9,
-                       "closed form vs H(G|E'1E'2) through the dilation")
+    return tuple(np.abs(raw(x, nb, ns) - _ud(kind, x, nb, covs)) for raw, kind, x in
+                 ((bnd._ud_thermal_raw, "thermal", eta), (bnd._ud_amp_raw, "amplifier", g)))
 
 
-def check_thermal_input_optimality(n_points=50, n_inputs=100) -> CheckResult:
+@_check(BOUNDS_CHECKS, "thermal_input_optimality", 1e-9,
+        "random equal-energy inputs never beat the thermal input")
+def check_thermal_input_optimality(n_points=50, n_inputs=100):
     rng = np.random.default_rng(43)
     # a point's eta, nb and ns, then its n_inputs random_single_mode_cov draws
     draws = _uniform_rows(rng, n_points, (0.5, 1.0), (0.0, 2.0), (0.1, 10.0), *(_COV_DRAWS * n_inputs))
@@ -277,31 +303,26 @@ def check_thermal_input_optimality(n_points=50, n_inputs=100) -> CheckResult:
     covs = np.concatenate([_single_mode_cov(ns, *(draws[3 + k::3] for k in range(3))),
                            (2 * ns + 1)[None, :, None, None] * np.eye(2)])
     vals = _ud("thermal", eta, nb, covs)
-    worst = float(np.max(np.max(vals[:-1], axis=0) - vals[-1]))
-    return CheckResult("thermal_input_optimality", worst < 1e-9, worst, 1e-9,
-                       "random equal-energy inputs never beat the thermal input")
+    return (np.max(vals[:-1], axis=0) - vals[-1],)
 
 
-def check_gap_law(n=10000) -> CheckResult:
+@_check(BOUNDS_CHECKS, "gap_law", 1e-9, "0 <= QU1 - QL <= 1/ln 2")
+def check_gap_law(n=10000):
     rng = np.random.default_rng(47)
     eta, nb, ns = (rng.uniform(lo, hi, n) for lo, hi in ((0.5, 1.0), (0.0, 5.0), (0.0, 100.0)))
     gap = bnd._qu1_thermal_raw(eta, nb, ns) - bnd._ql_thermal_raw(eta, nb, ns)
-    worst = max(float(np.max(-gap)), float(np.max(gap - 1.0 / LN2)))
-    return CheckResult("gap_law", worst < 1e-9, worst, 1e-9,
-                       "0 <= QU1 - QL <= 1/ln 2")
+    return -gap, gap - 1.0 / LN2
 
 
-def check_bound_ordering(n_fast=10000, n_opt=400) -> CheckResult:
+@_check(BOUNDS_CHECKS, "bound_ordering", 1e-9, "QL below every applicable upper bound")
+def check_bound_ordering(n_fast=10000, n_opt=400):
     rng = np.random.default_rng(53)
     eta, nb, ns = (rng.uniform(lo, hi, n_fast) for lo, hi in ((0.5, 1.0), (0.0, 5.0), (0.0, 100.0)))
     ql = bnd._ql_thermal_raw(eta, nb, ns)
-    worst = float(np.max(ql - bnd._qu1_thermal_raw(eta, nb, ns)))
     feas = eta > (1.0 - eta) * nb
-    if np.any(feas):
-        # QU4 asserts only the clamped bound; raw can dive below QL once the
-        # decomposed pure-loss transmissivity drops under 1/2
-        qu4 = np.maximum(bnd._qu4_thermal_raw(eta[feas], nb[feas], ns[feas]), 0.0)
-        worst = max(worst, float(np.max(ql[feas] - qu4)))
+    # QU4 asserts only the clamped bound; raw can dive below QL once the
+    # decomposed pure-loss transmissivity drops under 1/2
+    qu4 = np.maximum(bnd._qu4_thermal_raw(eta[feas], nb[feas], ns[feas]), 0.0)
     # the first n_opt draws pass every QU2 and QU3 check (finite ns >= 0, eta >= 1/2)
     # and have 0 < eps < 1, so each form runs on the evaluator's columns and every
     # cell's eps' is minimized, QU2's rows (k = 1), then QU3's (k = 2), in one batch
@@ -309,9 +330,7 @@ def check_bound_ordering(n_fast=10000, n_opt=400) -> CheckResult:
     forms = [_form(kind, "thermal").fn(eta[:n_opt], nb[:n_opt], ns[:n_opt]) for kind in kinds]
     base, w_prime, eps = map(np.concatenate, zip(*forms))
     raw = base + bnd._min_penalty(eps, w_prime, np.repeat([bnd.REGISTRY[k].k for k in kinds], n_opt))[0]
-    worst = float(np.maximum(np.max(ql[:n_opt] - raw.reshape(2, n_opt)), worst))  # a nan raw: FAIL
-    return CheckResult("bound_ordering", worst < 1e-9, worst, 1e-9,
-                       "QL below every applicable upper bound")
+    return ql - bnd._qu1_thermal_raw(eta, nb, ns), ql[feas] - qu4, ql[:n_opt] - raw.reshape(2, n_opt)
 
 
 def _form(kind, channel_kind):
@@ -319,44 +338,37 @@ def _form(kind, channel_kind):
     return bnd.REGISTRY[kind].forms[channel_kind]
 
 
-def check_unconstrained_limit() -> CheckResult:
+@_check(BOUNDS_CHECKS, "unconstrained_limit", 1e-3, "clamped QU1 nondecreasing, limit reached at ns = 1e6")
+def check_unconstrained_limit():
     eta, nb = _uniform_rows(np.random.default_rng(59), 20, (0.5, 0.999), (0.0, 3.0))
     # the published bound is max{0, raw}; raw itself decreases once the
     # decomposed pure-loss transmissivity eta' falls below 1/2
     vals = np.maximum(bnd._qu1_thermal_raw(eta[:, None], nb[:, None], np.geomspace(0.01, 1e6, 200)), 0.0)
-    limit = np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0)
-    worst = max(0.0, float(np.max(-np.diff(vals))), float(np.max(np.abs(vals[:, -1] - limit))))
-    return CheckResult("unconstrained_limit", worst < 1e-3, worst, 1e-3,
-                       "clamped QU1 nondecreasing, limit reached at ns = 1e6")
+    return 0.0, -np.diff(vals), np.abs(vals[:, -1] - np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0))
 
 
-def check_private_improvement() -> CheckResult:
+@_check(BOUNDS_CHECKS, "private_improvement", 1e-9, "P_L >= Q_L with a strict improvement band")
+def check_private_improvement():
     # four rows of 25 eta values, one per (nb, ns); every cell passes PL's checks (finite ns >= 0)
     grid = np.meshgrid([0.01, 0.1], [0.1, 10.0], np.linspace(0.3, 0.9, 25), indexing="ij")
     nb, ns, eta = (v.ravel() for v in grid)
     gain = _form("PL", "thermal").fn(eta, nb, ns)[0] - bnd._ql_thermal_raw(eta, nb, ns)
-    worst_neg = float(np.maximum(np.max(-gain), 0.0))  # a nan gain: FAIL
-    passed = bool(np.all(np.any(gain.reshape(4, 25) > 1e-4, axis=1))) and worst_neg < 1e-9
-    return CheckResult("private_improvement", passed, worst_neg, 1e-9,
-                       "P_L >= Q_L with a strict improvement band")
+    return 0.0, -gain, bool(np.all(np.any(gain.reshape(4, 25) > 1e-4, axis=1)))
 
 
-def check_comparison_orderings(n=2000, n_nbar=100) -> CheckResult:
+@_check(BOUNDS_CHECKS, "comparison_orderings", 1e-9, "RMG/PLOB orderings and additive crossover")
+def check_comparison_orderings(n=2000, n_nbar=100):
     eta, nb = _uniform_rows(np.random.default_rng(61), n, (0.01, 0.999), (0.0, 5.0))
     keep = (eta > (1.0 - eta) * nb) & (eta >= 0.5)  # where RMG and QU1 are defined
     eta, nb = eta[keep], nb[keep]
     # the clamped RMG value against the clamped QU1 limit
-    gaps = (np.maximum(_form("RMG", "thermal").fn(eta, nb, 0.0), 0.0)
-            - np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0))
+    rmg_gap = (np.maximum(_form("RMG", "thermal").fn(eta, nb, 0.0), 0.0)
+               - np.maximum(_form("QU1", "thermal").limit(eta, nb), 0.0))
     nbars = np.linspace(0.01, 0.99, n_nbar)
     plob = _form("PLOB", "additive").fn(nbars, 0.0)
-    gaps = np.concatenate([gaps, plob - _form("QU1", "additive").limit(nbars)])
-    worst = max(0.0, float(np.max(gaps)))
     signs = np.sign(np.maximum(_form("QU4", "additive").limit(nbars), 0.0) - np.maximum(plob, 0.0))
     crossover = (1.0 in signs or 0.0 in signs) and -1.0 in signs
-    passed = worst < 1e-9 and crossover
-    return CheckResult("comparison_orderings", passed, worst, 1e-9,
-                       "RMG/PLOB orderings and additive crossover")
+    return 0.0, rmg_gap, plob - _form("QU1", "additive").limit(nbars), crossover
 
 
 _DENSE_BLOCKS = (2000, 50)  # _dense_min's block sizes, pass by pass; each divides the one before
@@ -401,45 +413,15 @@ def _dense_min(eps, w_prime, k, dense):
     return float(np.min(bnd._penalty_eval(grid(idx[idx <= last]), eps, w_prime, k)))
 
 
-def check_optimizer_vs_grid(n_obj=10, dense=10 ** 6) -> CheckResult:
+@_check(BOUNDS_CHECKS, "optimizer_vs_grid", 1e-6, "golden-section result at or below the dense-grid minimum")
+def check_optimizer_vs_grid(n_obj=10, dense=10 ** 6):
     """The golden-section minimum of each of n_obj seeded penalties is at or
     below (within 1e-6) the minimum over a dense eps' grid, which
     :func:`_dense_min` computes exactly from the blocks it cannot rule out."""
     rng = np.random.default_rng(67)
-    worst = -np.inf
-    for _ in range(n_obj):
-        eps, wp, k = rng.uniform(0.0001, 0.9), rng.uniform(0.0, 50.0), int(rng.integers(1, 5))
-        value, _ = bnd._min_penalty(eps, wp, k)
-        worst = max(worst, value - _dense_min(eps, wp, k, dense))
-    return CheckResult("optimizer_vs_grid", worst < 1e-6, worst, 1e-6,
-                       "golden-section result at or below the dense-grid minimum")
-
-
-CORE_CHECKS = (
-    check_state_invariants,
-    check_tms_purity,
-    check_g_shape,
-    check_channel_composition,
-    check_fidelity_basics,
-    check_symplectic_constructors,
-    check_photon_bookkeeping,
-)
-
-BOUNDS_CHECKS = (
-    check_deg_vs_sim_cov,
-    check_fidelity_identity,
-    check_eps_consistency,
-    check_ql_oracle_thermal,
-    check_ql_oracle_amp,
-    check_ud_oracle,
-    check_thermal_input_optimality,
-    check_gap_law,
-    check_bound_ordering,
-    check_unconstrained_limit,
-    check_private_improvement,
-    check_comparison_orderings,
-    check_optimizer_vs_grid,
-)
+    draws = ((rng.uniform(0.0001, 0.9), rng.uniform(0.0, 50.0), int(rng.integers(1, 5)))
+             for _ in range(n_obj))
+    return ([bnd._min_penalty(*d)[0] - _dense_min(*d, dense) for d in draws],)
 
 
 SUITES = {"core": CORE_CHECKS, "bounds": BOUNDS_CHECKS, "all": CORE_CHECKS + BOUNDS_CHECKS}

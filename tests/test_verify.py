@@ -12,6 +12,7 @@ import gc as collector
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,3 +556,57 @@ def test_nan_bound_fails_its_check(monkeypatch):
     for check in (vfy.check_bound_ordering, vfy.check_private_improvement):
         result = check()
         assert not result.passed and np.isnan(result.residual), check.__name__
+
+
+def _nan_valued(fn):
+    """`fn` with its result (a tuple's first item) replaced by nan of the same shape."""
+    def nan(*args):
+        out = fn(*args)
+        if isinstance(out, tuple):
+            return (np.full(np.shape(out[0]), np.nan), *out[1:])
+        return np.full(np.shape(out), np.nan)
+    return nan
+
+
+def _nan_attr(owner, name):
+    return lambda mp: mp.setattr(owner, name, _nan_valued(getattr(owner, name)))
+
+
+def _nan_form(kind, channel_kind):
+    forms = bnd.REGISTRY[kind].forms
+    return lambda mp: mp.setitem(forms, channel_kind, forms[channel_kind]._replace(
+        fn=_nan_valued(forms[channel_kind].fn)))
+
+
+# (check, the core whose nan reaches one of the check's residual parts); each
+# combination of parts once dropped the nan and read PASS
+NAN_INJECTIONS = {
+    "tms_purity": (vfy.check_tms_purity, _nan_attr(gc, "_entropy_from_cov")),
+    "photon_bookkeeping": (vfy.check_photon_bookkeeping, _nan_attr(gc, "_photon_number")),
+    "fidelity_symmetry_identity": (vfy.check_fidelity_basics, _nan_attr(gc, "_fidelity")),
+    "fidelity_identity": (vfy.check_fidelity_identity, _nan_attr(gc, "_fidelity")),
+    "eps_consistency": (vfy.check_eps_consistency, _nan_attr(chn, "_kappa")),
+    "ud_oracle": (vfy.check_ud_oracle, _nan_attr(bnd, "_ud_amp_raw")),  # the second of two parts
+    "bound_ordering": (vfy.check_bound_ordering, _nan_attr(bnd, "_qu4_thermal_raw")),
+    "unconstrained_limit": (vfy.check_unconstrained_limit, _nan_attr(bnd, "_qu1_thermal_raw")),
+    "comparison_orderings": (vfy.check_comparison_orderings, _nan_form("RMG", "thermal")),
+    "optimizer_vs_grid": (vfy.check_optimizer_vs_grid, _nan_attr(bnd, "_min_penalty")),
+}
+
+
+@pytest.mark.parametrize("name", NAN_INJECTIONS)
+def test_nan_residual_part_fails_its_check(monkeypatch, name):
+    check, inject = NAN_INJECTIONS[name]
+    inject(monkeypatch)
+    result = check()
+    assert result.name == name
+    assert not result.passed and np.isnan(result.residual)
+
+
+def test_suite_order_is_the_reference_order():
+    """The checks register in definition order: the names of SUITES["all"]
+    come in the order of bench/refs/verify.txt."""
+    ref = (Path(__file__).parents[1] / "bench" / "refs" / "verify.txt").read_text().splitlines()
+    want = [line.split("] ", 1)[1].split(":", 1)[0] for line in ref if line.startswith("[")]
+    assert [check().name for check in vfy.SUITES["all"]] == want
+    assert len(want) == 20
