@@ -13,11 +13,11 @@ A form and its checks are array expressions over many cells' parameters.
 per kind and channel kind, one call of the checks, as masks, and of the form,
 and the penalized kinds' eps' minimizations in one lockstep batch; a channel
 kind with one cell runs the per-cell core instead: one lookup, the checks as
-plain booleans and the form on Python floats.  :func:`evaluate_column` is its
-one-kind case.  :func:`evaluate`, which the public bounds call, runs that
-per-cell core directly, with no groups or columns, and a lone search on
-floats, so it has the bits of the same cell in a column; such a call raises
-no numpy warning.
+plain booleans and the form on Python floats.  :func:`evaluate`, which the
+public bounds call, runs that per-cell core directly, with no groups or
+columns, and a lone search on floats, so it has the bits of the same cell in
+a column; such a call raises no numpy warning.  A channel argument that is
+not one PhaseInsensitiveChannel is a ChannelKindError.
 
 Formulas are evaluated in natural log internally and converted to bits
 once; the D^2 discriminants are computed in factored form and the g
@@ -44,8 +44,8 @@ from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
 from .optimize import minimize_batch
 
 __all__ = [
-    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "evaluate_column",
-    "evaluate_columns", "penalty",
+    "PenaltyParams", "BoundResult", "BoundKind", "REGISTRY", "evaluate", "evaluate_columns",
+    "penalty",
     "q_lower_thermal", "q_lower_amp", "q_u1", "q_u2", "q_u3", "q_u4",
     "q_u1_unconstrained", "q_u4_unconstrained",
     "p_bounds", "p_lower_displaced", "comparison_bounds",
@@ -436,7 +436,7 @@ def _finish(out, i, kind, row, ch, ns, vals, eps_prime, todo):
 
 def _row(kind, eps_prime):
     """`kind`'s registry row, after its name and whether it takes a fixed eps'."""
-    if (row := REGISTRY.get(kind)) is None:
+    if not isinstance(kind, str) or (row := REGISTRY.get(kind)) is None:
         raise DomainError(f"unknown bound kind {kind!r}")
     if eps_prime is not None and not row.k:
         takers = ", ".join(k for k, r in REGISTRY.items() if r.k)
@@ -474,7 +474,7 @@ def _columns(kinds, channels, ns_values, eps_prime):
         eps_prime, = _reals("a bound", "eps_prime", eps_prime)
     groups, cols, todo, columns = {}, {}, [], []
     for i, ch in enumerate(channels):
-        groups.setdefault(ch.kind, []).append(i)
+        groups.setdefault(chn._channel(ch, "evaluate_columns").kind, []).append(i)
     for ch_kind, idx in groups.items():  # by name: the channel parameters, then ns
         if len(idx) > 1:
             cells = [(*channels[i].params.values(), ns_values[i]) for i in idx]
@@ -516,11 +516,6 @@ def evaluate_columns(kinds, channels, ns_values) -> list:
     return _columns(kinds, channels, ns_values, None)
 
 
-def evaluate_column(kind: str, channels, ns_values) -> list:
-    """Bound `kind` at each (channel, ns) cell: ``evaluate_columns((kind,), ...)[0]``."""
-    return evaluate_columns((kind,), channels, ns_values)[0]
-
-
 def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
              eps_prime: float = None) -> BoundResult:
     """Bound `kind` at channel `ch` and input energy `ns`, raising the cell's
@@ -534,7 +529,7 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
     if eps_prime is not None:
         eps_prime, = _reals("a bound", "eps_prime", eps_prime)
     out, todo = [None], []
-    _cell(out, 0, kind, _row(kind, eps_prime), ch, ns, eps_prime, todo)
+    _cell(out, 0, kind, _row(kind, eps_prime), chn._channel(ch, "a bound"), ns, eps_prime, todo)
     if todo:
         _search(todo)
     if isinstance(cell := out.pop(), BosonicBoundsError):
@@ -548,7 +543,7 @@ def evaluate(kind: str, ch: chn.PhaseInsensitiveChannel, ns: float,
 def _unconstrained(kind, ch):
     """The infinite-energy limit of `kind` at `ch` (raw, unclamped), after
     the channel kind and the form's checks."""
-    form = REGISTRY[kind].forms.get(ch.kind)
+    form = REGISTRY[kind].forms.get(chn._channel(ch, f"the {kind} limit").kind)
     _raise_first_failure((_NO_FORM,) if form is None else form.checks, kind, ch, math.inf)
     return float(form.limit(*ch.params.values()))
 
@@ -658,10 +653,10 @@ def comparison_bounds(ch: chn.PhaseInsensitiveChannel, which: str) -> float:
 
     PLOB_* values are reported as stated; RMG carries its max{0, .} clamp.
     """
-    if which not in _COMPARISON:
+    if not isinstance(which, str) or which not in _COMPARISON:
         raise DomainError(f"unknown comparison bound {which!r}")
     kind, channel = _COMPARISON[which]
-    if ch.kind != channel:
+    if chn._channel(ch, "comparison_bounds").kind != channel:
         raise ChannelKindError(f"{which} is not defined for {ch.kind!r} channels")
     return evaluate(kind, ch, 0.0).value
 
@@ -686,6 +681,7 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     which the TMS input is optimal among Gaussian states.
     """
     ns, = _reals("gaussian_c_distance", "ns", ns)
+    a, b = (chn._channel(ch, "gaussian_c_distance") for ch in (a, b))
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
     _raise_first_failure(_NS_CHECKS, None, a, ns)

@@ -11,9 +11,9 @@ formula dispatch:
 
 The module also builds the degrading and simulating channel constructions
 used by the approximate-degradability bounds, and checks their equality at
-the covariance level.  They take one channel, or a column of one kind (as
-:func:`bounds.evaluate_column` does) with stacked inputs to match, and check
-every element of the stack as they check one channel.
+the covariance level.  They take one thermal or amplifier channel and one
+input or a stack of them, checked element by element.  A channel argument
+that is not one PhaseInsensitiveChannel is a ChannelKindError.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     InvalidStateError,
     _reals,
     _require,
+    _shown,
 )
 from .gaussian_core import noisy_tms_qblocks  # omega(nb), the simulating channel's environment
 
@@ -130,7 +131,7 @@ _KINDS = {"thermal": (thermal, ("eta", "nb")), "amplifier": (amplifier, ("g", "n
 def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
     """Dispatching constructor: kind in {thermal, amplifier, additive, raw};
     nb defaults to 0 and other parameters are ignored."""
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ChannelKindError(f"unknown channel kind {kind!r}")
     build, names = _KINDS[kind]
     params = {"nb": 0.0, **params}
@@ -140,14 +141,22 @@ def make_channel(kind: str, **params) -> PhaseInsensitiveChannel:
     return build(*(params[name] for name in names))
 
 
+def _channel(ch, what):
+    """`ch` if it is one PhaseInsensitiveChannel, else `what`'s ChannelKindError."""
+    if isinstance(ch, PhaseInsensitiveChannel):
+        return ch
+    raise ChannelKindError(f"{what} takes one phase-insensitive channel, got {_shown(ch)}")
+
+
 def is_entanglement_breaking(ch: PhaseInsensitiveChannel) -> bool:
     """True iff nu >= tau + 1; the boundary counts as breaking."""
-    return ch.nu >= ch.tau + 1.0 - _EB_SLACK
+    return _channel(ch, "is_entanglement_breaking").nu >= ch.tau + 1.0 - _EB_SLACK
 
 
 def compose_channels(first: PhaseInsensitiveChannel,
                      second: PhaseInsensitiveChannel) -> PhaseInsensitiveChannel:
     """Serial concatenation second after first, in (tau, nu) arithmetic."""
+    first, second = (_channel(ch, "compose_channels") for ch in (first, second))
     return raw_channel(second.tau * first.tau, second.tau * first.nu + second.nu)
 
 
@@ -170,7 +179,7 @@ class Decomposition:
 def decompose_loss_then_amp(ch: PhaseInsensitiveChannel) -> Decomposition:
     """Factor a thermal channel as pure loss followed by a quantum-limited
     amplifier: gain G = (1-eta) nb + 1 and loss eta' = eta / G."""
-    if ch.kind != "thermal":
+    if _channel(ch, "decompose_loss_then_amp").kind != "thermal":
         raise ChannelKindError(f"decompose_loss_then_amp requires a thermal channel, "
                                f"got {ch.kind!r}")
     eta, nb = ch.params["eta"], ch.params["nb"]
@@ -184,7 +193,7 @@ def decompose_amp_then_loss(ch: PhaseInsensitiveChannel) -> Decomposition:
     """Factor any non-entanglement-breaking phase-insensitive channel as a
     quantum-limited amplifier followed by pure loss, with
     eta = (tau + 1 - nu)/2 and G = tau / eta."""
-    if is_entanglement_breaking(ch):
+    if is_entanglement_breaking(_channel(ch, "decompose_amp_then_loss")):
         raise InfeasibleBoundError(
             f"channel is entanglement-breaking (nu={ch.nu:.6g} >= tau+1="
             f"{ch.tau + 1.0:.6g}); the amp-then-loss decomposition does not exist"
@@ -258,7 +267,7 @@ def _eps_degradable(x, nb):
 def epsilon_degradable(ch: PhaseInsensitiveChannel) -> EpsilonReport:
     """Diamond-distance bound between the complementary channel and the
     degrading construction: eps = sqrt(1 - x^2 / kappa(x, nb))."""
-    if ch.kind == "thermal":
+    if _channel(ch, "epsilon_degradable").kind == "thermal":
         x, nb = ch.params["eta"], ch.params["nb"]
         if x < 0.5:
             raise DomainError("epsilon_degradable requires eta in [1/2, 1]")
@@ -284,16 +293,11 @@ def epsilon_close_degradable(nb: float) -> EpsilonReport:
 # Degrading / simulating channel constructions
 # ---------------------------------------------------------------------------
 
-def _column_params(channels):
-    """(kind, x = tau, nb) of a thermal or amplifier channel, or arrays over a column of one kind."""
-    one = isinstance(channels, PhaseInsensitiveChannel)
-    column = [channels] if one else channels
-    kinds = {ch.kind for ch in column}
-    if len(kinds) != 1 or not kinds <= {"thermal", "amplifier"}:
-        raise ChannelKindError("dilation constructions need thermal or amplifier channels "
-                               f"of one kind, got {sorted(kinds)}")
-    x, nb = np.array([(ch.tau, ch.params["nb"]) for ch in column]).T
-    return (kinds.pop(), x[0], nb[0]) if one else (kinds.pop(), x, nb)
+def _channel_params(ch):
+    """(kind, x = tau, nb) of one thermal or amplifier channel, ChannelKindError for anything else."""
+    if _channel(ch, "a dilation construction").kind not in ("thermal", "amplifier"):
+        raise ChannelKindError(f"dilation constructions need a thermal or amplifier channel, got {ch.kind!r}")
+    return ch.kind, ch.tau, ch.params["nb"]
 
 
 def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
@@ -309,10 +313,6 @@ def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
     covs = np.asarray(input_cov, dtype=float)
     a = covs.shape[-1] // 2 - 1
     m = a + 1 + 2 * len(pairs)
-    try:
-        np.broadcast_shapes(covs.shape[:-2], *(np.shape(x)[:-2] for x, _ in [*pairs, *steps]))
-    except ValueError:
-        raise DomainError("the input stack does not match the channel column") from None
     rows = np.eye(2 * m)[gc._block_index(range(m) if modes is None else modes, m)]
     T = np.broadcast_to(rows, np.broadcast_shapes(*(np.shape(S)[:-2] for S, _ in steps)) + rows.shape).copy()
     for S, (i, j) in reversed(steps):
@@ -340,12 +340,10 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray):
     `input_cov` is the full block-ordered covariance over r >= 0 reference
     modes plus the channel input mode (the input mode comes last), or a
     stack of them with shape (..., 2r + 2, 2r + 2).  `ch` is one thermal
-    or amplifier channel, or a sequence of channels of one such kind with
-    one input per channel.  Returns (V, labels) with V over
-    r + 5 modes and labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and
-    'refs') to mode slots.
+    or amplifier channel.  Returns (V, labels) with V over r + 5 modes and
+    labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and 'refs') to mode slots.
     """
-    return _degrading(*_column_params(ch), *_reals("degrading_dilation_cov", "input_cov", input_cov,
+    return _degrading(*_channel_params(ch), *_reals("degrading_dilation_cov", "input_cov", input_cov,
                                                   arrays=True))
 
 
@@ -372,12 +370,12 @@ def _degrading(kind, x, nb, input_cov, modes=None):
 def simulating_channel_cov(ch, input_cov: np.ndarray):
     """Covariance after the simulating channel: the channel unitary fed with
     the noisy TMS environment omega(nb); the channel output port is traced
-    conceptually (it stays in slot 'B').  Takes a channel column and stacked
-    input covariances like :func:`degrading_dilation_cov`.
+    conceptually (it stays in slot 'B').  Takes one channel and an input
+    covariance or a stack of them like :func:`degrading_dilation_cov`.
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    return _simulating(*_column_params(ch), *_reals("simulating_channel_cov", "input_cov", input_cov,
+    return _simulating(*_channel_params(ch), *_reals("simulating_channel_cov", "input_cov", input_cov,
                                                     arrays=True))
 
 
@@ -423,8 +421,8 @@ def degrading_simulation_check(ch, input_qblock) -> tuple:
     simulating channel fed with the noisy TMS state, for an input whose
     two-mode position block is `input_qblock` (reference mode first).  The
     contract is that the two returned 3x3 blocks over (R, E'2, E'1) agree
-    to 1e-10.  A column `ch` with a stack of n q-blocks gives (n, 3, 3) stacks; the
-    q-block's errors come before the column's.
+    to 1e-10.  A stack of n q-blocks gives (n, 3, 3) stacks; the q-block's
+    errors come before the channel's.
     """
     q = _validate_qblock(*_reals("degrading_simulation_check", "input_qblock", input_qblock, arrays=True))
-    return tuple(V[..., :3, :3] for V in _deg_sim_routes(*_column_params(ch), q))
+    return tuple(V[..., :3, :3] for V in _deg_sim_routes(*_channel_params(ch), q))

@@ -61,11 +61,18 @@ def omega(m: int) -> np.ndarray:
     return O
 
 
+def _is_int(k) -> bool:
+    """True for an int or a numpy integer, but not a bool: a mode index or count."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _block_index(modes, m: int) -> np.ndarray:
-    """Positions of the q and then the p quadratures of `modes`, distinct indices
-    below m (DomainError otherwise), in the block-ordered vector of m modes;
-    `V[..., idx[:, None], idx]` is the covariance block of those modes."""
+    """Positions of the q and then the p quadratures of `modes`, distinct int
+    indices below m (DomainError otherwise), in the block-ordered vector of m
+    modes; `V[..., idx[:, None], idx]` is the covariance block of those modes."""
     modes = tuple(modes)
+    if not all(map(_is_int, modes)):
+        raise DomainError(f"mode indices {modes} must be ints")
     if any(not 0 <= k < m for k in modes):
         raise DomainError(f"mode indices {modes} out of range for {m}-mode state")
     if len(set(modes)) != len(modes):
@@ -226,7 +233,7 @@ class GaussianState:
 
 def _mode_count(modes):
     """`modes`; InvalidStateError unless a positive integer m whose 2m x 2m covariance numpy can index."""
-    ok = isinstance(modes, (int, np.integer)) and 1 <= modes and 32 * int(modes) ** 2 <= np.iinfo(np.intp).max
+    ok = _is_int(modes) and 1 <= modes and 32 * int(modes) ** 2 <= np.iinfo(np.intp).max
     _require(ok, "mode count must be a positive integer numpy can index", error=InvalidStateError)
     return modes
 
@@ -307,9 +314,11 @@ def tms_state(n: float) -> GaussianState:
     """Two-mode squeezed vacuum state with mean photon number n per arm.
 
     Purifies the single-mode thermal state theta(n); the reduced state of
-    either mode is thermal with mean photon number n.
+    either mode is thermal with mean photon number n.  An overflow is an InvalidStateError.
     """
-    return GaussianState(2, np.zeros(4), _pair_cov(*tms_qblocks(n)))
+    with np.errstate(over="ignore"):
+        blocks = tms_qblocks(n)
+    return GaussianState(2, np.zeros(4), _pair_cov(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +572,9 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
     t, = _reals("beamsplitter_symplectic", "transmissivity", transmissivity, arrays=True)
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError("transmissivity must lie in [0, 1]")
-    sign = {"B": 1.0, "Bprime": -1.0}.get(kind)  # of the lower-left sqrt(1-t)
-    if sign is None:
+    if not isinstance(kind, str) or kind not in ("B", "Bprime"):
         raise DomainError(f"unknown beamsplitter kind {kind!r}")
-    rt, rr = np.sqrt(t), sign * np.sqrt(1.0 - t)
+    rt, rr = np.sqrt(t), (1.0 if kind == "B" else -1.0) * np.sqrt(1.0 - t)  # the lower-left sqrt(1-t)
     A = _mat2(rt, -rr, rr, rt)
     return _checked_symplectic(_pair_cov(A, A))
 

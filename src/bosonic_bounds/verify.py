@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import DomainError, InvalidStateError, _reals, _require, _shown
+from .errors import DomainError, InvalidStateError, _reals, _require
 from .gaussian_core import LN2
 
 
@@ -74,9 +74,9 @@ def _check(suite, name, tol, note=""):
 def coherent_info_oracle(ch, ns):
     """I_c at TMS(ns) input computed as H(B) - H(RB) through the channel's
     beamsplitter / squeezer dilation; independent of the closed forms.  `ch`
-    is one channel and ns a float, or a column of channels and ns an array."""
+    is one thermal or amplifier channel and ns a float or an array of them."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge ns reaches _symplectic_eigs' error
-        return _coherent_info(*chn._column_params(ch), ns)  # ChannelKindError off thermal/amplifier
+        return _coherent_info(*chn._channel_params(ch), ns)
 
 
 def _coherent_info(kind, x, nb, ns):
@@ -89,9 +89,9 @@ def _coherent_info(kind, x, nb, ns):
 def ud_oracle(ch, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
     a single-mode input covariance (2, 2), or an array of them for a stack
-    (n, 2, 2), with `ch` one channel or a column of n.  H(G E'2 E'1) is taken
-    as H(B), the entropy of the channel output (see :func:`_ud`)."""
-    params, (cov,) = chn._column_params(ch), _reals("ud_oracle", "input_cov", input_cov, arrays=True)
+    (n, 2, 2), with `ch` one thermal or amplifier channel.  H(G E'2 E'1) is
+    taken as H(B), the entropy of the channel output (see :func:`_ud`)."""
+    params, (cov,) = chn._channel_params(ch), _reals("ud_oracle", "input_cov", input_cov, arrays=True)
     _require(bool(np.all(np.isfinite(cov))), "state data must be finite", error=InvalidStateError)
     return _ud(*params, cov)
 
@@ -127,16 +127,18 @@ def _rotated(th, d0, d1, nu=1.0):
 
 
 _COV_DRAWS = ((0.0, 1.0), (0.0, 1.0), (0.0, np.pi))  # random_single_mode_cov's, in order
+_NS_MAX = np.finfo(float).max / 8.0
 
 
-def random_single_mode_cov(ns, rng, n=None) -> np.ndarray:
+def random_single_mode_cov(ns, rng) -> np.ndarray:
     """Random single-mode covariance of a state whose total mean photon
     number is exactly ns: a rotated squeezed thermal covariance carrying a
     random share of the energy, the rest sitting in a displacement (which
-    affects no entropy).  With n, a stack (n, 2, 2) equal to n calls."""
-    ns, = _reals("random_single_mode_cov", "ns", ns, arrays=True)  # a float, or one per draw
-    _require(bool(np.all((ns >= 0.0) & (ns < np.inf))), "random_single_mode_cov needs finite ns >= 0")
-    return _single_mode_cov(ns, *_uniform_rows(rng, _count("random_single_mode_cov", n), *_COV_DRAWS))
+    affects no entropy).  Its largest entry is below 4 ns + 2, so ns may be at
+    most float64's max / 8, which leaves room for rounding."""
+    ns, = _reals("random_single_mode_cov", "ns", ns)
+    _require(0.0 <= ns <= _NS_MAX, f"random_single_mode_cov needs ns in [0, {_NS_MAX:.4g}], got ns = {ns!r}")
+    return _single_mode_cov(ns, *_uniform_rows(rng, None, *_COV_DRAWS))
 
 
 def _single_mode_cov(ns, u, a, th):
@@ -148,20 +150,12 @@ def _single_mode_cov(ns, u, a, th):
     return _rotated(th, np.exp(2.0 * r), np.exp(-2.0 * r), (2.0 * ev + 1.0) / ch)
 
 
-def random_valid_qblock(rng, scale: float = 5.0, n=None) -> np.ndarray:
-    """Random position block of a valid two-mode covariance (>= I suffices).
-    With n, a stack (n, 2, 2) equal to n calls."""
+def random_valid_qblock(rng, scale: float = 5.0) -> np.ndarray:
+    """Random position block of a valid two-mode covariance (>= I suffices)."""
     scale, = _reals("random_valid_qblock", "scale", scale)
     _require(scale >= 0.0, "random_valid_qblock: scale = {} must be >= 0", scale)
-    th, a, b = _uniform_rows(rng, _count("random_valid_qblock", n), (0.0, np.pi), (0.0, scale), (0.0, scale))
+    th, a, b = _uniform_rows(rng, None, (0.0, np.pi), (0.0, scale), (0.0, scale))
     return _rotated(th, 1.0 + a, 1.0 + b)
-
-
-def _count(what, n):
-    """`n`, None or an int >= 1 (not a bool), or `what`'s DomainError."""
-    if n is None or (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        return n
-    raise DomainError(f"{what} takes n None or an int >= 1, got n={_shown(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +424,7 @@ SUITES = {"core": CORE_CHECKS, "bounds": BOUNDS_CHECKS, "all": CORE_CHECKS + BOU
 def run_suite(which: str = "all") -> list:
     """Run the check suite `which`, a key of :data:`SUITES`; returns the
     list of CheckResults."""
-    if which not in SUITES:
+    if not isinstance(which, str) or which not in SUITES:
         raise DomainError(f"unknown suite {which!r}; the suites are {', '.join(SUITES)}")
     # called by module name, so that a wrapper that replaces a check in this
     # module (as the benchmark's tracer does) is the one that runs

@@ -328,7 +328,7 @@ def _one_and_column(kind, ch, ns, eps_prime, neighbours):
         one = exc
     chans, ns3 = [neighbours[0][0], ch, neighbours[1][0]], [neighbours[0][1], ns, neighbours[1][1]]
     with np.errstate(over="ignore", invalid="ignore"):  # the stacked kappa at nb near 1e154
-        column = (bnd.evaluate_column(kind, chans, ns3) if eps_prime is None
+        column = (bnd.evaluate_columns((kind,), chans, ns3)[0] if eps_prime is None
                   else bnd._columns((kind,), chans, ns3, eps_prime)[0])
     return _cell_hex(one), _cell_hex(column[1])
 

@@ -540,7 +540,7 @@ def _outcome(call):
 
 def test_evaluate_reports_the_one_cell_columns_first_error():
     """evaluate raises the error that the same cell reports in a one-cell
-    column (evaluate_column, or with a fixed eps' its core), whichever
+    column (evaluate_columns, or with a fixed eps' its core), whichever
     faults the call combines: the same class, message and order."""
     seen = set()
     for kind in FAULT_KINDS:
@@ -551,6 +551,6 @@ def test_evaluate_reports_the_one_cell_columns_first_error():
                     want = _outcome(lambda: bnd._columns((kind,), [ch], [ns], e)[0][0])
                     assert got == want, (kind, ch, ns, e)
                     if e is None:
-                        assert _outcome(lambda: bnd.evaluate_column(kind, [ch], [ns])[0]) == want
+                        assert _outcome(lambda: bnd.evaluate_columns((kind,), [ch], [ns])[0][0]) == want
                     seen.add(got[0] if isinstance(got, tuple) else bnd.BoundResult)
     assert seen == {DomainError, ChannelKindError, InfeasibleBoundError, bnd.BoundResult}

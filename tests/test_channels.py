@@ -88,7 +88,7 @@ class TestConstructors:
         with pytest.raises(error, match=message):
             call()
 
-    @pytest.mark.parametrize("modes", [(2,), (-1,)], ids=["range", "negative"])
+    @pytest.mark.parametrize("modes", [(2,), (-1,), (0.7,)], ids=["range", "negative", "fractional"])
     def test_channel_action_rejects_bad_mode_indices(self, modes):
         with pytest.raises(DomainError, match="mode indices"):
             chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0), modes=modes)
@@ -321,7 +321,7 @@ class TestDegradingSimulation:
         # with the documented off-diagonal sign flips
         q = np.array([[2.5, 0.8], [0.8, 1.7]])
         ch = chn.thermal(0.8, 0.6)
-        Vd, Vs = chn._deg_sim_routes(*chn._column_params(ch), q)
+        Vd, Vs = chn._deg_sim_routes(*chn._channel_params(ch), q)
         assert np.max(np.abs(Vd - Vs)) < 1e-10
         qblk, pblk = Vd[:3, :3], Vd[3:, 3:]
         signs = np.sign(qblk * pblk)
@@ -346,12 +346,20 @@ class TestDegradingSimulation:
 
 
 STACK_CHANNELS = [chn.thermal(0.8, 0.6), chn.amplifier(1.7, 0.4)]
+CHANNEL_KINDS = pytest.mark.parametrize("kind", ["thermal", "amplifier"])
 
 
 def _random_stack(seed, n=20):
     rng = np.random.default_rng(seed)
     return np.stack([vfy.random_single_mode_cov(rng.uniform(0.0, 10.0), rng)
                      for _ in range(n)])
+
+
+def _column(rng, kind, n=20):
+    """Parameter arrays (x, nb) of n channels of `kind`, each row's x then nb
+    drawn as scalar rng.uniform calls draw them, as the oracle suite passes
+    them to the dilation cores."""
+    return vfy._uniform_rows(rng, n, (0.5, 1.0) if kind == "thermal" else (1.001, 3.0), (0.0, 3.0))
 
 
 def _embedded_dilation(input_cov, pairs, steps, modes=None):
@@ -376,30 +384,22 @@ def _embedded_dilation(input_cov, pairs, steps, modes=None):
 
 
 # each route's array core, and a named marginal of it with its modes out of ascending order
-MARGINALS = {chn.degrading_dilation_cov: (chn._degrading, ("E1p", "G", "refs", "E2p")),
-             chn.simulating_channel_cov: (chn._simulating, ("E1", "refs", "B"))}
-
-
-def _marginal(route, ch, inputs):
-    """The marginal MARGINALS names for `route`, from its array core."""
-    core, names = MARGINALS[route]
-    return core(*chn._column_params(ch), inputs, names)[0]
+MARGINALS = {chn._degrading: ("E1p", "G", "refs", "E2p"), chn._simulating: ("E1", "refs", "B")}
+ROUTES = pytest.mark.parametrize("route", list(MARGINALS), ids=["degrading", "simulating"])
 
 
 class TestLocalDilationSteps:
-    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
-    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
-                             ids=["degrading", "simulating"])
-    def test_matches_the_embedded_product(self, monkeypatch, make, route):
+    @CHANNEL_KINDS
+    @ROUTES
+    def test_matches_the_embedded_product(self, monkeypatch, kind, route):
         rng = np.random.default_rng(9)
-        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
-        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        params = (kind, *_column(rng, kind))
         covs = _random_stack(10)
         two_mode = gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
         for inputs in (covs, two_mode):
-            (got, labels), part = route(column, inputs), _marginal(route, column, inputs)
+            (got, labels), part = route(*params, inputs), route(*params, inputs, MARGINALS[route])[0]
             monkeypatch.setattr(chn, "_dilation", _embedded_dilation)
-            (want, want_labels), want_part = route(column, inputs), _marginal(route, column, inputs)
+            (want, want_labels), want_part = route(*params, inputs), route(*params, inputs, MARGINALS[route])[0]
             monkeypatch.undo()
             assert labels == want_labels
             for g, w in ((got, want), (part, want_part)):
@@ -409,26 +409,25 @@ class TestLocalDilationSteps:
 class TestDilationMarginals:
     """A named marginal is the same modes of the whole dilation, built alone."""
 
-    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
-    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
-                             ids=["degrading", "simulating"])
+    @CHANNEL_KINDS
+    @ROUTES
     @pytest.mark.parametrize("refs", [0, 1], ids=["no_reference", "reference"])
-    def test_marginal_is_the_gathered_modes(self, make, route, refs):
+    def test_marginal_is_the_gathered_modes(self, kind, route, refs):
         rng = np.random.default_rng(19)
-        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
-        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        x, nb = _column(rng, kind)
         inputs = _random_stack(20) if refs == 0 else \
             gc._place_pair(np.zeros((20, 4, 4)), 0, *gc.tms_qblocks(rng.uniform(0.0, 30.0, 20)))
-        names = MARGINALS[route][1]
-        full, labels = route(column, inputs)
+        names = MARGINALS[route]
+        full, labels = route(kind, x, nb, inputs)
         slots = [i for k in names for i in (labels[k] if k == "refs" else [labels[k]])]
         assert len(slots) == len(names) - 1 + refs and slots != sorted(slots)
         idx = gc._block_index(slots, full.shape[-1] // 2)
         want = full[..., idx[:, None], idx]
-        got = _marginal(route, column, inputs)
+        got = route(kind, x, nb, inputs, names)[0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(got, np.array([_marginal(route, ch, c) for ch, c in zip(column, inputs)]))
+        one_each = [route(kind, *p, c, names)[0] for *p, c in zip(x.tolist(), nb.tolist(), inputs)]
+        assert np.array_equal(got, np.array(one_each))
 
 
 class TestDegradingIsometry:
@@ -443,7 +442,7 @@ class TestDegradingIsometry:
         n = 2000
         x, nb = rng.uniform(lo, hi, n), rng.uniform(0.0, 3.0, n)
         ns = 10.0 ** rng.uniform(-2.0, 2.0, n)
-        covs = vfy.random_single_mode_cov(ns, rng, n)
+        covs = vfy._single_mode_cov(ns, *vfy._uniform_rows(rng, n, *vfy._COV_DRAWS))
         three = chn._degrading(kind, x, nb, covs, ("G", "E2p", "E1p"))[0]
         assert three.shape == (n, 6, 6)
         out = chn._dilation(covs, [gc.tms_qblocks(nb)], [chn._channel_step(kind, x)], (0,))
@@ -474,27 +473,30 @@ class TestStackedDilations:
             assert ls == labels
             assert np.max(np.abs(Vk - Vs)) < 1e-12
 
-    @pytest.mark.parametrize("make", [chn.thermal, chn.amplifier], ids=["thermal", "amplifier"])
-    def test_channel_column_matches_per_channel_calls(self, make):
-        """A column of channels with one stacked input each gives, bit for
-        bit, what one call per channel gives."""
+    @CHANNEL_KINDS
+    def test_channel_column_matches_per_channel_calls(self, kind):
+        """The array cores, given a column of channel parameters with one
+        stacked input each, as the oracle suite calls them, give bit for bit
+        what one public call per channel gives."""
         rng = np.random.default_rng(5)
-        lo, hi = (0.5, 1.0) if make is chn.thermal else (1.001, 3.0)
-        column = [make(rng.uniform(lo, hi), rng.uniform(0.0, 3.0)) for _ in range(20)]
+        x, nb = _column(rng, kind)
+        make = chn.thermal if kind == "thermal" else chn.amplifier
+        column = [make(*p) for p in zip(x.tolist(), nb.tolist())]
         ns = rng.uniform(0.0, 30.0, 20)
         covs = _random_stack(6)
         qs = np.stack([vfy.random_valid_qblock(rng) for _ in range(20)])
         pairs = [
-            (vfy.coherent_info_oracle(column, ns),
+            (vfy._coherent_info(kind, x, nb, ns),
              [vfy.coherent_info_oracle(ch, n) for ch, n in zip(column, ns)]),
-            (vfy.ud_oracle(column, covs), [vfy.ud_oracle(ch, c) for ch, c in zip(column, covs)]),
+            (vfy._ud(kind, x, nb, covs), [vfy.ud_oracle(ch, c) for ch, c in zip(column, covs)]),
         ]
-        for route in (chn.degrading_dilation_cov, chn.simulating_channel_cov):
-            V, labels = route(column, covs)
+        for core, route in ((chn._degrading, chn.degrading_dilation_cov),
+                            (chn._simulating, chn.simulating_channel_cov)):
+            V, labels = core(kind, x, nb, covs)
             per_channel = [route(ch, c) for ch, c in zip(column, covs)]
             assert all(ls == labels for _, ls in per_channel)
             pairs.append((V, [Vs for Vs, _ in per_channel]))
-        A, B = chn.degrading_simulation_check(column, qs)
+        A, B = (V[..., :3, :3] for V in chn._deg_sim_routes(kind, x, nb, chn._validate_qblock(qs)))
         per_channel = [chn.degrading_simulation_check(ch, q) for ch, q in zip(column, qs)]
         pairs += [(A, [a for a, _ in per_channel]), (B, [b for _, b in per_channel])]
         for stacked, single in pairs:
@@ -504,16 +506,15 @@ class TestStackedDilations:
         qs = np.stack([vfy.random_valid_qblock(np.random.default_rng(k)) for k in range(5)])
         qs[3, 0, 1] += 1e-6
         with pytest.raises(InvalidStateError, match="symmetric"):
-            chn.degrading_simulation_check([chn.thermal(0.8, 0.5)] * 5, qs)
+            chn.degrading_simulation_check(chn.thermal(0.8, 0.5), qs)
 
-    @pytest.mark.parametrize("route", [chn.degrading_dilation_cov, chn.degrading_simulation_check],
-                             ids=["dilation", "check"])
+    @pytest.mark.parametrize("route", [
+        lambda x, nb: chn._degrading("thermal", x, nb, _random_stack(7, 4)),
+        lambda x, nb: chn._deg_sim_routes("thermal", x, nb, np.stack([np.eye(2)] * 4)),
+    ], ids=["dilation", "check"])
     def test_one_thermal_below_half_fails_the_column(self, route):
-        column = [chn.thermal(0.8, 0.5)] * 3 + [chn.thermal(0.4, 0.5)]
-        stack = _random_stack(7, 4) if route is chn.degrading_dilation_cov else \
-            np.stack([np.eye(2)] * 4)
-        with pytest.raises(DomainError):
-            route(column, stack)
+        with pytest.raises(DomainError, match="eta in"):
+            route(np.array([0.8, 0.8, 0.8, 0.4]), np.full(4, 0.5))
 
     @pytest.mark.parametrize("odd", [chn.additive_noise(0.3), chn.amplifier(1.5, 0.5)],
                              ids=["additive", "mixed"])
@@ -523,7 +524,3 @@ class TestStackedDilations:
             vfy.ud_oracle(column, _random_stack(8, 4))
         with pytest.raises(ChannelKindError):
             vfy.coherent_info_oracle(column, np.ones(4))
-
-    def test_stack_not_matching_the_column_is_rejected(self):
-        with pytest.raises(DomainError, match="does not match"):
-            vfy.coherent_info_oracle([chn.thermal(0.8, 0.5)] * 3, np.ones(4))

@@ -646,8 +646,8 @@ class TestSweepColumns:
 
     def test_column_returns_errors_in_place(self):
         chans = [chn.thermal(0.4, 1.0), chn.thermal(0.9, 1.0), chn.amplifier(1.5, 0.1)]
-        column = bnd.evaluate_column("QU2", chans, [2.0, 2.0, -1.0])
+        column = bnd.evaluate_columns(("QU2",), chans, [2.0, 2.0, -1.0])[0]
         assert [type(c).__name__ for c in column] == \
             ["InfeasibleBoundError", "BoundResult", "DomainError"]
         assert column[1] == bnd.q_u2(chans[1], 2.0)
-        assert bnd.evaluate_column("PL", [], []) == []
+        assert bnd.evaluate_columns(("PL",), [], [])[0] == []

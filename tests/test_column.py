@@ -1,4 +1,4 @@
-"""A column is its cells: cell i of ``evaluate_column(kind, chans, ns)`` is
+"""A column is its cells: cell i of ``evaluate_columns((kind,), chans, ns)[0]`` is
 ``evaluate(kind, chans[i], ns[i])``, the same BoundResult or the same error.
 And ``evaluate_columns(kinds, chans, ns)``, whose penalized kinds share one
 minimization batch, is the list of the kinds' one-kind columns, bit for bit.
@@ -65,7 +65,7 @@ def assert_same(got, want):
 
 
 def assert_column_is_its_cells(kind, chans, ns):
-    column = bnd.evaluate_column(kind, chans, ns)
+    column = bnd.evaluate_columns((kind,), chans, ns)[0]
     assert len(column) == len(chans)
     for got, ch, n in zip(column, chans, ns):
         assert_same(got, cell(kind, ch, n))
@@ -105,15 +105,15 @@ def test_random_mixed_column(kind, cells):
 
 
 def test_empty_column():
-    assert bnd.evaluate_column("QU2", [], []) == []
+    assert bnd.evaluate_columns(("QU2",), [], [])[0] == []
 
 
 def test_length_mismatch():
     chans = [chn.thermal(0.9, 0.1), chn.thermal(0.8, 0.1)]
     with pytest.raises(DomainError, match="one ns per channel"):
-        bnd.evaluate_column("QU1", chans, [1.0])
+        bnd.evaluate_columns(("QU1",), chans, [1.0])[0]
     with pytest.raises(DomainError, match="one ns per channel"):
-        bnd.evaluate_column("QU1", chans[:1], [1.0, 2.0])
+        bnd.evaluate_columns(("QU1",), chans[:1], [1.0, 2.0])[0]
 
 
 # ns as the one-cell entry points and the column paths take it
@@ -123,7 +123,7 @@ NS_PATHS = {
     "q_lower_thermal": lambda ns: bnd.q_lower_thermal(0.8, 0.5, ns),
     "p_lower_displaced": lambda ns: bnd.p_lower_displaced(0.8, 0.5, ns),
     "gap_qu1_ql": lambda ns: bnd.gap_qu1_ql(0.8, 0.5, ns),
-    "evaluate_column": lambda ns: bnd.evaluate_column("QU1", [chn.thermal(0.8, 0.5)] * 2, [ns, 4.0]),
+    "evaluate_column": lambda ns: bnd.evaluate_columns(("QU1",), [chn.thermal(0.8, 0.5)] * 2, [ns, 4.0])[0],
     "evaluate_columns": lambda ns: bnd.evaluate_columns(("QL", "QU2"), [chn.thermal(0.8, 0.5)] * 2,
                                                         [4.0, ns]),
     "gaussian_c_distance": lambda ns: bnd.gaussian_c_distance(chn.thermal(0.8, 0.5),
@@ -189,7 +189,7 @@ def test_columns_are_their_one_kind_columns(kinds, seed):
     columns = bnd.evaluate_columns(kinds, chans, ns)
     assert len(columns) == len(kinds)
     for kind, column in zip(kinds, columns):
-        assert [hexed(c) for c in column] == [hexed(c) for c in bnd.evaluate_column(kind, chans, ns)]
+        assert [hexed(c) for c in column] == [hexed(c) for c in bnd.evaluate_columns((kind,), chans, ns)[0]]
     cells = [c for column in columns for c in column]
     # the column reaches the penalty-free eps = 0 cells, infeasible cells and
     # ns <= 0

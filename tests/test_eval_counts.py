@@ -114,7 +114,7 @@ def test_amplifier_penalty_one_cell_steps_on_floats(counts, objective_calls, see
 
 def test_column_rows_step_together_to_the_end(counts, objective_calls):
     calls = objective_calls("_private_loss", 0)
-    bnd.evaluate_column("PL", [chn.thermal(0.9, 0.5)] * 2, [1.0, 1000.0])
+    bnd.evaluate_columns(("PL",), [chn.thermal(0.9, 0.5)] * 2, [1.0, 1000.0])[0]
     # the seeds, the first step's two points, 8 steps of both rows, then
     # the longest row's last step, still in the lockstep
     assert calls == {(2, 64): 1, (2, 2): 1, (2, 1): 8, (1, 1): 1}

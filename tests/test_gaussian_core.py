@@ -207,8 +207,9 @@ class TestStates:
         lambda: gc.vacuum_state(10 ** 400),
         lambda: gc.thermal_state(0.5, 10 ** 400),
         lambda: gc.GaussianState(10 ** 400, np.zeros(2), np.eye(2)),
+        lambda: gc.vacuum_state(True),  # a bool is no count, though Python's bool is an int
     ], ids=["state_fractional", "vacuum_negative", "thermal_negative", "vacuum_fractional",
-            "vacuum_huge", "thermal_huge", "state_huge"])
+            "vacuum_huge", "thermal_huge", "state_huge", "vacuum_bool"])
     def test_bad_mode_count_rejected(self, make):
         with pytest.raises(InvalidStateError, match="mode count must be a positive integer"):
             make()
@@ -452,7 +453,9 @@ class TestChannelAction:
         once = gc.apply_gaussian_channel(X2 @ X1, X2 @ Y1 @ X2.T + Y2, None, st_)
         assert np.max(np.abs(step.cov - once.cov)) < 1e-10
 
-    @pytest.mark.parametrize("modes", [(2,), (-1,), (1, 1)], ids=["range", "negative", "repeat"])
+    # a fractional index was truncated to the mode below it, and a bool read as 0 or 1
+    @pytest.mark.parametrize("modes", [(2,), (-1,), (1, 1), (0.7,), (np.float64(1.0),), ("0",), (True,)],
+                             ids=["range", "negative", "repeat", "fractional", "numpy_float", "str", "bool"])
     def test_bad_mode_indices_are_domain_errors(self, modes):
         k = 2 * len(modes)
         with pytest.raises(DomainError, match="mode indices"):
@@ -478,7 +481,7 @@ class TestChannelAction:
             call()
 
     def test_reduce_state_rejects_bad_mode_indices(self):
-        for modes in [(2,), (-1,), (0, 0)]:
+        for modes in [(2,), (-1,), (0, 0), (0.5,), ("0",)]:
             with pytest.raises(DomainError, match="mode indices"):
                 gc.reduce_state(gc.tms_state(1.0), modes)
 

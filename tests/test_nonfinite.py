@@ -369,6 +369,17 @@ def test_overflowing_one_cell_search_does_not_warn(kind, call):
         call()
 
 
+# no filterwarnings mark: the two-mode squeezed vacuum's blocks overflow
+# quietly, and the state's check names the overflow
+@pytest.mark.parametrize("call", [
+    lambda: gc.tms_state(1e200),
+    lambda: bnd.gaussian_c_distance(chn.thermal(0.8, 0.5), chn.thermal(0.8, 0.5), 1e160),
+], ids=["tms_state-1e200", "gaussian_c_distance-1e160"])
+def test_overflowing_tms_is_an_invalid_state_without_a_warning(call):
+    with pytest.raises(InvalidStateError, match="state data must be finite"):
+        call()
+
+
 @pytest.mark.parametrize("ns", ["1e200", "1e160"])
 def test_cli_overflowing_ql_ends_in_the_error_line(capsys, ns):
     # one QL cell runs its arithmetic on Python floats, which overflow to inf
@@ -409,7 +420,7 @@ def test_cli_overflowing_sweep_cell_does_not_warn(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_cell_leaves_its_column_alone():
-    column = bnd.evaluate_column("QL", [chn.thermal(0.8, 0.5)] * 3, [1.0, 1e200, 10.0])
+    column = bnd.evaluate_columns(("QL",), [chn.thermal(0.8, 0.5)] * 3, [1.0, 1e200, 10.0])[0]
     assert isinstance(column[1], DomainError)
     assert [c.raw for c in (column[0], column[2])] == \
         [bnd.q_lower_thermal(0.8, 0.5, ns).raw for ns in (1.0, 10.0)]

@@ -32,7 +32,8 @@ PUBLIC = {
 REMOVED = [(optimize, "minimize_scalar"), (optimize, "ScalarOptResult"),
            (optimize, "DEFAULT_GRID_POINTS"),
            (gaussian_core, "SymplecticMatrix"), (gaussian_core, "EntropySpectrum"),
-           (gaussian_core, "interleave_permutation"), (bounds, "coherent_info_thermal")]
+           (gaussian_core, "interleave_permutation"), (bounds, "coherent_info_thermal"),
+           (bounds, "evaluate_column")]
 
 
 def test_public_names_are_pinned():
