@@ -114,6 +114,7 @@ def _penalty_eval(e, eps, w_prime, k):
 def penalty(p: PenaltyParams) -> float:
     """k [ (2 eps' + 4 delta) g(W'/delta) + g(eps') + 2 h2(delta) ] in bits,
     with delta = (eps' - eps)/(1 + eps') > 0."""
+    _require(isinstance(p, PenaltyParams), "penalty takes a PenaltyParams")
     return float(_penalty_eval(p.epsilon_prime, p.epsilon, p.w_prime, p.k))
 
 

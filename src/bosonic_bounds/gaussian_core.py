@@ -16,7 +16,8 @@ builders take stacks themselves, one body per formula: `noisy_tms_qblocks`
 (`tms_qblocks` is its x = 1 case), `_pair_cov`, `beamsplitter_symplectic` and
 `two_mode_squeezer_symplectic`, whose parameters enter through `errors._reals`.
 Symplectic spectra come from a Cholesky factor (`_factor_eigs`): in closed form
-for one and two modes, by a symmetric eigensolve from three.
+for one and two modes, by a symmetric eigensolve from three; `_cholesky` forms
+one-mode factors elementwise, in LAPACK's own steps and so with its bits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ LN2 = float(np.log(2.0))
 # Tolerances (absolute unless noted)
 COV_SYMMETRY_TOL = 1e-12      # required symmetry of covariance matrices
 NU_FLOOR = 1e-9               # allowed dip of symplectic eigenvalues below 1
-SYMPLECTIC_TOL = 1e-10        # |S Omega S^T - Omega| for symplectic matrices
 PSD_FLOOR = 1e-8              # eigenvalue floor for the channel CPTP check
 _EPS = float(np.finfo(float).eps)  # float64 machine epsilon, 2^-52
 _G_SERIES_CUTOFF = 1e-8       # switch g(x) to its small-x series below this
@@ -70,6 +70,8 @@ def _block_index(modes, m: int) -> np.ndarray:
     """Positions of the q and then the p quadratures of `modes`, distinct int
     indices below m (DomainError otherwise), in the block-ordered vector of m
     modes; `V[..., idx[:, None], idx]` is the covariance block of those modes."""
+    if not np.iterable(modes):
+        raise DomainError(f"mode indices {modes!r} must be a sequence of ints")
     modes = tuple(modes)
     if not all(map(_is_int, modes)):
         raise DomainError(f"mode indices {modes} must be ints")
@@ -325,40 +327,45 @@ def tms_state(n: float) -> GaussianState:
 # Spectra and entropies
 # ---------------------------------------------------------------------------
 
-def _checked_symplectic(S: np.ndarray) -> np.ndarray:
-    """`S`, a 2m x 2m matrix or a stack of them, once each is symplectic to
-    SYMPLECTIC_TOL."""
-    O = omega(S.shape[-1] // 2)
-    if not np.all(np.abs(S @ O @ np.swapaxes(S, -1, -2) - O) <= SYMPLECTIC_TOL):
-        raise DomainError("matrix is not symplectic to 1e-10")
-    return S
-
-
 def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor L, V = L L^T, of each V of a stack; InvalidStateError unless V > 0."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise InvalidStateError("uncertainty principle violated: covariance matrix is not "
-                                "positive definite") from None
+    """Cholesky factor L, V = L L^T, of each V of a stack; InvalidStateError unless V > 0.
+    One-mode V take OpenBLAS dpotf2's steps elementwise, so its bits without a LAPACK call:
+    l00 = sqrt(v00), l10 = v10 * (1/l00) as its DSCAL (zeros if 1/l00 = 0) and
+    l11 = sqrt(v11 - l10 l10); a pivot <= 0 raises, and a NaN passes through."""
+    if cov.shape[-2:] == (2, 2):
+        with np.errstate(all="ignore"):  # LAPACK's call warns of no overflow or NaN either
+            l00 = np.sqrt(cov[..., 0, 0])
+            l10 = np.where(l00 == np.inf, 0.0, cov[..., 1, 0] * (1.0 / l00))
+            p1 = cov[..., 1, 1] - l10 * l10
+            if not np.any((cov[..., 0, 0] <= 0.0) | (p1 <= 0.0)):
+                L = np.zeros(cov.shape)
+                L[..., 0, 0], L[..., 1, 0], L[..., 1, 1] = l00, l10, np.sqrt(p1)
+                return L
+    else:
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            pass
+    raise InvalidStateError("uncertainty principle violated: covariance matrix is not positive definite")
 
 
 def _factor_eigs(L: np.ndarray) -> np.ndarray:
     """Ascending symplectic eigenvalues of V = L L^T (each of a stack) from its
     Cholesky factor: V Omega is similar to the antisymmetric M = L^T Omega L =
     L_q^T L_p - L_p^T L_q, whose singular values are the nu's, each twice; M is
-    scaled by a power of two to keep it finite.  One mode gives nu = |M_01|.  Two
+    scaled by a power of two to keep it finite.  One mode gives nu = |M_01| =
+    |l00 l11|, read off L before A and M are formed: the scaling is exact.  Two
     modes split M into commuting self-dual and anti-self-dual parts, of singular
     values s1/2 and s2/2, so nu_+ = (s1 + s2)/2 and nu_- = |s1 - s2|/2, a form of
     the two-mode invariants of Serafini, Illuminati and De Siena, J. Phys. B 37,
     L21 (2004).  From three modes they are roots of every other eigenvalue of M^T M."""
     m = L.shape[-1] // 2
+    if m == 1:
+        return np.abs(L[..., :1, 0] * L[..., 1:, 1])
     A = np.swapaxes(L[..., :m, :], -1, -2) @ L[..., m:, :]
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
     M = np.ldexp(A - np.swapaxes(A, -1, -2), -e)
-    if m == 1:
-        nus = np.abs(M[..., 0, 1:])
-    elif m == 2:
+    if m == 2:
         a, b, c, d, f, h = (M[..., i, j] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         # products, not ** 2: a numpy float squares by libm pow, an array may not
         s1 = np.sqrt((a + h) * (a + h) + (b - f) * (b - f) + (c + d) * (c + d))
@@ -548,7 +555,7 @@ def _apply(X, Y, cov, mean, modes=None):
                                   f"{lo.flat[np.argmax(lo < -PSD_FLOOR)]:.3e} < -{PSD_FLOOR:g}")
     total = cov.shape[-1] // 2
     if modes is not None:
-        if m_in != m_out or m_in != len(tuple(modes)):
+        if m_in != m_out or 2 * m_in != len(_block_index(modes, total)):
             raise DomainError("subset application requires square X on the given modes")
         X, Y = embed_matrix(X, modes, total), embed_matrix(Y, modes, total, 0.0)
     elif m_in != total:
@@ -576,19 +583,19 @@ def beamsplitter_symplectic(kind: str, transmissivity: float) -> np.ndarray:
         raise DomainError(f"unknown beamsplitter kind {kind!r}")
     rt, rr = np.sqrt(t), (1.0 if kind == "B" else -1.0) * np.sqrt(1.0 - t)  # the lower-left sqrt(1-t)
     A = _mat2(rt, -rr, rr, rt)
-    return _checked_symplectic(_pair_cov(A, A))
+    return _pair_cov(A, A)
 
 
 def two_mode_squeezer_symplectic(gain: float) -> np.ndarray:
-    """4x4 symplectic matrix of a two-mode squeezer with gain G >= 1, or a
-    stack (..., 4, 4) over an array of gains.
+    """4x4 symplectic matrix of a two-mode squeezer with finite gain G >= 1, or
+    a stack (..., 4, 4) over an array of gains.
 
     Implements b = sqrt(G) a + sqrt(G-1) e^dag on mode pairs: the q-block is
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] and the p-block carries the
     opposite off-diagonal sign.
     """
     G, = _reals("two_mode_squeezer_symplectic", "gain", gain, arrays=True)
-    if not np.all(G >= 1.0):
-        raise DomainError("squeezer gain must be >= 1")
+    if not np.all((G >= 1.0) & (G < np.inf)):  # False for nan
+        raise DomainError("squeezer gain must be >= 1 and finite")
     s, r = np.sqrt(G), np.sqrt(G - 1.0)
-    return _checked_symplectic(_pair_cov(_mat2(s, r, r, s), _mat2(s, -r, -r, s)))
+    return _pair_cov(_mat2(s, r, r, s), _mat2(s, -r, -r, s))

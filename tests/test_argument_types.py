@@ -4,7 +4,8 @@ AttributeError or TypeError.
 A channel argument that is not one `PhaseInsensitiveChannel` (None, a str,
 a list of channels) is a ChannelKindError, by the rule of
 `channels._channel`; a bound, channel, suite or beamsplitter name that is
-not a str is the entry's unknown-name error.
+not a str is the entry's unknown-name error.  Mode indices that are not a
+sequence, and a penalty argument that is not a `PenaltyParams`, are DomainErrors.
 """
 
 import numpy as np
@@ -61,4 +62,15 @@ def test_non_channel_is_a_channel_kind_error(entry, ch):
         "beamsplitter_symplectic"])
 def test_name_that_is_not_a_str_is_unknown(call, error, message):
     with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gc.reduce_state(gc.tms_state(1.0), 0), "mode indices 0 must be a sequence of ints"),
+    (lambda: TH.apply(gc.tms_state(1.0), modes=1), "mode indices 1 must be a sequence of ints"),
+    (lambda: bnd.penalty(None), "penalty takes a PenaltyParams"),
+    (lambda: bnd.penalty((0.1, 0.5, 1.0)), "penalty takes a PenaltyParams"),
+], ids=["reduce_state_int_modes", "apply_int_modes", "penalty_None", "penalty_tuple"])
+def test_argument_of_the_wrong_type_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
         call()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -357,6 +358,46 @@ class TestUncheckedSpectrum:
             gc._checked_cov(np.stack([0.5 * np.eye(2), -np.eye(2)]))
 
 
+class TestOneModeCholesky:
+    """One-mode covariances, one or a stack, are factored elementwise in LAPACK's
+    own steps: the factor equals np.linalg.cholesky's bit for bit, NaN positions
+    and zero signs included, and it raises where LAPACK raises."""
+
+    # each entry of the edge matrices takes every one of these values
+    EDGES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e300, -1e300, 1e-300, 5e-324, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert np.array_equal(got, want, equal_nan=True)  # NaN positions included
+        assert np.array_equal(np.signbit(got) & ~np.isnan(got), np.signbit(want) & ~np.isnan(want))
+
+    def test_seeded_stack_equals_lapack_without_calling_it(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        v00, v11 = np.exp(rng.uniform(-30.0, 30.0, (2, n)))
+        V = np.empty((n, 2, 2))
+        V[:, 0, 0], V[:, 1, 1] = v00, v11
+        V[:, 1, 0] = rng.uniform(-1.0, 1.0, n) * np.sqrt(v00 * v11)
+        V[:, 0, 1] = rng.normal(size=n)  # the upper triangle, which neither reads
+        want = np.linalg.cholesky(V)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        self.assert_same_bits(gc._cholesky(V), want)
+
+    def test_edge_matrices_equal_lapack(self):
+        raised = 0
+        for v00, v10, v11 in itertools.product(self.EDGES, repeat=3):
+            V = np.array([[v00, 7.0], [v10, v11]])
+            try:
+                want = np.linalg.cholesky(V)
+            except np.linalg.LinAlgError:
+                raised += 1
+                with pytest.raises(InvalidStateError, match="not positive definite"):
+                    gc._cholesky(V)
+            else:
+                self.assert_same_bits(gc._cholesky(V), want)
+        assert 0 < raised < len(self.EDGES) ** 3
+
+
 class TestStackedFidelity:
     def test_stack_equals_the_one_pair_calls(self):
         rng = np.random.default_rng(9)
@@ -648,11 +689,17 @@ class TestSymplecticBuilders:
         with pytest.raises(DomainError):
             build(np.array(params))
 
-    def test_stack_symplecticity_is_checked_per_element(self):
-        S = np.stack([np.eye(4), 2.0 * np.eye(4)])
-        with pytest.raises(DomainError, match="not symplectic"):
-            gc._checked_symplectic(S)
-        assert np.array_equal(gc._checked_symplectic(S[:1]), S[:1])
+    # the product S Omega S^T is off by about G eps from Omega here, which a
+    # self-check at an absolute 1e-10 rejected from G = 1e6
+    @pytest.mark.parametrize("G", [1e6, 1e8, 1e12])
+    def test_squeezer_at_large_gain_is_its_formula(self, G):
+        s, r = np.sqrt(G), np.sqrt(G - 1.0)
+        want = np.array([[s, r, 0, 0], [r, s, 0, 0], [0, 0, s, -r], [0, 0, -r, s]])
+        assert np.array_equal(gc.two_mode_squeezer_symplectic(G), want)
+
+    def test_squeezer_rejects_an_infinite_gain(self):
+        with pytest.raises(DomainError, match="finite"):
+            gc.two_mode_squeezer_symplectic(np.array([2.0, np.inf]))
 
     def test_embed_and_tms_blocks_take_stacks(self):
         S = gc.two_mode_squeezer_symplectic(np.array([1.5, 2.0]))

@@ -607,6 +607,35 @@ def test_nan_residual_part_fails_its_check(monkeypatch, name):
     assert not result.passed and np.isnan(result.residual)
 
 
+AMP_1E6 = chn.amplifier(1e6, 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chn.degrading_dilation_cov(AMP_1E6, np.eye(2))[0],
+    lambda: chn.simulating_channel_cov(AMP_1E6, np.eye(2))[0],
+    lambda: vfy.ud_oracle(AMP_1E6, np.eye(2)),
+    lambda: vfy.coherent_info_oracle(AMP_1E6, 2.0),
+], ids=["degrading_dilation_cov", "simulating_channel_cov", "ud_oracle", "coherent_info_oracle"])
+def test_oracles_reach_a_large_gain(call):
+    """The dilations of amplifier(1e6, 0.1) are built from a squeezer whose
+    S Omega S^T is off from Omega by about G eps; the oracles return finite values."""
+    assert np.all(np.isfinite(call()))
+
+
+def test_coherent_info_oracle_at_a_large_gain_matches_the_closed_form():
+    assert abs(vfy.coherent_info_oracle(AMP_1E6, 2.0) - bnd._ql_amp_raw(1e6, 0.1, 2.0)) <= 1e-8
+
+
+def test_broken_constructor_formula_fails_its_check(monkeypatch):
+    """A symplectic constructor whose formula is wrong reads FAIL with a finite
+    residual in the check of S Omega S^T = Omega, rather than raising."""
+    pair_cov = gc._pair_cov
+    monkeypatch.setattr(gc, "_pair_cov", lambda q, p: 1.01 * pair_cov(q, p))
+    result = vfy.check_symplectic_constructors()
+    assert result.name == "symplectic_constructors"
+    assert not result.passed and np.isfinite(result.residual) and result.residual > 1e-10
+
+
 def test_suite_order_is_the_reference_order():
     """The checks register in definition order: the names of SUITES["all"]
     come in the order of bench/refs/verify.txt."""
