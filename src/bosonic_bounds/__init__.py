@@ -2,8 +2,8 @@
 
 Layers:
 
-* :mod:`bosonic_bounds.gaussian_core` -- covariance-matrix calculus
-  (entropies, symplectic spectra, fidelities, channel action).
+* :mod:`bosonic_bounds.gaussian_core` -- the oracles' covariance calculus on
+  array stacks (entropies, symplectic spectra, fidelities, channel action).
 * :mod:`bosonic_bounds.channels` -- phase-insensitive channel algebra,
   decompositions, approximate-degradability parameters.
 * :mod:`bosonic_bounds.bounds` -- the capacity bounds themselves.
@@ -47,20 +47,10 @@ from .channels import (
     thermal,
 )
 from .gaussian_core import (
-    GaussianState,
-    apply_gaussian_channel,
     beamsplitter_symplectic,
     binary_entropy,
     g_entropy,
-    gaussian_entropy,
-    mean_photon_number,
-    reduce_state,
-    symplectic_eigenvalues,
-    thermal_state,
-    tms_state,
-    two_mode_fidelity,
     two_mode_squeezer_symplectic,
-    vacuum_state,
 )
 from .optimize import BatchOptResult, minimize_batch
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import channels as chn
 from . import gaussian_core as gc
 from .errors import (BosonicBoundsError, ChannelKindError, DomainError,
-                     InfeasibleBoundError, _SCALARS, _reals, _require)
+                     InfeasibleBoundError, _SCALARS, _reals, _require, _shown)
 from .gaussian_core import LN2, _log, _log1p, _log2, _maximum, _sqrt, _where
 from .optimize import minimize_batch
 
@@ -513,7 +513,11 @@ def evaluate_columns(kinds, channels, ns_values) -> list:
     ns, channel kind, regime (QL and PL: channel kind first).  The penalized
     kinds add k times the continuity penalty minimized over eps' in (eps, 1],
     all in one :func:`minimize_batch` call; PL maximizes over the energy
-    split, one batch per PL column."""
+    split, one batch per PL column.  An argument that is not a sequence (None,
+    a channel) is a DomainError that names it."""
+    for name, seq in (("kinds", kinds), ("channels", channels), ("ns_values", ns_values)):
+        if not (np.iterable(seq) and (name == "kinds" or hasattr(seq, "__len__"))):
+            raise DomainError(f"evaluate_columns takes a sequence of {name}, got {_shown(seq)}")
     return _columns(kinds, channels, ns_values, None)
 
 
@@ -686,9 +690,12 @@ def gaussian_c_distance(a: chn.PhaseInsensitiveChannel,
     if abs(a.tau - b.tau) > 1e-12:
         raise DomainError("gaussian_c_distance requires channels with equal tau")
     _raise_first_failure(_NS_CHECKS, None, a, ns)
-    probe = gc.tms_state(ns)
-    fid = gc.two_mode_fidelity(*(ch.apply(probe, modes=(1,)) for ch in (a, b)))
-    return float(np.sqrt(max(1.0 - fid, 0.0)))
+    with np.errstate(over="ignore"):  # an overflowing probe is the check's InvalidStateError
+        blocks = gc.tms_qblocks(ns)
+    probe, eye = gc._checked_cov(gc._pair_cov(*blocks)), np.eye(2)
+    fid = gc._fidelity(*(gc._apply(np.sqrt(ch.tau) * eye, ch.nu * eye, probe, np.zeros(4), (1,))[0]
+                         for ch in (a, b)))
+    return float(np.sqrt(max(1.0 - float(fid), 0.0)))
 
 
 # ---------------------------------------------------------------------------

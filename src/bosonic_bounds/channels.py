@@ -9,11 +9,13 @@ formula dispatch:
     amplifier(g, nb):      tau = g,    nu = (g-1)(2 nb + 1)
     additive_noise(nbar):  tau = 1,    nu = 2 nbar
 
-The module also builds the degrading and simulating channel constructions
-used by the approximate-degradability bounds, and checks their equality at
-the covariance level.  They take one thermal or amplifier channel and one
-input or a stack of them, checked element by element.  A channel argument
-that is not one PhaseInsensitiveChannel is a ChannelKindError.
+A channel is that pair and holds no state: the oracles act with X = sqrt(tau) I
+and Y = nu I on covariance stacks through `gaussian_core`'s array cores.  The
+module also builds, on the same cores, the degrading and simulating channel
+constructions of the approximate-degradability bounds, and checks their
+equality at the covariance level.  They take one thermal or amplifier channel
+and one input or a stack of them, checked element by element.  A channel
+argument that is not one PhaseInsensitiveChannel is a ChannelKindError.
 """
 
 from __future__ import annotations
@@ -62,21 +64,6 @@ class PhaseInsensitiveChannel:
         # one __dict__ write, a third of the cost of object.__setattr__ per field
         self.__dict__.update(tau=tau, nu=max(nu, 0.0), kind=kind,
                              params={} if params is None else dict(params))
-
-    @property
-    def X(self) -> np.ndarray:
-        return np.sqrt(self.tau) * np.eye(2)
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.nu * np.eye(2)
-
-    def apply(self, state: gc.GaussianState, modes=None) -> gc.GaussianState:
-        """Act on one mode of `state` (all of a single-mode state by default)."""
-        if modes is None and state.modes != 1:
-            raise DomainError("specify `modes` when acting on a multimode state")
-        return gc.apply_gaussian_channel(self.X, self.Y, None, state, modes=modes)
-
 
 def _nu(x, nb):
     """nu = x (2 nb + 1) for x = 1 - eta or g - 1; exactly 0 at x = 0 (the
@@ -300,6 +287,18 @@ def _channel_params(ch):
     return ch.kind, ch.tau, ch.params["nb"]
 
 
+def _input_covs(what, input_cov, k=None):
+    """`input_cov` as finite float64 covariances (..., 2k, 2k), k >= 1 (or the given k), else
+    `what`'s InvalidStateError."""
+    cov, = _reals(what, "input_cov", input_cov, arrays=True)
+    n = cov.shape[-1] if cov.ndim >= 2 and cov.shape[-2] == cov.shape[-1] else 0
+    if n < 2 or n % 2 or k not in (None, n // 2):
+        raise InvalidStateError(f"{what} takes input covariances (..., 2k, 2k) with k = {k or '1, 2, ...'}, "
+                                f"got shape {cov.shape}")
+    _require(bool(np.all(np.isfinite(cov))), "state data must be finite", error=InvalidStateError)
+    return cov
+
+
 def _dilation(input_cov, pairs, steps, modes=None) -> np.ndarray:
     """Block-ordered covariance of a Gaussian dilation on `modes` (all for None).
 
@@ -343,8 +342,7 @@ def degrading_dilation_cov(ch, input_cov: np.ndarray):
     or amplifier channel.  Returns (V, labels) with V over r + 5 modes and
     labels mapping 'E2p', 'G', 'E1p', 'E2', 'E1' (and 'refs') to mode slots.
     """
-    return _degrading(*_channel_params(ch), *_reals("degrading_dilation_cov", "input_cov", input_cov,
-                                                  arrays=True))
+    return _degrading(*_channel_params(ch), _input_covs("degrading_dilation_cov", input_cov))
 
 
 def _degrading(kind, x, nb, input_cov, modes=None):
@@ -375,8 +373,7 @@ def simulating_channel_cov(ch, input_cov: np.ndarray):
 
     Returns (V, labels) with V over r + 3 modes; labels map 'B', 'E2', 'E1'.
     """
-    return _simulating(*_channel_params(ch), *_reals("simulating_channel_cov", "input_cov", input_cov,
-                                                    arrays=True))
+    return _simulating(*_channel_params(ch), _input_covs("simulating_channel_cov", input_cov))
 
 
 def _simulating(kind, x, nb, input_cov, modes=None):

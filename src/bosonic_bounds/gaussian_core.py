@@ -8,11 +8,11 @@ Conventions
 * Quadratures are block ordered, x = (q_1..q_m, p_1..p_m), with
   symplectic form Omega = [[0, I_m], [-I_m, 0]].
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to call concurrently.  One-state
-functions wrap cores over stacks (..., 2m, 2m) of covariances: `_checked_cov`,
-`_fidelity`, `_photon_number` and `_apply`, the channel action.  The two-mode
-builders take stacks themselves, one body per formula: `noisy_tms_qblocks`
+This is the oracle layer, pure functions on arrays with no state object:
+cores over stacks (..., 2m, 2m) of covariances that `_checked_cov` validated
+(`_symplectic_eigs`, `_entropy_from_cov`, `_photon_number`, `_fidelity` and
+`_apply`, the channel action) and means (..., 2m).  The two-mode builders
+take stacks too, one body per formula: `noisy_tms_qblocks`
 (`tms_qblocks` is its x = 1 case), `_pair_cov`, `beamsplitter_symplectic` and
 `two_mode_squeezer_symplectic`, whose parameters enter through `errors._reals`.
 Symplectic spectra come from a Cholesky factor (`_factor_eigs`): in closed form
@@ -21,8 +21,6 @@ one-mode factors elementwise, in LAPACK's own steps and so with its bits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +52,9 @@ def _nu_floor(cov):
 
 
 def omega(m: int) -> np.ndarray:
-    """Symplectic form for m modes in block ordering."""
+    """Symplectic form for m >= 1 modes in block ordering."""
+    if not (_is_int(m) and m >= 1):
+        raise DomainError(f"omega takes a positive int mode count, got {m!r}")
     O = np.zeros((2 * m, 2 * m))
     O[:m, m:] = np.eye(m)
     O[m:, :m] = -np.eye(m)
@@ -68,8 +68,10 @@ def _is_int(k) -> bool:
 
 def _block_index(modes, m: int) -> np.ndarray:
     """Positions of the q and then the p quadratures of `modes`, distinct int
-    indices below m (DomainError otherwise), in the block-ordered vector of m
-    modes; `V[..., idx[:, None], idx]` is the covariance block of those modes."""
+    indices below m (DomainError otherwise, as for an m that is no int), in the
+    block-ordered vector of m modes; `V[..., idx[:, None], idx]` is their covariance block."""
+    if not _is_int(m):
+        raise DomainError(f"mode count {m!r} must be an int")
     if not np.iterable(modes):
         raise DomainError(f"mode indices {modes!r} must be a sequence of ints")
     modes = tuple(modes)
@@ -192,53 +194,8 @@ def binary_entropy(x):
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Covariance checks and two-mode blocks
 # ---------------------------------------------------------------------------
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    b = np.array(a, dtype=float, copy=True)
-    b.flags.writeable = False
-    return b
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """A Gaussian state of `modes` bosonic modes.
-
-    Attributes
-    ----------
-    modes : int
-        Number of modes m.
-    mean : ndarray, shape (2m,)
-        Mean vector in block quadrature ordering.
-    cov : ndarray, shape (2m, 2m)
-        Covariance matrix, vacuum = identity.
-    """
-
-    modes: int
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        n = 2 * _mode_count(self.modes)
-        mean, = _reals("GaussianState", "mean", self.mean, arrays=True)
-        cov, = _reals("GaussianState", "cov", self.cov, arrays=True)
-        if mean.shape != (n,):
-            raise InvalidStateError(f"mean must have shape ({n},), got {mean.shape}")
-        if cov.shape != (n, n):
-            raise InvalidStateError(f"cov must have shape ({n},{n}), got {cov.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise InvalidStateError("state data must be finite")
-        object.__setattr__(self, "mean", _as_readonly(mean))
-        object.__setattr__(self, "cov", _as_readonly(_checked_cov(cov)))
-
-
-def _mode_count(modes):
-    """`modes`; InvalidStateError unless a positive integer m whose 2m x 2m covariance numpy can index."""
-    ok = _is_int(modes) and 1 <= modes and 32 * int(modes) ** 2 <= np.iinfo(np.intp).max
-    _require(ok, "mode count must be a positive integer numpy can index", error=InvalidStateError)
-    return modes
-
 
 def _checked_cov(cov: np.ndarray) -> np.ndarray:
     """`cov`, a covariance matrix or a stack of them, symmetrized once each is
@@ -268,23 +225,6 @@ def _checked_cov(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-# ---------------------------------------------------------------------------
-# State constructors
-# ---------------------------------------------------------------------------
-
-def vacuum_state(modes: int = 1) -> GaussianState:
-    """Vacuum of the given number of modes."""
-    return GaussianState(modes, np.zeros(2 * _mode_count(modes)), np.eye(2 * modes))
-
-
-def thermal_state(nbar: float, modes: int = 1) -> GaussianState:
-    """Product of `modes` thermal states, each with mean photon number nbar."""
-    nbar, = _reals("thermal_state", "nbar", nbar)
-    _require(nbar >= 0.0, "thermal mean photon number {} must be >= 0 with 2 nbar + 1 finite",
-             nbar, d := 2.0 * nbar + 1.0)
-    return GaussianState(modes, np.zeros(2 * _mode_count(modes)), d * np.eye(2 * modes))
-
-
 def _mat2(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]] over floats or arrays of one shape: shape (..., 2, 2)."""
     M = np.array([[a, b], [c, d]], dtype=float)
@@ -310,17 +250,6 @@ def tms_qblocks(n):
     """(q-block, p-block) of the two-mode squeezed vacuum with parameter n:
     omega(n) at x = 1, whose factors 1.0 are exact."""
     return noisy_tms_qblocks(n, 1.0)
-
-
-def tms_state(n: float) -> GaussianState:
-    """Two-mode squeezed vacuum state with mean photon number n per arm.
-
-    Purifies the single-mode thermal state theta(n); the reduced state of
-    either mode is thermal with mean photon number n.  An overflow is an InvalidStateError.
-    """
-    with np.errstate(over="ignore"):
-        blocks = tms_qblocks(n)
-    return GaussianState(2, np.zeros(4), _pair_cov(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +314,6 @@ def _symplectic_eigs(cov: np.ndarray) -> np.ndarray:
     return nus
 
 
-def symplectic_eigenvalues(state: GaussianState) -> tuple:
-    """Ascending symplectic spectrum of a state, by :func:`_factor_eigs`; its
-    construction checked it against :func:`_nu_floor`."""
-    return tuple(float(v) for v in _symplectic_eigs(state.cov))
-
-
 def _entropy_from_cov(cov: np.ndarray, modes=None):
     """Entropy in bits of the covariance `cov`, or of its marginal on
     `modes`; a stack of covariances (..., 2m, 2m) gives an array."""
@@ -402,56 +325,21 @@ def _entropy_from_cov(cov: np.ndarray, modes=None):
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_entropy(state: GaussianState) -> float:
-    """Von Neumann entropy in bits: sum of g((nu_j - 1)/2)."""
-    return _entropy_from_cov(state.cov)
-
-
-def mean_photon_number(state: GaussianState) -> float:
-    """Total mean photon number over all modes."""
-    return float(_photon_number(state.cov, state.mean))
-
-
 def _photon_number(cov, mean):
-    """:func:`mean_photon_number` over stacks of covariances and means."""
+    """Total mean photon number of covariances and means, each of a stack."""
     dot = (mean[..., None, :] @ mean[..., :, None])[..., 0, 0]
     return (np.trace(cov, axis1=-2, axis2=-1) - cov.shape[-1]) / 4.0 + 0.5 * dot
-
-
-def reduce_state(state: GaussianState, modes) -> GaussianState:
-    """Marginal state on the given mode indices (order preserved)."""
-    idx = _block_index(modes, state.modes)
-    return GaussianState(len(idx) // 2, state.mean[idx], state.cov[idx[:, None], idx])
 
 
 # ---------------------------------------------------------------------------
 # Fidelity
 # ---------------------------------------------------------------------------
 
-def two_mode_fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1^2 of two-mode states.
-
-    Uses the exact Gaussian overlap when either state is pure (where the
-    overlap equals the fidelity) and the two-mode determinant closed form
-    otherwise.  Symmetric in its arguments; returns a value in [0, 1].
-
-    Raises
-    ------
-    DomainError
-        If either state does not have exactly two modes.
-    SingularMatrixError
-        If an intermediate determinant is non-finite.
-    """
-    if a.modes != 2 or b.modes != 2:
-        raise DomainError("two_mode_fidelity requires two-mode states")
-    return float(_fidelity(a.cov, b.cov, a.mean, b.mean))
-
-
 def _fidelity(V1, V2, mu1=0.0, mu2=0.0) -> np.ndarray:
-    """:func:`two_mode_fidelity` over stacks of checked two-mode covariances
-    (..., 4, 4) of one shape and means (..., 4); gives an array (...).  Each
-    branch runs only on its own pairs, and a failing pair raises the
-    one-pair error."""
+    """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2 in [0, 1] of two-mode states, over
+    stacks of checked covariances (..., 4, 4) of one shape and means (..., 4): the exact
+    overlap if a state is pure, else the determinant closed form.  Each branch runs only
+    on its own pairs, and a failing pair raises the one-pair SingularMatrixError."""
     d = np.broadcast_to(mu2 - mu1, V1.shape[:-1])
     S, F = V1 + V2, np.ones(V1.shape[:-2])  # F holds the mean factor first
     shift = np.any(d != 0.0, axis=-1)
@@ -491,6 +379,7 @@ def _fidelity(V1, V2, mu1=0.0, mu2=0.0) -> np.ndarray:
 def embed_matrix(M: np.ndarray, modes, total_modes: int, diag: float = 1.0) -> np.ndarray:
     """Embed a 2k x 2k block-ordered matrix acting on `modes`, or each of a stack
     (..., 2k, 2k), into `diag` times the 2m x 2m identity, m = total_modes."""
+    (M,), (diag,) = _reals("embed_matrix", "M", M, arrays=True), _reals("embed_matrix", "diag", diag)
     idx = _block_index(modes, total_modes)
     if M.shape[-2:] != (len(idx),) * 2:
         raise DomainError(f"matrix shape {M.shape} does not match {len(idx) // 2} modes")
@@ -500,47 +389,12 @@ def embed_matrix(M: np.ndarray, modes, total_modes: int, diag: float = 1.0) -> n
     return full
 
 
-def apply_gaussian_channel(X, Y, d, state: GaussianState, modes=None) -> GaussianState:
-    """Apply a Gaussian channel (X, Y, d): mean -> X mean + d, V -> X V X^T + Y.
-
-    Parameters
-    ----------
-    X : ndarray
-        2l -> 2k quadrature matrix.  With `modes=None` it must map all
-        state quadratures (l = state.modes); with a `modes` tuple it must be
-        square on those k modes and acts as the identity elsewhere.
-    Y : ndarray
-        Additive noise matrix, 2k x 2k positive semidefinite.
-    d : ndarray or None
-        Displacement added to the mean (zeros if None).
-    state : GaussianState
-    modes : tuple of int, optional
-        Subset of modes the channel acts on: distinct indices below
-        state.modes (DomainError otherwise).
-
-    Raises
-    ------
-    InvalidChannelError
-        If Y + i(Omega - X Omega X^T) has an eigenvalue below -1e-8.
-    """
-    X, Y = (_reals("apply_gaussian_channel", name, M, arrays=True)[0] for name, M in (("X", X), ("Y", Y)))
-    cov, mean = _apply(X, Y, state.cov, state.mean, modes)
-    if d is not None:
-        d, = _reals("apply_gaussian_channel", "d", d, arrays=True)
-        mean[slice(None) if modes is None else _block_index(modes, state.modes)] += d
-    if not np.all(np.isfinite(mean)):  # d may be non-finite; cov is checked
-        raise InvalidStateError("state data must be finite")
-    out = object.__new__(GaussianState)  # not GaussianState(...): it checks cov again
-    out.__dict__.update(modes=cov.shape[-1] // 2, mean=_as_readonly(mean), cov=_as_readonly(cov))
-    return out
-
-
 def _apply(X, Y, cov, mean, modes=None):
-    """:func:`apply_gaussian_channel` without d, over stacks: channels
-    X (..., 2k, 2l) and Y (..., 2k, 2k) acting on checked covariances and
-    means that broadcast against them; returns the output (cov, mean).  One
-    eigvalsh checks every channel and one :func:`_checked_cov` every output,
-    and the first bad one raises the one-state error."""
+    """Channels X (..., 2k, 2l), Y (..., 2k, 2k), V -> X V X^T + Y and mean -> X mean, on
+    checked covariances and means that broadcast against them (a square X on the
+    `modes` of each, if given); returns the output (cov, mean).  One eigvalsh checks
+    every channel's Y + i(Omega - X Omega X^T) >= -1e-8 (InvalidChannelError) and one
+    :func:`_checked_cov` every output; the first bad one raises the one-state error."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     m_out2, m_in2 = X.shape[-2:]
     if m_out2 % 2 or m_in2 % 2:

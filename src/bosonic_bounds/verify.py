@@ -9,8 +9,8 @@ suite in definition order; its body returns the parts of its residual, and
 the residual is their np.max, which keeps a nan, so a nan part FAILs.
 A check draws its seeded samples in a fixed order (a row's uniform ones in one
 rng.random call) and works on the drawn arrays, with no channel object and no
-BoundResult: it validates the stacked states once, applies each stack of
-channels in one call of `apply_gaussian_channel`'s core, calls each registry
+BoundResult: on `gaussian_core`'s array cores, it validates the stacked states
+once, applies each stack of channels in one `_apply` call, calls each registry
 form or oracle core once per channel kind, minimizes all its penalties in one
 batch and builds only a dilation's marginal.  The U_D oracle reads H(G E'2 E'1)
 as H(B), the output's entropy; the dense-grid oracle prunes in two passes.
@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import channels as chn
 from . import gaussian_core as gc
-from .errors import DomainError, InvalidStateError, _reals, _require
+from .errors import DomainError, _reals, _require, _shown
 from .gaussian_core import LN2
 
 
@@ -88,12 +88,10 @@ def _coherent_info(kind, x, nb, ns):
 
 def ud_oracle(ch, input_cov: np.ndarray):
     """Conditional entropy H(G | E'1 E'2) through the degrading dilation for
-    a single-mode input covariance (2, 2), or an array of them for a stack
-    (n, 2, 2), with `ch` one thermal or amplifier channel.  H(G E'2 E'1) is
-    taken as H(B), the entropy of the channel output (see :func:`_ud`)."""
-    params, (cov,) = chn._channel_params(ch), _reals("ud_oracle", "input_cov", input_cov, arrays=True)
-    _require(bool(np.all(np.isfinite(cov))), "state data must be finite", error=InvalidStateError)
-    return _ud(*params, cov)
+    a single-mode input covariance (2, 2), or a stack (n, 2, 2) (another shape or
+    a non-finite entry is an InvalidStateError), with `ch` one thermal or amplifier channel.
+    H(G E'2 E'1) is taken as H(B), the channel output's entropy (see :func:`_ud`)."""
+    return _ud(*chn._channel_params(ch), chn._input_covs("ud_oracle", input_cov, 1))
 
 
 def _ud(kind, x, nb, input_cov):
@@ -114,7 +112,10 @@ def _pair_covs(q, p):
 def _uniform_rows(rng, n, *bounds):
     """Columns of n rows of uniform draws, one per (low, high) of `bounds` in a row
     (n None gives one row of floats): the stream and bits of n rows of scalar
-    rng.uniform calls, which compute low + (high - low) u, in one rng.random call."""
+    rng.uniform calls, which compute low + (high - low) u, in one rng.random call.
+    An rng that is not a numpy Generator is a DomainError."""
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"the samplers take a numpy Generator as rng, got {_shown(rng)}")
     low, high = np.array(bounds).T
     return (low + (high - low) * rng.random((() if n is None else (n,)) + low.shape)).T
 

@@ -72,12 +72,12 @@ def test_criterion_03_fidelity_identity():
     worst = 0.0
     for eta in np.linspace(0.5, 1.0, 20):
         for nb in np.linspace(0.0, 3.0, 20):
-            tms = gc.tms_state(nb)
+            tms = gc._checked_cov(gc._pair_cov(*gc.tms_qblocks(nb)))
             oq, op = chn.noisy_tms_qblocks(nb, eta)
             cov = np.zeros((4, 4))
             cov[:2, :2] = oq
             cov[2:, 2:] = op
-            fid = gc.two_mode_fidelity(tms, gc.GaussianState(2, np.zeros(4), cov))
+            fid = float(gc._fidelity(tms, gc._checked_cov(cov)))
             worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
     ok = worst <= 1e-10
     assert report(3, "two-mode fidelity identity", ok, f"worst residual {worst:.2e}")

@@ -435,9 +435,9 @@ class TestChannelDivergence:
             cov = np.zeros((4, 4))
             cov[:2, :2] = q
             cov[2:, 2:] = p
-            return gc.GaussianState(2, np.zeros(4), cov)
+            return gc._checked_cov(cov)
 
-        fid = gc.two_mode_fidelity(out_cov(a), out_cov(b))
+        fid = float(gc._fidelity(out_cov(a), out_cov(b)))
         assert bnd.gaussian_c_distance(a, b, ns) == \
             pytest.approx(np.sqrt(1.0 - fid), abs=1e-12)
 

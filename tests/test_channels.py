@@ -66,12 +66,11 @@ class TestConstructors:
 
     def test_channel_action_matches_tau_nu(self):
         ch = chn.thermal(0.7, 0.3)
-        out = ch.apply(gc.thermal_state(2.0))
-        assert np.allclose(out.cov, (ch.tau * 5.0 + ch.nu) * np.eye(2))
+        out = gc._apply(np.sqrt(ch.tau) * np.eye(2), ch.nu * np.eye(2), gc._checked_cov(5.0 * np.eye(2)),
+                        np.zeros(2))[0]
+        assert np.allclose(out, (ch.tau * 5.0 + ch.nu) * np.eye(2))
 
     @pytest.mark.parametrize("call,error,message", [
-        (lambda: chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0)), DomainError,
-         "specify `modes` when acting on a multimode state"),
         (lambda: chn.EpsilonReport(1.5, None, "m"), DomainError, r"epsilon must lie in \[0, 1\]"),
         (lambda: chn.EpsilonReport(0.2, 0.5, "m"), DomainError, "lower bound exceeds upper bound"),
         (lambda: chn.epsilon_degradable(chn.amplifier(1.0, 0.3)), DomainError,
@@ -82,7 +81,7 @@ class TestConstructors:
         (lambda: chn.degrading_simulation_check(chn.thermal(0.8, 0.5),
                                                 np.array([[1.0, np.nan], [np.nan, 1.0]])),
          InvalidStateError, "input q-block must be a finite 2x2 matrix"),
-    ], ids=["apply_multimode", "eps_range", "eps_lower", "eps_unit_gain", "eps_additive",
+    ], ids=["eps_range", "eps_lower", "eps_unit_gain", "eps_additive",
             "tms_x", "qblock_nan"])
     def test_error_names_its_cause(self, call, error, message):
         with pytest.raises(error, match=message):
@@ -90,8 +89,9 @@ class TestConstructors:
 
     @pytest.mark.parametrize("modes", [(2,), (-1,), (0.7,)], ids=["range", "negative", "fractional"])
     def test_channel_action_rejects_bad_mode_indices(self, modes):
+        ch, tms = chn.thermal(0.7, 0.2), gc._checked_cov(gc._pair_cov(*gc.tms_qblocks(1.0)))
         with pytest.raises(DomainError, match="mode indices"):
-            chn.thermal(0.7, 0.2).apply(gc.tms_state(1.0), modes=modes)
+            gc._apply(np.sqrt(ch.tau) * np.eye(2), ch.nu * np.eye(2), tms, np.zeros(4), modes)
 
 
 class TestFloat64Parameters:
@@ -245,12 +245,12 @@ class TestEpsilons:
 
     def test_eps_degradable_matches_fidelity_route(self):
         eta, nb = 0.75, 0.5
-        tms = gc.tms_state(nb)
+        tms = gc._checked_cov(gc._pair_cov(*gc.tms_qblocks(nb)))
         oq, op = chn.noisy_tms_qblocks(nb, eta)
         cov = np.zeros((4, 4))
         cov[:2, :2] = oq
         cov[2:, 2:] = op
-        fid = gc.two_mode_fidelity(tms, gc.GaussianState(2, np.zeros(4), cov))
+        fid = float(gc._fidelity(tms, gc._checked_cov(cov)))
         assert chn.epsilon_degradable(chn.thermal(eta, nb)).epsilon == \
             pytest.approx(np.sqrt(1 - fid), abs=1e-10)
 

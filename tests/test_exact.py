@@ -30,9 +30,19 @@ N = 1000  # seeded cells per test
 
 
 def _mp_g(x):
-    """g(x) in bits, g(0) = 0."""
+    """g(x) in bits, g(0) = 0, as ln(1 + x) + x ln(1 + 1/x): no term cancels, where
+    (x+1) ln(x+1) - x ln x at 50 digits gives 0 from x = 1e60."""
     x = mp.mpf(x)
-    return ((x + 1) * mp.log(x + 1) - (x * mp.log(x) if x else 0)) / mp.log(2)
+    return (mp.log1p(x) + x * mp.log1p(1 / x)) / mp.log(2) if x else mp.mpf(0)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e60, 1e300])
+def test_mp_g_matches_its_asymptotic_series(x):
+    """The reference g in nats against x(1 - ln x) + x^2/2 at small x and
+    ln x + 1 + 1/(2x) at large x, whose next terms are far below 1e-40."""
+    x = mp.mpf(x)
+    series = x * (1 - mp.log(x)) + x * x / 2 if x < 1 else mp.log(x) + 1 + 1 / (2 * x)
+    assert abs(_mp_g(x) * mp.log(2) / series - 1) < mp.mpf("1e-40")
 
 
 def _mp_plob_thermal(eta, nb):
@@ -360,7 +370,7 @@ def test_tms_spectrum_log_scan():
     only up to rounding (at 1e5 its nu is 1 + 4.9e-7), and the spectrum's
     error grows like eps max|V|^2, which at 1e6 is about 1e-3."""
     for n in np.geomspace(1e2, 1e6, 17):
-        state = gc.tms_state(float(n))
-        scale = float(np.max(np.abs(state.cov))) ** 2
-        for got, want in zip(gc.symplectic_eigenvalues(state), _mp_nus(state.cov)):
+        cov = gc._checked_cov(gc._pair_cov(*gc.tms_qblocks(float(n))))
+        scale = float(np.max(np.abs(cov))) ** 2
+        for got, want in zip(gc._symplectic_eigs(cov).tolist(), _mp_nus(cov)):
             assert abs(got - want) <= 1e-15 * scale

@@ -110,9 +110,7 @@ NON_REAL_CALLS = [
     ("additive_noise.nbar", lambda x: chn.additive_noise(x), 0.3),
     ("kappa.x", lambda x: chn.kappa(x, 0.3), 0.8),
     ("kappa.nb", lambda x: chn.kappa(0.8, x), 0.3),
-    ("thermal_state.nbar", lambda x: gc.thermal_state(x), 1.5),
     ("tms_qblocks.n", lambda x: gc.tms_qblocks(x), 1.5),
-    ("tms_state.n", lambda x: gc.tms_state(x), 1.5),
     ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8), 0.3),
     ("noisy_tms_qblocks.x", lambda x: chn.noisy_tms_qblocks(0.3, x), 0.8),
     ("PenaltyParams.epsilon", lambda x: bnd.PenaltyParams(x, 0.5, 1.0), 0.1),
@@ -138,7 +136,7 @@ NON_REAL_CALLS = [
     ("minimize_batch.row_arg", lambda x: opt.minimize_batch(_PARABOLA, 0.0, 1.0, _SEEDS, x), 0.3),
 ]
 # the rows whose parameter takes arrays; every other row's takes one real scalar
-ARRAY_ROWS = {"tms_qblocks.n", "tms_state.n", "noisy_tms_qblocks.nb", "noisy_tms_qblocks.x", "g_entropy",
+ARRAY_ROWS = {"tms_qblocks.n", "noisy_tms_qblocks.nb", "noisy_tms_qblocks.x", "g_entropy",
               "binary_entropy", "beamsplitter_symplectic.transmissivity",
               "two_mode_squeezer_symplectic.gain", "minimize_batch.lo", "minimize_batch.hi",
               "minimize_batch.row_arg"}
@@ -179,12 +177,6 @@ def _with_entry(m, entry):
 # scalar does, before numpy's bare ValueError or a dropped imaginary part
 _Q = np.array([[2.0, 0.5], [0.5, 3.0]])
 MATRIX_CALLS = [
-    ("GaussianState.mean", lambda m: gc.GaussianState(1, m, np.eye(2)), np.array([0.5, -1.0])),
-    ("GaussianState.cov", lambda m: gc.GaussianState(1, np.zeros(2), m), 3.0 * np.eye(2)),
-    ("apply_gaussian_channel.X", lambda m: gc.apply_gaussian_channel(m, TH.Y, None, gc.vacuum_state()), TH.X),
-    ("apply_gaussian_channel.Y", lambda m: gc.apply_gaussian_channel(TH.X, m, None, gc.vacuum_state()), TH.Y),
-    ("apply_gaussian_channel.d", lambda m: gc.apply_gaussian_channel(TH.X, TH.Y, m, gc.vacuum_state()),
-     np.array([0.5, -1.0])),
     ("degrading_simulation_check.input_qblock", lambda m: chn.degrading_simulation_check(TH, m), _Q),
     ("degrading_dilation_cov.input_cov", lambda m: chn.degrading_dilation_cov(TH, m), 3.0 * np.eye(2)),
     ("simulating_channel_cov.input_cov", lambda m: chn.simulating_channel_cov(TH, m), 3.0 * np.eye(2)),
@@ -233,6 +225,15 @@ def test_nonfinite_covariance_has_no_entropy(call, quiet):
     with np.errstate(invalid="ignore", over="ignore") if quiet else contextlib.nullcontext():
         with pytest.raises(InvalidStateError, match="state data must be finite"):
             call()
+
+
+@pytest.mark.parametrize("x", NONFINITE, ids=str)
+@pytest.mark.parametrize("call", [chn.degrading_dilation_cov, chn.simulating_channel_cov],
+                         ids=["degrading_dilation_cov", "simulating_channel_cov"])
+def test_dilation_of_a_nonfinite_input_is_an_invalid_state(call, x):
+    # no NaN covariance comes out, and no numpy warning goes first
+    with pytest.raises(InvalidStateError, match="state data must be finite"):
+        call(TH, np.array([[3.0, 0.0], [0.0, x]]))
 
 
 @pytest.mark.parametrize("call,valid", [(c, v) for _, c, v in SCALAR_CALLS],
@@ -370,11 +371,10 @@ def test_overflowing_one_cell_search_does_not_warn(kind, call):
 
 
 # no filterwarnings mark: the two-mode squeezed vacuum's blocks overflow
-# quietly, and the state's check names the overflow
+# quietly, and the probe's check names the overflow
 @pytest.mark.parametrize("call", [
-    lambda: gc.tms_state(1e200),
     lambda: bnd.gaussian_c_distance(chn.thermal(0.8, 0.5), chn.thermal(0.8, 0.5), 1e160),
-], ids=["tms_state-1e200", "gaussian_c_distance-1e160"])
+], ids=["gaussian_c_distance-1e160"])
 def test_overflowing_tms_is_an_invalid_state_without_a_warning(call):
     with pytest.raises(InvalidStateError, match="state data must be finite"):
         call()

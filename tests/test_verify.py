@@ -1,10 +1,11 @@
 """The stacked oracle checks against per-sample reference loops.
 
 Each reference below draws the same seeded samples in the same order as the
-check it mirrors, but builds one state at a time through the one-sample
-functions (`GaussianState`, `apply_gaussian_channel`, `two_mode_fidelity`,
-`random_single_mode_cov`, `comparison_bounds`, ...), calls the oracle and
-the closed form once per sample and evaluates the dense grid in one piece.
+check it mirrors, but builds one state at a time: one covariance per call of
+the array cores (`_checked_cov`, `_apply`, `_fidelity`, ...) and of the
+one-sample functions (`random_single_mode_cov`, `comparison_bounds`, ...),
+calls the oracle and the closed form once per sample and evaluates the dense
+grid in one piece.
 The stacked checks must return an equal CheckResult, with the residual
 equal bit for bit."""
 
@@ -34,16 +35,24 @@ def _raw(cell) -> float:
         del cell  # the raised error's traceback holds this frame: no cycle through it
 
 
-def _noisy_tms_state(nb, x):
-    cov = gc._place_pair(np.zeros((4, 4)), 0, *chn.noisy_tms_qblocks(nb, x))
-    return gc.GaussianState(2, np.zeros(4), cov)
+def _noisy_tms_cov(nb, x):
+    return gc._checked_cov(gc._place_pair(np.zeros((4, 4)), 0, *chn.noisy_tms_qblocks(nb, x)))
+
+
+def _tms_cov(n):
+    return _noisy_tms_cov(n, 1.0)
+
+
+def _channel_xy(ch):
+    """The single-mode X and Y of channel `ch`."""
+    return np.sqrt(ch.tau) * np.eye(2), ch.nu * np.eye(2)
 
 
 def ref_tms_purity(seed=1234, n=50):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for nph in rng.uniform(0.0, 100.0, n):
-        worst = max(worst, abs(gc.gaussian_entropy(gc.tms_state(nph))))
+        worst = max(worst, abs(gc._entropy_from_cov(_tms_cov(nph))))
     return vfy.CheckResult("tms_purity", worst < 1e-9, worst, 1e-9)
 
 
@@ -51,9 +60,8 @@ def ref_state_invariants(seed=7, n=200):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
-        cov = vfy.random_single_mode_cov(rng.uniform(0.0, 20.0), rng)
-        st = gc.GaussianState(1, np.zeros(2), cov)
-        worst = max(worst, 1.0 - min(gc.symplectic_eigenvalues(st)))
+        cov = gc._checked_cov(vfy.random_single_mode_cov(rng.uniform(0.0, 20.0), rng))
+        worst = max(worst, 1.0 - float(min(gc._symplectic_eigs(cov))))
     return vfy.CheckResult("state_invariants", worst < 1e-9, worst, 1e-9)
 
 
@@ -61,11 +69,13 @@ def ref_fidelity_basics(seed=13, n=50):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
-        a = gc.tms_state(rng.uniform(0, 5))
-        b = chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2)).apply(a, modes=(1,))
-        worst = max(worst, abs(1.0 - gc.two_mode_fidelity(a, a)))
-        worst = max(worst, abs(1.0 - gc.two_mode_fidelity(b, b)))
-        worst = max(worst, abs(gc.two_mode_fidelity(a, b) - gc.two_mode_fidelity(b, a)))
+        a = _tms_cov(rng.uniform(0, 5))
+        ch = chn.thermal(rng.uniform(0.5, 1.0), rng.uniform(0, 2))
+        b = gc._apply(*_channel_xy(ch), a, np.zeros(4), (1,))[0]
+        aa, bb, ab, ba = (float(gc._fidelity(u, v)) for u, v in ((a, a), (b, b), (a, b), (b, a)))
+        worst = max(worst, abs(1.0 - aa))
+        worst = max(worst, abs(1.0 - bb))
+        worst = max(worst, abs(ab - ba))
     return vfy.CheckResult("fidelity_symmetry_identity", worst < 1e-9, worst, 1e-9)
 
 
@@ -73,15 +83,13 @@ def ref_channel_composition(seed=11, n=100):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
-        st = gc.GaussianState(1, rng.normal(size=2),
-                              vfy.random_single_mode_cov(rng.uniform(0, 10), rng))
-        c1 = chn.thermal(rng.uniform(0.3, 1.0), rng.uniform(0, 2))
-        c2 = chn.amplifier(rng.uniform(1.0, 2.5), rng.uniform(0, 2))
-        step = c2.apply(c1.apply(st))
-        X = c2.X @ c1.X
-        Y = c2.X @ c1.Y @ c2.X.T + c2.Y
-        once = gc.apply_gaussian_channel(X, Y, None, st)
-        worst = max(worst, float(np.max(np.abs(step.cov - once.cov))))
+        mean = rng.normal(size=2)
+        cov = gc._checked_cov(vfy.random_single_mode_cov(rng.uniform(0, 10), rng))
+        (X1, Y1), (X2, Y2) = (_channel_xy(chn.thermal(rng.uniform(0.3, 1.0), rng.uniform(0, 2))),
+                              _channel_xy(chn.amplifier(rng.uniform(1.0, 2.5), rng.uniform(0, 2))))
+        step = gc._apply(X2, Y2, *gc._apply(X1, Y1, cov, mean))[0]
+        once = gc._apply(X2 @ X1, X2 @ Y1 @ X2.T + Y2, cov, mean)[0]
+        worst = max(worst, float(np.max(np.abs(step - once))))
     return vfy.CheckResult("channel_composition", worst < 1e-10, worst, 1e-10)
 
 
@@ -103,8 +111,9 @@ def ref_photon_bookkeeping(seed=17, n=50):
     worst = 0.0
     for _ in range(n):
         eta, nb, ns = rng.uniform(0.05, 1.0), rng.uniform(0, 3), rng.uniform(0, 10)
-        out = chn.thermal(eta, nb).apply(gc.tms_state(ns), modes=(1,))
-        got = gc.mean_photon_number(gc.reduce_state(out, (1,)))
+        out, mean = gc._apply(*_channel_xy(chn.thermal(eta, nb)), _tms_cov(ns), np.zeros(4), (1,))
+        idx = gc._block_index((1,), 2)
+        got = float(gc._photon_number(out[idx[:, None], idx], mean[idx]))
         worst = max(worst, abs(got - (eta * ns + (1.0 - eta) * nb)))
     return vfy.CheckResult("photon_bookkeeping", worst < 1e-10, worst, 1e-10)
 
@@ -127,7 +136,7 @@ def ref_fidelity_identity(n_eta=20, n_nb=20):
     worst = 0.0
     for eta in np.linspace(0.5, 1.0, n_eta):
         for nb in np.linspace(0.0, 3.0, n_nb):
-            fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
+            fid = float(gc._fidelity(_tms_cov(nb), _noisy_tms_cov(nb, eta)))
             worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
     return vfy.CheckResult("fidelity_identity", worst < 1e-10, worst, 1e-10,
                            "F(psi_TMS, omega) = eta^2/kappa")
@@ -139,7 +148,7 @@ def ref_eps_consistency(seed=29, n=200):
     for _ in range(n):
         eta, nb = rng.uniform(0.5, 1.0), rng.uniform(0.0, 3.0)
         eps = chn.epsilon_degradable(chn.thermal(eta, nb)).epsilon
-        fid = gc.two_mode_fidelity(gc.tms_state(nb), _noisy_tms_state(nb, eta))
+        fid = float(gc._fidelity(_tms_cov(nb), _noisy_tms_cov(nb, eta)))
         worst = max(worst, abs(eps - np.sqrt(max(1.0 - fid, 0.0))))
     return vfy.CheckResult("eps_consistency", worst < 1e-10, worst, 1e-10)
 
@@ -475,14 +484,14 @@ def test_uniform_rows_hold_the_scalar_uniform_bits(between):
                          ids=["thermal", "amplifier"])
 def test_xy_stacks_hold_each_channels_bits(kind, make, lo, hi):
     """The X and Y stacks that _xy builds from parameter arrays equal each
-    channel object's X and Y by .hex(), also at eta = 1 or g = 1, where nu is
-    exactly 0 (the identity channel, also at an nb where 2 nb + 1 overflows)."""
+    channel's sqrt(tau) I and nu I by .hex(), also at eta = 1 or g = 1, where nu
+    is exactly 0 (the identity channel, also at an nb where 2 nb + 1 overflows)."""
     rng = np.random.default_rng(5)
     x = np.concatenate([[1.0, 1.0, 1.0, lo], rng.uniform(lo, hi, 200)])
     nb = np.concatenate([[0.0, 2.5, 1e308, 0.5], rng.uniform(0.0, 3.0, 200)])
     channels = [make(*p) for p in zip(x.tolist(), nb.tolist())]
-    for got, attr in zip(vfy._xy(kind, x, nb), ("X", "Y")):
-        want = np.stack([getattr(ch, attr) for ch in channels])
+    for got, want in zip(vfy._xy(kind, x, nb), zip(*map(_channel_xy, channels))):
+        want = np.stack(want)
         assert got.shape == want.shape == (204, 2, 2)
         assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
     assert [ch.nu for ch in channels[:3]] == [0.0, 0.0, 0.0]
