@@ -1,9 +1,10 @@
-"""Phase-insensitive channel algebra.
+"""Phase-insensitive channels and the paper's decompositions.
 
-Shows the canonical (tau, nu) representation, the entanglement-breaking
-predicate, both two-stage decompositions, and the approximate-degradability
-parameters, ending with the covariance-level check that the degrading and
-simulating constructions agree.
+Shows the canonical (tau, nu) representation, the data-processing identity
+behind QU1 (a thermal channel is pure loss followed by a quantum-limited
+amplifier, so QU1 is the pure-loss Q_L of the first stage), the
+approximate-degradability parameters, and the covariance-level check that
+the degrading and simulating constructions agree.
 """
 
 import numpy as np
@@ -12,24 +13,16 @@ import bosonic_bounds as bb
 
 print("== canonical (tau, nu) forms ==")
 for ch in (bb.thermal(0.6, 1.0), bb.amplifier(2.0, 0.0), bb.additive_noise(0.5)):
-    eb = bb.is_entanglement_breaking(ch)
-    print(f"{ch.kind:10s} params={ch.params}  tau={ch.tau:.3f} nu={ch.nu:.3f}  EB={eb}")
+    print(f"{ch.kind:10s} params={ch.params}  tau={ch.tau:.3f} nu={ch.nu:.3f}")
 
-print("\n== loss-then-amplifier decomposition of a thermal channel ==")
-d = bb.decompose_loss_then_amp(bb.thermal(0.5, 1.0))
-print("first  (pure loss):", d.first.params)
-print("second (amplifier):", d.second.params)
-re = d.recompose()
-print("recomposed (tau, nu):", (re.tau, re.nu), " original:", (0.5, 0.5 * 3))
-
-print("\n== amplifier-then-loss decomposition (any non-EB channel) ==")
-for ch in (bb.thermal(0.8, 0.5), bb.additive_noise(0.5)):
-    d = bb.decompose_amp_then_loss(ch)
-    print(f"{ch.kind}: gain={d.first.params['g']:.4f}, loss eta={d.second.params['eta']:.4f}")
-try:
-    bb.decompose_amp_then_loss(bb.thermal(0.5, 2.0))
-except Exception as exc:
-    print("EB input correctly rejected:", exc)
+print("\n== loss-then-amplifier: QU1 is Q_L of the pure-loss stage ==")
+eta, nb = 0.8, 0.5
+gain = (1 - eta) * nb + 1  # the quantum-limited amplifier's gain
+print(f"thermal({eta}, {nb}) = amplifier({gain}, 0) after pure_loss({eta / gain:.6f})")
+for ns in (0.1, 1.0, 10.0):
+    qu1 = bb.q_u1(bb.thermal(eta, nb), ns).raw
+    ql = bb.q_lower_thermal(eta / gain, 0.0, ns).raw
+    print(f"ns={ns:5}: QU1 = {qu1:.12f}  Q_L(pure loss) = {ql:.12f}")
 
 print("\n== approximate degradability ==")
 for nb in (0.0, 0.5, 2.0):

@@ -4,8 +4,9 @@ Layers:
 
 * :mod:`bosonic_bounds.gaussian_core` -- the oracles' covariance calculus on
   array stacks (entropies, symplectic spectra, fidelities, channel action).
-* :mod:`bosonic_bounds.channels` -- phase-insensitive channel algebra,
-  decompositions, approximate-degradability parameters.
+* :mod:`bosonic_bounds.channels` -- phase-insensitive channels in (tau, nu)
+  form, approximate-degradability parameters, the degrading and simulating
+  dilations.
 * :mod:`bosonic_bounds.bounds` -- the capacity bounds themselves.
 * :mod:`bosonic_bounds.optimize` -- deterministic bounded minimization, batched.
 * :mod:`bosonic_bounds.verify` -- oracle-backed invariant suites.
@@ -31,17 +32,13 @@ from .bounds import (
     q_u4_unconstrained,
 )
 from .channels import (
-    Decomposition,
     EpsilonReport,
     PhaseInsensitiveChannel,
     additive_noise,
     amplifier,
-    decompose_amp_then_loss,
-    decompose_loss_then_amp,
     degrading_simulation_check,
     epsilon_close_degradable,
     epsilon_degradable,
-    is_entanglement_breaking,
     make_channel,
     pure_loss,
     thermal,

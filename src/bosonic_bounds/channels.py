@@ -1,4 +1,4 @@
-"""Single-mode phase-insensitive Gaussian channel algebra.
+"""Single-mode phase-insensitive Gaussian channels and their dilations.
 
 A phase-insensitive channel acts on a single-mode covariance matrix as
 V -> tau V + nu I and is represented canonically by the pair (tau, nu);
@@ -11,11 +11,12 @@ formula dispatch:
 
 A channel is that pair and holds no state: the oracles act with X = sqrt(tau) I
 and Y = nu I on covariance stacks through `gaussian_core`'s array cores.  The
-module also builds, on the same cores, the degrading and simulating channel
-constructions of the approximate-degradability bounds, and checks their
-equality at the covariance level.  They take one thermal or amplifier channel
-and one input or a stack of them, checked element by element.  A channel
-argument that is not one PhaseInsensitiveChannel is a ChannelKindError.
+module gives the approximate-degradability parameters eps and builds, on the same
+cores, the degrading and simulating channel constructions of those bounds, and
+checks their equality at the covariance level.  They take one thermal or amplifier
+channel and one input or a stack of them, each covariance checked by `_checked_cov`.
+A channel argument that is not one PhaseInsensitiveChannel is a ChannelKindError.
+The paper's factorings into pure loss and a quantum-limited amplifier are `bounds`' forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import gaussian_core as gc
 from .errors import (
     ChannelKindError,
     DomainError,
-    InfeasibleBoundError,
     InvalidChannelError,
     InvalidStateError,
     _reals,
@@ -37,8 +37,6 @@ from .errors import (
     _shown,
 )
 from .gaussian_core import noisy_tms_qblocks  # omega(nb), the simulating channel's environment
-
-_EB_SLACK = 1e-12
 
 
 @dataclass(frozen=True, init=False)
@@ -135,76 +133,6 @@ def _channel(ch, what):
     raise ChannelKindError(f"{what} takes one phase-insensitive channel, got {_shown(ch)}")
 
 
-def is_entanglement_breaking(ch: PhaseInsensitiveChannel) -> bool:
-    """True iff nu >= tau + 1; the boundary counts as breaking."""
-    return _channel(ch, "is_entanglement_breaking").nu >= ch.tau + 1.0 - _EB_SLACK
-
-
-def compose_channels(first: PhaseInsensitiveChannel,
-                     second: PhaseInsensitiveChannel) -> PhaseInsensitiveChannel:
-    """Serial concatenation second after first, in (tau, nu) arithmetic."""
-    first, second = (_channel(ch, "compose_channels") for ch in (first, second))
-    return raw_channel(second.tau * first.tau, second.tau * first.nu + second.nu)
-
-
-# ---------------------------------------------------------------------------
-# Canonical decompositions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A two-stage factorization of a phase-insensitive channel."""
-
-    first: PhaseInsensitiveChannel
-    second: PhaseInsensitiveChannel
-    order: str  # "loss_then_amp" | "amp_then_loss"
-
-    def recompose(self) -> PhaseInsensitiveChannel:
-        return compose_channels(self.first, self.second)
-
-
-def decompose_loss_then_amp(ch: PhaseInsensitiveChannel) -> Decomposition:
-    """Factor a thermal channel as pure loss followed by a quantum-limited
-    amplifier: gain G = (1-eta) nb + 1 and loss eta' = eta / G."""
-    if _channel(ch, "decompose_loss_then_amp").kind != "thermal":
-        raise ChannelKindError(f"decompose_loss_then_amp requires a thermal channel, "
-                               f"got {ch.kind!r}")
-    eta, nb = ch.params["eta"], ch.params["nb"]
-    g = (1.0 - eta) * nb + 1.0
-    dec = Decomposition(pure_loss(eta / g), amplifier(g, 0.0), "loss_then_amp")
-    _check_recomposition(dec, ch)
-    return dec
-
-
-def decompose_amp_then_loss(ch: PhaseInsensitiveChannel) -> Decomposition:
-    """Factor any non-entanglement-breaking phase-insensitive channel as a
-    quantum-limited amplifier followed by pure loss, with
-    eta = (tau + 1 - nu)/2 and G = tau / eta."""
-    if is_entanglement_breaking(_channel(ch, "decompose_amp_then_loss")):
-        raise InfeasibleBoundError(
-            f"channel is entanglement-breaking (nu={ch.nu:.6g} >= tau+1="
-            f"{ch.tau + 1.0:.6g}); the amp-then-loss decomposition does not exist"
-        )
-    eta = (ch.tau + 1.0 - ch.nu) / 2.0
-    g = ch.tau / eta
-    # rounding at the pure-loss boundary (nu = 1 - tau) can push g a few ulp
-    # below 1 or eta above 1
-    if 1.0 - 1e-12 < g < 1.0:
-        g = 1.0
-    if 1.0 < eta < 1.0 + 1e-12:
-        eta = 1.0
-    dec = Decomposition(amplifier(g, 0.0), pure_loss(eta), "amp_then_loss")
-    _check_recomposition(dec, ch)
-    return dec
-
-
-def _check_recomposition(dec: Decomposition, ch: PhaseInsensitiveChannel):
-    re = dec.recompose()
-    if abs(re.tau - ch.tau) > 1e-12 * max(1.0, abs(ch.tau)) or \
-       abs(re.nu - ch.nu) > 1e-12 * max(1.0, abs(ch.nu)):
-        raise InvalidChannelError("decomposition failed to recompose")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Approximate degradability parameters
 # ---------------------------------------------------------------------------
@@ -224,25 +152,9 @@ class EpsilonReport:
             raise DomainError("lower bound exceeds upper bound")
 
 
-def kappa(x: float, nb: float) -> float:
-    """kappa(x, nb) = x^2 + nb(nb+1) [1 + 3x^2 - 2x(1 + sqrt(2x-1))].
-
-    x is the thermal transmissivity (x in [1/2, 1]) or amplifier gain
-    (x >= 1).  In both regimes the bracket is nonnegative in exact
-    arithmetic, with a double root at x = 1; in floats it cancels near
-    there (-4.4e-16 at x = 1 - 2^-53, where it is 2.5e-32), which ROADMAP
-    item E's factored bracket removes.  x and nb are taken in float64, nb
-    finite and >= 0.  A result that is not finite (nb(nb+1) overflows from
-    nb = 1.3e154) raises DomainError."""
-    x, nb = _reals("kappa", "x nb", x, nb)
-    _require(x >= 0.5, "kappa requires x >= 1/2", x, nb)
-    _require(nb >= 0.0, "environment photon number must be >= 0", nb)
-    if not np.isfinite(k := _kappa(x, nb)):
-        raise DomainError(f"kappa({x}, nb={nb}) is {k} in float64: nb is too large")
-    return k
-
-
 def _kappa(x, nb):
+    """kappa(x, nb) = x^2 + nb(nb+1) [1 + 3x^2 - 2x(1 + sqrt(2x-1))] over arrays or floats, x >= 1/2;
+    the bracket's double root at x = 1 cancels in floats (ROADMAP E2)."""
     return x * x + nb * (nb + 1.0) * (1.0 + 3.0 * x * x - 2.0 * x * (1.0 + gc._sqrt(2.0 * x - 1.0)))
 
 
@@ -288,14 +200,14 @@ def _channel_params(ch):
 
 
 def _input_covs(what, input_cov, k=None):
-    """`input_cov` as finite float64 covariances (..., 2k, 2k), k >= 1 (or the given k), else
-    `what`'s InvalidStateError."""
+    """`input_cov` as float64 covariances (..., 2k, 2k), k >= 1 (or the given k), that pass `_checked_cov`,
+    else `what`'s InvalidStateError; returned as given, so a public call has its core's bits."""
     cov, = _reals(what, "input_cov", input_cov, arrays=True)
     n = cov.shape[-1] if cov.ndim >= 2 and cov.shape[-2] == cov.shape[-1] else 0
     if n < 2 or n % 2 or k not in (None, n // 2):
         raise InvalidStateError(f"{what} takes input covariances (..., 2k, 2k) with k = {k or '1, 2, ...'}, "
                                 f"got shape {cov.shape}")
-    _require(bool(np.all(np.isfinite(cov))), "state data must be finite", error=InvalidStateError)
+    gc._checked_cov(cov)
     return cov
 
 

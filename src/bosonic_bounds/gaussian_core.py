@@ -22,6 +22,8 @@ one-mode factors elementwise, in LAPACK's own steps and so with its bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -42,6 +44,8 @@ PSD_FLOOR = 1e-8              # eigenvalue floor for the channel CPTP check
 _EPS = float(np.finfo(float).eps)  # float64 machine epsilon, 2^-52
 _G_SERIES_CUTOFF = 1e-8       # switch g(x) to its small-x series below this
 _PURITY_DET_TOL = 1e-8        # det(V) - 1 below this counts as a pure state
+# largest mode count m whose 2m x 2m float64 matrix numpy can index: 32 m^2 <= intp's max
+_MAX_MODES = math.isqrt(np.iinfo(np.intp).max // 32)
 
 
 def _nu_floor(cov):
@@ -53,8 +57,8 @@ def _nu_floor(cov):
 
 def omega(m: int) -> np.ndarray:
     """Symplectic form for m >= 1 modes in block ordering."""
-    if not (_is_int(m) and m >= 1):
-        raise DomainError(f"omega takes a positive int mode count, got {m!r}")
+    if not (_is_int(m) and 1 <= m <= _MAX_MODES):
+        raise DomainError(f"omega takes a positive int mode count, got {m!r}; numpy indexes at most {_MAX_MODES}")
     O = np.zeros((2 * m, 2 * m))
     O[:m, m:] = np.eye(m)
     O[m:, :m] = -np.eye(m)
@@ -67,11 +71,11 @@ def _is_int(k) -> bool:
 
 
 def _block_index(modes, m: int) -> np.ndarray:
-    """Positions of the q and then the p quadratures of `modes`, distinct int
-    indices below m (DomainError otherwise, as for an m that is no int), in the
+    """Positions of the q and then the p quadratures of `modes`, distinct int indices
+    below m (DomainError otherwise, as for an m that is no int in [0, _MAX_MODES]), in the
     block-ordered vector of m modes; `V[..., idx[:, None], idx]` is their covariance block."""
-    if not _is_int(m):
-        raise DomainError(f"mode count {m!r} must be an int")
+    if not (_is_int(m) and 0 <= m <= _MAX_MODES):
+        raise DomainError(f"mode count {m!r} must be an int from 0 to {_MAX_MODES}")
     if not np.iterable(modes):
         raise DomainError(f"mode indices {modes!r} must be a sequence of ints")
     modes = tuple(modes)

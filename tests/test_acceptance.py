@@ -78,7 +78,7 @@ def test_criterion_03_fidelity_identity():
             cov[:2, :2] = oq
             cov[2:, 2:] = op
             fid = float(gc._fidelity(tms, gc._checked_cov(cov)))
-            worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
+            worst = max(worst, abs(fid - eta ** 2 / chn._kappa(eta, nb)))
     ok = worst <= 1e-10
     assert report(3, "two-mode fidelity identity", ok, f"worst residual {worst:.2e}")
 

@@ -8,7 +8,8 @@ not a str is the entry's unknown-name error.  Mode indices that are not a
 sequence, a mode count that is not a positive int, a penalty argument that is
 not a `PenaltyParams`, a sampler's rng that is not a numpy Generator and an
 `evaluate_columns` argument that is not a sequence are DomainErrors.  An input
-covariance that is not a (..., 2k, 2k) stack is an InvalidStateError.
+covariance that is not a (..., 2k, 2k) stack of covariance matrices is an
+InvalidStateError.
 """
 
 import numpy as np
@@ -34,11 +35,6 @@ CHANNEL_CALLS = {
     "gaussian_c_distance": lambda ch: bnd.gaussian_c_distance(ch, TH, 1.0),
     "gaussian_c_distance.b": lambda ch: bnd.gaussian_c_distance(TH, ch, 1.0),
     "epsilon_degradable": lambda ch: chn.epsilon_degradable(ch),
-    "is_entanglement_breaking": lambda ch: chn.is_entanglement_breaking(ch),
-    "decompose_loss_then_amp": lambda ch: chn.decompose_loss_then_amp(ch),
-    "decompose_amp_then_loss": lambda ch: chn.decompose_amp_then_loss(ch),
-    "compose_channels": lambda ch: chn.compose_channels(ch, TH),
-    "compose_channels.second": lambda ch: chn.compose_channels(TH, ch),
     "degrading_dilation_cov": lambda ch: chn.degrading_dilation_cov(ch, np.eye(2)),
     "simulating_channel_cov": lambda ch: chn.simulating_channel_cov(ch, np.eye(2)),
     "degrading_simulation_check": lambda ch: chn.degrading_simulation_check(ch, np.eye(2)),
@@ -81,13 +77,17 @@ def test_name_that_is_not_a_str_is_unknown(call, error, message):
     (lambda: gc.embed_matrix(None, (0,), 2), "embed_matrix takes real numbers, got M=None"),
     (lambda: gc.embed_matrix(np.eye(2), (0,), None), "mode count None must be an int"),
     (lambda: gc.embed_matrix(np.eye(2), (0,), 2, "x"), "embed_matrix takes real numbers, got diag='x'"),
+    (lambda: gc.omega(10 ** 400), "omega takes a positive int mode count, got 1000"),
+    (lambda: gc.embed_matrix(np.eye(2), (0,), 10 ** 400), "mode count 1000.* must be an int from 0 to "),
+    (lambda: gc.omega(gc._MAX_MODES + 1), f"got {gc._MAX_MODES + 1}; numpy indexes at most {gc._MAX_MODES}"),
     (lambda: vfy.random_single_mode_cov(1.0, None), "take a numpy Generator as rng, got None"),
     (lambda: vfy.random_single_mode_cov(1.0, 7), "take a numpy Generator as rng, got 7"),
     (lambda: vfy.random_valid_qblock(None), "take a numpy Generator as rng, got None"),
     (lambda: vfy.random_valid_qblock(7), "take a numpy Generator as rng, got 7"),
 ], ids=["embed_matrix_int_modes", "apply_int_modes", "penalty_None", "penalty_tuple", "omega_negative",
         "omega_fractional", "omega_None", "omega_bool", "embed_matrix_M_None", "embed_matrix_total_None",
-        "embed_matrix_diag_str", "random_single_mode_cov_rng_None", "random_single_mode_cov_rng_int",
+        "embed_matrix_diag_str", "omega_huge", "embed_matrix_total_huge", "omega_past_intp",
+        "random_single_mode_cov_rng_None", "random_single_mode_cov_rng_int",
         "random_valid_qblock_rng_None", "random_valid_qblock_rng_int"])
 def test_argument_of_the_wrong_type_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
@@ -114,6 +114,18 @@ INPUT_COV_CALLS = {
                          ids=["eye3", "ones2x3", "scalar", "empty"])
 def test_input_covariance_of_no_mode_stack_shape_is_an_invalid_state(entry, cov):
     with pytest.raises(InvalidStateError, match=rf"^{entry} takes input covariances \(\.\.\., 2k, 2k\)"):
+        INPUT_COV_CALLS[entry](cov)
+
+
+@pytest.mark.parametrize("entry", INPUT_COV_CALLS)
+@pytest.mark.parametrize("cov,message", [
+    (-np.eye(2), "not positive definite"),
+    (0.5 * np.eye(2), r"min symplectic eigenvalue 0\.5 < 0\.999999999"),
+    (np.stack([3.0 * np.eye(2), 0.5 * np.eye(2)]), r"min symplectic eigenvalue 0\.5 < "),
+], ids=["negative", "below_vacuum", "stack_below_vacuum"])
+def test_input_matrix_that_is_no_covariance_is_an_invalid_state(entry, cov, message):
+    # a negative matrix gave a dilation covariance, and 0.5 I a U_D of -0.539 bits
+    with pytest.raises(InvalidStateError, match=message):
         INPUT_COV_CALLS[entry](cov)
 
 

@@ -145,6 +145,34 @@ class TestDataProcessingBounds:
         with pytest.raises(InfeasibleBoundError):
             bnd.q_u1(chn.thermal(0.4, 0.1), 1.0)
 
+    def test_upper_bounds_are_the_papers_factorings(self):
+        """QU1 is QL of the pure-loss (or quantum-limited amplifier) first stage
+        of the loss-then-amplifier factoring, and QU4 is QL of the pure-loss
+        second stage of the amplifier-then-loss one, at the amplified energy.
+        The 1e-9 leaves room for the QL forms' cancellation (ROADMAP E2)."""
+        rng = np.random.default_rng(0)
+        n = 2000
+        cells = np.column_stack([rng.uniform(0.5, 1.0, n), 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(3.2), n),
+                                 10.0 ** rng.uniform(-3.0, 2.0, n), 10.0 ** rng.uniform(-3.0, 4.0, n)])
+        checked = dict.fromkeys(("thermal", "amplifier", "additive", "qu4"), 0)
+        for eta, g, nb, ns in cells.tolist():
+            pairs = {"thermal": (bnd.q_u1(chn.thermal(eta, nb), ns),
+                                 bnd.q_lower_thermal(eta / ((1.0 - eta) * nb + 1.0), 0.0, ns))}
+            if (g - 1.0) * nb < 1.0:
+                pairs["amplifier"] = (bnd.q_u1(chn.amplifier(g, nb), ns),
+                                      bnd.q_lower_amp(g / (1.0 - nb * (g - 1.0)), 0.0, ns))
+            if nb < 1.0:
+                pairs["additive"] = (bnd.q_u1(chn.additive_noise(nb), ns),
+                                     bnd.q_lower_thermal(1.0 / (nb + 1.0), 0.0, ns))
+            if (eta2 := eta - (1.0 - eta) * nb) > 0.0:
+                gain = eta / eta2
+                pairs["qu4"] = (bnd.q_u4(chn.thermal(eta, nb), ns),
+                                bnd.q_lower_thermal(eta2, 0.0, gain * ns + gain - 1.0))
+            for name, (bound, ql) in pairs.items():
+                assert bound.raw == pytest.approx(ql.raw, rel=1e-9, abs=0.0), (name, eta, g, nb, ns)
+                checked[name] += 1
+        assert min(checked.values()) >= 1000
+
     def test_qu4_matches_qu1_at_zero_noise(self):
         ch = chn.thermal(0.8, 0.0)
         assert bnd.q_u4(ch, 5.0).raw == pytest.approx(bnd.q_u1(ch, 5.0).raw, abs=1e-12)

@@ -10,7 +10,6 @@ from bosonic_bounds import verify as vfy
 from bosonic_bounds.errors import (
     ChannelKindError,
     DomainError,
-    InfeasibleBoundError,
     InvalidChannelError,
     InvalidStateError,
 )
@@ -131,11 +130,6 @@ class TestFloat64Parameters:
         assert all(type(v) is float for v in (got.epsilon, got.epsilon_prime, got.w_prime))
         assert bnd.penalty(got).hex() == bnd.penalty(want).hex()
 
-    def test_kappa_of_float32_is_a_python_float(self):
-        low = np.float32(0.8), np.float32(0.3)
-        got = chn.kappa(*low)
-        assert type(got) is float and got.hex() == chn.kappa(*map(float, low)).hex()
-
     def test_noisy_tms_blocks_of_float32_are_float64(self):
         low = np.array([0.3, 2.5], dtype=np.float32), np.array([0.8, 1.7], dtype=np.float32)
         for got, want in zip(chn.noisy_tms_qblocks(*low), chn.noisy_tms_qblocks(*(v.astype(float) for v in low))):
@@ -148,87 +142,6 @@ class TestFloat64Parameters:
         ch = chn.thermal(0.8, 0.3)
         assert [v.hex() for v in ch.params.values()] == [(0.8).hex(), (0.3).hex()]
         assert ch.nu.hex() == ((1.0 - 0.8) * (2.0 * 0.3 + 1.0)).hex()
-        # the public call keeps the bits of the formula on the same Python floats
-        assert chn.kappa(0.8, 0.3).hex() == chn._kappa(0.8, 0.3).hex()
-
-
-class TestEntanglementBreaking:
-    def test_additive_boundary(self):
-        assert chn.is_entanglement_breaking(chn.additive_noise(1.0))  # nu = tau + 1
-        assert not chn.is_entanglement_breaking(chn.additive_noise(0.99))
-
-    @pytest.mark.parametrize("g,nb", [(2.0, 1.0), (3.0, 0.5), (1.5, 2.0)])
-    def test_amplifier_condition(self, g, nb):
-        # (g-1) nb >= 1 is exactly nu >= tau + 1
-        assert chn.is_entanglement_breaking(chn.amplifier(g, nb)) == ((g - 1) * nb >= 1)
-
-    @pytest.mark.parametrize("eta,nb", [(0.3, 1.0), (0.5, 1.0), (0.5, 0.9),
-                                        (0.2, 0.3), (0.9, 5.0)])
-    def test_thermal_condition(self, eta, nb):
-        # nu >= tau + 1 reduces to eta <= nb/(nb+1)
-        assert chn.is_entanglement_breaking(chn.thermal(eta, nb)) == (eta <= nb / (nb + 1))
-
-
-class TestDecompositions:
-    def test_loss_then_amp_pure_loss(self):
-        d = chn.decompose_loss_then_amp(chn.thermal(0.8, 0.0))
-        assert d.second.params["g"] == pytest.approx(1.0)
-        assert d.first.params["eta"] == pytest.approx(0.8)
-
-    def test_loss_then_amp_values(self):
-        d = chn.decompose_loss_then_amp(chn.thermal(0.5, 1.0))
-        assert d.second.params["g"] == pytest.approx(1.5)
-        assert d.first.params["eta"] == pytest.approx(1.0 / 3.0)
-
-    def test_loss_then_amp_kind_check(self):
-        with pytest.raises(ChannelKindError):
-            chn.decompose_loss_then_amp(chn.additive_noise(0.5))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.01, 1.0), st.floats(0.0, 5.0))
-    def test_loss_then_amp_recomposes(self, eta, nb):
-        ch = chn.thermal(eta, nb)
-        re = chn.decompose_loss_then_amp(ch).recompose()
-        assert abs(re.tau - ch.tau) < 1e-12
-        assert abs(re.nu - ch.nu) < 1e-12 * max(1.0, ch.nu)
-
-    def test_amp_then_loss_thermal(self):
-        eta, nb = 0.8, 0.5
-        d = chn.decompose_amp_then_loss(chn.thermal(eta, nb))
-        assert d.second.params["eta"] == pytest.approx(eta - (1 - eta) * nb)
-        assert d.first.params["g"] > 1.0
-
-    def test_amp_then_loss_additive(self):
-        d = chn.decompose_amp_then_loss(chn.additive_noise(0.5))
-        assert d.second.params["eta"] == pytest.approx(0.5)
-        assert d.first.params["g"] == pytest.approx(2.0)
-
-    def test_amp_then_loss_clamps_eta_at_one(self):
-        # nu lies 1e-13 below |1 - tau|, inside the CPTP tolerance, so
-        # eta = (tau + 1 - nu)/2 is 1 + 5e-14: the loss stage is pure_loss(1)
-        ch = chn.raw_channel(1.5, 0.5 - 1e-13)
-        d = chn.decompose_amp_then_loss(ch)
-        assert d.second == chn.pure_loss(1.0)
-        re = d.recompose()
-        assert abs(re.tau - ch.tau) < 1e-12 * ch.tau
-        assert abs(re.nu - ch.nu) < 1e-12
-
-    def test_amp_then_loss_entanglement_breaking(self):
-        with pytest.raises(InfeasibleBoundError):
-            chn.decompose_amp_then_loss(chn.thermal(0.5, 2.0))  # nu=2.5 >= 1.5
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.1, 3.0), st.floats(0.0, 3.0))
-    def test_amp_then_loss_recomposes(self, tau, nu_frac):
-        # draw a valid non-EB channel: nu in [|1-tau|, tau+1)
-        lo, hi = abs(1.0 - tau), tau + 1.0
-        nu = lo + nu_frac / 3.0 * (hi - lo) * 0.999
-        ch = chn.raw_channel(tau, nu)
-        if chn.is_entanglement_breaking(ch):
-            return
-        re = chn.decompose_amp_then_loss(ch).recompose()
-        assert abs(re.tau - ch.tau) < 1e-12 * max(1.0, tau)
-        assert abs(re.nu - ch.nu) < 1e-12 * max(1.0, ch.nu)
 
 
 class TestEpsilons:

@@ -316,7 +316,7 @@ class TestVerifyCommand:
         assert not vfy.check_gap_law(n=500).passed
 
     def test_mutation_in_kappa_breaks_eps_consistency(self, monkeypatch):
-        orig = chn._kappa  # the formula behind kappa and epsilon_degradable
+        orig = chn._kappa  # the formula behind epsilon_degradable
         monkeypatch.setattr(chn, "_kappa", lambda x, nb: orig(x, nb) * 1.01)
         assert not vfy.check_eps_consistency(n=50).passed
 

@@ -255,7 +255,7 @@ def _clamped(ref):
 QUANTITIES = {
     "ud_thermal": (lambda *c: bnd._ud_thermal_raw(*c), _mp_ud, "thermal", None),
     "ud_amp": (lambda *c: bnd._ud_amp_raw(*c), _mp_ud, "amplifier", None),
-    "kappa": (lambda x, nb, ns: chn.kappa(x, nb), lambda x, nb, ns: _mp_kappa(x, nb), "both", None),
+    "kappa": (lambda x, nb, ns: chn._kappa(x, nb), lambda x, nb, ns: _mp_kappa(x, nb), "both", None),
     "eps": (lambda x, nb, ns: chn.epsilon_degradable(_channel(x, nb)).epsilon,
             lambda x, nb, ns: _mp_eps_degradable(x, nb), "both", None),
     "ql_thermal": (_bound("QL"), _clamped(_mp_ql), "thermal", None),
@@ -322,7 +322,7 @@ def test_kappa_at_eta_one_ulp_below_one():
     """kappa(1 - 2^-53, 1e8) reads -3.44; the bracket's double root at x = 1
     cancels."""
     x = 1.0 - 2.0 ** -53
-    assert _close(chn.kappa(x, 1e8), _mp_kappa(x, 1e8))
+    assert _close(chn._kappa(x, 1e8), _mp_kappa(x, 1e8))
 
 
 @E2

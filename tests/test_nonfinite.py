@@ -1,7 +1,7 @@
 """NaN and +-inf inputs raise a named error; none comes back as a number.
 
-Every public bound, every channel constructor, the entropy helpers, `kappa`
-and the `bound` command are fed a non-finite value in each numeric argument
+Every public bound, every channel constructor, the entropy helpers and the
+`bound` command are fed a non-finite value in each numeric argument
 in turn.  Finite inputs whose arithmetic overflows either give a finite
 bound or raise a named error too.
 """
@@ -53,13 +53,11 @@ BOUND_CALLS = [
     ("PenaltyParams.epsilon_prime", lambda x: bnd.PenaltyParams(0.1, x, 1.0)),
     ("PenaltyParams.w_prime", lambda x: bnd.PenaltyParams(0.1, 0.5, x)),
     ("epsilon_close_degradable.nb", lambda x: chn.epsilon_close_degradable(x)),
-    # entropy helpers and kappa: a scalar, or one element of an array
+    # entropy helpers: a scalar, or one element of an array
     ("g_entropy", lambda x: gc.g_entropy(x)),
     ("g_entropy.array", lambda x: gc.g_entropy([1.0, x])),
     ("binary_entropy", lambda x: gc.binary_entropy(x)),
     ("binary_entropy.array", lambda x: gc.binary_entropy([0.5, x])),
-    ("kappa.x", lambda x: chn.kappa(x, 1.0)),
-    ("kappa.nb", lambda x: chn.kappa(0.7, x)),
     # the TMS blocks: nb and x must be finite
     ("tms_qblocks.n", lambda x: gc.tms_qblocks(x)),
     ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8)),
@@ -108,8 +106,6 @@ NON_REAL_CALLS = [
     ("amplifier.g", lambda x: chn.amplifier(x, 0.3), 2.0),
     ("amplifier.nb", lambda x: chn.amplifier(2, x), 0.3),
     ("additive_noise.nbar", lambda x: chn.additive_noise(x), 0.3),
-    ("kappa.x", lambda x: chn.kappa(x, 0.3), 0.8),
-    ("kappa.nb", lambda x: chn.kappa(0.8, x), 0.3),
     ("tms_qblocks.n", lambda x: gc.tms_qblocks(x), 1.5),
     ("noisy_tms_qblocks.nb", lambda x: chn.noisy_tms_qblocks(x, 0.8), 0.3),
     ("noisy_tms_qblocks.x", lambda x: chn.noisy_tms_qblocks(0.3, x), 0.8),
@@ -256,12 +252,11 @@ def test_non_real_eps_prime_is_a_domain_error(call, valid, make):
         call(make(valid))
 
 
-# a negative photon number lies outside the TMS blocks' and kappa's domain
+# a negative photon number lies outside the TMS blocks' domain
 @pytest.mark.parametrize("call", [
     lambda: chn.noisy_tms_qblocks(-2.0, 0.8),
     lambda: chn.noisy_tms_qblocks(-0.5, 0.8),
-    lambda: chn.kappa(0.8, -2.0),
-], ids=["noisy_tms_qblocks-2", "noisy_tms_qblocks-0.5", "kappa-2"])
+], ids=["noisy_tms_qblocks-2", "noisy_tms_qblocks-0.5"])
 def test_negative_photon_number_is_a_domain_error(call):
     with pytest.raises(DomainError, match="must be >= 0"):
         call()
@@ -338,14 +333,6 @@ OVERFLOWING = [
 ], ids=["penalty", "g_entropy"])
 def test_finite_input_gives_a_finite_value(call):
     assert math.isfinite(call())
-
-
-# kappa at an nb whose nb(nb+1) overflows: nan at x = 1 (inf * 0), inf in
-# the bracket's positive range and -inf where it rounds below 0
-@pytest.mark.parametrize("x", [1.0, 0.5, 1.0 - 2.0 ** -53])
-def test_overflowing_kappa_names_nb(x):
-    with pytest.raises(DomainError, match=r"nb=1e\+200"):
-        chn.kappa(x, 1e200)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

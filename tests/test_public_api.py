@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import bosonic_bounds
-from bosonic_bounds import bounds, gaussian_core, optimize
+from bosonic_bounds import bounds, channels, gaussian_core, optimize
 from bosonic_bounds.channels import PhaseInsensitiveChannel
 
 CHANGES = Path(__file__).resolve().parent.parent / "CHANGES.md"
@@ -20,9 +20,8 @@ PUBLIC = {
     "p_bounds", "p_lower_displaced", "penalty", "q_lower_amp", "q_lower_thermal", "q_u1",
     "q_u1_unconstrained", "q_u2", "q_u3", "q_u4", "q_u4_unconstrained",
     # channels
-    "Decomposition", "EpsilonReport", "PhaseInsensitiveChannel", "additive_noise", "amplifier",
-    "decompose_amp_then_loss", "decompose_loss_then_amp", "degrading_simulation_check",
-    "epsilon_close_degradable", "epsilon_degradable", "is_entanglement_breaking",
+    "EpsilonReport", "PhaseInsensitiveChannel", "additive_noise", "amplifier",
+    "degrading_simulation_check", "epsilon_close_degradable", "epsilon_degradable",
     "make_channel", "pure_loss", "thermal",
     # gaussian_core
     "beamsplitter_symplectic", "binary_entropy", "g_entropy", "two_mode_squeezer_symplectic",
@@ -39,7 +38,10 @@ REMOVED = [(optimize, "minimize_scalar"), (optimize, "ScalarOptResult"),
            *((gaussian_core, name) for name in (
                "GaussianState", "vacuum_state", "thermal_state", "tms_state", "reduce_state",
                "symplectic_eigenvalues", "gaussian_entropy", "mean_photon_number",
-               "two_mode_fidelity", "apply_gaussian_channel"))]
+               "two_mode_fidelity", "apply_gaussian_channel")),
+           *((channels, name) for name in (
+               "Decomposition", "decompose_loss_then_amp", "decompose_amp_then_loss",
+               "compose_channels", "is_entanglement_breaking", "kappa"))]
 
 
 def test_public_names_are_pinned():

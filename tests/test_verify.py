@@ -137,7 +137,7 @@ def ref_fidelity_identity(n_eta=20, n_nb=20):
     for eta in np.linspace(0.5, 1.0, n_eta):
         for nb in np.linspace(0.0, 3.0, n_nb):
             fid = float(gc._fidelity(_tms_cov(nb), _noisy_tms_cov(nb, eta)))
-            worst = max(worst, abs(fid - eta ** 2 / chn.kappa(eta, nb)))
+            worst = max(worst, abs(fid - eta ** 2 / chn._kappa(eta, nb)))
     return vfy.CheckResult("fidelity_identity", worst < 1e-10, worst, 1e-10,
                            "F(psi_TMS, omega) = eta^2/kappa")
 
